@@ -27,9 +27,11 @@
 //! ```
 
 use cayman::ir::interp::Memory;
-use cayman::select::run_selection;
+use cayman::select::{run_selection, CaymanModel, DesignCache};
 use cayman::workloads::Workload;
-use cayman::{AnalyseOptions, Application, Edit, IncrementalApp, SelectOptions, Solution};
+use cayman::{
+    AnalyseOptions, Application, Edit, IncrementalApp, SelectOptions, SelectionResult, Solution,
+};
 use cayman_bench::diff::single_instr_edit;
 use cayman_bench::harness::fmt_duration;
 use cayman_bench::json;
@@ -62,12 +64,27 @@ fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
         })
 }
 
+/// Batch selection over a freshly analysed application: a fresh design
+/// cache and no front store.
+fn batch_select(app: &Application, sel: &SelectOptions) -> SelectionResult {
+    let inputs = app.inputs();
+    run_selection(
+        &app.module,
+        &app.wpst,
+        &app.profile,
+        &inputs,
+        sel,
+        &CaymanModel(sel.model.clone()),
+        &DesignCache::new(),
+        None,
+    )
+}
+
 /// Fresh batch analyse+select, returning the front for equivalence checks.
 fn batch_front(module: cayman::ir::Module, memory: &Memory, sel: &SelectOptions) -> Vec<Solution> {
     let app = Application::analyse_with(module, Some(memory.clone()), &AnalyseOptions::default())
         .expect("corpus kernel analyses");
-    let inputs = app.inputs();
-    run_selection(&app.module, &app.wpst, &app.profile, &inputs, sel).pareto
+    batch_select(&app, sel).pareto
 }
 
 /// Measures one kernel, or `None` when it has no float immediate to edit.
@@ -89,8 +106,7 @@ fn measure_kernel(w: &Workload, smoke: bool) -> Option<KernelPoint> {
         let mem = memory.clone();
         let t0 = Instant::now();
         let app = Application::analyse_with(module, Some(mem), &opts).expect("analyses");
-        let inputs = app.inputs();
-        let res = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &sel);
+        let res = batch_select(&app, &sel);
         cold_s = cold_s.min(t0.elapsed().as_secs_f64());
         std::hint::black_box(res);
     }

@@ -5,22 +5,23 @@
 //!   α-filter keeps per-node Pareto sequences logarithmic, so growth should
 //!   be near-linear in the number of wPST vertices),
 //! * `selection_threads/*` — the same application across thread budgets
-//!   (independent wPST subtrees evaluated on scoped threads),
+//!   (model calls spread over work-stealing workers),
 //! * `selection_cache/*` — cold vs memoised selection,
 //! * `alpha_sweep/*` — the ablation for the `filter` spacing parameter,
 //! * `workload/*` — end-to-end selection on representative real benchmarks,
-//! * `selection_sched/*` — static chunking vs work stealing on balanced and
-//!   skewed wPSTs across thread budgets, written to `BENCH_selection.json`.
+//! * `selection_sched/*` — the sequential reference vs work stealing on
+//!   balanced and skewed wPSTs across thread budgets, written to
+//!   `BENCH_selection.json`.
 //!
 //! ```text
 //! cargo bench -p cayman-bench --bench selection            # full, writes BENCH_selection.json
-//! cargo bench -p cayman-bench --bench selection -- --smoke # CI smoke: scheduler equivalence only
+//! cargo bench -p cayman-bench --bench selection -- --smoke # CI smoke: engine equivalence only
 //! ```
 
 use cayman::ir::builder::{FunctionBuilder, ModuleBuilder};
 use cayman::ir::{ArrayId, Type};
-use cayman::select::{run_selection_cached, CaymanModel, DesignCache};
-use cayman::{Framework, SchedKind, SelectOptions, Solution};
+use cayman::select::{run_selection, CaymanModel, DesignCache};
+use cayman::{Framework, SelectOptions, Solution};
 use cayman_bench::harness::{fmt_duration, run};
 use cayman_bench::json;
 use std::path::Path;
@@ -56,15 +57,15 @@ fn synthetic_app(k: usize) -> cayman::ir::Module {
 /// Uncached selection (fresh cache each call), at a given thread budget.
 fn select_uncached(fw: &Framework, opts: &SelectOptions) -> cayman::SelectionResult {
     let inputs = fw.app.inputs();
-    let cache = DesignCache::new();
-    run_selection_cached(
+    run_selection(
         &fw.app.module,
         &fw.app.wpst,
         &fw.app.profile,
         &inputs,
         opts,
         &CaymanModel(opts.model.clone()),
-        &cache,
+        &DesignCache::new(),
+        None,
     )
 }
 
@@ -148,7 +149,7 @@ fn bench_real_workloads() {
 
 /// One heavy 16×8 loop nest: enough instructions per wPST vertex that
 /// `accel(v, R)` does real scheduling/pipelining work and dominates the
-/// run (the regime the schedulers compete in).
+/// run (the regime work stealing spreads over workers).
 fn emit_nest(fb: &mut FunctionBuilder, x: ArrayId, y: ArrayId, seed: f64) {
     fb.counted_loop(0, 16, 1, |fb, i| {
         fb.counted_loop(0, 8, 1, |fb, j| {
@@ -168,7 +169,7 @@ fn emit_nest(fb: &mut FunctionBuilder, x: ArrayId, y: ArrayId, seed: f64) {
 }
 
 /// Balanced wPST: 16 sibling functions, one heavy nest each — every root
-/// child costs the same, so static chunking already spreads the work well.
+/// child costs the same, so any split of the siblings spreads the work.
 fn balanced_app() -> cayman::ir::Module {
     let mut mb = ModuleBuilder::new("balanced");
     let arrays: Vec<_> = (0..16)
@@ -199,10 +200,9 @@ fn balanced_app() -> cayman::ir::Module {
 }
 
 /// Skewed wPST: one hot function holding 12 heavy nests plus 8 trivial
-/// siblings. Static chunking assigns the hot function — and with it almost
-/// all the work — to a single sibling chunk, so its nests are evaluated with
-/// only that chunk's slice of the thread budget; work stealing treats every
-/// nest as an independent task and spreads them over all workers.
+/// siblings. Splitting the siblings would leave almost all the work with
+/// whoever gets the hot function; work stealing treats every nest as an
+/// independent task and spreads them over all workers.
 fn skewed_app() -> cayman::ir::Module {
     let mut mb = ModuleBuilder::new("skewed");
     let x = mb.array("x", Type::F64, &[16, 8]);
@@ -249,17 +249,16 @@ fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
         })
 }
 
-/// One `(threads, scheduler)` measurement on one shape.
+/// One work-stealing measurement on one shape.
 struct SchedPoint {
     threads: usize,
-    sched: &'static str,
     wall_s: f64,
     busy_s: f64,
     makespan_s: f64,
     balance: f64,
 }
 
-/// Scheduler comparison over one wPST shape.
+/// Engine comparison over one wPST shape.
 struct ShapeResult {
     shape: &'static str,
     wall_seq_s: f64,
@@ -267,27 +266,28 @@ struct ShapeResult {
 }
 
 impl ShapeResult {
-    /// Modeled makespan of a `(threads, sched)` point, in seconds.
-    fn makespan(&self, threads: usize, sched: &str) -> f64 {
+    /// How far work stealing at `threads` spreads the work: the run's total
+    /// busy time over its modeled makespan. Both come from the same run, so
+    /// host noise between separate measurements cannot move the ratio.
+    fn modeled_parallelism(&self, threads: usize) -> f64 {
         self.points
             .iter()
-            .find(|p| p.threads == threads && p.sched == sched)
-            .map(|p| p.makespan_s)
-            .unwrap_or(0.0)
+            .find(|p| p.threads == threads)
+            .map_or(0.0, |p| p.busy_s / p.makespan_s.max(1e-12))
     }
 }
 
-/// The tentpole's tracked benchmark: selection wall time and per-worker busy
-/// time on a balanced and a skewed wPST at 1/2/4/8 threads, under both the
-/// static splitter and the work-stealing scheduler. Every parallel run's
-/// front is asserted bit-identical to the sequential one.
+/// The tracked benchmark: selection wall time and per-worker busy time on a
+/// balanced and a skewed wPST, sequentially and with work stealing at
+/// 2/4/8 threads. Every parallel run's front is asserted bit-identical to
+/// the sequential one.
 ///
 /// Wall time only shows parallel speedup when the host has free cores; the
 /// *modeled* makespan (see [`cayman::SelectStats::makespan_seconds`]) —
-/// built from measured per-worker and per-task CPU time — compares
-/// scheduler quality even on a saturated or single-core host.
+/// built from measured per-worker and per-task CPU time — shows how well
+/// the work spreads even on a saturated or single-core host.
 fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
-    println!("# selection_sched — static chunking vs work stealing (uncached)");
+    println!("# selection_sched — sequential vs work stealing (uncached)");
     let mut out = Vec::new();
     for (shape, module) in [("balanced", balanced_app()), ("skewed", skewed_app())] {
         let fw = Framework::from_module(module).expect("analyses");
@@ -311,63 +311,55 @@ fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
         };
         let mut points = Vec::new();
         for threads in [2usize, 4, 8] {
-            for sched in [SchedKind::Static, SchedKind::WorkSteal] {
-                let opts = SelectOptions {
-                    threads,
-                    sched,
-                    ..seq_opts.clone()
-                };
-                let label = format!("selection_sched/{shape}/{}x{threads}", sched.label());
-                let t0 = Instant::now();
-                let res = select_uncached(&fw, &opts);
-                let one_shot_s = t0.elapsed().as_secs_f64();
-                assert!(
-                    fronts_identical(&reference.pareto, &res.pareto),
-                    "{shape}: {sched:?} threads={threads} diverged from sequential"
+            let opts = SelectOptions {
+                threads,
+                ..seq_opts.clone()
+            };
+            let label = format!("selection_sched/{shape}/stealx{threads}");
+            let t0 = Instant::now();
+            let res = select_uncached(&fw, &opts);
+            let one_shot_s = t0.elapsed().as_secs_f64();
+            assert!(
+                fronts_identical(&reference.pareto, &res.pareto),
+                "{shape}: threads={threads} diverged from sequential"
+            );
+            assert_eq!(res.visited, reference.visited, "{label}");
+            assert_eq!(
+                res.configs_evaluated, reference.configs_evaluated,
+                "{label}"
+            );
+            let wall_s = if smoke {
+                one_shot_s
+            } else {
+                run(&label, || select_uncached(&fw, &opts)).min_s
+            };
+            if threads == 8 {
+                println!(
+                    "{:<36} stealx8: model {} + combine {}, max task {}, busy {}",
+                    "",
+                    fmt_duration(res.stats.model_seconds()),
+                    fmt_duration(res.stats.combine_seconds()),
+                    fmt_duration(res.stats.max_task_nanos as f64 * 1e-9),
+                    fmt_duration(res.stats.busy_seconds()),
                 );
-                assert_eq!(res.visited, reference.visited, "{label}");
-                assert_eq!(
-                    res.configs_evaluated, reference.configs_evaluated,
-                    "{label}"
-                );
-                let wall_s = if smoke {
-                    one_shot_s
-                } else {
-                    run(&label, || select_uncached(&fw, &opts)).min_s
-                };
-                if threads == 8 {
-                    println!(
-                        "{:<36} {}x8: model {} + combine {}, max task {}, busy {}",
-                        "",
-                        res.stats.scheduler,
-                        fmt_duration(res.stats.model_seconds()),
-                        fmt_duration(res.stats.combine_seconds()),
-                        fmt_duration(res.stats.max_task_nanos as f64 * 1e-9),
-                        fmt_duration(res.stats.busy_seconds()),
-                    );
-                }
-                points.push(SchedPoint {
-                    threads,
-                    sched: res.stats.scheduler,
-                    wall_s,
-                    busy_s: res.stats.busy_seconds(),
-                    makespan_s: res.stats.makespan_seconds(),
-                    balance: res.stats.load_balance(),
-                });
             }
+            points.push(SchedPoint {
+                threads,
+                wall_s,
+                busy_s: res.stats.busy_seconds(),
+                makespan_s: res.stats.makespan_seconds(),
+                balance: res.stats.load_balance(),
+            });
         }
         let result = ShapeResult {
             shape,
             wall_seq_s,
             points,
         };
-        let (st, wk) = (result.makespan(8, "static"), result.makespan(8, "steal"));
         println!(
-            "{:<36} modeled makespan @8 threads: static {} vs steal {} ({:.2}x)",
+            "{:<36} modeled parallelism of stealx8: {:.2}x",
             "",
-            fmt_duration(st),
-            fmt_duration(wk),
-            st / wk.max(1e-12)
+            result.modeled_parallelism(8)
         );
         out.push(result);
     }
@@ -412,9 +404,9 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
         o.str(
             "note",
             "wall_s shows no parallel speedup when the host has fewer free cores than \
-             threads; makespan_s is the modeled parallel completion time from measured CPU time \
-             (static: the busiest thread, including the caller's serial spine; steal: the greedy \
-             bound max(total work / workers, most expensive single task))",
+             threads; makespan_s is the modeled parallel completion time from measured CPU time: \
+             the greedy bound max(total work / workers, most expensive single task); the modeled \
+             parallelism is busy_s / makespan_s",
         );
         o.f64("obs_disabled_span_ns", obs_disabled_ns, 1);
         o.arr("shapes", |a| {
@@ -426,7 +418,6 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
                         for p in &r.points {
                             a.obj(|o| {
                                 o.u64("threads", p.threads as u64);
-                                o.str("sched", p.sched);
                                 o.f64("wall_s", p.wall_s, 6);
                                 o.f64("busy_s", p.busy_s, 6);
                                 o.f64("makespan_s", p.makespan_s, 6);
@@ -437,10 +428,9 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
                 });
             }
         });
-        o.obj("modeled_speedup_at_8_threads", |o| {
+        o.obj("modeled_parallelism_at_8_threads", |o| {
             for r in results {
-                let ratio = r.makespan(8, "static") / r.makespan(8, "steal").max(1e-12);
-                o.f64(&format!("{}_steal_vs_static", r.shape), ratio, 2);
+                o.f64(r.shape, r.modeled_parallelism(8), 2);
             }
         });
     })
@@ -456,7 +446,7 @@ fn main() {
             "disabled tracing costs {obs_ns:.0} ns per span — not near-zero"
         );
         println!(
-            "smoke mode: fronts bit-identical across schedulers and thread budgets; \
+            "smoke mode: fronts bit-identical across engines and thread budgets; \
              BENCH_selection.json left untouched"
         );
         return;
@@ -468,19 +458,6 @@ fn main() {
     bench_real_workloads();
     let results = bench_scheduler_comparison(false);
     let obs_ns = measure_obs_disabled_ns();
-    for r in &results {
-        let ratio = r.makespan(8, "static") / r.makespan(8, "steal").max(1e-12);
-        if r.shape == "skewed" && ratio < 1.5 {
-            eprintln!(
-                "WARNING: skewed steal-vs-static modeled speedup {ratio:.2}x below the 1.5x target"
-            );
-        }
-        if r.shape == "balanced" && ratio < 0.95 {
-            eprintln!(
-                "WARNING: balanced work stealing modeled {ratio:.2}x vs static (target: within 5%)"
-            );
-        }
-    }
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_selection.json");
     std::fs::write(&path, sched_json(&results, obs_ns)).expect("write BENCH_selection.json");
     println!("wrote {}", path.display());

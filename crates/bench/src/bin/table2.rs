@@ -177,7 +177,7 @@ fn main() {
     println!();
     println!("selection stats (warm re-runs, aggregated): {}", avg.stats);
     println!(
-        "selection scheduler: {} with {} thread(s) per run (steer with CAYMAN_SELECT_SCHED=static|steal and CAYMAN_SELECT_THREADS)",
+        "selection scheduler: {} with {} thread(s) per run (steer with CAYMAN_SELECT_THREADS)",
         if avg.stats.scheduler.is_empty() {
             "seq"
         } else {

@@ -13,9 +13,10 @@
 //!    programs, the exact same error message.
 //! 2. **`-O0` vs `-O1` normalization** — return-value bits and final memory
 //!    cells (counts and cycles legitimately change; observables must not).
-//! 3. **static vs work-steal scheduler × {2, 3, 8} threads** — the selection
-//!    Pareto front (area and saved-seconds bits per solution), the visited
-//!    vertex count, and the merged best solution's area accounting.
+//! 3. **reference engine (`threads = 1`) vs work stealing × {2, 3, 8}
+//!    threads** — the selection Pareto front (area and saved-seconds bits,
+//!    kernel node ids and block sets per solution), the visited vertex
+//!    count, and the merged best solution's area accounting.
 //! 4. **`-O1` vs `-O2` staging** — the `-O2` application executes the
 //!    `-O1` body (the extra canonicalization lives in analysis shadows), so
 //!    the executed module text, region profile and return value must be
@@ -24,7 +25,8 @@
 //! 5. **incremental vs from-scratch re-analysis** ([`check_incremental`]) —
 //!    after every seeded single-instruction edit, the [`IncrementalApp`]
 //!    query pipeline must reproduce the from-scratch Pareto front, region
-//!    profile and merge accounting bit for bit. (The visited-vertex count is
+//!    profile and merge accounting bit for bit, re-selecting at both
+//!    `threads = 1` and `threads = 3`. (The visited-vertex count is
 //!    deliberately *not* compared here: cached subtree fronts legitimately
 //!    skip visits.)
 
@@ -32,10 +34,8 @@ use cayman::ir::interp::{Interp, Memory, Value};
 use cayman::ir::transform::{normalize, OptLevel};
 use cayman::ir::Module;
 use cayman::merging::merge_solution;
-use cayman::select::run_selection;
-use cayman::{
-    AnalyseOptions, Application, Edit, Framework, IncrementalApp, SchedKind, SelectOptions,
-};
+use cayman::select::{run_selection, CaymanModel, DesignCache};
+use cayman::{AnalyseOptions, Application, Edit, Framework, IncrementalApp, SelectOptions};
 use std::fmt;
 
 /// Runaway guard: generated programs terminate by construction, so the
@@ -175,7 +175,7 @@ pub fn check_module(m: &Module) -> Result<bool, DiffFailure> {
         }
     }
 
-    // Surface 3: scheduler × thread cross on selection and merging.
+    // Surface 3: reference vs work-stealing selection, and merging.
     let fw = match Framework::from_module(m.clone()) {
         Ok(fw) => fw,
         Err(e) => {
@@ -232,80 +232,49 @@ pub fn check_module(m: &Module) -> Result<bool, DiffFailure> {
             fail("o1-vs-o2", msg)?;
         }
     }
-    for sched in [SchedKind::Static, SchedKind::WorkSteal] {
-        for threads in [2usize, 3, 8] {
-            let opts = SelectOptions {
-                threads,
-                sched,
-                ..SelectOptions::default()
-            };
-            let res = fw.select(&opts);
-            let cfg = format!("{sched:?}×{threads}");
-            if res.pareto.len() != reference.pareto.len() {
-                fail(
-                    "select-cross",
-                    format!(
-                        "{cfg}: front size {} vs reference {}",
-                        res.pareto.len(),
-                        reference.pareto.len()
-                    ),
-                )?;
-            }
-            for (i, (a, b)) in res.pareto.iter().zip(&reference.pareto).enumerate() {
-                if a.area.to_bits() != b.area.to_bits()
-                    || a.saved_seconds.to_bits() != b.saved_seconds.to_bits()
-                    || a.kernels.len() != b.kernels.len()
-                {
-                    fail(
-                        "select-cross",
-                        format!(
-                            "{cfg}: front entry {i} diverges: \
-                             (area {}, saved {}, kernels {}) vs (area {}, saved {}, kernels {})",
-                            a.area,
-                            a.saved_seconds,
-                            a.kernels.len(),
-                            b.area,
-                            b.saved_seconds,
-                            b.kernels.len()
-                        ),
-                    )?;
-                }
-            }
-            if res.visited != reference.visited {
-                fail(
-                    "select-cross",
-                    format!(
-                        "{cfg}: visited {} vs reference {}",
-                        res.visited, reference.visited
-                    ),
-                )?;
-            }
-            let merged = fw.merge(res.best_under(f64::INFINITY));
-            if merged.area_before.to_bits() != ref_merge.area_before.to_bits()
-                || merged.area_after.to_bits() != ref_merge.area_after.to_bits()
-                || merged.merges != ref_merge.merges
-                || merged.reusable.len() != ref_merge.reusable.len()
-                || merged.units.len() != ref_merge.units.len()
-            {
-                fail(
-                    "merge-cross",
-                    format!(
-                        "{cfg}: merged solution diverges: \
-                         (before {}, after {}, merges {}, reusable {}, units {}) vs \
-                         (before {}, after {}, merges {}, reusable {}, units {})",
-                        merged.area_before,
-                        merged.area_after,
-                        merged.merges,
-                        merged.reusable.len(),
-                        merged.units.len(),
-                        ref_merge.area_before,
-                        ref_merge.area_after,
-                        ref_merge.merges,
-                        ref_merge.reusable.len(),
-                        ref_merge.units.len()
-                    ),
-                )?;
-            }
+    for threads in [2usize, 3, 8] {
+        let res = fw.select(&SelectOptions {
+            threads,
+            ..SelectOptions::default()
+        });
+        let cfg = format!("steal×{threads}");
+        if let Some(msg) = front_mismatch(&cfg, &res.pareto, &reference.pareto) {
+            fail("select-cross", msg)?;
+        }
+        if res.visited != reference.visited {
+            fail(
+                "select-cross",
+                format!(
+                    "{cfg}: visited {} vs reference {}",
+                    res.visited, reference.visited
+                ),
+            )?;
+        }
+        let merged = fw.merge(res.best_under(f64::INFINITY));
+        if merged.area_before.to_bits() != ref_merge.area_before.to_bits()
+            || merged.area_after.to_bits() != ref_merge.area_after.to_bits()
+            || merged.merges != ref_merge.merges
+            || merged.reusable.len() != ref_merge.reusable.len()
+            || merged.units.len() != ref_merge.units.len()
+        {
+            fail(
+                "merge-cross",
+                format!(
+                    "{cfg}: merged solution diverges: \
+                     (before {}, after {}, merges {}, reusable {}, units {}) vs \
+                     (before {}, after {}, merges {}, reusable {}, units {})",
+                    merged.area_before,
+                    merged.area_after,
+                    merged.merges,
+                    merged.reusable.len(),
+                    merged.units.len(),
+                    ref_merge.area_before,
+                    ref_merge.area_after,
+                    ref_merge.merges,
+                    ref_merge.reusable.len(),
+                    ref_merge.units.len()
+                ),
+            )?;
         }
     }
     Ok(true)
@@ -409,12 +378,13 @@ fn front_mismatch(cfg: &str, a: &[cayman::Solution], b: &[cayman::Solution]) -> 
 /// Differential surface 4: incremental re-analysis vs from-scratch.
 ///
 /// Drives `edits` seeded single-instruction edits (interleaved with
-/// occasional reverts, the salsa-style "change it back" path) through one
-/// [`IncrementalApp`] and, after every step, re-analyses the edited module
+/// occasional reverts, the salsa-style "change it back" path) through two
+/// [`IncrementalApp`]s in lockstep — one re-selecting at `threads = 1`, one
+/// at `threads = 3` — and, after every step, re-analyses the edited module
 /// from scratch. The incremental result must be **bit-identical** at every
-/// step: the selection Pareto front (area/saved-seconds bits, kernel node
-/// ids and block sets), the region profile (block counts and total cycles),
-/// and the merged best solution's area accounting.
+/// step: the selection Pareto front of both apps (area/saved-seconds bits,
+/// kernel node ids and block sets), the region profile (block counts and
+/// total cycles), and the merged best solution's area accounting.
 ///
 /// Returns `Ok(false)` when the starting module traps under profiling (both
 /// paths must then fail identically), `Ok(true)` otherwise.
@@ -431,7 +401,13 @@ pub fn check_incremental(
     let mut rng = cayman_testkit::Rng::new(seed ^ 0x1CAE);
     let opts = AnalyseOptions::default();
     let sel_opts = SelectOptions::default();
+    // A second app re-selects on the work-stealing engine in lockstep.
+    let threaded_opts = SelectOptions {
+        threads: 3,
+        ..SelectOptions::default()
+    };
     let mut inc = IncrementalApp::new(m.clone(), memory.clone(), opts.clone());
+    let mut inc_threaded = IncrementalApp::new(m.clone(), memory.clone(), opts.clone());
     let mut reference = m.clone();
 
     for step in 0..=edits {
@@ -457,13 +433,22 @@ pub fn check_incremental(
                 }
             };
             apply_to_module(&mut reference, &edit);
-            if let Err(e) = inc.apply(edit) {
-                fail("incremental", format!("step {step}: apply failed: {e}"))?;
+            for app in [&mut inc, &mut inc_threaded] {
+                if let Err(e) = app.apply(edit.clone()) {
+                    fail("incremental", format!("step {step}: apply failed: {e}"))?;
+                }
             }
         }
 
         let fresh = Application::analyse_with(reference.clone(), memory.clone(), &opts);
         let inc_sel = inc.select(&sel_opts);
+        let threaded_sel = inc_threaded.select(&threaded_opts);
+        if threaded_sel.is_ok() != inc_sel.is_ok() {
+            fail(
+                "incremental",
+                format!("step {step}: threads=3 and threads=1 re-selection disagree on failing"),
+            )?;
+        }
         let fresh_app = match (fresh, &inc_sel) {
             (Err(fe), Err(ie)) => {
                 if fe.to_string() != ie.to_string() {
@@ -519,10 +504,21 @@ pub fn check_incremental(
             &fresh_app.profile,
             &fresh_inputs,
             &sel_opts,
+            &CaymanModel(sel_opts.model.clone()),
+            &DesignCache::new(),
+            None,
         );
         if let Some(msg) =
             front_mismatch(&format!("step {step}"), &inc_sel.pareto, &fresh_sel.pareto)
         {
+            fail("incremental", msg)?;
+        }
+        let threaded_sel = threaded_sel.expect("fails exactly when threads=1 fails");
+        if let Some(msg) = front_mismatch(
+            &format!("step {step} threads=3"),
+            &threaded_sel.pareto,
+            &fresh_sel.pareto,
+        ) {
             fail("incremental", msg)?;
         }
 

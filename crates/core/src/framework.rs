@@ -8,7 +8,7 @@ use cayman_baselines::{NoviaModel, QsCoresModel};
 use cayman_hls::CVA6_TILE_AREA;
 use cayman_merge::{merge_solution, MergeResult};
 use cayman_select::{
-    run_selection_cached, AccelModel, CacheStats, CaymanModel, DesignCache, DesignStoreBackend,
+    run_selection, AccelModel, CacheStats, CaymanModel, DesignCache, DesignStoreBackend,
     SelectOptions, SelectionResult, Solution,
 };
 use cayman_workloads::Workload;
@@ -136,7 +136,7 @@ impl Framework {
     /// framework's shared design cache.
     pub fn select_with(&self, opts: &SelectOptions, model: &dyn AccelModel) -> SelectionResult {
         let inputs = self.app.inputs();
-        run_selection_cached(
+        run_selection(
             &self.app.module,
             &self.app.wpst,
             &self.app.profile,
@@ -144,6 +144,7 @@ impl Framework {
             opts,
             model,
             &self.cache,
+            None,
         )
     }
 
@@ -330,30 +331,27 @@ mod tests {
 
     #[test]
     fn schedulers_agree_through_the_framework() {
-        use cayman_select::SchedKind;
         let w = cayman_workloads::by_name("atax").expect("atax");
         let fw = Framework::from_workload(&w).expect("analyses");
         let reference = fw.select(&SelectOptions::default());
-        for sched in [SchedKind::Static, SchedKind::WorkSteal] {
-            for threads in [2usize, 3, 8] {
-                let opts = SelectOptions {
-                    threads,
-                    sched,
-                    ..Default::default()
-                };
-                // The shared design cache is warm after the first run; the
-                // front must stay bit-identical regardless of scheduler,
-                // thread budget, or cache state.
-                let res = fw.select(&opts);
-                assert_eq!(res.stats.scheduler, sched.label());
-                assert_eq!(res.pareto.len(), reference.pareto.len());
-                for (a, b) in res.pareto.iter().zip(&reference.pareto) {
-                    assert_eq!(a.area.to_bits(), b.area.to_bits());
-                    assert_eq!(a.saved_seconds.to_bits(), b.saved_seconds.to_bits());
-                    assert_eq!(a.kernels.len(), b.kernels.len());
-                }
-                assert_eq!(res.visited, reference.visited);
+        assert_eq!(reference.stats.scheduler, "seq");
+        for threads in [2usize, 3, 8] {
+            let opts = SelectOptions {
+                threads,
+                ..Default::default()
+            };
+            // The shared design cache is warm after the first run; the front
+            // must stay bit-identical regardless of engine, thread budget, or
+            // cache state.
+            let res = fw.select(&opts);
+            assert_eq!(res.stats.scheduler, "steal");
+            assert_eq!(res.pareto.len(), reference.pareto.len());
+            for (a, b) in res.pareto.iter().zip(&reference.pareto) {
+                assert_eq!(a.area.to_bits(), b.area.to_bits());
+                assert_eq!(a.saved_seconds.to_bits(), b.saved_seconds.to_bits());
+                assert_eq!(a.kernels.len(), b.kernels.len());
             }
+            assert_eq!(res.visited, reference.visited);
         }
     }
 

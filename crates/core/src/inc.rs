@@ -69,7 +69,7 @@ use cayman_ir::{
     fingerprint_module_from_parts, FuncId, Function, Instr, Module,
 };
 use cayman_select::{
-    run_selection_with_fronts, CaymanModel, DesignCache, FrontStore, SelectOptions, SelectionResult,
+    run_selection, CaymanModel, DesignCache, FrontStore, SelectOptions, SelectionResult,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -724,9 +724,9 @@ impl IncrementalApp {
     /// Analyses and selects, reusing cached designs and per-function
     /// subtree fronts for clean wPST subtrees.
     ///
-    /// The selection key ignores `opts.threads`/`opts.sched` (the front is
-    /// thread-invariant); re-selection always runs the sequential reuse
-    /// path.
+    /// The selection key ignores `opts.threads` (the front is
+    /// thread-invariant); a re-selection runs the engine `opts.threads`
+    /// picks, and both engines answer clean functions from the front store.
     ///
     /// # Errors
     ///
@@ -757,7 +757,7 @@ impl IncrementalApp {
         let _q = cayman_obs::span!("inc.query.select");
         let model = CaymanModel(opts.model.clone());
         let inputs = app.inputs();
-        let result = run_selection_with_fronts(
+        let result = run_selection(
             &app.module,
             &app.wpst,
             &app.profile,
@@ -765,7 +765,7 @@ impl IncrementalApp {
             opts,
             &model,
             &self.store.designs,
-            &mut self.store.fronts,
+            Some(&mut self.store.fronts),
         );
         drop(inputs);
         let result = Arc::new(result);
@@ -851,12 +851,15 @@ mod tests {
         assert_eq!(app.profiling_engine, batch.profiling_engine);
 
         let batch_inputs = batch.inputs();
-        let batch_sel = cayman_select::run_selection(
+        let batch_sel = run_selection(
             &batch.module,
             &batch.wpst,
             &batch.profile,
             &batch_inputs,
             &SelectOptions::default(),
+            &CaymanModel::default(),
+            &DesignCache::new(),
+            None,
         );
         let inc_sel = inc.select(&SelectOptions::default()).expect("selects");
         assert_eq!(fronts_bits(&inc_sel), fronts_bits(&batch_sel));
@@ -894,6 +897,41 @@ mod tests {
         assert_eq!(warm.select.misses - cold.select.misses, 1);
         // Clean sibling subtrees answer selection from the front store.
         assert!(inc.store.fronts.hits > 0, "clean subtree fronts reused");
+    }
+
+    #[test]
+    fn threaded_reselection_matches_sequential_and_reuses_fronts_alike() {
+        let m = two_kernel_module();
+        // One app per thread budget, both driven through the same edit.
+        let run = |threads: usize| {
+            let opts = SelectOptions {
+                threads,
+                ..Default::default()
+            };
+            let mut inc = IncrementalApp::new(m.clone(), None, AnalyseOptions::default());
+            inc.select(&opts).expect("cold select");
+            inc.apply(Edit::ReplaceFunction {
+                func: FuncId(0),
+                body: edited_ka(&m),
+            })
+            .expect("applies");
+            let sel = inc.select(&opts).expect("re-select");
+            let engine = if threads > 1 { "steal" } else { "seq" };
+            assert_eq!(sel.stats.scheduler, engine);
+            (
+                fronts_bits(&sel),
+                inc.store.fronts.hits,
+                inc.store.fronts.misses,
+            )
+        };
+        let (seq_front, seq_hits, seq_misses) = run(1);
+        let (par_front, par_hits, par_misses) = run(8);
+        assert_eq!(par_front, seq_front);
+        assert!(
+            seq_hits > 0,
+            "clean functions answered from the front store"
+        );
+        assert_eq!((par_hits, par_misses), (seq_hits, seq_misses));
     }
 
     #[test]

@@ -153,7 +153,7 @@ mod tests {
     use cayman_ir::builder::ModuleBuilder;
     use cayman_ir::interp::Interp;
     use cayman_ir::Type;
-    use cayman_select::{run_selection, SelectOptions};
+    use cayman_select::{run_selection, CaymanModel, DesignCache, SelectOptions, SelectionResult};
 
     /// Three functions with identical multiply-accumulate loops — the 3mm
     /// situation where merging shines.
@@ -190,6 +190,25 @@ mod tests {
             fb.ret(None);
         });
         mb.finish()
+    }
+
+    /// A one-off selection with Cayman's default model and a fresh cache.
+    fn select(
+        module: &cayman_ir::Module,
+        wpst: &Wpst,
+        profile: &Profile,
+        inputs: &[FuncInputs<'_>],
+    ) -> SelectionResult {
+        run_selection(
+            module,
+            wpst,
+            profile,
+            inputs,
+            &SelectOptions::default(),
+            &CaymanModel::default(),
+            &DesignCache::new(),
+            None,
+        )
     }
 
     #[allow(clippy::type_complexity)]
@@ -246,7 +265,7 @@ mod tests {
                 content_fp: cayman_ir::fingerprint_function(module.function(f)),
             })
             .collect();
-        let res = run_selection(&module, &wpst, &profile, &inputs, &SelectOptions::default());
+        let res = select(&module, &wpst, &profile, &inputs);
         // take the biggest solution: should include all three kernels
         let sol = res.pareto.last().expect("solutions exist");
         assert!(sol.kernels.len() >= 3, "{} kernels", sol.kernels.len());
@@ -282,7 +301,7 @@ mod tests {
                 content_fp: cayman_ir::fingerprint_function(module.function(f)),
             })
             .collect();
-        let res = run_selection(&module, &wpst, &profile, &inputs, &SelectOptions::default());
+        let res = select(&module, &wpst, &profile, &inputs);
         let single = res
             .pareto
             .iter()

@@ -16,18 +16,25 @@
 //! live in [`mod@crate::pareto`]. `F[root]` is the returned Pareto-optimal
 //! solution set for the whole application.
 //!
-//! Two engineering layers sit on top of the paper's algorithm:
+//! [`run_selection`] is the one entry point. `Engine::dp` is the recursive
+//! reference engine, run when [`SelectOptions::threads`] `<= 1`; more threads
+//! run the work-stealing scheduler in [`crate::sched`]. Both fold child
+//! fronts with the same `Engine::fold`, strictly in child order, so the
+//! Pareto front is bit-identical for every thread budget. Three engineering
+//! layers sit on top of the paper's algorithm:
 //!
-//! * **Parallel subtrees** — sibling wPST subtrees are independent DP
-//!   problems, so with [`SelectOptions::threads`] > 1 they are evaluated on
-//!   scoped worker threads (`std::thread::scope`; no external dependencies).
-//!   Child results are always combined *sequentially in child order*, so the
-//!   Pareto front is bit-identical to the sequential run.
+//! * **Parallel subtrees** — the work-stealing scheduler turns every model
+//!   call into a task and spreads them over scoped worker threads
+//!   (`std::thread::scope`; no external dependencies).
 //! * **Design memoisation** — `accel(v, R)` is pure given the analysed
 //!   application, so its results are memoised in a [`DesignCache`] keyed by
 //!   model identity × candidate identity. Selection re-runs over the same
 //!   application (framework comparisons, ablation and α sweeps) hit the
 //!   cache instead of re-running scheduling.
+//! * **Front reuse** — with a [`FrontStore`], a function vertex (root child)
+//!   whose [`FrontKey`] is stored is answered with the stored front: neither
+//!   engine descends into it. Incremental re-selection after an edit only
+//!   re-folds the functions whose key changed.
 //!
 //! A [`SelectStats`] snapshot (per-phase wall time, cache hits/misses,
 //! vertices visited/pruned) rides on every [`SelectionResult`].
@@ -35,14 +42,15 @@
 use crate::cache::{DesignCache, DesignKey, ModelId};
 use crate::pareto::{combine, filter, pareto, Solution};
 use crate::sched::{self, SchedKind};
-use crate::stats::{thread_cpu_nanos, AtomicStats, SelectStats};
+use crate::stats::{AtomicStats, SelectStats};
 use cayman_analysis::profile::Profile;
 use cayman_analysis::wpst::{Wpst, WpstKind, WpstNodeId};
 use cayman_hls::design::{generate_designs, AcceleratorDesign};
 use cayman_hls::inputs::{Candidate, FuncInputs};
 use cayman_hls::interface::ModelOptions;
 use cayman_ir::Module;
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex};
 
 /// An accelerator model: turns a candidate region into configured designs.
 ///
@@ -92,14 +100,13 @@ pub struct SelectOptions {
     /// `prune` threshold: minimum fraction of total program time a region
     /// must account for to stay in the search.
     pub prune_share: f64,
-    /// Worker-thread budget for evaluating independent wPST subtrees.
-    /// `1` (the default) runs fully sequentially; the Pareto front is
+    /// Worker-thread budget. `1` (the default) runs the recursive reference
+    /// DP; more threads run the work-stealing scheduler. The Pareto front is
     /// identical for every value.
     pub threads: usize,
-    /// Which parallel engine to use when `threads > 1`: work-stealing
-    /// tasks (the default) or the static sibling-chunk splitter. Both are
-    /// bit-identical to sequential; the default honours the
-    /// `CAYMAN_SELECT_SCHED` environment variable (`static` / `steal`).
+    /// Kept only so struct literals that spell out every field (the
+    /// repository benchmark's `sched: Default::default()`) still compile.
+    /// No code reads it: `threads` alone picks the engine.
     pub sched: SchedKind,
 }
 
@@ -110,20 +117,7 @@ impl Default for SelectOptions {
             alpha: 1.1,
             prune_share: 0.001,
             threads: 1,
-            sched: SchedKind::from_env(),
-        }
-    }
-}
-
-impl SelectOptions {
-    /// Default options with the thread budget set to the machine's available
-    /// parallelism.
-    pub fn parallel() -> Self {
-        SelectOptions {
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            ..Default::default()
+            sched: SchedKind::default(),
         }
     }
 }
@@ -166,40 +160,20 @@ impl SelectionResult {
 /// Runs Algorithm 1 over the wPST.
 ///
 /// `inputs` must hold one [`FuncInputs`] per module function (indexed by
-/// `FuncId`). Designs are memoised in a run-local cache; to share memoised
-/// designs across runs use [`run_selection_cached`].
-pub fn run_selection(
-    module: &Module,
-    wpst: &Wpst,
-    profile: &Profile,
-    inputs: &[FuncInputs<'_>],
-    opts: &SelectOptions,
-) -> SelectionResult {
-    let model = CaymanModel(opts.model.clone());
-    run_selection_with(module, wpst, profile, inputs, opts, &model)
-}
-
-/// Runs Algorithm 1 with a custom accelerator model (used by the baseline
-/// frameworks), memoising designs in a run-local cache.
-pub fn run_selection_with(
-    module: &Module,
-    wpst: &Wpst,
-    profile: &Profile,
-    inputs: &[FuncInputs<'_>],
-    opts: &SelectOptions,
-    model: &dyn AccelModel,
-) -> SelectionResult {
-    let cache = DesignCache::new();
-    run_selection_cached(module, wpst, profile, inputs, opts, model, &cache)
-}
-
-/// Runs Algorithm 1 with an externally owned [`DesignCache`], so repeated
+/// `FuncId`). `accel(v, R)` results are memoised in `cache`, so repeated
 /// selection over the same analysed application (framework comparisons,
-/// ablation sweeps, α/budget sweeps) reuses memoised `accel(v, R)` results.
+/// ablation sweeps, α/budget sweeps) reuses them; pass a fresh
+/// [`DesignCache`] for a one-off run. The cache must only ever be used with
+/// one analysed application: its keys identify candidates and models, not
+/// modules or profiles.
 ///
-/// The cache must only ever be used with one analysed application: its keys
-/// identify candidates and models, not modules or profiles.
-pub fn run_selection_cached(
+/// With `fronts`, each function vertex whose [`FrontKey`] is stored is
+/// answered from the store, skipping its subtree's DP *and* every model call
+/// under it; the fronts folded for keys that missed are inserted after the
+/// run. `visited` and the worker stats then reflect only the subtrees
+/// actually folded; they are not part of the front-equivalence surface.
+#[allow(clippy::too_many_arguments)]
+pub fn run_selection(
     module: &Module,
     wpst: &Wpst,
     profile: &Profile,
@@ -207,10 +181,23 @@ pub fn run_selection_cached(
     opts: &SelectOptions,
     model: &dyn AccelModel,
     cache: &DesignCache,
+    fronts: Option<&mut FrontStore>,
 ) -> SelectionResult {
     // The obs span is the single wall-clock measurement: it feeds both the
     // trace (when enabled) and the `SelectStats` snapshot.
     let wall = cayman_obs::timed("select.run");
+    let keys = if fronts.is_some() {
+        front_keys(module, wpst, profile, inputs, opts, model)
+    } else {
+        Vec::new()
+    };
+    let stored = match fronts.as_deref() {
+        Some(store) => keys
+            .iter()
+            .map(|k| k.as_ref().and_then(|k| store.map.get(k)).map(Vec::as_slice))
+            .collect(),
+        None => Vec::new(),
+    };
     let engine = Engine {
         module,
         wpst,
@@ -220,31 +207,37 @@ pub fn run_selection_cached(
         model,
         cache,
         stats: AtomicStats::default(),
+        reuse: RootReuse {
+            keys: &keys,
+            stored,
+            folded: Mutex::default(),
+        },
     };
     let threads = opts.threads.max(1);
-    let f_root = if threads > 1 && opts.sched == SchedKind::WorkSteal {
-        sched::run_work_stealing(&engine, threads)
-    } else if threads > 1 {
-        // The caller thread carries the static splitter's serial spine —
-        // root-level combines and chain vertices — which is on the critical
-        // path, so record it alongside the chunk workers' busy entries.
-        let cpu0 = thread_cpu_nanos();
-        let f = engine.dp(wpst.root(), threads);
-        engine
-            .stats
-            .record_worker_busy(thread_cpu_nanos().saturating_sub(cpu0));
-        f
+    let (pareto, scheduler) = if threads > 1 {
+        (sched::run_work_stealing(&engine, threads), "steal")
     } else {
-        engine.dp(wpst.root(), threads)
-    };
-    let scheduler = if threads <= 1 {
-        "seq"
-    } else {
-        opts.sched.label()
+        (engine.dp(wpst.root()), "seq")
     };
     let stats = engine.stats.snapshot(wall.finish(), threads, scheduler);
+    let folded = engine
+        .reuse
+        .folded
+        .into_inner()
+        .expect("front reuse poisoned");
+    if let Some(store) = fronts {
+        store.hits += folded.hits;
+        if folded.hits > 0 {
+            cayman_obs::counter("select.front.hit", folded.hits);
+        }
+        for (key, front) in folded.missed {
+            store.misses += 1;
+            cayman_obs::counter("select.front.miss", 1);
+            store.map.insert(key, front);
+        }
+    }
     SelectionResult {
-        pareto: f_root,
+        pareto,
         visited: stats.visited,
         configs_evaluated: stats.configs_considered,
         stats,
@@ -293,10 +286,10 @@ pub struct FrontKey {
 /// this store memoises the *entire folded front* of a root-child subtree,
 /// so re-selection after an edit only re-runs the DP below function
 /// vertices whose key actually changed — clean subtrees are answered with
-/// an `Arc` clone.
+/// a borrow of the stored front.
 #[derive(Debug, Default)]
 pub struct FrontStore {
-    map: std::collections::HashMap<FrontKey, Arc<Vec<Solution>>>,
+    map: std::collections::HashMap<FrontKey, Vec<Solution>>,
     /// Subtree fronts answered from the store (across all runs).
     pub hits: u64,
     /// Subtree fronts computed and inserted (across all runs).
@@ -337,102 +330,57 @@ fn hash_u64_slice(vals: &[u64]) -> u64 {
     h
 }
 
-/// Runs Algorithm 1 reusing memoised per-function-subtree fronts.
-///
-/// Identical in result to [`run_selection_cached`] — the root fold combines
-/// child fronts strictly in child order exactly as `DP(root)` does — but
-/// each root-child subtree is answered from `fronts` when its [`FrontKey`]
-/// matches, skipping the subtree's DP *and* every model call under it.
-/// This is the incremental re-selection entry: after an edit, only the
-/// edited function's subtree (plus any function whose profile or vertex
-/// numbering shifted) misses.
-///
-/// Runs sequentially regardless of `opts.threads` — the reuse path exists
-/// to make re-selection cheap, and the front is thread-invariant anyway.
-/// `visited`/worker stats therefore reflect only the subtrees actually
-/// re-folded; they are not part of the front-equivalence surface.
-#[allow(clippy::too_many_arguments)]
-pub fn run_selection_with_fronts(
+/// The [`FrontKey`] of each root child, in child order. Only function
+/// vertices under a model with a cache identity are keyable; anything else
+/// (custom trees, identity-less models) gets `None` and is always folded.
+fn front_keys(
     module: &Module,
     wpst: &Wpst,
     profile: &Profile,
     inputs: &[FuncInputs<'_>],
     opts: &SelectOptions,
     model: &dyn AccelModel,
-    cache: &DesignCache,
-    fronts: &mut FrontStore,
-) -> SelectionResult {
-    let wall = cayman_obs::timed("select.run");
-    let engine = Engine {
-        module,
-        wpst,
-        profile,
-        inputs,
-        opts,
-        model,
-        cache,
-        stats: AtomicStats::default(),
-    };
-    let root = wpst.root();
-    let f_root = if profile.share(root) < opts.prune_share {
-        AtomicStats::add_usize(&engine.stats.pruned, 1);
-        vec![Solution::empty()]
-    } else {
-        AtomicStats::add_usize(&engine.stats.visited, 1);
-        let arrays_fp = cayman_ir::fingerprint_arrays(&module.arrays);
-        let model_id = model.cache_id();
-        let children = &wpst.node(root).children;
-        let mut child_fronts: Vec<Arc<Vec<Solution>>> = Vec::with_capacity(children.len());
-        for &u in children {
-            // Only function vertices under a model with a cache identity are
-            // keyable; anything else (custom trees, identity-less models)
-            // falls back to a plain subtree DP.
-            let key = match (wpst.node(u).kind, model_id) {
-                (WpstKind::Func(f), Some(model)) => Some(FrontKey {
-                    node: u,
-                    func: f,
-                    content_fp: inputs[f.index()].content_fp,
-                    bc_fp: hash_u64_slice(&profile.block_counts[f.index()]),
-                    total_cycles: profile.total_cycles,
-                    arrays_fp,
-                    model,
-                    alpha_bits: opts.alpha.to_bits(),
-                    prune_bits: opts.prune_share.to_bits(),
-                }),
-                _ => None,
-            };
-            if let Some(hit) = key.as_ref().and_then(|k| fronts.map.get(k)) {
-                fronts.hits += 1;
-                cayman_obs::counter("select.front.hit", 1);
-                child_fronts.push(Arc::clone(hit));
-                continue;
-            }
-            let front = Arc::new(engine.dp(u, 1));
-            if let Some(key) = key {
-                fronts.misses += 1;
-                cayman_obs::counter("select.front.miss", 1);
-                fronts.map.insert(key, Arc::clone(&front));
-            }
-            child_fronts.push(front);
-        }
-        // Combine strictly in child order, exactly as `Engine::dp` folds the
-        // root — the root vertex is never bb or ctrl-flow, so the fold is
-        // the whole of `DP(root)`.
-        let t0 = cayman_obs::timed("select.combine");
-        let mut f = vec![Solution::empty()];
-        for fu in &child_fronts {
-            f = combine(&f, fu, opts.alpha);
-        }
-        AtomicStats::add_u64(&engine.stats.combine_nanos, t0.finish());
-        f
-    };
-    let stats = engine.stats.snapshot(wall.finish(), 1, "seq");
-    SelectionResult {
-        pareto: f_root,
-        visited: stats.visited,
-        configs_evaluated: stats.configs_considered,
-        stats,
-    }
+) -> Vec<Option<FrontKey>> {
+    let arrays_fp = cayman_ir::fingerprint_arrays(&module.arrays);
+    let model_id = model.cache_id();
+    wpst.node(wpst.root())
+        .children
+        .iter()
+        .map(|&u| match (wpst.node(u).kind, model_id) {
+            (WpstKind::Func(f), Some(model)) => Some(FrontKey {
+                node: u,
+                func: f,
+                content_fp: inputs[f.index()].content_fp,
+                bc_fp: hash_u64_slice(&profile.block_counts[f.index()]),
+                total_cycles: profile.total_cycles,
+                arrays_fp,
+                model,
+                alpha_bits: opts.alpha.to_bits(),
+                prune_bits: opts.prune_share.to_bits(),
+            }),
+            _ => None,
+        })
+        .collect()
+}
+
+/// [`FrontStore`] reuse for one run, aligned with the root's children. Both
+/// vectors are empty when the run has no store.
+struct RootReuse<'a> {
+    /// Each root child's [`FrontKey`].
+    keys: &'a [Option<FrontKey>],
+    /// Each root child's stored front, where its key hit.
+    stored: Vec<Option<&'a [Solution]>>,
+    /// Set by the root fold.
+    folded: Mutex<RootFolded>,
+}
+
+/// What the root fold of a run with a front store used.
+#[derive(Default)]
+struct RootFolded {
+    /// Stored fronts it used.
+    hits: u64,
+    /// Fronts it folded for keys that missed.
+    missed: Vec<(FrontKey, Vec<Solution>)>,
 }
 
 pub(crate) struct Engine<'a> {
@@ -444,12 +392,12 @@ pub(crate) struct Engine<'a> {
     model: &'a dyn AccelModel,
     cache: &'a DesignCache,
     pub(crate) stats: AtomicStats,
+    reuse: RootReuse<'a>,
 }
 
-impl Engine<'_> {
-    /// The DP over vertex `v` with a budget of `threads` worker threads for
-    /// its subtree.
-    fn dp(&self, v: WpstNodeId, threads: usize) -> Vec<Solution> {
+impl<'a> Engine<'a> {
+    /// `DP(v)`: the recursive reference engine.
+    fn dp(&self, v: WpstNodeId) -> Vec<Solution> {
         // prune(v, R): not a hotspot → empty Pareto set.
         if self.profile.share(v) < self.opts.prune_share {
             AtomicStats::add_usize(&self.stats.pruned, 1);
@@ -461,11 +409,44 @@ impl Engine<'_> {
             return filter(pareto(self.accel(v)), self.opts.alpha);
         }
 
-        let children = &self.wpst.node(v).children;
-        let child_fronts = self.dp_children(children, threads);
+        let stored = self.stored_fronts(v);
+        let child_fronts = self
+            .wpst
+            .node(v)
+            .children
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| match stored.get(i).copied().flatten() {
+                Some(front) => Cow::Borrowed(front),
+                None => Cow::Owned(self.dp(u)),
+            })
+            .collect();
+        let accel = self.wpst.is_ctrl_flow(v).then(|| self.accel(v));
+        self.fold(v, child_fronts, accel)
+    }
 
-        // Combine strictly in child order — this keeps the float summation
-        // order, and therefore the front, identical across thread budgets.
+    /// The stored fronts of `v`'s children, by child index: only the root's
+    /// children (function vertices) are ever looked up.
+    pub(crate) fn stored_fronts(&self, v: WpstNodeId) -> &[Option<&'a [Solution]>] {
+        if v == self.wpst.root() {
+            &self.reuse.stored
+        } else {
+            &[]
+        }
+    }
+
+    /// `F[v]` from its children's fronts: `combine` strictly in child order —
+    /// this keeps the float summation order, and therefore the front,
+    /// identical in both engines — then, for a `ctrl-flow` vertex, the union
+    /// with its own `accel(v, R)` designs. At the root of a run with a front
+    /// store, the fold also records which keyed fronts were stored (borrowed)
+    /// and which it folded (owned).
+    pub(crate) fn fold(
+        &self,
+        v: WpstNodeId,
+        child_fronts: Vec<Cow<'a, [Solution]>>,
+        accel: Option<Vec<Solution>>,
+    ) -> Vec<Solution> {
         let t0 = cayman_obs::timed("select.combine");
         let mut f = vec![Solution::empty()];
         for fu in &child_fronts {
@@ -473,57 +454,24 @@ impl Engine<'_> {
         }
         AtomicStats::add_u64(&self.stats.combine_nanos, t0.finish());
 
-        if self.wpst.is_ctrl_flow(v) {
-            let mut all = f;
-            all.extend(self.accel(v));
+        if let Some(designs) = accel {
+            f.extend(designs);
             let t1 = cayman_obs::timed("select.combine");
-            f = filter(pareto(all), self.opts.alpha);
+            f = filter(pareto(f), self.opts.alpha);
             AtomicStats::add_u64(&self.stats.combine_nanos, t1.finish());
         }
-        f
-    }
 
-    /// Evaluates all children of a vertex, in order, distributing the thread
-    /// budget over contiguous chunks of siblings.
-    fn dp_children(&self, children: &[WpstNodeId], threads: usize) -> Vec<Vec<Solution>> {
-        if children.len() == 1 {
-            // A chain vertex: push the whole budget down.
-            return vec![self.dp(children[0], threads)];
+        if v == self.wpst.root() && !self.reuse.keys.is_empty() {
+            let mut folded = self.reuse.folded.lock().expect("front reuse poisoned");
+            for (key, front) in self.reuse.keys.iter().zip(child_fronts) {
+                match (key, front) {
+                    (Some(_), Cow::Borrowed(_)) => folded.hits += 1,
+                    (Some(key), Cow::Owned(front)) => folded.missed.push((*key, front)),
+                    (None, _) => {}
+                }
+            }
         }
-        if threads <= 1 || children.len() < 2 {
-            return children.iter().map(|&u| self.dp(u, 1)).collect();
-        }
-        // Spawn at most `threads` workers; each takes a contiguous chunk of
-        // siblings (preserving order). Uneven chunking can materialise fewer
-        // chunks than `workers`, so the budget is split over the *actual*
-        // chunk count — the old `threads / workers` divided by the wrong
-        // denominator and silently dropped the remainder.
-        let workers = threads.min(children.len());
-        let chunk_size = children.len().div_ceil(workers);
-        let nchunks = children.len().div_ceil(chunk_size);
-        let budgets = split_budget(threads, nchunks);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = children
-                .chunks(chunk_size)
-                .zip(&budgets)
-                .map(|(chunk, &budget)| {
-                    scope.spawn(move || {
-                        let cpu0 = thread_cpu_nanos();
-                        let fronts = chunk
-                            .iter()
-                            .map(|&u| self.dp(u, budget))
-                            .collect::<Vec<_>>();
-                        self.stats
-                            .record_worker_busy(thread_cpu_nanos().saturating_sub(cpu0));
-                        fronts
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("selection worker panicked"))
-                .collect()
-        })
+        f
     }
 
     /// `accel(v, R)`: configurations for accelerating vertex `v` as a single
@@ -598,16 +546,6 @@ impl Engine<'_> {
             None => Arc::new(designs),
         }
     }
-}
-
-/// Splits a thread budget of `threads` over `nchunks` workers so that the
-/// whole budget is used: every worker gets at least `threads / nchunks`, and
-/// the first `threads % nchunks` workers get one more. The sum is always
-/// exactly `threads`, and every entry is ≥ 1 whenever `threads >= nchunks`.
-pub(crate) fn split_budget(threads: usize, nchunks: usize) -> Vec<usize> {
-    let base = threads / nchunks;
-    let rem = threads % nchunks;
-    (0..nchunks).map(|i| base + usize::from(i < rem)).collect()
 }
 
 #[cfg(test)]
@@ -739,17 +677,26 @@ mod tests {
             })
     }
 
+    /// A one-off selection with Cayman's model, a fresh cache and no front
+    /// store.
+    fn select(app: &App, inputs: &[FuncInputs<'_>], opts: &SelectOptions) -> SelectionResult {
+        run_selection(
+            &app.module,
+            &app.wpst,
+            &app.profile,
+            inputs,
+            opts,
+            &CaymanModel(opts.model.clone()),
+            &DesignCache::new(),
+            None,
+        )
+    }
+
     #[test]
     fn selection_produces_increasing_pareto_front() {
         let app = App::analyse(two_kernel_app());
         let inputs = app.inputs();
-        let res = run_selection(
-            &app.module,
-            &app.wpst,
-            &app.profile,
-            &inputs,
-            &SelectOptions::default(),
-        );
+        let res = select(&app, &inputs, &SelectOptions::default());
         assert!(res.pareto.len() >= 3, "empty + several real solutions");
         assert!(res.visited > 0);
         assert!(res.configs_evaluated > 0);
@@ -767,13 +714,7 @@ mod tests {
     fn kernels_never_overlap() {
         let app = App::analyse(two_kernel_app());
         let inputs = app.inputs();
-        let res = run_selection(
-            &app.module,
-            &app.wpst,
-            &app.profile,
-            &inputs,
-            &SelectOptions::default(),
-        );
+        let res = select(&app, &inputs, &SelectOptions::default());
         for sol in &res.pareto {
             // pairwise block-disjointness (within the same function)
             for i in 0..sol.kernels.len() {
@@ -795,13 +736,7 @@ mod tests {
     fn budget_lookup_is_monotone() {
         let app = App::analyse(two_kernel_app());
         let inputs = app.inputs();
-        let res = run_selection(
-            &app.module,
-            &app.wpst,
-            &app.profile,
-            &inputs,
-            &SelectOptions::default(),
-        );
+        let res = select(&app, &inputs, &SelectOptions::default());
         let small = res.best_under(0.25 * cayman_hls::CVA6_TILE_AREA);
         let large = res.best_under(0.65 * cayman_hls::CVA6_TILE_AREA);
         assert!(large.saved_seconds >= small.saved_seconds);
@@ -816,7 +751,7 @@ mod tests {
             prune_share: 2.0, // nothing accounts for >200% of runtime
             ..Default::default()
         };
-        let res = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
+        let res = select(&app, &inputs, &opts);
         assert_eq!(res.pareto.len(), 1, "only the empty solution survives");
         assert_eq!(res.visited, 0);
         assert!(res.stats.pruned > 0, "pruned vertices are counted");
@@ -826,17 +761,9 @@ mod tests {
     fn coupled_only_ablation_saves_less() {
         let app = App::analyse(two_kernel_app());
         let inputs = app.inputs();
-        let full = run_selection(
-            &app.module,
-            &app.wpst,
-            &app.profile,
-            &inputs,
-            &SelectOptions::default(),
-        );
-        let ablated = run_selection(
-            &app.module,
-            &app.wpst,
-            &app.profile,
+        let full = select(&app, &inputs, &SelectOptions::default());
+        let ablated = select(
+            &app,
             &inputs,
             &SelectOptions {
                 model: ModelOptions::coupled_only(),
@@ -855,65 +782,35 @@ mod tests {
     fn parallel_selection_matches_sequential_bitwise() {
         let app = App::analyse(two_kernel_app());
         let inputs = app.inputs();
-        let seq = run_selection(
-            &app.module,
-            &app.wpst,
-            &app.profile,
-            &inputs,
-            &SelectOptions::default(),
-        );
-        assert_eq!(seq.stats.scheduler, "seq");
-        assert!(seq.stats.worker_busy_nanos.is_empty());
-        for sched in [SchedKind::Static, SchedKind::WorkSteal] {
-            for threads in [2usize, 3, 8] {
-                let opts = SelectOptions {
-                    threads,
-                    sched,
-                    ..Default::default()
-                };
-                let par = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
-                assert!(
-                    fronts_identical(&seq.pareto, &par.pareto),
-                    "{sched:?} threads={threads} changed the front"
-                );
-                assert_eq!(par.visited, seq.visited, "{sched:?} threads={threads}");
-                assert_eq!(par.stats.pruned, seq.stats.pruned);
-                assert_eq!(par.configs_evaluated, seq.configs_evaluated);
-                assert_eq!(par.stats.threads, threads);
-                assert_eq!(par.stats.scheduler, sched.label());
-                assert!(
-                    !par.stats.worker_busy_nanos.is_empty(),
-                    "{sched:?} spawned no workers"
-                );
-                // A repeated run must also be bit-identical: no steal
-                // interleaving or chunk assignment may leak into the front.
-                let again = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
-                assert!(
-                    fronts_identical(&par.pareto, &again.pareto),
-                    "{sched:?} threads={threads} is not reproducible"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn split_budget_spends_the_whole_thread_budget() {
-        // The old splitter computed (threads / workers).max(1) with the
-        // worker count instead of the materialised chunk count: 8 threads
-        // over 9 children → chunk_size 2 → 5 chunks, but budget 1 each,
-        // silently dropping 3 threads.
-        assert_eq!(split_budget(8, 5), vec![2, 2, 2, 1, 1]);
-        assert_eq!(split_budget(8, 3), vec![3, 3, 2]);
-        assert_eq!(split_budget(4, 4), vec![1, 1, 1, 1]);
-        assert_eq!(split_budget(7, 2), vec![4, 3]);
-        for threads in 1..24usize {
-            for nchunks in 1..=threads {
-                let budgets = split_budget(threads, nchunks);
-                assert_eq!(budgets.len(), nchunks);
-                assert_eq!(budgets.iter().sum::<usize>(), threads, "budget lost");
-                assert!(budgets.iter().all(|&b| b >= 1));
-                assert!(budgets.windows(2).all(|w| w[0] >= w[1]), "non-increasing");
-            }
+        let reference = select(&app, &inputs, &SelectOptions::default());
+        assert_eq!(reference.stats.scheduler, "seq");
+        assert!(reference.stats.worker_busy_nanos.is_empty());
+        for threads in [2usize, 3, 8] {
+            let opts = SelectOptions {
+                threads,
+                ..Default::default()
+            };
+            let par = select(&app, &inputs, &opts);
+            assert!(
+                fronts_identical(&reference.pareto, &par.pareto),
+                "threads={threads} changed the front"
+            );
+            assert_eq!(par.visited, reference.visited, "threads={threads}");
+            assert_eq!(par.stats.pruned, reference.stats.pruned);
+            assert_eq!(par.configs_evaluated, reference.configs_evaluated);
+            assert_eq!(par.stats.threads, threads);
+            assert_eq!(par.stats.scheduler, "steal");
+            assert!(
+                !par.stats.worker_busy_nanos.is_empty(),
+                "threads={threads} spawned no workers"
+            );
+            // A repeated run must also be bit-identical: no steal
+            // interleaving may leak into the front.
+            let again = select(&app, &inputs, &opts);
+            assert!(
+                fronts_identical(&par.pareto, &again.pareto),
+                "threads={threads} is not reproducible"
+            );
         }
     }
 
@@ -933,13 +830,7 @@ mod tests {
         // than a panic on a populated front.
         let app = App::analyse(two_kernel_app());
         let inputs = app.inputs();
-        let full = run_selection(
-            &app.module,
-            &app.wpst,
-            &app.profile,
-            &inputs,
-            &SelectOptions::default(),
-        );
+        let full = select(&app, &inputs, &SelectOptions::default());
         assert!(full.best_under(-1.0).kernels.is_empty());
     }
 
@@ -950,7 +841,7 @@ mod tests {
         let opts = SelectOptions::default();
         let model = CaymanModel(opts.model.clone());
         let cache = DesignCache::new();
-        let cold = run_selection_cached(
+        let cold = run_selection(
             &app.module,
             &app.wpst,
             &app.profile,
@@ -958,6 +849,7 @@ mod tests {
             &opts,
             &model,
             &cache,
+            None,
         );
         assert_eq!(cold.stats.cache_hits, 0);
         assert!(cold.stats.cache_misses > 0);
@@ -974,7 +866,7 @@ mod tests {
             cold.stats.top_accel
         );
 
-        let warm = run_selection_cached(
+        let warm = run_selection(
             &app.module,
             &app.wpst,
             &app.profile,
@@ -982,6 +874,7 @@ mod tests {
             &opts,
             &model,
             &cache,
+            None,
         );
         assert!(fronts_identical(&cold.pareto, &warm.pareto));
         assert_eq!(warm.stats.cache_misses, 0, "everything memoised");
@@ -1001,7 +894,7 @@ mod tests {
             model: ModelOptions::coupled_only(),
             ..Default::default()
         };
-        let full = run_selection_cached(
+        let full = run_selection(
             &app.module,
             &app.wpst,
             &app.profile,
@@ -1009,10 +902,11 @@ mod tests {
             &full_opts,
             &CaymanModel(full_opts.model.clone()),
             &cache,
+            None,
         );
         // Different ModelOptions → different fingerprint → no hits, and the
         // ablation result is unaffected by the warm full-model cache.
-        let ablated = run_selection_cached(
+        let ablated = run_selection(
             &app.module,
             &app.wpst,
             &app.profile,
@@ -1020,6 +914,7 @@ mod tests {
             &abl_opts,
             &CaymanModel(abl_opts.model.clone()),
             &cache,
+            None,
         );
         assert_eq!(ablated.stats.cache_hits, 0);
         let best_full = full.pareto.last().expect("sol").saved_seconds;

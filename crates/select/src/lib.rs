@@ -8,9 +8,12 @@
 //!
 //! * [`mod@pareto`] — [`pareto::Solution`]s, Pareto reduction, the α-spacing
 //!   `filter`, and the `⊗` combination operator,
-//! * [`dp`] — Algorithm 1 ([`dp::run_selection`]) with heuristic pruning,
-//!   parallel subtree evaluation ([`dp::SelectOptions::threads`]) and design
-//!   memoisation,
+//! * [`dp`] — Algorithm 1 ([`dp::run_selection`], the one entry point) with
+//!   heuristic pruning, design memoisation and per-function front reuse
+//!   ([`dp::FrontStore`]); its recursive engine runs when
+//!   [`dp::SelectOptions::threads`] `<= 1`,
+//! * [`sched`] — the work-stealing engine, run when `threads > 1`; both
+//!   engines produce bit-identical fronts,
 //! * [`cache`] — the thread-safe [`cache::DesignCache`] memoising
 //!   `accel(v, R)` results across selection runs,
 //! * [`stats`] — the [`stats::SelectStats`] observability snapshot carried
@@ -27,8 +30,7 @@ pub mod stats;
 
 pub use cache::{CacheStats, DesignCache, DesignKey, DesignStoreBackend, ModelId, StripeStats};
 pub use dp::{
-    run_selection, run_selection_cached, run_selection_with, run_selection_with_fronts, AccelModel,
-    CaymanModel, FrontKey, FrontStore, SelectOptions, SelectionResult,
+    run_selection, AccelModel, CaymanModel, FrontKey, FrontStore, SelectOptions, SelectionResult,
 };
 pub use pareto::{combine, filter, pareto, SelectedKernel, Solution};
 pub use sched::SchedKind;

@@ -1,9 +1,8 @@
-//! Deterministic work-stealing scheduler for the selection DP.
-//!
-//! The static splitter in [`crate::dp`] divides the thread budget over
-//! *contiguous sibling chunks*, so a skewed wPST — one hot function, one
-//! deep `ctrl-flow` chain — pins most of the work onto one chunk worker
-//! while the rest go idle. This module replaces that with task parallelism:
+//! Deterministic work-stealing scheduler: the selection DP's parallel
+//! engine, run when [`crate::SelectOptions::threads`] > 1 (the recursive
+//! `Engine::dp` runs otherwise). Task parallelism chases the work wherever
+//! it is in the tree, so a skewed wPST — one hot function, one deep
+//! `ctrl-flow` chain — still keeps every worker busy:
 //!
 //! 1. **Plan** (caller thread): walk the unpruned wPST once and flatten it
 //!    into a task graph. Every `bb` leaf and every `ctrl-flow` vertex's own
@@ -11,18 +10,18 @@
 //!    becomes an independent task. Every internal vertex becomes an
 //!    [`Inner`] with one *pre-allocated result slot per child* (plus one for
 //!    its own `accel` result when it is `ctrl-flow`) and a pending counter.
-//!    Pruned children are pre-filled at plan time.
+//!    Pruned children, and function vertices answered from the front
+//!    store, are pre-filled at plan time.
 //! 2. **Execute**: tasks are dealt round-robin onto per-worker
 //!    `Mutex<VecDeque>` deques. Workers pop from the front of their own
 //!    deque and steal from the back of a neighbour's when theirs drains;
 //!    since the plan seeds every task up front and execution never enqueues
 //!    new ones, a worker can exit as soon as all deques are empty.
 //! 3. **Combine**: delivering a result into the last empty slot of an
-//!    `Inner` makes its owner run the fold — `combine` over the slots
-//!    *strictly in child order*, exactly the sequence `Engine::dp` executes
-//!    — and cascade the folded front into the parent's slot, iteratively up
-//!    the tree (no recursion, so deep `ctrl-flow` chains cannot overflow the
-//!    stack).
+//!    `Inner` makes its owner run `Engine::fold` over the slots — the fold
+//!    the sequential engine runs, *strictly in child order* — and cascade
+//!    the folded front into the parent's slot, iteratively up the tree (no
+//!    recursion, so deep `ctrl-flow` chains cannot overflow the stack).
 //!
 //! Determinism does not depend on the steal interleaving: each slot value is
 //! a pure function of its subtree, the fold consumes slots in child order,
@@ -32,54 +31,30 @@
 //! never changes.
 
 use crate::dp::Engine;
-use crate::pareto::{combine, filter, pareto, Solution};
+use crate::pareto::{filter, pareto, Solution};
 use crate::stats::{thread_cpu_nanos, AtomicStats};
 use cayman_analysis::wpst::WpstNodeId;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Which engine evaluates independent wPST subtrees when
-/// [`crate::SelectOptions::threads`] > 1. Both produce bit-identical fronts;
-/// they differ only in how the thread budget chases the work.
+/// A single-value type kept only for the [`crate::SelectOptions::sched`]
+/// field, which no code reads: `threads` alone picks the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedKind {
-    /// Static contiguous chunking of siblings with a divided thread budget
-    /// (the original splitter). Predictable, but a skewed tree leaves
-    /// workers idle.
-    Static,
-    /// Work-stealing task scheduler (this module): model calls become tasks
-    /// on per-worker deques, idle workers steal, results land in
-    /// child-order slots.
+    /// Work stealing (this module) when `threads > 1`.
     #[default]
     WorkSteal,
-}
-
-impl SchedKind {
-    /// Reads `CAYMAN_SELECT_SCHED` (`static` or `steal`), defaulting to
-    /// [`SchedKind::WorkSteal`]. Lets the bench binaries and CI flip
-    /// schedulers without plumbing a flag through every entry point.
-    pub fn from_env() -> SchedKind {
-        match std::env::var("CAYMAN_SELECT_SCHED").as_deref() {
-            Ok("static") => SchedKind::Static,
-            _ => SchedKind::WorkSteal,
-        }
-    }
-
-    /// Stable label for stats and bench output.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedKind::Static => "static",
-            SchedKind::WorkSteal => "steal",
-        }
-    }
 }
 
 /// Destination of a task result: an [`Inner`] index and a slot within it.
 type Dest = (u32, u32);
 
 /// An internal (non-`bb`, unpruned) wPST vertex awaiting its inputs.
-struct Inner {
+struct Inner<'a> {
+    /// The vertex itself.
+    v: WpstNodeId,
     /// Where this vertex's folded front goes; `None` for the root.
     parent: Option<Dest>,
     /// `ctrl-flow` vertices carry one extra trailing slot for their own
@@ -87,8 +62,8 @@ struct Inner {
     /// `Engine::dp`.
     ctrl: bool,
     /// One result per child, in child order (plus the `ctrl` slot). Pruned
-    /// children are pre-filled at plan time.
-    slots: Mutex<Vec<Option<Vec<Solution>>>>,
+    /// children and stored fronts are pre-filled at plan time.
+    slots: Mutex<Vec<Option<Cow<'a, [Solution]>>>>,
     /// Undelivered slots. The worker that delivers the last one folds.
     pending: AtomicUsize,
 }
@@ -166,8 +141,8 @@ pub(crate) fn run_work_stealing(engine: &Engine<'_>, threads: usize) -> Vec<Solu
 /// Flattens the unpruned wPST into the task graph. Single-threaded, so the
 /// `visited`/`pruned` counts it records are identical to the sequential
 /// run's regardless of how execution later interleaves.
-fn plan(engine: &Engine<'_>, root: WpstNodeId) -> (Vec<Inner>, Vec<Task>) {
-    let mut inners: Vec<Inner> = Vec::new();
+fn plan<'a>(engine: &Engine<'a>, root: WpstNodeId) -> (Vec<Inner<'a>>, Vec<Task>) {
+    let mut inners: Vec<Inner<'a>> = Vec::new();
     let mut tasks: Vec<Task> = Vec::new();
     // (vertex, destination of its folded front); vertices on the stack are
     // unpruned internal vertices, already counted as visited.
@@ -177,13 +152,17 @@ fn plan(engine: &Engine<'_>, root: WpstNodeId) -> (Vec<Inner>, Vec<Task>) {
         let idx = inners.len() as u32;
         let children = &engine.wpst.node(v).children;
         let ctrl = engine.wpst.is_ctrl_flow(v);
-        let mut slots: Vec<Option<Vec<Solution>>> = vec![None; children.len() + usize::from(ctrl)];
+        let stored = engine.stored_fronts(v);
+        let mut slots: Vec<Option<Cow<'a, [Solution]>>> =
+            vec![None; children.len() + usize::from(ctrl)];
         let mut pending = 0usize;
         for (i, &u) in children.iter().enumerate() {
             let dest = (idx, i as u32);
-            if engine.profile.share(u) < engine.opts.prune_share {
+            if let Some(front) = stored.get(i).copied().flatten() {
+                slots[i] = Some(Cow::Borrowed(front));
+            } else if engine.profile.share(u) < engine.opts.prune_share {
                 AtomicStats::add_usize(&engine.stats.pruned, 1);
-                slots[i] = Some(vec![Solution::empty()]);
+                slots[i] = Some(Cow::Owned(vec![Solution::empty()]));
             } else if engine.wpst.is_bb(u) {
                 AtomicStats::add_usize(&engine.stats.visited, 1);
                 tasks.push(Task::Bb { v: u, dest });
@@ -205,6 +184,7 @@ fn plan(engine: &Engine<'_>, root: WpstNodeId) -> (Vec<Inner>, Vec<Task>) {
             tasks.push(Task::Ready { inner: idx });
         }
         inners.push(Inner {
+            v,
             parent,
             ctrl,
             slots: Mutex::new(slots),
@@ -216,12 +196,12 @@ fn plan(engine: &Engine<'_>, root: WpstNodeId) -> (Vec<Inner>, Vec<Task>) {
 
 struct Sched<'e, 'a> {
     engine: &'e Engine<'a>,
-    inners: Vec<Inner>,
+    inners: Vec<Inner<'a>>,
     queues: Vec<Mutex<VecDeque<Task>>>,
     result: Mutex<Option<Vec<Solution>>>,
 }
 
-impl Sched<'_, '_> {
+impl<'a> Sched<'_, 'a> {
     fn worker(&self, w: usize) {
         // Name this thread's trace lane so every worker shows up as its own
         // row in chrome://tracing.
@@ -289,7 +269,7 @@ impl Sched<'_, '_> {
     /// slot of an [`Inner`] owns its fold.
     fn deliver(&self, (inner, slot): Dest, front: Vec<Solution>) {
         let node = &self.inners[inner as usize];
-        node.slots.lock().expect("sched slots poisoned")[slot as usize] = Some(front);
+        node.slots.lock().expect("sched slots poisoned")[slot as usize] = Some(Cow::Owned(front));
         if node.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.finish(inner);
         }
@@ -310,7 +290,8 @@ impl Sched<'_, '_> {
                 }
                 Some((p, slot)) => {
                     let parent = &self.inners[p as usize];
-                    parent.slots.lock().expect("sched slots poisoned")[slot as usize] = Some(front);
+                    parent.slots.lock().expect("sched slots poisoned")[slot as usize] =
+                        Some(Cow::Owned(front));
                     if parent.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
                         return;
                     }
@@ -320,28 +301,18 @@ impl Sched<'_, '_> {
         }
     }
 
-    /// Exactly `Engine::dp`'s combine sequence over the pre-ordered slots:
-    /// fold child fronts strictly in child order, then for `ctrl-flow`
-    /// vertices extend with the raw `accel` designs and re-filter. Keeping
-    /// this order is what makes the front bit-identical to sequential.
-    fn fold(&self, node: &Inner) -> Vec<Solution> {
+    /// `Engine::fold` over the pre-ordered slots: the trailing `ctrl` slot
+    /// holds the raw `accel` designs, every other slot a child front.
+    fn fold(&self, node: &Inner<'a>) -> Vec<Solution> {
         let mut slots = std::mem::take(&mut *node.slots.lock().expect("sched slots poisoned"));
-        let alpha = self.engine.opts.alpha;
-        let nchildren = slots.len() - usize::from(node.ctrl);
-        let t0 = cayman_obs::timed("select.combine");
-        let mut f = vec![Solution::empty()];
-        for fu in &slots[..nchildren] {
-            f = combine(&f, fu.as_ref().expect("child front delivered"), alpha);
-        }
-        AtomicStats::add_u64(&self.engine.stats.combine_nanos, t0.finish());
-        if node.ctrl {
-            let accel = slots[nchildren].take().expect("accel slot delivered");
-            let mut all = f;
-            all.extend(accel);
-            let t1 = cayman_obs::timed("select.combine");
-            f = filter(pareto(all), alpha);
-            AtomicStats::add_u64(&self.engine.stats.combine_nanos, t1.finish());
-        }
-        f
+        let accel = node.ctrl.then(|| {
+            let designs = slots.pop().flatten().expect("accel slot delivered");
+            designs.into_owned()
+        });
+        let child_fronts = slots
+            .into_iter()
+            .map(|slot| slot.expect("child front delivered"))
+            .collect();
+        self.engine.fold(node.v, child_fronts, accel)
     }
 }

@@ -1,6 +1,6 @@
 //! Observability for Algorithm 1: per-phase wall time, design-cache
 //! effectiveness, and search-space counters, collected lock-free so the
-//! parallel DP can update them from every worker thread. Timing numbers
+//! work-stealing engine can update them from every worker thread. Timing numbers
 //! come from `cayman-obs` [`TimedSpan`](cayman_obs::TimedSpan)s — the
 //! snapshot here is a *view over the same recorder* that feeds the Chrome
 //! trace, not a parallel measurement mechanism.
@@ -56,21 +56,16 @@ pub struct SelectStats {
     /// The up-to-[`TOP_ACCEL_K`] most expensive `accel(v, R)` model
     /// invocations, most expensive first.
     pub top_accel: Vec<AccelCallStat>,
-    /// Which subtree engine ran the DP: `"seq"`, `"static"` or `"steal"`
-    /// (empty on hand-built snapshots).
+    /// Which engine ran the DP: `"seq"` (the recursive reference) or
+    /// `"steal"` (work stealing); empty on hand-built snapshots.
     pub scheduler: &'static str,
-    /// Per-worker busy CPU nanoseconds, largest first; empty for sequential
-    /// runs. The work-stealing scheduler records exactly one entry per
-    /// worker thread; the static splitter records one per spawned chunk
-    /// worker across its nested scopes plus one for the caller thread
-    /// (which carries the serial spine: root-level combines and chain
-    /// vertices). Each entry excludes time its own nested children
-    /// consumed, so entries never double-count work.
+    /// Per-worker busy CPU nanoseconds, largest first, one entry per
+    /// work-stealing worker thread; empty for sequential runs.
     pub worker_busy_nanos: Vec<u64>,
     /// CPU nanoseconds of the most expensive single task the work-stealing
     /// scheduler executed (a model call, or a fold cascade reaching the
-    /// root); `0` for sequential and static runs. An indivisible-work floor
-    /// for the modeled makespan.
+    /// root); `0` for sequential runs. An indivisible-work floor for the
+    /// modeled makespan.
     pub max_task_nanos: u64,
 }
 
@@ -104,8 +99,8 @@ impl SelectStats {
         self.combine_nanos as f64 * 1e-9
     }
 
-    /// Total worker CPU seconds — the parallelisable work the schedulers
-    /// distribute. `0` for sequential runs (no workers were spawned).
+    /// Total worker CPU seconds — the parallelisable work the scheduler
+    /// distributes. `0` for sequential runs (no workers were spawned).
     pub fn busy_seconds(&self) -> f64 {
         self.worker_busy_nanos.iter().sum::<u64>() as f64 * 1e-9
     }
@@ -113,27 +108,19 @@ impl SelectStats {
     /// Modeled makespan in seconds: how long the run would take on a host
     /// with at least `threads` free cores. `0` for sequential runs.
     ///
-    /// For the static splitter the busiest recorded thread *is* the model:
-    /// the partition is fixed up front, so whichever chunk (or the caller's
-    /// serial spine) carries the most CPU time bounds the run.
-    ///
-    /// For the work-stealing scheduler the per-worker split measured on an
-    /// oversubscribed host is an artefact of OS scheduling — one worker can
-    /// drain every queue before the others are even dispatched — so the
-    /// greedy-scheduling bound `max(total work / workers, most expensive
-    /// single task)` is used instead. Both terms are measured CPU time, and
-    /// the bound never exceeds the busiest worker.
+    /// The per-worker split measured on an oversubscribed host is an
+    /// artefact of OS scheduling — one worker can drain every queue before
+    /// the others are even dispatched — so the greedy-scheduling bound
+    /// `max(total work / workers, most expensive single task)` is used
+    /// instead. Both terms are measured CPU time, and the bound never
+    /// exceeds the busiest worker.
     pub fn makespan_seconds(&self) -> f64 {
         let n = self.worker_busy_nanos.len();
         if n == 0 {
             return 0.0;
         }
-        if self.scheduler == "steal" {
-            let ideal = self.busy_seconds() / n as f64;
-            ideal.max(self.max_task_nanos as f64 * 1e-9)
-        } else {
-            self.worker_busy_nanos[0] as f64 * 1e-9
-        }
+        let ideal = self.busy_seconds() / n as f64;
+        ideal.max(self.max_task_nanos as f64 * 1e-9)
     }
 
     /// Load balance in `(0, 1]`: total busy time over `workers × busiest
@@ -352,14 +339,10 @@ mod tests {
         assert_eq!(s.worker_busy_nanos, vec![900, 600, 300], "sorted desc");
         assert_eq!(s.max_task_nanos, 700, "fetch_max keeps the largest task");
         assert!((s.busy_seconds() - 1_800e-9).abs() < 1e-15);
-        // steal: greedy bound = max(1800/3, 700) = 700ns
+        // greedy bound = max(1800/3, 700) = 700ns
         assert!((s.makespan_seconds() - 700e-9).abs() < 1e-15);
         assert!((s.load_balance() - 1800.0 / (3.0 * 700.0)).abs() < 1e-12);
-        // static: the busiest recorded thread bounds the run
-        let mut st = s.clone();
-        st.scheduler = "static";
-        assert!((st.makespan_seconds() - 900e-9).abs() < 1e-15);
-        // steal with no dominant task: ideal split = 1800/3 = 600ns
+        // no dominant task: ideal split = 1800/3 = 600ns
         let mut even = s.clone();
         even.max_task_nanos = 0;
         assert!((even.makespan_seconds() - 600e-9).abs() < 1e-15);

@@ -1,10 +1,10 @@
 //! Property test: the selection Pareto front is *bit-identical* across
-//! thread counts and schedulers for randomly generated workload shapes.
+//! thread counts for randomly generated workload shapes.
 //!
 //! [`TreeShape`] draws skewed wPST shapes — deep chains, wide fan-outs, hot
 //! single subtrees — which are materialised into real IR modules, profiled,
-//! and selected over with every combination of `threads ∈ {1, 2, 3, 8}` and
-//! both parallel schedulers. Any divergence (a reordered float summation, a
+//! and selected over by the reference engine (`threads = 1`) and by work
+//! stealing at `threads ∈ {2, 3, 8}`. Any divergence (a reordered float summation, a
 //! steal interleaving leaking into the front, a miscounted vertex) fails the
 //! property with a replayable seed, and the harness shrinks the shape toward
 //! a minimal reproduction.
@@ -18,7 +18,9 @@ use cayman_hls::inputs::FuncInputs;
 use cayman_ir::builder::{FunctionBuilder, ModuleBuilder};
 use cayman_ir::interp::Interp;
 use cayman_ir::{ArrayId, Module, Operand, Type};
-use cayman_select::{run_selection, SchedKind, SelectOptions, Solution};
+use cayman_select::{
+    run_selection, CaymanModel, DesignCache, SelectOptions, SelectionResult, Solution,
+};
 use cayman_testkit::tree::{FuncShape, TreeShape, MAX_CASE_ITERATIONS};
 use cayman_testkit::{prop_assert, prop_assert_eq, prop_check};
 
@@ -90,6 +92,20 @@ impl App {
                 content_fp: self.content_fps[f.index()],
             })
             .collect()
+    }
+
+    /// A one-off selection with Cayman's model and a fresh cache.
+    fn select(&self, opts: &SelectOptions) -> SelectionResult {
+        run_selection(
+            &self.module,
+            &self.wpst,
+            &self.profile,
+            &self.inputs(),
+            opts,
+            &CaymanModel(opts.model.clone()),
+            &DesignCache::new(),
+            None,
+        )
     }
 }
 
@@ -205,31 +221,21 @@ fn random_tree_shapes_select_identically_across_schedulers() {
             shape.iterations()
         );
         let app = App::analyse(build_module(&shape));
-        let inputs = app.inputs();
-        let seq = run_selection(
-            &app.module,
-            &app.wpst,
-            &app.profile,
-            &inputs,
-            &SelectOptions::default(),
-        );
-        prop_assert_eq!(seq.stats.scheduler, "seq");
-        for sched in [SchedKind::Static, SchedKind::WorkSteal] {
-            for threads in [2usize, 3, 8] {
-                let opts = SelectOptions {
-                    threads,
-                    sched,
-                    ..Default::default()
-                };
-                let par = run_selection(&app.module, &app.wpst, &app.profile, &inputs, &opts);
-                prop_assert!(
-                    fronts_identical(&seq.pareto, &par.pareto),
-                    "{sched:?} threads={threads} changed the front for {shape:?}"
-                );
-                prop_assert_eq!(par.visited, seq.visited);
-                prop_assert_eq!(par.stats.pruned, seq.stats.pruned);
-                prop_assert_eq!(par.configs_evaluated, seq.configs_evaluated);
-            }
+        let reference = app.select(&SelectOptions::default());
+        prop_assert_eq!(reference.stats.scheduler, "seq");
+        for threads in [2usize, 3, 8] {
+            let par = app.select(&SelectOptions {
+                threads,
+                ..Default::default()
+            });
+            prop_assert_eq!(par.stats.scheduler, "steal");
+            prop_assert!(
+                fronts_identical(&reference.pareto, &par.pareto),
+                "threads={threads} changed the front for {shape:?}"
+            );
+            prop_assert_eq!(par.visited, reference.visited);
+            prop_assert_eq!(par.stats.pruned, reference.stats.pruned);
+            prop_assert_eq!(par.configs_evaluated, reference.configs_evaluated);
         }
         Ok(())
     });

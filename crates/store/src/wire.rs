@@ -51,6 +51,10 @@ use std::io::{self, Read, Write};
 /// front, far below an allocation bomb).
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// Most bytes a frame read grows its buffer by before that many bytes have
+/// arrived, so an announced length costs memory only as the payload comes.
+const READ_CHUNK: usize = 64 << 10;
+
 /// Request opcodes.
 pub mod opcode {
     /// Analyse + select a textual IR module.
@@ -123,7 +127,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Fails on socket errors, mid-frame EOF, or an oversized announcement.
+/// Fails on socket errors, mid-frame EOF (`UnexpectedEof`), or an oversized
+/// announcement.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
@@ -135,8 +140,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     if len > MAX_FRAME {
         return Err(WireError::FrameTooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(start + (len - start).min(READ_CHUNK), 0);
+        r.read_exact(&mut payload[start..])?;
+    }
     Ok(Some(payload))
 }
 
@@ -517,6 +527,40 @@ mod tests {
             read_frame(&mut buf.as_slice()),
             Err(WireError::Io(_))
         ));
+    }
+
+    #[test]
+    fn announced_length_is_not_allocated_before_the_bytes_arrive() {
+        /// Announces a `MAX_FRAME` payload, delivers a few bytes, then hits
+        /// EOF; records the largest buffer any `read` call was handed.
+        struct Liar {
+            bytes: Vec<u8>,
+            largest_read: usize,
+        }
+        impl Read for Liar {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.largest_read = self.largest_read.max(buf.len());
+                let n = buf.len().min(self.bytes.len());
+                buf[..n].copy_from_slice(&self.bytes[..n]);
+                self.bytes.drain(..n);
+                Ok(n)
+            }
+        }
+        let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+        bytes.extend_from_slice(b"only a few bytes");
+        let mut r = Liar {
+            bytes,
+            largest_read: 0,
+        };
+        match read_frame(&mut r) {
+            Err(WireError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected a short-frame error, got {other:?}"),
+        }
+        assert!(
+            r.largest_read <= 1 << 20,
+            "a read was handed a {} byte buffer",
+            r.largest_read
+        );
     }
 
     #[test]

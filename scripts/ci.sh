@@ -69,4 +69,7 @@ if grep -rn --include='*.rs' -E '\b(println!|eprintln!|print!|eprint!)' \
   exit 1
 fi
 
+echo "== repository benchmark (unit tests, smoke pass over every workload, compare) =="
+benchmark/check.sh
+
 echo "ci: OK"
