@@ -7,9 +7,11 @@
 //! its own `cayman_obs` log-bucketed histogram; the shards are **merged**
 //! at the end (exercising exactly the mergeability the histogram prop tests
 //! pin) and reported as p50/p90/p99/max. The server's own metrics
-//! exposition is scraped over the wire, validated with the dependency-free
-//! parser, and its per-phase request counts are cross-checked against the
-//! client-side tallies.
+//! exposition is scraped over the wire before and after the measured
+//! window, validated with the dependency-free parser, and its per-phase
+//! request counts are cross-checked against the client-side tallies; the
+//! server's `req.total` mean, p50 and p99 over the window come from the
+//! difference of the two scrapes' cumulative buckets.
 //!
 //! ```text
 //! cargo bench -p cayman-bench --bench service            # writes JSON
@@ -18,7 +20,7 @@
 
 use cayman_bench::json;
 use cayman_obs::hist::{HistSnapshot, Histogram};
-use cayman_obs::promtext;
+use cayman_obs::promtext::{self, Exposition, Sample};
 use cayman_store::{serve, Client, Endpoint, ServerOptions};
 use std::path::Path;
 use std::time::Instant;
@@ -54,6 +56,25 @@ fn run_client(endpoint: &Endpoint, text: &str, reqs: usize) -> ClientRun {
     }
 }
 
+/// Quantile `q` of the `name` samples recorded between two scrapes: the
+/// upper bound of the first bucket whose count over the window reaches
+/// rank `ceil(q × n)`, the estimate `HistSnapshot::quantile` makes.
+fn window_quantile(before: &Exposition, after: &Exposition, name: &str, q: f64) -> f64 {
+    let buckets = |e: &Exposition| -> Vec<(f64, f64)> {
+        let le = |s: &Sample| s.label("le").and_then(|le| le.parse().ok()).expect("le");
+        e.series(&format!("{name}_bucket"))
+            .iter()
+            .map(|s| (le(s), s.value))
+            .collect()
+    };
+    let (b0, b1) = (buckets(before), buckets(after));
+    // the earlier scrape lists only the non-empty buckets of the same grid
+    let prior = |le: f64| b0.iter().rfind(|(b, _)| *b <= le).map_or(0.0, |b| b.1);
+    let rank = (q * (b1.last().map_or(0.0, |b| b.1) - prior(f64::INFINITY))).ceil();
+    let hit = b1.iter().find(|(le, c)| c - prior(*le) >= rank.max(1.0));
+    hit.map_or(0.0, |b| b.0)
+}
+
 fn quantiles_json(o: &mut json::Obj, name: &str, snap: &HistSnapshot) {
     o.obj(name, |o| {
         o.u64("count", snap.count());
@@ -81,6 +102,12 @@ fn main() {
     let cold = warmup.select_text(&text).expect("cold select");
     assert!(!cold.framework_reused, "first request analyses");
 
+    let scrape = |client: &mut Client| {
+        let text = client.metrics().expect("metrics scrape").text;
+        promtext::validate(&text).expect("exposition validates")
+    };
+    let before = scrape(&mut warmup);
+
     let wall = Instant::now();
     let runs: Vec<ClientRun> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
@@ -107,25 +134,28 @@ fn main() {
     let total_reqs = select.count() + ping.count();
     assert_eq!(total_reqs, (CLIENTS * reqs_per_client) as u64);
 
-    // scrape + validate the server's own view and cross-check the counts
-    let metrics = warmup.metrics().expect("metrics scrape");
-    let exp = promtext::validate(&metrics.text).expect("exposition validates");
-    let served = exp
-        .value("cayman_req_total_nanos_count")
-        .expect("per-phase histograms exported");
+    // scrape + validate the server's own view and cross-check the counts;
+    // the window holds the clients' requests plus the first scrape's own
+    let after = scrape(&mut warmup);
+    let total = "cayman_req_total_nanos";
+    let delta = |name: &str| {
+        let v = |e: &Exposition| e.value(name).expect("req.total exported");
+        v(&after) - v(&before)
+    };
+    let served = delta(&format!("{total}_count"));
     assert!(
         served >= total_reqs as f64,
         "server counted {served} requests, clients sent at least {total_reqs}"
     );
-    let server_p99_us = exp
-        .value("cayman_req_total_nanos_sum")
-        .map(|sum| sum / served / 1e3)
-        .unwrap_or(0.0); // mean as exported; true p99 comes from the buckets
+    let server_mean_total_us = delta(&format!("{total}_sum")) / served / 1e3;
+    let server_total_p50_us = window_quantile(&before, &after, total, 0.50) / 1e3;
+    let server_total_p99_us = window_quantile(&before, &after, total, 0.99) / 1e3;
 
     println!(
         "# service: {CLIENTS} clients x {reqs_per_client} reqs in {wall_s:.2}s | \
          warm select p50 {:.1}us p99 {:.1}us | ping p50 {:.1}us p99 {:.1}us | \
-         server mean {server_p99_us:.1}us over {served} reqs",
+         server total mean {server_mean_total_us:.1}us p50 {server_total_p50_us:.1}us \
+         p99 {server_total_p99_us:.1}us over {served} reqs",
         select.p50() as f64 / 1e3,
         select.p99() as f64 / 1e3,
         ping.p50() as f64 / 1e3,
@@ -141,6 +171,10 @@ fn main() {
             select.p50() <= select.p99() && select.p99() <= select.max(),
             "quantiles are ordered"
         );
+        assert!(
+            0.0 < server_total_p50_us && server_total_p50_us <= server_total_p99_us,
+            "server quantiles from scraped buckets are ordered"
+        );
         println!(
             "smoke mode: exposition valid, quantiles ordered; BENCH_service.json left untouched"
         );
@@ -155,8 +189,12 @@ fn main() {
              concurrent clients each running reqs_per_client requests (3 warm SELECTs : 1 \
              PING). Latencies recorded client-side into per-thread log-bucketed histograms \
              and merged; quantile error bounded by one bucket (2^-3 relative). Server-side \
-             per-phase histograms scraped over the wire and validated.",
+             per-phase histograms scraped over the wire before and after the window and \
+             validated; server_total_* are req.total over the window, p50/p99 from the \
+             difference of the scraped cumulative buckets.",
         );
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        o.u64("host_parallelism", host as u64);
         o.u64("clients", CLIENTS as u64);
         o.u64("reqs_per_client", reqs_per_client as u64);
         o.u64("requests_total", total_reqs);
@@ -164,7 +202,9 @@ fn main() {
         o.f64("throughput_rps", total_reqs as f64 / wall_s.max(1e-9), 1);
         quantiles_json(o, "select_warm", &select);
         quantiles_json(o, "ping", &ping);
-        o.f64("server_mean_total_us", server_p99_us, 3);
+        o.f64("server_mean_total_us", server_mean_total_us, 3);
+        o.f64("server_total_p50_us", server_total_p50_us, 3);
+        o.f64("server_total_p99_us", server_total_p99_us, 3);
         o.u64("server_requests_counted", served as u64);
     });
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json");

@@ -60,24 +60,13 @@ fn json_row(o: &mut json::Obj, r: &Table2Row) {
     o.f64("runtime_s", r.runtime_s, 6);
     o.f64("runtime_warm_s", r.runtime_warm_s, 6);
     o.f64("cache_hit_rate", r.stats.cache_hit_rate(), 3);
+    // design-cache lookups of the row's Cayman runs (cold + warm)
+    let (cold, warm) = (&r.cold_stats, &r.stats);
     o.obj("cache", |o| {
-        o.u64("hits", r.cache.hits());
-        o.u64("misses", r.cache.misses());
-        o.u64("inserts", r.cache.inserts());
-        o.u64("entries", r.cache.entries() as u64);
-        o.u64("stripes_used", r.cache.stripes_used() as u64);
-        o.u64("disk_hits", r.cache.disk_hits);
-        o.u64("disk_misses", r.cache.disk_misses);
-        o.arr("stripes", |a| {
-            for s in &r.cache.stripes {
-                a.obj(|o| {
-                    o.u64("hits", s.hits);
-                    o.u64("misses", s.misses);
-                    o.u64("inserts", s.inserts);
-                    o.u64("entries", s.entries as u64);
-                });
-            }
-        });
+        o.u64("hits", cold.cache_hits + warm.cache_hits);
+        o.u64("misses", cold.cache_misses + warm.cache_misses);
+        o.u64("disk_hits", cold.disk_hits + warm.disk_hits);
+        o.u64("entries", r.cache_entries as u64);
     });
     o.arr("budgets", |a| {
         for b in &r.budgets {
@@ -191,13 +180,13 @@ fn main() {
         warm * 1e3,
         cold / warm.max(1e-12)
     );
+    let (c, w) = (&avg.cold_stats, &avg.stats);
     println!(
-        "design cache stripes: {} entries over {} of 16 stripes, {} hits / {} misses / {} inserts",
-        avg.cache.entries(),
-        avg.cache.stripes_used(),
-        avg.cache.hits(),
-        avg.cache.misses(),
-        avg.cache.inserts(),
+        "design cache: {} entries, {} hits ({} from the store) / {} misses over cold + warm runs",
+        avg.cache_entries,
+        c.cache_hits + w.cache_hits,
+        c.disk_hits + w.disk_hits,
+        c.cache_misses + w.cache_misses,
     );
     if let Some(store) = cayman_bench::env_design_store() {
         let s = store.stats();

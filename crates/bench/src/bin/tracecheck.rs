@@ -10,8 +10,9 @@
 //! parses as trace-format JSON, every `B` has a matching same-name `E` on
 //! the same thread, timestamps are non-decreasing per thread, and the trace
 //! is non-empty. `--require-prefix` additionally demands at least one
-//! completed span whose name starts with the prefix (repeatable);
-//! `--require-lane` demands a named thread lane with the prefix.
+//! completed span or counter track whose name starts with the prefix
+//! (repeatable); `--require-lane` demands a named thread lane with the
+//! prefix.
 
 use cayman_obs::trace::validate_chrome;
 
@@ -63,8 +64,11 @@ fn main() {
         fail(&format!("{path}: trace is empty"));
     }
     for p in &prefixes {
-        if !summary.has_span_prefix(p) {
-            fail(&format!("{path}: no completed span named `{p}*`"));
+        let mut names = summary.span_names.iter().chain(&summary.counters);
+        if !names.any(|n| n.starts_with(p.as_str())) {
+            fail(&format!(
+                "{path}: no completed span or counter named `{p}*`"
+            ));
         }
     }
     for p in &lanes {

@@ -50,10 +50,7 @@ fn traced_table2_run_emits_wellformed_chrome_trace() {
     // The design-cache counters rode along (the warm re-run hits, the cold
     // run misses).
     assert!(
-        summary
-            .counters
-            .iter()
-            .any(|c| c.starts_with("select.cache.")),
+        summary.counters.iter().any(|c| c.starts_with("cache.mem.")),
         "{:?}",
         summary.counters
     );

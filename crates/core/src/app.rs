@@ -158,7 +158,9 @@ impl Application {
             memory_fp,
             opts,
             &raw_fps,
-        )?;
+        );
+        store.publish();
+        let app = app?;
         // The transient store holds the only other Arc; dropping it makes
         // the application uniquely owned again.
         drop(store);

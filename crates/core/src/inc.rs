@@ -68,11 +68,12 @@ use cayman_ir::{
     decode_function, fingerprint_arrays, fingerprint_function, fingerprint_memory,
     fingerprint_module_from_parts, FuncId, Function, Instr, Module,
 };
+use cayman_obs::Counter;
 use cayman_select::{
     run_selection, CaymanModel, DesignCache, FrontStore, SelectOptions, SelectionResult,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// FNV-1a over a `u64` slice (block-count fingerprints for trip keys).
 fn fnv_u64s(vals: &[u64]) -> u64 {
@@ -93,18 +94,6 @@ pub struct QueryCounter {
     pub hits: u64,
     /// Executions that ran the query body.
     pub misses: u64,
-}
-
-impl QueryCounter {
-    fn hit(&mut self, name: &'static str) {
-        self.hits += 1;
-        cayman_obs::counter(name, 1);
-    }
-
-    fn miss(&mut self, name: &'static str) {
-        self.misses += 1;
-        cayman_obs::counter(name, 1);
-    }
 }
 
 /// Per-query-kind hit/miss accounting plus edit counts.
@@ -132,6 +121,39 @@ pub struct IncStats {
     pub select: QueryCounter,
     /// Edits applied so far.
     pub edits: u64,
+}
+
+/// Process-scope `[hits, misses]` counter names per query kind, in
+/// [`IncStats::kinds`] order.
+const QUERY_COUNTERS: [[&str; 2]; 10] = [
+    ["inc.query.verify.hits", "inc.query.verify.misses"],
+    ["inc.query.normalize.hits", "inc.query.normalize.misses"],
+    ["inc.query.shadow.hits", "inc.query.shadow.misses"],
+    ["inc.query.structure.hits", "inc.query.structure.misses"],
+    ["inc.query.decode.hits", "inc.query.decode.misses"],
+    ["inc.query.exec.hits", "inc.query.exec.misses"],
+    ["inc.query.dataflow.hits", "inc.query.dataflow.misses"],
+    ["inc.query.trips.hits", "inc.query.trips.misses"],
+    ["inc.query.app.hits", "inc.query.app.misses"],
+    ["inc.query.select.hits", "inc.query.select.misses"],
+];
+
+impl IncStats {
+    /// Every query kind, in [`QUERY_COUNTERS`] order.
+    fn kinds(&self) -> [QueryCounter; 10] {
+        [
+            self.verify,
+            self.normalize,
+            self.shadow,
+            self.structure,
+            self.decode,
+            self.exec,
+            self.dataflow,
+            self.trips,
+            self.app,
+            self.select,
+        ]
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -240,12 +262,32 @@ pub struct QueryStore {
     pub fronts: FrontStore,
     /// Hit/miss accounting.
     pub stats: IncStats,
+    /// `stats` as of the last [`QueryStore::publish`].
+    published: IncStats,
 }
 
 impl QueryStore {
     /// An empty store.
     pub fn new() -> Self {
         QueryStore::default()
+    }
+
+    /// Adds everything counted since the last call to the process-scope
+    /// `inc.*` counters. Called once at the end of each analysis or
+    /// selection run, never per query.
+    pub(crate) fn publish(&mut self) {
+        static TOTALS: OnceLock<([[&Counter; 2]; 10], &Counter)> = OnceLock::new();
+        let (queries, edits) = TOTALS.get_or_init(|| {
+            let counter = cayman_obs::registry::counter;
+            (QUERY_COUNTERS.map(|n| n.map(counter)), counter("inc.edits"))
+        });
+        let kinds = self.stats.kinds().into_iter().zip(self.published.kinds());
+        for ([hits, misses], (now, was)) in queries.iter().zip(kinds) {
+            hits.add(now.hits - was.hits);
+            misses.add(now.misses - was.misses);
+        }
+        edits.add(self.stats.edits - self.published.edits);
+        self.published = self.stats;
     }
 }
 
@@ -271,10 +313,10 @@ pub(crate) fn assemble(
         verify_each: opts.verify_each_pass,
     };
     if let Some(app) = store.apps.get(&app_key) {
-        store.stats.app.hit("inc.query.app.hit");
+        store.stats.app.hits += 1;
         return Ok(Arc::clone(app));
     }
-    store.stats.app.miss("inc.query.app.miss");
+    store.stats.app.misses += 1;
     let _app_span = cayman_obs::span!("inc.query.app", functions = module.functions.len());
 
     // Stage 1: verify (whole-module; a hit means this exact raw content
@@ -282,9 +324,9 @@ pub(crate) fn assemble(
     {
         let _s = cayman_obs::span!("analyse.verify");
         if store.verified.contains(&module_fp) {
-            store.stats.verify.hit("inc.query.verify.hit");
+            store.stats.verify.hits += 1;
         } else {
-            store.stats.verify.miss("inc.query.verify.miss");
+            store.stats.verify.misses += 1;
             let _q = cayman_obs::span!("inc.query.verify");
             module.verify()?;
             store.verified.insert(module_fp);
@@ -316,11 +358,11 @@ pub(crate) fn assemble(
                 };
                 let cached = match store.normalize.get(&key) {
                     Some(hit) => {
-                        store.stats.normalize.hit("inc.query.normalize.hit");
+                        store.stats.normalize.hits += 1;
                         Arc::clone(hit)
                     }
                     None => {
-                        store.stats.normalize.miss("inc.query.normalize.miss");
+                        store.stats.normalize.misses += 1;
                         let _q = cayman_obs::span!("inc.query.normalize", func = f.index());
                         let stats =
                             normalize_function(&mut working, f, exec_level, opts.verify_each_pass)?;
@@ -359,11 +401,11 @@ pub(crate) fn assemble(
             };
             let cached = match store.shadow.get(&key) {
                 Some(hit) => {
-                    store.stats.shadow.hit("inc.query.shadow.hit");
+                    store.stats.shadow.hits += 1;
                     Arc::clone(hit)
                 }
                 None => {
-                    store.stats.shadow.miss("inc.query.shadow.miss");
+                    store.stats.shadow.misses += 1;
                     let _q = cayman_obs::span!("inc.query.shadow", func = f.index());
                     let mut tmp = Module {
                         name: working.name.clone(),
@@ -404,11 +446,11 @@ pub(crate) fn assemble(
             let key = norm_fps[f.index()];
             let parts = match store.structure.get(&key) {
                 Some(hit) => {
-                    store.stats.structure.hit("inc.query.structure.hit");
+                    store.stats.structure.hits += 1;
                     Arc::clone(hit)
                 }
                 None => {
-                    store.stats.structure.miss("inc.query.structure.miss");
+                    store.stats.structure.misses += 1;
                     let _q = cayman_obs::span!("inc.query.structure", func = f.index());
                     let func = working.function(f);
                     let ctx = FuncCtx::compute(func);
@@ -429,11 +471,11 @@ pub(crate) fn assemble(
         };
         let exec_res = match store.exec.get(&exec_key) {
             Some(hit) => {
-                store.stats.exec.hit("inc.query.exec.hit");
+                store.stats.exec.hits += 1;
                 Arc::clone(hit)
             }
             None => {
-                store.stats.exec.miss("inc.query.exec.miss");
+                store.stats.exec.misses += 1;
                 let _q = cayman_obs::span!("inc.query.exec");
                 // Decode is only needed to execute, so its per-function
                 // queries run lazily inside the exec miss.
@@ -445,11 +487,11 @@ pub(crate) fn assemble(
                     };
                     let d = match store.decode.get(&key) {
                         Some(hit) => {
-                            store.stats.decode.hit("inc.query.decode.hit");
+                            store.stats.decode.hits += 1;
                             Arc::clone(hit)
                         }
                         None => {
-                            store.stats.decode.miss("inc.query.decode.miss");
+                            store.stats.decode.misses += 1;
                             let _q = cayman_obs::span!("inc.query.decode", func = f.index());
                             let d = Arc::new(decode_function(&working, f));
                             store.decode.insert(key, Arc::clone(&d));
@@ -488,11 +530,11 @@ pub(crate) fn assemble(
             };
             let df = match store.dataflow.get(&dkey) {
                 Some(hit) => {
-                    store.stats.dataflow.hit("inc.query.dataflow.hit");
+                    store.stats.dataflow.hits += 1;
                     Arc::clone(hit)
                 }
                 None => {
-                    store.stats.dataflow.miss("inc.query.dataflow.miss");
+                    store.stats.dataflow.misses += 1;
                     let _q = cayman_obs::span!("inc.query.dataflow", func = f.index());
                     // At `-O2` with a changed shadow, analyse the shadow:
                     // identical CFG/loops (so `LoopId`s/`InstrId`s map back
@@ -526,11 +568,11 @@ pub(crate) fn assemble(
             };
             let tt = match store.trips.get(&tkey) {
                 Some(hit) => {
-                    store.stats.trips.hit("inc.query.trips.hit");
+                    store.stats.trips.hits += 1;
                     Arc::clone(hit)
                 }
                 None => {
-                    store.stats.trips.miss("inc.query.trips.miss");
+                    store.stats.trips.misses += 1;
                     let _q = cayman_obs::span!("inc.query.trips", func = f.index());
                     let tt: Vec<f64> = ctx
                         .forest
@@ -693,7 +735,6 @@ impl IncrementalApp {
             }
         }
         self.store.stats.edits += 1;
-        cayman_obs::counter("inc.edit", 1);
         Ok(())
     }
 
@@ -711,14 +752,16 @@ impl IncrementalApp {
     /// all previous results, so a failing edit can be reverted and
     /// re-analysed at full cache warmth.
     pub fn analyse(&mut self) -> Result<Arc<Application>, CaymanError> {
-        assemble(
+        let app = assemble(
             &mut self.store,
             &self.module,
             self.memory.as_ref(),
             self.memory_fp,
             &self.opts,
             &self.raw_fps,
-        )
+        );
+        self.store.publish();
+        app
     }
 
     /// Analyses and selects, reusing cached designs and per-function
@@ -749,11 +792,12 @@ impl IncrementalApp {
             alpha_bits: opts.alpha.to_bits(),
             prune_bits: opts.prune_share.to_bits(),
         };
-        if let Some(hit) = self.store.selections.get(&key) {
-            self.store.stats.select.hit("inc.query.select.hit");
-            return Ok(Arc::clone(hit));
+        if let Some(hit) = self.store.selections.get(&key).cloned() {
+            self.store.stats.select.hits += 1;
+            self.store.publish();
+            return Ok(hit);
         }
-        self.store.stats.select.miss("inc.query.select.miss");
+        self.store.stats.select.misses += 1;
         let _q = cayman_obs::span!("inc.query.select");
         let model = CaymanModel(opts.model.clone());
         let inputs = app.inputs();
@@ -770,6 +814,7 @@ impl IncrementalApp {
         drop(inputs);
         let result = Arc::new(result);
         self.store.selections.insert(key, Arc::clone(&result));
+        self.store.publish();
         Ok(result)
     }
 }

@@ -63,8 +63,8 @@ pub use cayman_workloads as workloads;
 pub use cayman_hls::interface::ModelOptions;
 pub use cayman_hls::CVA6_TILE_AREA;
 pub use cayman_select::{
-    AccelCallStat, CacheStats, DesignCache, DesignStoreBackend, SelectOptions, SelectStats,
-    SelectionResult, Solution, TOP_ACCEL_K,
+    AccelCallStat, DesignCache, DesignStoreBackend, SelectOptions, SelectStats, SelectionResult,
+    Solution, TOP_ACCEL_K,
 };
 
 /// Top-level framework error.

@@ -21,8 +21,10 @@ use crate::cpu_model::{block_cycles, CPU_FREQ_HZ};
 use crate::instr::{BinOp, CmpPred, Imm, Instr, Operand, Terminator, UnaryOp};
 use crate::module::{ArrayId, BlockId, FuncId, Function, Module, ValueDef, ValueId};
 use crate::types::Type;
+use cayman_obs::Counter;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A dynamic value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -261,6 +263,20 @@ enum Engine {
     Reference,
 }
 
+/// The reference engine, for a module the decoder rejected. Library code
+/// never prints: the silent fallback is counted (`profile.decode_fallbacks`)
+/// and becomes a structured diagnostic in the trace instead.
+fn decode_fallback() -> Engine {
+    static FALLBACKS: OnceLock<&Counter> = OnceLock::new();
+    FALLBACKS
+        .get_or_init(|| cayman_obs::registry::counter("profile.decode_fallbacks"))
+        .add(1);
+    cayman_obs::diag("interp.fallback", || {
+        "decoder rejected module; using reference walker".to_string()
+    });
+    Engine::Reference
+}
+
 /// The interpreter. Holds the module, memory and counters.
 #[derive(Debug)]
 pub struct Interp<'m> {
@@ -290,15 +306,7 @@ impl<'m> Interp<'m> {
     pub fn new(module: &'m Module) -> Self {
         let engine = match crate::decode::decode(module) {
             Some(dm) => Engine::Decoded(dm),
-            None => {
-                // Library code never prints; the silent fallback becomes a
-                // structured diagnostic in the trace instead.
-                cayman_obs::counter("profile.decode_fallback", 1);
-                cayman_obs::diag("interp.fallback", || {
-                    "decoder rejected module; using reference walker".to_string()
-                });
-                Engine::Reference
-            }
+            None => decode_fallback(),
         };
         Self::with_engine(module, engine)
     }
@@ -316,13 +324,7 @@ impl<'m> Interp<'m> {
             Some(fs) if fs.len() == module.functions.len() => {
                 Engine::Decoded(crate::decode::DecodedModule::from_funcs(fs))
             }
-            _ => {
-                cayman_obs::counter("profile.decode_fallback", 1);
-                cayman_obs::diag("interp.fallback", || {
-                    "decoder rejected module; using reference walker".to_string()
-                });
-                Engine::Reference
-            }
+            _ => decode_fallback(),
         };
         Self::with_engine(module, engine)
     }
@@ -385,16 +387,12 @@ impl<'m> Interp<'m> {
             vec![("engine", cayman_obs::ArgValue::from(self.engine_name()))]
         });
         let result = self.run_inner(args);
-        let nanos = span.finish();
+        span.finish();
         if let Ok(profile) = &result {
-            let blocks = profile.blocks_executed();
-            cayman_obs::counter("profile.blocks", blocks);
-            if nanos > 0 {
-                cayman_obs::gauge(
-                    "profile.blocks_per_sec",
-                    blocks as f64 / (nanos as f64 / 1e9),
-                );
-            }
+            static BLOCKS: OnceLock<&Counter> = OnceLock::new();
+            BLOCKS
+                .get_or_init(|| cayman_obs::registry::counter("profile.blocks"))
+                .add(profile.blocks_executed());
         }
         result
     }

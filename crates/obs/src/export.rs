@@ -26,9 +26,9 @@ impl Trace {
     /// Renders the trace in Chrome trace-event format (the JSON-object form
     /// with a `traceEvents` array), loadable in `chrome://tracing` and
     /// Perfetto. Spans become `B`/`E` pairs on the recording thread's lane,
-    /// counters become cumulative `C` tracks, gauges absolute `C` tracks,
-    /// instants `i` markers, and lane events `thread_name` metadata so each
-    /// work-stealing worker gets a named lane.
+    /// counters become cumulative `C` tracks, instants `i` markers, and
+    /// lane events `thread_name` metadata so each work-stealing worker gets
+    /// a named lane.
     pub fn to_chrome(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 96 + 64);
         out.push_str("{\"traceEvents\":[\n");
@@ -69,17 +69,6 @@ impl Trace {
                         escape(&name),
                         e.tid,
                         *total
-                    )
-                    .unwrap();
-                }
-                EventKind::Gauge { value } => {
-                    write!(
-                        line,
-                        "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{},\
-                         \"args\":{{\"value\":{}}}}}",
-                        escape(&e.name.to_string()),
-                        e.tid,
-                        fmt_f64(*value)
                     )
                     .unwrap();
                 }
@@ -124,7 +113,6 @@ impl Trace {
                 EventKind::Begin => "begin",
                 EventKind::End => "end",
                 EventKind::Counter { .. } => "counter",
-                EventKind::Gauge { .. } => "gauge",
                 EventKind::Instant => "instant",
                 EventKind::Lane => "lane",
             };
@@ -137,12 +125,8 @@ impl Trace {
                 escape(&e.name.to_string())
             )
             .unwrap();
-            match &e.kind {
-                EventKind::Counter { delta } => write!(out, ",\"delta\":{delta}").unwrap(),
-                EventKind::Gauge { value } => {
-                    write!(out, ",\"value\":{}", fmt_f64(*value)).unwrap()
-                }
-                _ => {}
+            if let EventKind::Counter { delta } = &e.kind {
+                write!(out, ",\"delta\":{delta}").unwrap();
             }
             write_args(&mut out, &e.args);
             out.push_str("}\n");

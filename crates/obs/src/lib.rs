@@ -9,16 +9,17 @@
 //!   per-run statistics snapshots (`SelectStats`, `PipelineStats`) are
 //!   *views over the same measurement* rather than parallel `Instant`
 //!   plumbing.
-//! * **Counters / gauges / instants** — named numeric streams
-//!   ([`counter`], [`gauge`], [`instant`], [`diag`]) that become Chrome
-//!   counter tracks and instant markers.
+//! * **Counters** — one type, [`Counter`]: an always-on named atomic whose
+//!   [`Counter::add`] also emits a same-named Chrome counter event when
+//!   tracing is on, so METRICS and the trace read one source (scopes: see
+//!   [`registry`]). **Instants** ([`instant`], [`diag`]) mark points in time.
 //! * **Lanes** — [`lane`] names the calling thread (one lane per
 //!   work-stealing worker in the trace viewer).
 //! * **Histograms & metrics** — [`hist`] provides fixed-size log-bucketed
 //!   (HDR-style) latency histograms whose record path is lock- and
 //!   allocation-free, mergeable across threads and queryable for
 //!   p50/p90/p99/max; [`registry`] holds the *always-on* named
-//!   counter/gauge/histogram registry behind the Prometheus-style text
+//!   counter/histogram registry behind the Prometheus-style text
 //!   exposition ([`registry::MetricsSnapshot::to_prometheus`]), and
 //!   [`promtext`] parses/validates that exposition for CI gates.
 //! * **Sinks** — [`drain`] freezes everything into a [`Trace`], exportable
@@ -53,10 +54,10 @@ pub mod trace;
 
 pub use export::Trace;
 pub use recorder::{
-    counter, diag, disable, drain, enable, enabled, flush_to_env, gauge, init_from_env, instant,
-    instant_with, lane, timed, timed_with, ArgValue, Event, EventKind, Name, SpanGuard, TimedSpan,
-    STRIPES,
+    diag, disable, drain, enable, enabled, flush_to_env, init_from_env, instant, instant_with,
+    lane, timed, timed_with, ArgValue, Event, EventKind, Name, SpanGuard, TimedSpan, STRIPES,
 };
+pub use registry::Counter;
 pub use time::thread_cpu_nanos;
 
 /// Opens a span over the enclosing scope; the returned guard ends it on

@@ -228,17 +228,19 @@ pub fn validate(text: &str) -> Result<Exposition, String> {
 mod tests {
     use super::*;
     use crate::hist::Histogram;
-    use crate::registry::MetricsSnapshot;
+    use crate::registry::{Counter, MetricsSnapshot};
 
     fn sample_exposition() -> String {
         let mut snap = MetricsSnapshot::default();
-        snap.push_counter("server.requests", 42);
+        let requests = Counter::new("server.requests");
+        requests.add(42);
+        snap.push_counter(&requests);
         snap.push_gauge("server.uptime.seconds", 3.25);
         let h = Histogram::new();
         for v in [3u64, 90, 90, 4096, 123_456_789] {
             h.record(v);
         }
-        snap.push_hist("req.total.nanos", h.snapshot());
+        snap.hists.push(("req.total.nanos", h.snapshot()));
         snap.to_prometheus()
     }
 

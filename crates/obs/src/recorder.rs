@@ -132,11 +132,6 @@ pub enum EventKind {
         /// Amount added to the counter.
         delta: u64,
     },
-    /// A named absolute value (`ph: "C"`).
-    Gauge {
-        /// The sampled value.
-        value: f64,
-    },
     /// A point-in-time marker (`ph: "i"`), e.g. a work steal.
     Instant,
     /// Names the calling thread's lane (`ph: "M"`, `thread_name`).
@@ -192,7 +187,7 @@ fn thread_id() -> u32 {
     })
 }
 
-fn push(kind: EventKind, name: Name, args: Vec<(&'static str, ArgValue)>) {
+pub(crate) fn push(kind: EventKind, name: Name, args: Vec<(&'static str, ArgValue)>) {
     let rec = recorder();
     let tid = thread_id();
     let seq = SEQ.with(|s| {
@@ -395,23 +390,6 @@ impl Drop for TimedSpan {
                 push(EventKind::End, name, Vec::new());
             }
         }
-    }
-}
-
-/// Adds `delta` to the named counter (exported as a cumulative Chrome
-/// counter track). No-op when disabled.
-#[inline]
-pub fn counter(name: impl Into<Name>, delta: u64) {
-    if enabled() {
-        push(EventKind::Counter { delta }, name.into(), Vec::new());
-    }
-}
-
-/// Samples an absolute value onto the named track. No-op when disabled.
-#[inline]
-pub fn gauge(name: impl Into<Name>, value: f64) {
-    if enabled() {
-        push(EventKind::Gauge { value }, name.into(), Vec::new());
     }
 }
 

@@ -1,30 +1,69 @@
-//! The global **metric registry**: named counters, gauges and
-//! [`Histogram`]s that are *always on* (unlike the event recorder, which
-//! only collects when tracing is enabled).
+//! The global **metric registry** and the one counter type, [`Counter`].
 //!
-//! Call sites register once ([`hist`], [`counter_handle`],
-//! [`gauge_handle`]) and keep the returned `&'static` handle; recording
-//! through a handle is a plain atomic operation — no lock, no allocation,
-//! no registry lookup. Registration itself takes the registry lock and
-//! leaks one small allocation per distinct name, which is the price of
-//! handing out `'static` handles.
+//! Counters and [`Histogram`]s are *always on* (unlike the event recorder,
+//! which only collects when tracing is enabled). A [`Counter`] has one of
+//! two scopes: **process** counters are registered here by name
+//! ([`counter`]) and every [`snapshot`] includes them; **instance**
+//! counters are fields of the one object whose API reports them (a
+//! server's request count, a store's hits), which pushes them into a scrape
+//! with [`MetricsSnapshot::push_counter`].
 //!
-//! [`snapshot`] freezes every registered metric into a
-//! [`MetricsSnapshot`]; callers may append their own series (server
-//! counters, store/cache stats) before rendering the whole thing as a
-//! Prometheus-style text exposition with
-//! [`MetricsSnapshot::to_prometheus`].
+//! Call sites register once ([`hist`], [`counter`]) and keep the returned
+//! `&'static` handle; recording through a handle is a plain atomic
+//! operation — no lock, no allocation, no registry lookup. Registration
+//! itself takes the registry lock and leaks one small allocation per
+//! distinct name, which is the price of handing out `'static` handles.
+//! [`MetricsSnapshot::to_prometheus`] renders a snapshot as a
+//! Prometheus-style text exposition.
 
 use crate::hist::{HistSnapshot, Histogram};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+/// A named, monotone `u64` event count: the single source of both the
+/// METRICS scrape and the trace's counter track of the same name.
+#[derive(Debug)]
+pub struct Counter {
+    name: &'static str,
+    value: AtomicU64,
+}
+
+impl Counter {
+    /// A zeroed counter. Names are dot-separated (`store.hits`); the
+    /// exposition renders them as `cayman_store_hits`.
+    pub const fn new(name: &'static str) -> Counter {
+        Counter {
+            name,
+            value: AtomicU64::new(0),
+        }
+    }
+
+    /// Counts `n` events: one relaxed `fetch_add`, plus a Chrome counter
+    /// event under the same name when tracing is enabled. Adding zero
+    /// touches nothing, so run-end totals cost only what they count.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.value.fetch_add(n, Ordering::Relaxed);
+        if crate::enabled() {
+            let event = crate::EventKind::Counter { delta: n };
+            crate::recorder::push(event, crate::Name::Static(self.name), Vec::new());
+        }
+    }
+
+    /// The current total.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
 #[derive(Default)]
 struct Registry {
     hists: Mutex<Vec<(&'static str, &'static Histogram)>>,
-    counters: Mutex<Vec<(&'static str, &'static AtomicU64)>>,
-    gauges: Mutex<Vec<(&'static str, &'static AtomicU64)>>, // f64 bits
+    counters: Mutex<Vec<&'static Counter>>,
 }
 
 fn registry() -> &'static Registry {
@@ -46,37 +85,19 @@ pub fn hist(name: &'static str) -> &'static Histogram {
     h
 }
 
-/// The registered counter named `name` (a monotone `u64`; increment with
-/// `fetch_add`), registering a zeroed one on first use.
-pub fn counter_handle(name: &'static str) -> &'static AtomicU64 {
+/// The process-scope counter named `name`, registering a zeroed one on
+/// first use. Like [`hist`], fetch the handle once and count through it.
+pub fn counter(name: &'static str) -> &'static Counter {
     let mut counters = registry()
         .counters
         .lock()
         .expect("metric registry poisoned");
-    if let Some((_, c)) = counters.iter().find(|(n, _)| *n == name) {
+    if let Some(c) = counters.iter().find(|c| c.name == name) {
         return c;
     }
-    let c: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-    counters.push((name, c));
+    let c: &'static Counter = Box::leak(Box::new(Counter::new(name)));
+    counters.push(c);
     c
-}
-
-/// The registered gauge named `name` (an absolute `f64`, stored as bits;
-/// set with [`set_gauge`]), registering a zeroed one on first use.
-pub fn gauge_handle(name: &'static str) -> &'static AtomicU64 {
-    let mut gauges = registry().gauges.lock().expect("metric registry poisoned");
-    if let Some((_, g)) = gauges.iter().find(|(n, _)| *n == name) {
-        return g;
-    }
-    let g: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0f64.to_bits())));
-    gauges.push((name, g));
-    g
-}
-
-/// Stores `value` into a gauge handle.
-#[inline]
-pub fn set_gauge(gauge: &AtomicU64, value: f64) {
-    gauge.store(value.to_bits(), Ordering::Relaxed);
 }
 
 /// Freezes every registered metric, in registration order.
@@ -87,25 +108,18 @@ pub fn snapshot() -> MetricsSnapshot {
         .lock()
         .expect("metric registry poisoned")
         .iter()
-        .map(|(n, h)| (n.to_string(), h.snapshot()))
+        .map(|(n, h)| (*n, h.snapshot()))
         .collect();
     let counters = reg
         .counters
         .lock()
         .expect("metric registry poisoned")
         .iter()
-        .map(|(n, c)| (n.to_string(), c.load(Ordering::Relaxed)))
-        .collect();
-    let gauges = reg
-        .gauges
-        .lock()
-        .expect("metric registry poisoned")
-        .iter()
-        .map(|(n, g)| (n.to_string(), f64::from_bits(g.load(Ordering::Relaxed))))
+        .map(|c| (c.name, c.get()))
         .collect();
     MetricsSnapshot {
         counters,
-        gauges,
+        gauges: Vec::new(),
         hists,
     }
 }
@@ -115,27 +129,22 @@ pub fn snapshot() -> MetricsSnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Monotone counters.
-    pub counters: Vec<(String, u64)>,
-    /// Absolute values.
-    pub gauges: Vec<(String, f64)>,
+    pub counters: Vec<(&'static str, u64)>,
+    /// Point values.
+    pub gauges: Vec<(&'static str, f64)>,
     /// Latency/size distributions.
-    pub hists: Vec<(String, HistSnapshot)>,
+    pub hists: Vec<(&'static str, HistSnapshot)>,
 }
 
 impl MetricsSnapshot {
-    /// Appends a counter series (e.g. a server or store lifetime counter).
-    pub fn push_counter(&mut self, name: impl Into<String>, value: u64) {
-        self.counters.push((name.into(), value));
+    /// Appends an instance-scope counter under its own name.
+    pub fn push_counter(&mut self, counter: &Counter) {
+        self.counters.push((counter.name, counter.get()));
     }
 
-    /// Appends a gauge series.
-    pub fn push_gauge(&mut self, name: impl Into<String>, value: f64) {
-        self.gauges.push((name.into(), value));
-    }
-
-    /// Appends a histogram series.
-    pub fn push_hist(&mut self, name: impl Into<String>, snap: HistSnapshot) {
-        self.hists.push((name.into(), snap));
+    /// Appends a point-in-time gauge series (`value` must be finite).
+    pub fn push_gauge(&mut self, name: &'static str, value: f64) {
+        self.gauges.push((name, value));
     }
 
     /// Renders the snapshot as a Prometheus-style text exposition.
@@ -159,7 +168,7 @@ impl MetricsSnapshot {
         for (name, value) in &self.gauges {
             let name = metric_name(name);
             let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {}", fmt_value(*value));
+            let _ = writeln!(out, "{name} {value}");
         }
         for (name, snap) in &self.hists {
             let name = metric_name(name);
@@ -191,18 +200,6 @@ fn metric_name(raw: &str) -> String {
     out
 }
 
-fn fmt_value(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "NaN".to_string()
-    } else if v > 0.0 {
-        "+Inf".to_string()
-    } else {
-        "-Inf".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,41 +212,36 @@ mod tests {
         a.record(7);
         assert_eq!(b.count(), 1);
 
-        let c = counter_handle("test.registry.counter");
-        c.fetch_add(3, Ordering::Relaxed);
-        assert!(std::ptr::eq(c, counter_handle("test.registry.counter")));
-
-        let g = gauge_handle("test.registry.gauge");
-        set_gauge(g, 2.5);
+        let c = counter("test.registry.counter");
+        c.add(3);
+        assert!(std::ptr::eq(c, counter("test.registry.counter")));
 
         let snap = snapshot();
         let hist_snap = &snap
             .hists
             .iter()
-            .find(|(n, _)| n == "test.registry.hist")
+            .find(|(n, _)| *n == "test.registry.hist")
             .expect("registered")
             .1;
         assert!(hist_snap.count() >= 1);
         assert!(snap
             .counters
             .iter()
-            .any(|(n, v)| n == "test.registry.counter" && *v >= 3));
-        assert!(snap
-            .gauges
-            .iter()
-            .any(|(n, v)| n == "test.registry.gauge" && *v == 2.5));
+            .any(|(n, v)| *n == "test.registry.counter" && *v >= 3));
     }
 
     #[test]
     fn prometheus_rendering_shape() {
         let mut snap = MetricsSnapshot::default();
-        snap.push_counter("server.requests", 12);
+        let requests = Counter::new("server.requests");
+        requests.add(12);
+        snap.push_counter(&requests);
         snap.push_gauge("server.uptime.seconds", 1.5);
         let h = Histogram::new();
         for v in [1u64, 1, 2, 1000] {
             h.record(v);
         }
-        snap.push_hist("req.total.nanos", h.snapshot());
+        snap.hists.push(("req.total.nanos", h.snapshot()));
         let text = snap.to_prometheus();
         assert!(text.contains("# TYPE cayman_server_requests counter"));
         assert!(text.contains("cayman_server_requests 12"));

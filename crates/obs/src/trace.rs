@@ -400,7 +400,7 @@ mod tests {
         let ok = r#"{"traceEvents":[
             {"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"select.worker.0"}},
             {"name":"select.dp","ph":"B","ts":1.0,"pid":1,"tid":3},
-            {"name":"select.cache.hit","ph":"C","ts":1.5,"pid":1,"tid":3,"args":{"value":1}},
+            {"name":"cache.mem.hits","ph":"C","ts":1.5,"pid":1,"tid":3,"args":{"value":1}},
             {"name":"select.steal","ph":"i","ts":2.0,"pid":1,"tid":3,"s":"t"},
             {"name":"select.dp","ph":"E","ts":3.0,"pid":1,"tid":3}
         ],"displayTimeUnit":"ms"}"#;
@@ -408,7 +408,7 @@ mod tests {
         assert_eq!(s.spans, 1);
         assert_eq!(s.lanes, vec!["select.worker.0"]);
         assert!(s.has_span_prefix("select."));
-        assert_eq!(s.counters, vec!["select.cache.hit"]);
+        assert_eq!(s.counters, vec!["cache.mem.hits"]);
         assert_eq!(s.instants, vec!["select.steal"]);
     }
 }

@@ -13,8 +13,7 @@ fn record_export_validate_roundtrip() {
     {
         let _stage = cayman_obs::span!("analyse.profile", benchmark = "trisolv");
         let t = cayman_obs::timed("profile.interp");
-        cayman_obs::counter("profile.blocks", 128);
-        cayman_obs::gauge("profile.blocks_per_sec", 2.5e6);
+        cayman_obs::registry::counter("profile.blocks").add(128);
         cayman_obs::diag("interp.fallback", || "decode unsupported".to_string());
         assert!(t.finish() > 0);
     }
@@ -22,7 +21,7 @@ fn record_export_validate_roundtrip() {
         cayman_obs::lane(|| "select.worker.0".to_string());
         let _task = cayman_obs::span!("select.task.accel", vertex = 3usize);
         cayman_obs::instant("select.steal");
-        cayman_obs::counter("select.cache.miss", 1);
+        cayman_obs::registry::counter("cache.mem.misses").add(1);
     });
     worker.join().unwrap();
     cayman_obs::disable();
@@ -54,7 +53,7 @@ fn record_export_validate_roundtrip() {
     // The human summary names the heavy hitters.
     let human = trace.summary();
     assert!(human.contains("analyse.profile"), "{human}");
-    assert!(human.contains("select.cache.miss"), "{human}");
+    assert!(human.contains("cache.mem.misses"), "{human}");
     assert!(human.contains("select.worker.0"), "{human}");
 
     // Drain cleared the buffers.

@@ -1,7 +1,8 @@
 //! Verifies the disabled-tracing cost model: the selection hot path's obs
-//! calls (`span!` with args, `counter`, `timed`) must not allocate at all
-//! when tracing is off — and neither may [`cayman_obs::hist::Histogram::record`],
-//! which is *always on* (the server records every request through it). A
+//! calls (`span!` with args, `timed`) must not allocate at all when tracing
+//! is off — and neither may [`cayman_obs::Counter::add`] or
+//! [`cayman_obs::hist::Histogram::record`], which are *always on* (every
+//! layer counts and the server records every request through them). A
 //! counting global allocator makes "no allocations" a hard assertion
 //! rather than a benchmark judgement call.
 
@@ -50,13 +51,15 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 #[test]
 fn disabled_tracing_allocates_nothing_on_the_hot_path() {
     cayman_obs::disable();
-    // Warm up once outside the measured window, then measure a hot loop of
-    // exactly the calls the selection DP makes per vertex/config.
-    hot_path_iteration(0);
+    // Register the process-scope counter and warm up once outside the
+    // measured window, then measure a hot loop of exactly the calls the
+    // selection DP makes per vertex/config.
+    let hits = cayman_obs::registry::counter("cache.mem.hits");
+    hot_path_iteration(0, hits);
     let before = ALLOCS.load(Ordering::Relaxed);
     COUNTING.with(|c| c.set(true));
     for i in 0..10_000usize {
-        hot_path_iteration(i);
+        hot_path_iteration(i, hits);
     }
     COUNTING.with(|c| c.set(false));
     let after = ALLOCS.load(Ordering::Relaxed);
@@ -66,16 +69,19 @@ fn disabled_tracing_allocates_nothing_on_the_hot_path() {
         "disabled tracing allocated {} times over 10k hot-path iterations",
         after - before
     );
+    assert!(hits.get() >= 10_001, "counting is always on");
 }
 
-// The server's per-request histogram: recording is always on, so the
-// record path must be allocation-free regardless of the tracing flag.
+// The server's per-request histogram and an instance-scope counter:
+// recording is always on, so both must be allocation-free regardless of
+// the tracing flag.
 static HIST: cayman_obs::hist::Histogram = cayman_obs::hist::Histogram::new();
+static MISSES: cayman_obs::Counter = cayman_obs::Counter::new("cache.mem.misses");
 
-fn hot_path_iteration(i: usize) {
+fn hot_path_iteration(i: usize, hits: &cayman_obs::Counter) {
     let _g = cayman_obs::span!("select.task.bb", vertex = i);
-    cayman_obs::counter("select.cache.hit", 1);
-    cayman_obs::counter("select.cache.miss", 1);
+    hits.add(1);
+    MISSES.add(1);
     let t = cayman_obs::timed("model.accel");
     let nanos = t.finish();
     std::hint::black_box(nanos);

@@ -33,7 +33,6 @@ use cayman_hls::design::AcceleratorDesign;
 use cayman_hls::inputs::CandidateKey;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Identity of an accelerator model instance: a model name plus a
@@ -108,100 +107,13 @@ fn stripe_of(key: &DesignKey) -> usize {
     (z as usize) & (STRIPES - 1)
 }
 
-/// One lock stripe: its map plus lifetime counters, bumped outside the
-/// critical section.
-#[derive(Debug, Default)]
-struct Stripe {
-    map: Mutex<HashMap<DesignKey, Arc<Vec<AcceleratorDesign>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-}
-
-/// Lifetime counters of one stripe, snapshotted by [`DesignCache::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StripeStats {
-    /// Lookups answered from this stripe's map.
-    pub hits: u64,
-    /// Lookups that missed this stripe's map (disk hits still count a
-    /// memory-level miss here; see [`CacheStats::disk_hits`]).
-    pub misses: u64,
-    /// Map writes (model inserts and disk-hit promotions).
-    pub inserts: u64,
-    /// Entries currently held.
-    pub entries: usize,
-}
-
-/// A consistent-enough snapshot of the cache's lifetime counters, per
-/// stripe plus the store level — memory-level and store-level hit rates are
-/// separately computable (`table2 --json` prints this).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Per-stripe counters, in stripe order (length [`STRIPES`]).
-    pub stripes: Vec<StripeStats>,
-    /// Memory-level misses answered by the backing store.
-    pub disk_hits: u64,
-    /// Memory-level misses the backing store also missed.
-    pub disk_misses: u64,
-}
-
-impl CacheStats {
-    /// Total memory-level hits over all stripes.
-    pub fn hits(&self) -> u64 {
-        self.stripes.iter().map(|s| s.hits).sum()
-    }
-
-    /// Total memory-level misses over all stripes.
-    pub fn misses(&self) -> u64 {
-        self.stripes.iter().map(|s| s.misses).sum()
-    }
-
-    /// Total map writes over all stripes.
-    pub fn inserts(&self) -> u64 {
-        self.stripes.iter().map(|s| s.inserts).sum()
-    }
-
-    /// Total entries currently held.
-    pub fn entries(&self) -> usize {
-        self.stripes.iter().map(|s| s.entries).sum()
-    }
-
-    /// Number of stripes holding at least one entry (spread indicator).
-    pub fn stripes_used(&self) -> usize {
-        self.stripes.iter().filter(|s| s.entries > 0).count()
-    }
-
-    /// The snapshot as named counter series, in the shape the metrics
-    /// exposition wants (`caymand`'s `Request::Metrics` pushes these
-    /// verbatim; `cache.entries` is a point-in-time value but rendered as
-    /// a counter series for uniformity of the aggregated snapshot).
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
-        [
-            ("cache.mem.hits", self.hits()),
-            ("cache.mem.misses", self.misses()),
-            ("cache.mem.inserts", self.inserts()),
-            ("cache.entries", self.entries() as u64),
-            ("cache.disk.hits", self.disk_hits),
-            ("cache.disk.misses", self.disk_misses),
-        ]
-    }
-
-    /// Accumulates another snapshot into this one (summary rows over many
-    /// frameworks).
-    pub fn merge(&mut self, other: &CacheStats) {
-        if self.stripes.len() < other.stripes.len() {
-            self.stripes
-                .resize(other.stripes.len(), StripeStats::default());
-        }
-        for (a, b) in self.stripes.iter_mut().zip(&other.stripes) {
-            a.hits += b.hits;
-            a.misses += b.misses;
-            a.inserts += b.inserts;
-            a.entries += b.entries;
-        }
-        self.disk_hits += other.disk_hits;
-        self.disk_misses += other.disk_misses;
-    }
+/// Which level of the cache answered a [`DesignCache::lookup`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// The in-memory stripes.
+    Memory,
+    /// The backing store (the entry is now promoted into memory).
+    Store,
 }
 
 /// Memoised `accel(v, R)` results, shareable across selection runs and
@@ -210,17 +122,16 @@ impl CacheStats {
 /// Entries are `Arc`ed so hits hand out cheap clones of the design vector.
 /// The table is sharded into [`STRIPES`] independently locked stripes keyed
 /// by a deterministic hash of the [`DesignKey`], so parallel workers probing
-/// different candidates do not serialise on one global lock. Hit/miss/insert
-/// counters are per stripe (lifetime totals) and are bumped outside the
-/// critical section; per-run counts are tracked by the DP's own stats.
+/// different candidates do not serialise on one global lock. The cache
+/// counts nothing itself: the selection DP counts its lookups per run
+/// (`SelectStats`) and adds the run's totals to the process-scope
+/// `cache.mem.*` counters once at run end.
 ///
 /// An optional [`DesignStoreBackend`] turns the cache into the first level
 /// of a two-level hierarchy (see the module docs).
 #[derive(Debug, Default)]
 pub struct DesignCache {
-    stripes: [Stripe; STRIPES],
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
+    stripes: [Mutex<HashMap<DesignKey, Arc<Vec<AcceleratorDesign>>>>; STRIPES],
     backing: Option<Arc<dyn DesignStoreBackend>>,
 }
 
@@ -237,44 +148,26 @@ impl DesignCache {
         self.backing = Some(backing);
     }
 
-    /// Whether a backing store is attached.
-    pub fn has_backing(&self) -> bool {
-        self.backing.is_some()
-    }
-
-    /// Looks up memoised designs, counting a hit or a miss. Only the key's
-    /// stripe is locked, and only for the probe itself. On a memory miss
-    /// the backing store (when attached) is consulted and a disk hit is
-    /// promoted into the stripe.
-    pub fn lookup(&self, key: &DesignKey) -> Option<Arc<Vec<AcceleratorDesign>>> {
+    /// Looks up memoised designs and says which level answered. Only the
+    /// key's stripe is locked, and only for the probe itself. On a memory
+    /// miss the backing store (when attached) is consulted and a store hit
+    /// is promoted into the stripe.
+    pub fn lookup(&self, key: &DesignKey) -> Option<(Arc<Vec<AcceleratorDesign>>, Source)> {
         let stripe = &self.stripes[stripe_of(key)];
-        let found = {
-            let map = stripe.map.lock().expect("design cache poisoned");
-            map.get(key).cloned()
-        };
+        let found = stripe
+            .lock()
+            .expect("design cache poisoned")
+            .get(key)
+            .cloned();
         if let Some(designs) = found {
-            stripe.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(designs);
+            return Some((designs, Source::Memory));
         }
-        stripe.misses.fetch_add(1, Ordering::Relaxed);
-        let backing = self.backing.as_ref()?;
-        match backing.load(key) {
-            Some(designs) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                let arc = Arc::new(designs);
-                stripe.inserts.fetch_add(1, Ordering::Relaxed);
-                stripe
-                    .map
-                    .lock()
-                    .expect("design cache poisoned")
-                    .insert(key.clone(), Arc::clone(&arc));
-                Some(arc)
-            }
-            None => {
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let designs = Arc::new(self.backing.as_ref()?.load(key)?);
+        stripe
+            .lock()
+            .expect("design cache poisoned")
+            .insert(key.clone(), Arc::clone(&designs));
+        Some((designs, Source::Store))
     }
 
     /// Memoises `designs` under `key`, writing through to the backing store
@@ -290,10 +183,7 @@ impl DesignCache {
             backing.save(&key, &designs);
         }
         let arc = Arc::new(designs);
-        let stripe = &self.stripes[stripe_of(&key)];
-        stripe.inserts.fetch_add(1, Ordering::Relaxed);
-        stripe
-            .map
+        self.stripes[stripe_of(&key)]
             .lock()
             .expect("design cache poisoned")
             .insert(key, Arc::clone(&arc));
@@ -304,7 +194,7 @@ impl DesignCache {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.map.lock().expect("design cache poisoned").len())
+            .map(|s| s.lock().expect("design cache poisoned").len())
             .sum()
     }
 
@@ -313,51 +203,13 @@ impl DesignCache {
         self.len() == 0
     }
 
-    /// Lifetime `(hits, misses)` over all lookups. A lookup answered by the
-    /// backing store counts as a memory-level miss here (the caller still
-    /// received designs; see [`DesignCache::stats`] to tell the levels
-    /// apart).
-    pub fn totals(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for s in &self.stripes {
-            hits += s.hits.load(Ordering::Relaxed);
-            misses += s.misses.load(Ordering::Relaxed);
-        }
-        (hits, misses)
-    }
-
-    /// Snapshot of every stripe's lifetime counters plus the store-level
-    /// hit/miss totals.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            stripes: self
-                .stripes
-                .iter()
-                .map(|s| StripeStats {
-                    hits: s.hits.load(Ordering::Relaxed),
-                    misses: s.misses.load(Ordering::Relaxed),
-                    inserts: s.inserts.load(Ordering::Relaxed),
-                    entries: s.map.lock().expect("design cache poisoned").len(),
-                })
-                .collect(),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops all in-memory entries and resets the lifetime counters. The
-    /// backing store (when attached) keeps its entries: clearing memory is
-    /// a per-process operation, the store is shared.
+    /// Drops all in-memory entries. The backing store (when attached)
+    /// keeps its entries: clearing memory is a per-process operation, the
+    /// store is shared.
     pub fn clear(&self) {
         for stripe in &self.stripes {
-            stripe.map.lock().expect("design cache poisoned").clear();
-            stripe.hits.store(0, Ordering::Relaxed);
-            stripe.misses.store(0, Ordering::Relaxed);
-            stripe.inserts.store(0, Ordering::Relaxed);
+            stripe.lock().expect("design cache poisoned").clear();
         }
-        self.disk_hits.store(0, Ordering::Relaxed);
-        self.disk_misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -365,6 +217,7 @@ impl DesignCache {
 mod tests {
     use super::*;
     use cayman_ir::{BlockId, FuncId};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn key(func: u32, entries: u64) -> DesignKey {
         DesignKey {
@@ -384,22 +237,22 @@ mod tests {
     }
 
     #[test]
-    fn lookup_insert_roundtrip_and_counters() {
+    fn lookup_insert_roundtrip() {
         let cache = DesignCache::new();
         assert!(cache.is_empty());
         assert!(cache.lookup(&key(0, 1)).is_none());
         cache.insert(key(0, 1), Vec::new());
-        let hit = cache.lookup(&key(0, 1)).expect("hit");
+        let (hit, source) = cache.lookup(&key(0, 1)).expect("hit");
         assert!(hit.is_empty());
+        assert_eq!(source, Source::Memory);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.totals(), (1, 1));
         // distinct candidate → distinct entry
         assert!(cache.lookup(&key(0, 2)).is_none());
         cache.insert(key(0, 2), Vec::new());
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.totals(), (0, 0));
+        assert!(cache.lookup(&key(0, 1)).is_none(), "clear drops entries");
     }
 
     #[test]
@@ -453,33 +306,8 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 64 * 5, "64 seeded + 4×64 distinct inserts");
-        let (hits, misses) = cache.totals();
-        assert_eq!((hits, misses), (4 * 64, 0));
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn stats_snapshot_sums_match_totals() {
-        let cache = DesignCache::new();
-        for i in 0..32 {
-            cache.lookup(&key(i, 1));
-            cache.insert(key(i, 1), Vec::new());
-            cache.lookup(&key(i, 1));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.stripes.len(), STRIPES);
-        assert_eq!((stats.hits(), stats.misses()), cache.totals());
-        assert_eq!(stats.hits(), 32);
-        assert_eq!(stats.misses(), 32);
-        assert_eq!(stats.inserts(), 32);
-        assert_eq!(stats.entries(), cache.len());
-        assert!(stats.stripes_used() > 1, "32 keys spread over stripes");
-        assert_eq!((stats.disk_hits, stats.disk_misses), (0, 0));
-        let mut merged = stats.clone();
-        merged.merge(&stats);
-        assert_eq!(merged.hits(), 64);
-        assert_eq!(merged.entries(), 2 * cache.len());
     }
 
     /// An in-memory [`DesignStoreBackend`] for exercising the write-through
@@ -511,30 +339,27 @@ mod tests {
         let store = Arc::new(MapStore::default());
         let mut warm = DesignCache::new();
         warm.set_backing(Arc::clone(&store) as Arc<dyn DesignStoreBackend>);
-        assert!(warm.has_backing());
 
         // miss both levels, then write through
         assert!(warm.lookup(&key(0, 1)).is_none());
+        assert_eq!(
+            store.loads.load(Ordering::Relaxed),
+            1,
+            "memory miss asks the store"
+        );
         warm.insert(key(0, 1), Vec::new());
         assert_eq!(store.saves.load(Ordering::Relaxed), 1);
-        assert_eq!(warm.stats().disk_misses, 1);
 
         // a fresh cache over the same store: memory misses, store hits,
         // entry promoted so the second lookup never reaches the store
         let mut fresh = DesignCache::new();
         fresh.set_backing(Arc::clone(&store) as Arc<dyn DesignStoreBackend>);
-        assert!(fresh.lookup(&key(0, 1)).is_some(), "disk hit serves lookup");
+        let (_, source) = fresh.lookup(&key(0, 1)).expect("store hit serves lookup");
+        assert_eq!(source, Source::Store);
         let loads_after_promote = store.loads.load(Ordering::Relaxed);
-        assert!(fresh.lookup(&key(0, 1)).is_some());
-        assert_eq!(
-            store.loads.load(Ordering::Relaxed),
-            loads_after_promote,
-            "promoted entry answers from memory"
-        );
-        let stats = fresh.stats();
-        assert_eq!(stats.disk_hits, 1);
-        assert_eq!(stats.misses(), 1, "only the first probe missed memory");
-        assert_eq!(stats.hits(), 1);
-        assert_eq!(stats.entries(), 1);
+        let (_, source) = fresh.lookup(&key(0, 1)).expect("promoted");
+        assert_eq!(source, Source::Memory, "promoted entry answers from memory");
+        assert_eq!(store.loads.load(Ordering::Relaxed), loads_after_promote);
+        assert_eq!(fresh.len(), 1);
     }
 }

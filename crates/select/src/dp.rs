@@ -39,7 +39,7 @@
 //! A [`SelectStats`] snapshot (per-phase wall time, cache hits/misses,
 //! vertices visited/pruned) rides on every [`SelectionResult`].
 
-use crate::cache::{DesignCache, DesignKey, ModelId};
+use crate::cache::{DesignCache, DesignKey, ModelId, Source};
 use crate::pareto::{combine, filter, pareto, Solution};
 use crate::sched::{self, SchedKind};
 use crate::stats::{AtomicStats, SelectStats};
@@ -49,8 +49,9 @@ use cayman_hls::design::{generate_designs, AcceleratorDesign};
 use cayman_hls::inputs::{Candidate, FuncInputs};
 use cayman_hls::interface::ModelOptions;
 use cayman_ir::Module;
+use cayman_obs::Counter;
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An accelerator model: turns a candidate region into configured designs.
 ///
@@ -225,16 +226,29 @@ pub fn run_selection(
         .folded
         .into_inner()
         .expect("front reuse poisoned");
+    // The run's totals reach the process-scope counters once, here. A
+    // store hit missed memory and was promoted, so like a model call it
+    // counts as a memory miss and an insert.
+    static TOTALS: OnceLock<[&Counter; 5]> = OnceLock::new();
+    let [mem_hits, mem_misses, mem_inserts, front_hits, front_misses] = *TOTALS.get_or_init(|| {
+        [
+            "cache.mem.hits",
+            "cache.mem.misses",
+            "cache.mem.inserts",
+            "select.front.hits",
+            "select.front.misses",
+        ]
+        .map(cayman_obs::registry::counter)
+    });
+    mem_hits.add(stats.cache_hits - stats.disk_hits);
+    mem_misses.add(stats.cache_misses + stats.disk_hits);
+    mem_inserts.add(stats.cache_misses + stats.disk_hits);
     if let Some(store) = fronts {
         store.hits += folded.hits;
-        if folded.hits > 0 {
-            cayman_obs::counter("select.front.hit", folded.hits);
-        }
-        for (key, front) in folded.missed {
-            store.misses += 1;
-            cayman_obs::counter("select.front.miss", 1);
-            store.map.insert(key, front);
-        }
+        store.misses += folded.missed.len() as u64;
+        front_hits.add(folded.hits);
+        front_misses.add(folded.missed.len() as u64);
+        store.map.extend(folded.missed);
     }
     SelectionResult {
         pareto,
@@ -516,13 +530,17 @@ impl<'a> Engine<'a> {
             candidate: cand.key(),
         });
         if let Some(key) = &key {
-            if let Some(hit) = self.cache.lookup(key) {
-                AtomicStats::add_u64(&self.stats.cache_hits, 1);
-                cayman_obs::counter("select.cache.hit", 1);
-                return hit;
+            match self.cache.lookup(key) {
+                Some((hit, Source::Memory)) => {
+                    AtomicStats::add_u64(&self.stats.mem_hits, 1);
+                    return hit;
+                }
+                Some((hit, Source::Store)) => {
+                    AtomicStats::add_u64(&self.stats.disk_hits, 1);
+                    return hit;
+                }
+                None => AtomicStats::add_u64(&self.stats.cache_misses, 1),
             }
-            AtomicStats::add_u64(&self.stats.cache_misses, 1);
-            cayman_obs::counter("select.cache.miss", 1);
         }
         // Label the invocation by function, vertex, and region kind — the
         // same naming trace spans use, so the printed top-k and the trace

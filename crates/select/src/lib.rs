@@ -28,7 +28,7 @@ pub mod pareto;
 pub mod sched;
 pub mod stats;
 
-pub use cache::{CacheStats, DesignCache, DesignKey, DesignStoreBackend, ModelId, StripeStats};
+pub use cache::{DesignCache, DesignKey, DesignStoreBackend, ModelId};
 pub use dp::{
     run_selection, AccelModel, CaymanModel, FrontKey, FrontStore, SelectOptions, SelectionResult,
 };

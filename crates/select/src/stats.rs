@@ -43,6 +43,9 @@ pub struct SelectStats {
     pub configs_evaluated: usize,
     /// Design-cache hits (`accel(v)` answered from memoised designs).
     pub cache_hits: u64,
+    /// The part of `cache_hits` answered by the design cache's backing
+    /// store rather than its memory.
+    pub disk_hits: u64,
     /// Design-cache misses (model invoked, result memoised).
     pub cache_misses: u64,
     /// Nanoseconds spent inside the accelerator model, summed over threads.
@@ -189,7 +192,8 @@ pub(crate) struct AtomicStats {
     pub pruned: AtomicUsize,
     pub configs_considered: AtomicUsize,
     pub configs_evaluated: AtomicUsize,
-    pub cache_hits: AtomicU64,
+    pub mem_hits: AtomicU64,
+    pub disk_hits: AtomicU64,
     pub cache_misses: AtomicU64,
     pub model_nanos: AtomicU64,
     pub combine_nanos: AtomicU64,
@@ -213,7 +217,8 @@ impl Default for AtomicStats {
             pruned: AtomicUsize::new(0),
             configs_considered: AtomicUsize::new(0),
             configs_evaluated: AtomicUsize::new(0),
-            cache_hits: AtomicU64::new(0),
+            mem_hits: AtomicU64::new(0),
+            disk_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             model_nanos: AtomicU64::new(0),
             combine_nanos: AtomicU64::new(0),
@@ -272,12 +277,14 @@ impl AtomicStats {
             .expect("stats mutex poisoned")
             .clone();
         worker_busy.sort_unstable_by(|a, b| b.cmp(a));
+        let disk_hits = self.disk_hits.load(Ordering::Relaxed);
         SelectStats {
             visited: self.visited.load(Ordering::Relaxed),
             pruned: self.pruned.load(Ordering::Relaxed),
             configs_considered: self.configs_considered.load(Ordering::Relaxed),
             configs_evaluated: self.configs_evaluated.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            cache_hits: self.mem_hits.load(Ordering::Relaxed) + disk_hits,
+            disk_hits,
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             model_nanos: self.model_nanos.load(Ordering::Relaxed),
             combine_nanos: self.combine_nanos.load(Ordering::Relaxed),
@@ -316,7 +323,8 @@ mod tests {
         AtomicStats::add_usize(&a.pruned, 2);
         AtomicStats::add_usize(&a.configs_considered, 10);
         AtomicStats::add_usize(&a.configs_evaluated, 7);
-        AtomicStats::add_u64(&a.cache_hits, 4);
+        AtomicStats::add_u64(&a.mem_hits, 3);
+        AtomicStats::add_u64(&a.disk_hits, 1);
         AtomicStats::add_u64(&a.cache_misses, 6);
         AtomicStats::add_u64(&a.model_nanos, 1_000);
         AtomicStats::add_u64(&a.combine_nanos, 2_000);
@@ -331,7 +339,8 @@ mod tests {
         assert_eq!(s.pruned, 2);
         assert_eq!(s.configs_considered, 10);
         assert_eq!(s.configs_evaluated, 7);
-        assert_eq!(s.cache_hits, 4);
+        assert_eq!(s.cache_hits, 4, "memory and store hits");
+        assert_eq!(s.disk_hits, 1);
         assert_eq!(s.cache_misses, 6);
         assert_eq!(s.wall_nanos, 5_000);
         assert_eq!(s.threads, 4);

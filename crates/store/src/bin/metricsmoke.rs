@@ -3,8 +3,10 @@
 //! N concurrent clients, scrapes METRICS over the wire, and validates the
 //! exposition with the dependency-free parser — rejecting duplicate
 //! series, non-monotone histogram buckets, and `_sum`/`_count`
-//! inconsistencies. Also asserts the periodic dump file validates and that
-//! per-phase histogram counts cover every request the clients sent.
+//! inconsistencies. Also asserts the periodic dump file validates, that
+//! per-phase histogram counts cover every request the clients sent, that
+//! the always-on layer counters (profiling, design cache) reach the wire,
+//! and that no counter series decreases between two scrapes.
 //!
 //! Exits non-zero (panics) on any violation; prints one OK line otherwise.
 
@@ -87,12 +89,27 @@ fn main() {
         exp.value("cayman_server_requests").unwrap_or(0.0) > sent,
         "server request counter covers the fleet plus this scrape"
     );
+    for layer in ["cayman_profile_blocks", "cayman_cache_mem_misses"] {
+        assert!(
+            exp.value(layer).unwrap_or(0.0) > 0.0,
+            "{layer} missing or zero on the wire"
+        );
+    }
 
     // the periodic dump landed and validates too (written at least once
     // at startup and every 50ms since)
     std::thread::sleep(std::time::Duration::from_millis(200));
     let dumped = std::fs::read_to_string(&dump).expect("metrics file dumped");
     promtext::validate(&dumped).unwrap_or_else(|e| panic!("dumped exposition invalid: {e}"));
+    let later = promtext::validate(&client.metrics().expect("second metrics").text)
+        .unwrap_or_else(|e| panic!("second wire exposition invalid: {e}"));
+    for (name, ty) in &exp.types {
+        let (was, now) = (exp.value(name), later.value(name));
+        assert!(
+            ty != "counter" || now >= was,
+            "{name} went backwards: {was:?} -> {now:?}"
+        );
+    }
 
     client.shutdown_server().expect("shutdown");
     server.wait();

@@ -35,6 +35,7 @@
 
 use crate::codec::{self, DecodeError};
 use cayman_hls::design::AcceleratorDesign;
+use cayman_obs::Counter;
 use cayman_select::cache::{DesignKey, DesignStoreBackend};
 use std::fs;
 use std::io;
@@ -90,13 +91,12 @@ impl StoreOptions {
     }
 }
 
-/// Lifetime counters of one [`DiskStore`] handle.
+/// A snapshot of one [`DiskStore`] handle's lifetime counters.
 ///
-/// These are the store's own atomics (always counted, independent of
-/// whether `cayman-obs` tracing is enabled) so tests and the server can
-/// assert on them; every bump is mirrored to the obs counters
-/// `store.hit` / `store.miss` / `store.corrupt` / `store.evict` /
-/// `store.write`.
+/// Each field is read from the store's instance-scope
+/// [`cayman_obs::Counter`] of the same name (`store.hits`, `store.misses`,
+/// …): always counted, independent of whether tracing is enabled, and the
+/// same counters the server's METRICS scrape and the trace read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Loads answered with a decoded entry.
@@ -127,14 +127,14 @@ pub struct DiskStore {
     opts: StoreOptions,
     write_tick: AtomicU64,
     tmp_seq: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    version_skew: AtomicU64,
-    key_mismatches: AtomicU64,
-    writes: AtomicU64,
-    evictions: AtomicU64,
-    evicted_bytes: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    corrupt: Counter,
+    version_skew: Counter,
+    key_mismatches: Counter,
+    writes: Counter,
+    evictions: Counter,
+    evicted_bytes: Counter,
 }
 
 impl DiskStore {
@@ -163,14 +163,14 @@ impl DiskStore {
             opts,
             write_tick: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            version_skew: AtomicU64::new(0),
-            key_mismatches: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
+            hits: Counter::new("store.hits"),
+            misses: Counter::new("store.misses"),
+            corrupt: Counter::new("store.corrupt"),
+            version_skew: Counter::new("store.version_skew"),
+            key_mismatches: Counter::new("store.key_mismatches"),
+            writes: Counter::new("store.writes"),
+            evictions: Counter::new("store.evictions"),
+            evicted_bytes: Counter::new("store.evicted_bytes"),
         };
         store.sweep();
         Ok(store)
@@ -195,15 +195,29 @@ impl DiskStore {
     /// Counter snapshot.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            version_skew: self.version_skew.load(Ordering::Relaxed),
-            key_mismatches: self.key_mismatches.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            corrupt: self.corrupt.get(),
+            version_skew: self.version_skew.get(),
+            key_mismatches: self.key_mismatches.get(),
+            writes: self.writes.get(),
+            evictions: self.evictions.get(),
+            evicted_bytes: self.evicted_bytes.get(),
         }
+    }
+
+    /// The store's counters, for a METRICS scrape.
+    pub(crate) fn counters(&self) -> [&Counter; 8] {
+        [
+            &self.hits,
+            &self.misses,
+            &self.corrupt,
+            &self.version_skew,
+            &self.key_mismatches,
+            &self.writes,
+            &self.evictions,
+            &self.evicted_bytes,
+        ]
     }
 
     /// 128-bit content address of a key, as 32 hex characters.
@@ -237,15 +251,13 @@ impl DiskStore {
             Ok(b) => b,
             Err(_) => {
                 // absent (the common cold case) or unreadable — a miss
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("store.miss", 1);
+                self.misses.add(1);
                 return None;
             }
         };
         match codec::decode_entry(&bytes, kb) {
             Ok(designs) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("store.hit", 1);
+                self.hits.add(1);
                 // refresh the LRU clock (best-effort; mtime is advisory)
                 if let Ok(f) = fs::File::options().append(true).open(path) {
                     let _ = f.set_modified(SystemTime::now());
@@ -255,8 +267,7 @@ impl DiskStore {
             Err(err) => {
                 match err {
                     DecodeError::VersionMismatch(_) => {
-                        self.version_skew.fetch_add(1, Ordering::Relaxed);
-                        cayman_obs::counter("store.version_skew", 1);
+                        self.version_skew.add(1);
                         // written by another format generation: unlink so
                         // this generation can re-persist under the address
                         let _ = fs::remove_file(path);
@@ -264,18 +275,15 @@ impl DiskStore {
                     DecodeError::KeyMismatch => {
                         // a *valid* entry for a different key shares our
                         // address; leave it (last-writer-wins on save)
-                        self.key_mismatches.fetch_add(1, Ordering::Relaxed);
-                        cayman_obs::counter("store.key_mismatch", 1);
+                        self.key_mismatches.add(1);
                     }
                     _ => {
-                        self.corrupt.fetch_add(1, Ordering::Relaxed);
-                        cayman_obs::counter("store.corrupt", 1);
+                        self.corrupt.add(1);
                         cayman_obs::diag("store.corrupt", || format!("{}: {err}", path.display()));
                         let _ = fs::remove_file(path);
                     }
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("store.miss", 1);
+                self.misses.add(1);
                 None
             }
         }
@@ -290,8 +298,7 @@ impl DiskStore {
         let bytes = codec::encode_entry(key, designs);
         let path = self.entry_path(&Self::address(&kb));
         if self.save_at(&path, &bytes).is_ok() {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            cayman_obs::counter("store.write", 1);
+            self.writes.add(1);
             let tick = self.write_tick.fetch_add(1, Ordering::Relaxed) + 1;
             if tick.is_multiple_of(self.opts.sweep_every) {
                 self.sweep();
@@ -387,9 +394,8 @@ impl DiskStore {
                 }
                 if fs::remove_file(&path).is_ok() {
                     total = total.saturating_sub(len);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.evicted_bytes.fetch_add(len, Ordering::Relaxed);
-                    cayman_obs::counter("store.evict", 1);
+                    self.evictions.add(1);
+                    self.evicted_bytes.add(len);
                 }
             }
         }

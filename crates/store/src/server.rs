@@ -25,10 +25,12 @@
 //! read by [`ServerHandle::slow_log`]). Each phase also records into an
 //! always-on latency histogram (`req.decode.nanos`, `req.warm.nanos`,
 //! `req.select.nanos`, `req.encode.nanos`, `req.total.nanos` in
-//! `cayman_obs::registry`), and the whole registry plus server, design
-//! cache and store counters is served as a Prometheus-style text
-//! exposition by `Request::Metrics` (and periodically dumped to
-//! [`ServerOptions::metrics_file`] for scrape-less setups).
+//! `cayman_obs::registry`). `Request::Metrics` serves the whole registry
+//! (histograms and every process-scope counter: design cache, profiling,
+//! incremental queries, …) plus this server's and its store's
+//! instance-scope counters as a Prometheus-style text exposition (and
+//! periodically dumps it to [`ServerOptions::metrics_file`] for
+//! scrape-less setups).
 
 use crate::disk::DiskStore;
 use crate::wire::{
@@ -36,7 +38,8 @@ use crate::wire::{
 };
 use cayman::{CaymanError, Framework, SelectOptions};
 use cayman_obs::hist::Histogram;
-use cayman_select::{CacheStats, DesignStoreBackend};
+use cayman_obs::Counter;
+use cayman_select::DesignStoreBackend;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -248,11 +251,16 @@ struct Shared {
     req_timeout: Option<Duration>,
     started: Instant,
     frameworks: Mutex<FwCache>,
-    requests: AtomicU64,
-    fw_hits: AtomicU64,
-    fw_misses: AtomicU64,
-    timeouts: AtomicU64,
-    slow: AtomicU64,
+    requests: Counter,
+    fw_hits: Counter,
+    fw_misses: Counter,
+    fw_evictions: Counter,
+    timeouts: Counter,
+    slow: Counter,
+    /// Process-scope: SELECTs answered without (`warm`) and with (`cold`)
+    /// model evaluations.
+    select_warm: &'static Counter,
+    select_cold: &'static Counter,
     next_request_id: AtomicU64,
     slow_lines: Mutex<VecDeque<String>>,
     hists: PhaseHists,
@@ -271,13 +279,11 @@ impl Shared {
             let tick = cache.tick;
             if let Some((fw, used)) = cache.map.get_mut(&fp) {
                 *used = tick;
-                self.fw_hits.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("server.fw.hit", 1);
+                self.fw_hits.add(1);
                 return Ok((Arc::clone(fw), true));
             }
         }
-        self.fw_misses.fetch_add(1, Ordering::Relaxed);
-        cayman_obs::counter("server.fw.miss", 1);
+        self.fw_misses.add(1);
         let span = cayman_obs::timed("server.analyse");
         let mut fw = Framework::from_text(text)?;
         if let Some(store) = &self.store {
@@ -299,7 +305,7 @@ impl Shared {
         if cache.map.len() > self.max_frameworks {
             if let Some((&evict, _)) = cache.map.iter().min_by_key(|(_, (_, used))| *used) {
                 cache.map.remove(&evict);
-                cayman_obs::counter("server.fw.evict", 1);
+                self.fw_evictions.add(1);
             }
         }
         Ok((fw, false))
@@ -308,7 +314,7 @@ impl Shared {
     /// Handles one decoded request. Returns the response, whether the
     /// server should shut down, and the phase timings recorded so far.
     fn handle(&self, req: Request, request_id: u64) -> (Response, bool, Phases) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests.add(1);
         let mut phases = Phases::default();
         match req {
             Request::Select { module_text } => {
@@ -324,15 +330,13 @@ impl Shared {
                         Ok((fw, framework_reused)) => {
                             phases.framework_reused = framework_reused;
                             let select_t = Instant::now();
-                            let disk_before = fw.cache_stats().disk_hits;
                             let res = fw.select(&self.select);
-                            let disk_after = fw.cache_stats().disk_hits;
                             phases.select_nanos = select_t.elapsed().as_nanos() as u64;
                             self.hists.select.record(phases.select_nanos);
                             if res.stats.configs_evaluated == 0 {
-                                cayman_obs::counter("server.select.warm", 1);
+                                self.select_warm.add(1);
                             } else {
-                                cayman_obs::counter("server.select.cold", 1);
+                                self.select_cold.add(1);
                             }
                             Response::Select(SelectReply {
                                 request_id,
@@ -341,7 +345,7 @@ impl Shared {
                                 model_evals: res.stats.configs_evaluated as u64,
                                 cache_hits: res.stats.cache_hits,
                                 cache_misses: res.stats.cache_misses,
-                                disk_hits: disk_after - disk_before,
+                                disk_hits: res.stats.disk_hits,
                             })
                         }
                     }
@@ -354,15 +358,15 @@ impl Shared {
                 (
                     Response::Stats(StatsReply {
                         request_id,
-                        requests: self.requests.load(Ordering::Relaxed),
+                        requests: self.requests.get(),
                         fw_cached: self
                             .frameworks
                             .lock()
                             .expect("framework cache poisoned")
                             .map
                             .len() as u64,
-                        fw_hits: self.fw_hits.load(Ordering::Relaxed),
-                        fw_misses: self.fw_misses.load(Ordering::Relaxed),
+                        fw_hits: self.fw_hits.get(),
+                        fw_misses: self.fw_misses.get(),
                         store: self.store.as_ref().map(|s| s.stats()),
                     }),
                     false,
@@ -384,7 +388,7 @@ impl Shared {
                         request_id,
                         healthy: true,
                         uptime_nanos: self.started.elapsed().as_nanos() as u64,
-                        requests: self.requests.load(Ordering::Relaxed),
+                        requests: self.requests.get(),
                     }),
                     false,
                     phases,
@@ -404,44 +408,35 @@ impl Shared {
         }
     }
 
-    /// Assembles the Prometheus-style exposition: the global metric
-    /// registry (per-phase request histograms) plus server lifetime
-    /// counters, the design-cache counters aggregated over every warm
-    /// framework, and the store's counters when one is attached.
+    /// Assembles the Prometheus-style exposition: the metric registry
+    /// (request histograms and process-scope counters), this server's and
+    /// its store's instance counters, and two point gauges.
     fn metrics_text(&self) -> String {
         let mut snap = cayman_obs::registry::snapshot();
-        snap.push_counter("server.requests", self.requests.load(Ordering::Relaxed));
-        snap.push_counter("server.fw.hits", self.fw_hits.load(Ordering::Relaxed));
-        snap.push_counter("server.fw.misses", self.fw_misses.load(Ordering::Relaxed));
-        snap.push_counter("server.timeout", self.timeouts.load(Ordering::Relaxed));
-        snap.push_counter("server.slow", self.slow.load(Ordering::Relaxed));
+        for c in [
+            &self.requests,
+            &self.fw_hits,
+            &self.fw_misses,
+            &self.fw_evictions,
+            &self.timeouts,
+            &self.slow,
+        ] {
+            snap.push_counter(c);
+        }
+        for c in self.store.iter().flat_map(|s| s.counters()) {
+            snap.push_counter(c);
+        }
         snap.push_gauge(
             "server.uptime.seconds",
             self.started.elapsed().as_secs_f64(),
         );
-        let cache = {
-            let fws = self.frameworks.lock().expect("framework cache poisoned");
-            snap.push_gauge("server.fw.cached", fws.map.len() as f64);
-            let mut agg = CacheStats::default();
-            for (fw, _) in fws.map.values() {
-                agg.merge(&fw.cache_stats());
-            }
-            agg
-        };
-        for (name, value) in cache.counters() {
-            snap.push_counter(name, value);
-        }
-        if let Some(store) = &self.store {
-            let s = store.stats();
-            snap.push_counter("store.hits", s.hits);
-            snap.push_counter("store.misses", s.misses);
-            snap.push_counter("store.corrupt", s.corrupt);
-            snap.push_counter("store.version_skew", s.version_skew);
-            snap.push_counter("store.key_mismatches", s.key_mismatches);
-            snap.push_counter("store.writes", s.writes);
-            snap.push_counter("store.evictions", s.evictions);
-            snap.push_counter("store.evicted_bytes", s.evicted_bytes);
-        }
+        let cached = self
+            .frameworks
+            .lock()
+            .expect("framework cache poisoned")
+            .map
+            .len();
+        snap.push_gauge("server.fw.cached", cached as f64);
         snap.to_prometheus()
     }
 
@@ -465,7 +460,7 @@ impl Shared {
         if total_nanos < threshold_ms.saturating_mul(1_000_000) {
             return;
         }
-        self.slow.fetch_add(1, Ordering::Relaxed);
+        self.slow.add(1);
         let line = format_slow_line(request_id, phases, total_nanos);
         eprintln!("{line}");
         cayman_obs::instant_with("server.req.slow", || {
@@ -524,8 +519,7 @@ fn handle_conn(shared: &Shared, mut stream: Stream) {
                     io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
                 ) =>
             {
-                shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                cayman_obs::counter("server.timeout", 1);
+                shared.timeouts.add(1);
                 return;
             }
             Err(_) => return, // broken peer
@@ -669,11 +663,14 @@ pub fn serve(endpoint: Endpoint, opts: ServerOptions) -> Result<ServerHandle, Wi
             map: HashMap::new(),
             tick: 0,
         }),
-        requests: AtomicU64::new(0),
-        fw_hits: AtomicU64::new(0),
-        fw_misses: AtomicU64::new(0),
-        timeouts: AtomicU64::new(0),
-        slow: AtomicU64::new(0),
+        requests: Counter::new("server.requests"),
+        fw_hits: Counter::new("server.fw.hits"),
+        fw_misses: Counter::new("server.fw.misses"),
+        fw_evictions: Counter::new("server.fw.evictions"),
+        timeouts: Counter::new("server.timeout"),
+        slow: Counter::new("server.slow"),
+        select_warm: cayman_obs::registry::counter("server.select.warm"),
+        select_cold: cayman_obs::registry::counter("server.select.cold"),
         next_request_id: AtomicU64::new(0),
         slow_lines: Mutex::new(VecDeque::new()),
         hists: PhaseHists::register(),

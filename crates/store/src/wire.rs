@@ -186,9 +186,11 @@ pub struct SelectReply {
     pub model_evals: u64,
     /// Design-cache hits during this request's selection.
     pub cache_hits: u64,
-    /// Design-cache memory-level misses during this request's selection.
+    /// Design-cache misses (model invocations) during this request's
+    /// selection.
     pub cache_misses: u64,
-    /// Misses answered by the disk store during this request.
+    /// The part of `cache_hits` the disk store answered during this
+    /// request (its own `SelectStats::disk_hits`).
     pub disk_hits: u64,
 }
 

@@ -3,6 +3,7 @@
 //! fronts, error replies for malformed modules, stats, and clean shutdown.
 
 use cayman::{Framework, SelectOptions};
+use cayman_obs::promtext::{self, Exposition};
 use cayman_store::{fronts_bits_equal, serve, Client, Endpoint, ServerOptions};
 use std::path::PathBuf;
 
@@ -262,6 +263,87 @@ fn slow_request_log_names_reply_ids() {
     assert!(line.starts_with("slow-req id="), "stable format: {line}");
     assert!(line.contains("op=select"), "op recorded: {line}");
     assert!(line.contains("total_us="), "total recorded: {line}");
+
+    client.shutdown_server().expect("shutdown");
+    server.wait();
+}
+
+fn scrape(client: &mut Client) -> Exposition {
+    let text = client.metrics().expect("metrics").text;
+    promtext::validate(&text).expect("exposition validates")
+}
+
+#[test]
+fn scraped_counters_never_decrease_across_framework_eviction() {
+    let sock = tmp_path("evict.sock");
+    let opts = ServerOptions {
+        max_frameworks: 1,
+        ..Default::default()
+    };
+    let server = serve(Endpoint::Unix(sock), opts).expect("serve");
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+
+    let (k0, _) = corpus_text(0);
+    client.select_text(&k0).expect("cold select");
+    let warm = client.select_text(&k0).expect("warm select");
+    assert!(warm.cache_hits > 0, "the warm select hits the design cache");
+    let first = scrape(&mut client);
+
+    // a second kernel evicts the only warm framework (and its design cache)
+    let (k1, _) = corpus_text(1);
+    client.select_text(&k1).expect("select evicting kernel 0");
+    let second = scrape(&mut client);
+    assert_eq!(second.value("cayman_server_fw_cached"), Some(1.0));
+
+    for (name, ty) in &first.types {
+        let (was, now) = (first.value(name), second.value(name));
+        assert!(
+            ty != "counter" || now >= was,
+            "{name} went backwards: {was:?} -> {now:?}"
+        );
+    }
+    let mem_hits = |e: &Exposition| e.value("cayman_cache_mem_hits").unwrap_or(0.0);
+    assert!(
+        mem_hits(&first) >= warm.cache_hits as f64,
+        "the scrape counts kernel 0's hits"
+    );
+    assert!(
+        mem_hits(&second) >= mem_hits(&first),
+        "kernel 0's hits survive its eviction"
+    );
+
+    client.shutdown_server().expect("shutdown");
+    server.wait();
+}
+
+#[test]
+fn fresh_server_scrape_carries_always_on_layer_counters() {
+    let sock = tmp_path("coverage.sock");
+    let server = serve(Endpoint::Unix(sock), ServerOptions::default()).expect("serve");
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+    let (text, _) = corpus_text(6);
+    let cold = client.select_text(&text).expect("cold select");
+    assert!(cold.model_evals > 0);
+
+    let exp = scrape(&mut client);
+    let value = |name: &str| exp.value(name).unwrap_or(0.0);
+    assert!(value("cayman_profile_blocks") > 0.0, "profiling counted");
+    assert!(
+        value("cayman_cache_mem_misses") > 0.0,
+        "design cache counted"
+    );
+    assert_eq!(value("cayman_server_fw_misses"), 1.0, "one cold framework");
+    // every sample belongs to exactly one `# TYPE` declaration
+    for s in &exp.samples {
+        let owners = exp.types.iter().filter(|(name, ty)| {
+            s.name == **name
+                || (ty.as_str() == "histogram"
+                    && ["_bucket", "_sum", "_count"]
+                        .iter()
+                        .any(|suffix| s.name == format!("{name}{suffix}")))
+        });
+        assert_eq!(owners.count(), 1, "{} has one type", s.name);
+    }
 
     client.shutdown_server().expect("shutdown");
     server.wait();

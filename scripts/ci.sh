@@ -59,6 +59,7 @@ CAYMAN_TRACE="$trace" cargo run -q --release -p cayman-bench --offline --bin tab
 cargo run -q --release -p cayman-bench --offline --bin tracecheck -- "$trace" \
   --require-prefix normalize. --require-prefix profile. --require-prefix select. \
   --require-prefix model. --require-prefix merge. --require-prefix inc.query. \
+  --require-prefix cache.mem. \
   --require-lane select.worker.
 rm -f "$trace"
 
