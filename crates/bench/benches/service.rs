@@ -47,7 +47,7 @@ fn run_client(endpoint: &Endpoint, text: &str, reqs: usize) -> ClientRun {
             select.record(t0.elapsed().as_nanos() as u64);
             assert!(reply.framework_reused, "bench runs against a warm server");
             assert_eq!(reply.model_evals, 0, "warm select must skip the model");
-            assert!(reply.request_id > 0, "server assigns request ids");
+            assert!(client.last_request_id() > 0, "server assigns request ids");
         }
     }
     ClientRun {

@@ -131,7 +131,7 @@ impl BenchArgs {
 }
 
 /// Drains the trace recorder into the sinks named by the environment
-/// (`CAYMAN_TRACE`, `CAYMAN_OBS_JSONL`, `CAYMAN_OBS_SUMMARY`) and reports
+/// (`CAYMAN_TRACE`, `CAYMAN_OBS_SUMMARY`) and reports
 /// every written file on stderr — stdout stays machine-readable under
 /// `--json`. Every bench binary calls this once before exiting.
 pub fn flush_obs_outputs() {

@@ -3,7 +3,7 @@
 //! per-thread timestamps (both checked by `validate_chrome`), spans from
 //! every pipeline stage, and one lane per work-stealing selection worker.
 
-use cayman_obs::trace::{parse_json, validate_chrome};
+use cayman_obs::trace::validate_chrome;
 
 #[test]
 fn traced_table2_run_emits_wellformed_chrome_trace() {
@@ -54,13 +54,6 @@ fn traced_table2_run_emits_wellformed_chrome_trace() {
         "{:?}",
         summary.counters
     );
-
-    // Every JSONL line is a standalone JSON object.
-    let jsonl = trace.to_jsonl();
-    assert!(!jsonl.is_empty());
-    for line in jsonl.lines() {
-        parse_json(line).unwrap_or_else(|e| panic!("bad JSONL line `{line}`: {e}"));
-    }
 
     // The human summary names the selection span.
     let text = trace.summary();

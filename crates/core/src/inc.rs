@@ -61,6 +61,7 @@ use cayman_analysis::profile::Profile;
 use cayman_analysis::regions::RegionTree;
 use cayman_analysis::scev::Scev;
 use cayman_analysis::wpst::Wpst;
+use cayman_ir::fingerprint::fnv1a_u64s;
 use cayman_ir::interp::{DecodedFunction, ExecProfile, Interp, Memory};
 use cayman_ir::transform::{normalize_function, OptLevel, PassManager, PipelineStats};
 use cayman_ir::verify::VerifyError;
@@ -74,18 +75,6 @@ use cayman_select::{
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
-
-/// FNV-1a over a `u64` slice (block-count fingerprints for trip keys).
-fn fnv_u64s(vals: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in vals {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Hit/miss counters for one query kind.
 #[derive(Debug, Default, Clone, Copy)]
@@ -430,7 +419,7 @@ pub(crate) fn assemble(
             if cached.shadow_fp != norm_fps[f.index()] {
                 // Analysis facts now depend on both bodies: the executed
                 // `-O1` one (schedules, profiles) and the shadow (SCEV).
-                analysis_fps[f.index()] = fnv_u64s(&[norm_fps[f.index()], cached.shadow_fp]);
+                analysis_fps[f.index()] = fnv1a_u64s(&[norm_fps[f.index()], cached.shadow_fp]);
             }
             shadows[f.index()] = Some(cached);
         }
@@ -564,7 +553,7 @@ pub(crate) fn assemble(
             let tkey = TripsKey {
                 norm_fp: norm_fps[f.index()],
                 arrays_fp,
-                bc_fp: fnv_u64s(&profile.block_counts[f.index()]),
+                bc_fp: fnv1a_u64s(&profile.block_counts[f.index()]),
             };
             let tt = match store.trips.get(&tkey) {
                 Some(hit) => {

@@ -11,30 +11,52 @@
 //! cached `instr → block` map is derived state and excluded).
 //!
 //! The hash is FNV-1a over a canonical field walk with a splitmix64
-//! finaliser, the same dep-free construction `cayman-select`'s `DesignCache`
-//! uses for stripe picking. It is a few ns per instruction: cheap enough to
-//! run on the edited function inside a sub-millisecond re-selection budget.
+//! finaliser. It is a few ns per instruction: cheap enough to run on the
+//! edited function inside a sub-millisecond re-selection budget.
 //! Fingerprints are 64-bit, so collisions are possible in principle; every
 //! incremental result is additionally pinned bit-identical to fresh analysis
 //! by the differential gates in `cayman-bench`.
+//!
+//! Plain 64-bit FNV-1a is exported too ([`fnv1a`], [`fnv1a_u64s`]) as the
+//! one FNV in the workspace: the design cache's stripe pick, the selection
+//! and incremental block-count keys, and the store's checksums and object
+//! names all call it.
 
 use crate::instr::{Imm, Instr, Operand, Terminator};
 use crate::interp::{Memory, Value};
 use crate::module::{ArrayDecl, Function, Module, ValueDef};
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the FNV-1a state `h`.
+fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// Standard 64-bit FNV-1a over `bytes` (no finaliser).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of `vals`, in order.
+pub fn fnv1a_u64s(vals: &[u64]) -> u64 {
+    vals.iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a_from(h, &v.to_le_bytes()))
+}
+
 /// Incremental FNV-1a/splitmix64 hasher over IR structure.
 struct Fnv(u64);
 
 impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     fn new() -> Fnv {
-        Fnv(Self::OFFSET)
+        Fnv(FNV_OFFSET)
     }
 
     fn u8(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        self.0 = fnv1a_from(self.0, &[b]);
     }
 
     fn u64(&mut self, v: u64) {
@@ -396,6 +418,17 @@ mod tests {
         let before = fingerprint_function(&a.functions[0]);
         let _ = a.functions[0].instr_block_map();
         assert_eq!(before, fingerprint_function(&a.functions[0]));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_u64s(&[]), fnv1a(b""));
+        let vals = [7u64, u64::MAX, 0x0123_4567_89ab_cdef];
+        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(fnv1a_u64s(&vals), fnv1a(&bytes));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Export of a drained event stream as Chrome trace JSON, JSONL, and a
+//! Export of a drained event stream as Chrome trace JSON and a
 //! human-readable summary.
 
 use crate::recorder::{ArgValue, Event, EventKind};
@@ -102,35 +102,6 @@ impl Trace {
             out.push_str(&line);
         }
         out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        out
-    }
-
-    /// Renders one JSON object per line — the machine-readable event log.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
-        for e in &self.events {
-            let kind = match &e.kind {
-                EventKind::Begin => "begin",
-                EventKind::End => "end",
-                EventKind::Counter { .. } => "counter",
-                EventKind::Instant => "instant",
-                EventKind::Lane => "lane",
-            };
-            write!(
-                out,
-                "{{\"tid\":{},\"seq\":{},\"ts_nanos\":{},\"kind\":\"{kind}\",\"name\":\"{}\"",
-                e.tid,
-                e.seq,
-                e.ts_nanos,
-                escape(&e.name.to_string())
-            )
-            .unwrap();
-            if let EventKind::Counter { delta } = &e.kind {
-                write!(out, ",\"delta\":{delta}").unwrap();
-            }
-            write_args(&mut out, &e.args);
-            out.push_str("}\n");
-        }
         out
     }
 

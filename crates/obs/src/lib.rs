@@ -23,11 +23,11 @@
 //!   exposition ([`registry::MetricsSnapshot::to_prometheus`]), and
 //!   [`promtext`] parses/validates that exposition for CI gates.
 //! * **Sinks** — [`drain`] freezes everything into a [`Trace`], exportable
-//!   as (a) a human summary, (b) JSONL events, and (c) a Chrome
-//!   trace-format file loadable in `chrome://tracing` / Perfetto.
-//!   [`init_from_env`] / [`flush_to_env`] wire the `CAYMAN_TRACE`,
-//!   `CAYMAN_OBS_JSONL` and `CAYMAN_OBS_SUMMARY` environment variables so
-//!   binaries need exactly two calls.
+//!   as a human summary or as a Chrome trace-format file (the one
+//!   machine-readable trace) loadable in `chrome://tracing` / Perfetto.
+//!   [`init_from_env`] / [`flush_to_env`] wire the `CAYMAN_TRACE` and
+//!   `CAYMAN_OBS_SUMMARY` environment variables so binaries need exactly
+//!   two calls.
 //!
 //! ## Cost model
 //!

@@ -230,12 +230,11 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Enables tracing when any observability environment variable is set:
-/// `CAYMAN_TRACE=<chrome-trace.json>`, `CAYMAN_OBS_JSONL=<events.jsonl>` or
-/// `CAYMAN_OBS_SUMMARY=1`. Returns whether tracing ended up enabled.
+/// Enables tracing when either observability environment variable is set:
+/// `CAYMAN_TRACE=<chrome-trace.json>` or `CAYMAN_OBS_SUMMARY=1`. Returns
+/// whether tracing ended up enabled.
 pub fn init_from_env() -> bool {
     let any = std::env::var_os("CAYMAN_TRACE").is_some()
-        || std::env::var_os("CAYMAN_OBS_JSONL").is_some()
         || std::env::var_os("CAYMAN_OBS_SUMMARY").is_some();
     if any {
         enable();
@@ -244,8 +243,8 @@ pub fn init_from_env() -> bool {
 }
 
 /// Drains the recorder into the sinks named by the environment:
-/// `CAYMAN_TRACE` gets the Chrome trace, `CAYMAN_OBS_JSONL` the JSONL event
-/// log, and `CAYMAN_OBS_SUMMARY=1` prints the human summary to stderr.
+/// `CAYMAN_TRACE` gets the Chrome trace and `CAYMAN_OBS_SUMMARY=1` prints
+/// the human summary to stderr.
 /// Returns one `(what, destination)` pair per sink written.
 pub fn flush_to_env() -> Vec<(&'static str, String)> {
     if !enabled() {
@@ -259,14 +258,6 @@ pub fn flush_to_env() -> Vec<(&'static str, String)> {
             eprintln!("CAYMAN_TRACE: failed to write {}: {e}", path.display());
         } else {
             written.push(("chrome-trace", path.display().to_string()));
-        }
-    }
-    if let Some(path) = std::env::var_os("CAYMAN_OBS_JSONL") {
-        let path = std::path::PathBuf::from(path);
-        if let Err(e) = std::fs::write(&path, trace.to_jsonl()) {
-            eprintln!("CAYMAN_OBS_JSONL: failed to write {}: {e}", path.display());
-        } else {
-            written.push(("jsonl-events", path.display().to_string()));
         }
     }
     if std::env::var_os("CAYMAN_OBS_SUMMARY").is_some() {

@@ -2,7 +2,7 @@
 //! function owns the process-global recorder so enable/disable cannot race
 //! with other tests in this binary.
 
-use cayman_obs::trace::{parse_json, validate_chrome};
+use cayman_obs::trace::validate_chrome;
 
 #[test]
 fn record_export_validate_roundtrip() {
@@ -40,15 +40,6 @@ fn record_export_validate_roundtrip() {
     assert!(summary.lanes.contains(&"select.worker.0".to_string()));
     assert!(summary.counters.contains(&"profile.blocks".to_string()));
     assert!(summary.instants.iter().any(|n| n == "select.steal"));
-
-    // Every JSONL line is a standalone JSON object.
-    let jsonl = trace.to_jsonl();
-    let lines: Vec<_> = jsonl.lines().collect();
-    assert_eq!(lines.len(), trace.len());
-    for line in lines {
-        let obj = parse_json(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
-        assert!(obj.get("kind").is_some() && obj.get("ts_nanos").is_some());
-    }
 
     // The human summary names the heavy hitters.
     let human = trace.summary();

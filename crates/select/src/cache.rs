@@ -13,10 +13,16 @@
 //! answered from a memo table instead of re-running scheduling, pipelining
 //! and interface assignment.
 //!
-//! A cache is only valid for one analysed application (one
-//! module + profile): the keys do not capture `FuncInputs`. Owners that
-//! re-analyse must start from a fresh cache (the `cayman` facade ties one
-//! cache to one `Framework`, which owns exactly one analysed application).
+//! A cache may be shared by every analysis that models the same content:
+//! each key carries the containing function's content fingerprint
+//! (`FuncInputs::content_fp`) and the region's profile (blocks, entries,
+//! CPU cycles); the model reads only the candidate and its function's
+//! analyses (see [`CandidateKey`]). So an entry stays sound when the
+//! module is edited or re-analysed, and `IncrementalApp` keeps one
+//! cache (`QueryStore::designs`) across edits while `DiskStore` shares
+//! entries across processes. `diff::check_incremental` (incremental vs
+//! fresh fronts) and `store/tests/tiered.rs` (disk-warm vs cold fronts) pin
+//! this contract.
 //!
 //! ## Two levels
 //!
@@ -31,8 +37,8 @@
 
 use cayman_hls::design::AcceleratorDesign;
 use cayman_hls::inputs::CandidateKey;
+use cayman_ir::fingerprint::fnv1a_u64s;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// Identity of an accelerator model instance: a model name plus a
@@ -76,35 +82,24 @@ pub trait DesignStoreBackend: Send + Sync + std::fmt::Debug {
 /// on one lock low without bloating the cache with empty maps.
 const STRIPES: usize = 16;
 
-/// 64-bit FNV-1a — a deterministic, dependency-free [`Hasher`] so stripe
-/// assignment is stable across runs and processes (the `HashMap`s inside
-/// each stripe still use `RandomState`; only the stripe pick needs to be
-/// deterministic).
-struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
-/// Which lock stripe a key lives on.
+/// Which lock stripe a key lives on: FNV-1a over the key's numeric fields,
+/// deterministic across runs and processes (the `HashMap`s inside each
+/// stripe still use `RandomState`; only the stripe pick must be stable).
+/// The pick reads the top bits, which FNV's multiply mixes from every input
+/// byte; a stripe only spreads lock traffic, so the map inside it does the
+/// exact matching.
 fn stripe_of(key: &DesignKey) -> usize {
-    let mut h = Fnv1a(0xCBF2_9CE4_8422_2325);
-    key.hash(&mut h);
-    // splitmix64 finaliser: FNV-1a's low bits alone mix the tail weakly.
-    let mut z = h.finish();
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z as usize) & (STRIPES - 1)
+    let c = &key.candidate;
+    let h = fnv1a_u64s(&[
+        key.model.options,
+        u64::from(c.func.0),
+        c.content_fp,
+        c.entries,
+        c.cpu_cycles,
+        c.blocks.len() as u64,
+        c.blocks.first().map_or(0, |b| u64::from(b.0)),
+    ]);
+    (h >> (64 - STRIPES.trailing_zeros())) as usize
 }
 
 /// Which level of the cache answered a [`DesignCache::lookup`].

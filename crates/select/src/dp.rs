@@ -48,6 +48,7 @@ use cayman_analysis::wpst::{Wpst, WpstKind, WpstNodeId};
 use cayman_hls::design::{generate_designs, AcceleratorDesign};
 use cayman_hls::inputs::{Candidate, FuncInputs};
 use cayman_hls::interface::ModelOptions;
+use cayman_ir::fingerprint::fnv1a_u64s;
 use cayman_ir::Module;
 use cayman_obs::Counter;
 use std::borrow::Cow;
@@ -332,18 +333,6 @@ impl FrontStore {
     }
 }
 
-/// FNV-1a over a `u64` slice (block-count fingerprints for [`FrontKey`]).
-fn hash_u64_slice(vals: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in vals {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// The [`FrontKey`] of each root child, in child order. Only function
 /// vertices under a model with a cache identity are keyable; anything else
 /// (custom trees, identity-less models) gets `None` and is always folded.
@@ -365,7 +354,7 @@ fn front_keys(
                 node: u,
                 func: f,
                 content_fp: inputs[f.index()].content_fp,
-                bc_fp: hash_u64_slice(&profile.block_counts[f.index()]),
+                bc_fp: fnv1a_u64s(&profile.block_counts[f.index()]),
                 total_cycles: profile.total_cycles,
                 arrays_fp,
                 model,

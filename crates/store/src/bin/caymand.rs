@@ -10,11 +10,13 @@
 //! server runs memory-only. `--metrics-file` periodically dumps the
 //! Prometheus-style metrics exposition to PATH (interval
 //! `CAYMAN_METRICS_INTERVAL_MS`, default 2000) for scrape-less setups —
-//! the same text `Request::Metrics` serves. The slow-request log is
-//! controlled by `CAYMAN_SLOW_REQ_MS`, the per-connection idle timeout by
-//! `CAYMAN_REQ_TIMEOUT_MS`. The process exits on a SHUTDOWN request
-//! (`Client::shutdown_server`). Tracing flows through the usual
-//! `CAYMAN_TRACE` / `CAYMAN_OBS_*` environment sinks.
+//! the same text `Request::Metrics` serves. Introspection is that METRICS
+//! exposition plus PING for liveness; each reply's request id is its frame
+//! trailer. The slow-request log is controlled by `CAYMAN_SLOW_REQ_MS`, the
+//! per-connection idle timeout by `CAYMAN_REQ_TIMEOUT_MS`. The process
+//! exits on a SHUTDOWN request (`Client::shutdown_server`). Tracing flows
+//! through the `CAYMAN_TRACE` (Chrome trace) and `CAYMAN_OBS_SUMMARY`
+//! environment sinks.
 
 use cayman::SelectOptions;
 use cayman_store::{serve, Endpoint, ServerOptions, STORE_DIR_ENV};

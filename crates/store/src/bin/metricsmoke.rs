@@ -36,8 +36,8 @@ fn main() {
     let w = corpus.first().expect("corpus is non-empty");
     let text = w.module.to_text();
 
-    // N concurrent clients, mixed opcodes — the histograms must absorb
-    // parallel recording without losing counts
+    // N concurrent clients, mixed opcodes (scrapes racing selects) — the
+    // histograms must absorb parallel recording without losing counts
     std::thread::scope(|s| {
         for _ in 0..CLIENTS {
             let endpoint = server.endpoint().clone();
@@ -48,7 +48,7 @@ fn main() {
                     match i % 3 {
                         0 => drop(c.select_text(text).expect("select")),
                         1 => c.ping().expect("ping"),
-                        _ => drop(c.health().expect("health")),
+                        _ => drop(c.metrics().expect("metrics")),
                     }
                     assert!(c.last_request_id() > 0, "every reply carries an id");
                 }

@@ -10,12 +10,12 @@
 //!    bit-identical front with **zero cold `accel(v, R)` evaluations** —
 //!    the designs come off disk (disk-warm), proven by the request
 //!    counters and the store's hit counter,
-//! 4. (ISSUE 10) the telemetry surface works end-to-end: HEALTH and
-//!    METRICS round-trip, the exposition **validates** (no duplicate
-//!    series, monotone histogram buckets) and carries the per-phase
-//!    request histograms, reply request ids are the server's sequence,
-//!    and the slow-request log (forced on with a 0ms threshold) names
-//!    the same ids in its stable `slow-req id=…` format.
+//! 4. the telemetry surface works end-to-end: METRICS round-trips, the
+//!    exposition **validates** (no duplicate series, monotone histogram
+//!    buckets) and carries the per-phase request histograms and the
+//!    server and store counters, reply request ids are the server's
+//!    sequence, and the slow-request log (forced on with a 0ms threshold)
+//!    names the same ids in its stable `slow-req id=…` format.
 //!
 //! Exits non-zero (panics) on any violation; prints one OK line otherwise.
 
@@ -55,8 +55,8 @@ fn main() {
     assert_eq!(client.last_request_id(), 1, "ids are a sequence from 1");
 
     let cold = client.select_text(&text).expect("cold select");
-    assert_eq!(cold.request_id, 2, "second request gets id 2");
-    assert_eq!(client.last_request_id(), 2, "client tracks the reply id");
+    let cold_id = client.last_request_id();
+    assert_eq!(cold_id, 2, "second request gets id 2");
     assert!(
         fronts_bits_equal(&cold.front, &reference.pareto),
         "{}: served front diverges from in-process selection",
@@ -73,25 +73,18 @@ fn main() {
     assert!(warm.framework_reused, "repeat request reuses the framework");
     assert_eq!(warm.model_evals, 0, "memory-warm request skips the model");
 
-    let stats = client.stats().expect("stats");
-    let store_stats = stats.store.expect("store attached");
-    assert!(store_stats.writes > 0, "cold run persisted designs");
-
-    // ---- telemetry surface (ISSUE 10) ----
-    let health = client.health().expect("health");
-    assert!(health.healthy, "server reports healthy");
-    assert!(health.uptime_nanos > 0, "uptime advances");
-    assert!(health.requests >= 4, "health sees the earlier requests");
-    assert_eq!(
-        health.request_id,
-        client.last_request_id(),
-        "health reply carries its own request id"
-    );
+    // ---- telemetry surface ----
+    client.ping().expect("liveness");
+    assert_eq!(client.last_request_id(), cold_id + 2, "ids stay a sequence");
 
     let metrics = client.metrics().expect("metrics");
-    assert_eq!(metrics.request_id, client.last_request_id());
+    assert_eq!(client.last_request_id(), cold_id + 3);
     let exp = cayman_obs::promtext::validate(&metrics.text)
         .expect("exposition parses and validates (no duplicate series, monotone buckets)");
+    assert!(
+        exp.value("cayman_server_uptime_seconds").unwrap_or(0.0) > 0.0,
+        "uptime advances"
+    );
     for phase in ["decode", "warm", "select", "encode", "total"] {
         let name = format!("cayman_req_{phase}_nanos");
         assert!(
@@ -117,7 +110,7 @@ fn main() {
     );
     assert!(
         exp.value("cayman_store_writes").unwrap_or(0.0) > 0.0,
-        "store counters are exported"
+        "cold run persisted designs"
     );
 
     // the slow-request log (threshold 0) named every request by its id,
@@ -139,7 +132,7 @@ fn main() {
     }
     let select_line = slow
         .iter()
-        .find(|l| l.contains(&format!("id={} ", cold.request_id)))
+        .find(|l| l.contains(&format!("id={cold_id} ")))
         .expect("the cold select shows up in the slow log under its reply id");
     assert!(
         select_line.contains("op=select"),
@@ -177,10 +170,17 @@ fn main() {
         disk_warm.disk_hits > 0,
         "designs must come off the disk store"
     );
-    let stats = client.stats().expect("stats");
-    let store_stats = stats.store.expect("store attached");
-    assert!(store_stats.hits > 0, "store served hits");
-    assert_eq!(store_stats.corrupt, 0, "no corruption in a clean store");
+    let exp = cayman_obs::promtext::validate(&client.metrics().expect("metrics").text)
+        .expect("exposition validates");
+    assert!(
+        exp.value("cayman_store_hits").unwrap_or(0.0) > 0.0,
+        "store served hits"
+    );
+    assert_eq!(
+        exp.value("cayman_store_corrupt"),
+        Some(0.0),
+        "no corruption in a clean store"
+    );
     client.shutdown_server().expect("shuts down");
     server.wait();
 

@@ -1,9 +1,7 @@
 //! A minimal blocking client for the `caymand` wire protocol.
 
 use crate::server::{Endpoint, Stream};
-use crate::wire::{
-    self, HealthReply, MetricsReply, Request, Response, SelectReply, StatsReply, WireError,
-};
+use crate::wire::{self, MetricsReply, Request, Response, SelectReply, WireError};
 use std::io;
 
 /// One connection to a running server. Requests are serial per client;
@@ -60,19 +58,6 @@ impl Client {
         }
     }
 
-    /// Fetches the server's lifetime counters.
-    ///
-    /// # Errors
-    ///
-    /// Fails on wire errors.
-    pub fn stats(&mut self) -> Result<StatsReply, WireError> {
-        match self.roundtrip(&Request::Stats)? {
-            Response::Stats(reply) => Ok(reply),
-            Response::Error(msg) => Err(WireError::Server(msg)),
-            _ => Err(WireError::Protocol("unexpected response to STATS")),
-        }
-    }
-
     /// Liveness probe.
     ///
     /// # Errors
@@ -83,19 +68,6 @@ impl Client {
             Response::Pong => Ok(()),
             Response::Error(msg) => Err(WireError::Server(msg)),
             _ => Err(WireError::Protocol("unexpected response to PING")),
-        }
-    }
-
-    /// Health probe: uptime and request count alongside liveness.
-    ///
-    /// # Errors
-    ///
-    /// Fails on wire errors.
-    pub fn health(&mut self) -> Result<HealthReply, WireError> {
-        match self.roundtrip(&Request::Health)? {
-            Response::Health(reply) => Ok(reply),
-            Response::Error(msg) => Err(WireError::Server(msg)),
-            _ => Err(WireError::Protocol("unexpected response to HEALTH")),
         }
     }
 

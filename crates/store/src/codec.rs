@@ -27,6 +27,7 @@
 use cayman_analysis::wpst::WpstNodeId;
 use cayman_hls::design::AcceleratorDesign;
 use cayman_hls::interface::{InterfaceKind, InterfaceSpec};
+use cayman_ir::fingerprint::fnv1a;
 use cayman_ir::loops::LoopId;
 use cayman_ir::{BlockId, FuncId, InstrId};
 use cayman_select::cache::DesignKey;
@@ -68,17 +69,6 @@ impl fmt::Display for DecodeError {
             DecodeError::KeyMismatch => write!(f, "stored key differs (hash collision)"),
         }
     }
-}
-
-/// 64-bit FNV-1a over `bytes` — the same dependency-free hash the design
-/// cache stripes on, used here for checksums and content addresses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// splitmix64 finaliser, for deriving a second independent address word

@@ -222,7 +222,7 @@ impl DiskStore {
 
     /// 128-bit content address of a key, as 32 hex characters.
     fn address(key_bytes: &[u8]) -> String {
-        let lo = codec::fnv1a(key_bytes);
+        let lo = cayman_ir::fingerprint::fnv1a(key_bytes);
         let hi = codec::splitmix64(lo);
         format!("{hi:016x}{lo:016x}")
     }

@@ -13,7 +13,7 @@
 //! * [`server`] — the `caymand` accept loop batching concurrent clients
 //!   through shared warm `Framework`s + one shared store, with
 //!   request-scoped telemetry (server-assigned request ids, per-phase
-//!   latency histograms, a slow-request log) and a metrics/health wire
+//!   latency histograms, a slow-request log) and one METRICS wire
 //!   surface (DESIGN.md §12),
 //! * [`client`] — a minimal blocking client.
 //!
@@ -35,4 +35,4 @@ pub use server::{
     serve, Endpoint, ServerHandle, ServerOptions, METRICS_INTERVAL_MS_ENV, REQ_TIMEOUT_MS_ENV,
     SLOW_REQ_MS_ENV,
 };
-pub use wire::{HealthReply, MetricsReply, SelectReply, StatsReply, WireError};
+pub use wire::{MetricsReply, SelectReply, WireError};

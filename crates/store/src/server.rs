@@ -33,9 +33,7 @@
 //! scrape-less setups).
 
 use crate::disk::DiskStore;
-use crate::wire::{
-    self, HealthReply, MetricsReply, Request, Response, SelectReply, StatsReply, WireError,
-};
+use crate::wire::{self, MetricsReply, Request, Response, SelectReply, WireError};
 use cayman::{CaymanError, Framework, SelectOptions};
 use cayman_obs::hist::Histogram;
 use cayman_obs::Counter;
@@ -272,7 +270,7 @@ impl Shared {
     /// miss. The bool is true when an already-analysed framework was
     /// reused.
     fn framework_for(&self, text: &str) -> Result<(Arc<Framework>, bool), CaymanError> {
-        let fp = crate::codec::fnv1a(text.as_bytes());
+        let fp = cayman_ir::fingerprint::fnv1a(text.as_bytes());
         {
             let mut cache = self.frameworks.lock().expect("framework cache poisoned");
             cache.tick += 1;
@@ -313,7 +311,7 @@ impl Shared {
 
     /// Handles one decoded request. Returns the response, whether the
     /// server should shut down, and the phase timings recorded so far.
-    fn handle(&self, req: Request, request_id: u64) -> (Response, bool, Phases) {
+    fn handle(&self, req: Request) -> (Response, bool, Phases) {
         self.requests.add(1);
         let mut phases = Phases::default();
         match req {
@@ -339,7 +337,6 @@ impl Shared {
                                 self.select_cold.add(1);
                             }
                             Response::Select(SelectReply {
-                                request_id,
                                 front: res.pareto,
                                 framework_reused,
                                 model_evals: res.stats.configs_evaluated as u64,
@@ -353,26 +350,6 @@ impl Shared {
                 span.finish();
                 (resp, false, phases)
             }
-            Request::Stats => {
-                phases.op = "stats";
-                (
-                    Response::Stats(StatsReply {
-                        request_id,
-                        requests: self.requests.get(),
-                        fw_cached: self
-                            .frameworks
-                            .lock()
-                            .expect("framework cache poisoned")
-                            .map
-                            .len() as u64,
-                        fw_hits: self.fw_hits.get(),
-                        fw_misses: self.fw_misses.get(),
-                        store: self.store.as_ref().map(|s| s.stats()),
-                    }),
-                    false,
-                    phases,
-                )
-            }
             Request::Ping => {
                 phases.op = "ping";
                 (Response::Pong, false, phases)
@@ -381,24 +358,10 @@ impl Shared {
                 phases.op = "shutdown";
                 (Response::ShuttingDown, true, phases)
             }
-            Request::Health => {
-                phases.op = "health";
-                (
-                    Response::Health(HealthReply {
-                        request_id,
-                        healthy: true,
-                        uptime_nanos: self.started.elapsed().as_nanos() as u64,
-                        requests: self.requests.get(),
-                    }),
-                    false,
-                    phases,
-                )
-            }
             Request::Metrics => {
                 phases.op = "metrics";
                 (
                     Response::Metrics(MetricsReply {
-                        request_id,
                         text: self.metrics_text(),
                     }),
                     false,
@@ -536,7 +499,7 @@ fn handle_conn(shared: &Shared, mut stream: Stream) {
         let (resp, shutdown) = match decoded {
             Ok(req) => {
                 let _g = cayman_obs::span!("server.req", id = request_id);
-                let (resp, shutdown, p) = shared.handle(req, request_id);
+                let (resp, shutdown, p) = shared.handle(req);
                 phases = p;
                 (resp, shutdown)
             }

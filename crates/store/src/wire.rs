@@ -15,34 +15,33 @@
 //! | opcode | body |
 //! |---|---|
 //! | `1` SELECT   | module text (length-prefixed UTF-8, the `ir::parse` surface) |
-//! | `2` STATS    | empty |
 //! | `3` PING     | empty |
 //! | `4` SHUTDOWN | empty |
-//! | `5` HEALTH   | empty |
 //! | `6` METRICS  | empty |
+//!
+//! Opcodes `2` (STATS) and `5` (HEALTH) are retired: introspection is
+//! METRICS, liveness is PING. A retired or unknown opcode gets an
+//! `unknown opcode` error frame and the connection closes.
 //!
 //! Responses open with `version u8, status u8` (`0` ok / `1` error). An
 //! error body is a length-prefixed message. A SELECT ok body carries
 //! `framework_reused u8`, per-request counters (`model_evals`,
 //! `cache_hits`, `cache_misses`, `disk_hits` as `u64`s) and the encoded
 //! Pareto front ([`crate::codec::encode_front`] — bit-exact `f64`s). A
-//! STATS ok body carries the server's lifetime counters and, when a store
-//! is attached, its [`StoreStats`]. A HEALTH ok body carries a liveness
-//! triple; a METRICS ok body carries the Prometheus-style text exposition
-//! as a length-prefixed UTF-8 blob.
+//! METRICS ok body carries the Prometheus-style text exposition as a
+//! length-prefixed UTF-8 blob.
 //!
-//! ## Request ids (additive evolution)
+//! ## Request ids
 //!
 //! Every response frame ends with a trailing `u64`: the **server-assigned
 //! request id**, also tagged on the server's spans and slow-request log so
-//! a client-side stall can be correlated with the server-side trace.
-//! Evolution is strictly additive: requests are unchanged (old frames
-//! decode and get served — pinned by `tests/wire_compat.rs`), and decoders
-//! that predate the trailer ignore trailing bytes while new decoders treat
-//! a missing trailer as id `0`.
+//! a client-side stall can be correlated with the server-side trace. The
+//! trailer is the only place the id lives: no reply body carries it, and a
+//! decoder hands it back beside the body in [`DecodedResponse`].
+//! Decoders that predate the trailer ignore trailing bytes, and a missing
+//! trailer decodes as id `0` (pinned by `tests/wire_compat.rs`).
 
 use crate::codec::{self, Dec, DecodeError, Enc, VERSION};
-use crate::disk::StoreStats;
 use cayman_select::Solution;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -59,14 +58,10 @@ const READ_CHUNK: usize = 64 << 10;
 pub mod opcode {
     /// Analyse + select a textual IR module.
     pub const SELECT: u8 = 1;
-    /// Server + store counter snapshot.
-    pub const STATS: u8 = 2;
     /// Liveness probe.
     pub const PING: u8 = 3;
     /// Orderly server shutdown.
     pub const SHUTDOWN: u8 = 4;
-    /// Health summary (liveness + uptime + request count).
-    pub const HEALTH: u8 = 5;
     /// Prometheus-style metrics exposition.
     pub const METRICS: u8 = 6;
 }
@@ -158,14 +153,10 @@ pub enum Request {
         /// The module in the `ir::parse` surface syntax.
         module_text: String,
     },
-    /// Counter snapshot.
-    Stats,
     /// Liveness probe.
     Ping,
     /// Orderly shutdown.
     Shutdown,
-    /// Health summary.
-    Health,
     /// Metrics exposition.
     Metrics,
 }
@@ -174,9 +165,6 @@ pub enum Request {
 /// from a memory-warm or disk-warm one.
 #[derive(Debug, Clone)]
 pub struct SelectReply {
-    /// Server-assigned request id (frame trailer; `0` from a pre-telemetry
-    /// server). Matches the id on the server's spans and slow-request log.
-    pub request_id: u64,
     /// The selection Pareto front, bit-exact.
     pub front: Vec<Solution>,
     /// Whether the server reused an already-analysed `Framework` for this
@@ -194,43 +182,10 @@ pub struct SelectReply {
     pub disk_hits: u64,
 }
 
-/// STATS reply: server lifetime counters plus the store's, when attached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Server-assigned request id (frame trailer; not part of the body).
-    pub request_id: u64,
-    /// Total requests served (all opcodes).
-    pub requests: u64,
-    /// Analysed frameworks currently cached.
-    pub fw_cached: u64,
-    /// SELECTs that reused a cached framework.
-    pub fw_hits: u64,
-    /// SELECTs that had to analyse from scratch.
-    pub fw_misses: u64,
-    /// Disk-store counters, when a store is attached.
-    pub store: Option<StoreStats>,
-}
-
-/// HEALTH reply: the minimum a load balancer or probe needs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthReply {
-    /// Server-assigned request id (frame trailer; not part of the body).
-    pub request_id: u64,
-    /// Whether the server considers itself serviceable (currently always
-    /// true when it can answer at all; reserved for load-shedding states).
-    pub healthy: bool,
-    /// Nanoseconds since the server started.
-    pub uptime_nanos: u64,
-    /// Total requests served (all opcodes).
-    pub requests: u64,
-}
-
 /// METRICS reply: the Prometheus-style text exposition (see
 /// `cayman_obs::registry::MetricsSnapshot::to_prometheus`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsReply {
-    /// Server-assigned request id (frame trailer; not part of the body).
-    pub request_id: u64,
     /// The exposition text.
     pub text: String,
 }
@@ -240,14 +195,10 @@ pub struct MetricsReply {
 pub enum Response {
     /// SELECT succeeded.
     Select(SelectReply),
-    /// STATS succeeded.
-    Stats(StatsReply),
     /// PING succeeded.
     Pong,
     /// SHUTDOWN acknowledged (the server exits after sending this).
     ShuttingDown,
-    /// HEALTH succeeded.
-    Health(HealthReply),
     /// METRICS succeeded.
     Metrics(MetricsReply),
     /// The request failed (parse error, analysis error, bad opcode…).
@@ -260,10 +211,8 @@ const STATUS_ERR: u8 = 1;
 // ok-body tags, so responses are self-describing independent of request
 // pipelining
 const BODY_SELECT: u8 = 1;
-const BODY_STATS: u8 = 2;
 const BODY_PONG: u8 = 3;
 const BODY_SHUTDOWN: u8 = 4;
-const BODY_HEALTH: u8 = 5;
 const BODY_METRICS: u8 = 6;
 
 /// Serializes a request payload.
@@ -275,10 +224,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             e.u8(opcode::SELECT);
             e.blob(module_text.as_bytes());
         }
-        Request::Stats => e.u8(opcode::STATS),
         Request::Ping => e.u8(opcode::PING),
         Request::Shutdown => e.u8(opcode::SHUTDOWN),
-        Request::Health => e.u8(opcode::HEALTH),
         Request::Metrics => e.u8(opcode::METRICS),
     }
     e.finish()
@@ -300,10 +247,8 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             module_text: String::from_utf8(d.blob()?.to_vec())
                 .map_err(|_| WireError::Protocol("module text is not UTF-8"))?,
         },
-        opcode::STATS => Request::Stats,
         opcode::PING => Request::Ping,
         opcode::SHUTDOWN => Request::Shutdown,
-        opcode::HEALTH => Request::Health,
         opcode::METRICS => Request::Metrics,
         _ => return Err(WireError::Protocol("unknown opcode")),
     };
@@ -313,34 +258,8 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
     Ok(req)
 }
 
-fn encode_store_stats(e: &mut Enc, stats: &StoreStats) {
-    e.u64(stats.hits);
-    e.u64(stats.misses);
-    e.u64(stats.corrupt);
-    e.u64(stats.version_skew);
-    e.u64(stats.key_mismatches);
-    e.u64(stats.writes);
-    e.u64(stats.evictions);
-    e.u64(stats.evicted_bytes);
-}
-
-fn decode_store_stats(d: &mut Dec) -> Result<StoreStats, DecodeError> {
-    Ok(StoreStats {
-        hits: d.u64()?,
-        misses: d.u64()?,
-        corrupt: d.u64()?,
-        version_skew: d.u64()?,
-        key_mismatches: d.u64()?,
-        writes: d.u64()?,
-        evictions: d.u64()?,
-        evicted_bytes: d.u64()?,
-    })
-}
-
 /// Serializes a response payload, appending `request_id` as the frame
-/// trailer. The ids carried *inside* reply structs are ignored here — the
-/// trailer is the single source of truth and [`decode_response`] copies it
-/// back into the decoded reply.
+/// trailer.
 pub fn encode_response(resp: &Response, request_id: u64) -> Vec<u8> {
     let mut e = Enc::new();
     e.u8(VERSION);
@@ -359,21 +278,6 @@ pub fn encode_response(resp: &Response, request_id: u64) -> Vec<u8> {
             e.u64(r.disk_hits);
             codec::encode_front(&mut e, &r.front);
         }
-        Response::Stats(r) => {
-            e.u8(STATUS_OK);
-            e.u8(BODY_STATS);
-            e.u64(r.requests);
-            e.u64(r.fw_cached);
-            e.u64(r.fw_hits);
-            e.u64(r.fw_misses);
-            match &r.store {
-                Some(s) => {
-                    e.u8(1);
-                    encode_store_stats(&mut e, s);
-                }
-                None => e.u8(0),
-            }
-        }
         Response::Pong => {
             e.u8(STATUS_OK);
             e.u8(BODY_PONG);
@@ -381,13 +285,6 @@ pub fn encode_response(resp: &Response, request_id: u64) -> Vec<u8> {
         Response::ShuttingDown => {
             e.u8(STATUS_OK);
             e.u8(BODY_SHUTDOWN);
-        }
-        Response::Health(r) => {
-            e.u8(STATUS_OK);
-            e.u8(BODY_HEALTH);
-            e.u8(u8::from(r.healthy));
-            e.u64(r.uptime_nanos);
-            e.u64(r.requests);
         }
         Response::Metrics(r) => {
             e.u8(STATUS_OK);
@@ -405,8 +302,7 @@ pub fn encode_response(resp: &Response, request_id: u64) -> Vec<u8> {
 pub struct DecodedResponse {
     /// The response body.
     pub response: Response,
-    /// Server-assigned request id, also copied into the reply structs that
-    /// carry one.
+    /// Server-assigned request id.
     pub request_id: u64,
 }
 
@@ -423,7 +319,7 @@ pub fn decode_response(payload: &[u8]) -> Result<DecodedResponse, WireError> {
     if version != VERSION {
         return Err(WireError::Protocol("response version mismatch"));
     }
-    let mut response = match d.u8()? {
+    let response = match d.u8()? {
         STATUS_ERR => Response::Error(String::from_utf8_lossy(d.blob()?).into_owned()),
         STATUS_OK => match d.u8()? {
             BODY_SELECT => {
@@ -434,7 +330,6 @@ pub fn decode_response(payload: &[u8]) -> Result<DecodedResponse, WireError> {
                 let disk_hits = d.u64()?;
                 let front = codec::decode_front(&mut d)?;
                 Response::Select(SelectReply {
-                    request_id: 0,
                     front,
                     framework_reused,
                     model_evals,
@@ -443,35 +338,9 @@ pub fn decode_response(payload: &[u8]) -> Result<DecodedResponse, WireError> {
                     disk_hits,
                 })
             }
-            BODY_STATS => {
-                let requests = d.u64()?;
-                let fw_cached = d.u64()?;
-                let fw_hits = d.u64()?;
-                let fw_misses = d.u64()?;
-                let store = if d.u8()? != 0 {
-                    Some(decode_store_stats(&mut d)?)
-                } else {
-                    None
-                };
-                Response::Stats(StatsReply {
-                    request_id: 0,
-                    requests,
-                    fw_cached,
-                    fw_hits,
-                    fw_misses,
-                    store,
-                })
-            }
             BODY_PONG => Response::Pong,
             BODY_SHUTDOWN => Response::ShuttingDown,
-            BODY_HEALTH => Response::Health(HealthReply {
-                request_id: 0,
-                healthy: d.u8()? != 0,
-                uptime_nanos: d.u64()?,
-                requests: d.u64()?,
-            }),
             BODY_METRICS => Response::Metrics(MetricsReply {
-                request_id: 0,
                 text: String::from_utf8(d.blob()?.to_vec())
                     .map_err(|_| WireError::Protocol("metrics text is not UTF-8"))?,
             }),
@@ -482,13 +351,6 @@ pub fn decode_response(payload: &[u8]) -> Result<DecodedResponse, WireError> {
     // the additive request-id trailer; absent in frames from pre-telemetry
     // senders, which decode as id 0
     let request_id = if d.remaining() >= 8 { d.u64()? } else { 0 };
-    match &mut response {
-        Response::Select(r) => r.request_id = request_id,
-        Response::Stats(r) => r.request_id = request_id,
-        Response::Health(r) => r.request_id = request_id,
-        Response::Metrics(r) => r.request_id = request_id,
-        Response::Pong | Response::ShuttingDown | Response::Error(_) => {}
-    }
     Ok(DecodedResponse {
         response,
         request_id,
@@ -571,10 +433,8 @@ mod tests {
             Request::Select {
                 module_text: "func @f() { ... }".into(),
             },
-            Request::Stats,
             Request::Ping,
             Request::Shutdown,
-            Request::Health,
             Request::Metrics,
         ] {
             assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
@@ -584,7 +444,6 @@ mod tests {
     #[test]
     fn responses_roundtrip() {
         let reply = Response::Select(SelectReply {
-            request_id: 0,
             front: vec![Solution::default()],
             framework_reused: true,
             model_evals: 7,
@@ -600,63 +459,17 @@ mod tests {
                 assert_eq!((r.model_evals, r.cache_hits, r.cache_misses), (7, 9, 3));
                 assert_eq!(r.disk_hits, 2);
                 assert_eq!(r.front.len(), 1);
-                assert_eq!(r.request_id, 41, "trailer id copied into the reply");
-            }
-            other => panic!("wrong body: {other:?}"),
-        }
-
-        let stats = Response::Stats(StatsReply {
-            request_id: 0,
-            requests: 5,
-            fw_cached: 2,
-            fw_hits: 3,
-            fw_misses: 2,
-            store: Some(StoreStats {
-                hits: 1,
-                ..Default::default()
-            }),
-        });
-        match decode_response(&encode_response(&stats, 7))
-            .unwrap()
-            .response
-        {
-            Response::Stats(r) => {
-                assert_eq!(r.requests, 5);
-                assert_eq!(r.store.unwrap().hits, 1);
-                assert_eq!(r.request_id, 7);
-            }
-            other => panic!("wrong body: {other:?}"),
-        }
-
-        let health = Response::Health(HealthReply {
-            request_id: 0,
-            healthy: true,
-            uptime_nanos: 123,
-            requests: 9,
-        });
-        match decode_response(&encode_response(&health, 8))
-            .unwrap()
-            .response
-        {
-            Response::Health(r) => {
-                assert!(r.healthy);
-                assert_eq!((r.uptime_nanos, r.requests, r.request_id), (123, 9, 8));
             }
             other => panic!("wrong body: {other:?}"),
         }
 
         let metrics = Response::Metrics(MetricsReply {
-            request_id: 0,
             text: "# TYPE cayman_x counter\ncayman_x 1\n".into(),
         });
-        match decode_response(&encode_response(&metrics, 9))
-            .unwrap()
-            .response
-        {
-            Response::Metrics(r) => {
-                assert!(r.text.contains("cayman_x 1"));
-                assert_eq!(r.request_id, 9);
-            }
+        let decoded = decode_response(&encode_response(&metrics, 9)).unwrap();
+        assert_eq!(decoded.request_id, 9);
+        match decoded.response {
+            Response::Metrics(r) => assert!(r.text.contains("cayman_x 1")),
             other => panic!("wrong body: {other:?}"),
         }
 
@@ -683,12 +496,12 @@ mod tests {
 
     #[test]
     fn unknown_opcode_is_a_protocol_error() {
-        let mut e = Enc::new();
-        e.u8(VERSION);
-        e.u8(99);
-        assert!(matches!(
-            decode_request(&e.finish()),
-            Err(WireError::Protocol(_))
-        ));
+        // 2 and 5 were STATS and HEALTH
+        for op in [2, 5, 99] {
+            assert!(matches!(
+                decode_request(&[VERSION, op]),
+                Err(WireError::Protocol("unknown opcode"))
+            ));
+        }
     }
 }

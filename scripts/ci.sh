@@ -70,6 +70,23 @@ if grep -rn --include='*.rs' -E '\b(println!|eprintln!|print!|eprint!)' \
   exit 1
 fi
 
+echo "== environment-variable set is pinned (no new knob without a measured need) =="
+env_allowed="CAYMAN_METRICS_INTERVAL_MS
+CAYMAN_OBS_SUMMARY
+CAYMAN_REQ_TIMEOUT_MS
+CAYMAN_SELECT_THREADS
+CAYMAN_SLOW_REQ_MS
+CAYMAN_STORE_DIR
+CAYMAN_STORE_MAX_BYTES
+CAYMAN_TABLE2_THREADS
+CAYMAN_TRACE"
+env_found="$(grep -rhoE 'CAYMAN_[A-Z0-9_]+' crates | LC_ALL=C sort -u)"
+if [ "$env_found" != "$env_allowed" ]; then
+  echo "error: CAYMAN_* names under crates/ differ from the allow-list in scripts/ci.sh:" >&2
+  diff <(echo "$env_allowed") <(echo "$env_found") >&2 || true
+  exit 1
+fi
+
 echo "== repository benchmark (unit tests, smoke pass over every workload, compare) =="
 benchmark/check.sh
 
