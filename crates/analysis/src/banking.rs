@@ -4,7 +4,7 @@
 //! interface to an array:
 //!
 //! * **Banked scratchpads** — do the `unroll` copies of an access with a
-//!   known [`LinExpr`](crate::scev::LinExpr) stride hit pairwise-distinct
+//!   known [`crate::scev::LinExpr`] stride hit pairwise-distinct
 //!   banks under cyclic interleaving ([`bank_conflict_free`])? Only then do
 //!   the extra bank ports actually raise throughput; a conflicting
 //!   assignment would serialize at the bank and the modeled II would be a

@@ -65,7 +65,7 @@ fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
 }
 
 /// Batch selection over a freshly analysed application: a fresh design
-/// cache and no front store.
+/// cache and no front table.
 fn batch_select(app: &Application, sel: &SelectOptions) -> SelectionResult {
     let inputs = app.inputs();
     run_selection(

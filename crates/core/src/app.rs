@@ -127,7 +127,7 @@ impl Application {
     ///
     /// The stages are implemented as the keyed queries of
     /// [`crate::inc`] — this batch entry assembles over a transient
-    /// cold [`QueryStore`] (every query misses exactly once), while
+    /// cold query store (every query misses exactly once), while
     /// [`crate::inc::IncrementalApp`] keeps a store alive across edits so
     /// repeated analyses only re-execute the queries whose content keys
     /// changed. Both paths produce bit-identical applications.
@@ -160,7 +160,7 @@ impl Application {
             &raw_fps,
         );
         store.publish();
-        let app = app?;
+        let (_, app) = app?;
         // The transient store holds the only other Arc; dropping it makes
         // the application uniquely owned again.
         drop(store);

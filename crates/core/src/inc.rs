@@ -1,8 +1,8 @@
 //! Incremental re-analysis: content-keyed queries with dirty tracking.
 //!
 //! [`Application::analyse_with`] is no longer a monolithic batch pipeline —
-//! it is an *assembly* over keyed queries, each memoised in a
-//! [`QueryStore`]:
+//! it is an *assembly* over keyed queries, each memoised in one table of a
+//! query store:
 //!
 //! | query | key | value |
 //! |---|---|---|
@@ -16,6 +16,11 @@
 //! | trips | (normalized fn fp, arrays fp, block-count fp) | trip counts |
 //! | app | (raw module fp, memory fp, analyse opts) | `Arc<Application>` |
 //! | select | (app key, model fp, α, prune) | `Arc<SelectionResult>` |
+//!
+//! Every table is probed at one site, which counts the hit or miss into
+//! [`IncStats`] and opens the `inc.query.<kind>` trace span tagged
+//! `hit = true|false`; a miss runs the query body under that span, so the
+//! queries it runs in turn nest beneath it.
 //!
 //! At `-O2` the *executed* module is still normalized at `-O1` — structure,
 //! decode, exec and trips all key off the `-O1` fingerprints, so profiles
@@ -45,7 +50,8 @@
 //! dirty mark on the wPST spine (the root's child subtree for that
 //! function plus the whole-module exec/app/select keys above it). On the
 //! next [`IncrementalApp::select`], clean root subtrees are answered from
-//! the [`FrontStore`] (`accel(v, R)` design vectors from the sharded
+//! the store's table of per-function subtree fronts (keyed by
+//! [`FrontKey`]; `accel(v, R)` design vectors come from the sharded
 //! [`DesignCache`]), and only the dirty spine is re-folded.
 //!
 //! Every result is bit-identical to a from-scratch `analyse → select` at
@@ -69,11 +75,12 @@ use cayman_ir::{
     decode_function, fingerprint_arrays, fingerprint_function, fingerprint_memory,
     fingerprint_module_from_parts, FuncId, Function, Instr, Module,
 };
-use cayman_obs::Counter;
+use cayman_obs::{ArgValue, Counter, SpanGuard};
 use cayman_select::{
-    run_selection, CaymanModel, DesignCache, FrontStore, SelectOptions, SelectionResult,
+    run_selection, CaymanModel, DesignCache, FrontKey, SelectOptions, SelectionResult, Solution,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// Hit/miss counters for one query kind.
@@ -145,6 +152,51 @@ impl IncStats {
     }
 }
 
+/// One memoised query kind: content key → shared result.
+struct Query<K, V> {
+    /// The `inc.query.<kind>` span name.
+    span: &'static str,
+    map: HashMap<K, Arc<V>>,
+}
+
+impl<K: Eq + Hash, V> Query<K, V> {
+    fn new(span: &'static str) -> Self {
+        Query {
+            span,
+            map: HashMap::new(),
+        }
+    }
+
+    /// The one probe site of every query: counts the hit or miss into
+    /// `counter`, opens the query's span tagged `hit` (plus `arg`: the
+    /// function index or count), and on a miss runs `body` under that span
+    /// and memoises its result.
+    fn get(
+        &mut self,
+        key: K,
+        counter: &mut QueryCounter,
+        arg: Option<(&'static str, usize)>,
+        body: impl FnOnce() -> Result<V, CaymanError>,
+    ) -> Result<Arc<V>, CaymanError> {
+        let hit = self.map.get(&key).cloned();
+        let _q = if cayman_obs::enabled() {
+            let mut args = vec![("hit", ArgValue::Bool(hit.is_some()))];
+            args.extend(arg.map(|(name, v)| (name, ArgValue::from(v))));
+            SpanGuard::enter_with(self.span, args)
+        } else {
+            SpanGuard::noop()
+        };
+        if let Some(hit) = hit {
+            counter.hits += 1;
+            return Ok(hit);
+        }
+        counter.misses += 1;
+        let value = Arc::new(body()?);
+        self.map.insert(key, Arc::clone(&value));
+        Ok(value)
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct NormKey {
     raw_fp: u64,
@@ -159,15 +211,12 @@ struct NormResult {
     stats: PipelineStats,
 }
 
+/// A per-function key: one function fingerprint (normalized for shadow and
+/// decode, the analysis fingerprint for dataflow) under the module's array
+/// declarations.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct DecodeKey {
-    norm_fp: u64,
-    arrays_fp: u64,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct ShadowKey {
-    norm_fp: u64,
+struct FuncKey {
+    fp: u64,
     arrays_fp: u64,
 }
 
@@ -182,12 +231,6 @@ struct ShadowResult {
 struct FuncStructure {
     ctx: FuncCtx,
     tree: RegionTree,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct DataflowKey {
-    norm_fp: u64,
-    arrays_fp: u64,
 }
 
 struct FuncDataflow {
@@ -214,7 +257,7 @@ struct TripsKey {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct AppKey {
+pub(crate) struct AppKey {
     module_fp: u64,
     memory_fp: u64,
     level: OptLevel,
@@ -232,33 +275,48 @@ struct SelectKey {
 /// All memoised query results. One store serves one logical application
 /// across any number of edits — every key is content-derived, so stale
 /// entries are merely unreachable, never wrong.
-#[derive(Default)]
-pub struct QueryStore {
-    verified: HashSet<u64>,
-    normalize: HashMap<NormKey, Arc<NormResult>>,
-    shadow: HashMap<ShadowKey, Arc<ShadowResult>>,
-    structure: HashMap<u64, Arc<FuncStructure>>,
-    decode: HashMap<DecodeKey, Arc<Option<DecodedFunction>>>,
-    exec: HashMap<ExecKey, Arc<ExecResult>>,
-    dataflow: HashMap<DataflowKey, Arc<FuncDataflow>>,
-    trips: HashMap<TripsKey, Arc<Vec<f64>>>,
-    apps: HashMap<AppKey, Arc<Application>>,
-    selections: HashMap<SelectKey, Arc<SelectionResult>>,
+pub(crate) struct QueryStore {
+    verified: Query<u64, ()>,
+    normalize: Query<NormKey, NormResult>,
+    shadow: Query<FuncKey, ShadowResult>,
+    structure: Query<u64, FuncStructure>,
+    decode: Query<FuncKey, Option<DecodedFunction>>,
+    exec: Query<ExecKey, ExecResult>,
+    dataflow: Query<FuncKey, FuncDataflow>,
+    trips: Query<TripsKey, Vec<f64>>,
+    apps: Query<AppKey, Application>,
+    selections: Query<SelectKey, SelectionResult>,
     /// Memoised `accel(v, R)` design vectors, shared across edits (keys
     /// carry the function content fingerprint).
-    pub designs: DesignCache,
-    /// Memoised per-function-subtree Pareto fronts.
-    pub fronts: FrontStore,
+    designs: DesignCache,
+    /// Memoised per-function-subtree Pareto fronts, read and extended by
+    /// [`run_selection`].
+    fronts: HashMap<FrontKey, Vec<Solution>>,
     /// Hit/miss accounting.
-    pub stats: IncStats,
+    stats: IncStats,
     /// `stats` as of the last [`QueryStore::publish`].
     published: IncStats,
 }
 
 impl QueryStore {
     /// An empty store.
-    pub fn new() -> Self {
-        QueryStore::default()
+    pub(crate) fn new() -> Self {
+        QueryStore {
+            verified: Query::new("inc.query.verify"),
+            normalize: Query::new("inc.query.normalize"),
+            shadow: Query::new("inc.query.shadow"),
+            structure: Query::new("inc.query.structure"),
+            decode: Query::new("inc.query.decode"),
+            exec: Query::new("inc.query.exec"),
+            dataflow: Query::new("inc.query.dataflow"),
+            trips: Query::new("inc.query.trips"),
+            apps: Query::new("inc.query.app"),
+            selections: Query::new("inc.query.select"),
+            designs: DesignCache::new(),
+            fronts: HashMap::new(),
+            stats: IncStats::default(),
+            published: IncStats::default(),
+        }
     }
 
     /// Adds everything counted since the last call to the process-scope
@@ -280,7 +338,8 @@ impl QueryStore {
     }
 }
 
-/// Assembles a fully analysed [`Application`] over `store`'s queries.
+/// Assembles a fully analysed [`Application`] over `store`'s queries and
+/// returns it with the app key it was memoised under.
 ///
 /// `raw_fps` must be the per-function content fingerprints of `module`'s
 /// (pre-normalization) functions — [`IncrementalApp`] maintains them
@@ -292,7 +351,7 @@ pub(crate) fn assemble(
     memory_fp: u64,
     opts: &AnalyseOptions,
     raw_fps: &[u64],
-) -> Result<Arc<Application>, CaymanError> {
+) -> Result<(AppKey, Arc<Application>), CaymanError> {
     let arrays_fp = fingerprint_arrays(&module.arrays);
     let module_fp = fingerprint_module_from_parts(&module.name, raw_fps, arrays_fp);
     let app_key = AppKey {
@@ -301,101 +360,79 @@ pub(crate) fn assemble(
         level: opts.opt_level,
         verify_each: opts.verify_each_pass,
     };
-    if let Some(app) = store.apps.get(&app_key) {
-        store.stats.app.hits += 1;
-        return Ok(Arc::clone(app));
-    }
-    store.stats.app.misses += 1;
-    let _app_span = cayman_obs::span!("inc.query.app", functions = module.functions.len());
-
-    // Stage 1: verify (whole-module; a hit means this exact raw content
-    // already verified clean).
-    {
-        let _s = cayman_obs::span!("analyse.verify");
-        if store.verified.contains(&module_fp) {
-            store.stats.verify.hits += 1;
-        } else {
-            store.stats.verify.misses += 1;
-            let _q = cayman_obs::span!("inc.query.verify");
-            module.verify()?;
-            store.verified.insert(module_fp);
+    let functions = Some(("functions", module.functions.len()));
+    let counts = &mut store.stats;
+    let app = store.apps.get(app_key, &mut counts.app, functions, || {
+        // Stage 1: verify (whole-module; a hit means this exact raw content
+        // already verified clean).
+        {
+            let _s = cayman_obs::span!("analyse.verify");
+            store
+                .verified
+                .get(module_fp, &mut counts.verify, None, || Ok(module.verify()?))?;
         }
-    }
 
-    // Stage 2: normalize, one keyed query per function. `-O2` *executes*
-    // the `-O1` body (the extra canonicalization lives in analysis shadows,
-    // stage 2b), so the normalize/structure/decode/exec caches are shared
-    // between the two levels and observable behavior is bit-identical.
-    let exec_level = match opts.opt_level {
-        OptLevel::O2 => OptLevel::O1,
-        lvl => lvl,
-    };
-    let mut working = module.clone();
-    let mut norm_fps: Vec<u64> = Vec::with_capacity(working.functions.len());
-    let mut normalize_stats = PipelineStats::default();
-    {
-        let _s = cayman_obs::span!("analyse.normalize");
-        if exec_level == OptLevel::O0 {
-            norm_fps.extend_from_slice(raw_fps);
-        } else {
-            for f in module.function_ids() {
-                let key = NormKey {
-                    raw_fp: raw_fps[f.index()],
-                    arrays_fp,
-                    level: exec_level,
-                    verify_each: opts.verify_each_pass,
-                };
-                let cached = match store.normalize.get(&key) {
-                    Some(hit) => {
-                        store.stats.normalize.hits += 1;
-                        Arc::clone(hit)
-                    }
-                    None => {
-                        store.stats.normalize.misses += 1;
-                        let _q = cayman_obs::span!("inc.query.normalize", func = f.index());
+        // Stage 2: normalize, one keyed query per function. `-O2` *executes*
+        // the `-O1` body (the extra canonicalization lives in analysis
+        // shadows, stage 2b), so the normalize/structure/decode/exec caches
+        // are shared between the two levels and observable behavior is
+        // bit-identical.
+        let exec_level = match opts.opt_level {
+            OptLevel::O2 => OptLevel::O1,
+            lvl => lvl,
+        };
+        let mut working = module.clone();
+        let mut norm_fps: Vec<u64> = Vec::with_capacity(working.functions.len());
+        let mut normalize_stats = PipelineStats::default();
+        {
+            let _s = cayman_obs::span!("analyse.normalize");
+            if exec_level == OptLevel::O0 {
+                norm_fps.extend_from_slice(raw_fps);
+            } else {
+                for f in module.function_ids() {
+                    let key = NormKey {
+                        raw_fp: raw_fps[f.index()],
+                        arrays_fp,
+                        level: exec_level,
+                        verify_each: opts.verify_each_pass,
+                    };
+                    let arg = Some(("func", f.index()));
+                    let cached = store.normalize.get(key, &mut counts.normalize, arg, || {
                         let stats =
                             normalize_function(&mut working, f, exec_level, opts.verify_each_pass)?;
                         let func = working.functions[f.index()].clone();
                         let norm_fp = fingerprint_function(&func);
-                        let res = Arc::new(NormResult {
+                        Ok(NormResult {
                             func,
                             norm_fp,
                             stats,
-                        });
-                        store.normalize.insert(key, Arc::clone(&res));
-                        res
-                    }
-                };
-                working.functions[f.index()] = cached.func.clone();
-                norm_fps.push(cached.norm_fp);
-                normalize_stats.merge(&cached.stats);
+                        })
+                    })?;
+                    working.functions[f.index()] = cached.func.clone();
+                    norm_fps.push(cached.norm_fp);
+                    normalize_stats.merge(&cached.stats);
+                }
             }
         }
-    }
-    let norm_module_fp = fingerprint_module_from_parts(&working.name, &norm_fps, arrays_fp);
+        let norm_module_fp = fingerprint_module_from_parts(&working.name, &norm_fps, arrays_fp);
 
-    // Stage 2b (`-O2` only): per-function address-canonicalization shadows.
-    // The shadow never executes — verification happens on the whole module
-    // in stage 1, and `address_canon`'s identity contract (pinned by the
-    // workload differential suite) keeps every memory/phi/call instruction
-    // in place — so the query runs on a single-function clone.
-    let mut shadows: Vec<Option<Arc<ShadowResult>>> = vec![None; working.functions.len()];
-    let mut analysis_fps = norm_fps.clone();
-    if opts.opt_level == OptLevel::O2 {
-        let _s = cayman_obs::span!("analyse.shadow");
-        for f in working.function_ids() {
-            let key = ShadowKey {
-                norm_fp: norm_fps[f.index()],
-                arrays_fp,
-            };
-            let cached = match store.shadow.get(&key) {
-                Some(hit) => {
-                    store.stats.shadow.hits += 1;
-                    Arc::clone(hit)
-                }
-                None => {
-                    store.stats.shadow.misses += 1;
-                    let _q = cayman_obs::span!("inc.query.shadow", func = f.index());
+        // Stage 2b (`-O2` only): per-function address-canonicalization
+        // shadows. The shadow never executes — verification happens on the
+        // whole module in stage 1, and `address_canon`'s identity contract
+        // (pinned by the workload differential suite) keeps every
+        // memory/phi/call instruction in place — so the query runs on a
+        // single-function clone.
+        let mut shadows: Vec<Option<Arc<ShadowResult>>> = vec![None; working.functions.len()];
+        let mut analysis_fps = norm_fps.clone();
+        if opts.opt_level == OptLevel::O2 {
+            let _s = cayman_obs::span!("analyse.shadow");
+            for f in working.function_ids() {
+                let key = FuncKey {
+                    fp: norm_fps[f.index()],
+                    arrays_fp,
+                };
+                let arg = Some(("func", f.index()));
+                let cached = store.shadow.get(key, &mut counts.shadow, arg, || {
                     let mut tmp = Module {
                         name: working.name.clone(),
                         functions: vec![working.functions[f.index()].clone()],
@@ -406,87 +443,59 @@ pub(crate) fn assemble(
                         .expect("address_canon never verifies, so never fails");
                     let func = tmp.functions.pop().expect("one function");
                     let shadow_fp = fingerprint_function(&func);
-                    let res = Arc::new(ShadowResult {
+                    Ok(ShadowResult {
                         func,
                         shadow_fp,
                         stats,
-                    });
-                    store.shadow.insert(key, Arc::clone(&res));
-                    res
+                    })
+                })?;
+                normalize_stats.merge(&cached.stats);
+                if cached.shadow_fp != norm_fps[f.index()] {
+                    // Analysis facts now depend on both bodies: the executed
+                    // `-O1` one (schedules, profiles) and the shadow (SCEV).
+                    analysis_fps[f.index()] = fnv1a_u64s(&[norm_fps[f.index()], cached.shadow_fp]);
                 }
-            };
-            normalize_stats.merge(&cached.stats);
-            if cached.shadow_fp != norm_fps[f.index()] {
-                // Analysis facts now depend on both bodies: the executed
-                // `-O1` one (schedules, profiles) and the shadow (SCEV).
-                analysis_fps[f.index()] = fnv1a_u64s(&[norm_fps[f.index()], cached.shadow_fp]);
+                shadows[f.index()] = Some(cached);
             }
-            shadows[f.index()] = Some(cached);
         }
-    }
 
-    // Stage 3: profile — wPST from per-function structure queries, then the
-    // whole-module execution query.
-    let (wpst, exec_res, profile) = {
-        let _s = cayman_obs::span!("analyse.profile");
-        let mut trees = Vec::with_capacity(working.functions.len());
-        let mut ctxs = Vec::with_capacity(working.functions.len());
-        for f in working.function_ids() {
-            let key = norm_fps[f.index()];
-            let parts = match store.structure.get(&key) {
-                Some(hit) => {
-                    store.stats.structure.hits += 1;
-                    Arc::clone(hit)
-                }
-                None => {
-                    store.stats.structure.misses += 1;
-                    let _q = cayman_obs::span!("inc.query.structure", func = f.index());
+        // Stage 3: profile — wPST from per-function structure queries, then
+        // the whole-module execution query.
+        let (wpst, exec_res, profile) = {
+            let _s = cayman_obs::span!("analyse.profile");
+            let mut trees = Vec::with_capacity(working.functions.len());
+            let mut ctxs = Vec::with_capacity(working.functions.len());
+            for f in working.function_ids() {
+                let key = norm_fps[f.index()];
+                let arg = Some(("func", f.index()));
+                let parts = store.structure.get(key, &mut counts.structure, arg, || {
                     let func = working.function(f);
                     let ctx = FuncCtx::compute(func);
                     let tree = RegionTree::build(func, &ctx);
-                    let parts = Arc::new(FuncStructure { ctx, tree });
-                    store.structure.insert(key, Arc::clone(&parts));
-                    parts
-                }
-            };
-            trees.push(parts.tree.clone());
-            ctxs.push(parts.ctx.clone());
-        }
-        let wpst = Wpst::from_parts(trees, ctxs);
-
-        let exec_key = ExecKey {
-            norm_module_fp,
-            memory_fp,
-        };
-        let exec_res = match store.exec.get(&exec_key) {
-            Some(hit) => {
-                store.stats.exec.hits += 1;
-                Arc::clone(hit)
+                    Ok(FuncStructure { ctx, tree })
+                })?;
+                trees.push(parts.tree.clone());
+                ctxs.push(parts.ctx.clone());
             }
-            None => {
-                store.stats.exec.misses += 1;
-                let _q = cayman_obs::span!("inc.query.exec");
+            let wpst = Wpst::from_parts(trees, ctxs);
+
+            let exec_key = ExecKey {
+                norm_module_fp,
+                memory_fp,
+            };
+            let exec_res = store.exec.get(exec_key, &mut counts.exec, None, || {
                 // Decode is only needed to execute, so its per-function
                 // queries run lazily inside the exec miss.
                 let mut decoded = Vec::with_capacity(working.functions.len());
                 for f in working.function_ids() {
-                    let key = DecodeKey {
-                        norm_fp: norm_fps[f.index()],
+                    let key = FuncKey {
+                        fp: norm_fps[f.index()],
                         arrays_fp,
                     };
-                    let d = match store.decode.get(&key) {
-                        Some(hit) => {
-                            store.stats.decode.hits += 1;
-                            Arc::clone(hit)
-                        }
-                        None => {
-                            store.stats.decode.misses += 1;
-                            let _q = cayman_obs::span!("inc.query.decode", func = f.index());
-                            let d = Arc::new(decode_function(&working, f));
-                            store.decode.insert(key, Arc::clone(&d));
-                            d
-                        }
-                    };
+                    let arg = Some(("func", f.index()));
+                    let d = store.decode.get(key, &mut counts.decode, arg, || {
+                        Ok(decode_function(&working, f))
+                    })?;
                     decoded.push((*d).clone());
                 }
                 let mut interp = Interp::from_cached_decode(&working, decoded);
@@ -495,36 +504,27 @@ pub(crate) fn assemble(
                     interp.memory = mem.clone();
                 }
                 let exec = interp.run(&[])?;
-                let res = Arc::new(ExecResult { exec, engine });
-                store.exec.insert(exec_key, Arc::clone(&res));
-                res
-            }
+                Ok(ExecResult { exec, engine })
+            })?;
+            let profile = Profile::aggregate(&working, &wpst, &exec_res.exec);
+            (wpst, exec_res, profile)
         };
-        let profile = Profile::aggregate(&working, &wpst, &exec_res.exec);
-        (wpst, exec_res, profile)
-    };
 
-    // Stage 4: analyse — per-function dataflow and trip-count queries.
-    let mut accesses = Vec::with_capacity(working.functions.len());
-    let mut deps = Vec::with_capacity(working.functions.len());
-    let mut trips = Vec::with_capacity(working.functions.len());
-    {
-        let _s = cayman_obs::span!("analyse.dataflow");
-        for f in working.function_ids() {
-            let func = working.function(f);
-            let ctx = &wpst.func_ctxs[f.index()];
-            let dkey = DataflowKey {
-                norm_fp: analysis_fps[f.index()],
-                arrays_fp,
-            };
-            let df = match store.dataflow.get(&dkey) {
-                Some(hit) => {
-                    store.stats.dataflow.hits += 1;
-                    Arc::clone(hit)
-                }
-                None => {
-                    store.stats.dataflow.misses += 1;
-                    let _q = cayman_obs::span!("inc.query.dataflow", func = f.index());
+        // Stage 4: analyse — per-function dataflow and trip-count queries.
+        let mut accesses = Vec::with_capacity(working.functions.len());
+        let mut deps = Vec::with_capacity(working.functions.len());
+        let mut trips = Vec::with_capacity(working.functions.len());
+        {
+            let _s = cayman_obs::span!("analyse.dataflow");
+            for f in working.function_ids() {
+                let func = working.function(f);
+                let ctx = &wpst.func_ctxs[f.index()];
+                let arg = Some(("func", f.index()));
+                let dkey = FuncKey {
+                    fp: analysis_fps[f.index()],
+                    arrays_fp,
+                };
+                let df = store.dataflow.get(dkey, &mut counts.dataflow, arg, || {
                     // At `-O2` with a changed shadow, analyse the shadow:
                     // identical CFG/loops (so `LoopId`s/`InstrId`s map back
                     // onto the executed body), but hoisted + strength-reduced
@@ -540,59 +540,42 @@ pub(crate) fn assemble(
                         _ => (func, ctx),
                     };
                     let mut scev = Scev::new(afunc, actx);
-                    let aa = AccessAnalysis::run(&working, afunc, actx, &mut scev);
-                    let dd = analyse_loop_deps(afunc, actx, &mut scev, &aa);
-                    let df = Arc::new(FuncDataflow {
-                        accesses: aa,
-                        deps: dd,
-                    });
-                    store.dataflow.insert(dkey, Arc::clone(&df));
-                    df
-                }
-            };
-            let tkey = TripsKey {
-                norm_fp: norm_fps[f.index()],
-                arrays_fp,
-                bc_fp: fnv1a_u64s(&profile.block_counts[f.index()]),
-            };
-            let tt = match store.trips.get(&tkey) {
-                Some(hit) => {
-                    store.stats.trips.hits += 1;
-                    Arc::clone(hit)
-                }
-                None => {
-                    store.stats.trips.misses += 1;
-                    let _q = cayman_obs::span!("inc.query.trips", func = f.index());
-                    let tt: Vec<f64> = ctx
+                    let accesses = AccessAnalysis::run(&working, afunc, actx, &mut scev);
+                    let deps = analyse_loop_deps(afunc, actx, &mut scev, &accesses);
+                    Ok(FuncDataflow { accesses, deps })
+                })?;
+                let tkey = TripsKey {
+                    norm_fp: norm_fps[f.index()],
+                    arrays_fp,
+                    bc_fp: fnv1a_u64s(&profile.block_counts[f.index()]),
+                };
+                let tt = store.trips.get(tkey, &mut counts.trips, arg, || {
+                    Ok(ctx
                         .forest
                         .ids()
                         .map(|l| trip_count(&wpst, &profile, func, f, l).unwrap_or(1.0))
-                        .collect();
-                    let tt = Arc::new(tt);
-                    store.trips.insert(tkey, Arc::clone(&tt));
-                    tt
-                }
-            };
-            accesses.push(df.accesses.clone());
-            deps.push(df.deps.clone());
-            trips.push((*tt).clone());
+                        .collect())
+                })?;
+                accesses.push(df.accesses.clone());
+                deps.push(df.deps.clone());
+                trips.push((*tt).clone());
+            }
         }
-    }
 
-    let app = Arc::new(Application {
-        module: working,
-        wpst,
-        profile,
-        exec: exec_res.exec.clone(),
-        accesses,
-        deps,
-        trips,
-        profiling_engine: exec_res.engine,
-        normalize_stats,
-        content_fps: analysis_fps,
-    });
-    store.apps.insert(app_key, Arc::clone(&app));
-    Ok(app)
+        Ok(Application {
+            module: working,
+            wpst,
+            profile,
+            exec: exec_res.exec.clone(),
+            accesses,
+            deps,
+            trips,
+            profiling_engine: exec_res.engine,
+            normalize_stats,
+            content_fps: analysis_fps,
+        })
+    })?;
+    Ok((app_key, app))
 }
 
 /// One edit against an [`IncrementalApp`]'s raw module.
@@ -668,9 +651,18 @@ impl IncrementalApp {
     ///
     /// # Errors
     ///
-    /// `RemoveFunction` fails (leaving the module untouched) when another
-    /// function still calls the target.
+    /// `ReplaceFunction` and `RemoveFunction` fail when `func` is not a
+    /// function of the module, and `RemoveFunction` fails when another
+    /// function still calls the target; both leave the module untouched.
     pub fn apply(&mut self, edit: Edit) -> Result<(), CaymanError> {
+        let len = self.module.functions.len();
+        if let Edit::ReplaceFunction { func, .. } | Edit::RemoveFunction { func } = &edit {
+            if func.index() >= len {
+                let message = format!("`{}` has only {len} functions", self.module.name);
+                let func = func.to_string();
+                return Err(CaymanError::Verify(VerifyError { func, message }));
+            }
+        }
         match edit {
             Edit::ReplaceFunction { func, body } => {
                 self.raw_fps[func.index()] = fingerprint_function(&body);
@@ -741,7 +733,12 @@ impl IncrementalApp {
     /// all previous results, so a failing edit can be reverted and
     /// re-analysed at full cache warmth.
     pub fn analyse(&mut self) -> Result<Arc<Application>, CaymanError> {
-        let app = assemble(
+        Ok(self.analyse_keyed()?.1)
+    }
+
+    /// [`IncrementalApp::analyse`], also returning the app key.
+    fn analyse_keyed(&mut self) -> Result<(AppKey, Arc<Application>), CaymanError> {
+        let res = assemble(
             &mut self.store,
             &self.module,
             self.memory.as_ref(),
@@ -750,7 +747,7 @@ impl IncrementalApp {
             &self.raw_fps,
         );
         self.store.publish();
-        app
+        res
     }
 
     /// Analyses and selects, reusing cached designs and per-function
@@ -758,53 +755,36 @@ impl IncrementalApp {
     ///
     /// The selection key ignores `opts.threads` (the front is
     /// thread-invariant); a re-selection runs the engine `opts.threads`
-    /// picks, and both engines answer clean functions from the front store.
+    /// picks, and both engines answer clean functions from the front table.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`IncrementalApp::analyse`].
     pub fn select(&mut self, opts: &SelectOptions) -> Result<Arc<SelectionResult>, CaymanError> {
-        let app = self.analyse()?;
-        let arrays_fp = fingerprint_arrays(&self.module.arrays);
+        let (app_key, app) = self.analyse_keyed()?;
         let key = SelectKey {
-            app: AppKey {
-                module_fp: fingerprint_module_from_parts(
-                    &self.module.name,
-                    &self.raw_fps,
-                    arrays_fp,
-                ),
-                memory_fp: self.memory_fp,
-                level: self.opts.opt_level,
-                verify_each: self.opts.verify_each_pass,
-            },
+            app: app_key,
             model_fp: opts.model.fingerprint(),
             alpha_bits: opts.alpha.to_bits(),
             prune_bits: opts.prune_share.to_bits(),
         };
-        if let Some(hit) = self.store.selections.get(&key).cloned() {
-            self.store.stats.select.hits += 1;
-            self.store.publish();
-            return Ok(hit);
-        }
-        self.store.stats.select.misses += 1;
-        let _q = cayman_obs::span!("inc.query.select");
-        let model = CaymanModel(opts.model.clone());
-        let inputs = app.inputs();
-        let result = run_selection(
-            &app.module,
-            &app.wpst,
-            &app.profile,
-            &inputs,
-            opts,
-            &model,
-            &self.store.designs,
-            Some(&mut self.store.fronts),
-        );
-        drop(inputs);
-        let result = Arc::new(result);
-        self.store.selections.insert(key, Arc::clone(&result));
-        self.store.publish();
-        Ok(result)
+        let store = &mut self.store;
+        let result = store
+            .selections
+            .get(key, &mut store.stats.select, None, || {
+                Ok(run_selection(
+                    &app.module,
+                    &app.wpst,
+                    &app.profile,
+                    &app.inputs(),
+                    opts,
+                    &CaymanModel(opts.model.clone()),
+                    &store.designs,
+                    Some(&mut store.fronts),
+                ))
+            });
+        store.publish();
+        result
     }
 }
 
@@ -913,7 +893,7 @@ mod tests {
             body: edited_ka(&m),
         })
         .expect("applies");
-        inc.select(&SelectOptions::default()).expect("re-select");
+        let res = inc.select(&SelectOptions::default()).expect("re-select");
         let warm = *inc.stats();
         assert_eq!(warm.edits, 1);
         assert_eq!(
@@ -929,8 +909,8 @@ mod tests {
         assert_eq!(warm.decode.hits - cold.decode.hits, 2);
         assert_eq!(warm.app.misses - cold.app.misses, 1);
         assert_eq!(warm.select.misses - cold.select.misses, 1);
-        // Clean sibling subtrees answer selection from the front store.
-        assert!(inc.store.fronts.hits > 0, "clean subtree fronts reused");
+        // Clean sibling subtrees answer selection from the front table.
+        assert!(res.stats.front_hits > 0, "clean subtree fronts reused");
     }
 
     #[test]
@@ -954,8 +934,8 @@ mod tests {
             assert_eq!(sel.stats.scheduler, engine);
             (
                 fronts_bits(&sel),
-                inc.store.fronts.hits,
-                inc.store.fronts.misses,
+                sel.stats.front_hits,
+                sel.stats.front_misses,
             )
         };
         let (seq_front, seq_hits, seq_misses) = run(1);
@@ -963,7 +943,7 @@ mod tests {
         assert_eq!(par_front, seq_front);
         assert!(
             seq_hits > 0,
-            "clean functions answered from the front store"
+            "clean functions answered from the front table"
         );
         assert_eq!((par_hits, par_misses), (seq_hits, seq_misses));
     }
@@ -1036,6 +1016,27 @@ mod tests {
         let app = inc2.analyse().expect("renumbered module analyses");
         assert_eq!(app.module.functions.len(), 2);
         assert!(app.total_cycles() > 0);
+    }
+
+    #[test]
+    fn out_of_range_function_edits_are_rejected_untouched() {
+        let m = two_kernel_module();
+        let mut inc = IncrementalApp::new(m.clone(), None, AnalyseOptions::default());
+        let missing = FuncId(3);
+        let replace = inc.apply(Edit::ReplaceFunction {
+            func: missing,
+            body: m.functions[0].clone(),
+        });
+        assert!(
+            matches!(replace, Err(CaymanError::Verify(_))),
+            "{replace:?}"
+        );
+        let remove = inc.apply(Edit::RemoveFunction { func: missing });
+        assert!(matches!(remove, Err(CaymanError::Verify(_))), "{remove:?}");
+        assert_eq!(inc.module().to_text(), m.to_text());
+        assert_eq!(inc.stats().edits, 0);
+        let app = inc.analyse().expect("untouched module analyses");
+        assert_eq!(app.module.functions.len(), 3);
     }
 
     /// A kernel whose address arithmetic hides its stream-ness from `-O1`:

@@ -47,7 +47,7 @@ use std::fmt;
 pub use app::{AnalyseOptions, Application};
 pub use cayman_ir::transform::{OptLevel, PipelineStats};
 pub use framework::{BudgetReport, Framework};
-pub use inc::{Edit, IncStats, IncrementalApp, QueryStore};
+pub use inc::{Edit, IncStats, IncrementalApp};
 
 // Re-export the sub-crates under stable names so downstream users need only
 // one dependency.

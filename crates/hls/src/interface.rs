@@ -143,7 +143,7 @@ impl InterfaceKind {
 
 /// A concrete interface configuration: kind plus banking factor, buffering
 /// depth and port count. This is what designs carry per access, what the
-/// scheduler prices, and what `FrontStore` fingerprints.
+/// scheduler prices, and what the selection front keys fingerprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InterfaceSpec {
     /// Interface species.

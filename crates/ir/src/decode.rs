@@ -283,11 +283,11 @@ fn specialise(op: DecodedOp) -> DecodedOp {
 }
 
 /// Dynamic dispatch mix of the *generic* decoded ops: every
-/// [`Instr::Binary`] / [`Instr::Cmp`] that [`specialise`] leaves on the
-/// generic `(op, ty)` dispatch path, weighted by how often its block
-/// executed in `exec`. Returns `(label, dynamic_count)` pairs sorted by
-/// descending count — the specialization shortlist for future fast-path
-/// [`DecodedOp`] variants.
+/// [`Instr::Binary`] / [`Instr::Cmp`] that decode-time specialisation
+/// leaves on the generic `(op, ty)` dispatch path, weighted by how often
+/// its block executed in `exec`. Returns `(label, dynamic_count)` pairs
+/// sorted by descending count — the specialization shortlist for future
+/// fast-path decoded-op variants.
 pub fn generic_dispatch_mix(
     module: &Module,
     exec: &crate::interp::ExecProfile,

@@ -8,7 +8,7 @@
 //!
 //! Two execution engines share the [`Interp::run`] API and semantics:
 //!
-//! * the **decoded engine** ([`crate::decode`], the default) — each function
+//! * the **decoded engine** ([`crate::decode_function`], the default) — each function
 //!   is lowered once into flat opcode streams with operand slots resolved to
 //!   register indices, phi moves compiled into per-predecessor edge tables
 //!   and terminators decoded to direct block indices, then executed over a
@@ -235,10 +235,9 @@ impl ExecProfile {
 }
 
 /// One function's pre-decoded opcode streams, detached from the whole-module
-/// [`crate::decode::DecodedModule`] so incremental pipelines can cache
-/// decodings per *function content* and reassemble an interpreter after an
-/// edit without re-running the decoder's init check (CFG + dominance walks)
-/// on untouched functions.
+/// decoding so incremental pipelines can cache decodings per *function
+/// content* and reassemble an interpreter after an edit without re-running
+/// the decoder's init check (CFG + dominance walks) on untouched functions.
 ///
 /// Obtain one with [`decode_function`]; hand a full, index-aligned set back
 /// to [`Interp::from_cached_decode`]. A handle is only meaningful for a

@@ -17,7 +17,7 @@
 //! loop-invariant parts, so the analysis crate's SCEV sees clean affine
 //! induction expressions.
 //!
-//! [`address_canon`] packages just that loop pipeline with a guarantee the
+//! [`PassManager::address_canon`] packages just that loop pipeline with a guarantee the
 //! full `-O2` pipeline does not make: it preserves `InstrId`s/`ValueId`s
 //! and the CFG exactly (no [`Compact`], no deletions). `cayman-core` runs
 //! it on per-function analysis *shadows* and maps the resulting facts back

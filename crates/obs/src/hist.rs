@@ -9,9 +9,10 @@
 //! updates — so it is safe on the server's per-request hot path (pinned by
 //! the `zero_overhead` test).
 //!
-//! Unlike the event [`crate::recorder`], histograms are *always on*: they
-//! are cheap aggregates, not traces, and the metrics surface must report
-//! real distributions whether or not span tracing is enabled.
+//! Unlike trace events ([`crate::span!`], [`crate::instant`]), histograms
+//! are *always on*: they are cheap aggregates, not traces, and the metrics
+//! surface must report real distributions whether or not span tracing is
+//! enabled.
 //!
 //! [`Histogram::snapshot`] freezes the counters into a plain
 //! [`HistSnapshot`], which is mergeable across threads/processes

@@ -279,7 +279,7 @@ pub fn drain() -> Trace {
     Trace { events }
 }
 
-/// RAII span: records `Begin` on construction (via [`span!`] or
+/// RAII span: records `Begin` on construction (via [`crate::span!`] or
 /// [`SpanGuard::enter`]) and `End` on drop. The disabled form is a no-op
 /// carrying no data.
 #[must_use = "the span ends when the guard drops"]
@@ -289,7 +289,7 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Opens a span unconditionally (callers should check [`enabled`]
-    /// first — the [`span!`] macro does).
+    /// first — the [`crate::span!`] macro does).
     pub fn enter(name: impl Into<Name>) -> SpanGuard {
         let name = name.into();
         push(EventKind::Begin, name.clone(), Vec::new());

@@ -19,7 +19,7 @@
 //! CPU cycles); the model reads only the candidate and its function's
 //! analyses (see [`CandidateKey`]). So an entry stays sound when the
 //! module is edited or re-analysed, and `IncrementalApp` keeps one
-//! cache (`QueryStore::designs`) across edits while `DiskStore` shares
+//! cache in its query store across edits while `DiskStore` shares
 //! entries across processes. `diff::check_incremental` (incremental vs
 //! fresh fronts) and `store/tests/tiered.rs` (disk-warm vs cold fronts) pin
 //! this contract.
@@ -115,7 +115,7 @@ pub enum Source {
 /// across threads within a run.
 ///
 /// Entries are `Arc`ed so hits hand out cheap clones of the design vector.
-/// The table is sharded into [`STRIPES`] independently locked stripes keyed
+/// The table is sharded into 16 independently locked stripes keyed
 /// by a deterministic hash of the [`DesignKey`], so parallel workers probing
 /// different candidates do not serialise on one global lock. The cache
 /// counts nothing itself: the selection DP counts its lookups per run

@@ -31,10 +31,10 @@
 //!   model identity × candidate identity. Selection re-runs over the same
 //!   application (framework comparisons, ablation and α sweeps) hit the
 //!   cache instead of re-running scheduling.
-//! * **Front reuse** — with a [`FrontStore`], a function vertex (root child)
-//!   whose [`FrontKey`] is stored is answered with the stored front: neither
-//!   engine descends into it. Incremental re-selection after an edit only
-//!   re-folds the functions whose key changed.
+//! * **Front reuse** — given a table of folded fronts, a function vertex
+//!   (root child) whose [`FrontKey`] is in it is answered with the stored
+//!   front: neither engine descends into it. Incremental re-selection after
+//!   an edit only re-folds the functions whose key changed.
 //!
 //! A [`SelectStats`] snapshot (per-phase wall time, cache hits/misses,
 //! vertices visited/pruned) rides on every [`SelectionResult`].
@@ -52,6 +52,7 @@ use cayman_ir::fingerprint::fnv1a_u64s;
 use cayman_ir::Module;
 use cayman_obs::Counter;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// An accelerator model: turns a candidate region into configured designs.
@@ -169,10 +170,12 @@ impl SelectionResult {
 /// one analysed application: its keys identify candidates and models, not
 /// modules or profiles.
 ///
-/// With `fronts`, each function vertex whose [`FrontKey`] is stored is
-/// answered from the store, skipping its subtree's DP *and* every model call
+/// With `fronts`, a table of per-function-subtree fronts shared across
+/// re-selections, each function vertex whose [`FrontKey`] is in the table
+/// is answered from it, skipping its subtree's DP *and* every model call
 /// under it; the fronts folded for keys that missed are inserted after the
-/// run. `visited` and the worker stats then reflect only the subtrees
+/// run, and [`SelectStats::front_hits`]/[`SelectStats::front_misses`] count
+/// both. `visited` and the worker stats then reflect only the subtrees
 /// actually folded; they are not part of the front-equivalence surface.
 #[allow(clippy::too_many_arguments)]
 pub fn run_selection(
@@ -183,7 +186,7 @@ pub fn run_selection(
     opts: &SelectOptions,
     model: &dyn AccelModel,
     cache: &DesignCache,
-    fronts: Option<&mut FrontStore>,
+    fronts: Option<&mut HashMap<FrontKey, Vec<Solution>>>,
 ) -> SelectionResult {
     // The obs span is the single wall-clock measurement: it feeds both the
     // trace (when enabled) and the `SelectStats` snapshot.
@@ -194,9 +197,9 @@ pub fn run_selection(
         Vec::new()
     };
     let stored = match fronts.as_deref() {
-        Some(store) => keys
+        Some(table) => keys
             .iter()
-            .map(|k| k.as_ref().and_then(|k| store.map.get(k)).map(Vec::as_slice))
+            .map(|k| k.as_ref().and_then(|k| table.get(k)).map(Vec::as_slice))
             .collect(),
         None => Vec::new(),
     };
@@ -212,7 +215,7 @@ pub fn run_selection(
         reuse: RootReuse {
             keys: &keys,
             stored,
-            folded: Mutex::default(),
+            missed: Mutex::default(),
         },
     };
     let threads = opts.threads.max(1);
@@ -222,9 +225,9 @@ pub fn run_selection(
         (engine.dp(wpst.root()), "seq")
     };
     let stats = engine.stats.snapshot(wall.finish(), threads, scheduler);
-    let folded = engine
+    let missed = engine
         .reuse
-        .folded
+        .missed
         .into_inner()
         .expect("front reuse poisoned");
     // The run's totals reach the process-scope counters once, here. A
@@ -244,12 +247,10 @@ pub fn run_selection(
     mem_hits.add(stats.cache_hits - stats.disk_hits);
     mem_misses.add(stats.cache_misses + stats.disk_hits);
     mem_inserts.add(stats.cache_misses + stats.disk_hits);
-    if let Some(store) = fronts {
-        store.hits += folded.hits;
-        store.misses += folded.missed.len() as u64;
-        front_hits.add(folded.hits);
-        front_misses.add(folded.missed.len() as u64);
-        store.map.extend(folded.missed);
+    front_hits.add(stats.front_hits);
+    front_misses.add(stats.front_misses);
+    if let Some(table) = fronts {
+        table.extend(missed);
     }
     SelectionResult {
         pareto,
@@ -296,43 +297,6 @@ pub struct FrontKey {
     pub prune_bits: u64,
 }
 
-/// Memoised per-function-subtree Pareto fronts, shared across incremental
-/// re-selections. Where the [`DesignCache`] memoises `accel(v, R)` calls,
-/// this store memoises the *entire folded front* of a root-child subtree,
-/// so re-selection after an edit only re-runs the DP below function
-/// vertices whose key actually changed — clean subtrees are answered with
-/// a borrow of the stored front.
-#[derive(Debug, Default)]
-pub struct FrontStore {
-    map: std::collections::HashMap<FrontKey, Vec<Solution>>,
-    /// Subtree fronts answered from the store (across all runs).
-    pub hits: u64,
-    /// Subtree fronts computed and inserted (across all runs).
-    pub misses: u64,
-}
-
-impl FrontStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        FrontStore::default()
-    }
-
-    /// Number of memoised subtree fronts.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drops all memoised fronts (hit/miss counters keep accumulating).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-}
-
 /// The [`FrontKey`] of each root child, in child order. Only function
 /// vertices under a model with a cache identity are keyable; anything else
 /// (custom trees, identity-less models) gets `None` and is always folded.
@@ -366,24 +330,15 @@ fn front_keys(
         .collect()
 }
 
-/// [`FrontStore`] reuse for one run, aligned with the root's children. Both
-/// vectors are empty when the run has no store.
+/// Front reuse for one run, aligned with the root's children. `keys` and
+/// `stored` are empty when the run has no front table.
 struct RootReuse<'a> {
     /// Each root child's [`FrontKey`].
     keys: &'a [Option<FrontKey>],
     /// Each root child's stored front, where its key hit.
     stored: Vec<Option<&'a [Solution]>>,
-    /// Set by the root fold.
-    folded: Mutex<RootFolded>,
-}
-
-/// What the root fold of a run with a front store used.
-#[derive(Default)]
-struct RootFolded {
-    /// Stored fronts it used.
-    hits: u64,
-    /// Fronts it folded for keys that missed.
-    missed: Vec<(FrontKey, Vec<Solution>)>,
+    /// The fronts the root fold folded for keys that missed.
+    missed: Mutex<Vec<(FrontKey, Vec<Solution>)>>,
 }
 
 pub(crate) struct Engine<'a> {
@@ -442,7 +397,7 @@ impl<'a> Engine<'a> {
     /// this keeps the float summation order, and therefore the front,
     /// identical in both engines — then, for a `ctrl-flow` vertex, the union
     /// with its own `accel(v, R)` designs. At the root of a run with a front
-    /// store, the fold also records which keyed fronts were stored (borrowed)
+    /// table, the fold also records which keyed fronts were stored (borrowed)
     /// and which it folded (owned).
     pub(crate) fn fold(
         &self,
@@ -465,11 +420,14 @@ impl<'a> Engine<'a> {
         }
 
         if v == self.wpst.root() && !self.reuse.keys.is_empty() {
-            let mut folded = self.reuse.folded.lock().expect("front reuse poisoned");
+            let mut missed = self.reuse.missed.lock().expect("front reuse poisoned");
             for (key, front) in self.reuse.keys.iter().zip(child_fronts) {
                 match (key, front) {
-                    (Some(_), Cow::Borrowed(_)) => folded.hits += 1,
-                    (Some(key), Cow::Owned(front)) => folded.missed.push((*key, front)),
+                    (Some(_), Cow::Borrowed(_)) => AtomicStats::add_u64(&self.stats.front_hits, 1),
+                    (Some(key), Cow::Owned(front)) => {
+                        AtomicStats::add_u64(&self.stats.front_misses, 1);
+                        missed.push((*key, front));
+                    }
                     (None, _) => {}
                 }
             }
@@ -685,7 +643,7 @@ mod tests {
     }
 
     /// A one-off selection with Cayman's model, a fresh cache and no front
-    /// store.
+    /// table.
     fn select(app: &App, inputs: &[FuncInputs<'_>], opts: &SelectOptions) -> SelectionResult {
         run_selection(
             &app.module,

@@ -10,8 +10,8 @@
 //!   `filter`, and the `⊗` combination operator,
 //! * [`dp`] — Algorithm 1 ([`dp::run_selection`], the one entry point) with
 //!   heuristic pruning, design memoisation and per-function front reuse
-//!   ([`dp::FrontStore`]); its recursive engine runs when
-//!   [`dp::SelectOptions::threads`] `<= 1`,
+//!   (a caller-owned table keyed by [`dp::FrontKey`]); its recursive engine
+//!   runs when [`dp::SelectOptions::threads`] `<= 1`,
 //! * [`sched`] — the work-stealing engine, run when `threads > 1`; both
 //!   engines produce bit-identical fronts,
 //! * [`cache`] — the thread-safe [`cache::DesignCache`] memoising
@@ -29,9 +29,7 @@ pub mod sched;
 pub mod stats;
 
 pub use cache::{DesignCache, DesignKey, DesignStoreBackend, ModelId};
-pub use dp::{
-    run_selection, AccelModel, CaymanModel, FrontKey, FrontStore, SelectOptions, SelectionResult,
-};
+pub use dp::{run_selection, AccelModel, CaymanModel, FrontKey, SelectOptions, SelectionResult};
 pub use pareto::{combine, filter, pareto, SelectedKernel, Solution};
 pub use sched::SchedKind;
 pub use stats::{AccelCallStat, SelectStats, TOP_ACCEL_K};

@@ -8,10 +8,10 @@
 //!    into a task graph. Every `bb` leaf and every `ctrl-flow` vertex's own
 //!    `accel(v, R)` call — the model invocations, which dominate the run —
 //!    becomes an independent task. Every internal vertex becomes an
-//!    [`Inner`] with one *pre-allocated result slot per child* (plus one for
+//!    inner node with one *pre-allocated result slot per child* (plus one for
 //!    its own `accel` result when it is `ctrl-flow`) and a pending counter.
 //!    Pruned children, and function vertices answered from the front
-//!    store, are pre-filled at plan time.
+//!    table, are pre-filled at plan time.
 //! 2. **Execute**: tasks are dealt round-robin onto per-worker
 //!    `Mutex<VecDeque>` deques. Workers pop from the front of their own
 //!    deque and steal from the back of a neighbour's when theirs drains;

@@ -48,6 +48,11 @@ pub struct SelectStats {
     pub disk_hits: u64,
     /// Design-cache misses (model invoked, result memoised).
     pub cache_misses: u64,
+    /// Function-subtree fronts answered from the caller's front table.
+    pub front_hits: u64,
+    /// Function-subtree fronts folded for keys the front table missed (and
+    /// then inserted into it).
+    pub front_misses: u64,
     /// Nanoseconds spent inside the accelerator model, summed over threads.
     pub model_nanos: u64,
     /// Nanoseconds spent in Pareto combine/filter, summed over threads.
@@ -195,6 +200,8 @@ pub(crate) struct AtomicStats {
     pub mem_hits: AtomicU64,
     pub disk_hits: AtomicU64,
     pub cache_misses: AtomicU64,
+    pub front_hits: AtomicU64,
+    pub front_misses: AtomicU64,
     pub model_nanos: AtomicU64,
     pub combine_nanos: AtomicU64,
     /// Candidate pool for the top-k `accel` breakdown (most expensive
@@ -220,6 +227,8 @@ impl Default for AtomicStats {
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
+            front_hits: AtomicU64::new(0),
+            front_misses: AtomicU64::new(0),
             model_nanos: AtomicU64::new(0),
             combine_nanos: AtomicU64::new(0),
             top_accel: TopPool::new(TOP_ACCEL_K, |a, b| {
@@ -286,6 +295,8 @@ impl AtomicStats {
             cache_hits: self.mem_hits.load(Ordering::Relaxed) + disk_hits,
             disk_hits,
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            front_hits: self.front_hits.load(Ordering::Relaxed),
+            front_misses: self.front_misses.load(Ordering::Relaxed),
             model_nanos: self.model_nanos.load(Ordering::Relaxed),
             combine_nanos: self.combine_nanos.load(Ordering::Relaxed),
             wall_nanos,

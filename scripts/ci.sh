@@ -15,6 +15,9 @@ cargo fmt --all --check
 echo "== lints (clippy, offline) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (no warnings: every intra-doc link resolves to a public item) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== profiling throughput (smoke) =="
 cargo bench -p cayman-bench --bench profiling --offline -- --smoke
 
