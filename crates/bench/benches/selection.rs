@@ -10,7 +10,9 @@
 //! * `alpha_sweep/*` — the ablation for the `filter` spacing parameter,
 //! * `workload/*` — end-to-end selection on representative real benchmarks,
 //! * `selection_sched/*` — the sequential reference vs work stealing on
-//!   balanced and skewed wPSTs across thread budgets, written to
+//!   balanced and skewed wPSTs across thread budgets, plus the `suite`
+//!   shape (one Table II op's three selections on every kernel at threads 1
+//!   and 2, where the per-call cost of going parallel shows), written to
 //!   `BENCH_selection.json`.
 //!
 //! ```text
@@ -21,9 +23,11 @@
 use cayman::ir::builder::{FunctionBuilder, ModuleBuilder};
 use cayman::ir::{ArrayId, Type};
 use cayman::select::{run_selection, CaymanModel, DesignCache};
+use cayman::workloads::Workload;
 use cayman::{Framework, SelectOptions, Solution};
 use cayman_bench::harness::{fmt_duration, run};
 use cayman_bench::json;
+use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
@@ -366,6 +370,130 @@ fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
     out
 }
 
+/// Timed repetitions per kernel and thread budget in the `suite` shape.
+const SUITE_REPS: usize = 5;
+
+/// The `suite` shape: per-kernel median wall time of the three selections
+/// one Table II op runs, summed over every kernel, at threads 1 and 2.
+struct SuiteResult {
+    kernels: usize,
+    reps: usize,
+    wall_1_s: f64,
+    wall_2_s: f64,
+    host_2thread_speedup: f64,
+}
+
+/// One Table II op's selections — Cayman, NOVIA, QsCores — on a fresh
+/// `-O1` framework (so every model call is cold, as in the op), timed
+/// without the analysis that builds the framework.
+fn suite_selections(w: &Workload, threads: usize) -> (f64, [Vec<Solution>; 3]) {
+    let fw = Framework::from_workload(w).expect("analyses");
+    let opts = SelectOptions {
+        threads,
+        ..Default::default()
+    };
+    let t0 = Instant::now();
+    let fronts = [
+        fw.select(&opts).pareto,
+        fw.select_novia(&opts).pareto,
+        fw.select_qscores(&opts).pareto,
+    ];
+    (t0.elapsed().as_secs_f64(), fronts)
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// How much sooner two threads finish two equal shares of pure arithmetic
+/// than one thread finishes both: `2.0` with two free cores, `1.0` when a
+/// shared host lends no second core. The suite shape's threads-2 time can
+/// only beat threads 1 when this is well above 1. Median of three rounds.
+fn measure_host_2thread_speedup() -> f64 {
+    fn spin(n: u64) -> u64 {
+        let mut x = black_box(0x9E37_79B9_7F4A_7C15u64);
+        let mut acc = 0u64;
+        for _ in 0..n {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            acc = acc.wrapping_add(x & 0xff);
+        }
+        acc
+    }
+    const SHARE: u64 = 20_000_000;
+    let rounds = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(spin(SHARE));
+            black_box(spin(SHARE));
+            let one_thread = t0.elapsed().as_secs_f64();
+            let t0 = Instant::now();
+            std::thread::scope(|s| {
+                s.spawn(|| black_box(spin(SHARE)));
+                black_box(spin(SHARE));
+            });
+            one_thread / t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    median(rounds)
+}
+
+/// The suite shape over all kernels of `workloads::full()`. Thread budgets
+/// alternate which runs first on each repetition, so host drift hits both
+/// alike. Every kernel's three fronts are asserted bit-identical across
+/// the two budgets.
+fn bench_suite(smoke: bool) -> SuiteResult {
+    println!("# selection_sched/suite — Table II selections per kernel at threads 1 vs 2");
+    let workloads = cayman::workloads::full();
+    let reps = if smoke { 1 } else { SUITE_REPS };
+    let host_2thread_speedup = measure_host_2thread_speedup();
+    let (mut wall_1_s, mut wall_2_s) = (0.0, 0.0);
+    for w in &workloads {
+        let mut secs = [Vec::new(), Vec::new()];
+        let mut fronts: [Option<[Vec<Solution>; 3]>; 2] = [None, None];
+        for rep in 0..reps {
+            for i in [rep % 2, 1 - rep % 2] {
+                let (s, f) = suite_selections(w, i + 1);
+                secs[i].push(s);
+                fronts[i] = Some(f);
+            }
+        }
+        let [Some(seq), Some(par)] = &fronts else {
+            unreachable!("every budget ran at least once")
+        };
+        for (a, b) in seq.iter().zip(par) {
+            assert!(
+                fronts_identical(a, b),
+                "suite: {} diverged between threads 1 and 2",
+                w.name
+            );
+        }
+        let [s1, s2] = secs;
+        wall_1_s += median(s1);
+        wall_2_s += median(s2);
+    }
+    let result = SuiteResult {
+        kernels: workloads.len(),
+        reps,
+        wall_1_s,
+        wall_2_s,
+        host_2thread_speedup,
+    };
+    println!(
+        "{:<36} {} kernels: threads=1 {}, threads=2 {} ({:.2}x of threads=1; \
+         host 2-thread speedup {:.2}x)",
+        "selection_sched/suite",
+        result.kernels,
+        fmt_duration(wall_1_s),
+        fmt_duration(wall_2_s),
+        wall_2_s / wall_1_s,
+        host_2thread_speedup
+    );
+    result
+}
+
 /// The tentpole's near-zero-cost claim, as a tracked number: nanoseconds per
 /// disabled `span!` + always-on `Counter::add` pair on the selection
 /// hot-path shape. The per-event cost must stay within a couple of atomic
@@ -396,7 +524,7 @@ fn measure_obs_disabled_ns() -> f64 {
 }
 
 /// Machine-readable output via the shared `cayman_bench::json` writer.
-fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
+fn sched_json(results: &[ShapeResult], suite: &SuiteResult, obs_disabled_ns: f64) -> String {
     let host = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -404,11 +532,22 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
         o.str("bench", "selection_sched");
         o.u64("host_parallelism", host as u64);
         o.str(
+            "build_profile",
+            if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
+        );
+        o.str(
             "note",
             "wall_s shows no parallel speedup when the host has fewer free cores than \
              threads; makespan_s is the modeled parallel completion time from measured CPU time: \
              the greedy bound max(total work / workers, most expensive single task); the modeled \
-             parallelism is busy_s / makespan_s",
+             parallelism is busy_s / makespan_s; the suite shape's wall times are sums over \
+             kernels of the per-kernel median of its reps, and its host_2thread_speedup is how \
+             much sooner two threads finished two equal arithmetic shares than one thread, \
+             measured just before it (2 = two free cores, 1 = no second core to be had)",
         );
         o.f64("obs_disabled_span_ns", obs_disabled_ns, 1);
         o.arr("shapes", |a| {
@@ -429,6 +568,20 @@ fn sched_json(results: &[ShapeResult], obs_disabled_ns: f64) -> String {
                     });
                 });
             }
+            a.obj(|o| {
+                o.str("shape", "suite");
+                o.u64("kernels", suite.kernels as u64);
+                o.u64("reps", suite.reps as u64);
+                o.f64("host_2thread_speedup", suite.host_2thread_speedup, 2);
+                o.f64("wall_seq_s", suite.wall_1_s, 6);
+                o.arr("runs", |a| {
+                    a.obj(|o| {
+                        o.u64("threads", 2);
+                        o.f64("wall_s", suite.wall_2_s, 6);
+                        o.f64("wall_over_seq", suite.wall_2_s / suite.wall_1_s, 3);
+                    });
+                });
+            });
         });
         o.obj("modeled_parallelism_at_8_threads", |o| {
             for r in results {
@@ -442,13 +595,15 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
         bench_scheduler_comparison(true);
+        bench_suite(true);
         let obs_ns = measure_obs_disabled_ns();
         assert!(
             obs_ns < 1_000.0,
             "disabled tracing costs {obs_ns:.0} ns per span — not near-zero"
         );
         println!(
-            "smoke mode: fronts bit-identical across engines and thread budgets; \
+            "smoke mode: fronts bit-identical across engines and thread budgets \
+             (synthetic shapes and all suite kernels); \
              BENCH_selection.json left untouched"
         );
         return;
@@ -459,8 +614,10 @@ fn main() {
     bench_alpha_sweep();
     bench_real_workloads();
     let results = bench_scheduler_comparison(false);
+    let suite = bench_suite(false);
     let obs_ns = measure_obs_disabled_ns();
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_selection.json");
-    std::fs::write(&path, sched_json(&results, obs_ns)).expect("write BENCH_selection.json");
+    std::fs::write(&path, sched_json(&results, &suite, obs_ns))
+        .expect("write BENCH_selection.json");
     println!("wrote {}", path.display());
 }

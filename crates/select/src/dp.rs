@@ -24,8 +24,9 @@
 //! layers sit on top of the paper's algorithm:
 //!
 //! * **Parallel subtrees** — the work-stealing scheduler turns every model
-//!   call into a task and spreads them over scoped worker threads
-//!   (`std::thread::scope`; no external dependencies).
+//!   call into a task; the calling thread works through them while parked
+//!   helpers of one process-wide pool steal what is left (no external
+//!   dependencies).
 //! * **Design memoisation** — `accel(v, R)` is pure given the analysed
 //!   application, so its results are memoised in a [`DesignCache`] keyed by
 //!   model identity × candidate identity. Selection re-runs over the same
@@ -61,8 +62,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// frameworks (NOVIA, QsCores) plug in their own restricted models so the
 /// same Algorithm 1 selection machinery drives all three comparisons.
 ///
-/// Models must be [`Sync`]: the parallel DP invokes them from scoped worker
-/// threads. Every bundled model is a stateless value, so this is free.
+/// Models must be [`Sync`]: the parallel DP invokes them from the selection
+/// pool's helper threads. Every bundled model is a stateless value, so this
+/// is free.
 pub trait AccelModel: Sync {
     /// Configurations for accelerating `cand` as one extracted kernel.
     fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign>;
@@ -767,7 +769,7 @@ mod tests {
             assert_eq!(par.stats.scheduler, "steal");
             assert!(
                 !par.stats.worker_busy_nanos.is_empty(),
-                "threads={threads} spawned no workers"
+                "threads={threads} ran no workers"
             );
             // A repeated run must also be bit-identical: no steal
             // interleaving may leak into the front.
@@ -775,6 +777,79 @@ mod tests {
             assert!(
                 fronts_identical(&par.pareto, &again.pareto),
                 "threads={threads} is not reproducible"
+            );
+        }
+    }
+
+    /// Cayman's model, recording every candidate it is asked about.
+    #[derive(Default)]
+    struct Recording(Mutex<Vec<cayman_hls::inputs::CandidateKey>>);
+
+    impl AccelModel for Recording {
+        fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign> {
+            self.0.lock().expect("recording").push(cand.key());
+            CaymanModel::default().designs(inputs, cand)
+        }
+    }
+
+    /// Cayman's model, except that it panics on one chosen candidate.
+    struct PanicsOn(cayman_hls::inputs::CandidateKey);
+
+    impl AccelModel for PanicsOn {
+        fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign> {
+            if cand.key() == self.0 {
+                panic!("model panics on the chosen vertex");
+            }
+            CaymanModel::default().designs(inputs, cand)
+        }
+    }
+
+    #[test]
+    fn a_model_panic_reaches_the_caller_and_the_pool_recovers() {
+        let app = App::analyse(two_kernel_app());
+        let inputs = app.inputs();
+        let opts = |threads| SelectOptions {
+            threads,
+            ..Default::default()
+        };
+        let run = |opts: &SelectOptions, model: &dyn AccelModel| {
+            run_selection(
+                &app.module,
+                &app.wpst,
+                &app.profile,
+                &inputs,
+                opts,
+                model,
+                &DesignCache::new(),
+                None,
+            )
+        };
+        let reference = run(&opts(1), &CaymanModel::default());
+        let seen = Recording::default();
+        run(&opts(1), &seen);
+        let seen = seen.0.into_inner().expect("recording");
+        assert!(seen.len() > 2, "the model was asked about several vertices");
+        // The caller pops the first planned task and helpers steal from the
+        // back, so the two ends put the panic on either side.
+        for chosen in [seen.first(), seen.last()] {
+            let model = PanicsOn(chosen.expect("a candidate").clone());
+            for threads in [2usize, 4] {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run(&opts(threads), &model)
+                }));
+                let payload = outcome.expect_err("the model's panic reaches the caller");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&"model panics on the chosen vertex"),
+                    "threads={threads}"
+                );
+            }
+        }
+        for threads in [2usize, 4] {
+            let after = run(&opts(threads), &CaymanModel::default());
+            assert!(
+                fronts_identical(&reference.pareto, &after.pareto),
+                "threads={threads} after a panic changed the front"
             );
         }
     }

@@ -12,7 +12,8 @@
 //!   heuristic pruning, design memoisation and per-function front reuse
 //!   (a caller-owned table keyed by [`dp::FrontKey`]); its recursive engine
 //!   runs when [`dp::SelectOptions::threads`] `<= 1`,
-//! * [`sched`] — the work-stealing engine, run when `threads > 1`; both
+//! * [`sched`] — the work-stealing engine, run when `threads > 1` by the
+//!   calling thread and the parked helpers of one process-wide pool; both
 //!   engines produce bit-identical fronts,
 //! * [`cache`] — the thread-safe [`cache::DesignCache`] memoising
 //!   `accel(v, R)` results across selection runs,
@@ -25,6 +26,7 @@
 pub mod cache;
 pub mod dp;
 pub mod pareto;
+mod pool;
 pub mod sched;
 pub mod stats;
 

@@ -12,16 +12,23 @@
 //!    its own `accel` result when it is `ctrl-flow`) and a pending counter.
 //!    Pruned children, and function vertices answered from the front
 //!    table, are pre-filled at plan time.
-//! 2. **Execute**: tasks are dealt round-robin onto per-worker
-//!    `Mutex<VecDeque>` deques. Workers pop from the front of their own
-//!    deque and steal from the back of a neighbour's when theirs drains;
-//!    since the plan seeds every task up front and execution never enqueues
-//!    new ones, a worker can exit as soon as all deques are empty.
+//! 2. **Execute**: every task goes onto one `Mutex<VecDeque>`. The caller
+//!    is worker 0: it pops from the front until the deque is empty. The
+//!    other `threads - 1` workers run on the process-wide selection pool
+//!    (`crate::pool`): parked helpers that wake when the run starts and
+//!    steal from the back while at least two tasks remain. They leave the
+//!    last task to the caller, which would otherwise sit waiting for a
+//!    helper to finish it. Execution never enqueues tasks, so an empty
+//!    deque is terminal. A helper that wakes after the caller has drained
+//!    the deque finds nothing to do, so a small wPST costs about what
+//!    `Engine::dp` costs.
 //! 3. **Combine**: delivering a result into the last empty slot of an
 //!    `Inner` makes its owner run `Engine::fold` over the slots — the fold
 //!    the sequential engine runs, *strictly in child order* — and cascade
 //!    the folded front into the parent's slot, iteratively up the tree (no
-//!    recursion, so deep `ctrl-flow` chains cannot overflow the stack).
+//!    recursion, so deep `ctrl-flow` chains cannot overflow the stack). The
+//!    cascade stops below the root: the caller folds the root, usually the
+//!    largest fold of the run, once every helper has left.
 //!
 //! Determinism does not depend on the steal interleaving: each slot value is
 //! a pure function of its subtree, the fold consumes slots in child order,
@@ -32,6 +39,7 @@
 
 use crate::dp::Engine;
 use crate::pareto::{filter, pareto, Solution};
+use crate::pool;
 use crate::stats::{thread_cpu_nanos, AtomicStats};
 use cayman_analysis::wpst::WpstNodeId;
 use std::borrow::Cow;
@@ -64,21 +72,22 @@ struct Inner<'a> {
     /// One result per child, in child order (plus the `ctrl` slot). Pruned
     /// children and stored fronts are pre-filled at plan time.
     slots: Mutex<Vec<Option<Cow<'a, [Solution]>>>>,
-    /// Undelivered slots. The worker that delivers the last one folds.
+    /// Undelivered slots. The worker that delivers the last one folds,
+    /// except at the root, which the caller folds after the run.
     pending: AtomicUsize,
 }
 
 /// A unit of schedulable work. All tasks are seeded before workers start;
 /// running a task never enqueues another (folds cascade inline), which is
-/// what makes "exit when every deque is empty" a sound termination rule.
+/// what makes "exit when the deque is empty" a sound termination rule.
 enum Task {
     /// A `bb` leaf: `F[v] = filter(pareto(accel(v, R)))` into `dest`.
     Bb { v: WpstNodeId, dest: Dest },
     /// A `ctrl-flow` vertex's own `accel(v, R)`, delivered raw into its
     /// trailing slot (the fold applies `pareto`/`filter` after extending).
     Accel { v: WpstNodeId, dest: Dest },
-    /// An internal vertex whose slots were all pre-filled at plan time
-    /// (every child pruned, or no children): just run its fold.
+    /// A non-root internal vertex whose slots were all pre-filled at plan
+    /// time (every child pruned, or no children): just run its fold.
     Ready { inner: u32 },
 }
 
@@ -108,39 +117,34 @@ pub(crate) fn run_work_stealing(engine: &Engine<'_>, threads: usize) -> Vec<Solu
         return filter(pareto(engine.accel(root)), engine.opts.alpha);
     }
     let (inners, tasks) = plan(engine, root);
-
     let workers = threads.min(tasks.len()).max(1);
-    let queues: Vec<Mutex<VecDeque<Task>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        queues[i % workers]
-            .lock()
-            .expect("sched queue poisoned")
-            .push_back(task);
-    }
-
     let sched = Sched {
         engine,
         inners,
-        queues,
-        result: Mutex::new(None),
+        deque: Mutex::new(tasks.into()),
     };
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let sched = &sched;
-            scope.spawn(move || sched.worker(w));
-        }
-    });
-    sched
-        .result
-        .into_inner()
-        .expect("sched result poisoned")
-        .expect("root fold completed")
+    let stats = &engine.stats;
+    let caller_busy = pool::run(
+        workers,
+        &|w| stats.record_worker_busy(sched.worker(w)),
+        || sched.worker(0),
+    );
+    // Every task has run and every helper has left, so the root's slots
+    // are all delivered. Its fold is one more task of the caller's.
+    let cpu0 = thread_cpu_nanos();
+    let span = cayman_obs::span!("select.task.fold");
+    let front = sched.fold(&sched.inners[0]);
+    drop(span);
+    let fold_nanos = thread_cpu_nanos().saturating_sub(cpu0);
+    stats.record_task_nanos(fold_nanos);
+    stats.record_worker_busy(caller_busy + fold_nanos);
+    front
 }
 
-/// Flattens the unpruned wPST into the task graph. Single-threaded, so the
-/// `visited`/`pruned` counts it records are identical to the sequential
-/// run's regardless of how execution later interleaves.
+/// Flattens the unpruned wPST into the task graph, the root first in the
+/// returned inners. Single-threaded, so the `visited`/`pruned` counts it
+/// records are identical to the sequential run's regardless of how
+/// execution later interleaves.
 fn plan<'a>(engine: &Engine<'a>, root: WpstNodeId) -> (Vec<Inner<'a>>, Vec<Task>) {
     let mut inners: Vec<Inner<'a>> = Vec::new();
     let mut tasks: Vec<Task> = Vec::new();
@@ -180,7 +184,7 @@ fn plan<'a>(engine: &Engine<'a>, root: WpstNodeId) -> (Vec<Inner<'a>>, Vec<Task>
             });
             pending += 1;
         }
-        if pending == 0 {
+        if pending == 0 && parent.is_some() {
             tasks.push(Task::Ready { inner: idx });
         }
         inners.push(Inner {
@@ -197,15 +201,13 @@ fn plan<'a>(engine: &Engine<'a>, root: WpstNodeId) -> (Vec<Inner<'a>>, Vec<Task>
 struct Sched<'e, 'a> {
     engine: &'e Engine<'a>,
     inners: Vec<Inner<'a>>,
-    queues: Vec<Mutex<VecDeque<Task>>>,
-    result: Mutex<Option<Vec<Solution>>>,
+    deque: Mutex<VecDeque<Task>>,
 }
 
 impl<'a> Sched<'_, 'a> {
-    fn worker(&self, w: usize) {
-        // Name this thread's trace lane so every worker shows up as its own
-        // row in chrome://tracing.
-        cayman_obs::lane(|| format!("select.worker.{w}"));
+    /// Runs worker `w` until [`Sched::pop`] ends its run; returns its busy
+    /// CPU nanoseconds.
+    fn worker(&self, w: usize) -> u64 {
         let cpu0 = thread_cpu_nanos();
         let mut t0 = cpu0;
         while let Some(task) = self.pop(w) {
@@ -218,37 +220,22 @@ impl<'a> Sched<'_, 'a> {
             self.engine.stats.record_task_nanos(t1.saturating_sub(t0));
             t0 = t1;
         }
-        self.engine
-            .stats
-            .record_worker_busy(thread_cpu_nanos().saturating_sub(cpu0));
+        t0.saturating_sub(cpu0)
     }
 
-    /// Pops from the front of the worker's own deque, or steals from the
-    /// back of the first non-empty neighbour. `None` means every deque is
-    /// empty — terminal, because execution never enqueues tasks.
+    /// The caller (worker 0) pops from the front; a helper steals from the
+    /// back while at least two tasks remain. `None` ends the worker's run:
+    /// execution never enqueues tasks.
     fn pop(&self, w: usize) -> Option<Task> {
-        if let Some(task) = self.queues[w]
-            .lock()
-            .expect("sched queue poisoned")
-            .pop_front()
-        {
-            return Some(task);
+        let mut deque = self.deque.lock().expect("sched deque poisoned");
+        if w == 0 {
+            return deque.pop_front();
         }
-        let n = self.queues.len();
-        for k in 1..n {
-            let victim = (w + k) % n;
-            if let Some(task) = self.queues[victim]
-                .lock()
-                .expect("sched queue poisoned")
-                .pop_back()
-            {
-                cayman_obs::instant_with("select.steal", || {
-                    vec![("victim", cayman_obs::ArgValue::from(victim))]
-                });
-                return Some(task);
-            }
+        if deque.len() < 2 {
+            return None;
         }
-        None
+        cayman_obs::instant("select.steal");
+        deque.pop_back()
     }
 
     fn run_task(&self, task: Task) {
@@ -278,26 +265,22 @@ impl<'a> Sched<'_, 'a> {
     /// Folds a completed vertex and cascades the result upward: each fold
     /// that completes its parent continues with the parent, iteratively, so
     /// a deep chain of `ctrl-flow` vertices folds in one loop instead of a
-    /// recursion as deep as the tree.
+    /// recursion as deep as the tree. The cascade stops at the root, which
+    /// the caller folds after the run.
     fn finish(&self, mut inner: u32) {
         loop {
             let node = &self.inners[inner as usize];
+            let Some((p, slot)) = node.parent else {
+                return;
+            };
             let front = self.fold(node);
-            match node.parent {
-                None => {
-                    *self.result.lock().expect("sched result poisoned") = Some(front);
-                    return;
-                }
-                Some((p, slot)) => {
-                    let parent = &self.inners[p as usize];
-                    parent.slots.lock().expect("sched slots poisoned")[slot as usize] =
-                        Some(Cow::Owned(front));
-                    if parent.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
-                        return;
-                    }
-                    inner = p;
-                }
+            let parent = &self.inners[p as usize];
+            parent.slots.lock().expect("sched slots poisoned")[slot as usize] =
+                Some(Cow::Owned(front));
+            if parent.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
+                return;
             }
+            inner = p;
         }
     }
 

@@ -67,13 +67,14 @@ pub struct SelectStats {
     /// Which engine ran the DP: `"seq"` (the recursive reference) or
     /// `"steal"` (work stealing); empty on hand-built snapshots.
     pub scheduler: &'static str,
-    /// Per-worker busy CPU nanoseconds, largest first, one entry per
-    /// work-stealing worker thread; empty for sequential runs.
+    /// Per-worker busy CPU nanoseconds, largest first: one entry for the
+    /// calling thread (worker 0, root fold included) and one per pool
+    /// helper that joined the run; empty for sequential runs.
     pub worker_busy_nanos: Vec<u64>,
     /// CPU nanoseconds of the most expensive single task the work-stealing
-    /// scheduler executed (a model call, or a fold cascade reaching the
-    /// root); `0` for sequential runs. An indivisible-work floor for the
-    /// modeled makespan.
+    /// scheduler executed (a model call with the fold cascade it
+    /// triggered, or the root fold); `0` for sequential runs. An
+    /// indivisible-work floor for the modeled makespan.
     pub max_task_nanos: u64,
 }
 
@@ -108,7 +109,7 @@ impl SelectStats {
     }
 
     /// Total worker CPU seconds — the parallelisable work the scheduler
-    /// distributes. `0` for sequential runs (no workers were spawned).
+    /// distributes. `0` for sequential runs (no workers ran).
     pub fn busy_seconds(&self) -> f64 {
         self.worker_busy_nanos.iter().sum::<u64>() as f64 * 1e-9
     }
@@ -189,8 +190,9 @@ impl fmt::Display for SelectStats {
 
 /// The live, thread-shared accumulator behind [`SelectStats`]. All updates
 /// are relaxed atomics: counters are independent, and the final snapshot
-/// happens after every worker has joined (scoped threads), so no ordering
-/// stronger than `Relaxed` is needed.
+/// happens after every pool helper has left the run (the pool's state lock
+/// orders their updates before it), so no ordering stronger than `Relaxed`
+/// is needed.
 #[derive(Debug)]
 pub(crate) struct AtomicStats {
     pub visited: AtomicUsize,
@@ -263,8 +265,8 @@ impl AtomicStats {
         self.max_task.fetch_max(nanos, Ordering::Relaxed);
     }
 
-    /// Records one worker thread's busy CPU time, called as the worker
-    /// exits.
+    /// Records one worker's busy CPU time, once its part of the run is
+    /// over.
     pub fn record_worker_busy(&self, nanos: u64) {
         self.worker_busy
             .lock()
