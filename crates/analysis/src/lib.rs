@@ -46,6 +46,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod banking;
 pub mod ctx;

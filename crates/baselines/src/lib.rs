@@ -19,6 +19,8 @@
 //! their Pareto fronts — the comparison isolates the *accelerator model*
 //! differences exactly as Table I frames them.
 
+#![forbid(unsafe_code)]
+
 pub mod novia;
 pub mod qscores;
 

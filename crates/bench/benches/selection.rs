@@ -13,7 +13,9 @@
 //!   balanced and skewed wPSTs across thread budgets, plus the `suite`
 //!   shape (one Table II op's three selections on every kernel at threads 1
 //!   and 2, where the per-call cost of going parallel shows), written to
-//!   `BENCH_selection.json`.
+//!   `BENCH_selection.json`. Every number there is a wall time measured on
+//!   the host that wrote it; per-worker time is in the trace's
+//!   `select.worker.<n>` lanes, not here.
 //!
 //! ```text
 //! cargo bench -p cayman-bench --bench selection            # full, writes BENCH_selection.json
@@ -253,43 +255,18 @@ fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
         })
 }
 
-/// One work-stealing measurement on one shape.
-struct SchedPoint {
-    threads: usize,
-    wall_s: f64,
-    busy_s: f64,
-    makespan_s: f64,
-    balance: f64,
-}
-
-/// Engine comparison over one wPST shape.
+/// Engine comparison over one wPST shape: the sequential wall time and the
+/// work-stealing wall time per thread budget.
 struct ShapeResult {
     shape: &'static str,
     wall_seq_s: f64,
-    points: Vec<SchedPoint>,
+    points: Vec<(usize, f64)>,
 }
 
-impl ShapeResult {
-    /// How far work stealing at `threads` spreads the work: the run's total
-    /// busy time over its modeled makespan. Both come from the same run, so
-    /// host noise between separate measurements cannot move the ratio.
-    fn modeled_parallelism(&self, threads: usize) -> f64 {
-        self.points
-            .iter()
-            .find(|p| p.threads == threads)
-            .map_or(0.0, |p| p.busy_s / p.makespan_s.max(1e-12))
-    }
-}
-
-/// The tracked benchmark: selection wall time and per-worker busy time on a
-/// balanced and a skewed wPST, sequentially and with work stealing at
-/// 2/4/8 threads. Every parallel run's front is asserted bit-identical to
-/// the sequential one.
-///
-/// Wall time only shows parallel speedup when the host has free cores; the
-/// *modeled* makespan (see [`cayman::SelectStats::makespan_seconds`]) —
-/// built from measured per-worker and per-task CPU time — shows how well
-/// the work spreads even on a saturated or single-core host.
+/// The tracked benchmark: selection wall time on a balanced and a skewed
+/// wPST, sequentially and with work stealing at 2/4/8 threads. Every
+/// parallel run's front is asserted bit-identical to the sequential one.
+/// Wall time only shows parallel speedup when the host has free cores.
 fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
     println!("# selection_sched — sequential vs work stealing (uncached)");
     let mut out = Vec::new();
@@ -329,7 +306,7 @@ fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
             );
             assert_eq!(res.visited, reference.visited, "{label}");
             assert_eq!(
-                res.configs_evaluated, reference.configs_evaluated,
+                res.stats.configs_considered, reference.stats.configs_considered,
                 "{label}"
             );
             let wall_s = if smoke {
@@ -337,35 +314,13 @@ fn bench_scheduler_comparison(smoke: bool) -> Vec<ShapeResult> {
             } else {
                 run(&label, || select_uncached(&fw, &opts)).min_s
             };
-            if threads == 8 {
-                println!(
-                    "{:<36} stealx8: model {} + combine {}, max task {}, busy {}",
-                    "",
-                    fmt_duration(res.stats.model_seconds()),
-                    fmt_duration(res.stats.combine_seconds()),
-                    fmt_duration(res.stats.max_task_nanos as f64 * 1e-9),
-                    fmt_duration(res.stats.busy_seconds()),
-                );
-            }
-            points.push(SchedPoint {
-                threads,
-                wall_s,
-                busy_s: res.stats.busy_seconds(),
-                makespan_s: res.stats.makespan_seconds(),
-                balance: res.stats.load_balance(),
-            });
+            points.push((threads, wall_s));
         }
-        let result = ShapeResult {
+        out.push(ShapeResult {
             shape,
             wall_seq_s,
             points,
-        };
-        println!(
-            "{:<36} modeled parallelism of stealx8: {:.2}x",
-            "",
-            result.modeled_parallelism(8)
-        );
-        out.push(result);
+        });
     }
     out
 }
@@ -541,11 +496,9 @@ fn sched_json(results: &[ShapeResult], suite: &SuiteResult, obs_disabled_ns: f64
         );
         o.str(
             "note",
-            "wall_s shows no parallel speedup when the host has fewer free cores than \
-             threads; makespan_s is the modeled parallel completion time from measured CPU time: \
-             the greedy bound max(total work / workers, most expensive single task); the modeled \
-             parallelism is busy_s / makespan_s; the suite shape's wall times are sums over \
-             kernels of the per-kernel median of its reps, and its host_2thread_speedup is how \
+            "every time is wall time, measured on the host that wrote this file; wall_s shows no \
+             parallel speedup when the host has fewer free cores than threads; the suite shape's wall \
+             times are sums over kernels of the per-kernel median of its reps, and its host_2thread_speedup is how \
              much sooner two threads finished two equal arithmetic shares than one thread, \
              measured just before it (2 = two free cores, 1 = no second core to be had)",
         );
@@ -556,13 +509,10 @@ fn sched_json(results: &[ShapeResult], suite: &SuiteResult, obs_disabled_ns: f64
                     o.str("shape", r.shape);
                     o.f64("wall_seq_s", r.wall_seq_s, 6);
                     o.arr("runs", |a| {
-                        for p in &r.points {
+                        for &(threads, wall_s) in &r.points {
                             a.obj(|o| {
-                                o.u64("threads", p.threads as u64);
-                                o.f64("wall_s", p.wall_s, 6);
-                                o.f64("busy_s", p.busy_s, 6);
-                                o.f64("makespan_s", p.makespan_s, 6);
-                                o.f64("balance", p.balance, 3);
+                                o.u64("threads", threads as u64);
+                                o.f64("wall_s", wall_s, 6);
                             });
                         }
                     });
@@ -582,11 +532,6 @@ fn sched_json(results: &[ShapeResult], suite: &SuiteResult, obs_disabled_ns: f64
                     });
                 });
             });
-        });
-        o.obj("modeled_parallelism_at_8_threads", |o| {
-            for r in results {
-                o.f64(r.shape, r.modeled_parallelism(8), 2);
-            }
         });
     })
 }

@@ -14,6 +14,8 @@
 //! scaling (the α-filter complexity claim) and the accelerator-model hot
 //! paths — no external benchmark framework, so everything builds offline.
 
+#![forbid(unsafe_code)]
+
 use cayman::workloads::Workload;
 use cayman::{
     AnalyseOptions, Framework, ModelOptions, OptLevel, SelectOptions, SelectStats, CVA6_TILE_AREA,
@@ -411,16 +413,12 @@ pub fn average_row(rows: &[Table2Row]) -> Table2Row {
             stats.wall_nanos += s.wall_nanos;
             stats.threads = stats.threads.max(s.threads);
             stats.scheduler = s.scheduler;
-            stats
-                .worker_busy_nanos
-                .extend_from_slice(&s.worker_busy_nanos);
             stats.top_accel.extend(s.top_accel.iter().cloned());
         }
         stats
             .top_accel
             .sort_unstable_by(|a, b| b.nanos.cmp(&a.nanos).then(a.label.cmp(&b.label)));
         stats.top_accel.truncate(cayman::TOP_ACCEL_K);
-        stats.worker_busy_nanos.sort_unstable_by(|a, b| b.cmp(a));
         stats
     };
     Table2Row {

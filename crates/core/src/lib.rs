@@ -37,6 +37,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod framework;
 pub mod inc;

@@ -62,7 +62,7 @@ fn parallel_selection_is_deterministic_on_real_workloads() {
             );
             assert_eq!(par.visited, seq.visited, "{name}: visited count");
             assert_eq!(
-                par.configs_evaluated, seq.configs_evaluated,
+                par.stats.configs_considered, seq.stats.configs_considered,
                 "{name}: configs considered"
             );
         }
@@ -93,7 +93,10 @@ fn warm_cache_selection_is_exact_on_real_workloads() {
             "{name}: warm run never invokes the model"
         );
         // counters the DP derives from design flow stay identical
-        assert_eq!(warm.configs_evaluated, cold.configs_evaluated, "{name}");
+        assert_eq!(
+            warm.stats.configs_considered, cold.stats.configs_considered,
+            "{name}"
+        );
         assert_eq!(warm.visited, cold.visited, "{name}");
     }
 }

@@ -80,6 +80,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod design;
 pub mod inputs;
 pub mod interface;

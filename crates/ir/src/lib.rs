@@ -42,6 +42,8 @@
 //! assert_eq!(module.function(f).name, "scale");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cfg;
 pub mod cpu_model;

@@ -17,6 +17,8 @@
 //! * [`merge`] — the greedy loop and [`merge::MergeResult`] (reusable
 //!   accelerator grouping + area-saving percentages).
 
+#![forbid(unsafe_code)]
+
 pub mod dfg;
 pub mod merge;
 

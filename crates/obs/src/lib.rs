@@ -14,7 +14,8 @@
 //!   tracing is on, so METRICS and the trace read one source (scopes: see
 //!   [`registry`]). **Instants** ([`instant`], [`diag`]) mark points in time.
 //! * **Lanes** — [`lane`] names the calling thread (one lane per
-//!   work-stealing worker in the trace viewer).
+//!   work-stealing worker in the trace viewer). A worker's time is read
+//!   off the spans on its lane.
 //! * **Histograms & metrics** — [`hist`] provides fixed-size log-bucketed
 //!   (HDR-style) latency histograms whose record path is lock- and
 //!   allocation-free, mergeable across threads and queryable for
@@ -43,13 +44,14 @@
 //! selection, profiling, or merging, so fronts and profiles are bit-identical
 //! with tracing on or off.
 
+#![forbid(unsafe_code)]
+
 mod export;
 pub mod hist;
 pub mod pool;
 pub mod promtext;
 mod recorder;
 pub mod registry;
-pub mod time;
 pub mod trace;
 
 pub use export::Trace;
@@ -58,7 +60,6 @@ pub use recorder::{
     lane, timed, timed_with, ArgValue, Event, EventKind, Name, SpanGuard, TimedSpan, STRIPES,
 };
 pub use registry::Counter;
-pub use time::thread_cpu_nanos;
 
 /// Opens a span over the enclosing scope; the returned guard ends it on
 /// drop. Near-zero cost when tracing is disabled: one relaxed atomic check,

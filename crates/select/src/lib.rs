@@ -22,6 +22,11 @@
 //!
 //! See [`dp::SelectionResult::best_under`] for extracting the best solution
 //! under an area budget (the paper's 25% / 65% CVA6-tile budgets).
+//!
+//! The crate's one `unsafe` operation is the pool's lifetime erasure; the
+//! lint below keeps it the only one.
+
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod dp;

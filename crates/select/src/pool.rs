@@ -18,14 +18,20 @@
 //!
 //! A helper body borrows its run's scheduler state, which lives on the
 //! caller's stack, so handing it to a `'static` helper erases a lifetime.
-//! That erasure is this module's only `unsafe`; its soundness argument is
+//! That erasure is the crate's only `unsafe`; its soundness argument is
 //! that [`run`] neither returns nor unwinds until every helper that took the
 //! run has left it. A panic in a helper is caught there and re-raised on
 //! the caller once the run is over.
+//!
+//! The time the caller spends waiting for helpers to leave, from the end
+//! of its own body until the last helper is out, goes into the always-on
+//! `select.pool.wait.nanos` histogram, once per run that claimed the pool.
 
+use cayman_obs::hist::Histogram;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// One run's helper body: `work(w)` runs worker `w >= 1`.
 type Work<'a> = dyn Fn(usize) + Sync + 'a;
@@ -79,15 +85,28 @@ fn lock() -> MutexGuard<'static, State> {
     POOL.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The caller's wait for its run's helpers, in nanoseconds.
+fn wait_hist() -> &'static Histogram {
+    static WAIT: OnceLock<&'static Histogram> = OnceLock::new();
+    WAIT.get_or_init(|| cayman_obs::registry::hist("select.pool.wait.nanos"))
+}
+
 /// Runs `caller` on the calling thread while up to `workers - 1` pool
-/// helpers run `helpers(1)`, `helpers(2)`, …, and returns `caller`'s result
-/// once every helper that joined has finished. `caller` must finish the
-/// run's work alone if no helper joins, and `helpers` must return for any
-/// index however many others run; the scheduler's workers do both. A panic
-/// in either reaches the caller after the run is over.
-pub(crate) fn run<R>(workers: usize, helpers: &Work<'_>, caller: impl FnOnce() -> R) -> R {
+/// helpers run `helpers(1)`, `helpers(2)`, …, and returns once every helper
+/// that joined has finished. `caller` must finish the run's work alone if
+/// no helper joins, and `helpers` must return for any index however many
+/// others run; the scheduler's workers do both. A panic in either reaches
+/// the caller after the run is over.
+#[allow(unsafe_code)]
+pub(crate) fn run(workers: usize, helpers: &Work<'_>, caller: impl FnOnce()) {
     let wanted = workers.saturating_sub(1);
-    if wanted == 0 || !claim(wanted) {
+    if wanted == 0 {
+        return caller();
+    }
+    // Fetched before the claim: from the claim until `owned` is cleared
+    // below, nothing may panic.
+    let wait = wait_hist();
+    if !claim(wanted) {
         return caller();
     }
     // SAFETY: only the lifetime changes. The erased reference is stored in
@@ -111,18 +130,26 @@ pub(crate) fn run<R>(workers: usize, helpers: &Work<'_>, caller: impl FnOnce() -
     for _ in 0..wanted {
         POOL.wake.notify_one();
     }
+    // The kernel often queues a woken helper on the caller's own CPU, where
+    // it would not start until the caller is next preempted; by then the
+    // caller has usually drained the deque alone. Yielding once lets such
+    // a helper join now.
+    std::thread::yield_now();
     let result = panic::catch_unwind(AssertUnwindSafe(caller));
+    let waiting = Instant::now();
     let mut st = lock();
     st.work = None;
     while st.active > 0 {
         st = POOL.left.wait(st).unwrap_or_else(PoisonError::into_inner);
     }
+    // Recorded while the run still owns the pool, so no other run's wait
+    // lands between this run's claim and its release.
+    wait.record(waiting.elapsed().as_nanos() as u64);
     let helper_panic = st.panic.take();
     st.owned = false;
     drop(st);
-    match (result, helper_panic) {
-        (Err(payload), _) | (Ok(_), Some(payload)) => panic::resume_unwind(payload),
-        (Ok(result), None) => result,
+    if let Some(payload) = result.err().or(helper_panic) {
+        panic::resume_unwind(payload);
     }
 }
 
@@ -182,5 +209,67 @@ fn helper(n: usize) {
             }
             _ => st = POOL.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    /// Waits until `flag` is set or `limit` has passed; whether it was set.
+    fn await_flag(flag: &AtomicBool, limit: Duration) -> bool {
+        let t0 = Instant::now();
+        while !flag.load(Ordering::Acquire) {
+            if t0.elapsed() > limit {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn a_claimed_run_records_the_callers_wait_once() {
+        const HOLD: Duration = Duration::from_millis(20);
+        let hist = wait_hist();
+        // Other tests' runs may own the pool when this one starts, or record
+        // their own wait between this run's release and the read below: a
+        // try that sees either is retried.
+        for _ in 0..50 {
+            let joined = AtomicBool::new(false);
+            let returned = AtomicBool::new(false);
+            let mut before = hist.snapshot();
+            run(
+                2,
+                &|_| {
+                    joined.store(true, Ordering::Release);
+                    await_flag(&returned, Duration::from_secs(10));
+                    std::thread::sleep(HOLD);
+                },
+                || {
+                    // A helper joins only a run that claimed the pool, and
+                    // only the owning run records, so this reading stays
+                    // current until this run records its wait.
+                    before = hist.snapshot();
+                    await_flag(&joined, Duration::from_secs(1));
+                    returned.store(true, Ordering::Release);
+                },
+            );
+            let after = hist.snapshot();
+            if !joined.load(Ordering::Acquire) || after.count() != before.count() + 1 {
+                continue;
+            }
+            let hold = HOLD.as_nanos() as u64;
+            assert!(
+                after.sum() - before.sum() >= hold,
+                "recorded {} ns for a {hold} ns hold",
+                after.sum() - before.sum()
+            );
+            assert!(after.max() >= hold, "max {} ns", after.max());
+            return;
+        }
+        panic!("no try ran uncontended with a helper joined");
     }
 }

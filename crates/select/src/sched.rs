@@ -30,6 +30,9 @@
 //!    cascade stops below the root: the caller folds the root, usually the
 //!    largest fold of the run, once every helper has left.
 //!
+//! Each task runs under a `select.task.*` trace span on its worker's lane,
+//! which is where per-worker time is read.
+//!
 //! Determinism does not depend on the steal interleaving: each slot value is
 //! a pure function of its subtree, the fold consumes slots in child order,
 //! and `visited`/`pruned` are counted once during the single-threaded plan.
@@ -40,7 +43,7 @@
 use crate::dp::Engine;
 use crate::pareto::{filter, pareto, Solution};
 use crate::pool;
-use crate::stats::{thread_cpu_nanos, AtomicStats};
+use crate::stats::AtomicStats;
 use cayman_analysis::wpst::WpstNodeId;
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -123,22 +126,11 @@ pub(crate) fn run_work_stealing(engine: &Engine<'_>, threads: usize) -> Vec<Solu
         inners,
         deque: Mutex::new(tasks.into()),
     };
-    let stats = &engine.stats;
-    let caller_busy = pool::run(
-        workers,
-        &|w| stats.record_worker_busy(sched.worker(w)),
-        || sched.worker(0),
-    );
+    pool::run(workers, &|w| sched.worker(w), || sched.worker(0));
     // Every task has run and every helper has left, so the root's slots
     // are all delivered. Its fold is one more task of the caller's.
-    let cpu0 = thread_cpu_nanos();
-    let span = cayman_obs::span!("select.task.fold");
-    let front = sched.fold(&sched.inners[0]);
-    drop(span);
-    let fold_nanos = thread_cpu_nanos().saturating_sub(cpu0);
-    stats.record_task_nanos(fold_nanos);
-    stats.record_worker_busy(caller_busy + fold_nanos);
-    front
+    let _span = cayman_obs::span!("select.task.fold");
+    sched.fold(&sched.inners[0])
 }
 
 /// Flattens the unpruned wPST into the task graph, the root first in the
@@ -205,22 +197,12 @@ struct Sched<'e, 'a> {
 }
 
 impl<'a> Sched<'_, 'a> {
-    /// Runs worker `w` until [`Sched::pop`] ends its run; returns its busy
-    /// CPU nanoseconds.
-    fn worker(&self, w: usize) -> u64 {
-        let cpu0 = thread_cpu_nanos();
-        let mut t0 = cpu0;
+    /// Runs worker `w` until [`Sched::pop`] ends its run.
+    fn worker(&self, w: usize) {
         while let Some(task) = self.pop(w) {
-            let span = cayman_obs::span!(task.trace_name());
+            let _span = cayman_obs::span!(task.trace_name());
             self.run_task(task);
-            drop(span);
-            // Per-task CPU time (including any fold cascade the task
-            // triggered): the indivisible-work floor of the makespan model.
-            let t1 = thread_cpu_nanos();
-            self.engine.stats.record_task_nanos(t1.saturating_sub(t0));
-            t0 = t1;
         }
-        t0.saturating_sub(cpu0)
     }
 
     /// The caller (worker 0) pops from the front; a helper steals from the

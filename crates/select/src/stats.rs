@@ -3,12 +3,13 @@
 //! work-stealing engine can update them from every worker thread. Timing numbers
 //! come from `cayman-obs` [`TimedSpan`](cayman_obs::TimedSpan)s — the
 //! snapshot here is a *view over the same recorder* that feeds the Chrome
-//! trace, not a parallel measurement mechanism.
+//! trace, not a parallel measurement mechanism. Per-worker time is not
+//! summarised here: it is the `select.task.*` spans on each
+//! `select.worker.<n>` trace lane.
 
 use cayman_obs::pool::TopPool;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// How many of the most expensive `accel(v, R)` model invocations a
 /// [`SelectStats`] snapshot keeps.
@@ -67,15 +68,6 @@ pub struct SelectStats {
     /// Which engine ran the DP: `"seq"` (the recursive reference) or
     /// `"steal"` (work stealing); empty on hand-built snapshots.
     pub scheduler: &'static str,
-    /// Per-worker busy CPU nanoseconds, largest first: one entry for the
-    /// calling thread (worker 0, root fold included) and one per pool
-    /// helper that joined the run; empty for sequential runs.
-    pub worker_busy_nanos: Vec<u64>,
-    /// CPU nanoseconds of the most expensive single task the work-stealing
-    /// scheduler executed (a model call with the fold cascade it
-    /// triggered, or the root fold); `0` for sequential runs. An
-    /// indivisible-work floor for the modeled makespan.
-    pub max_task_nanos: u64,
 }
 
 impl SelectStats {
@@ -90,57 +82,10 @@ impl SelectStats {
         }
     }
 
-    /// Wall-clock seconds of the whole run.
-    pub fn wall_seconds(&self) -> f64 {
-        self.wall_nanos as f64 * 1e-9
-    }
-
-    /// Seconds spent in the accelerator model (CPU time summed over
-    /// threads, so this can exceed [`wall_seconds`](Self::wall_seconds) when
-    /// `threads > 1`).
+    /// Seconds spent in the accelerator model (wall time summed over
+    /// threads, so this can exceed the run's wall time when `threads > 1`).
     pub fn model_seconds(&self) -> f64 {
         self.model_nanos as f64 * 1e-9
-    }
-
-    /// Seconds spent combining/filtering Pareto sequences (summed over
-    /// threads).
-    pub fn combine_seconds(&self) -> f64 {
-        self.combine_nanos as f64 * 1e-9
-    }
-
-    /// Total worker CPU seconds — the parallelisable work the scheduler
-    /// distributes. `0` for sequential runs (no workers ran).
-    pub fn busy_seconds(&self) -> f64 {
-        self.worker_busy_nanos.iter().sum::<u64>() as f64 * 1e-9
-    }
-
-    /// Modeled makespan in seconds: how long the run would take on a host
-    /// with at least `threads` free cores. `0` for sequential runs.
-    ///
-    /// The per-worker split measured on an oversubscribed host is an
-    /// artefact of OS scheduling — one worker can drain every queue before
-    /// the others are even dispatched — so the greedy-scheduling bound
-    /// `max(total work / workers, most expensive single task)` is used
-    /// instead. Both terms are measured CPU time, and the bound never
-    /// exceeds the busiest worker.
-    pub fn makespan_seconds(&self) -> f64 {
-        let n = self.worker_busy_nanos.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let ideal = self.busy_seconds() / n as f64;
-        ideal.max(self.max_task_nanos as f64 * 1e-9)
-    }
-
-    /// Load balance in `(0, 1]`: total busy time over `workers × busiest
-    /// worker`. `1.0` means every worker carried the same load (and for runs
-    /// with no workers, where there is nothing to balance).
-    pub fn load_balance(&self) -> f64 {
-        let n = self.worker_busy_nanos.len();
-        if n == 0 || self.worker_busy_nanos[0] == 0 {
-            return 1.0;
-        }
-        self.busy_seconds() / (n as f64 * self.makespan_seconds())
     }
 
     /// The top-k `accel(v, R)` breakdown as printable lines, most expensive
@@ -174,15 +119,12 @@ impl fmt::Display for SelectStats {
             self.cache_hits + self.cache_misses,
             self.cache_hit_rate() * 100.0,
             self.model_seconds() * 1e3,
-            self.combine_seconds() * 1e3,
-            self.wall_seconds() * 1e3,
+            self.combine_nanos as f64 * 1e-6,
+            self.wall_nanos as f64 * 1e-6,
             self.threads.max(1),
         )?;
         if !self.scheduler.is_empty() {
             write!(f, " [{}]", self.scheduler)?;
-        }
-        if !self.worker_busy_nanos.is_empty() {
-            write!(f, ", balance {:.2}", self.load_balance())?;
         }
         Ok(())
     }
@@ -211,12 +153,6 @@ pub(crate) struct AtomicStats {
     /// invocations are orders of magnitude more expensive than the push, so
     /// contention is negligible.
     top_accel: TopPool<AccelCallStat>,
-    /// One busy-CPU-nanoseconds entry per worker (pushed once at worker
-    /// exit, so contention is a non-issue).
-    worker_busy: Mutex<Vec<u64>>,
-    /// CPU nanoseconds of the most expensive single scheduler task seen so
-    /// far (work-stealing runs only).
-    max_task: AtomicU64,
 }
 
 impl Default for AtomicStats {
@@ -236,8 +172,6 @@ impl Default for AtomicStats {
             top_accel: TopPool::new(TOP_ACCEL_K, |a, b| {
                 b.nanos.cmp(&a.nanos).then_with(|| a.label.cmp(&b.label))
             }),
-            worker_busy: Mutex::new(Vec::new()),
-            max_task: AtomicU64::new(0),
         }
     }
 }
@@ -260,20 +194,6 @@ impl AtomicStats {
         });
     }
 
-    /// Records one scheduler task's CPU time; keeps the maximum.
-    pub fn record_task_nanos(&self, nanos: u64) {
-        self.max_task.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    /// Records one worker's busy CPU time, once its part of the run is
-    /// over.
-    pub fn record_worker_busy(&self, nanos: u64) {
-        self.worker_busy
-            .lock()
-            .expect("stats mutex poisoned")
-            .push(nanos);
-    }
-
     /// Freezes the accumulator into a snapshot.
     pub fn snapshot(
         &self,
@@ -282,12 +202,6 @@ impl AtomicStats {
         scheduler: &'static str,
     ) -> SelectStats {
         let top_accel = self.top_accel.snapshot();
-        let mut worker_busy = self
-            .worker_busy
-            .lock()
-            .expect("stats mutex poisoned")
-            .clone();
-        worker_busy.sort_unstable_by(|a, b| b.cmp(a));
         let disk_hits = self.disk_hits.load(Ordering::Relaxed);
         SelectStats {
             visited: self.visited.load(Ordering::Relaxed),
@@ -305,16 +219,9 @@ impl AtomicStats {
             threads,
             top_accel,
             scheduler,
-            worker_busy_nanos: worker_busy,
-            max_task_nanos: self.max_task.load(Ordering::Relaxed),
         }
     }
 }
-
-/// CPU time consumed by the calling thread, in nanoseconds — now provided
-/// by the shared observability substrate so busy accounting and trace
-/// timestamps come from the same clock family.
-pub(crate) use cayman_obs::thread_cpu_nanos;
 
 #[cfg(test)]
 mod tests {
@@ -341,12 +248,6 @@ mod tests {
         AtomicStats::add_u64(&a.cache_misses, 6);
         AtomicStats::add_u64(&a.model_nanos, 1_000);
         AtomicStats::add_u64(&a.combine_nanos, 2_000);
-        a.record_worker_busy(300);
-        a.record_worker_busy(900);
-        a.record_worker_busy(600);
-        a.record_task_nanos(400);
-        a.record_task_nanos(700);
-        a.record_task_nanos(250);
         let s = a.snapshot(5_000, 4, "steal");
         assert_eq!(s.visited, 5);
         assert_eq!(s.pruned, 2);
@@ -358,43 +259,11 @@ mod tests {
         assert_eq!(s.wall_nanos, 5_000);
         assert_eq!(s.threads, 4);
         assert_eq!(s.scheduler, "steal");
-        assert_eq!(s.worker_busy_nanos, vec![900, 600, 300], "sorted desc");
-        assert_eq!(s.max_task_nanos, 700, "fetch_max keeps the largest task");
-        assert!((s.busy_seconds() - 1_800e-9).abs() < 1e-15);
-        // greedy bound = max(1800/3, 700) = 700ns
-        assert!((s.makespan_seconds() - 700e-9).abs() < 1e-15);
-        assert!((s.load_balance() - 1800.0 / (3.0 * 700.0)).abs() < 1e-12);
-        // no dominant task: ideal split = 1800/3 = 600ns
-        let mut even = s.clone();
-        even.max_task_nanos = 0;
-        assert!((even.makespan_seconds() - 600e-9).abs() < 1e-15);
         // the Display line mentions the key numbers
         let line = s.to_string();
         assert!(line.contains("visited 5"), "{line}");
         assert!(line.contains("40%"), "{line}");
         assert!(line.contains("[steal]"), "{line}");
-        assert!(line.contains("balance"), "{line}");
-    }
-
-    #[test]
-    fn busy_helpers_handle_no_workers() {
-        let s = SelectStats::default();
-        assert_eq!(s.busy_seconds(), 0.0);
-        assert_eq!(s.makespan_seconds(), 0.0);
-        assert_eq!(s.load_balance(), 1.0);
-        assert!(!s.to_string().contains("balance"));
-    }
-
-    #[test]
-    fn thread_cpu_clock_is_monotone_and_advances() {
-        let a = thread_cpu_nanos();
-        let mut x = 0u64;
-        for i in 0..2_000_000u64 {
-            x = x.wrapping_add(i ^ x.rotate_left(7));
-        }
-        std::hint::black_box(x);
-        let b = thread_cpu_nanos();
-        assert!(b > a, "spin consumed no CPU time ({a} → {b})");
     }
 
     #[test]

@@ -235,7 +235,10 @@ fn random_tree_shapes_select_identically_across_schedulers() {
             );
             prop_assert_eq!(par.visited, reference.visited);
             prop_assert_eq!(par.stats.pruned, reference.stats.pruned);
-            prop_assert_eq!(par.configs_evaluated, reference.configs_evaluated);
+            prop_assert_eq!(
+                par.stats.configs_considered,
+                reference.stats.configs_considered
+            );
         }
         Ok(())
     });

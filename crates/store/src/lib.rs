@@ -22,6 +22,8 @@
 //! `CAYMAN_STORE_DIR` is set, so a second `table2 --corpus` run is served
 //! disk-warm with zero model evaluations.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod codec;
 pub mod disk;

@@ -27,6 +27,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod coremark;
 pub mod corpus;
 pub mod data;

@@ -78,10 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let selection = fw.select(&SelectOptions::default());
     println!(
-        "\n=== Algorithm 1: {} Pareto-optimal solutions ({} vertices visited, {} configs evaluated) ===",
+        "\n=== Algorithm 1: {} Pareto-optimal solutions ({} vertices visited, {} configs considered) ===",
         selection.pareto.len(),
         selection.visited,
-        selection.configs_evaluated
+        selection.stats.configs_considered
     );
     for sol in &selection.pareto {
         let (sb, pr) = sol.sb_pr();

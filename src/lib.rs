@@ -1,1 +1,3 @@
 //! Umbrella package hosting workspace-level integration tests and examples.
+
+#![forbid(unsafe_code)]
