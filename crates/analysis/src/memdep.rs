@@ -21,7 +21,7 @@ use crate::scev::Scev;
 use cayman_ir::instr::{Instr, Operand};
 use cayman_ir::loops::LoopId;
 use cayman_ir::module::ValueDef;
-use cayman_ir::{Function, InstrId};
+use cayman_ir::{Function, InstrId, IrView};
 
 /// A loop-carried dependence through memory.
 #[derive(Debug, Clone)]
@@ -72,14 +72,14 @@ impl LoopDeps {
     /// can still be unrolled by splitting the accumulator into partial sums
     /// (the standard HLS reduction transform); the recurrence II is untouched
     /// but throughput scales with the unroll factor.
-    pub fn is_reduction_only(&self, func: &Function) -> bool {
+    pub fn is_reduction_only(&self, ir: &impl IrView) -> bool {
         use cayman_ir::instr::BinOp;
         if !self.mem.is_empty() || self.conservative || self.scalar.is_empty() {
             return false;
         }
         self.scalar.iter().all(|r| {
             matches!(r.chain.as_slice(), [single] if matches!(
-                func.instr(*single),
+                ir.instr(*single),
                 Instr::Binary {
                     op: BinOp::Add
                         | BinOp::Mul

@@ -9,12 +9,12 @@
 //! path in the fused unit; loads/stores remain ordinary CPU instructions.
 
 use cayman_hls::design::AcceleratorDesign;
-use cayman_hls::inputs::{Candidate, FuncInputs};
+use cayman_hls::inputs::{Candidate, FuncInputs, RegionInputs};
 use cayman_hls::oplib::{dedicated_area, ACCEL_FREQ_HZ};
 use cayman_hls::schedule::critical_path_with;
 use cayman_ir::cpu_model::{instr_cycles, CPU_FREQ_HZ};
 use cayman_ir::instr::Instr;
-use cayman_ir::InstrId;
+use cayman_ir::{InstrId, IrView};
 use cayman_select::{AccelModel, ModelId};
 
 /// Per-invocation overhead of triggering the inline unit (operand routing).
@@ -32,20 +32,22 @@ impl AccelModel for NoviaModel {
         if !cand.is_bb || cand.entries == 0 {
             return Vec::new();
         }
-        let func = inputs.func();
         let [block] = cand.blocks.as_slice() else {
             return Vec::new();
         };
+        // Reads through the candidate's read set, like Cayman's model: the
+        // shared design cache keys both on it.
+        let r = &RegionInputs::new(inputs, cand);
 
         // The offloadable DFG: compute ops only.
-        let dfg: Vec<InstrId> = func
+        let dfg: Vec<InstrId> = r
             .block(*block)
             .instrs
             .iter()
             .copied()
             .filter(|&i| {
                 !matches!(
-                    func.instr(i),
+                    r.instr(i),
                     Instr::Load { .. }
                         | Instr::Store { .. }
                         | Instr::Gep { .. }
@@ -60,19 +62,19 @@ impl AccelModel for NoviaModel {
         }
 
         // CPU cycles the DFG costs when issued sequentially on the core.
-        let cpu_dfg: u64 = dfg.iter().map(|&i| instr_cycles(func.instr(i))).sum();
+        let cpu_dfg: u64 = dfg.iter().map(|&i| instr_cycles(r.instr(i))).sum();
         // Fused unit evaluates the DFG along its critical path (CPU clock;
         // per-op latencies match the core's functional units).
-        let latency = |i: InstrId| instr_cycles(func.instr(i)).max(1);
-        let cp = critical_path_with(func, &dfg, &latency) + NOVIA_INVOKE_CYCLES;
+        let latency = |i: InstrId| instr_cycles(r.instr(i)).max(1);
+        let cp = critical_path_with(r, &dfg, &latency) + NOVIA_INVOKE_CYCLES;
 
-        let count = inputs.count(*block);
+        let count = r.count(*block);
         let cpu_cycles_covered = cpu_dfg * count;
         // Express the inline unit's time in accelerator-frequency cycles so
         // `saved_seconds` (which divides by ACCEL_FREQ_HZ) is exact.
         let accel_cycles_total = cp as f64 * count as f64 * (ACCEL_FREQ_HZ / CPU_FREQ_HZ);
 
-        let area: f64 = dfg.iter().map(|&i| dedicated_area(func.instr(i))).sum();
+        let area: f64 = dfg.iter().map(|&i| dedicated_area(r.instr(i))).sum();
 
         vec![AcceleratorDesign {
             func: cand.func,
@@ -112,6 +114,7 @@ mod tests {
         ctx: FuncCtx,
         accesses: AccessAnalysis,
         deps: Vec<cayman_analysis::memdep::LoopDeps>,
+        prints: cayman_hls::inputs::FuncPrints,
     }
 
     fn prepare(module: Module) -> Owned {
@@ -120,7 +123,9 @@ mod tests {
         let mut scev = Scev::new(f, &ctx);
         let accesses = AccessAnalysis::run(&module, f, &ctx, &mut scev);
         let deps = analyse_loop_deps(f, &ctx, &mut scev, &accesses);
+        let prints = cayman_hls::inputs::FuncPrints::compute(&module, f, &ctx, &accesses, &deps);
         Owned {
+            prints,
             ctx,
             accesses,
             deps,
@@ -159,6 +164,7 @@ mod tests {
             trips: &[64.0],
             block_counts: &[1, 65, 64, 1],
             content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
+            prints: &o.prints,
         };
         let cand = Candidate {
             func: FuncId(0),
@@ -166,7 +172,6 @@ mod tests {
             entries: 64,
             cpu_cycles: 64 * 40,
             is_bb: true,
-            content_fp: inp.content_fp,
         };
         let designs = NoviaModel.designs(&inp, &cand);
         assert_eq!(designs.len(), 1);
@@ -192,6 +197,7 @@ mod tests {
             trips: &[64.0],
             block_counts: &[1, 65, 64, 1],
             content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
+            prints: &o.prints,
         };
         let l = o.ctx.forest.ids().next().expect("loop");
         let cand = Candidate {
@@ -200,7 +206,6 @@ mod tests {
             entries: 1,
             cpu_cycles: 5000,
             is_bb: false,
-            content_fp: inp.content_fp,
         };
         assert!(NoviaModel.designs(&inp, &cand).is_empty());
     }
@@ -217,6 +222,7 @@ mod tests {
             trips: &[64.0],
             block_counts: &[1, 65, 64, 1],
             content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
+            prints: &o.prints,
         };
         // entry block has no compute DFG
         let cand = Candidate {
@@ -225,7 +231,6 @@ mod tests {
             entries: 1,
             cpu_cycles: 10,
             is_bb: true,
-            content_fp: inp.content_fp,
         };
         assert!(NoviaModel.designs(&inp, &cand).is_empty());
     }

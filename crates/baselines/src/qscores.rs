@@ -9,12 +9,12 @@
 //! load pays a long round-trip and accesses serialise on the single chain.
 
 use cayman_hls::design::AcceleratorDesign;
-use cayman_hls::inputs::{Candidate, FuncInputs};
+use cayman_hls::inputs::{Candidate, FuncInputs, RegionInputs};
 use cayman_hls::interface::InterfaceSpec;
 use cayman_hls::oplib::{accel_latency, fu_area, fu_class, FuClass, FSM_STATE_AREA, REG_AREA};
 use cayman_hls::schedule::critical_path_with;
 use cayman_ir::instr::Instr;
-use cayman_ir::InstrId;
+use cayman_ir::{InstrId, IrView};
 use cayman_select::{AccelModel, ModelId};
 use std::collections::BTreeMap;
 
@@ -37,10 +37,12 @@ impl AccelModel for QsCoresModel {
         if cand.entries == 0 {
             return Vec::new();
         }
-        let func = inputs.func();
+        // Reads through the candidate's read set, like Cayman's model: the
+        // shared design cache keys both on it.
+        let r = &RegionInputs::new(inputs, cand);
 
         let latency = |i: InstrId| -> u64 {
-            match func.instr(i) {
+            match r.instr(i) {
                 Instr::Load { .. } => SCAN_LOAD_LATENCY,
                 Instr::Store { .. } => SCAN_STORE_LATENCY,
                 other => accel_latency(other),
@@ -55,21 +57,21 @@ impl AccelModel for QsCoresModel {
         let mut interfaces: Vec<(InstrId, InterfaceSpec)> = Vec::new();
 
         for &b in &cand.blocks {
-            let instrs = &func.block(b).instrs;
-            let cp = critical_path_with(func, instrs, &latency);
+            let instrs = &r.block(b).instrs;
+            let cp = critical_path_with(r, instrs, &latency);
             // Scan-chain bandwidth: one access in flight at a time — the
             // block cannot finish faster than the serialised accesses.
             let mem_serial: u64 = instrs
                 .iter()
-                .filter(|&&i| matches!(func.instr(i), Instr::Load { .. } | Instr::Store { .. }))
+                .filter(|&&i| matches!(r.instr(i), Instr::Load { .. } | Instr::Store { .. }))
                 .map(|&i| latency(i))
                 .sum();
             let len = cp.max(mem_serial).max(1);
-            accel_cycles += inputs.count(b) as f64 * len as f64;
+            accel_cycles += r.count(b) as f64 * len as f64;
             states += len;
             let mut nontrivial = false;
             for &i in instrs {
-                let instr = func.instr(i);
+                let instr = r.instr(i);
                 if !matches!(instr, Instr::Phi { .. }) {
                     nontrivial = true;
                 }
@@ -136,6 +138,7 @@ mod tests {
         deps: Vec<cayman_analysis::memdep::LoopDeps>,
         counts: Vec<u64>,
         total_cycles: u64,
+        prints: cayman_hls::inputs::FuncPrints,
     }
 
     fn prepare(module: Module) -> Owned {
@@ -146,7 +149,9 @@ mod tests {
         let mut scev = Scev::new(f, &ctx);
         let accesses = AccessAnalysis::run(&module, f, &ctx, &mut scev);
         let deps = analyse_loop_deps(f, &ctx, &mut scev, &accesses);
+        let prints = cayman_hls::inputs::FuncPrints::compute(&module, f, &ctx, &accesses, &deps);
         Owned {
+            prints,
             ctx,
             accesses,
             deps,
@@ -182,6 +187,7 @@ mod tests {
             trips: &[512.0],
             block_counts: &o.counts,
             content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
+            prints: &o.prints,
         };
         let l = o.ctx.forest.ids().next().expect("loop");
         let lp = o.ctx.forest.get(l);
@@ -196,7 +202,6 @@ mod tests {
             entries: 1,
             cpu_cycles: cpu,
             is_bb: false,
-            content_fp: inp.content_fp,
         };
         (inp, cand)
     }

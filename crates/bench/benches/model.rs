@@ -12,7 +12,7 @@
 //! ```
 
 use cayman::hls::design::generate_designs;
-use cayman::hls::inputs::Candidate;
+use cayman::hls::inputs::{Candidate, RegionInputs};
 use cayman::hls::interface::{InterfaceSpec, ModelOptions};
 use cayman::hls::pipeline::pipeline_loop;
 use cayman::ir::builder::ModuleBuilder;
@@ -40,9 +40,18 @@ fn bench_fig4_model() {
     let fw = Framework::from_module(saxpy(256)).expect("analyses");
     let inputs = fw.app.inputs();
     let inp = &inputs[0];
-    let l = fw.app.wpst.func_ctxs[0].forest.ids().next().expect("loop");
+    let ctx = &fw.app.wpst.func_ctxs[0];
+    let l = ctx.forest.ids().next().expect("loop");
+    let cand = Candidate {
+        func: FuncId(0),
+        blocks: ctx.forest.get(l).blocks.clone(),
+        entries: 1,
+        cpu_cycles: fw.app.total_cycles(),
+        is_bb: false,
+    };
+    let r = &RegionInputs::new(inp, &cand);
     let dec = |_: InstrId| Some(InterfaceSpec::decoupled());
-    run("fig4_model", || pipeline_loop(inp, l, 2, &dec));
+    run("fig4_model", || pipeline_loop(r, l, 2, &dec));
 }
 
 fn bench_design_generation() {
@@ -58,7 +67,6 @@ fn bench_design_generation() {
         entries: 1,
         cpu_cycles: fw.app.total_cycles(),
         is_bb: false,
-        content_fp: inp.content_fp,
     };
     for beta in [2.0f64, 4.0, 8.0] {
         let opts = ModelOptions {

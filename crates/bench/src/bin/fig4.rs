@@ -18,12 +18,13 @@
 //! cargo run --release -p cayman-bench --bin fig4 [-- -O0|-O1|-O2]
 //! ```
 
+use cayman::hls::inputs::{Candidate, RegionInputs};
 use cayman::hls::interface::InterfaceSpec;
 use cayman::hls::pipeline::{pipeline_loop, res_mii};
 use cayman::hls::schedule::schedule_block;
 use cayman::ir::builder::ModuleBuilder;
 use cayman::ir::instr::Instr;
-use cayman::ir::{InstrId, Type};
+use cayman::ir::{FuncId, InstrId, Type};
 use cayman::Framework;
 
 fn saxpy(n: i64) -> cayman::ir::Module {
@@ -58,6 +59,15 @@ fn main() {
         let ctx = &fw.app.wpst.func_ctxs[0];
         let l = ctx.forest.ids().next().expect("one loop");
         let body_bb = ctx.forest.get(l).blocks[1]; // header, body, ...
+                                                   // The loop as an acceleration candidate: the model reads through it.
+        let cand = Candidate {
+            func: FuncId(0),
+            blocks: ctx.forest.get(l).blocks.clone(),
+            entries: 1,
+            cpu_cycles: fw.app.total_cycles(),
+            is_bb: false,
+        };
+        let r = &RegionInputs::new(inp, &cand);
 
         let force = |s: InterfaceSpec| {
             move |i: InstrId| {
@@ -73,16 +83,16 @@ fn main() {
         let spad = force(InterfaceSpec::scratchpad(2));
 
         // Sequential loop: N × per-iteration schedule length.
-        let seq_coup = n as u64 * schedule_block(func, body_bb, &coupled, 1).length;
-        let seq_dec = n as u64 * schedule_block(func, body_bb, &decoupled, 1).length;
+        let seq_coup = n as u64 * schedule_block(r, body_bb, &coupled, 1).length;
+        let seq_dec = n as u64 * schedule_block(r, body_bb, &decoupled, 1).length;
 
         // Pipelined loop: achieved II.
-        let pc = pipeline_loop(inp, l, 1, &coupled);
-        let pd = pipeline_loop(inp, l, 1, &decoupled);
+        let pc = pipeline_loop(r, l, 1, &coupled);
+        let pd = pipeline_loop(r, l, 1, &decoupled);
 
         // Unrolled ×2 (+ pipelined): total cycles per loop entry.
-        let uc = pipeline_loop(inp, l, 2, &coupled);
-        let us = pipeline_loop(inp, l, 2, &spad);
+        let uc = pipeline_loop(r, l, 2, &coupled);
+        let us = pipeline_loop(r, l, 2, &spad);
 
         println!(
             "{:>6} | {:>11} {:>11} | {:>8} {:>8} | {:>11.0} {:>11.0}",
@@ -91,8 +101,8 @@ fn main() {
         // sanity: resMII drives the coupled pipelined case
         debug_assert!(
             res_mii(
-                inp,
-                &cayman::hls::pipeline::loop_body_instrs(inp, l),
+                r,
+                &cayman::hls::pipeline::loop_body_instrs(r, l),
                 &coupled,
                 1
             ) >= 2

@@ -23,20 +23,27 @@
 //!    bit-identical; and whenever the shadows are no-ops (same content
 //!    fingerprints) the full selection Pareto front must match bit for bit.
 //! 5. **incremental vs from-scratch re-analysis** ([`check_incremental`]) —
-//!    after every seeded single-instruction edit, the [`IncrementalApp`]
+//!    after every seeded single-instruction edit (a float nudge or an
+//!    `fadd`/`fmul` swap), the [`IncrementalApp`]
 //!    query pipeline must reproduce the from-scratch Pareto front, region
 //!    profile and merge accounting bit for bit, re-selecting at both
 //!    `threads = 1` and `threads = 3`. (The visited-vertex count is
 //!    deliberately *not* compared here: cached subtree fronts legitimately
 //!    skip visits.)
 
+use cayman::hls::design::AcceleratorDesign;
+use cayman::hls::inputs::{Candidate, CandidateKey, FuncInputs, RegionInputs};
+use cayman::ir::instr::{BinOp, Imm, Instr, Operand};
 use cayman::ir::interp::{Interp, Memory, Value};
 use cayman::ir::transform::{normalize, OptLevel};
 use cayman::ir::Module;
 use cayman::merging::merge_solution;
-use cayman::select::{run_selection, CaymanModel, DesignCache};
+use cayman::select::{run_selection, AccelModel, CaymanModel, DesignCache};
 use cayman::{AnalyseOptions, Application, Edit, Framework, IncrementalApp, SelectOptions};
+use cayman_store::designs_bits_equal;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Mutex;
 
 /// Runaway guard: generated programs terminate by construction, so the
 /// limit only exists to convert a harness bug into a clean failure.
@@ -280,35 +287,27 @@ pub fn check_module(m: &Module) -> Result<bool, DiffFailure> {
     Ok(true)
 }
 
-/// Builds a single-instruction [`Edit`]: nudge one float immediate in one
-/// value position (binary/unary operand, select arm, stored value, phi
-/// incoming, call argument — `pick` chooses the site). Float immediates in
-/// those slots never feed address computations or integer loop bounds, so
-/// the edited module stays verifiable and terminates exactly like the
-/// original — only the computed values (and possibly value-dependent
-/// branches) change.
-///
-/// Returns `None` when the module has no float-immediate site to edit.
-pub fn single_instr_edit(m: &Module, pick: u64) -> Option<Edit> {
-    use cayman::ir::instr::{Imm, Instr, Operand};
-
-    // The value-only operand slots of an instruction — never pointers,
-    // indices or conditions, so a float nudge cannot break verification.
-    fn value_slots(instr: &mut Instr) -> Vec<&mut Operand> {
-        match instr {
-            Instr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
-            Instr::Unary { val, .. } => vec![val],
-            Instr::Select {
-                then_val, else_val, ..
-            } => vec![then_val, else_val],
-            Instr::Store { value, .. } => vec![value],
-            Instr::Phi { incomings, .. } => incomings.iter_mut().map(|(_, v)| v).collect(),
-            Instr::Call { args, .. } => args.iter_mut().collect(),
-            _ => Vec::new(),
-        }
+/// The value-only operand slots of an instruction — never pointers,
+/// indices or conditions, so editing what flows through them cannot break
+/// verification.
+fn value_slots(instr: &mut Instr) -> Vec<&mut Operand> {
+    match instr {
+        Instr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
+        Instr::Unary { val, .. } => vec![val],
+        Instr::Select {
+            then_val, else_val, ..
+        } => vec![then_val, else_val],
+        Instr::Store { value, .. } => vec![value],
+        Instr::Phi { incomings, .. } => incomings.iter_mut().map(|(_, v)| v).collect(),
+        Instr::Call { args, .. } => args.iter_mut().collect(),
+        _ => Vec::new(),
     }
+}
 
-    let mut sites: Vec<(usize, usize, usize)> = Vec::new();
+/// Every `(function, instruction, slot)` holding a float immediate in a
+/// value-only slot.
+fn float_sites(m: &Module) -> Vec<(usize, usize, usize)> {
+    let mut sites = Vec::new();
     for (fi, func) in m.functions.iter().enumerate() {
         let mut probe = func.clone();
         for (ii, instr) in probe.instrs.iter_mut().enumerate() {
@@ -319,6 +318,20 @@ pub fn single_instr_edit(m: &Module, pick: u64) -> Option<Edit> {
             }
         }
     }
+    sites
+}
+
+/// Builds a single-instruction [`Edit`]: nudge one float immediate in one
+/// value position (binary/unary operand, select arm, stored value, phi
+/// incoming, call argument — `pick` chooses the site). Float immediates in
+/// those slots never feed address computations or integer loop bounds, so
+/// the edited module stays verifiable and terminates exactly like the
+/// original — only the computed values (and possibly value-dependent
+/// branches) change.
+///
+/// Returns `None` when the module has no float-immediate site to edit.
+pub fn single_instr_edit(m: &Module, pick: u64) -> Option<Edit> {
+    let sites = float_sites(m);
     if sites.is_empty() {
         return None;
     }
@@ -326,6 +339,47 @@ pub fn single_instr_edit(m: &Module, pick: u64) -> Option<Edit> {
     let mut body = m.functions[fi].clone();
     if let Operand::Const(Imm::Float(v)) = *value_slots(&mut body.instrs[ii])[oi] {
         *value_slots(&mut body.instrs[ii])[oi] = Operand::float(v + 0.5);
+    }
+    Some(Edit::ReplaceFunction {
+        func: cayman::ir::FuncId(fi as u32),
+        body,
+    })
+}
+
+/// Builds a single-instruction opcode [`Edit`]: swap `fadd` ↔ `fmul` in one
+/// binary instruction with a float immediate operand — a site
+/// [`single_instr_edit`] could nudge, so the same slot rule keeps the
+/// module verifiable, and the interpreter's step limit bounds any loop a
+/// changed value perturbs. Unlike a nudge, a swap changes the instruction's
+/// latency, area and CPU cycles: a design-cache key that ignored opcodes
+/// would serve stale designs after it.
+///
+/// Returns `None` when no such instruction exists.
+pub fn opcode_swap_edit(m: &Module, pick: u64) -> Option<Edit> {
+    let mut sites: Vec<(usize, usize)> = float_sites(m)
+        .into_iter()
+        .map(|(fi, ii, _)| (fi, ii))
+        .filter(|&(fi, ii)| {
+            matches!(
+                m.functions[fi].instrs[ii],
+                Instr::Binary {
+                    op: BinOp::FAdd | BinOp::FMul,
+                    ..
+                }
+            )
+        })
+        .collect();
+    sites.dedup();
+    if sites.is_empty() {
+        return None;
+    }
+    let (fi, ii) = sites[(pick % sites.len() as u64) as usize];
+    let mut body = m.functions[fi].clone();
+    if let Instr::Binary { op, .. } = &mut body.instrs[ii] {
+        *op = match op {
+            BinOp::FAdd => BinOp::FMul,
+            _ => BinOp::FAdd,
+        };
     }
     Some(Edit::ReplaceFunction {
         func: cayman::ir::FuncId(fi as u32),
@@ -375,6 +429,46 @@ fn front_mismatch(cfg: &str, a: &[cayman::Solution], b: &[cayman::Solution]) -> 
     None
 }
 
+/// Cayman's model, checking the design cache's contract as it goes: a
+/// candidate key seen before must come with bit-identical designs. It opts
+/// out of memoisation, so a selection asks it about every candidate, and
+/// one instance spans every step of a differential — so a key that stays
+/// put across an edit that changes the designs is caught even when the
+/// stale design would never reach the front.
+struct KeyCheckedModel {
+    inner: CaymanModel,
+    seen: Mutex<HashMap<CandidateKey, Vec<AcceleratorDesign>>>,
+    /// The first candidate whose designs changed under an unchanged key.
+    stale: Mutex<Option<String>>,
+}
+
+impl AccelModel for KeyCheckedModel {
+    fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign> {
+        let designs = self.inner.designs(inputs, cand);
+        let key = RegionInputs::new(inputs, cand).key();
+        let mut seen = self.seen.lock().expect("key check poisoned");
+        match seen.get(&key) {
+            Some(before) if !designs_bits_equal(before, &designs) => {
+                self.stale
+                    .lock()
+                    .expect("key check poisoned")
+                    .get_or_insert_with(|| {
+                        format!(
+                            "{} blocks {:?} kept its design-cache key but its designs changed",
+                            inputs.func().name,
+                            cand.blocks
+                        )
+                    });
+            }
+            Some(_) => {}
+            None => {
+                seen.insert(key, designs.clone());
+            }
+        }
+        designs
+    }
+}
+
 /// Differential surface 4: incremental re-analysis vs from-scratch.
 ///
 /// Drives `edits` seeded single-instruction edits (interleaved with
@@ -384,7 +478,9 @@ fn front_mismatch(cfg: &str, a: &[cayman::Solution], b: &[cayman::Solution]) -> 
 /// from scratch. The incremental result must be **bit-identical** at every
 /// step: the selection Pareto front of both apps (area/saved-seconds bits,
 /// kernel node ids and block sets), the region profile (block counts and
-/// total cycles), and the merged best solution's area accounting.
+/// total cycles), and the merged best solution's area accounting. Across
+/// all steps, every candidate whose design-cache key repeats must get
+/// bit-identical designs from the model.
 ///
 /// Returns `Ok(false)` when the starting module traps under profiling (both
 /// paths must then fail identically), `Ok(true)` otherwise.
@@ -409,12 +505,17 @@ pub fn check_incremental(
     let mut inc = IncrementalApp::new(m.clone(), memory.clone(), opts.clone());
     let mut inc_threaded = IncrementalApp::new(m.clone(), memory.clone(), opts.clone());
     let mut reference = m.clone();
+    let checked = KeyCheckedModel {
+        inner: CaymanModel(sel_opts.model.clone()),
+        seen: Mutex::default(),
+        stale: Mutex::default(),
+    };
 
     for step in 0..=edits {
         if step > 0 {
             // Revert ~every fourth edit to the original body of a random
             // function (the cache-warm green path); otherwise nudge a float
-            // immediate somewhere.
+            // immediate or swap an `fadd`/`fmul` somewhere.
             let edit = if rng.range_usize(0, 3) == 0 {
                 let fi = rng.range_usize(0, m.functions.len());
                 Edit::ReplaceFunction {
@@ -422,7 +523,12 @@ pub fn check_incremental(
                     body: m.functions[fi].clone(),
                 }
             } else {
-                match single_instr_edit(&reference, rng.next_u64()) {
+                let pick = rng.next_u64();
+                let swap = rng.bool().then(|| opcode_swap_edit(&reference, pick));
+                match swap
+                    .flatten()
+                    .or_else(|| single_instr_edit(&reference, pick))
+                {
                     Some(e) => e,
                     // No float immediate anywhere: re-apply a function's own
                     // body (a content no-op that must still hit every cache).
@@ -504,10 +610,13 @@ pub fn check_incremental(
             &fresh_app.profile,
             &fresh_inputs,
             &sel_opts,
-            &CaymanModel(sel_opts.model.clone()),
+            &checked,
             &DesignCache::new(),
             None,
         );
+        if let Some(msg) = checked.stale.lock().expect("key check poisoned").take() {
+            fail("incremental", format!("step {step}: {msg}"))?;
+        }
         if let Some(msg) =
             front_mismatch(&format!("step {step}"), &inc_sel.pareto, &fresh_sel.pareto)
         {

@@ -7,7 +7,7 @@ use cayman_analysis::access::AccessAnalysis;
 use cayman_analysis::memdep::LoopDeps;
 use cayman_analysis::profile::Profile;
 use cayman_analysis::wpst::Wpst;
-use cayman_hls::inputs::FuncInputs;
+use cayman_hls::inputs::{FuncInputs, FuncPrints};
 use cayman_ir::interp::{ExecProfile, Memory};
 use cayman_ir::transform::{OptLevel, PipelineStats};
 use cayman_ir::Module;
@@ -72,11 +72,16 @@ pub struct Application {
     /// `-O0`).
     pub normalize_stats: PipelineStats,
     /// Per-function content fingerprints of the *normalized* functions —
-    /// the content keys the incremental store and the selection-front/design
-    /// caches are addressed by. At `-O2` a function whose analysis shadow
+    /// the content keys the incremental store and the selection-front
+    /// table are addressed by. At `-O2` a function whose analysis shadow
     /// differs from its executed body carries a mix of both fingerprints,
-    /// so cached designs/fronts never conflate the two levels' facts.
+    /// so cached fronts never conflate the two levels' facts (design-cache
+    /// keys read the analysis facts themselves, through `prints`).
     pub content_fps: Vec<u64>,
+    /// Per-function content prints of blocks, loops, accesses and
+    /// dependences, folded per candidate into the design-cache key
+    /// (`CandidateKey::region_fp`).
+    pub prints: Vec<FuncPrints>,
 }
 
 impl std::fmt::Debug for Application {
@@ -182,6 +187,7 @@ impl Application {
                 trips: &self.trips[f.index()],
                 block_counts: &self.profile.block_counts[f.index()],
                 content_fp: self.content_fps[f.index()],
+                prints: &self.prints[f.index()],
             })
             .collect()
     }

@@ -18,9 +18,9 @@ use std::sync::Arc;
 /// merging and baseline comparisons against it.
 ///
 /// All selection entry points share one [`DesignCache`]: the cache is keyed
-/// by model identity × candidate identity and the framework owns exactly one
-/// analysed application, so re-running selection (budget sweeps, ablations,
-/// repeated reports) memoises every `accel(v, R)` model invocation.
+/// by model identity × the candidate and its read set, so re-running
+/// selection (budget sweeps, ablations, repeated reports) memoises every
+/// `accel(v, R)` model invocation.
 #[derive(Debug)]
 pub struct Framework {
     /// The analysed application.

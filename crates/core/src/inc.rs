@@ -9,10 +9,10 @@
 //! | verify | raw module fp | () |
 //! | normalize | (raw fn fp, arrays fp, level, verify-each) | normalized `Function` + stats |
 //! | shadow | (normalized fn fp, arrays fp) | address-canonicalized `Function` |
-//! | structure | normalized fn fp | `FuncCtx` + `RegionTree` |
+//! | structure | normalized fn fp | `FuncCtx` + `RegionTree` + structural prints |
 //! | decode | (normalized fn fp, arrays fp) | decoded interpreter function |
 //! | exec | (normalized module fp, memory fp) | `ExecProfile` |
-//! | dataflow | (analysis fn fp, arrays fp) | accesses + loop deps |
+//! | dataflow | (analysis fn fp, arrays fp) | accesses + loop deps + their prints |
 //! | trips | (normalized fn fp, arrays fp, block-count fp) | trip counts |
 //! | app | (raw module fp, memory fp, analyse opts) | `Arc<Application>` |
 //! | select | (app key, model fp, α, prune) | `Arc<SelectionResult>` |
@@ -51,8 +51,11 @@
 //! function plus the whole-module exec/app/select keys above it). On the
 //! next [`IncrementalApp::select`], clean root subtrees are answered from
 //! the store's table of per-function subtree fronts (keyed by
-//! [`FrontKey`]; `accel(v, R)` design vectors come from the sharded
-//! [`DesignCache`]), and only the dirty spine is re-folded.
+//! [`FrontKey`]), and only the dirty spine is re-folded. Inside a dirty
+//! function, `accel(v, R)` design vectors come from the sharded
+//! [`DesignCache`] for every region whose read set the edit left alone:
+//! the structure and dataflow queries also compute the function's
+//! [`FuncPrints`] halves, which each candidate folds into its key.
 //!
 //! Every result is bit-identical to a from-scratch `analyse → select` at
 //! every step; `cayman-bench`'s differential and fuzz gates pin this over
@@ -67,6 +70,7 @@ use cayman_analysis::profile::Profile;
 use cayman_analysis::regions::RegionTree;
 use cayman_analysis::scev::Scev;
 use cayman_analysis::wpst::Wpst;
+use cayman_hls::inputs::FuncPrints;
 use cayman_ir::fingerprint::fnv1a_u64s;
 use cayman_ir::interp::{DecodedFunction, ExecProfile, Interp, Memory};
 use cayman_ir::transform::{normalize_function, OptLevel, PassManager, PipelineStats};
@@ -231,11 +235,15 @@ struct ShadowResult {
 struct FuncStructure {
     ctx: FuncCtx,
     tree: RegionTree,
+    /// The structural half of the function's prints.
+    prints: FuncPrints,
 }
 
 struct FuncDataflow {
     accesses: AccessAnalysis,
     deps: Vec<LoopDeps>,
+    /// The dataflow half of the function's prints.
+    prints: FuncPrints,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -287,7 +295,8 @@ pub(crate) struct QueryStore {
     apps: Query<AppKey, Application>,
     selections: Query<SelectKey, SelectionResult>,
     /// Memoised `accel(v, R)` design vectors, shared across edits (keys
-    /// carry the function content fingerprint).
+    /// carry the candidate's read-set fingerprint, so an edit re-models
+    /// only the regions that contain or read what it changed).
     designs: DesignCache,
     /// Memoised per-function-subtree Pareto fronts, read and extended by
     /// [`run_selection`].
@@ -461,6 +470,7 @@ pub(crate) fn assemble(
 
         // Stage 3: profile — wPST from per-function structure queries, then
         // the whole-module execution query.
+        let mut structures = Vec::with_capacity(working.functions.len());
         let (wpst, exec_res, profile) = {
             let _s = cayman_obs::span!("analyse.profile");
             let mut trees = Vec::with_capacity(working.functions.len());
@@ -472,10 +482,12 @@ pub(crate) fn assemble(
                     let func = working.function(f);
                     let ctx = FuncCtx::compute(func);
                     let tree = RegionTree::build(func, &ctx);
-                    Ok(FuncStructure { ctx, tree })
+                    let prints = FuncPrints::structure(func, &ctx);
+                    Ok(FuncStructure { ctx, tree, prints })
                 })?;
                 trees.push(parts.tree.clone());
                 ctxs.push(parts.ctx.clone());
+                structures.push(parts);
             }
             let wpst = Wpst::from_parts(trees, ctxs);
 
@@ -514,6 +526,7 @@ pub(crate) fn assemble(
         let mut accesses = Vec::with_capacity(working.functions.len());
         let mut deps = Vec::with_capacity(working.functions.len());
         let mut trips = Vec::with_capacity(working.functions.len());
+        let mut prints = Vec::with_capacity(working.functions.len());
         {
             let _s = cayman_obs::span!("analyse.dataflow");
             for f in working.function_ids() {
@@ -542,7 +555,12 @@ pub(crate) fn assemble(
                     let mut scev = Scev::new(afunc, actx);
                     let accesses = AccessAnalysis::run(&working, afunc, actx, &mut scev);
                     let deps = analyse_loop_deps(afunc, actx, &mut scev, &accesses);
-                    Ok(FuncDataflow { accesses, deps })
+                    let prints = FuncPrints::dataflow(afunc.blocks.len(), &accesses, &deps);
+                    Ok(FuncDataflow {
+                        accesses,
+                        deps,
+                        prints,
+                    })
                 })?;
                 let tkey = TripsKey {
                     norm_fp: norm_fps[f.index()],
@@ -556,6 +574,8 @@ pub(crate) fn assemble(
                         .map(|l| trip_count(&wpst, &profile, func, f, l).unwrap_or(1.0))
                         .collect())
                 })?;
+                let structure = &structures[f.index()].prints;
+                prints.push(FuncPrints::join(structure, &df.prints, arrays_fp));
                 accesses.push(df.accesses.clone());
                 deps.push(df.deps.clone());
                 trips.push((*tt).clone());
@@ -573,6 +593,7 @@ pub(crate) fn assemble(
             profiling_engine: exec_res.engine,
             normalize_stats,
             content_fps: analysis_fps,
+            prints,
         })
     })?;
     Ok((app_key, app))
@@ -911,6 +932,110 @@ mod tests {
         assert_eq!(warm.select.misses - cold.select.misses, 1);
         // Clean sibling subtrees answer selection from the front table.
         assert!(res.stats.front_hits > 0, "clean subtree fronts reused");
+    }
+
+    /// One function with two sibling loop nests: nest A scales `x`, nest
+    /// B offsets `y`.
+    fn two_nest_module() -> Module {
+        let mut mb = ModuleBuilder::new("nests");
+        let x = mb.array("x", Type::F64, &[8, 16]);
+        let y = mb.array("y", Type::F64, &[8, 16]);
+        mb.function("main", &[], None, |fb| {
+            fb.counted_loop(0, 8, 1, |fb, i| {
+                fb.counted_loop(0, 16, 1, |fb, j| {
+                    let v = fb.load_idx(x, &[i, j]);
+                    let w = fb.fmul(v, fb.fconst(2.0));
+                    fb.store_idx(x, &[i, j], w);
+                });
+            });
+            fb.counted_loop(0, 8, 1, |fb, i| {
+                fb.counted_loop(0, 16, 1, |fb, j| {
+                    let v = fb.load_idx(y, &[i, j]);
+                    let w = fb.fadd(v, fb.fconst(1.0));
+                    fb.store_idx(y, &[i, j], w);
+                });
+            });
+            fb.ret(None);
+        });
+        mb.finish()
+    }
+
+    #[test]
+    fn an_edit_remodels_only_the_regions_that_contain_it() {
+        let m = two_nest_module();
+        let opts = SelectOptions::default();
+        let mut inc = IncrementalApp::new(m.clone(), None, AnalyseOptions::default());
+        let cold = inc.select(&opts).expect("cold select");
+        let lookups = cold.stats.cache_hits + cold.stats.cache_misses;
+
+        // Nudge nest A's multiplier.
+        let edited = edited_ka(&m);
+        inc.apply(Edit::ReplaceFunction {
+            func: FuncId(0),
+            body: edited.clone(),
+        })
+        .expect("applies");
+        let res = inc.select(&opts).expect("re-select");
+        let app = inc.analyse().expect("analysed");
+
+        // The block holding the edited instruction, and nest B's blocks.
+        let func = app.module.function(FuncId(0));
+        let ctx = &app.wpst.func_ctxs[0];
+        let nudged = func
+            .block_ids()
+            .flat_map(|b| func.block(b).instrs.iter().copied())
+            .find(|&i| {
+                matches!(func.instr(i), Instr::Binary { rhs: Operand::Const(Imm::Float(v)), .. }
+                    if *v == 2.5)
+            })
+            .expect("edited instruction survives normalization");
+        let edited_block = ctx.block_of(nudged);
+        let nest_b = ctx
+            .forest
+            .ids()
+            .filter(|&l| ctx.forest.get(l).depth == 1)
+            .max_by_key(|&l| ctx.forest.get(l).header)
+            .map(|l| ctx.forest.get(l).blocks.clone())
+            .expect("two outer loops");
+        assert!(!nest_b.contains(&edited_block));
+
+        // Every candidate the DP models, split by what it contains.
+        let modeled = |keep: &dyn Fn(&[cayman_ir::BlockId]) -> bool| {
+            app.wpst
+                .ids()
+                .filter(|&v| {
+                    app.wpst.region(v).is_some_and(|(r, _)| {
+                        let p = app.profile.of(v);
+                        r.accelerable && p.entries > 0 && p.cycles > 0 && keep(&r.blocks)
+                    })
+                })
+                .count() as u64
+        };
+        let containing = modeled(&|blocks| blocks.contains(&edited_block));
+        let in_b = modeled(&|blocks| blocks.iter().all(|b| nest_b.contains(b)));
+        assert!(containing > 0 && in_b > 0);
+        assert_eq!(
+            res.stats.cache_misses, containing,
+            "only regions with the edit re-model"
+        );
+        assert_eq!(res.stats.cache_hits + res.stats.cache_misses, lookups);
+        assert!(res.stats.cache_hits >= in_b, "every nest-B candidate hits");
+
+        // And the front is the batch pipeline's, bit for bit.
+        let mut batch_module = m;
+        batch_module.functions[0] = edited;
+        let batch = Application::analyse(batch_module).expect("batch analyses");
+        let batch_sel = run_selection(
+            &batch.module,
+            &batch.wpst,
+            &batch.profile,
+            &batch.inputs(),
+            &opts,
+            &CaymanModel::default(),
+            &DesignCache::new(),
+            None,
+        );
+        assert_eq!(fronts_bits(&res), fronts_bits(&batch_sel));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! offload synchronisation plus scratchpad DMA fill/drain and line-buffer
 //! warm-up.
 
-use crate::inputs::{Candidate, FuncInputs};
+use crate::inputs::{Candidate, FuncInputs, RegionInputs};
 use crate::interface::{
     InterfaceKind, InterfaceSpec, ModelOptions, COUPLED_LSU_AREA, DMA_AREA, DMA_BYTES_PER_CYCLE,
 };
@@ -52,7 +52,7 @@ use cayman_analysis::banking::{bank_conflict_free, stencil_window};
 use cayman_ir::cpu_model::CPU_FREQ_HZ;
 use cayman_ir::instr::Instr;
 use cayman_ir::loops::LoopId;
-use cayman_ir::{BlockId, FuncId, InstrId};
+use cayman_ir::{BlockId, FuncId, InstrId, IrView};
 use std::collections::{BTreeMap, HashMap};
 
 /// One fully configured accelerator design for a candidate region.
@@ -135,6 +135,10 @@ struct MemPlan {
 /// Generates the candidate's accelerator configurations (the `accel(v, R)`
 /// call of Algorithm 1). Designs that would not save any time are still
 /// returned; Pareto pruning upstream discards them.
+///
+/// The model reads `inputs` only through the candidate's [`RegionInputs`],
+/// so the designs depend on nothing its [`crate::inputs::CandidateKey`]
+/// does not cover.
 pub fn generate_designs(
     inputs: &FuncInputs<'_>,
     cand: &Candidate,
@@ -144,21 +148,19 @@ pub fn generate_designs(
     if cand.entries == 0 {
         return Vec::new();
     }
-    let innermost = cand.innermost_loops(inputs.ctx);
+    let r = &RegionInputs::new(inputs, cand);
+    let innermost = r.innermost_loops();
     let mut designs = Vec::new();
 
     // Sequential configuration (always available).
-    designs.extend(estimate_design(inputs, cand, opts, &[], 1, 1));
+    designs.extend(estimate_design(r, opts, &[], 1, 1));
 
     if !innermost.is_empty() {
         // Pipelined configurations: inner unroll × outer duplication.
-        let func = inputs.func();
-        let any_unrollable = innermost.iter().any(|&l| {
-            !inputs.deps[l.index()].has_carried() || inputs.deps[l.index()].is_reduction_only(func)
-        });
-        let any_duplicable = innermost
+        let any_unrollable = innermost
             .iter()
-            .any(|&l| dup_parent_eligible(inputs, cand, l, 2));
+            .any(|&l| !r.deps(l).has_carried() || r.deps(l).is_reduction_only(r));
+        let any_duplicable = innermost.iter().any(|&l| dup_parent_eligible(r, l, 2));
         for &u in &opts.unroll_factors {
             if u > 1 && !any_unrollable {
                 break;
@@ -170,7 +172,7 @@ pub fn generate_designs(
                 if u.saturating_mul(d) > 16 {
                     continue;
                 }
-                designs.extend(estimate_design(inputs, cand, opts, &innermost, u, d));
+                designs.extend(estimate_design(r, opts, &innermost, u, d));
             }
         }
     }
@@ -181,41 +183,32 @@ pub fn generate_designs(
 /// inside the candidate, carries no dependence, and iterates at least `d`
 /// times (outer-loop unrolling distributes parent iterations over parallel
 /// pipeline instances).
-fn dup_parent_eligible(inputs: &FuncInputs<'_>, cand: &Candidate, l: LoopId, d: u32) -> bool {
-    let ctx = inputs.ctx;
-    let Some(p) = ctx.forest.get(l).parent else {
+fn dup_parent_eligible(r: &RegionInputs<'_>, l: LoopId, d: u32) -> bool {
+    let Some(p) = r.get_loop(l).parent else {
         return false;
     };
-    let within = ctx
-        .forest
-        .get(p)
-        .blocks
-        .iter()
-        .all(|b| cand.blocks.contains(b));
-    within && !inputs.deps[p.index()].has_carried() && inputs.trip(p) >= f64::from(d)
+    r.is_within(p) && !r.deps(p).has_carried() && r.trip(p) >= f64::from(d)
 }
 
 /// Builds one configuration and estimates every memory plan of it. The
 /// heuristic 3-kind plan always comes first; extended plans follow when
 /// enabled and legal.
 fn estimate_design(
-    inputs: &FuncInputs<'_>,
-    cand: &Candidate,
+    r: &RegionInputs<'_>,
     opts: &ModelOptions,
     pipelined: &[LoopId],
     unroll: u32,
     dup: u32,
 ) -> Vec<AcceleratorDesign> {
-    let func = inputs.func();
-    let ctx = inputs.ctx;
+    let cand = r.candidate();
 
     // Effective unroll per pipelined loop: 1 when the loop carries a
     // dependence — except pure scalar reductions, which unroll into partial
     // sums (throughput scales; the recurrence II is preserved by
     // `pipeline_loop`).
     let unroll_of = |l: LoopId| -> u32 {
-        let deps = &inputs.deps[l.index()];
-        if deps.has_carried() && !deps.is_reduction_only(func) {
+        let deps = r.deps(l);
+        if deps.has_carried() && !deps.is_reduction_only(r) {
             1
         } else {
             unroll
@@ -223,29 +216,28 @@ fn estimate_design(
     };
 
     // Loops in candidate with trip counts, for footprint computation.
-    let loops_within = cand.loops_within(ctx);
     let loops_trips: Vec<(LoopId, f64)> =
-        loops_within.iter().map(|&l| (l, inputs.trip(l))).collect();
+        r.loops_within().iter().map(|&l| (l, r.trip(l))).collect();
 
     // The innermost *pipelined* loop covering an access, if any.
     let pipelined_loop_of = |b: BlockId| -> Option<LoopId> {
-        ctx.forest.innermost_loop(b).and_then(|l| {
+        r.innermost_loop(b).and_then(|l| {
             pipelined
                 .iter()
-                .find(|&&p| p == l || ctx.forest.contains(p, l))
+                .find(|&&p| p == l || r.loop_contains(p, l))
                 .map(|_| l)
         })
     };
 
     // ---- phase 1: classic 3-kind heuristic ---------------------------------
     let mut kind_map: HashMap<InstrId, InterfaceKind> = HashMap::new();
-    for a in inputs.accesses.within(&cand.blocks) {
+    for a in r.accesses() {
         let kind = if opts.coupled_only {
             InterfaceKind::Coupled
         } else {
-            let total_count = inputs.count(a.block) as f64 / cand.entries as f64;
+            let total_count = r.count(a.block) as f64 / cand.entries as f64;
             let fp = footprint(a, &cand.blocks, &loops_trips);
-            let elem_bytes = inputs.module.array(a.array).elem.byte_width() as f64;
+            let elem_bytes = r.array(a.array).elem.byte_width() as f64;
             let in_pipelined = pipelined_loop_of(a.block).is_some();
             match fp {
                 Some(fp)
@@ -266,12 +258,12 @@ fn estimate_design(
     // fed by unrolling a dependence-free parent loop. Coupled accesses
     // serialise on the single LSU port, so they veto duplication.
     let dup_of = |l: LoopId| -> u32 {
-        if dup <= 1 || !dup_parent_eligible(inputs, cand, l, dup) {
+        if dup <= 1 || !dup_parent_eligible(r, l, dup) {
             return 1;
         }
-        let has_coupled = ctx.forest.get(l).blocks.iter().any(|b| {
-            func.block(*b).instrs.iter().any(|i| {
-                matches!(func.instr(*i), Instr::Load { .. } | Instr::Store { .. })
+        let has_coupled = r.get_loop(l).blocks.iter().any(|b| {
+            r.block(*b).instrs.iter().any(|i| {
+                matches!(r.instr(*i), Instr::Load { .. } | Instr::Store { .. })
                     && kind_map.get(i) == Some(&InterfaceKind::Coupled)
             })
         });
@@ -287,7 +279,7 @@ fn estimate_design(
     // pipelined loop (parallel unroll copies need parallel banks). Taking
     // the per-array max keeps one buffer per array.
     let mut spad_parts: BTreeMap<u32, u32> = BTreeMap::new();
-    for a in inputs.accesses.within(&cand.blocks) {
+    for a in r.accesses() {
         if kind_map.get(&a.instr) == Some(&InterfaceKind::Scratchpad) {
             let p = pipelined_loop_of(a.block)
                 .map(|l| unroll_of(l) * dup_of(l))
@@ -297,7 +289,7 @@ fn estimate_design(
         }
     }
     let mut base: HashMap<InstrId, InterfaceSpec> = HashMap::new();
-    for a in inputs.accesses.within(&cand.blocks) {
+    for a in r.accesses() {
         let Some(kind) = kind_map.get(&a.instr) else {
             continue;
         };
@@ -316,10 +308,10 @@ fn estimate_design(
         lb_warmup: 0.0,
     }];
     if opts.extended && !opts.coupled_only {
-        if let Some(p) = line_buffer_plan(inputs, cand, opts, pipelined, &base) {
+        if let Some(p) = line_buffer_plan(r, opts, pipelined, &base) {
             plans.push(p);
         }
-        if let Some(p) = banked_plan(inputs, cand, opts, pipelined, &base, &spad_parts, &|l| {
+        if let Some(p) = banked_plan(r, opts, pipelined, &base, &spad_parts, &|l| {
             unroll_of(l) * dup_of(l)
         }) {
             plans.push(p);
@@ -349,8 +341,7 @@ fn estimate_design(
         .into_iter()
         .map(|plan| {
             estimate_plan(
-                inputs,
-                cand,
+                r,
                 pipelined,
                 unroll,
                 &unroll_of,
@@ -366,13 +357,11 @@ fn estimate_design(
 /// A plan replacing stencil loads by line-buffer taps, when any pipelined
 /// loop nest carries a provable window.
 fn line_buffer_plan(
-    inputs: &FuncInputs<'_>,
-    cand: &Candidate,
+    r: &RegionInputs<'_>,
     opts: &ModelOptions,
     pipelined: &[LoopId],
     base: &HashMap<InstrId, InterfaceSpec>,
 ) -> Option<MemPlan> {
-    let ctx = inputs.ctx;
     let mut map = base.clone();
     let mut lb_bytes = BTreeMap::new();
     let mut lb_warmup = 0.0f64;
@@ -380,24 +369,18 @@ fn line_buffer_plan(
     for &l in pipelined {
         // The row loop must also run inside the candidate, or the buffered
         // rows are thrown away at every entry.
-        let Some(row) = ctx.forest.get(l).parent else {
+        let Some(row) = r.get_loop(l).parent else {
             continue;
         };
-        if !ctx
-            .forest
-            .get(row)
-            .blocks
-            .iter()
-            .all(|b| cand.blocks.contains(b))
-        {
+        if !r.is_within(row) {
             continue;
         }
-        let blocks = &ctx.forest.get(l).blocks;
+        let blocks = &r.get_loop(l).blocks;
         // Group this loop's loads by array; stores to the array anywhere in
         // the candidate invalidate the buffered rows.
         let mut loads: BTreeMap<u32, Vec<&cayman_analysis::access::AccessInfo>> = BTreeMap::new();
         let mut stored: std::collections::BTreeSet<u32> = Default::default();
-        for a in inputs.accesses.within(&cand.blocks) {
+        for a in r.accesses() {
             if a.is_store {
                 stored.insert(a.array.0);
             } else if blocks.contains(&a.block) {
@@ -417,11 +400,7 @@ fn line_buffer_plan(
             if win.rows > opts.lb_max_rows {
                 continue;
             }
-            let elem_bytes = inputs
-                .module
-                .array(cayman_ir::ArrayId(*arr))
-                .elem
-                .byte_width() as f64;
+            let elem_bytes = r.array(cayman_ir::ArrayId(*arr)).elem.byte_width() as f64;
             let spec = InterfaceSpec::line_buffer(win.rows);
             for a in accs {
                 map.insert(a.instr, spec);
@@ -445,15 +424,13 @@ fn line_buffer_plan(
 /// banked ones with strictly more ports, where every unrolled access stride
 /// admits it.
 fn banked_plan(
-    inputs: &FuncInputs<'_>,
-    cand: &Candidate,
+    r: &RegionInputs<'_>,
     opts: &ModelOptions,
     pipelined: &[LoopId],
     base: &HashMap<InstrId, InterfaceSpec>,
     spad_parts: &BTreeMap<u32, u32>,
     eff_unroll: &dyn Fn(LoopId) -> u32,
 ) -> Option<MemPlan> {
-    let ctx = inputs.ctx;
     let mut banks_of: BTreeMap<u32, u32> = BTreeMap::new();
     for (&arr, &parts) in spad_parts {
         let mut best: Option<u32> = None;
@@ -461,17 +438,16 @@ fn banked_plan(
             if b <= parts {
                 continue; // no new ports over the heuristic partitioning
             }
-            for a in inputs.accesses.within(&cand.blocks) {
+            for a in r.accesses() {
                 if a.array.0 != arr
                     || base.get(&a.instr).map(|s| s.kind) != Some(InterfaceKind::Scratchpad)
                 {
                     continue;
                 }
-                let Some(l) = ctx.forest.innermost_loop(a.block).filter(|l| {
-                    pipelined
-                        .iter()
-                        .any(|&p| p == *l || ctx.forest.contains(p, *l))
-                }) else {
+                let Some(l) = r
+                    .innermost_loop(a.block)
+                    .filter(|l| pipelined.iter().any(|&p| p == *l || r.loop_contains(p, *l)))
+                else {
                     continue; // not in a pipelined loop: one copy, no conflict
                 };
                 let u = eff_unroll(l);
@@ -495,7 +471,7 @@ fn banked_plan(
         return None;
     }
     let mut map = base.clone();
-    for a in inputs.accesses.within(&cand.blocks) {
+    for a in r.accesses() {
         if let Some(&b) = banks_of.get(&a.array.0) {
             if base.get(&a.instr).map(|s| s.kind) == Some(InterfaceKind::Scratchpad) {
                 map.insert(a.instr, InterfaceSpec::banked(b));
@@ -512,8 +488,7 @@ fn banked_plan(
 /// Estimates one configuration under one memory plan.
 #[allow(clippy::too_many_arguments)]
 fn estimate_plan(
-    inputs: &FuncInputs<'_>,
-    cand: &Candidate,
+    r: &RegionInputs<'_>,
     pipelined: &[LoopId],
     unroll: u32,
     unroll_of: &dyn Fn(LoopId) -> u32,
@@ -522,8 +497,7 @@ fn estimate_plan(
     loops_trips: &[(LoopId, f64)],
     plan: MemPlan,
 ) -> AcceleratorDesign {
-    let func = inputs.func();
-    let ctx = inputs.ctx;
+    let cand = r.candidate();
     let iface_map = plan.map;
     let iface = |i: InstrId| iface_map.get(&i).copied();
 
@@ -531,7 +505,7 @@ fn estimate_plan(
     let mut pipelined_blocks: Vec<BlockId> = Vec::new();
     let mut pipelined_detail: Vec<(LoopId, Vec<BlockId>, u32)> = Vec::new();
     for &l in pipelined {
-        let blocks = ctx.forest.get(l).blocks.clone();
+        let blocks = r.get_loop(l).blocks.clone();
         pipelined_blocks.extend(blocks.iter().copied());
         pipelined_detail.push((l, blocks, unroll_of(l) * dup_of(l)));
     }
@@ -541,15 +515,15 @@ fn estimate_plan(
     for &l in pipelined {
         let u = unroll_of(l);
         let d = dup_of(l);
-        let est = pipeline_loop(inputs, l, u, &iface);
-        let lp = ctx.forest.get(l);
-        let back: u64 = lp.latches.iter().map(|&b| inputs.count(b)).sum();
-        let entries = inputs.count(lp.header).saturating_sub(back).max(1);
+        let est = pipeline_loop(r, l, u, &iface);
+        let lp = r.get_loop(l);
+        let back: u64 = lp.latches.iter().map(|&b| r.count(b)).sum();
+        let entries = r.count(lp.header).saturating_sub(back).max(1);
         // d parallel instances each take a share of the loop's entries.
         accel_cycles += entries as f64 * est.cycles_per_entry / f64::from(d);
         // Fully spatial datapath, duplicated per unroll copy and instance.
-        for i in loop_body_instrs(inputs, l) {
-            pipe_area += dedicated_area(func.instr(i)) * f64::from(u * d);
+        for i in loop_body_instrs(r, l) {
+            pipe_area += dedicated_area(r.instr(i)) * f64::from(u * d);
         }
     }
 
@@ -565,19 +539,18 @@ fn estimate_plan(
     let mut seq_classes: BTreeMap<crate::oplib::FuClass, f64> = BTreeMap::new();
     let mut seq_reg_area = 0.0f64;
     for &b in &seq {
-        let sched = schedule_block(func, b, &iface, 1);
-        accel_cycles += inputs.count(b) as f64 * sched.length as f64;
+        let sched = schedule_block(r, b, &iface, 1);
+        accel_cycles += r.count(b) as f64 * sched.length as f64;
         seq_states += sched.length;
-        let nontrivial = func
-            .block(b)
-            .instrs
+        let instrs = &r.block(b).instrs;
+        let nontrivial = instrs
             .iter()
-            .any(|&i| !matches!(func.instr(i), Instr::Phi { .. }));
+            .any(|&i| !matches!(r.instr(i), Instr::Phi { .. }));
         if nontrivial {
             seq_blocks += 1;
         }
-        for &i in &func.block(b).instrs {
-            if let Some(c) = fu_class(func.instr(i)) {
+        for &i in instrs {
+            if let Some(c) = fu_class(r.instr(i)) {
                 let a = fu_area(c);
                 let entry = seq_classes.entry(c).or_insert(0.0);
                 *entry = entry.max(a);
@@ -593,7 +566,7 @@ fn estimate_plan(
     let mut spad_spec_per_array: BTreeMap<u32, InterfaceSpec> = BTreeMap::new();
     let mut n_coupled = 0usize;
     let mut iface_area = 0.0f64;
-    for a in inputs.accesses.within(&cand.blocks) {
+    for a in r.accesses() {
         let Some(&spec) = iface_map.get(&a.instr) else {
             continue;
         };
@@ -605,7 +578,7 @@ fn estimate_plan(
             InterfaceKind::Coupled => n_coupled += 1,
             _ if spec.needs_dma() => {
                 let fp = footprint(a, &cand.blocks, loops_trips).unwrap_or(1.0);
-                let bytes = fp * inputs.module.array(a.array).elem.byte_width() as f64;
+                let bytes = fp * r.array(a.array).elem.byte_width() as f64;
                 let e = spad_bytes_per_array.entry(a.array.0).or_insert(0.0);
                 *e = e.max(bytes);
                 spad_spec_per_array.insert(a.array.0, spec);
@@ -668,6 +641,7 @@ fn estimate_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inputs::FuncPrints;
     use cayman_analysis::access::AccessAnalysis;
     use cayman_analysis::ctx::FuncCtx;
     use cayman_analysis::memdep::analyse_loop_deps;
@@ -682,6 +656,7 @@ mod tests {
         accesses: AccessAnalysis,
         deps: Vec<cayman_analysis::memdep::LoopDeps>,
         counts: Vec<u64>,
+        prints: FuncPrints,
     }
 
     fn prepare(module: Module) -> Owned {
@@ -694,11 +669,13 @@ mod tests {
         let accesses = AccessAnalysis::run(&module, f, &ctx, &mut scev);
         let deps = analyse_loop_deps(f, &ctx, &mut scev, &accesses);
         let counts = exec.block_counts[0].clone();
+        let prints = FuncPrints::compute(&module, f, &ctx, &accesses, &deps);
         Owned {
             ctx,
             accesses,
             deps,
             counts,
+            prints,
             module,
         }
     }
@@ -713,6 +690,7 @@ mod tests {
             trips,
             block_counts: &o.counts,
             content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
+            prints: &o.prints,
         }
     }
 
@@ -737,7 +715,6 @@ mod tests {
             entries,
             cpu_cycles: cpu,
             is_bb: false,
-            content_fp: inp.content_fp,
         }
     }
 
@@ -974,7 +951,6 @@ mod tests {
             entries,
             cpu_cycles: cpu,
             is_bb: false,
-            content_fp: inp.content_fp,
         };
         assert!(cand.entries > 1);
         let designs = generate_designs(&inp, &cand, &ModelOptions::default());
@@ -1021,7 +997,6 @@ mod tests {
             entries: inp.count(body),
             cpu_cycles: inp.count(body) * cayman_ir::cpu_model::block_cycles(inp.func(), body),
             is_bb: true,
-            content_fp: inp.content_fp,
         };
         let designs = generate_designs(&inp, &cand, &ModelOptions::default());
         assert_eq!(designs.len(), 1);
@@ -1039,7 +1014,6 @@ mod tests {
             entries: 0,
             cpu_cycles: 0,
             is_bb: true,
-            content_fp: inp.content_fp,
         };
         assert!(generate_designs(&inp, &cand, &ModelOptions::default()).is_empty());
     }

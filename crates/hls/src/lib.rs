@@ -14,7 +14,9 @@
 //!   ordering and port constraints,
 //! * [`pipeline`] — initiation-interval computation (recMII/resMII) and
 //!   pipelined-loop latency,
-//! * [`inputs`] — the per-function analysis bundle and [`inputs::Candidate`],
+//! * [`inputs`] — the per-function analysis bundle, [`inputs::Candidate`]
+//!   and the [`inputs::RegionInputs`] view whose read set keys the design
+//!   cache,
 //! * [`design`] — configuration generation and estimation producing
 //!   [`design::AcceleratorDesign`]s (the `accel(v, R)` of Algorithm 1),
 //! * [`rtl`] — structural Verilog emission for configured accelerators
@@ -30,7 +32,7 @@
 //! use cayman_ir::{FuncId, Type};
 //! use cayman_analysis::{ctx::FuncCtx, scev::Scev, access::AccessAnalysis};
 //! use cayman_analysis::memdep::analyse_loop_deps;
-//! use cayman_hls::inputs::{Candidate, FuncInputs};
+//! use cayman_hls::inputs::{Candidate, FuncInputs, FuncPrints};
 //! use cayman_hls::interface::ModelOptions;
 //! use cayman_hls::design::generate_designs;
 //!
@@ -54,6 +56,7 @@
 //! let mut scev = Scev::new(f, &ctx);
 //! let accesses = AccessAnalysis::run(&module, f, &ctx, &mut scev);
 //! let deps = analyse_loop_deps(f, &ctx, &mut scev, &accesses);
+//! let prints = FuncPrints::compute(&module, f, &ctx, &accesses, &deps);
 //! let inputs = FuncInputs {
 //!     module: &module,
 //!     func_id: FuncId(0),
@@ -63,6 +66,7 @@
 //!     trips: &[128.0],
 //!     block_counts: &exec.block_counts[0],
 //!     content_fp: cayman_ir::fingerprint_function(f),
+//!     prints: &prints,
 //! };
 //! let lp = ctx.forest.ids().next().expect("one loop");
 //! let blocks = ctx.forest.get(lp).blocks.clone();
@@ -72,7 +76,6 @@
 //!     entries: 1,
 //!     cpu_cycles: exec.total_cycles,
 //!     is_bb: false,
-//!     content_fp: inputs.content_fp,
 //! };
 //! let designs = generate_designs(&inputs, &cand, &ModelOptions::default());
 //! assert!(!designs.is_empty());
@@ -91,6 +94,6 @@ pub mod rtl;
 pub mod schedule;
 
 pub use design::{generate_designs, AcceleratorDesign};
-pub use inputs::{Candidate, FuncInputs};
+pub use inputs::{Candidate, FuncInputs, FuncPrints, RegionInputs};
 pub use interface::{InterfaceKind, ModelOptions};
 pub use oplib::{ACCEL_FREQ_HZ, CVA6_TILE_AREA};

@@ -15,12 +15,12 @@
 //!   II = 1 with the decoupled interface but II = 3 with the coupled one,
 //!   and why a line buffer beats a bundle of decoupled taps on a stencil.
 
-use crate::inputs::FuncInputs;
+use crate::inputs::RegionInputs;
 use crate::interface::{InterfaceKind, InterfaceSpec, STREAM_WORDS_PER_CYCLE};
 use crate::schedule::{access_array, asap_schedule, latency_with_iface, IfaceOf};
 use cayman_ir::instr::Instr;
 use cayman_ir::loops::LoopId;
-use cayman_ir::InstrId;
+use cayman_ir::{InstrId, IrView};
 
 /// Pipelining outcome for one loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,31 +37,26 @@ pub struct PipelineEstimate {
 
 /// Instructions of the loop body in a producer-before-consumer order
 /// (reverse post-order over the loop's blocks).
-pub fn loop_body_instrs(inputs: &FuncInputs<'_>, l: LoopId) -> Vec<InstrId> {
-    let func = inputs.func();
-    let lp = inputs.ctx.forest.get(l);
+pub fn loop_body_instrs(r: &RegionInputs<'_>, l: LoopId) -> Vec<InstrId> {
     let mut instrs = Vec::new();
-    for &b in &inputs.ctx.cfg.rpo {
-        if lp.blocks.contains(&b) {
-            instrs.extend(func.block(b).instrs.iter().copied());
-        }
+    for b in r.rpo_blocks(l) {
+        instrs.extend(r.block(b).instrs.iter().copied());
     }
     instrs
 }
 
 /// Recurrence-constrained minimum II for loop `l` under the given interface
 /// assignment.
-pub fn rec_mii(inputs: &FuncInputs<'_>, l: LoopId, iface: &IfaceOf<'_>) -> u64 {
-    let func = inputs.func();
-    let deps = &inputs.deps[l.index()];
+pub fn rec_mii(r: &RegionInputs<'_>, l: LoopId, iface: &IfaceOf<'_>) -> u64 {
+    let deps = r.deps(l);
     let mut mii = 1u64;
     if deps.conservative {
         // Unanalysable accesses force sequential iteration issue: the next
         // iteration's access may depend on this iteration's store.
-        let seq: u64 = loop_body_instrs(inputs, l)
+        let seq: u64 = loop_body_instrs(r, l)
             .iter()
-            .filter(|&&i| matches!(func.instr(i), Instr::Load { .. } | Instr::Store { .. }))
-            .map(|&i| latency_with_iface(func, i, iface))
+            .filter(|&&i| matches!(r.instr(i), Instr::Load { .. } | Instr::Store { .. }))
+            .map(|&i| latency_with_iface(r, i, iface))
             .max()
             .unwrap_or(1);
         mii = mii.max(seq);
@@ -70,7 +65,7 @@ pub fn rec_mii(inputs: &FuncInputs<'_>, l: LoopId, iface: &IfaceOf<'_>) -> u64 {
         let lat: u64 = m
             .chain
             .iter()
-            .map(|&i| latency_with_iface(func, i, iface))
+            .map(|&i| latency_with_iface(r, i, iface))
             .sum();
         mii = mii.max(lat.div_ceil(m.distance.max(1)));
     }
@@ -78,7 +73,7 @@ pub fn rec_mii(inputs: &FuncInputs<'_>, l: LoopId, iface: &IfaceOf<'_>) -> u64 {
         let lat: u64 = s
             .chain
             .iter()
-            .map(|&i| latency_with_iface(func, i, iface))
+            .map(|&i| latency_with_iface(r, i, iface))
             .sum();
         mii = mii.max(lat.max(1));
     }
@@ -95,24 +90,23 @@ pub fn rec_mii(inputs: &FuncInputs<'_>, l: LoopId, iface: &IfaceOf<'_>) -> u64 {
 /// * the off-chip **stream bandwidth** shared by decoupled FIFOs and
 ///   line-buffer fills — a line buffer pulls one new word per iteration per
 ///   array, a decoupled bundle one word per access.
-pub fn res_mii(inputs: &FuncInputs<'_>, body: &[InstrId], iface: &IfaceOf<'_>, unroll: u32) -> u64 {
-    let func = inputs.func();
+pub fn res_mii(r: &RegionInputs<'_>, body: &[InstrId], iface: &IfaceOf<'_>, unroll: u32) -> u64 {
     let mut coupled = 0u64;
     let mut stream_words = 0u64;
     let mut per_array: std::collections::HashMap<u32, (u64, u64)> = Default::default();
     let mut lb_arrays: std::collections::HashSet<u32> = Default::default();
     for &i in body {
-        if matches!(func.instr(i), Instr::Load { .. } | Instr::Store { .. }) {
+        if matches!(r.instr(i), Instr::Load { .. } | Instr::Store { .. }) {
             let spec = iface(i).unwrap_or_else(InterfaceSpec::coupled);
             match spec.kind {
                 InterfaceKind::Coupled => coupled += 1,
                 InterfaceKind::Decoupled => stream_words += 1,
                 InterfaceKind::LineBuffer => {
-                    lb_arrays.insert(access_array(func, i).unwrap_or(u32::MAX));
+                    lb_arrays.insert(access_array(r, i).unwrap_or(u32::MAX));
                 }
                 _ => {
                     if let Some(p) = spec.mem_ports() {
-                        let arr = access_array(func, i).unwrap_or(u32::MAX);
+                        let arr = access_array(r, i).unwrap_or(u32::MAX);
                         let e = per_array.entry(arr).or_insert((0, 0));
                         e.0 += 1;
                         e.1 = e.1.max(p);
@@ -137,17 +131,16 @@ pub fn res_mii(inputs: &FuncInputs<'_>, body: &[InstrId], iface: &IfaceOf<'_>, u
 /// configured for scratchpad interfaces inside unrolled loops"): partitions =
 /// unroll factor.
 pub fn pipeline_loop(
-    inputs: &FuncInputs<'_>,
+    r: &RegionInputs<'_>,
     l: LoopId,
     unroll: u32,
     iface: &IfaceOf<'_>,
 ) -> PipelineEstimate {
-    let func = inputs.func();
-    let body = loop_body_instrs(inputs, l);
-    let sched = asap_schedule(func, &body, iface, 1, false);
+    let body = loop_body_instrs(r, l);
+    let sched = asap_schedule(r, &body, iface, 1, false);
     let depth = sched.critical_path.max(1);
-    let ii = rec_mii(inputs, l, iface).max(res_mii(inputs, &body, iface, unroll));
-    let trips = inputs.trip(l).max(1.0);
+    let ii = rec_mii(r, l, iface).max(res_mii(r, &body, iface, unroll));
+    let trips = r.trip(l).max(1.0);
     let iters = (trips / f64::from(unroll.max(1))).ceil().max(1.0);
     PipelineEstimate {
         ii,
@@ -160,6 +153,7 @@ pub fn pipeline_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inputs::{Candidate, FuncInputs, FuncPrints};
     use cayman_analysis::access::AccessAnalysis;
     use cayman_analysis::ctx::FuncCtx;
     use cayman_analysis::memdep::analyse_loop_deps;
@@ -173,6 +167,9 @@ mod tests {
         accesses: AccessAnalysis,
         deps: Vec<cayman_analysis::memdep::LoopDeps>,
         counts: Vec<u64>,
+        prints: FuncPrints,
+        /// The function's first loop, as a candidate.
+        cand: Candidate,
     }
 
     fn prepare(module: Module) -> Owned {
@@ -181,14 +178,23 @@ mod tests {
         let mut scev = Scev::new(f, &ctx);
         let accesses = AccessAnalysis::run(&module, f, &ctx, &mut scev);
         let deps = analyse_loop_deps(f, &ctx, &mut scev, &accesses);
-        let counts = vec![1; module.function(FuncId(0)).blocks.len()];
-        // SAFETY-free trick: re-borrow after moves by rebuilding.
-        let ctx2 = FuncCtx::compute(module.function(FuncId(0)));
+        let counts = vec![1; f.blocks.len()];
+        let prints = FuncPrints::compute(&module, f, &ctx, &accesses, &deps);
+        let l = ctx.forest.ids().next().expect("loop");
+        let cand = Candidate {
+            func: FuncId(0),
+            blocks: ctx.forest.get(l).blocks.clone(),
+            entries: 1,
+            cpu_cycles: 1,
+            is_bb: false,
+        };
         Owned {
-            ctx: ctx2,
+            ctx,
             accesses,
             deps,
             counts,
+            prints,
+            cand,
             module,
         }
     }
@@ -203,6 +209,7 @@ mod tests {
             trips,
             block_counts: &o.counts,
             content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
+            prints: &o.prints,
         }
     }
 
@@ -226,6 +233,7 @@ mod tests {
     fn decoupled_reaches_ii_1_coupled_does_not() {
         let o = prepare(saxpy());
         let inp = inputs(&o, &[64.0]);
+        let r = RegionInputs::new(&inp, &o.cand);
         let l = o.ctx.forest.ids().next().expect("loop");
         let coupled = |_: InstrId| Some(InterfaceSpec::coupled());
         let dec = |i: InstrId| {
@@ -236,8 +244,8 @@ mod tests {
                 Some(InterfaceSpec::coupled())
             }
         };
-        let pc = pipeline_loop(&inp, l, 1, &coupled);
-        let pd = pipeline_loop(&inp, l, 1, &dec);
+        let pc = pipeline_loop(&r, l, 1, &coupled);
+        let pd = pipeline_loop(&r, l, 1, &dec);
         // Fig. 4: coupled pipelining is port-bound (2 accesses → II ≥ 2);
         // decoupled reaches II = 1.
         assert!(pc.ii >= 2, "coupled II {}", pc.ii);
@@ -263,9 +271,10 @@ mod tests {
         });
         let o = prepare(mb.finish());
         let inp = inputs(&o, &[64.0]);
+        let r = RegionInputs::new(&inp, &o.cand);
         let l = o.ctx.forest.ids().next().expect("loop");
         let dec = |_: InstrId| Some(InterfaceSpec::decoupled());
-        let p = pipeline_loop(&inp, l, 1, &dec);
+        let p = pipeline_loop(&r, l, 1, &dec);
         // chain: load z (1) + fadd (2) + store z (1) = 4 → II ≥ 4.
         assert!(p.ii >= 4, "II {}", p.ii);
     }
@@ -274,6 +283,7 @@ mod tests {
     fn unrolling_scales_iterations_with_scratchpad() {
         let o = prepare(saxpy());
         let inp = inputs(&o, &[64.0]);
+        let r = RegionInputs::new(&inp, &o.cand);
         let l = o.ctx.forest.ids().next().expect("loop");
         // Partitioning follows unroll: the design layer assigns
         // `scratchpad(u)` to accesses in a loop unrolled by `u`.
@@ -288,8 +298,8 @@ mod tests {
                 }
             }
         };
-        let p1 = pipeline_loop(&inp, l, 1, &spad(1));
-        let p4 = pipeline_loop(&inp, l, 4, &spad(4));
+        let p1 = pipeline_loop(&r, l, 1, &spad(1));
+        let p4 = pipeline_loop(&r, l, 4, &spad(4));
         assert_eq!(p1.iters, 64.0);
         assert_eq!(p4.iters, 16.0);
         // scratchpad ports scale with partitions = unroll, so II stays low

@@ -15,11 +15,12 @@
 //!   `banks × 2` for scratchpads — while stream interfaces (decoupled,
 //!   line buffer) never contend).
 
+use crate::inputs::RegionInputs;
 use crate::interface::{InterfaceKind, InterfaceSpec};
 use crate::oplib;
 use cayman_ir::instr::{Instr, Operand};
 use cayman_ir::module::ValueDef;
-use cayman_ir::{Function, InstrId};
+use cayman_ir::{InstrId, IrView};
 use std::collections::HashMap;
 
 /// Interface assignment lookup used by the scheduler.
@@ -37,8 +38,8 @@ pub struct Schedule {
 }
 
 /// Latency of one instruction given its interface assignment.
-pub fn latency_with_iface(func: &Function, iid: InstrId, iface: &IfaceOf<'_>) -> u64 {
-    match func.instr(iid) {
+pub fn latency_with_iface(ir: &impl IrView, iid: InstrId, iface: &IfaceOf<'_>) -> u64 {
+    match ir.instr(iid) {
         Instr::Load { .. } => iface(iid)
             .unwrap_or_else(InterfaceSpec::coupled)
             .load_latency(),
@@ -57,7 +58,7 @@ pub fn latency_with_iface(func: &Function, iid: InstrId, iface: &IfaceOf<'_>) ->
 /// exposes; pipelined loop bodies pass `false` because the II model prices
 /// port contention itself (`resMII`).
 pub fn asap_schedule(
-    func: &Function,
+    ir: &impl IrView,
     instrs: &[InstrId],
     iface: &IfaceOf<'_>,
     coupled_ports: u64,
@@ -67,8 +68,7 @@ pub fn asap_schedule(
 
     // Map producing instruction per value for def-use edges.
     let producer = |op: Operand| -> Option<InstrId> {
-        let v = op.as_value()?;
-        match func.values[v.index()] {
+        match ir.value_def(op.as_value()?) {
             ValueDef::Instr(i) if in_set.contains_key(&i) => Some(i),
             _ => None,
         }
@@ -81,34 +81,33 @@ pub fn asap_schedule(
 
     let mut critical_path = 0u64;
     for &iid in instrs {
-        let instr = func.instr(iid);
+        let instr = ir.instr(iid);
         let mut ready = 0u64;
         instr.for_each_operand(|op| {
             if let Some(p) = producer(op) {
                 // Phis feed back across iterations; treated as available at 0
                 // (loop-carried constraints are handled by recMII).
-                if matches!(func.instr(p), Instr::Phi { .. }) {
+                if matches!(ir.instr(p), Instr::Phi { .. }) {
                     return;
                 }
-                let p_end =
-                    start.get(&p).copied().unwrap_or(0) + latency_with_iface(func, p, iface);
+                let p_end = start.get(&p).copied().unwrap_or(0) + latency_with_iface(ir, p, iface);
                 ready = ready.max(p_end);
             }
         });
 
         // Memory ordering.
         if let Instr::Load { .. } | Instr::Store { .. } = instr {
-            if let Some(arr) = access_array(func, iid) {
+            if let Some(arr) = access_array(ir, iid) {
                 if let Some(&st) = last_store.get(&arr) {
                     let st_end =
-                        start.get(&st).copied().unwrap_or(0) + latency_with_iface(func, st, iface);
+                        start.get(&st).copied().unwrap_or(0) + latency_with_iface(ir, st, iface);
                     ready = ready.max(st_end);
                 }
                 if matches!(instr, Instr::Store { .. }) {
                     // Stores also wait for earlier loads of the same array.
                     for &a in accesses_since_store.get(&arr).into_iter().flatten() {
-                        let a_end = start.get(&a).copied().unwrap_or(0)
-                            + latency_with_iface(func, a, iface);
+                        let a_end =
+                            start.get(&a).copied().unwrap_or(0) + latency_with_iface(ir, a, iface);
                         ready = ready.max(a_end);
                     }
                     last_store.insert(arr, iid);
@@ -120,7 +119,7 @@ pub fn asap_schedule(
         }
 
         start.insert(iid, ready);
-        critical_path = critical_path.max(ready + latency_with_iface(func, iid, iface));
+        critical_path = critical_path.max(ready + latency_with_iface(ir, iid, iface));
     }
 
     // Port-constrained lower bounds: one shared pool for coupled accesses,
@@ -129,13 +128,13 @@ pub fn asap_schedule(
     let mut coupled_uses = 0u64;
     let mut per_array: HashMap<u32, (u64, u64)> = HashMap::new(); // (uses, ports)
     for &iid in instrs {
-        if matches!(func.instr(iid), Instr::Load { .. } | Instr::Store { .. }) {
+        if matches!(ir.instr(iid), Instr::Load { .. } | Instr::Store { .. }) {
             let spec = iface(iid).unwrap_or_else(InterfaceSpec::coupled);
             match spec.kind {
                 InterfaceKind::Coupled => coupled_uses += 1,
                 _ => {
                     if let Some(p) = spec.mem_ports() {
-                        let arr = access_array(func, iid).unwrap_or(u32::MAX);
+                        let arr = access_array(ir, iid).unwrap_or(u32::MAX);
                         let e = per_array.entry(arr).or_insert((0, 0));
                         e.0 += 1;
                         e.1 = e.1.max(p);
@@ -169,14 +168,13 @@ pub fn asap_schedule(
 /// (e.g. QsCores' scan-chain latencies) which are not expressible as
 /// [`InterfaceKind`]s.
 pub fn critical_path_with(
-    func: &Function,
+    ir: &impl IrView,
     instrs: &[InstrId],
     latency: &dyn Fn(InstrId) -> u64,
 ) -> u64 {
     let in_set: HashMap<InstrId, usize> = instrs.iter().enumerate().map(|(i, &x)| (x, i)).collect();
     let producer = |op: Operand| -> Option<InstrId> {
-        let v = op.as_value()?;
-        match func.values[v.index()] {
+        match ir.value_def(op.as_value()?) {
             ValueDef::Instr(i) if in_set.contains_key(&i) => Some(i),
             _ => None,
         }
@@ -186,18 +184,18 @@ pub fn critical_path_with(
     let mut accesses_since_store: HashMap<u32, Vec<InstrId>> = HashMap::new();
     let mut cp = 0u64;
     for &iid in instrs {
-        let instr = func.instr(iid);
+        let instr = ir.instr(iid);
         let mut ready = 0u64;
         instr.for_each_operand(|op| {
             if let Some(p) = producer(op) {
-                if matches!(func.instr(p), Instr::Phi { .. }) {
+                if matches!(ir.instr(p), Instr::Phi { .. }) {
                     return;
                 }
                 ready = ready.max(start.get(&p).copied().unwrap_or(0) + latency(p));
             }
         });
         if let Instr::Load { .. } | Instr::Store { .. } = instr {
-            if let Some(arr) = access_array(func, iid) {
+            if let Some(arr) = access_array(ir, iid) {
                 if let Some(&st) = last_store.get(&arr) {
                     ready = ready.max(start.get(&st).copied().unwrap_or(0) + latency(st));
                 }
@@ -219,15 +217,14 @@ pub fn critical_path_with(
 }
 
 /// The array accessed by a load/store (via its gep), as a raw id.
-pub fn access_array(func: &Function, iid: InstrId) -> Option<u32> {
-    let ptr = match func.instr(iid) {
+pub fn access_array(ir: &impl IrView, iid: InstrId) -> Option<u32> {
+    let ptr = match ir.instr(iid) {
         Instr::Load { ptr, .. } => *ptr,
         Instr::Store { ptr, .. } => *ptr,
         _ => return None,
     };
-    let v = ptr.as_value()?;
-    match func.values[v.index()] {
-        ValueDef::Instr(g) => match func.instr(g) {
+    match ir.value_def(ptr.as_value()?) {
+        ValueDef::Instr(g) => match ir.instr(g) {
             Instr::Gep { array, .. } => Some(array.0),
             _ => None,
         },
@@ -235,14 +232,14 @@ pub fn access_array(func: &Function, iid: InstrId) -> Option<u32> {
     }
 }
 
-/// Schedules all instructions of one basic block.
+/// Schedules all instructions of one basic block of a candidate.
 pub fn schedule_block(
-    func: &Function,
+    r: &RegionInputs<'_>,
     b: cayman_ir::BlockId,
     iface: &IfaceOf<'_>,
     coupled_ports: u64,
 ) -> Schedule {
-    asap_schedule(func, &func.block(b).instrs, iface, coupled_ports, true)
+    asap_schedule(r, &r.block(b).instrs, iface, coupled_ports, true)
 }
 
 #[cfg(test)]
@@ -256,6 +253,15 @@ mod tests {
     }
     fn decoupled(_: InstrId) -> Option<InterfaceSpec> {
         Some(InterfaceSpec::decoupled())
+    }
+
+    /// Schedules one block read straight from its function.
+    fn whole_block(
+        f: &cayman_ir::Function,
+        b: cayman_ir::BlockId,
+        iface: &IfaceOf<'_>,
+    ) -> Schedule {
+        asap_schedule(f, &f.block(b).instrs, iface, 1, true)
     }
 
     /// Builds `y[i] = k*x[i]+b` body and returns (module, body block).
@@ -281,8 +287,8 @@ mod tests {
     fn decoupled_shortens_critical_path() {
         let (m, body) = saxpy_body();
         let f = m.function(FuncId(0));
-        let s_coupled = schedule_block(f, body, &coupled, 1);
-        let s_dec = schedule_block(f, body, &decoupled, 1);
+        let s_coupled = whole_block(f, body, &coupled);
+        let s_dec = whole_block(f, body, &decoupled);
         // gep(1) + load(4 vs 1) + fmul(4) + fadd(3) + gep+store(1)
         assert!(
             s_dec.critical_path + 3 == s_coupled.critical_path,
@@ -313,7 +319,7 @@ mod tests {
         });
         let m = mb.finish();
         let f = m.function(FuncId(0));
-        let s = schedule_block(f, cayman_ir::BlockId(0), &coupled, 1);
+        let s = whole_block(f, cayman_ir::BlockId(0), &coupled);
         assert!(s.length >= 9, "8 loads + 1 store on one port: {}", s.length);
     }
 
@@ -330,7 +336,7 @@ mod tests {
         });
         let m = mb.finish();
         let f = m.function(FuncId(0));
-        let s = schedule_block(f, cayman_ir::BlockId(0), &coupled, 1);
+        let s = whole_block(f, cayman_ir::BlockId(0), &coupled);
         // load at ≥1 (after gep), store only after load completes (4 cycles).
         let block = &f.block(cayman_ir::BlockId(0)).instrs;
         let load = block[1];
@@ -344,7 +350,7 @@ mod tests {
         mb.function("f", &[], None, |fb| fb.ret(None));
         let m = mb.finish();
         let f = m.function(FuncId(0));
-        let s = schedule_block(f, cayman_ir::BlockId(0), &coupled, 1);
+        let s = whole_block(f, cayman_ir::BlockId(0), &coupled);
         assert_eq!(s.length, 1);
     }
 }

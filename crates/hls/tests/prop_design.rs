@@ -1,17 +1,21 @@
 //! Property-based tests of the accelerator model: for arbitrary rectangular
 //! streaming kernels, generated designs must satisfy the invariants the
-//! selection DP assumes.
+//! selection DP assumes; for generated programs, a candidate's cache key
+//! must change exactly when its read set does.
 
 use cayman_analysis::access::AccessAnalysis;
 use cayman_analysis::ctx::FuncCtx;
 use cayman_analysis::memdep::{analyse_loop_deps, LoopDeps};
+use cayman_analysis::regions::{RegionKind, RegionTree};
 use cayman_analysis::scev::Scev;
 use cayman_hls::design::generate_designs;
-use cayman_hls::inputs::{Candidate, FuncInputs};
+use cayman_hls::inputs::{Candidate, CandidateKey, FuncInputs, FuncPrints, RegionInputs};
 use cayman_hls::interface::{InterfaceKind, ModelOptions};
 use cayman_ir::builder::ModuleBuilder;
 use cayman_ir::interp::Interp;
-use cayman_ir::{FuncId, Module, Type};
+use cayman_ir::loops::LoopId;
+use cayman_ir::{BinOp, BlockId, FuncId, Instr, InstrId, Module, Type};
+use cayman_testkit::program::arbitrary_module;
 use cayman_testkit::{prop_assert, prop_assert_eq, prop_check};
 
 /// Modelling a kernel end-to-end is much heavier than a pure-math property,
@@ -26,6 +30,7 @@ struct Owned {
     counts: Vec<u64>,
     total: u64,
     trips: Vec<f64>,
+    prints: FuncPrints,
 }
 
 /// A parameterised 2-level kernel: outer `n`, inner `m`, with either an
@@ -72,7 +77,9 @@ fn build(n: i64, m: i64, reduction: bool) -> Owned {
                 .unwrap_or(1.0)
         })
         .collect();
+    let prints = FuncPrints::compute(&module, f, &ctx, &accesses, &deps);
     Owned {
+        prints,
         ctx,
         accesses,
         deps,
@@ -93,6 +100,7 @@ fn candidate(o: &Owned) -> (FuncInputs<'_>, Candidate) {
         trips: &o.trips,
         block_counts: &o.counts,
         content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
+        prints: &o.prints,
     };
     let outer = o
         .ctx
@@ -107,7 +115,6 @@ fn candidate(o: &Owned) -> (FuncInputs<'_>, Candidate) {
         entries: 1,
         cpu_cycles: o.total,
         is_bb: false,
-        content_fp: inp.content_fp,
     };
     (inp, cand)
 }
@@ -237,6 +244,160 @@ fn reduction_unrolling_is_available() {
                 .any(|d| d.unroll > 1 && !d.pipelined.is_empty()),
             "partial-sum unrolling missing"
         );
+        Ok(())
+    });
+}
+
+/// One function's analyses plus a fixed synthetic profile, for keying its
+/// candidates.
+struct Keyed {
+    ctx: FuncCtx,
+    accesses: AccessAnalysis,
+    deps: Vec<LoopDeps>,
+    prints: FuncPrints,
+    counts: Vec<u64>,
+    trips: Vec<f64>,
+}
+
+impl Keyed {
+    fn analyse(module: &Module, f: FuncId) -> Keyed {
+        let func = module.function(f);
+        let ctx = FuncCtx::compute(func);
+        let mut scev = Scev::new(func, &ctx);
+        let accesses = AccessAnalysis::run(module, func, &ctx, &mut scev);
+        let deps = analyse_loop_deps(func, &ctx, &mut scev, &accesses);
+        let prints = FuncPrints::compute(module, func, &ctx, &accesses, &deps);
+        let counts = (1..=func.blocks.len() as u64).collect();
+        let trips = ctx.forest.ids().map(|l| f64::from(l.0) + 2.0).collect();
+        Keyed {
+            ctx,
+            accesses,
+            deps,
+            prints,
+            counts,
+            trips,
+        }
+    }
+
+    fn key(&self, module: &Module, f: FuncId, cand: &Candidate) -> CandidateKey {
+        let inputs = FuncInputs {
+            module,
+            func_id: f,
+            ctx: &self.ctx,
+            accesses: &self.accesses,
+            deps: &self.deps,
+            trips: &self.trips,
+            block_counts: &self.counts,
+            content_fp: 0,
+            prints: &self.prints,
+        };
+        RegionInputs::new(&inputs, cand).key()
+    }
+}
+
+/// A region's key covers exactly its read set: over generated programs and
+/// every region of their region trees, swapping `fadd` ↔ `fmul` in one
+/// instruction changes the key of every region containing it and of no
+/// region that neither contains nor reads it; bumping a block count or a
+/// trip count changes the key exactly when the region reads it.
+#[test]
+fn region_keys_cover_exactly_the_read_set() {
+    prop_check!(cases = CASES, |rng| {
+        let module = arbitrary_module(rng);
+        for f in module.function_ids() {
+            let func = module.function(f);
+            let base = Keyed::analyse(&module, f);
+            let tree = RegionTree::build(func, &base.ctx);
+            let cands: Vec<Candidate> = tree
+                .regions
+                .iter()
+                .map(|r| Candidate {
+                    func: f,
+                    blocks: r.blocks.clone(),
+                    entries: 1,
+                    cpu_cycles: 100,
+                    is_bb: matches!(r.kind, RegionKind::Bb(_)),
+                })
+                .collect();
+            let keys: Vec<CandidateKey> = cands.iter().map(|c| base.key(&module, f, c)).collect();
+
+            // Swap one fadd/fmul.
+            let swappable: Vec<(BlockId, InstrId)> = func
+                .block_ids()
+                .flat_map(|b| func.block(b).instrs.iter().map(move |&i| (b, i)))
+                .filter(|&(_, i)| {
+                    matches!(
+                        func.instr(i),
+                        Instr::Binary {
+                            op: BinOp::FAdd | BinOp::FMul,
+                            ..
+                        }
+                    )
+                })
+                .collect();
+            if !swappable.is_empty() {
+                let (home, x) = *rng.choose(&swappable);
+                let mut edited = module.clone();
+                if let Instr::Binary { op, .. } = &mut edited.functions[f.index()].instrs[x.index()]
+                {
+                    *op = if *op == BinOp::FAdd {
+                        BinOp::FMul
+                    } else {
+                        BinOp::FAdd
+                    };
+                }
+                let after = Keyed::analyse(&edited, f);
+                let x_value = func.result_of(x);
+                for (cand, key) in cands.iter().zip(&keys) {
+                    let reads_x = cand.blocks.iter().any(|&b| {
+                        func.block(b).instrs.iter().any(|&i| {
+                            let mut uses = false;
+                            func.instr(i)
+                                .for_each_operand(|op| uses |= op.as_value() == x_value);
+                            uses
+                        })
+                    });
+                    let swapped = after.key(&edited, f, cand);
+                    if cand.blocks.contains(&home) {
+                        prop_assert!(
+                            swapped != *key,
+                            "swap inside {:?} kept the key",
+                            cand.blocks
+                        );
+                    } else if !reads_x {
+                        prop_assert_eq!(swapped, key.clone());
+                    }
+                }
+            }
+
+            // Bump one block count and one trip count.
+            let b = BlockId(rng.range_u32(0, func.blocks.len() as u32));
+            let mut bumped = Keyed::analyse(&module, f);
+            bumped.counts[b.index()] += 1;
+            for (cand, key) in cands.iter().zip(&keys) {
+                let changed = bumped.key(&module, f, cand) != *key;
+                prop_assert_eq!(changed, cand.blocks.contains(&b));
+            }
+            if base.ctx.forest.loops.is_empty() {
+                continue;
+            }
+            let l = LoopId(rng.range_u32(0, base.ctx.forest.loops.len() as u32));
+            let mut bumped = Keyed::analyse(&module, f);
+            bumped.trips[l.index()] += 1.0;
+            for (cand, key) in cands.iter().zip(&keys) {
+                let inside = |l: LoopId| {
+                    base.ctx
+                        .forest
+                        .get(l)
+                        .blocks
+                        .iter()
+                        .all(|b| cand.blocks.contains(b))
+                };
+                let read = inside(l) || base.ctx.forest.get(l).children.iter().any(|&c| inside(c));
+                let changed = bumped.key(&module, f, cand) != *key;
+                prop_assert_eq!(changed, read);
+            }
+        }
         Ok(())
     });
 }

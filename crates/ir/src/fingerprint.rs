@@ -10,12 +10,14 @@
 //! terminators and the value arena — and nothing it cannot (the lazily
 //! cached `instr → block` map is derived state and excluded).
 //!
-//! The hash is FNV-1a over a canonical field walk with a splitmix64
-//! finaliser. It is a few ns per instruction: cheap enough to run on the
-//! edited function inside a sub-millisecond re-selection budget.
-//! Fingerprints are 64-bit, so collisions are possible in principle; every
-//! incremental result is additionally pinned bit-identical to fresh analysis
-//! by the differential gates in `cayman-bench`.
+//! The hash is a [`Fingerprinter`] over a canonical field walk: one
+//! multiply–xorshift round per field and a splitmix64 finaliser. It is a
+//! few ns per instruction: cheap enough to run on the edited function
+//! inside a sub-millisecond re-selection budget, and for the accelerator
+//! model's region keys to fold per lookup. Fingerprints are 64-bit, so
+//! collisions are possible in principle; every incremental result is
+//! additionally pinned bit-identical to fresh analysis by the differential
+//! gates in `cayman-bench`.
 //!
 //! Plain 64-bit FNV-1a is exported too ([`fnv1a`], [`fnv1a_u64s`]) as the
 //! one FNV in the workspace: the design cache's stripe pick, the selection
@@ -24,7 +26,7 @@
 
 use crate::instr::{Imm, Instr, Operand, Terminator};
 use crate::interp::{Memory, Value};
-use crate::module::{ArrayDecl, Function, Module, ValueDef};
+use crate::module::{ArrayDecl, BlockId, Function, Module, ValueDef};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -47,22 +49,40 @@ pub fn fnv1a_u64s(vals: &[u64]) -> u64 {
         .fold(FNV_OFFSET, |h, v| fnv1a_from(h, &v.to_le_bytes()))
 }
 
-/// Incremental FNV-1a/splitmix64 hasher over IR structure.
-struct Fnv(u64);
+/// Incremental hasher over structure: one multiply–xorshift round per
+/// 64-bit field, then a splitmix64 finaliser. Each round is a bijection of
+/// the state for a fixed field and of the field for a fixed state, so two
+/// walks of equal length that differ in a single field never collide.
+#[derive(Debug, Clone)]
+pub struct Fingerprinter(u64);
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
+impl Default for Fingerprinter {
+    fn default() -> Self {
+        Fingerprinter::new()
+    }
+}
+
+impl Fingerprinter {
+    /// A fresh hasher.
+    pub fn new() -> Fingerprinter {
+        Fingerprinter(FNV_OFFSET)
+    }
+
+    /// Folds in one field.
+    pub fn u64(&mut self, v: u64) {
+        let h = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 29);
+    }
+
+    /// Folds in each field of `vals`, in order.
+    pub fn u64s(&mut self, vals: &[u64]) {
+        for &v in vals {
+            self.u64(v);
+        }
     }
 
     fn u8(&mut self, b: u8) {
-        self.0 = fnv1a_from(self.0, &[b]);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.u8(b);
-        }
+        self.u64(u64::from(b));
     }
 
     fn usize(&mut self, v: usize) {
@@ -71,8 +91,10 @@ impl Fnv {
 
     fn str(&mut self, s: &str) {
         self.usize(s.len());
-        for b in s.as_bytes() {
-            self.u8(*b);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.u64(u64::from_le_bytes(word));
         }
     }
 
@@ -102,9 +124,10 @@ impl Fnv {
         }
     }
 
-    /// splitmix64 finaliser: FNV alone mixes low bits poorly, and these
-    /// digests feed `HashMap` keys and cache-stripe picks directly.
-    fn finish(self) -> u64 {
+    /// The fingerprint. The splitmix64 finaliser spreads every field into
+    /// every bit: these digests feed `HashMap` keys and cache-stripe picks
+    /// directly.
+    pub fn finish(&self) -> u64 {
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -112,7 +135,7 @@ impl Fnv {
     }
 }
 
-fn hash_instr(h: &mut Fnv, ins: &Instr) {
+fn hash_instr(h: &mut Fingerprinter, ins: &Instr) {
     match ins {
         Instr::Binary { op, ty, lhs, rhs } => {
             h.u8(0);
@@ -192,7 +215,7 @@ fn hash_instr(h: &mut Fnv, ins: &Instr) {
     }
 }
 
-fn hash_term(h: &mut Fnv, t: &Terminator) {
+fn hash_term(h: &mut Fingerprinter, t: &Terminator) {
     match t {
         Terminator::Br(b) => {
             h.u8(0);
@@ -225,7 +248,7 @@ fn hash_term(h: &mut Fnv, t: &Terminator) {
 /// canonical order. Equal fingerprints ⇒ structurally identical functions ⇒
 /// bit-identical per-function analysis, normalization and decode results.
 pub fn fingerprint_function(f: &Function) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fingerprinter::new();
     h.str(&f.name);
     h.usize(f.params.len());
     for p in &f.params {
@@ -284,11 +307,55 @@ pub fn fingerprint_function(f: &Function) -> u64 {
     h.finish()
 }
 
+/// Content fingerprint of one block as a model of a region containing it
+/// reads it: the block's instruction ids and instructions, its terminator,
+/// and for every instruction operand the value's definition, including the
+/// defining instruction when it sits in another block (one level deep: an
+/// access's address `gep` may sit outside the region).
+pub fn fingerprint_block(f: &Function, b: BlockId) -> u64 {
+    let mut h = Fingerprinter::new();
+    let home = f.instr_block_map();
+    let block = f.block(b);
+    h.usize(block.instrs.len());
+    for &i in &block.instrs {
+        h.u64(u64::from(i.0));
+        let ins = f.instr(i);
+        hash_instr(&mut h, ins);
+        ins.for_each_operand(|op| {
+            let Some(v) = op.as_value() else {
+                return;
+            };
+            match f.values[v.index()] {
+                ValueDef::Param(i, ty) => {
+                    h.u8(0);
+                    h.u64(u64::from(i));
+                    h.u8(ty as u8);
+                }
+                ValueDef::Instr(d) => {
+                    h.u8(1);
+                    h.u64(u64::from(d.0));
+                    if home[d.index()] != b.0 {
+                        hash_instr(&mut h, f.instr(d));
+                    }
+                }
+            }
+        });
+    }
+    match &block.term {
+        None => h.u8(0),
+        Some(t) => {
+            h.u8(1);
+            hash_term(&mut h, t);
+        }
+    }
+    h.finish()
+}
+
 /// Fingerprint of the array declarations (name, element type, dims). Arrays
 /// shape gep legality, access footprints and initial memory, so they are
 /// part of every whole-module query key.
 pub fn fingerprint_arrays(arrays: &[ArrayDecl]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fingerprinter::new();
     h.usize(arrays.len());
     for a in arrays {
         h.str(&a.name);
@@ -304,7 +371,7 @@ pub fn fingerprint_arrays(arrays: &[ArrayDecl]) -> u64 {
 /// Fingerprint of a whole module state, derived from the per-function
 /// digests so callers that already hold them pay only the combine.
 pub fn fingerprint_module_from_parts(name: &str, func_fps: &[u64], arrays_fp: u64) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fingerprinter::new();
     h.str(name);
     h.usize(func_fps.len());
     for fp in func_fps {
@@ -325,7 +392,7 @@ pub fn fingerprint_module(m: &Module) -> u64 {
 /// key includes this; `IncrementalApp` computes it once per memory image,
 /// not per edit.
 pub fn fingerprint_memory(mem: &Memory) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fingerprinter::new();
     let cells = mem.cells();
     h.usize(cells.len());
     for c in cells {
@@ -418,6 +485,45 @@ mod tests {
         let before = fingerprint_function(&a.functions[0]);
         let _ = a.functions[0].instr_block_map();
         assert_eq!(before, fingerprint_function(&a.functions[0]));
+    }
+
+    #[test]
+    fn block_prints_see_their_block_and_its_operand_defs_only() {
+        // entry: k = 2.0 * 3.0; loop body uses k; exit returns.
+        let mk = |a: f64, b: f64| {
+            let mut mb = ModuleBuilder::new("bp");
+            let x = mb.array("x", Type::F64, &[8]);
+            mb.function("main", &[], None, |fb| {
+                let k = fb.fmul(fb.fconst(a), fb.fconst(3.0));
+                fb.counted_loop(0, 8, 1, |fb, i| {
+                    let v = fb.load_idx(x, &[i]);
+                    let w = fb.fadd(v, k);
+                    fb.store_idx(x, &[i], w);
+                });
+                let z = fb.fadd(fb.fconst(b), fb.fconst(1.0));
+                let zero = fb.iconst(0);
+                fb.store_idx(x, &[zero], z);
+                fb.ret(None);
+            });
+            mb.finish()
+        };
+        let prints = |m: &Module| {
+            let f = &m.functions[0];
+            f.block_ids()
+                .map(|b| fingerprint_block(f, b))
+                .collect::<Vec<_>>()
+        };
+        let base = prints(&mk(2.0, 5.0));
+        assert_eq!(base, prints(&mk(2.0, 5.0)));
+        // Editing `k` changes its own block and every block reading it.
+        let k_edit = prints(&mk(2.5, 5.0));
+        let changed: Vec<usize> = (0..base.len()).filter(|&i| base[i] != k_edit[i]).collect();
+        assert!(changed.len() >= 2, "entry and the loop body: {changed:?}");
+        assert!(changed.len() < base.len(), "not every block: {changed:?}");
+        // Editing the exit's constant changes exactly one block.
+        let exit_edit = prints(&mk(2.0, 6.0));
+        let changed = (0..base.len()).filter(|&i| base[i] != exit_edit[i]).count();
+        assert_eq!(changed, 1);
     }
 
     #[test]

@@ -62,10 +62,12 @@ pub mod verify;
 
 pub use decode::generic_dispatch_mix;
 pub use fingerprint::{
-    fingerprint_arrays, fingerprint_function, fingerprint_memory, fingerprint_module,
-    fingerprint_module_from_parts,
+    fingerprint_arrays, fingerprint_block, fingerprint_function, fingerprint_memory,
+    fingerprint_module, fingerprint_module_from_parts, Fingerprinter,
 };
 pub use instr::{BinOp, CmpPred, Imm, Instr, Operand, Terminator, UnaryOp};
 pub use interp::{decode_function, DecodedFunction};
-pub use module::{ArrayDecl, ArrayId, Block, BlockId, FuncId, Function, InstrId, Module, ValueId};
+pub use module::{
+    ArrayDecl, ArrayId, Block, BlockId, FuncId, Function, InstrId, IrView, Module, ValueId,
+};
 pub use types::Type;

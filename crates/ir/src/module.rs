@@ -184,6 +184,29 @@ pub struct Function {
     pub(crate) block_map: BlockMap,
 }
 
+/// Read access to a function's instructions and value definitions.
+///
+/// [`Function`] answers every read. A view over part of a function (the
+/// accelerator model's region inputs) checks each read against the part it
+/// covers, so code written against `&impl IrView` reads no more than the
+/// view declares.
+pub trait IrView {
+    /// Instruction lookup.
+    fn instr(&self, id: InstrId) -> &Instr;
+    /// The definition of a value.
+    fn value_def(&self, v: ValueId) -> ValueDef;
+}
+
+impl IrView for Function {
+    fn instr(&self, id: InstrId) -> &Instr {
+        Function::instr(self, id)
+    }
+
+    fn value_def(&self, v: ValueId) -> ValueDef {
+        self.values[v.index()]
+    }
+}
+
 impl Function {
     /// The entry block id.
     pub fn entry(&self) -> BlockId {

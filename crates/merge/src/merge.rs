@@ -149,7 +149,7 @@ mod tests {
     use super::*;
     use cayman_analysis::profile::Profile;
     use cayman_analysis::wpst::Wpst;
-    use cayman_hls::inputs::FuncInputs;
+    use cayman_hls::inputs::{FuncInputs, FuncPrints};
     use cayman_ir::builder::ModuleBuilder;
     use cayman_ir::interp::Interp;
     use cayman_ir::Type;
@@ -220,6 +220,7 @@ mod tests {
         Vec<cayman_analysis::access::AccessAnalysis>,
         Vec<Vec<cayman_analysis::memdep::LoopDeps>>,
         Vec<Vec<f64>>,
+        Vec<FuncPrints>,
     ) {
         module.verify().expect("verifies");
         let wpst = Wpst::build(module);
@@ -228,6 +229,7 @@ mod tests {
         let mut accesses = Vec::new();
         let mut deps = Vec::new();
         let mut trips = Vec::new();
+        let mut prints = Vec::new();
         for f in module.function_ids() {
             let func = module.function(f);
             let ctx = &wpst.func_ctxs[f.index()];
@@ -241,17 +243,18 @@ mod tests {
                     cayman_analysis::access::trip_count(&wpst, &profile, func, f, l).unwrap_or(1.0)
                 })
                 .collect();
+            prints.push(FuncPrints::compute(module, func, ctx, &aa, &dd));
             accesses.push(aa);
             deps.push(dd);
             trips.push(tt);
         }
-        (wpst, profile, accesses, deps, trips)
+        (wpst, profile, accesses, deps, trips, prints)
     }
 
     #[test]
     fn identical_kernels_merge_with_large_savings() {
         let module = triple_mac();
-        let (wpst, profile, accesses, deps, trips) = analyse(&module);
+        let (wpst, profile, accesses, deps, trips, prints) = analyse(&module);
         let inputs: Vec<FuncInputs<'_>> = module
             .function_ids()
             .map(|f| FuncInputs {
@@ -263,6 +266,7 @@ mod tests {
                 trips: &trips[f.index()],
                 block_counts: &profile.block_counts[f.index()],
                 content_fp: cayman_ir::fingerprint_function(module.function(f)),
+                prints: &prints[f.index()],
             })
             .collect();
         let res = select(&module, &wpst, &profile, &inputs);
@@ -287,7 +291,7 @@ mod tests {
     #[test]
     fn single_kernel_solution_has_nothing_to_merge() {
         let module = triple_mac();
-        let (wpst, profile, accesses, deps, trips) = analyse(&module);
+        let (wpst, profile, accesses, deps, trips, prints) = analyse(&module);
         let inputs: Vec<FuncInputs<'_>> = module
             .function_ids()
             .map(|f| FuncInputs {
@@ -299,6 +303,7 @@ mod tests {
                 trips: &trips[f.index()],
                 block_counts: &profile.block_counts[f.index()],
                 content_fp: cayman_ir::fingerprint_function(module.function(f)),
+                prints: &prints[f.index()],
             })
             .collect();
         let res = select(&module, &wpst, &profile, &inputs);

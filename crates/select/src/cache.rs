@@ -3,26 +3,37 @@
 //! The selection DP invokes the accelerator model at every unpruned wPST
 //! vertex, and the evaluation protocol re-runs selection many times over the
 //! same application — once per framework (Cayman / NOVIA / QsCores), once
-//! per ablation point, once per α or budget sweep step. The model's output
-//! for a candidate depends only on
+//! per ablation point, once per α or budget sweep step — while incremental
+//! re-selection re-runs it after every edit. The model's output for a
+//! candidate depends only on
 //!
 //! * the model identity and its options ([`ModelId`]), and
-//! * the candidate itself ([`CandidateKey`]: function, block set, profile),
+//! * what the model reads about the candidate ([`CandidateKey`]: function,
+//!   block set, profile, and `region_fp`, a fingerprint of the candidate's
+//!   read set),
 //!
-//! given fixed per-function analysis inputs — so repeated invocations can be
-//! answered from a memo table instead of re-running scheduling, pipelining
-//! and interface assignment.
+//! so repeated invocations can be answered from a memo table instead of
+//! re-running scheduling, pipelining and interface assignment.
 //!
-//! A cache may be shared by every analysis that models the same content:
-//! each key carries the containing function's content fingerprint
-//! (`FuncInputs::content_fp`) and the region's profile (blocks, entries,
-//! CPU cycles); the model reads only the candidate and its function's
-//! analyses (see [`CandidateKey`]). So an entry stays sound when the
-//! module is edited or re-analysed, and `IncrementalApp` keeps one
-//! cache in its query store across edits while `DiskStore` shares
-//! entries across processes. `diff::check_incremental` (incremental vs
-//! fresh fronts) and `store/tests/tiered.rs` (disk-warm vs cold fronts) pin
-//! this contract.
+//! ## Key derivation
+//!
+//! Every model reads a candidate through `cayman_hls::inputs::RegionInputs`:
+//! the candidate's blocks (instructions, terminators, one level of operand
+//! definitions, innermost loops, reverse-post-order positions, profiled
+//! counts), the loops inside it and their parents (records, trip counts,
+//! loop-carried dependences), its access records and the module's array
+//! declarations. `region_fp` folds exactly that set from per-function
+//! prints computed once per function content, and the view's accessors
+//! `debug_assert` that no model reads outside it. So a key is sound by
+//! construction: an entry stays valid whenever its key recurs — across
+//! re-analyses, across edits elsewhere in the function, and across
+//! processes. `IncrementalApp` keeps one cache in its query store across
+//! edits, so a one-instruction edit re-models only the regions that contain
+//! (or read) the edited instruction, and `DiskStore` shares entries across
+//! processes. `diff::check_incremental` (incremental vs fresh fronts, and
+//! equal keys ⇒ identical designs across edits), the `hls` key-soundness
+//! property and `store/tests/tiered.rs` (disk-warm vs cold fronts) pin this
+//! contract.
 //!
 //! ## Two levels
 //!
@@ -30,9 +41,9 @@
 //! [`DesignStoreBackend`] (implemented by `cayman-store`'s content-addressed
 //! disk store). The cache is **write-through**: every insert is forwarded to
 //! the backing store, and a memory miss consults the store before reporting
-//! a miss, promoting disk hits into the missing stripe. Keys carry a content
-//! fingerprint of the analysed function, so a persistent entry is valid for
-//! every process that analyses the same function with the same model — which
+//! a miss, promoting disk hits into the missing stripe. Keys carry the
+//! candidate's content and profile, so a persistent entry is valid for
+//! every process that models the same region with the same model — which
 //! is exactly what makes the store shareable across processes.
 
 use cayman_hls::design::AcceleratorDesign;
@@ -93,7 +104,7 @@ fn stripe_of(key: &DesignKey) -> usize {
     let h = fnv1a_u64s(&[
         key.model.options,
         u64::from(c.func.0),
-        c.content_fp,
+        c.region_fp,
         c.entries,
         c.cpu_cycles,
         c.blocks.len() as u64,
@@ -222,7 +233,7 @@ mod tests {
             },
             candidate: CandidateKey {
                 func: FuncId(func),
-                content_fp: 0xfeed,
+                region_fp: 0xfeed,
                 blocks: vec![BlockId(0), BlockId(1)],
                 entries,
                 cpu_cycles: 100,

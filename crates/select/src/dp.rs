@@ -27,11 +27,13 @@
 //!   call into a task; the calling thread works through them while parked
 //!   helpers of one process-wide pool steal what is left (no external
 //!   dependencies).
-//! * **Design memoisation** — `accel(v, R)` is pure given the analysed
-//!   application, so its results are memoised in a [`DesignCache`] keyed by
-//!   model identity × candidate identity. Selection re-runs over the same
-//!   application (framework comparisons, ablation and α sweeps) hit the
-//!   cache instead of re-running scheduling.
+//! * **Design memoisation** — `accel(v, R)` is pure given what the model
+//!   reads about the region, so its results are memoised in a
+//!   [`DesignCache`] keyed by model identity × the candidate and its read
+//!   set (`cayman_hls::inputs::RegionInputs::key`). Selection re-runs
+//!   (framework comparisons, ablation and α sweeps) hit the cache instead
+//!   of re-running scheduling, and so do the regions an edit elsewhere left
+//!   untouched.
 //! * **Front reuse** — given a table of folded fronts, a function vertex
 //!   (root child) whose [`FrontKey`] is in it is answered with the stored
 //!   front: neither engine descends into it. Incremental re-selection after
@@ -43,11 +45,11 @@
 use crate::cache::{DesignCache, DesignKey, ModelId, Source};
 use crate::pareto::{combine, filter, pareto, Solution};
 use crate::sched::{self, SchedKind};
-use crate::stats::{AtomicStats, SelectStats};
+use crate::stats::{accel_label, AccelCall, AtomicStats, SelectStats};
 use cayman_analysis::profile::Profile;
 use cayman_analysis::wpst::{Wpst, WpstKind, WpstNodeId};
 use cayman_hls::design::{generate_designs, AcceleratorDesign};
-use cayman_hls::inputs::{Candidate, FuncInputs};
+use cayman_hls::inputs::{Candidate, FuncInputs, RegionInputs};
 use cayman_hls::interface::ModelOptions;
 use cayman_ir::fingerprint::fnv1a_u64s;
 use cayman_ir::Module;
@@ -165,9 +167,9 @@ impl SelectionResult {
 /// `FuncId`). `accel(v, R)` results are memoised in `cache`, so repeated
 /// selection over the same analysed application (framework comparisons,
 /// ablation sweeps, α/budget sweeps) reuses them; pass a fresh
-/// [`DesignCache`] for a one-off run. The cache must only ever be used with
-/// one analysed application: its keys identify candidates and models, not
-/// modules or profiles.
+/// [`DesignCache`] for a one-off run. Keys cover everything a model reads
+/// about a candidate, so one cache may serve any number of analysed
+/// applications; `IncrementalApp` keeps one across edits.
 ///
 /// With `fronts`, a table of per-function-subtree fronts shared across
 /// re-selections, each function vertex whose [`FrontKey`] is in the table
@@ -223,7 +225,9 @@ pub fn run_selection(
     } else {
         (engine.dp(wpst.root()), "seq")
     };
-    let stats = engine.stats.snapshot(wall.finish(), threads, scheduler);
+    let stats = engine
+        .stats
+        .snapshot(module, wall.finish(), threads, scheduler);
     let missed = engine
         .reuse
         .missed
@@ -452,9 +456,8 @@ impl<'a> Engine<'a> {
             entries: rp.entries,
             cpu_cycles: rp.cycles,
             is_bb: matches!(region.kind, cayman_analysis::regions::RegionKind::Bb(_)),
-            content_fp: self.inputs[func.index()].content_fp,
         };
-        let designs = self.designs_for(&cand, func, v);
+        let designs = self.designs_for(&cand, v);
         AtomicStats::add_usize(&self.stats.configs_considered, designs.len());
         designs
             .iter()
@@ -462,17 +465,14 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// Memoised model invocation. `v` only labels the top-k cost breakdown;
-    /// it does not participate in the cache key.
-    fn designs_for(
-        &self,
-        cand: &Candidate,
-        func: cayman_ir::FuncId,
-        v: WpstNodeId,
-    ) -> Arc<Vec<AcceleratorDesign>> {
+    /// Memoised model invocation, keyed by the candidate's read set. `v`
+    /// only labels the top-k cost breakdown; it does not participate in the
+    /// cache key.
+    fn designs_for(&self, cand: &Candidate, v: WpstNodeId) -> Arc<Vec<AcceleratorDesign>> {
+        let inputs = &self.inputs[cand.func.index()];
         let key = self.model.cache_id().map(|model| DesignKey {
             model,
-            candidate: cand.key(),
+            candidate: RegionInputs::new(inputs, cand).key(),
         });
         if let Some(key) = &key {
             match self.cache.lookup(key) {
@@ -487,23 +487,23 @@ impl<'a> Engine<'a> {
                 None => AtomicStats::add_u64(&self.stats.cache_misses, 1),
             }
         }
-        // Label the invocation by function, vertex, and region kind — the
-        // same naming trace spans use, so the printed top-k and the trace
-        // agree.
-        let label = format!(
-            "{}#v{}:{}",
-            self.module.function(func).name,
-            v.index(),
-            if cand.is_bb { "bb" } else { "ctrl-flow" }
-        );
+        // The span and the top-k breakdown label the invocation alike; the
+        // label is only rendered when tracing asks for it.
         let t0 = cayman_obs::timed_with("model.accel", || {
-            vec![("region", cayman_obs::ArgValue::Str(label.clone()))]
+            let label = accel_label(self.module, cand.func, v, cand.is_bb);
+            vec![("region", cayman_obs::ArgValue::Str(label))]
         });
-        let designs = self.model.designs(&self.inputs[func.index()], cand);
+        let designs = self.model.designs(inputs, cand);
         let nanos = t0.finish();
         AtomicStats::add_u64(&self.stats.model_nanos, nanos);
         AtomicStats::add_usize(&self.stats.configs_evaluated, designs.len());
-        self.stats.record_accel(label, nanos, designs.len());
+        self.stats.record_accel(AccelCall {
+            func: cand.func,
+            node: v,
+            is_bb: cand.is_bb,
+            nanos,
+            designs: designs.len(),
+        });
         match key {
             Some(key) => self.cache.insert(key, designs),
             None => Arc::new(designs),
@@ -517,6 +517,7 @@ mod tests {
     use cayman_analysis::access::{trip_count, AccessAnalysis};
     use cayman_analysis::memdep::{analyse_loop_deps, LoopDeps};
     use cayman_analysis::scev::Scev;
+    use cayman_hls::inputs::FuncPrints;
     use cayman_ir::builder::ModuleBuilder;
     use cayman_ir::interp::Interp;
     use cayman_ir::{Module, Type};
@@ -530,6 +531,7 @@ mod tests {
         pub deps: Vec<Vec<LoopDeps>>,
         pub trips: Vec<Vec<f64>>,
         pub content_fps: Vec<u64>,
+        pub prints: Vec<FuncPrints>,
     }
 
     impl App {
@@ -541,6 +543,7 @@ mod tests {
             let mut accesses = Vec::new();
             let mut deps = Vec::new();
             let mut trips = Vec::new();
+            let mut prints = Vec::new();
             for f in module.function_ids() {
                 let func = module.function(f);
                 let ctx = &wpst.func_ctxs[f.index()];
@@ -552,6 +555,7 @@ mod tests {
                     .ids()
                     .map(|l| trip_count(&wpst, &profile, func, f, l).unwrap_or(1.0))
                     .collect();
+                prints.push(FuncPrints::compute(&module, func, ctx, &aa, &dd));
                 accesses.push(aa);
                 deps.push(dd);
                 trips.push(tt);
@@ -569,6 +573,7 @@ mod tests {
                 deps,
                 trips,
                 content_fps,
+                prints,
             }
         }
 
@@ -584,6 +589,7 @@ mod tests {
                     trips: &self.trips[f.index()],
                     block_counts: &self.profile.block_counts[f.index()],
                     content_fp: self.content_fps[f.index()],
+                    prints: &self.prints[f.index()],
                 })
                 .collect()
         }
@@ -781,7 +787,8 @@ mod tests {
 
     impl AccelModel for Recording {
         fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign> {
-            self.0.lock().expect("recording").push(cand.key());
+            let key = RegionInputs::new(inputs, cand).key();
+            self.0.lock().expect("recording").push(key);
             CaymanModel::default().designs(inputs, cand)
         }
     }
@@ -791,7 +798,7 @@ mod tests {
 
     impl AccelModel for PanicsOn {
         fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign> {
-            if cand.key() == self.0 {
+            if RegionInputs::new(inputs, cand).key() == self.0 {
                 panic!("model panics on the chosen vertex");
             }
             CaymanModel::default().designs(inputs, cand)

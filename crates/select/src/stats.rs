@@ -7,6 +7,8 @@
 //! summarised here: it is the `select.task.*` spans on each
 //! `select.worker.<n>` trace lane.
 
+use cayman_analysis::wpst::WpstNodeId;
+use cayman_ir::{FuncId, Module};
 use cayman_obs::pool::TopPool;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -130,6 +132,28 @@ impl fmt::Display for SelectStats {
     }
 }
 
+/// One model invocation as a run records it: the vertex and region kind,
+/// not the label, which is rendered only for the calls a snapshot keeps.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AccelCall {
+    pub func: FuncId,
+    pub node: WpstNodeId,
+    pub is_bb: bool,
+    pub nanos: u64,
+    pub designs: usize,
+}
+
+/// `function#vN:kind`: the label of a model invocation, shared by the
+/// `model.accel` trace span and the top-k breakdown.
+pub(crate) fn accel_label(module: &Module, func: FuncId, node: WpstNodeId, is_bb: bool) -> String {
+    format!(
+        "{}#v{}:{}",
+        module.function(func).name,
+        node.index(),
+        if is_bb { "bb" } else { "ctrl-flow" }
+    )
+}
+
 /// The live, thread-shared accumulator behind [`SelectStats`]. All updates
 /// are relaxed atomics: counters are independent, and the final snapshot
 /// happens after every pool helper has left the run (the pool's state lock
@@ -149,10 +173,10 @@ pub(crate) struct AtomicStats {
     pub model_nanos: AtomicU64,
     pub combine_nanos: AtomicU64,
     /// Candidate pool for the top-k `accel` breakdown (most expensive
-    /// first, label as tiebreak). Bounded by the pool itself: model
+    /// first, vertex as tiebreak). Bounded by the pool itself: model
     /// invocations are orders of magnitude more expensive than the push, so
     /// contention is negligible.
-    top_accel: TopPool<AccelCallStat>,
+    top_accel: TopPool<AccelCall>,
 }
 
 impl Default for AtomicStats {
@@ -170,7 +194,9 @@ impl Default for AtomicStats {
             model_nanos: AtomicU64::new(0),
             combine_nanos: AtomicU64::new(0),
             top_accel: TopPool::new(TOP_ACCEL_K, |a, b| {
-                b.nanos.cmp(&a.nanos).then_with(|| a.label.cmp(&b.label))
+                b.nanos
+                    .cmp(&a.nanos)
+                    .then_with(|| (a.func, a.node, a.is_bb).cmp(&(b.func, b.node, b.is_bb)))
             }),
         }
     }
@@ -186,22 +212,29 @@ impl AtomicStats {
     }
 
     /// Records one `accel(v, R)` model invocation for the top-k breakdown.
-    pub fn record_accel(&self, label: String, nanos: u64, designs: usize) {
-        self.top_accel.push(AccelCallStat {
-            label,
-            nanos,
-            designs,
-        });
+    pub fn record_accel(&self, call: AccelCall) {
+        self.top_accel.push(call);
     }
 
-    /// Freezes the accumulator into a snapshot.
+    /// Freezes the accumulator into a snapshot, labelling the kept model
+    /// invocations with `module`'s function names.
     pub fn snapshot(
         &self,
+        module: &Module,
         wall_nanos: u64,
         threads: usize,
         scheduler: &'static str,
     ) -> SelectStats {
-        let top_accel = self.top_accel.snapshot();
+        let top_accel = self
+            .top_accel
+            .snapshot()
+            .into_iter()
+            .map(|c| AccelCallStat {
+                label: accel_label(module, c.func, c.node, c.is_bb),
+                nanos: c.nanos,
+                designs: c.designs,
+            })
+            .collect();
         let disk_hits = self.disk_hits.load(Ordering::Relaxed);
         SelectStats {
             visited: self.visited.load(Ordering::Relaxed),
@@ -236,6 +269,25 @@ mod tests {
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 
+    /// A module with functions `f` and `hot`, for labels.
+    fn two_functions() -> Module {
+        let mut mb = cayman_ir::builder::ModuleBuilder::new("t");
+        for name in ["f", "hot"] {
+            mb.function(name, &[], None, |fb| fb.ret(None));
+        }
+        mb.finish()
+    }
+
+    fn call(func: u32, node: usize, nanos: u64, designs: usize) -> AccelCall {
+        AccelCall {
+            func: FuncId(func),
+            node: WpstNodeId(node as u32),
+            is_bb: node.is_multiple_of(2),
+            nanos,
+            designs,
+        }
+    }
+
     #[test]
     fn snapshot_carries_all_counters() {
         let a = AtomicStats::default();
@@ -248,7 +300,7 @@ mod tests {
         AtomicStats::add_u64(&a.cache_misses, 6);
         AtomicStats::add_u64(&a.model_nanos, 1_000);
         AtomicStats::add_u64(&a.combine_nanos, 2_000);
-        let s = a.snapshot(5_000, 4, "steal");
+        let s = a.snapshot(&two_functions(), 5_000, 4, "steal");
         assert_eq!(s.visited, 5);
         assert_eq!(s.pruned, 2);
         assert_eq!(s.configs_considered, 10);
@@ -271,12 +323,13 @@ mod tests {
         let a = AtomicStats::default();
         // Overflow the pool to exercise the bounded-truncate path.
         for i in 0..(4 * TOP_ACCEL_K + 10) {
-            a.record_accel(format!("f#v{i}"), (i as u64 % 37) * 1000, i);
+            a.record_accel(call(0, i, (i as u64 % 37) * 1000, i));
         }
-        a.record_accel("hot#v0".into(), 1_000_000, 3);
-        let s = a.snapshot(1, 1, "seq");
+        a.record_accel(call(1, 0, 1_000_000, 3));
+        let s = a.snapshot(&two_functions(), 1, 1, "seq");
         assert_eq!(s.top_accel.len(), TOP_ACCEL_K);
-        assert_eq!(s.top_accel[0].label, "hot#v0");
+        assert_eq!(s.top_accel[0].label, "hot#v0:bb");
+        assert!(s.top_accel[1].label.starts_with("f#v"), "{:?}", s.top_accel);
         assert_eq!(s.top_accel[0].designs, 3);
         for w in s.top_accel.windows(2) {
             assert!(w[0].nanos >= w[1].nanos, "descending cost order");

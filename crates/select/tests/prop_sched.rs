@@ -14,7 +14,7 @@ use cayman_analysis::memdep::{analyse_loop_deps, LoopDeps};
 use cayman_analysis::profile::Profile;
 use cayman_analysis::scev::Scev;
 use cayman_analysis::wpst::Wpst;
-use cayman_hls::inputs::FuncInputs;
+use cayman_hls::inputs::{FuncInputs, FuncPrints};
 use cayman_ir::builder::{FunctionBuilder, ModuleBuilder};
 use cayman_ir::interp::Interp;
 use cayman_ir::{ArrayId, Module, Operand, Type};
@@ -34,6 +34,7 @@ struct App {
     deps: Vec<Vec<LoopDeps>>,
     trips: Vec<Vec<f64>>,
     content_fps: Vec<u64>,
+    prints: Vec<FuncPrints>,
 }
 
 impl App {
@@ -47,6 +48,7 @@ impl App {
         let mut accesses = Vec::new();
         let mut deps = Vec::new();
         let mut trips = Vec::new();
+        let mut prints = Vec::new();
         for f in module.function_ids() {
             let func = module.function(f);
             let ctx = &wpst.func_ctxs[f.index()];
@@ -58,6 +60,7 @@ impl App {
                 .ids()
                 .map(|l| trip_count(&wpst, &profile, func, f, l).unwrap_or(1.0))
                 .collect();
+            prints.push(FuncPrints::compute(&module, func, ctx, &aa, &dd));
             accesses.push(aa);
             deps.push(dd);
             trips.push(tt);
@@ -75,6 +78,7 @@ impl App {
             deps,
             trips,
             content_fps,
+            prints,
         }
     }
 
@@ -90,6 +94,7 @@ impl App {
                 trips: &self.trips[f.index()],
                 block_counts: &self.profile.block_counts[f.index()],
                 content_fp: self.content_fps[f.index()],
+                prints: &self.prints[f.index()],
             })
             .collect()
     }

@@ -36,9 +36,12 @@ use std::fmt;
 
 /// Magic bytes opening every persisted entry.
 pub const MAGIC: [u8; 4] = *b"CYDS";
-/// Current entry/wire format version. Bump on any layout change: readers
-/// treat other versions as misses (the writer simply re-persists).
-pub const VERSION: u8 = 1;
+/// Current entry format version. Bump on any change to the layout or to
+/// what a key means: readers treat other versions as misses (the writer
+/// simply re-persists). Version 2 keys a candidate by its region
+/// fingerprint (`CandidateKey::region_fp`) where version 1 carried the
+/// whole function's content fingerprint.
+pub const VERSION: u8 = 2;
 
 /// Why a decode failed. The store maps every variant to a clean miss; the
 /// variant only picks which counter is bumped.
@@ -237,7 +240,7 @@ pub fn key_bytes(key: &DesignKey) -> Vec<u8> {
     e.blob(key.model.name.as_bytes());
     e.u64(key.model.options);
     e.u32(key.candidate.func.0);
-    e.u64(key.candidate.content_fp);
+    e.u64(key.candidate.region_fp);
     e.u32(key.candidate.blocks.len() as u32);
     for b in &key.candidate.blocks {
         e.u32(b.0);
@@ -477,7 +480,7 @@ mod tests {
             },
             candidate: CandidateKey {
                 func: FuncId(3),
-                content_fp: 0x1234_5678_9ABC_DEF0,
+                region_fp: 0x1234_5678_9ABC_DEF0,
                 blocks: vec![BlockId(1), BlockId(2), BlockId(7)],
                 entries: 42,
                 cpu_cycles: 1_000_000,

@@ -41,10 +41,16 @@
 //! Decoders that predate the trailer ignore trailing bytes, and a missing
 //! trailer decodes as id `0` (pinned by `tests/wire_compat.rs`).
 
-use crate::codec::{self, Dec, DecodeError, Enc, VERSION};
+use crate::codec::{self, Dec, DecodeError, Enc};
 use cayman_select::Solution;
 use std::fmt;
 use std::io::{self, Read, Write};
+
+/// Wire format version, the first byte of every request and response
+/// payload. It moves apart from the store's entry version
+/// ([`codec::VERSION`]): fronts cross the wire in the entry encoding, but
+/// design-cache keys never do.
+pub const VERSION: u8 = 1;
 
 /// Hard cap on a frame payload (64 MiB — far above any real module or
 /// front, far below an allocation bomb).

@@ -30,7 +30,7 @@ fn sample_key(seed: u64) -> DesignKey {
         },
         candidate: CandidateKey {
             func: FuncId(seed as u32 % 7),
-            content_fp: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            region_fp: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             blocks: vec![BlockId(1), BlockId(2), BlockId(seed as u32 % 5)],
             entries: 100 + seed,
             cpu_cycles: 4096 + seed,
@@ -162,6 +162,34 @@ fn version_skewed_entry_is_dropped_not_decoded() {
     assert_eq!(stats.version_skew, 1);
     assert_eq!(stats.corrupt, 0, "version skew is not corruption");
     assert!(!path.exists(), "skewed entry unlinked for re-persist");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_1_entry_is_a_counted_skew_miss_never_a_hit() {
+    // Version 1 keyed candidates by the whole function's content
+    // fingerprint; its entries must not answer version-2 lookups.
+    assert_eq!(VERSION, 2);
+    let dir = tmp_store_dir("v1");
+    let store = DiskStore::open(&dir).expect("open");
+    let (key, designs) = (sample_key(5), sample_designs(5));
+    store.save(&key, &designs);
+
+    // Rewrite the entry as a well-formed version-1 entry: version byte 1
+    // and a checksum that covers it, so only the version can reject it.
+    let path = only_entry(&dir);
+    let mut bytes = fs::read(&path).expect("read entry");
+    let body = bytes.len() - 8;
+    bytes[4] = 1;
+    let checksum = cayman_ir::fingerprint::fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    fs::write(&path, &bytes).expect("write v1 entry");
+
+    assert!(store.load(&key).is_none(), "a v1 entry must miss");
+    let stats = store.stats();
+    assert_eq!(stats.version_skew, 1);
+    assert_eq!((stats.hits, stats.corrupt), (0, 0));
+    assert!(!path.exists(), "v1 entry unlinked for re-persist");
     let _ = fs::remove_dir_all(&dir);
 }
 

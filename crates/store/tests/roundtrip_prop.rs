@@ -45,7 +45,7 @@ fn gen_key(rng: &mut Rng) -> DesignKey {
         },
         candidate: CandidateKey {
             func: FuncId(rng.range_u32(0, 16)),
-            content_fp: rng.next_u64(),
+            region_fp: rng.next_u64(),
             blocks: (0..rng.range_usize(0, 8))
                 .map(|_| BlockId(rng.range_u32(0, 128)))
                 .collect(),
