@@ -125,8 +125,9 @@ pub enum Source {
 /// Memoised `accel(v, R)` results, shareable across selection runs and
 /// across threads within a run.
 ///
-/// Entries are `Arc`ed so hits hand out cheap clones of the design vector.
-/// The table is sharded into 16 independently locked stripes keyed
+/// Entries are `Arc`ed: a hit shares the design vector without copying it,
+/// and the selection DP clones only the designs that survive its Pareto
+/// reduction. The table is sharded into 16 independently locked stripes keyed
 /// by a deterministic hash of the [`DesignKey`], so parallel workers probing
 /// different candidates do not serialise on one global lock. The cache
 /// counts nothing itself: the selection DP counts its lookups per run

@@ -20,7 +20,7 @@
 //! reference engine, run when [`SelectOptions::threads`] `<= 1`; more threads
 //! run the work-stealing scheduler in [`crate::sched`]. Both fold child
 //! fronts with the same `Engine::fold`, strictly in child order, so the
-//! Pareto front is bit-identical for every thread budget. Three engineering
+//! Pareto front is bit-identical for every thread budget. Four engineering
 //! layers sit on top of the paper's algorithm:
 //!
 //! * **Parallel subtrees** — the work-stealing scheduler turns every model
@@ -38,12 +38,18 @@
 //!   (root child) whose [`FrontKey`] is in it is answered with the stored
 //!   front: neither engine descends into it. Incremental re-selection after
 //!   an edit only re-folds the functions whose key changed.
+//! * **Build only survivors** — `pareto` and `filter` read only area and
+//!   saving, so `⊗` and `accel` rank candidates on those totals
+//!   ([`mod@crate::pareto`]). `accel` hands out the design cache's shared
+//!   vector, and only the unions and designs that survive are built into
+//!   solutions. A fold starts from its first child's front instead of
+//!   `{∅} ⊗ F[u₁]`.
 //!
 //! A [`SelectStats`] snapshot (per-phase wall time, cache hits/misses,
 //! vertices visited/pruned) rides on every [`SelectionResult`].
 
 use crate::cache::{DesignCache, DesignKey, ModelId, Source};
-use crate::pareto::{combine, filter, pareto, Solution};
+use crate::pareto::{fold, with_designs, Solution};
 use crate::sched::{self, SchedKind};
 use crate::stats::{accel_label, AccelCall, AtomicStats, SelectStats};
 use cayman_analysis::profile::Profile;
@@ -192,8 +198,9 @@ pub fn run_selection(
     // The obs span is the single wall-clock measurement: it feeds both the
     // trace (when enabled) and the `SelectStats` snapshot.
     let wall = cayman_obs::timed("select.run");
+    let model_id = model.cache_id();
     let keys = if fronts.is_some() {
-        front_keys(module, wpst, profile, inputs, opts, model)
+        front_keys(module, wpst, profile, inputs, opts, model_id)
     } else {
         Vec::new()
     };
@@ -211,6 +218,7 @@ pub fn run_selection(
         inputs,
         opts,
         model,
+        model_id,
         cache,
         stats: AtomicStats::default(),
         reuse: RootReuse {
@@ -308,10 +316,9 @@ fn front_keys(
     profile: &Profile,
     inputs: &[FuncInputs<'_>],
     opts: &SelectOptions,
-    model: &dyn AccelModel,
+    model_id: Option<ModelId>,
 ) -> Vec<Option<FrontKey>> {
     let arrays_fp = cayman_ir::fingerprint_arrays(&module.arrays);
-    let model_id = model.cache_id();
     wpst.node(wpst.root())
         .children
         .iter()
@@ -350,6 +357,9 @@ pub(crate) struct Engine<'a> {
     inputs: &'a [FuncInputs<'a>],
     pub(crate) opts: &'a SelectOptions,
     model: &'a dyn AccelModel,
+    /// `model.cache_id()`, computed once per run: hashing the model's
+    /// options on every design lookup would repeat the same work.
+    model_id: Option<ModelId>,
     cache: &'a DesignCache,
     pub(crate) stats: AtomicStats,
     reuse: RootReuse<'a>,
@@ -366,7 +376,7 @@ impl<'a> Engine<'a> {
         AtomicStats::add_usize(&self.stats.visited, 1);
 
         if self.wpst.is_bb(v) {
-            return filter(pareto(self.accel(v)), self.opts.alpha);
+            return self.leaf(v);
         }
 
         let stored = self.stored_fronts(v);
@@ -395,60 +405,63 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// `F[v]` from its children's fronts: `combine` strictly in child order —
-    /// this keeps the float summation order, and therefore the front,
-    /// identical in both engines — then, for a `ctrl-flow` vertex, the union
-    /// with its own `accel(v, R)` designs. At the root of a run with a front
-    /// table, the fold also records which keyed fronts were stored (borrowed)
-    /// and which it folded (owned).
+    /// `F[v]` of a `bb` leaf: `filter(pareto(accel(v, R)))`, cloning only
+    /// the designs that survive.
+    pub(crate) fn leaf(&self, v: WpstNodeId) -> Vec<Solution> {
+        with_designs(Vec::new(), v, &self.accel(v), self.opts.alpha)
+    }
+
+    /// `F[v]` from its children's fronts and, for a `ctrl-flow` vertex, its
+    /// own `accel(v, R)` designs: [`fold`] strictly in child order — this
+    /// keeps the float summation order, and therefore the front, identical
+    /// in both engines. At the root of a run with a front table, the fold
+    /// also records which keyed fronts were stored (borrowed) and which it
+    /// folded (owned).
     pub(crate) fn fold(
         &self,
         v: WpstNodeId,
         child_fronts: Vec<Cow<'a, [Solution]>>,
-        accel: Option<Vec<Solution>>,
+        designs: Option<Arc<Vec<AcceleratorDesign>>>,
     ) -> Vec<Solution> {
+        let own = designs.as_deref().map(|d| (v, d.as_slice()));
         let t0 = cayman_obs::timed("select.combine");
-        let mut f = vec![Solution::empty()];
-        for fu in &child_fronts {
-            f = combine(&f, fu, self.opts.alpha);
+        if v != self.wpst.root() || self.reuse.keys.is_empty() {
+            let f = fold(child_fronts, own, self.opts.alpha);
+            AtomicStats::add_u64(&self.stats.combine_nanos, t0.finish());
+            return f;
         }
+        // Front reuse below still needs the child fronts themselves.
+        let borrowed = child_fronts.iter().map(|c| Cow::Borrowed(&**c));
+        let f = fold(borrowed, own, self.opts.alpha);
         AtomicStats::add_u64(&self.stats.combine_nanos, t0.finish());
-
-        if let Some(designs) = accel {
-            f.extend(designs);
-            let t1 = cayman_obs::timed("select.combine");
-            f = filter(pareto(f), self.opts.alpha);
-            AtomicStats::add_u64(&self.stats.combine_nanos, t1.finish());
-        }
-
-        if v == self.wpst.root() && !self.reuse.keys.is_empty() {
-            let mut missed = self.reuse.missed.lock().expect("front reuse poisoned");
-            for (key, front) in self.reuse.keys.iter().zip(child_fronts) {
-                match (key, front) {
-                    (Some(_), Cow::Borrowed(_)) => AtomicStats::add_u64(&self.stats.front_hits, 1),
-                    (Some(key), Cow::Owned(front)) => {
-                        AtomicStats::add_u64(&self.stats.front_misses, 1);
-                        missed.push((*key, front));
-                    }
-                    (None, _) => {}
+        let mut missed = self.reuse.missed.lock().expect("front reuse poisoned");
+        for (key, front) in self.reuse.keys.iter().zip(child_fronts) {
+            match (key, front) {
+                (Some(_), Cow::Borrowed(_)) => AtomicStats::add_u64(&self.stats.front_hits, 1),
+                (Some(key), Cow::Owned(front)) => {
+                    AtomicStats::add_u64(&self.stats.front_misses, 1);
+                    missed.push((*key, front));
                 }
+                (None, _) => {}
             }
         }
         f
     }
 
     /// `accel(v, R)`: configurations for accelerating vertex `v` as a single
-    /// extracted kernel, answered from the design cache when possible.
-    pub(crate) fn accel(&self, v: WpstNodeId) -> Vec<Solution> {
+    /// extracted kernel, answered from the design cache when possible. The
+    /// designs are handed out as the cache holds them; the caller ranks
+    /// them and clones only those that survive.
+    pub(crate) fn accel(&self, v: WpstNodeId) -> Arc<Vec<AcceleratorDesign>> {
         let Some((region, func)) = self.wpst.region(v) else {
-            return Vec::new();
+            return Arc::default();
         };
         if !region.accelerable {
-            return Vec::new();
+            return Arc::default();
         }
         let rp = self.profile.of(v);
         if rp.entries == 0 || rp.cycles == 0 {
-            return Vec::new();
+            return Arc::default();
         }
         let cand = Candidate {
             func,
@@ -460,9 +473,6 @@ impl<'a> Engine<'a> {
         let designs = self.designs_for(&cand, v);
         AtomicStats::add_usize(&self.stats.configs_considered, designs.len());
         designs
-            .iter()
-            .map(|d| Solution::single(v, d.clone()))
-            .collect()
     }
 
     /// Memoised model invocation, keyed by the candidate's read set. `v`
@@ -470,7 +480,7 @@ impl<'a> Engine<'a> {
     /// cache key.
     fn designs_for(&self, cand: &Candidate, v: WpstNodeId) -> Arc<Vec<AcceleratorDesign>> {
         let inputs = &self.inputs[cand.func.index()];
-        let key = self.model.cache_id().map(|model| DesignKey {
+        let key = self.model_id.map(|model| DesignKey {
             model,
             candidate: RegionInputs::new(inputs, cand).key(),
         });

@@ -7,7 +7,8 @@
 //! descendants.
 //!
 //! * [`mod@pareto`] — [`pareto::Solution`]s, Pareto reduction, the α-spacing
-//!   `filter`, and the `⊗` combination operator,
+//!   `filter`, the `⊗` combination operator and the per-vertex fold, all
+//!   ranking candidates on their totals before building any,
 //! * [`dp`] — Algorithm 1 ([`dp::run_selection`], the one entry point) with
 //!   heuristic pruning, design memoisation and per-function front reuse
 //!   (a caller-owned table keyed by [`dp::FrontKey`]); its recursive engine
@@ -37,6 +38,6 @@ pub mod stats;
 
 pub use cache::{DesignCache, DesignKey, DesignStoreBackend, ModelId};
 pub use dp::{run_selection, AccelModel, CaymanModel, FrontKey, SelectOptions, SelectionResult};
-pub use pareto::{combine, filter, pareto, SelectedKernel, Solution};
+pub use pareto::{combine, filter, fold, pareto, with_designs, SelectedKernel, Solution};
 pub use sched::SchedKind;
 pub use stats::{AccelCallStat, SelectStats, TOP_ACCEL_K};

@@ -1,9 +1,21 @@
 //! Solutions, Pareto-optimal sequences, the α-spacing `filter`, and the `⊗`
 //! combination operator of Algorithm 1.
+//!
+//! `pareto` and `filter` read only each candidate's totals: its area and its
+//! saving. So every reduction here ranks candidates as `(area, saving,
+//! payload)` triples and builds a [`Solution`] only for the survivors.
+//! [`combine`] ranks the pairwise sums of two fronts and forms only the
+//! surviving unions; the DP ranks a vertex's cached designs the same way
+//! and copies only the designs that survive. The totals are the float
+//! operations a built solution would carry, in the same order, and the sort
+//! sees the same sequence, so every front is bit-identical to building all
+//! candidates first.
 
 use cayman_analysis::wpst::WpstNodeId;
 use cayman_hls::design::AcceleratorDesign;
 use cayman_ir::cpu_model::CPU_FREQ_HZ;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
 /// One selected kernel: a wPST vertex plus its accelerator configuration.
 #[derive(Debug, Clone)]
@@ -92,39 +104,78 @@ impl Solution {
     }
 }
 
+/// A candidate ranked on its totals before anything is built: its area, its
+/// saving, and a payload saying how to build it. `None` is the `∅` sentinel
+/// that the Pareto step re-inserts.
+type Ranked<T> = (f64, f64, Option<T>);
+
+/// The Pareto step on totals: a stable sort of `items`, followed by the `∅`
+/// sentinel, by increasing area and then decreasing saving; then keep each
+/// candidate whose saving strictly improves on the last one kept.
+fn pareto_ranked<T>(items: &mut Vec<Ranked<T>>) {
+    items.push((0.0, 0.0, None));
+    items.sort_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .unwrap_or(Ordering::Equal)
+            .then(b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal))
+    });
+    let mut last: Option<f64> = None;
+    items.retain(|&(_, saved, _)| {
+        let keep = last.is_none_or(|l| saved > l);
+        if keep {
+            last = Some(saved);
+        }
+        keep
+    });
+}
+
+/// The α step on totals: the backward greedy of [`filter`] over a Pareto
+/// sequence, in place.
+fn filter_ranked<T>(items: &mut Vec<Ranked<T>>, alpha: f64) {
+    debug_assert!(alpha > 1.0, "alpha must exceed 1");
+    let mut keep = vec![false; items.len()];
+    let mut bound = f64::INFINITY;
+    for (i, &(area, ..)) in items.iter().enumerate().rev() {
+        if area <= bound || area == 0.0 {
+            keep[i] = true;
+            if area > 0.0 {
+                bound = area / alpha;
+            }
+        }
+    }
+    let mut keep = keep.into_iter();
+    items.retain(|_| keep.next() == Some(true));
+}
+
+/// `filter(pareto(·))` on totals: the payloads of the survivors, by
+/// increasing area, `None` standing for `∅`. Callers build a solution for
+/// each survivor only.
+fn survivors<T>(mut items: Vec<Ranked<T>>, alpha: f64) -> impl Iterator<Item = Option<T>> {
+    pareto_ranked(&mut items);
+    filter_ranked(&mut items, alpha);
+    items.into_iter().map(|(_, _, payload)| payload)
+}
+
+/// Solutions as ranked candidates that carry themselves.
+fn ranked(solutions: Vec<Solution>) -> Vec<Ranked<Solution>> {
+    solutions
+        .into_iter()
+        .map(|s| (s.area, s.saved_seconds, Some(s)))
+        .collect()
+}
+
 /// Produces the Pareto-optimal sequence of `solutions`, sorted by increasing
 /// area, keeping only solutions with strictly increasing savings.
 ///
 /// The empty solution is always re-inserted so that "select nothing from this
 /// subtree" remains available to the `⊗` operator.
-pub fn pareto(mut solutions: Vec<Solution>) -> Vec<Solution> {
-    solutions.push(Solution::empty());
-    solutions.sort_by(|a, b| {
-        a.area
-            .partial_cmp(&b.area)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(
-                b.saved_seconds
-                    .partial_cmp(&a.saved_seconds)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-    });
-    let mut out: Vec<Solution> = Vec::new();
-    let mut best = f64::NEG_INFINITY;
-    for s in solutions {
-        if s.saved_seconds > best || out.is_empty() {
-            best = best.max(s.saved_seconds);
-            // Keep only if it strictly improves over the last kept solution.
-            if out
-                .last()
-                .map(|l| s.saved_seconds > l.saved_seconds)
-                .unwrap_or(true)
-            {
-                out.push(s);
-            }
-        }
-    }
-    out
+pub fn pareto(solutions: Vec<Solution>) -> Vec<Solution> {
+    let mut items = ranked(solutions);
+    pareto_ranked(&mut items);
+    items
+        .into_iter()
+        .map(|(_, _, s)| s.unwrap_or_default())
+        .collect()
 }
 
 /// The α-spacing `filter` of Algorithm 1: thins a Pareto sequence so that
@@ -139,36 +190,87 @@ pub fn pareto(mut solutions: Vec<Solution>) -> Vec<Solution> {
 /// The input must already be a Pareto sequence (sorted by increasing area).
 /// The empty solution (area 0) is always kept.
 pub fn filter(solutions: Vec<Solution>, alpha: f64) -> Vec<Solution> {
-    debug_assert!(alpha > 1.0, "alpha must exceed 1");
-    if solutions.is_empty() {
-        return solutions;
-    }
-    let mut keep = vec![false; solutions.len()];
-    let mut bound = f64::INFINITY;
-    for (i, s) in solutions.iter().enumerate().rev() {
-        if s.area <= bound || s.area == 0.0 {
-            keep[i] = true;
-            if s.area > 0.0 {
-                bound = s.area / alpha;
-            }
+    let mut items = ranked(solutions);
+    filter_ranked(&mut items, alpha);
+    items.into_iter().filter_map(|(_, _, s)| s).collect()
+}
+
+/// The `⊗` operator: `filter(pareto(·))` over all pairwise unions of two
+/// Pareto sequences. The pairs are ranked on their summed totals, and only
+/// the surviving pairs are built into unions.
+pub fn combine(a: &[Solution], b: &[Solution], alpha: f64) -> Vec<Solution> {
+    let mut items = Vec::with_capacity(a.len() * b.len());
+    for (i, x) in a.iter().enumerate() {
+        for (j, y) in b.iter().enumerate() {
+            items.push((
+                x.area + y.area,
+                x.saved_seconds + y.saved_seconds,
+                Some((i, j)),
+            ));
         }
     }
-    solutions
-        .into_iter()
-        .zip(keep)
-        .filter_map(|(s, k)| k.then_some(s))
+    survivors(items, alpha)
+        .map(|pair| match pair {
+            Some((i, j)) => a[i].union(&b[j]),
+            None => Solution::empty(),
+        })
         .collect()
 }
 
-/// The `⊗` operator: all pairwise unions of two Pareto sequences, re-reduced.
-pub fn combine(a: &[Solution], b: &[Solution], alpha: f64) -> Vec<Solution> {
-    let mut out = Vec::with_capacity(a.len() * b.len());
-    for x in a {
-        for y in b {
-            out.push(x.union(y));
-        }
+/// `filter(pareto(front ∪ {single(v, d) : d ∈ designs}))`: `front`'s
+/// members and then the designs are ranked on their totals, and only the
+/// surviving designs are cloned into solutions. With an empty `front` this
+/// is the `bb` leaf `filter(pareto(accel(v, R)))`; with a folded front it is
+/// the `ctrl-flow` step that merges the vertex's own designs.
+pub fn with_designs(
+    mut front: Vec<Solution>,
+    v: WpstNodeId,
+    designs: &[AcceleratorDesign],
+    alpha: f64,
+) -> Vec<Solution> {
+    let n = front.len();
+    let items = front
+        .iter()
+        .map(|s| (s.area, s.saved_seconds))
+        .chain(designs.iter().map(|d| (d.area, d.saved_seconds())))
+        .enumerate()
+        .map(|(i, (area, saved))| (area, saved, Some(i)))
+        .collect();
+    survivors(items, alpha)
+        .map(|member| match member {
+            Some(i) if i < n => std::mem::take(&mut front[i]),
+            Some(i) => Solution::single(v, designs[i - n].clone()),
+            None => Solution::empty(),
+        })
+        .collect()
+}
+
+/// Algorithm 1 at one internal vertex: `F ← filter(F ⊗ F[u])` over the
+/// children's fronts in child order, then, when `own` carries a `ctrl-flow`
+/// vertex and its designs, `F ← filter(pareto(F ∪ accel(v, R)))`.
+///
+/// Each child must be a front reduced with the same `alpha`, as this
+/// module's reductions return. The fold starts from the first child's
+/// front, not from `{∅} ⊗ F[u₁]`: `∅ ∪ y` has `y`'s kernels and the totals
+/// `0.0 + y`, which are `y`'s own bits (no area or saving is ever `-0.0`),
+/// and `filter ∘ pareto` leaves such a front as it is. So an owned first
+/// front is moved, not copied.
+pub fn fold<'f>(
+    children: impl IntoIterator<Item = Cow<'f, [Solution]>>,
+    own: Option<(WpstNodeId, &[AcceleratorDesign])>,
+    alpha: f64,
+) -> Vec<Solution> {
+    let mut children = children.into_iter();
+    let mut f = children
+        .next()
+        .map_or_else(|| vec![Solution::empty()], Cow::into_owned);
+    for fu in children {
+        f = combine(&f, &fu, alpha);
     }
-    filter(pareto(out), alpha)
+    match own {
+        Some((v, designs)) => with_designs(f, v, designs, alpha),
+        None => f,
+    }
 }
 
 #[cfg(test)]

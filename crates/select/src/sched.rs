@@ -8,8 +8,9 @@
 //!    into a task graph. Every `bb` leaf and every `ctrl-flow` vertex's own
 //!    `accel(v, R)` call — the model invocations, which dominate the run —
 //!    becomes an independent task. Every internal vertex becomes an
-//!    inner node with one *pre-allocated result slot per child* (plus one for
-//!    its own `accel` result when it is `ctrl-flow`) and a pending counter.
+//!    inner node with one *pre-allocated result slot per child* (plus the
+//!    `ctrl` slot for its own `accel` designs when it is `ctrl-flow`) and a
+//!    pending counter.
 //!    Pruned children, and function vertices answered from the front
 //!    table, are pre-filled at plan time.
 //! 2. **Execute**: every task goes onto one `Mutex<VecDeque>`. The caller
@@ -41,14 +42,15 @@
 //! never changes.
 
 use crate::dp::Engine;
-use crate::pareto::{filter, pareto, Solution};
+use crate::pareto::Solution;
 use crate::pool;
 use crate::stats::AtomicStats;
 use cayman_analysis::wpst::WpstNodeId;
+use cayman_hls::design::AcceleratorDesign;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A single-value type kept only for the [`crate::SelectOptions::sched`]
 /// field, which no code reads: `threads` alone picks the engine.
@@ -68,16 +70,23 @@ struct Inner<'a> {
     v: WpstNodeId,
     /// Where this vertex's folded front goes; `None` for the root.
     parent: Option<Dest>,
-    /// `ctrl-flow` vertices carry one extra trailing slot for their own
-    /// `accel(v, R)` result, merged after the child fold exactly as in
-    /// `Engine::dp`.
-    ctrl: bool,
-    /// One result per child, in child order (plus the `ctrl` slot). Pruned
-    /// children and stored fronts are pre-filled at plan time.
-    slots: Mutex<Vec<Option<Cow<'a, [Solution]>>>>,
+    /// The results the fold reads.
+    slots: Mutex<Slots<'a>>,
     /// Undelivered slots. The worker that delivers the last one folds,
     /// except at the root, which the caller folds after the run.
     pending: AtomicUsize,
+}
+
+/// The result slots of an [`Inner`].
+#[derive(Default)]
+struct Slots<'a> {
+    /// One front per child, in child order. Pruned children and stored
+    /// fronts are pre-filled at plan time.
+    fronts: Vec<Option<Cow<'a, [Solution]>>>,
+    /// The `ctrl` slot: a `ctrl-flow` vertex's own `accel(v, R)` designs,
+    /// as the design cache holds them. The fold ranks them after the child
+    /// fronts, exactly as in `Engine::dp`. Always `None` for other vertices.
+    designs: Option<Arc<Vec<AcceleratorDesign>>>,
 }
 
 /// A unit of schedulable work. All tasks are seeded before workers start;
@@ -86,9 +95,10 @@ struct Inner<'a> {
 enum Task {
     /// A `bb` leaf: `F[v] = filter(pareto(accel(v, R)))` into `dest`.
     Bb { v: WpstNodeId, dest: Dest },
-    /// A `ctrl-flow` vertex's own `accel(v, R)`, delivered raw into its
-    /// trailing slot (the fold applies `pareto`/`filter` after extending).
-    Accel { v: WpstNodeId, dest: Dest },
+    /// A `ctrl-flow` vertex's own `accel(v, R)`: the cached designs,
+    /// uncopied, into the `ctrl` slot of `inner`. The fold ranks them and
+    /// builds only the survivors.
+    Accel { v: WpstNodeId, inner: u32 },
     /// A non-root internal vertex whose slots were all pre-filled at plan
     /// time (every child pruned, or no children): just run its fold.
     Ready { inner: u32 },
@@ -117,7 +127,7 @@ pub(crate) fn run_work_stealing(engine: &Engine<'_>, threads: usize) -> Vec<Solu
     // scheduler stays total over arbitrary trees.
     if engine.wpst.is_bb(root) {
         AtomicStats::add_usize(&engine.stats.visited, 1);
-        return filter(pareto(engine.accel(root)), engine.opts.alpha);
+        return engine.leaf(root);
     }
     let (inners, tasks) = plan(engine, root);
     let workers = threads.min(tasks.len()).max(1);
@@ -149,16 +159,15 @@ fn plan<'a>(engine: &Engine<'a>, root: WpstNodeId) -> (Vec<Inner<'a>>, Vec<Task>
         let children = &engine.wpst.node(v).children;
         let ctrl = engine.wpst.is_ctrl_flow(v);
         let stored = engine.stored_fronts(v);
-        let mut slots: Vec<Option<Cow<'a, [Solution]>>> =
-            vec![None; children.len() + usize::from(ctrl)];
+        let mut fronts: Vec<Option<Cow<'a, [Solution]>>> = vec![None; children.len()];
         let mut pending = 0usize;
         for (i, &u) in children.iter().enumerate() {
             let dest = (idx, i as u32);
             if let Some(front) = stored.get(i).copied().flatten() {
-                slots[i] = Some(Cow::Borrowed(front));
+                fronts[i] = Some(Cow::Borrowed(front));
             } else if engine.profile.share(u) < engine.opts.prune_share {
                 AtomicStats::add_usize(&engine.stats.pruned, 1);
-                slots[i] = Some(Cow::Owned(vec![Solution::empty()]));
+                fronts[i] = Some(Cow::Owned(vec![Solution::empty()]));
             } else if engine.wpst.is_bb(u) {
                 AtomicStats::add_usize(&engine.stats.visited, 1);
                 tasks.push(Task::Bb { v: u, dest });
@@ -170,10 +179,7 @@ fn plan<'a>(engine: &Engine<'a>, root: WpstNodeId) -> (Vec<Inner<'a>>, Vec<Task>
             }
         }
         if ctrl {
-            tasks.push(Task::Accel {
-                v,
-                dest: (idx, children.len() as u32),
-            });
+            tasks.push(Task::Accel { v, inner: idx });
             pending += 1;
         }
         if pending == 0 && parent.is_some() {
@@ -182,8 +188,10 @@ fn plan<'a>(engine: &Engine<'a>, root: WpstNodeId) -> (Vec<Inner<'a>>, Vec<Task>
         inners.push(Inner {
             v,
             parent,
-            ctrl,
-            slots: Mutex::new(slots),
+            slots: Mutex::new(Slots {
+                fronts,
+                designs: None,
+            }),
             pending: AtomicUsize::new(pending),
         });
     }
@@ -222,26 +230,31 @@ impl<'a> Sched<'_, 'a> {
 
     fn run_task(&self, task: Task) {
         match task {
-            Task::Bb { v, dest } => {
-                let front = filter(pareto(self.engine.accel(v)), self.engine.opts.alpha);
-                self.deliver(dest, front);
+            Task::Bb {
+                v,
+                dest: (inner, slot),
+            } => {
+                let front = Cow::Owned(self.engine.leaf(v));
+                if self.deliver(inner, |s| s.fronts[slot as usize] = Some(front)) {
+                    self.finish(inner);
+                }
             }
-            Task::Accel { v, dest } => {
+            Task::Accel { v, inner } => {
                 let designs = self.engine.accel(v);
-                self.deliver(dest, designs);
+                if self.deliver(inner, |s| s.designs = Some(designs)) {
+                    self.finish(inner);
+                }
             }
             Task::Ready { inner } => self.finish(inner),
         }
     }
 
-    /// Writes a task result into its slot; the worker that fills the last
-    /// slot of an [`Inner`] owns its fold.
-    fn deliver(&self, (inner, slot): Dest, front: Vec<Solution>) {
+    /// Writes one result into the slots of `inner` and counts it delivered.
+    /// Returns whether it was the last one: that worker owns the fold.
+    fn deliver(&self, inner: u32, put: impl FnOnce(&mut Slots<'a>)) -> bool {
         let node = &self.inners[inner as usize];
-        node.slots.lock().expect("sched slots poisoned")[slot as usize] = Some(Cow::Owned(front));
-        if node.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finish(inner);
-        }
+        put(&mut node.slots.lock().expect("sched slots poisoned"));
+        node.pending.fetch_sub(1, Ordering::AcqRel) == 1
     }
 
     /// Folds a completed vertex and cascades the result upward: each fold
@@ -255,29 +268,23 @@ impl<'a> Sched<'_, 'a> {
             let Some((p, slot)) = node.parent else {
                 return;
             };
-            let front = self.fold(node);
-            let parent = &self.inners[p as usize];
-            parent.slots.lock().expect("sched slots poisoned")[slot as usize] =
-                Some(Cow::Owned(front));
-            if parent.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
+            let front = Cow::Owned(self.fold(node));
+            if !self.deliver(p, |s| s.fronts[slot as usize] = Some(front)) {
                 return;
             }
             inner = p;
         }
     }
 
-    /// `Engine::fold` over the pre-ordered slots: the trailing `ctrl` slot
-    /// holds the raw `accel` designs, every other slot a child front.
+    /// `Engine::fold` over the delivered slots: the child fronts in child
+    /// order, then the `ctrl` slot's designs.
     fn fold(&self, node: &Inner<'a>) -> Vec<Solution> {
-        let mut slots = std::mem::take(&mut *node.slots.lock().expect("sched slots poisoned"));
-        let accel = node.ctrl.then(|| {
-            let designs = slots.pop().flatten().expect("accel slot delivered");
-            designs.into_owned()
-        });
-        let child_fronts = slots
+        let Slots { fronts, designs } =
+            std::mem::take(&mut *node.slots.lock().expect("sched slots poisoned"));
+        let child_fronts = fronts
             .into_iter()
             .map(|slot| slot.expect("child front delivered"))
             .collect();
-        self.engine.fold(node.v, child_fronts, accel)
+        self.engine.fold(node.v, child_fronts, designs)
     }
 }
