@@ -284,6 +284,7 @@ fn main() {
 
     let out = json::document(|o| {
         o.str("bench", "incremental");
+        json::host(o);
         o.str(
             "note",
             "per-kernel minimum over repeated runs; cold = from-scratch analyse+select, \

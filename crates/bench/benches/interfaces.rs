@@ -179,6 +179,7 @@ fn main() {
 
     let out = json::document(|o| {
         o.str("bench", "interfaces");
+        json::host(o);
         o.str(
             "note",
             "3-kind interface baseline vs extended descriptor model; picks compared at the \

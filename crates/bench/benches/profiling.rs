@@ -103,6 +103,7 @@ fn measure_suite(suite: Suite, ws: &[&Workload]) -> SuiteResult {
 fn to_json(results: &[SuiteResult]) -> String {
     json::document(|o| {
         o.str("bench", "profiling");
+        json::host(o);
         o.str("unit", "blocks_per_second");
         o.arr("suites", |a| {
             for r in results {

@@ -480,20 +480,9 @@ fn measure_obs_disabled_ns() -> f64 {
 
 /// Machine-readable output via the shared `cayman_bench::json` writer.
 fn sched_json(results: &[ShapeResult], suite: &SuiteResult, obs_disabled_ns: f64) -> String {
-    let host = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     json::document(|o| {
         o.str("bench", "selection_sched");
-        o.u64("host_parallelism", host as u64);
-        o.str(
-            "build_profile",
-            if cfg!(debug_assertions) {
-                "debug"
-            } else {
-                "release"
-            },
-        );
+        json::host(o);
         o.str(
             "note",
             "every time is wall time, measured on the host that wrote this file; wall_s shows no \

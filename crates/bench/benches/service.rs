@@ -183,6 +183,7 @@ fn main() {
 
     let out = json::document(|o| {
         o.str("bench", "service");
+        json::host(o);
         o.str(
             "note",
             "in-process caymand on a unix socket; one cold warm-up select, then CLIENTS \
@@ -193,8 +194,6 @@ fn main() {
              validated; server_total_* are req.total over the window, p50/p99 from the \
              difference of the scraped cumulative buckets.",
         );
-        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        o.u64("host_parallelism", host as u64);
         o.u64("clients", CLIENTS as u64);
         o.u64("reqs_per_client", reqs_per_client as u64);
         o.u64("requests_total", total_reqs);

@@ -189,6 +189,7 @@ fn main() {
 
     let out = json::document(|o| {
         o.str("bench", "store");
+        json::host(o);
         o.str(
             "note",
             "per-kernel minimum over repeated selection runs against one framework \

@@ -20,7 +20,7 @@
 
 use cayman::hls::inputs::{Candidate, RegionInputs};
 use cayman::hls::interface::InterfaceSpec;
-use cayman::hls::pipeline::{pipeline_loop, res_mii};
+use cayman::hls::pipeline::{pipeline_loop, LoopModel};
 use cayman::hls::schedule::schedule_block;
 use cayman::ir::builder::ModuleBuilder;
 use cayman::ir::instr::Instr;
@@ -99,14 +99,14 @@ fn main() {
             n, seq_coup, seq_dec, pc.ii, pd.ii, uc.cycles_per_entry, us.cycles_per_entry
         );
         // sanity: resMII drives the coupled pipelined case
-        debug_assert!(
-            res_mii(
-                r,
-                &cayman::hls::pipeline::loop_body_instrs(r, l),
-                &coupled,
-                1
-            ) >= 2
-        );
+        debug_assert!({
+            let model = LoopModel::new(r, l);
+            let specs: Vec<_> = model
+                .mem_instrs()
+                .map(|_| InterfaceSpec::coupled())
+                .collect();
+            model.res_mii(&specs, 1) >= 2
+        });
     }
     println!();
     println!("expected shape (paper): sequential 6N → 4N; pipelined II 3 → 1;");

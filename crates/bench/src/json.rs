@@ -49,6 +49,24 @@ pub fn document(build: impl FnOnce(&mut Obj)) -> String {
     w.out
 }
 
+/// Writes the `host` block every `BENCH_*.json` carries: the cores this
+/// process may use and the build profile, so a number is never compared
+/// with one taken on a host of another shape or from another build.
+pub fn host(o: &mut Obj) {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    o.obj("host", |o| {
+        o.u64("cores", cores as u64);
+        o.str(
+            "build_profile",
+            if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
+        );
+    });
+}
+
 struct Writer {
     out: String,
     indent: usize,
@@ -237,5 +255,15 @@ mod tests {
             Some(4)
         );
         assert!(doc.ends_with("}\n"));
+    }
+
+    #[test]
+    fn host_block_names_cores_and_profile() {
+        let doc = document(host);
+        let parsed = cayman_obs::trace::parse_json(&doc).expect("valid JSON");
+        let host = parsed.get("host").expect("host block");
+        assert!(host.get("cores").and_then(|v| v.as_f64()) >= Some(1.0));
+        let profile = host.get("build_profile").and_then(|v| v.as_str());
+        assert!(matches!(profile, Some("debug" | "release")), "{profile:?}");
     }
 }

@@ -37,23 +37,48 @@
 //! contribute `executions · schedule_length`, and every candidate entry pays
 //! offload synchronisation plus scratchpad DMA fill/drain and line-buffer
 //! warm-up.
+//!
+//! ## Facts, then configurations
+//!
+//! One call computes everything that does not depend on the configuration
+//! once, from the candidate's [`RegionInputs`]:
+//!
+//! * per access: its footprint, stream flag, element size, per-entry count,
+//!   pipelinable loop and stride along it — and from those the heuristic
+//!   interface kind, once for the sequential and once for the pipelined
+//!   configurations;
+//! * per pipelinable loop: its [`LoopModel`] (reverse-post-order body
+//!   prepared for scheduling, recurrences), dedicated area, entries and
+//!   unroll/duplication legality;
+//! * per block: its prepared schedule input; per configuration class
+//!   (sequential, pipelined) the sequential blocks' FU classes, registers
+//!   and non-trivial count;
+//! * the line-buffer plan's upgrades.
+//!
+//! Each (unroll, duplication, plan) design is then assembled from those
+//! facts with interfaces held as a `Vec` indexed by access. Schedules and
+//! pipeline estimates are memoised for the call by (block or loop, unroll,
+//! specs of its loads and stores): the same block is otherwise rescheduled
+//! under an identical assignment by several plans and configurations.
+//! Nothing is shared between calls.
 
 use crate::inputs::{Candidate, FuncInputs, RegionInputs};
 use crate::interface::{
     InterfaceKind, InterfaceSpec, ModelOptions, COUPLED_LSU_AREA, DMA_AREA, DMA_BYTES_PER_CYCLE,
 };
 use crate::oplib::{
-    dedicated_area, fu_area, fu_class, ACCEL_FREQ_HZ, FSM_STATE_AREA, OFFLOAD_SYNC_CYCLES, REG_AREA,
+    dedicated_area, fu_area, fu_class, FuClass, ACCEL_FREQ_HZ, FSM_STATE_AREA, OFFLOAD_SYNC_CYCLES,
+    REG_AREA,
 };
-use crate::pipeline::{loop_body_instrs, pipeline_loop};
-use crate::schedule::schedule_block;
-use cayman_analysis::access::footprint;
+use crate::pipeline::{LoopModel, PipelineEstimate};
+use crate::schedule::Prepared;
+use cayman_analysis::access::{footprint, AccessInfo};
 use cayman_analysis::banking::{bank_conflict_free, stencil_window};
 use cayman_ir::cpu_model::CPU_FREQ_HZ;
 use cayman_ir::instr::Instr;
 use cayman_ir::loops::LoopId;
-use cayman_ir::{BlockId, FuncId, InstrId, IrView};
-use std::collections::{BTreeMap, HashMap};
+use cayman_ir::{ArrayId, BlockId, FuncId, InstrId, IrView};
+use std::collections::BTreeMap;
 
 /// One fully configured accelerator design for a candidate region.
 #[derive(Debug, Clone)]
@@ -119,19 +144,6 @@ impl AcceleratorDesign {
     }
 }
 
-/// One interface assignment for a configuration: the per-access spec map
-/// plus the line-buffer storage each array needs (which is a window
-/// property, not a footprint).
-struct MemPlan {
-    map: HashMap<InstrId, InterfaceSpec>,
-    /// Array id → line-buffer storage bytes (`(rows − 1) · row_stride ·
-    /// elem_bytes`).
-    lb_bytes: BTreeMap<u32, f64>,
-    /// Line-buffer warm-up cycles per candidate entry (rows that must
-    /// stream in before the first full window).
-    lb_warmup: f64,
-}
-
 /// Generates the candidate's accelerator configurations (the `accel(v, R)`
 /// call of Algorithm 1). Designs that would not save any time are still
 /// returned; Pareto pruning upstream discards them.
@@ -149,18 +161,17 @@ pub fn generate_designs(
         return Vec::new();
     }
     let r = &RegionInputs::new(inputs, cand);
-    let innermost = r.innermost_loops();
+    let facts = Facts::new(r, opts);
+    let mut memo = Memo::new(&facts);
     let mut designs = Vec::new();
 
     // Sequential configuration (always available).
-    designs.extend(estimate_design(r, opts, &[], 1, 1));
+    facts.configure(&mut memo, opts, false, 1, 1, &mut designs);
 
-    if !innermost.is_empty() {
+    if !facts.loops.is_empty() {
         // Pipelined configurations: inner unroll × outer duplication.
-        let any_unrollable = innermost
-            .iter()
-            .any(|&l| !r.deps(l).has_carried() || r.deps(l).is_reduction_only(r));
-        let any_duplicable = innermost.iter().any(|&l| dup_parent_eligible(r, l, 2));
+        let any_unrollable = facts.loops.iter().any(|l| l.unrollable);
+        let any_duplicable = facts.loops.iter().any(|l| l.dup_eligible(2));
         for &u in &opts.unroll_factors {
             if u > 1 && !any_unrollable {
                 break;
@@ -172,469 +183,667 @@ pub fn generate_designs(
                 if u.saturating_mul(d) > 16 {
                     continue;
                 }
-                designs.extend(estimate_design(r, opts, &innermost, u, d));
+                facts.configure(&mut memo, opts, true, u, d, &mut designs);
             }
         }
     }
     designs
 }
 
-/// Whether pipelined loop `l` can be duplicated `d`-fold: its parent loop is
-/// inside the candidate, carries no dependence, and iterates at least `d`
-/// times (outer-loop unrolling distributes parent iterations over parallel
-/// pipeline instances).
-fn dup_parent_eligible(r: &RegionInputs<'_>, l: LoopId, d: u32) -> bool {
-    let Some(p) = r.get_loop(l).parent else {
-        return false;
-    };
-    r.is_within(p) && !r.deps(p).has_carried() && r.trip(p) >= f64::from(d)
+/// One load or store of the candidate.
+struct AccessFact<'a> {
+    info: &'a AccessInfo,
+    /// Elements touched per candidate entry (`None` for a non-stream).
+    footprint: Option<f64>,
+    elem_bytes: f64,
+    /// Position in [`Facts::loops`] of the pipelinable loop holding it.
+    pipe: Option<usize>,
+    /// Its address stride along that loop (`None`: unknown address).
+    stride: Option<i64>,
 }
 
-/// Builds one configuration and estimates every memory plan of it. The
-/// heuristic 3-kind plan always comes first; extended plans follow when
-/// enabled and legal.
-fn estimate_design(
-    r: &RegionInputs<'_>,
-    opts: &ModelOptions,
-    pipelined: &[LoopId],
-    unroll: u32,
-    dup: u32,
-) -> Vec<AcceleratorDesign> {
-    let cand = r.candidate();
+/// One pipelinable loop: an innermost loop inside the candidate.
+struct LoopFact<'a> {
+    id: LoopId,
+    blocks: &'a [BlockId],
+    model: LoopModel,
+    /// The access of each of `model`'s loads and stores, if it has one.
+    mem_access: Vec<Option<usize>>,
+    /// Dedicated area of one datapath copy of the body.
+    area: f64,
+    entries: u64,
+    /// No loop-carried dependence, or only pure scalar reductions (which
+    /// unroll into partial sums; the recurrence II is preserved).
+    unrollable: bool,
+    /// The parent's trip count, when the parent lies inside the candidate
+    /// and carries no dependence: duplication distributes its iterations
+    /// over parallel pipeline instances.
+    dup_trip: Option<f64>,
+    /// Some load or store is coupled under the pipelined heuristic — it
+    /// would serialise on the single LSU port, so it vetoes duplication.
+    has_coupled: bool,
+}
 
-    // Effective unroll per pipelined loop: 1 when the loop carries a
-    // dependence — except pure scalar reductions, which unroll into partial
-    // sums (throughput scales; the recurrence II is preserved by
-    // `pipeline_loop`).
-    let unroll_of = |l: LoopId| -> u32 {
-        let deps = r.deps(l);
-        if deps.has_carried() && !deps.is_reduction_only(r) {
-            1
-        } else {
-            unroll
-        }
-    };
+impl LoopFact<'_> {
+    /// Whether the loop can be duplicated `d`-fold.
+    fn dup_eligible(&self, d: u32) -> bool {
+        self.dup_trip.is_some_and(|t| t >= f64::from(d))
+    }
+}
 
-    // Loops in candidate with trip counts, for footprint computation.
-    let loops_trips: Vec<(LoopId, f64)> =
-        r.loops_within().iter().map(|&l| (l, r.trip(l))).collect();
+/// One candidate block, for sequential scheduling.
+struct BlockFact {
+    count: u64,
+    body: Prepared,
+    /// The access of each of `body`'s loads and stores, if it has one.
+    mem_access: Vec<Option<usize>>,
+}
 
-    // The innermost *pipelined* loop covering an access, if any.
-    let pipelined_loop_of = |b: BlockId| -> Option<LoopId> {
-        r.innermost_loop(b).and_then(|l| {
-            pipelined
-                .iter()
-                .find(|&&p| p == l || r.loop_contains(p, l))
-                .map(|_| l)
-        })
-    };
+/// The sequential blocks of one configuration class.
+#[derive(Default)]
+struct SeqPart {
+    /// Positions in [`Facts::blocks`], in candidate order.
+    blocks: Vec<usize>,
+    /// Blocks with an instruction other than a phi (`#SB`).
+    nontrivial: usize,
+    /// One time-shared unit per FU class used.
+    fu_area: f64,
+    /// One register per instruction.
+    reg_area: f64,
+}
 
-    // ---- phase 1: classic 3-kind heuristic ---------------------------------
-    let mut kind_map: HashMap<InstrId, InterfaceKind> = HashMap::new();
-    for a in r.accesses() {
-        let kind = if opts.coupled_only {
-            InterfaceKind::Coupled
-        } else {
-            let total_count = r.count(a.block) as f64 / cand.entries as f64;
+/// The line-buffer plan's upgrades over the heuristic assignment.
+struct LineBuffers {
+    /// Access → line-buffer spec.
+    upgrades: Vec<(usize, InterfaceSpec)>,
+    /// Array id → line-buffer storage bytes (`(rows − 1) · row_stride ·
+    /// elem_bytes`).
+    bytes: BTreeMap<u32, f64>,
+    /// Warm-up cycles per candidate entry (rows that must stream in before
+    /// the first full window).
+    warmup: f64,
+}
+
+/// The configuration-independent facts of one candidate.
+struct Facts<'r, 'a> {
+    r: &'r RegionInputs<'a>,
+    accesses: Vec<AccessFact<'a>>,
+    /// Access positions by instruction id (designs list interfaces so).
+    by_instr: Vec<usize>,
+    loops: Vec<LoopFact<'a>>,
+    blocks: Vec<BlockFact>,
+    /// Heuristic interface kind per access: sequential, then pipelined.
+    kinds: [Vec<InterfaceKind>; 2],
+    /// Sequential blocks: of the sequential, then the pipelined
+    /// configurations.
+    seq: [SeqPart; 2],
+    /// Pipelined configurations only; `None` without a provable window.
+    line_buffers: Option<LineBuffers>,
+}
+
+impl<'r, 'a> Facts<'r, 'a> {
+    fn new(r: &'r RegionInputs<'a>, opts: &ModelOptions) -> Self {
+        let cand = r.candidate();
+        let innermost = r.innermost_loops();
+        let loops_trips: Vec<(LoopId, f64)> =
+            r.loops_within().iter().map(|&l| (l, r.trip(l))).collect();
+
+        // ---- accesses and their heuristic kinds ---------------------------
+        let mut accesses = Vec::new();
+        let mut kinds = [Vec::new(), Vec::new()];
+        for a in r.accesses() {
+            // An innermost loop inside the candidate has no child loops, so
+            // it is pipelined exactly when it is the access's innermost one.
+            let pipe = r
+                .innermost_loop(a.block)
+                .and_then(|l| innermost.iter().position(|&p| p == l));
             let fp = footprint(a, &cand.blocks, &loops_trips);
             let elem_bytes = r.array(a.array).elem.byte_width() as f64;
-            let in_pipelined = pipelined_loop_of(a.block).is_some();
-            match fp {
-                Some(fp)
-                    if total_count >= opts.beta * fp && fp * elem_bytes <= opts.spad_max_bytes =>
-                {
-                    InterfaceKind::Scratchpad
-                }
-                Some(_) if in_pipelined && a.is_stream_within(&cand.blocks) => {
-                    InterfaceKind::Decoupled
-                }
-                _ => InterfaceKind::Coupled,
+            let total_count = r.count(a.block) as f64 / cand.entries as f64;
+            let stream = a.is_stream_within(&cand.blocks);
+            for (pipelined, kinds) in kinds.iter_mut().enumerate() {
+                let in_pipelined = pipelined == 1 && pipe.is_some();
+                kinds.push(if opts.coupled_only {
+                    InterfaceKind::Coupled
+                } else {
+                    match fp {
+                        Some(fp)
+                            if total_count >= opts.beta * fp
+                                && fp * elem_bytes <= opts.spad_max_bytes =>
+                        {
+                            InterfaceKind::Scratchpad
+                        }
+                        Some(_) if in_pipelined && stream => InterfaceKind::Decoupled,
+                        _ => InterfaceKind::Coupled,
+                    }
+                });
             }
-        };
-        kind_map.insert(a.instr, kind);
-    }
-
-    // Effective duplication per pipelined loop: parallel pipeline instances
-    // fed by unrolling a dependence-free parent loop. Coupled accesses
-    // serialise on the single LSU port, so they veto duplication.
-    let dup_of = |l: LoopId| -> u32 {
-        if dup <= 1 || !dup_parent_eligible(r, l, dup) {
-            return 1;
-        }
-        let has_coupled = r.get_loop(l).blocks.iter().any(|b| {
-            r.block(*b).instrs.iter().any(|i| {
-                matches!(r.instr(*i), Instr::Load { .. } | Instr::Store { .. })
-                    && kind_map.get(i) == Some(&InterfaceKind::Coupled)
-            })
-        });
-        if has_coupled {
-            1
-        } else {
-            dup
-        }
-    };
-
-    // ---- phase 2: base specs -----------------------------------------------
-    // Scratchpad partitions per array: unroll × duplication of the access's
-    // pipelined loop (parallel unroll copies need parallel banks). Taking
-    // the per-array max keeps one buffer per array.
-    let mut spad_parts: BTreeMap<u32, u32> = BTreeMap::new();
-    for a in r.accesses() {
-        if kind_map.get(&a.instr) == Some(&InterfaceKind::Scratchpad) {
-            let p = pipelined_loop_of(a.block)
-                .map(|l| unroll_of(l) * dup_of(l))
-                .unwrap_or(1);
-            let e = spad_parts.entry(a.array.0).or_insert(1);
-            *e = (*e).max(p);
-        }
-    }
-    let mut base: HashMap<InstrId, InterfaceSpec> = HashMap::new();
-    for a in r.accesses() {
-        let Some(kind) = kind_map.get(&a.instr) else {
-            continue;
-        };
-        let spec = match kind {
-            InterfaceKind::Coupled => InterfaceSpec::coupled(),
-            InterfaceKind::Decoupled => InterfaceSpec::decoupled(),
-            _ => InterfaceSpec::scratchpad(spad_parts.get(&a.array.0).copied().unwrap_or(1)),
-        };
-        base.insert(a.instr, spec);
-    }
-
-    // ---- extended memory plans ---------------------------------------------
-    let mut plans: Vec<MemPlan> = vec![MemPlan {
-        map: base.clone(),
-        lb_bytes: BTreeMap::new(),
-        lb_warmup: 0.0,
-    }];
-    if opts.extended && !opts.coupled_only {
-        if let Some(p) = line_buffer_plan(r, opts, pipelined, &base) {
-            plans.push(p);
-        }
-        if let Some(p) = banked_plan(r, opts, pipelined, &base, &spad_parts, &|l| {
-            unroll_of(l) * dup_of(l)
-        }) {
-            plans.push(p);
-        }
-        if cand.entries > 1 && !spad_parts.is_empty() {
-            // Ping-pong every scratchpad buffer: only the first fill shows.
-            let map = base
-                .iter()
-                .map(|(&i, &s)| {
-                    let s = if s.kind == InterfaceKind::Scratchpad {
-                        InterfaceSpec::double_buffered(u32::from(s.banks))
-                    } else {
-                        s
-                    };
-                    (i, s)
-                })
-                .collect();
-            plans.push(MemPlan {
-                map,
-                lb_bytes: BTreeMap::new(),
-                lb_warmup: 0.0,
+            accesses.push(AccessFact {
+                info: a,
+                footprint: fp,
+                elem_bytes,
+                pipe,
+                stride: pipe.and_then(|p| a.addr.as_ref().map(|e| e.coeff(innermost[p]))),
             });
         }
+        let mut index: Vec<(InstrId, usize)> = accesses
+            .iter()
+            .enumerate()
+            .map(|(k, a)| (a.info.instr, k))
+            .collect();
+        index.sort_unstable();
+        let access_of = |i: InstrId| {
+            index
+                .binary_search_by_key(&i, |&(x, _)| x)
+                .ok()
+                .map(|at| index[at].1)
+        };
+
+        // ---- pipelinable loops --------------------------------------------
+        let loops: Vec<LoopFact<'a>> = innermost
+            .iter()
+            .enumerate()
+            .map(|(pos, &l)| {
+                let lp = r.get_loop(l);
+                let model = LoopModel::new(r, l);
+                let mem_access = model.mem_instrs().map(access_of).collect();
+                let area = model
+                    .body()
+                    .iter()
+                    .map(|&i| dedicated_area(r.instr(i)))
+                    .sum();
+                let back: u64 = lp.latches.iter().map(|&b| r.count(b)).sum();
+                let deps = r.deps(l);
+                let dup_trip = lp
+                    .parent
+                    .filter(|&p| r.is_within(p) && !r.deps(p).has_carried())
+                    .map(|p| r.trip(p));
+                let has_coupled = accesses
+                    .iter()
+                    .zip(&kinds[1])
+                    .any(|(a, &k)| a.pipe == Some(pos) && k == InterfaceKind::Coupled);
+                LoopFact {
+                    id: l,
+                    blocks: &lp.blocks,
+                    model,
+                    mem_access,
+                    area,
+                    entries: r.count(lp.header).saturating_sub(back).max(1),
+                    unrollable: !deps.has_carried() || deps.is_reduction_only(r),
+                    dup_trip,
+                    has_coupled,
+                }
+            })
+            .collect();
+
+        // ---- blocks and the sequential parts ------------------------------
+        let mut blocks = Vec::with_capacity(cand.blocks.len());
+        let mut seq: [SeqPart; 2] = Default::default();
+        // Per part, the FU classes its blocks use.
+        let mut classes: [Vec<FuClass>; 2] = Default::default();
+        for (pos, &b) in cand.blocks.iter().enumerate() {
+            let instrs = &r.block(b).instrs;
+            let body = Prepared::new(r, instrs);
+            let mem_access = body.mem_instrs().map(access_of).collect();
+            blocks.push(BlockFact {
+                count: r.count(b),
+                body,
+                mem_access,
+            });
+            let in_loop = loops.iter().any(|l| l.blocks.contains(&b));
+            let nontrivial = instrs
+                .iter()
+                .any(|&i| !matches!(r.instr(i), Instr::Phi { .. }));
+            // The sequential configuration schedules every block, the
+            // pipelined ones only the blocks outside the pipelined loops.
+            for (pipelined, (part, classes)) in seq.iter_mut().zip(&mut classes).enumerate() {
+                if pipelined == 1 && in_loop {
+                    continue;
+                }
+                part.blocks.push(pos);
+                part.nontrivial += usize::from(nontrivial);
+                for &i in instrs {
+                    if let Some(c) = fu_class(r.instr(i)) {
+                        if !classes.contains(&c) {
+                            classes.push(c);
+                        }
+                    }
+                    part.reg_area += REG_AREA;
+                }
+            }
+        }
+        for (part, classes) in seq.iter_mut().zip(&mut classes) {
+            classes.sort_unstable();
+            part.fu_area = classes.iter().map(|&c| fu_area(c)).sum::<f64>();
+        }
+
+        let line_buffers = if opts.extended && !opts.coupled_only {
+            line_buffers(r, opts, &accesses, &loops)
+        } else {
+            None
+        };
+        Facts {
+            r,
+            by_instr: index.iter().map(|&(_, k)| k).collect(),
+            accesses,
+            loops,
+            blocks,
+            kinds,
+            seq,
+            line_buffers,
+        }
     }
 
-    plans
-        .into_iter()
-        .map(|plan| {
-            estimate_plan(
-                r,
-                pipelined,
-                unroll,
-                &unroll_of,
-                &dup_of,
-                &pipelined_loop_of,
-                &loops_trips,
-                plan,
-            )
-        })
-        .collect()
+    /// Builds one configuration — the pipelinable loops pipelined or not,
+    /// unroll `unroll`, duplication `dup` — and estimates every memory plan
+    /// of it into `out`. The heuristic 3-kind plan always comes first;
+    /// extended plans follow when enabled and legal.
+    fn configure(
+        &self,
+        memo: &mut Memo,
+        opts: &ModelOptions,
+        pipelined: bool,
+        unroll: u32,
+        dup: u32,
+        out: &mut Vec<AcceleratorDesign>,
+    ) {
+        let kinds = &self.kinds[usize::from(pipelined)];
+        // Effective (unroll, duplication) per pipelined loop.
+        let factors: Vec<(u32, u32)> = if pipelined {
+            self.loops
+                .iter()
+                .map(|l| {
+                    let u = if l.unrollable { unroll } else { 1 };
+                    let d = if dup <= 1 || !l.dup_eligible(dup) || l.has_coupled {
+                        1
+                    } else {
+                        dup
+                    };
+                    (u, d)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let cfg = Config {
+            pipelined,
+            unroll,
+            factors,
+        };
+
+        // Scratchpad partitions per array: unroll × duplication of the
+        // access's pipelined loop (parallel unroll copies need parallel
+        // banks). Taking the per-array max keeps one buffer per array.
+        let mut spad_parts: Vec<(u32, u32)> = Vec::new();
+        for (k, a) in self.accesses.iter().enumerate() {
+            if kinds[k] == InterfaceKind::Scratchpad {
+                let p = cfg.loop_of(a).map_or(1, |l| cfg.parallel(l));
+                match spad_parts.binary_search_by_key(&a.info.array.0, |e| e.0) {
+                    Ok(at) => spad_parts[at].1 = spad_parts[at].1.max(p),
+                    Err(at) => spad_parts.insert(at, (a.info.array.0, p.max(1))),
+                }
+            }
+        }
+        let base: Vec<InterfaceSpec> = self
+            .accesses
+            .iter()
+            .zip(kinds)
+            .map(|(a, kind)| match kind {
+                InterfaceKind::Coupled => InterfaceSpec::coupled(),
+                InterfaceKind::Decoupled => InterfaceSpec::decoupled(),
+                _ => {
+                    let at = spad_parts.binary_search_by_key(&a.info.array.0, |e| e.0);
+                    InterfaceSpec::scratchpad(at.map_or(1, |at| spad_parts[at].1))
+                }
+            })
+            .collect();
+
+        out.push(self.estimate(memo, &cfg, &base, None));
+        if !opts.extended || opts.coupled_only {
+            return;
+        }
+        let mut plan = base.clone();
+        if let Some(lb) = self.line_buffers.as_ref().filter(|_| pipelined) {
+            for &(k, spec) in &lb.upgrades {
+                plan[k] = spec;
+            }
+            out.push(self.estimate(memo, &cfg, &plan, Some(lb)));
+        }
+        if let Some(banks_of) = self.banked(opts, &cfg, &base, &spad_parts) {
+            for (k, a) in self.accesses.iter().enumerate() {
+                let arr = a.info.array.0;
+                plan[k] = match banks_of.iter().find(|e| e.0 == arr) {
+                    Some(&(_, b)) if base[k].kind == InterfaceKind::Scratchpad => {
+                        InterfaceSpec::banked(b)
+                    }
+                    _ => base[k],
+                };
+            }
+            out.push(self.estimate(memo, &cfg, &plan, None));
+        }
+        if self.r.candidate().entries > 1 && !spad_parts.is_empty() {
+            // Ping-pong every scratchpad buffer: only the first fill shows.
+            for (p, s) in plan.iter_mut().zip(&base) {
+                *p = if s.kind == InterfaceKind::Scratchpad {
+                    InterfaceSpec::double_buffered(u32::from(s.banks))
+                } else {
+                    *s
+                };
+            }
+            out.push(self.estimate(memo, &cfg, &plan, None));
+        }
+    }
+
+    /// Banks per array for the plan replacing heuristically partitioned
+    /// scratchpads by conflict-proven banked ones with strictly more ports,
+    /// where every unrolled access stride admits it; `None` when no array
+    /// qualifies.
+    fn banked(
+        &self,
+        opts: &ModelOptions,
+        cfg: &Config,
+        base: &[InterfaceSpec],
+        spad_parts: &[(u32, u32)],
+    ) -> Option<Vec<(u32, u32)>> {
+        let mut banks_of = Vec::new();
+        for &(arr, parts) in spad_parts {
+            let mut best: Option<u32> = None;
+            'factor: for &b in &opts.bank_factors {
+                if b <= parts {
+                    continue; // no new ports over the heuristic partitioning
+                }
+                for (a, spec) in self.accesses.iter().zip(base) {
+                    if a.info.array.0 != arr || spec.kind != InterfaceKind::Scratchpad {
+                        continue;
+                    }
+                    let Some(l) = cfg.loop_of(a) else {
+                        continue; // not in a pipelined loop: one copy, no conflict
+                    };
+                    let u = cfg.parallel(l);
+                    if u <= 1 {
+                        continue;
+                    }
+                    let Some(stride) = a.stride else {
+                        continue 'factor; // unknown stride: unprovable at this (or any) factor
+                    };
+                    if !bank_conflict_free(stride, b, u) {
+                        continue 'factor;
+                    }
+                }
+                best = Some(b);
+            }
+            if let Some(b) = best {
+                banks_of.push((arr, b));
+            }
+        }
+        (!banks_of.is_empty()).then_some(banks_of)
+    }
+
+    /// Estimates one configuration under one memory plan (`plan[k]` is the
+    /// spec of access `k`).
+    fn estimate(
+        &self,
+        memo: &mut Memo,
+        cfg: &Config,
+        plan: &[InterfaceSpec],
+        lb: Option<&LineBuffers>,
+    ) -> AcceleratorDesign {
+        let cand = self.r.candidate();
+
+        // ---- performance ----------------------------------------------------
+        let mut accel_cycles = 0.0f64;
+        let mut pipe_area = 0.0f64;
+        let mut pipelined = Vec::new();
+        let mut pipelined_detail = Vec::new();
+        for (pos, (l, &(u, d))) in self.loops.iter().zip(&cfg.factors).enumerate() {
+            pipelined.push(l.id);
+            pipelined_detail.push((l.id, l.blocks.to_vec(), u * d));
+            let est = memo.pipeline(self, pos, u, plan);
+            // d parallel instances each take a share of the loop's entries.
+            accel_cycles += l.entries as f64 * est.cycles_per_entry / f64::from(d);
+            // Fully spatial datapath, duplicated per unroll copy and instance.
+            pipe_area += l.area * f64::from(u * d);
+        }
+
+        // Sequential blocks: candidate blocks outside every pipelined loop.
+        let seq = &self.seq[usize::from(cfg.pipelined)];
+        let mut seq_states = 0u64;
+        for &b in &seq.blocks {
+            let length = memo.block(self, b, plan);
+            accel_cycles += self.blocks[b].count as f64 * length as f64;
+            seq_states += length;
+        }
+
+        // ---- interface performance & area costs --------------------------------
+        // One buffer per DMA-filled array, sized by the max footprint, with
+        // the spec the plan assigned to that array's accesses.
+        let mut buffers: Vec<(u32, f64, InterfaceSpec)> = Vec::new();
+        let mut n_coupled = 0usize;
+        let mut iface_area = 0.0f64;
+        for (a, &spec) in self.accesses.iter().zip(plan) {
+            // The enclosing pipelined loop's duplication factor replicates
+            // the access's interface hardware.
+            let acc_dup = cfg.loop_of(a).map_or(1, |l| cfg.factors[l].1);
+            iface_area += spec.per_access_area() * f64::from(acc_dup);
+            match spec.kind {
+                InterfaceKind::Coupled => n_coupled += 1,
+                _ if spec.needs_dma() => {
+                    let bytes = a.footprint.unwrap_or(1.0) * a.elem_bytes;
+                    let arr = a.info.array.0;
+                    match buffers.iter_mut().find(|e| e.0 == arr) {
+                        Some(e) => *e = (arr, e.1.max(bytes), spec),
+                        None => buffers.push((arr, 0.0f64.max(bytes), spec)),
+                    }
+                }
+                _ => {}
+            }
+        }
+        buffers.sort_unstable_by_key(|e| e.0);
+
+        // DMA fill/drain: per candidate entry, except double-buffered arrays,
+        // whose refill hides behind the previous entry's compute — only the
+        // first fill is exposed.
+        let mut dma_per_entry = 0.0f64;
+        let mut dma_once = 0.0f64;
+        for &(_, bytes, spec) in &buffers {
+            let cycles = bytes / DMA_BYTES_PER_CYCLE;
+            if spec.kind == InterfaceKind::DoubleBuffered {
+                dma_once += cycles;
+            } else {
+                dma_per_entry += cycles;
+            }
+        }
+        let lb_warmup = lb.map_or(0.0, |lb| lb.warmup);
+        accel_cycles +=
+            cand.entries as f64 * (OFFLOAD_SYNC_CYCLES + dma_per_entry + lb_warmup) + dma_once;
+
+        // ---- area roll-up --------------------------------------------------------
+        let mut area = pipe_area + seq.fu_area + seq.reg_area + iface_area;
+        area += FSM_STATE_AREA * (seq_states + 3 * pipelined.len() as u64) as f64;
+        if n_coupled > 0 {
+            area += COUPLED_LSU_AREA;
+        }
+        if !buffers.is_empty() {
+            area += DMA_AREA;
+            for &(_, bytes, spec) in &buffers {
+                area += spec.buffer_area(bytes);
+            }
+        }
+        for bytes in lb.iter().flat_map(|lb| lb.bytes.values()) {
+            area += InterfaceSpec::line_buffer(2).buffer_area(*bytes);
+        }
+
+        AcceleratorDesign {
+            func: cand.func,
+            blocks: cand.blocks.clone(),
+            unroll: cfg.unroll,
+            pipelined,
+            pipelined_detail,
+            interfaces: self
+                .by_instr
+                .iter()
+                .map(|&k| (self.accesses[k].info.instr, plan[k]))
+                .collect(),
+            seq_blocks: seq.nontrivial,
+            accel_cycles_total: accel_cycles,
+            area,
+            cpu_cycles: cand.cpu_cycles,
+            entries: cand.entries,
+        }
+    }
 }
 
-/// A plan replacing stencil loads by line-buffer taps, when any pipelined
-/// loop nest carries a provable window.
-fn line_buffer_plan(
+/// One configuration of a candidate.
+struct Config {
+    /// Whether the pipelinable loops are pipelined.
+    pipelined: bool,
+    unroll: u32,
+    /// Effective (unroll, duplication) per pipelined loop; empty when not
+    /// pipelined.
+    factors: Vec<(u32, u32)>,
+}
+
+impl Config {
+    /// The pipelined loop holding access `a`, if any.
+    fn loop_of(&self, a: &AccessFact<'_>) -> Option<usize> {
+        a.pipe.filter(|_| self.pipelined)
+    }
+
+    /// Parallel copies of pipelined loop `l`'s body: unroll × duplication.
+    fn parallel(&self, l: usize) -> u32 {
+        let (u, d) = self.factors[l];
+        u * d
+    }
+}
+
+/// The line-buffer plan's upgrades, when any pipelinable loop nest carries a
+/// provable window.
+fn line_buffers(
     r: &RegionInputs<'_>,
     opts: &ModelOptions,
-    pipelined: &[LoopId],
-    base: &HashMap<InstrId, InterfaceSpec>,
-) -> Option<MemPlan> {
-    let mut map = base.clone();
-    let mut lb_bytes = BTreeMap::new();
-    let mut lb_warmup = 0.0f64;
-    let mut changed = false;
-    for &l in pipelined {
+    accesses: &[AccessFact<'_>],
+    loops: &[LoopFact<'_>],
+) -> Option<LineBuffers> {
+    // Stores to an array anywhere in the candidate invalidate buffered rows.
+    let stored: Vec<u32> = accesses
+        .iter()
+        .filter(|a| a.info.is_store)
+        .map(|a| a.info.array.0)
+        .collect();
+    let mut lb = LineBuffers {
+        upgrades: Vec::new(),
+        bytes: BTreeMap::new(),
+        warmup: 0.0,
+    };
+    for l in loops {
         // The row loop must also run inside the candidate, or the buffered
         // rows are thrown away at every entry.
-        let Some(row) = r.get_loop(l).parent else {
+        let Some(row) = r.get_loop(l.id).parent else {
             continue;
         };
         if !r.is_within(row) {
             continue;
         }
-        let blocks = &r.get_loop(l).blocks;
-        // Group this loop's loads by array; stores to the array anywhere in
-        // the candidate invalidate the buffered rows.
-        let mut loads: BTreeMap<u32, Vec<&cayman_analysis::access::AccessInfo>> = BTreeMap::new();
-        let mut stored: std::collections::BTreeSet<u32> = Default::default();
-        for a in r.accesses() {
-            if a.is_store {
-                stored.insert(a.array.0);
-            } else if blocks.contains(&a.block) {
-                loads.entry(a.array.0).or_default().push(a);
+        // Group this loop's loads by array.
+        let mut loads: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        for (k, a) in accesses.iter().enumerate() {
+            if !a.info.is_store && l.blocks.contains(&a.info.block) {
+                loads.entry(a.info.array.0).or_default().push(k);
             }
         }
         for (arr, accs) in &loads {
             if stored.contains(arr) {
                 continue;
             }
-            let Some(addrs): Option<Vec<_>> = accs.iter().map(|a| a.addr.clone()).collect() else {
+            let Some(addrs): Option<Vec<_>> = accs
+                .iter()
+                .map(|&k| accesses[k].info.addr.clone())
+                .collect()
+            else {
                 continue;
             };
-            let Some(win) = stencil_window(&addrs, row, l) else {
+            let Some(win) = stencil_window(&addrs, row, l.id) else {
                 continue;
             };
             if win.rows > opts.lb_max_rows {
                 continue;
             }
-            let elem_bytes = r.array(cayman_ir::ArrayId(*arr)).elem.byte_width() as f64;
+            let elem_bytes = r.array(ArrayId(*arr)).elem.byte_width() as f64;
             let spec = InterfaceSpec::line_buffer(win.rows);
-            for a in accs {
-                map.insert(a.instr, spec);
-            }
-            lb_bytes.insert(
+            lb.upgrades.extend(accs.iter().map(|&k| (k, spec)));
+            lb.bytes.insert(
                 *arr,
                 (win.rows as f64 - 1.0) * win.row_stride as f64 * elem_bytes,
             );
-            lb_warmup += (win.rows as f64 - 1.0) * win.row_stride as f64 + win.cols as f64;
-            changed = true;
+            lb.warmup += (win.rows as f64 - 1.0) * win.row_stride as f64 + win.cols as f64;
         }
     }
-    changed.then_some(MemPlan {
-        map,
-        lb_bytes,
-        lb_warmup,
-    })
+    (!lb.upgrades.is_empty()).then_some(lb)
 }
 
-/// A plan replacing heuristically partitioned scratchpads by conflict-proven
-/// banked ones with strictly more ports, where every unrolled access stride
-/// admits it.
-fn banked_plan(
-    r: &RegionInputs<'_>,
-    opts: &ModelOptions,
-    pipelined: &[LoopId],
-    base: &HashMap<InstrId, InterfaceSpec>,
-    spad_parts: &BTreeMap<u32, u32>,
-    eff_unroll: &dyn Fn(LoopId) -> u32,
-) -> Option<MemPlan> {
-    let mut banks_of: BTreeMap<u32, u32> = BTreeMap::new();
-    for (&arr, &parts) in spad_parts {
-        let mut best: Option<u32> = None;
-        'factor: for &b in &opts.bank_factors {
-            if b <= parts {
-                continue; // no new ports over the heuristic partitioning
-            }
-            for a in r.accesses() {
-                if a.array.0 != arr
-                    || base.get(&a.instr).map(|s| s.kind) != Some(InterfaceKind::Scratchpad)
-                {
-                    continue;
-                }
-                let Some(l) = r
-                    .innermost_loop(a.block)
-                    .filter(|l| pipelined.iter().any(|&p| p == *l || r.loop_contains(p, *l)))
-                else {
-                    continue; // not in a pipelined loop: one copy, no conflict
-                };
-                let u = eff_unroll(l);
-                if u <= 1 {
-                    continue;
-                }
-                let Some(stride) = a.addr.as_ref().map(|e| e.coeff(l)) else {
-                    continue 'factor; // unknown stride: unprovable at this (or any) factor
-                };
-                if !bank_conflict_free(stride, b, u) {
-                    continue 'factor;
-                }
-            }
-            best = Some(b);
-        }
-        if let Some(b) = best {
-            banks_of.insert(arr, b);
-        }
-    }
-    if banks_of.is_empty() {
-        return None;
-    }
-    let mut map = base.clone();
-    for a in r.accesses() {
-        if let Some(&b) = banks_of.get(&a.array.0) {
-            if base.get(&a.instr).map(|s| s.kind) == Some(InterfaceKind::Scratchpad) {
-                map.insert(a.instr, InterfaceSpec::banked(b));
-            }
-        }
-    }
-    Some(MemPlan {
-        map,
-        lb_bytes: BTreeMap::new(),
-        lb_warmup: 0.0,
-    })
+/// Schedules and pipeline estimates already computed in one
+/// `generate_designs` call, keyed by (block or loop, unroll, specs of its
+/// loads and stores).
+struct Memo {
+    blocks: Vec<Vec<(Vec<InterfaceSpec>, u64)>>,
+    loops: Vec<Vec<(u32, Vec<InterfaceSpec>, PipelineEstimate)>>,
+    /// The key being looked up.
+    key: Vec<InterfaceSpec>,
 }
 
-/// Estimates one configuration under one memory plan.
-#[allow(clippy::too_many_arguments)]
-fn estimate_plan(
-    r: &RegionInputs<'_>,
-    pipelined: &[LoopId],
-    unroll: u32,
-    unroll_of: &dyn Fn(LoopId) -> u32,
-    dup_of: &dyn Fn(LoopId) -> u32,
-    pipelined_loop_of: &dyn Fn(BlockId) -> Option<LoopId>,
-    loops_trips: &[(LoopId, f64)],
-    plan: MemPlan,
-) -> AcceleratorDesign {
-    let cand = r.candidate();
-    let iface_map = plan.map;
-    let iface = |i: InstrId| iface_map.get(&i).copied();
-
-    // ---- performance --------------------------------------------------------
-    let mut pipelined_blocks: Vec<BlockId> = Vec::new();
-    let mut pipelined_detail: Vec<(LoopId, Vec<BlockId>, u32)> = Vec::new();
-    for &l in pipelined {
-        let blocks = r.get_loop(l).blocks.clone();
-        pipelined_blocks.extend(blocks.iter().copied());
-        pipelined_detail.push((l, blocks, unroll_of(l) * dup_of(l)));
-    }
-
-    let mut accel_cycles = 0.0f64;
-    let mut pipe_area = 0.0f64;
-    for &l in pipelined {
-        let u = unroll_of(l);
-        let d = dup_of(l);
-        let est = pipeline_loop(r, l, u, &iface);
-        let lp = r.get_loop(l);
-        let back: u64 = lp.latches.iter().map(|&b| r.count(b)).sum();
-        let entries = r.count(lp.header).saturating_sub(back).max(1);
-        // d parallel instances each take a share of the loop's entries.
-        accel_cycles += entries as f64 * est.cycles_per_entry / f64::from(d);
-        // Fully spatial datapath, duplicated per unroll copy and instance.
-        for i in loop_body_instrs(r, l) {
-            pipe_area += dedicated_area(r.instr(i)) * f64::from(u * d);
+impl Memo {
+    fn new(facts: &Facts<'_, '_>) -> Memo {
+        Memo {
+            blocks: vec![Vec::new(); facts.blocks.len()],
+            loops: vec![Vec::new(); facts.loops.len()],
+            key: Vec::new(),
         }
     }
 
-    // Sequential blocks: candidate blocks outside every pipelined loop.
-    let seq: Vec<BlockId> = cand
-        .blocks
-        .iter()
-        .copied()
-        .filter(|b| !pipelined_blocks.contains(b))
-        .collect();
-    let mut seq_states = 0u64;
-    let mut seq_blocks = 0usize;
-    let mut seq_classes: BTreeMap<crate::oplib::FuClass, f64> = BTreeMap::new();
-    let mut seq_reg_area = 0.0f64;
-    for &b in &seq {
-        let sched = schedule_block(r, b, &iface, 1);
-        accel_cycles += r.count(b) as f64 * sched.length as f64;
-        seq_states += sched.length;
-        let instrs = &r.block(b).instrs;
-        let nontrivial = instrs
+    /// The specs of the loads and stores `mem_access` names, under `plan`;
+    /// one without an access record is coupled.
+    fn fill_key(&mut self, mem_access: &[Option<usize>], plan: &[InterfaceSpec]) {
+        self.key.clear();
+        self.key.extend(
+            mem_access
+                .iter()
+                .map(|a| a.map_or_else(InterfaceSpec::coupled, |k| plan[k])),
+        );
+    }
+
+    /// Sequential schedule length of block `b` (a position in
+    /// [`Facts::blocks`]) under `plan`.
+    fn block(&mut self, facts: &Facts<'_, '_>, b: usize, plan: &[InterfaceSpec]) -> u64 {
+        let fact = &facts.blocks[b];
+        self.fill_key(&fact.mem_access, plan);
+        if let Some((_, length)) = self.blocks[b].iter().find(|e| e.0 == self.key) {
+            return *length;
+        }
+        let length = fact.body.schedule(&self.key, 1, true).length;
+        self.blocks[b].push((self.key.clone(), length));
+        length
+    }
+
+    /// Pipeline estimate of loop `l` (a position in [`Facts::loops`])
+    /// unrolled `unroll`-fold under `plan`.
+    fn pipeline(
+        &mut self,
+        facts: &Facts<'_, '_>,
+        l: usize,
+        unroll: u32,
+        plan: &[InterfaceSpec],
+    ) -> PipelineEstimate {
+        let fact = &facts.loops[l];
+        self.fill_key(&fact.mem_access, plan);
+        if let Some((_, _, est)) = self.loops[l]
             .iter()
-            .any(|&i| !matches!(r.instr(i), Instr::Phi { .. }));
-        if nontrivial {
-            seq_blocks += 1;
+            .find(|e| e.0 == unroll && e.1 == self.key)
+        {
+            return *est;
         }
-        for &i in instrs {
-            if let Some(c) = fu_class(r.instr(i)) {
-                let a = fu_area(c);
-                let entry = seq_classes.entry(c).or_insert(0.0);
-                *entry = entry.max(a);
-            }
-            seq_reg_area += REG_AREA;
-        }
-    }
-
-    // ---- interface performance & area costs --------------------------------
-    // One buffer per DMA-filled array, sized by the max footprint, with the
-    // spec the plan assigned to that array's accesses.
-    let mut spad_bytes_per_array: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut spad_spec_per_array: BTreeMap<u32, InterfaceSpec> = BTreeMap::new();
-    let mut n_coupled = 0usize;
-    let mut iface_area = 0.0f64;
-    for a in r.accesses() {
-        let Some(&spec) = iface_map.get(&a.instr) else {
-            continue;
-        };
-        // The enclosing pipelined loop's duplication factor replicates the
-        // access's interface hardware.
-        let acc_dup = pipelined_loop_of(a.block).map(dup_of).unwrap_or(1);
-        iface_area += spec.per_access_area() * f64::from(acc_dup);
-        match spec.kind {
-            InterfaceKind::Coupled => n_coupled += 1,
-            _ if spec.needs_dma() => {
-                let fp = footprint(a, &cand.blocks, loops_trips).unwrap_or(1.0);
-                let bytes = fp * r.array(a.array).elem.byte_width() as f64;
-                let e = spad_bytes_per_array.entry(a.array.0).or_insert(0.0);
-                *e = e.max(bytes);
-                spad_spec_per_array.insert(a.array.0, spec);
-            }
-            _ => {}
-        }
-    }
-
-    // DMA fill/drain: per candidate entry, except double-buffered arrays,
-    // whose refill hides behind the previous entry's compute — only the
-    // first fill is exposed.
-    let mut dma_per_entry = 0.0f64;
-    let mut dma_once = 0.0f64;
-    for (arr, bytes) in &spad_bytes_per_array {
-        let cycles = bytes / DMA_BYTES_PER_CYCLE;
-        if spad_spec_per_array[arr].kind == InterfaceKind::DoubleBuffered {
-            dma_once += cycles;
-        } else {
-            dma_per_entry += cycles;
-        }
-    }
-    accel_cycles +=
-        cand.entries as f64 * (OFFLOAD_SYNC_CYCLES + dma_per_entry + plan.lb_warmup) + dma_once;
-
-    // ---- area roll-up --------------------------------------------------------
-    let mut area = pipe_area + seq_classes.values().sum::<f64>() + seq_reg_area + iface_area;
-    area += FSM_STATE_AREA * (seq_states + 3 * pipelined.len() as u64) as f64;
-    if n_coupled > 0 {
-        area += COUPLED_LSU_AREA;
-    }
-    if !spad_bytes_per_array.is_empty() {
-        area += DMA_AREA;
-        for (arr, bytes) in &spad_bytes_per_array {
-            area += spad_spec_per_array[arr].buffer_area(*bytes);
-        }
-    }
-    for bytes in plan.lb_bytes.values() {
-        area += InterfaceSpec::line_buffer(2).buffer_area(*bytes);
-    }
-
-    AcceleratorDesign {
-        func: cand.func,
-        blocks: cand.blocks.clone(),
-        unroll,
-        pipelined: pipelined.to_vec(),
-        pipelined_detail,
-        interfaces: {
-            let mut v: Vec<(InstrId, InterfaceSpec)> = iface_map.into_iter().collect();
-            v.sort_unstable_by_key(|(i, _)| *i);
-            v
-        },
-        seq_blocks,
-        accel_cycles_total: accel_cycles,
-        area,
-        cpu_cycles: cand.cpu_cycles,
-        entries: cand.entries,
+        let est = fact.model.estimate(&self.key, unroll);
+        self.loops[l].push((unroll, self.key.clone(), est));
+        est
     }
 }
 

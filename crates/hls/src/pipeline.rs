@@ -14,10 +14,18 @@
 //!   per line-buffered *array*. This is why Fig. 4's pipelined loop reaches
 //!   II = 1 with the decoupled interface but II = 3 with the coupled one,
 //!   and why a line buffer beats a bundle of decoupled taps on a stencil.
+//!
+//! A [`LoopModel`] holds what does not depend on the configuration — the
+//! loop body in reverse post-order, prepared for scheduling, its trip count
+//! and its recurrence chains — and [`LoopModel::estimate`] prices one
+//! (unroll, interface assignment) configuration from it. The design model
+//! builds one per pipelinable loop per candidate; [`pipeline_loop`] is the
+//! one-shot form.
 
 use crate::inputs::RegionInputs;
 use crate::interface::{InterfaceKind, InterfaceSpec, STREAM_WORDS_PER_CYCLE};
-use crate::schedule::{access_array, asap_schedule, latency_with_iface, IfaceOf};
+use crate::oplib;
+use crate::schedule::{access_array, mem_latency, IfaceOf, MemOp, PortUse, Prepared};
 use cayman_ir::instr::Instr;
 use cayman_ir::loops::LoopId;
 use cayman_ir::{InstrId, IrView};
@@ -35,119 +43,213 @@ pub struct PipelineEstimate {
     pub cycles_per_entry: f64,
 }
 
-/// Instructions of the loop body in a producer-before-consumer order
-/// (reverse post-order over the loop's blocks).
-pub fn loop_body_instrs(r: &RegionInputs<'_>, l: LoopId) -> Vec<InstrId> {
-    let mut instrs = Vec::new();
-    for b in r.rpo_blocks(l) {
-        instrs.extend(r.block(b).instrs.iter().copied());
-    }
-    instrs
+/// One instruction's latency on a recurrence chain: fixed, or that of the
+/// `m`-th load or store of [`LoopModel::mem_instrs`].
+#[derive(Debug, Clone, Copy)]
+enum ChainLat {
+    Fixed(u64),
+    Mem(usize),
 }
 
-/// Recurrence-constrained minimum II for loop `l` under the given interface
-/// assignment.
-pub fn rec_mii(r: &RegionInputs<'_>, l: LoopId, iface: &IfaceOf<'_>) -> u64 {
-    let deps = r.deps(l);
-    let mut mii = 1u64;
-    if deps.conservative {
-        // Unanalysable accesses force sequential iteration issue: the next
-        // iteration's access may depend on this iteration's store.
-        let seq: u64 = loop_body_instrs(r, l)
-            .iter()
-            .filter(|&&i| matches!(r.instr(i), Instr::Load { .. } | Instr::Store { .. }))
-            .map(|&i| latency_with_iface(r, i, iface))
-            .max()
-            .unwrap_or(1);
-        mii = mii.max(seq);
-    }
-    for m in &deps.mem {
-        let lat: u64 = m
-            .chain
-            .iter()
-            .map(|&i| latency_with_iface(r, i, iface))
-            .sum();
-        mii = mii.max(lat.div_ceil(m.distance.max(1)));
-    }
-    for s in &deps.scalar {
-        let lat: u64 = s
-            .chain
-            .iter()
-            .map(|&i| latency_with_iface(r, i, iface))
-            .sum();
-        mii = mii.max(lat.max(1));
-    }
-    mii
+/// The configuration-independent facts of pipelining one loop.
+#[derive(Debug, Clone)]
+pub struct LoopModel {
+    /// The body in a producer-before-consumer order (reverse post-order
+    /// over the loop's blocks).
+    instrs: Vec<InstrId>,
+    /// The body prepared for scheduling.
+    body: Prepared,
+    /// The loads and stores the estimate reads: the body's, in body order,
+    /// then any on a recurrence chain outside the body.
+    mem: Vec<(InstrId, MemOp)>,
+    /// How many of `mem` are the body's own.
+    body_mem: usize,
+    trip: f64,
+    /// Unanalysable accesses force sequential iteration issue.
+    conservative: bool,
+    /// Memory recurrences: the chain and its dependence distance.
+    mem_recs: Vec<(Vec<ChainLat>, u64)>,
+    /// Scalar recurrences: the chain.
+    scalar_recs: Vec<Vec<ChainLat>>,
 }
 
-/// Resource-constrained minimum II from memory contention.
-///
-/// Unrolling multiplies every access by `unroll`. Three resources bound the
-/// issue rate:
-///
-/// * the single shared **coupled** port,
-/// * each buffered array's **ports** (from its spec),
-/// * the off-chip **stream bandwidth** shared by decoupled FIFOs and
-///   line-buffer fills — a line buffer pulls one new word per iteration per
-///   array, a decoupled bundle one word per access.
-pub fn res_mii(r: &RegionInputs<'_>, body: &[InstrId], iface: &IfaceOf<'_>, unroll: u32) -> u64 {
-    let mut coupled = 0u64;
-    let mut stream_words = 0u64;
-    let mut per_array: std::collections::HashMap<u32, (u64, u64)> = Default::default();
-    let mut lb_arrays: std::collections::HashSet<u32> = Default::default();
-    for &i in body {
-        if matches!(r.instr(i), Instr::Load { .. } | Instr::Store { .. }) {
-            let spec = iface(i).unwrap_or_else(InterfaceSpec::coupled);
+impl LoopModel {
+    /// The facts of loop `l`, a loop inside the candidate.
+    pub fn new(r: &RegionInputs<'_>, l: LoopId) -> LoopModel {
+        let mut instrs = Vec::new();
+        for b in r.rpo_blocks(l) {
+            instrs.extend(r.block(b).instrs.iter().copied());
+        }
+        let body = Prepared::new(r, &instrs);
+        let mut mem: Vec<(InstrId, MemOp)> = body
+            .mem_instrs()
+            .enumerate()
+            .map(|(m, i)| (i, body.mem_op(m)))
+            .collect();
+        let body_mem = mem.len();
+        let mut chain = |c: &[InstrId]| -> Vec<ChainLat> {
+            c.iter()
+                .map(|&i| match r.instr(i) {
+                    ins @ (Instr::Load { .. } | Instr::Store { .. }) => {
+                        let m = match mem.iter().position(|e| e.0 == i) {
+                            Some(m) => m,
+                            None => {
+                                let op = MemOp {
+                                    is_store: matches!(ins, Instr::Store { .. }),
+                                    array: access_array(r, i),
+                                };
+                                mem.push((i, op));
+                                mem.len() - 1
+                            }
+                        };
+                        ChainLat::Mem(m)
+                    }
+                    other => ChainLat::Fixed(oplib::accel_latency(other)),
+                })
+                .collect()
+        };
+        let deps = r.deps(l);
+        let mem_recs = deps
+            .mem
+            .iter()
+            .map(|m| (chain(&m.chain), m.distance))
+            .collect();
+        let scalar_recs = deps.scalar.iter().map(|s| chain(&s.chain)).collect();
+        LoopModel {
+            instrs,
+            body,
+            mem,
+            body_mem,
+            trip: r.trip(l),
+            conservative: deps.conservative,
+            mem_recs,
+            scalar_recs,
+        }
+    }
+
+    /// The loop body in reverse post-order.
+    pub(crate) fn body(&self) -> &[InstrId] {
+        &self.instrs
+    }
+
+    /// The loads and stores whose specs [`LoopModel::estimate`] takes, in
+    /// order.
+    pub fn mem_instrs(&self) -> impl Iterator<Item = InstrId> + '_ {
+        self.mem.iter().map(|e| e.0)
+    }
+
+    fn chain_latency(&self, chain: &[ChainLat], specs: &[InterfaceSpec]) -> u64 {
+        chain
+            .iter()
+            .map(|&c| match c {
+                ChainLat::Fixed(l) => l,
+                ChainLat::Mem(m) => mem_latency(self.mem[m].1, specs[m]),
+            })
+            .sum()
+    }
+
+    /// Recurrence-constrained minimum II when the `m`-th load or store of
+    /// [`LoopModel::mem_instrs`] uses `specs[m]`.
+    fn rec_mii(&self, specs: &[InterfaceSpec]) -> u64 {
+        let mut mii = 1u64;
+        if self.conservative {
+            // Unanalysable accesses force sequential iteration issue: the
+            // next iteration's access may depend on this iteration's store.
+            let seq = (0..self.body_mem)
+                .map(|m| mem_latency(self.mem[m].1, specs[m]))
+                .max()
+                .unwrap_or(1);
+            mii = mii.max(seq);
+        }
+        for (chain, distance) in &self.mem_recs {
+            let lat = self.chain_latency(chain, specs);
+            mii = mii.max(lat.div_ceil((*distance).max(1)));
+        }
+        for chain in &self.scalar_recs {
+            mii = mii.max(self.chain_latency(chain, specs).max(1));
+        }
+        mii
+    }
+
+    /// Resource-constrained minimum II from memory contention.
+    ///
+    /// Unrolling multiplies every access by `unroll`. Three resources bound
+    /// the issue rate:
+    ///
+    /// * the single shared **coupled** port,
+    /// * each buffered array's **ports** (from its spec),
+    /// * the off-chip **stream bandwidth** shared by decoupled FIFOs and
+    ///   line-buffer fills — a line buffer pulls one new word per iteration
+    ///   per array, a decoupled bundle one word per access.
+    pub fn res_mii(&self, specs: &[InterfaceSpec], unroll: u32) -> u64 {
+        let mut coupled = 0u64;
+        let mut stream_words = 0u64;
+        let mut per_array = PortUse::default();
+        let mut lb_arrays: Vec<u32> = Vec::new();
+        for (m, spec) in specs[..self.body_mem].iter().enumerate() {
+            let array = self.mem[m].1.array;
             match spec.kind {
                 InterfaceKind::Coupled => coupled += 1,
                 InterfaceKind::Decoupled => stream_words += 1,
                 InterfaceKind::LineBuffer => {
-                    lb_arrays.insert(access_array(r, i).unwrap_or(u32::MAX));
+                    let arr = array.unwrap_or(u32::MAX);
+                    if !lb_arrays.contains(&arr) {
+                        lb_arrays.push(arr);
+                    }
                 }
                 _ => {
                     if let Some(p) = spec.mem_ports() {
-                        let arr = access_array(r, i).unwrap_or(u32::MAX);
-                        let e = per_array.entry(arr).or_insert((0, 0));
-                        e.0 += 1;
-                        e.1 = e.1.max(p);
+                        per_array.add(array, p);
                     }
                 }
             }
         }
+        stream_words += lb_arrays.len() as u64; // one fill stream per buffered array
+        let u = u64::from(unroll.max(1));
+        let mut ii = (coupled * u).max(1); // one shared coupled port
+        ii = ii.max((stream_words * u).div_ceil(STREAM_WORDS_PER_CYCLE));
+        for &(_, uses, ports) in &per_array.0 {
+            ii = ii.max((uses * u).div_ceil(ports.max(1)));
+        }
+        ii
     }
-    stream_words += lb_arrays.len() as u64; // one fill stream per buffered array
-    let u = u64::from(unroll.max(1));
-    let mut ii = (coupled * u).max(1); // one shared coupled port
-    ii = ii.max((stream_words * u).div_ceil(STREAM_WORDS_PER_CYCLE));
-    for &(uses, ports) in per_array.values() {
-        ii = ii.max((uses * u).div_ceil(ports.max(1)));
+
+    /// Pipelines the loop with the given unroll factor when the `m`-th load
+    /// or store of [`LoopModel::mem_instrs`] uses `specs[m]`.
+    ///
+    /// Scratchpad partitioning follows the paper ("memory partitioning is
+    /// configured for scratchpad interfaces inside unrolled loops"):
+    /// partitions = unroll factor.
+    pub fn estimate(&self, specs: &[InterfaceSpec], unroll: u32) -> PipelineEstimate {
+        debug_assert_eq!(specs.len(), self.mem.len());
+        let depth = self.body.critical_path(&specs[..self.body_mem]);
+        let ii = self.rec_mii(specs).max(self.res_mii(specs, unroll));
+        let trips = self.trip.max(1.0);
+        let iters = (trips / f64::from(unroll.max(1))).ceil().max(1.0);
+        PipelineEstimate {
+            ii,
+            depth,
+            iters,
+            cycles_per_entry: depth as f64 + ii as f64 * (iters - 1.0),
+        }
     }
-    ii
 }
 
-/// Pipelines loop `l` with the given unroll factor and interface assignment.
-///
-/// Scratchpad partitioning follows the paper ("memory partitioning is
-/// configured for scratchpad interfaces inside unrolled loops"): partitions =
-/// unroll factor.
+/// Pipelines loop `l` with the given unroll factor and interface assignment
+/// (each load or store takes `iface`'s spec, coupled when it has none): the
+/// one-shot form of [`LoopModel::estimate`].
 pub fn pipeline_loop(
     r: &RegionInputs<'_>,
     l: LoopId,
     unroll: u32,
     iface: &IfaceOf<'_>,
 ) -> PipelineEstimate {
-    let body = loop_body_instrs(r, l);
-    let sched = asap_schedule(r, &body, iface, 1, false);
-    let depth = sched.critical_path.max(1);
-    let ii = rec_mii(r, l, iface).max(res_mii(r, &body, iface, unroll));
-    let trips = r.trip(l).max(1.0);
-    let iters = (trips / f64::from(unroll.max(1))).ceil().max(1.0);
-    PipelineEstimate {
-        ii,
-        depth,
-        iters,
-        cycles_per_entry: depth as f64 + ii as f64 * (iters - 1.0),
-    }
+    let model = LoopModel::new(r, l);
+    let specs: Vec<InterfaceSpec> = model
+        .mem_instrs()
+        .map(|i| iface(i).unwrap_or_else(InterfaceSpec::coupled))
+        .collect();
+    model.estimate(&specs, unroll)
 }
 
 #[cfg(test)]

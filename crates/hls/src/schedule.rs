@@ -14,49 +14,317 @@
 //!   buffered array exposes the ports its [`InterfaceSpec`] declares —
 //!   `banks × 2` for scratchpads — while stream interfaces (decoupled,
 //!   line buffer) never contend).
+//!
+//! Scheduling splits into a configuration-independent half and a cheap
+//! per-configuration half. `DepGraph` is the first: the def-use and
+//! memory-ordering edges of an instruction list, indexed by position, built
+//! once. `Prepared` adds each non-memory instruction's latency and the
+//! list of loads and stores whose interfaces the caller assigns; scheduling
+//! it under one assignment is one pass over position-indexed `Vec`s with
+//! each latency computed once. The design
+//! model prepares every block and loop body once per candidate and
+//! schedules it under each configuration's assignment; [`asap_schedule`]
+//! and [`critical_path_with`] (the baselines' entry point) are the
+//! one-shot forms of the same walker.
 
 use crate::inputs::RegionInputs;
 use crate::interface::{InterfaceKind, InterfaceSpec};
 use crate::oplib;
-use cayman_ir::instr::{Instr, Operand};
+use cayman_ir::instr::Instr;
 use cayman_ir::module::ValueDef;
 use cayman_ir::{InstrId, IrView};
-use std::collections::HashMap;
 
 /// Interface assignment lookup used by the scheduler.
 pub type IfaceOf<'a> = dyn Fn(InstrId) -> Option<InterfaceSpec> + 'a;
 
 /// Outcome of scheduling one instruction set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Schedule {
     /// Critical-path length in cycles (data + ordering edges only).
     pub critical_path: u64,
     /// Port-constrained schedule length (≥ critical path).
     pub length: u64,
-    /// Start cycle per instruction (ASAP).
-    pub start: HashMap<InstrId, u64>,
 }
 
-/// Latency of one instruction given its interface assignment.
-pub fn latency_with_iface(ir: &impl IrView, iid: InstrId, iface: &IfaceOf<'_>) -> u64 {
-    match ir.instr(iid) {
-        Instr::Load { .. } => iface(iid)
-            .unwrap_or_else(InterfaceSpec::coupled)
-            .load_latency(),
-        Instr::Store { .. } => iface(iid)
-            .unwrap_or_else(InterfaceSpec::coupled)
-            .store_latency(),
-        other => oplib::accel_latency(other),
+/// A load or store in an instruction list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemOp {
+    /// Whether it is a store.
+    pub(crate) is_store: bool,
+    /// The array it accesses through its `gep` ([`access_array`]), if known.
+    pub(crate) array: Option<u32>,
+}
+
+/// The dependence edges of an instruction list (in program order), by
+/// position: def-use edges from producers in the list (phis excepted — they
+/// feed back across iterations, which recMII prices), and memory-ordering
+/// edges (an access waits for the last store to its array; a store also
+/// waits for every load of its array since that store).
+#[derive(Debug, Clone)]
+pub(crate) struct DepGraph {
+    /// Position `k` waits for `preds[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<u32>,
+    preds: Vec<u32>,
+    /// Per position: the load or store it is, if it is one.
+    mem: Vec<Option<MemOp>>,
+}
+
+impl DepGraph {
+    /// The edges of `instrs`, which must be distinct.
+    pub(crate) fn new(ir: &impl IrView, instrs: &[InstrId]) -> DepGraph {
+        // Position lookup: a block's instructions are usually already in id
+        // order and are searched in place; otherwise through a sorted index.
+        let index: Vec<(InstrId, u32)> = if instrs.windows(2).all(|w| w[0] < w[1]) {
+            Vec::new()
+        } else {
+            let mut index: Vec<(InstrId, u32)> = instrs
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (i, k as u32))
+                .collect();
+            index.sort_unstable();
+            debug_assert!(
+                index.windows(2).all(|w| w[0].0 != w[1].0),
+                "repeated instruction"
+            );
+            index
+        };
+        let position = |i: InstrId| -> Option<u32> {
+            if index.is_empty() {
+                instrs.binary_search(&i).ok().map(|k| k as u32)
+            } else {
+                let at = index.binary_search_by_key(&i, |&(x, _)| x).ok()?;
+                Some(index[at].1)
+            }
+        };
+        let mut offsets = Vec::with_capacity(instrs.len() + 1);
+        let mut preds = Vec::new();
+        let mut mem = Vec::with_capacity(instrs.len());
+        // Per array its last store, and the loads of each array since its
+        // last store.
+        let mut last_store: Vec<(u32, u32)> = Vec::new();
+        let mut loads: Vec<(u32, u32)> = Vec::new();
+        offsets.push(0);
+        for (k, &iid) in instrs.iter().enumerate() {
+            let instr = ir.instr(iid);
+            instr.for_each_operand(|op| {
+                let Some(v) = op.as_value() else { return };
+                let ValueDef::Instr(p) = ir.value_def(v) else {
+                    return;
+                };
+                if let Some(j) = position(p) {
+                    if !matches!(ir.instr(p), Instr::Phi { .. }) {
+                        preds.push(j);
+                    }
+                }
+            });
+            let op = match instr {
+                Instr::Load { .. } | Instr::Store { .. } => Some(MemOp {
+                    is_store: matches!(instr, Instr::Store { .. }),
+                    array: access_array(ir, iid),
+                }),
+                _ => None,
+            };
+            if let Some(MemOp {
+                is_store,
+                array: Some(arr),
+            }) = op
+            {
+                let last = last_store.iter_mut().find(|e| e.0 == arr);
+                if let Some(&(_, st)) = last.as_deref() {
+                    preds.push(st);
+                }
+                if is_store {
+                    loads.retain(|&(a, j)| {
+                        if a == arr {
+                            preds.push(j);
+                        }
+                        a != arr
+                    });
+                    match last {
+                        Some(e) => e.1 = k as u32,
+                        None => last_store.push((arr, k as u32)),
+                    }
+                } else {
+                    loads.push((arr, k as u32));
+                }
+            }
+            mem.push(op);
+            offsets.push(preds.len() as u32);
+        }
+        DepGraph {
+            offsets,
+            preds,
+            mem,
+        }
+    }
+
+    /// The load or store at position `k`, if it is one.
+    pub(crate) fn mem_op(&self, k: usize) -> Option<MemOp> {
+        self.mem[k]
+    }
+
+    /// Longest path through the edges (at least 1) when position `k` takes
+    /// `latency[k]` cycles, every instruction issuing as soon as its
+    /// predecessors finish. A predecessor later in the list counts as
+    /// issuing at cycle 0.
+    pub(crate) fn critical_path(&self, latency: &[u64]) -> u64 {
+        debug_assert_eq!(latency.len(), self.mem.len());
+        let mut start = vec![0u64; latency.len()];
+        let mut cp = 0u64;
+        for (k, &lat) in latency.iter().enumerate() {
+            let preds = &self.preds[self.offsets[k] as usize..self.offsets[k + 1] as usize];
+            let mut ready = 0;
+            for &j in preds {
+                ready = ready.max(start[j as usize] + latency[j as usize]);
+            }
+            start[k] = ready;
+            cp = cp.max(ready + lat);
+        }
+        cp.max(1)
     }
 }
 
-/// ASAP-schedules `instrs` (in program order) and returns the schedule.
-///
-/// `coupled_ports` is the size of the shared LSU port pool (normally 1).
-/// With `bound_mem_ports`, buffered (scratchpad-family) accesses are
-/// additionally bounded per array by the ports their [`InterfaceSpec`]
-/// exposes; pipelined loop bodies pass `false` because the II model prices
-/// port contention itself (`resMII`).
+/// An instruction list prepared for interface-aware scheduling under any
+/// number of interface assignments: its `DepGraph`, the latency of every
+/// instruction that is not a load or store, and the loads and stores whose
+/// specs the caller supplies, in list order ([`Prepared::mem_instrs`]).
+#[derive(Debug, Clone)]
+pub(crate) struct Prepared {
+    graph: DepGraph,
+    /// Per position: the oplib latency (unused at loads and stores).
+    op_latency: Vec<u64>,
+    /// Position and instruction of each load and store, in order.
+    mem: Vec<(u32, InstrId)>,
+}
+
+impl Prepared {
+    /// Prepares `instrs` (program order, distinct).
+    pub(crate) fn new(ir: &impl IrView, instrs: &[InstrId]) -> Prepared {
+        let graph = DepGraph::new(ir, instrs);
+        let mut op_latency = Vec::with_capacity(instrs.len());
+        let mut mem = Vec::new();
+        for (k, &i) in instrs.iter().enumerate() {
+            if graph.mem_op(k).is_some() {
+                mem.push((k as u32, i));
+                op_latency.push(0);
+            } else {
+                op_latency.push(oplib::accel_latency(ir.instr(i)));
+            }
+        }
+        Prepared {
+            graph,
+            op_latency,
+            mem,
+        }
+    }
+
+    /// The loads and stores, in the order [`Prepared::schedule`] takes
+    /// their specs.
+    pub(crate) fn mem_instrs(&self) -> impl Iterator<Item = InstrId> + '_ {
+        self.mem.iter().map(|&(_, i)| i)
+    }
+
+    /// The `m`-th load or store (in [`Prepared::mem_instrs`] order).
+    pub(crate) fn mem_op(&self, m: usize) -> MemOp {
+        self.graph.mem[self.mem[m].0 as usize].expect("a load or store")
+    }
+
+    /// Per-position latencies when the `m`-th load or store uses `specs[m]`.
+    fn latencies(&self, specs: &[InterfaceSpec]) -> Vec<u64> {
+        debug_assert_eq!(specs.len(), self.mem.len());
+        let mut lat = self.op_latency.clone();
+        for (m, &(k, _)) in self.mem.iter().enumerate() {
+            lat[k as usize] = mem_latency(self.mem_op(m), specs[m]);
+        }
+        lat
+    }
+
+    /// Critical path when the `m`-th load or store uses `specs[m]`.
+    pub(crate) fn critical_path(&self, specs: &[InterfaceSpec]) -> u64 {
+        self.graph.critical_path(&self.latencies(specs))
+    }
+
+    /// ASAP-schedules the list when the `m`-th load or store uses
+    /// `specs[m]`.
+    ///
+    /// `coupled_ports` is the size of the shared LSU port pool (normally 1).
+    /// With `bound_mem_ports`, buffered (scratchpad-family) accesses are
+    /// additionally bounded per array by the ports their spec exposes;
+    /// pipelined loop bodies pass `false` because the II model prices port
+    /// contention itself (`resMII`).
+    pub(crate) fn schedule(
+        &self,
+        specs: &[InterfaceSpec],
+        coupled_ports: u64,
+        bound_mem_ports: bool,
+    ) -> Schedule {
+        let critical_path = self.critical_path(specs);
+        // Port-constrained lower bounds: one shared pool for coupled
+        // accesses, and per-array bounds for buffered interfaces (every
+        // array's buffer has its own ports, so arrays do not contend with
+        // each other).
+        let mut coupled_uses = 0u64;
+        let mut per_array = PortUse::default();
+        for (m, spec) in specs.iter().enumerate() {
+            match spec.kind {
+                InterfaceKind::Coupled => coupled_uses += 1,
+                _ => {
+                    if let Some(p) = spec.mem_ports() {
+                        per_array.add(self.mem_op(m).array, p);
+                    }
+                }
+            }
+        }
+        let mut length = critical_path;
+        if coupled_ports > 0 {
+            length = length.max(coupled_uses.div_ceil(coupled_ports));
+        }
+        if bound_mem_ports {
+            for &(_, uses, ports) in &per_array.0 {
+                if ports > 0 {
+                    length = length.max(uses.div_ceil(ports));
+                }
+            }
+        }
+        Schedule {
+            critical_path,
+            length,
+        }
+    }
+}
+
+/// Uses and ports per array of the buffered accesses in one list: `(array,
+/// uses, max ports)`, an unknown array counting as `u32::MAX`.
+#[derive(Debug, Default)]
+pub(crate) struct PortUse(pub(crate) Vec<(u32, u64, u64)>);
+
+impl PortUse {
+    pub(crate) fn add(&mut self, array: Option<u32>, ports: u64) {
+        let arr = array.unwrap_or(u32::MAX);
+        match self.0.iter_mut().find(|e| e.0 == arr) {
+            Some(e) => {
+                e.1 += 1;
+                e.2 = e.2.max(ports);
+            }
+            None => self.0.push((arr, 1, ports)),
+        }
+    }
+}
+
+/// Latency of a load or store through `spec`.
+pub(crate) fn mem_latency(op: MemOp, spec: InterfaceSpec) -> u64 {
+    if op.is_store {
+        spec.store_latency()
+    } else {
+        spec.load_latency()
+    }
+}
+
+/// ASAP-schedules `instrs` (in program order, distinct) and returns the
+/// schedule, with each load and store taking `iface`'s spec (coupled when
+/// it has none). The design model prepares a list once and schedules it
+/// under many assignments instead.
 pub fn asap_schedule(
     ir: &impl IrView,
     instrs: &[InstrId],
@@ -64,156 +332,26 @@ pub fn asap_schedule(
     coupled_ports: u64,
     bound_mem_ports: bool,
 ) -> Schedule {
-    let in_set: HashMap<InstrId, usize> = instrs.iter().enumerate().map(|(i, &x)| (x, i)).collect();
-
-    // Map producing instruction per value for def-use edges.
-    let producer = |op: Operand| -> Option<InstrId> {
-        match ir.value_def(op.as_value()?) {
-            ValueDef::Instr(i) if in_set.contains_key(&i) => Some(i),
-            _ => None,
-        }
-    };
-
-    let mut start: HashMap<InstrId, u64> = HashMap::new();
-    // Last store / accesses per array for ordering edges.
-    let mut last_store: HashMap<u32, InstrId> = HashMap::new();
-    let mut accesses_since_store: HashMap<u32, Vec<InstrId>> = HashMap::new();
-
-    let mut critical_path = 0u64;
-    for &iid in instrs {
-        let instr = ir.instr(iid);
-        let mut ready = 0u64;
-        instr.for_each_operand(|op| {
-            if let Some(p) = producer(op) {
-                // Phis feed back across iterations; treated as available at 0
-                // (loop-carried constraints are handled by recMII).
-                if matches!(ir.instr(p), Instr::Phi { .. }) {
-                    return;
-                }
-                let p_end = start.get(&p).copied().unwrap_or(0) + latency_with_iface(ir, p, iface);
-                ready = ready.max(p_end);
-            }
-        });
-
-        // Memory ordering.
-        if let Instr::Load { .. } | Instr::Store { .. } = instr {
-            if let Some(arr) = access_array(ir, iid) {
-                if let Some(&st) = last_store.get(&arr) {
-                    let st_end =
-                        start.get(&st).copied().unwrap_or(0) + latency_with_iface(ir, st, iface);
-                    ready = ready.max(st_end);
-                }
-                if matches!(instr, Instr::Store { .. }) {
-                    // Stores also wait for earlier loads of the same array.
-                    for &a in accesses_since_store.get(&arr).into_iter().flatten() {
-                        let a_end =
-                            start.get(&a).copied().unwrap_or(0) + latency_with_iface(ir, a, iface);
-                        ready = ready.max(a_end);
-                    }
-                    last_store.insert(arr, iid);
-                    accesses_since_store.remove(&arr);
-                } else {
-                    accesses_since_store.entry(arr).or_default().push(iid);
-                }
-            }
-        }
-
-        start.insert(iid, ready);
-        critical_path = critical_path.max(ready + latency_with_iface(ir, iid, iface));
-    }
-
-    // Port-constrained lower bounds: one shared pool for coupled accesses,
-    // and per-array bounds for buffered interfaces (every array's buffer
-    // has its own ports, so arrays do not contend with each other).
-    let mut coupled_uses = 0u64;
-    let mut per_array: HashMap<u32, (u64, u64)> = HashMap::new(); // (uses, ports)
-    for &iid in instrs {
-        if matches!(ir.instr(iid), Instr::Load { .. } | Instr::Store { .. }) {
-            let spec = iface(iid).unwrap_or_else(InterfaceSpec::coupled);
-            match spec.kind {
-                InterfaceKind::Coupled => coupled_uses += 1,
-                _ => {
-                    if let Some(p) = spec.mem_ports() {
-                        let arr = access_array(ir, iid).unwrap_or(u32::MAX);
-                        let e = per_array.entry(arr).or_insert((0, 0));
-                        e.0 += 1;
-                        e.1 = e.1.max(p);
-                    }
-                }
-            }
-        }
-    }
-    let mut length = critical_path.max(1);
-    if coupled_ports > 0 {
-        length = length.max(coupled_uses.div_ceil(coupled_ports));
-    }
-    if bound_mem_ports {
-        for &(uses, ports) in per_array.values() {
-            if ports > 0 {
-                length = length.max(uses.div_ceil(ports));
-            }
-        }
-    }
-
-    Schedule {
-        critical_path: critical_path.max(1),
-        length,
-        start,
-    }
+    let p = Prepared::new(ir, instrs);
+    let specs: Vec<InterfaceSpec> = p
+        .mem_instrs()
+        .map(|i| iface(i).unwrap_or_else(InterfaceSpec::coupled))
+        .collect();
+    p.schedule(&specs, coupled_ports, bound_mem_ports)
 }
 
-/// Critical-path length of `instrs` (program order) under an arbitrary
-/// per-instruction latency function, with the same def-use and
-/// memory-ordering edges as [`asap_schedule`]. Used by the baseline models
-/// (e.g. QsCores' scan-chain latencies) which are not expressible as
-/// [`InterfaceKind`]s.
+/// Critical-path length of `instrs` (program order, distinct) under an
+/// arbitrary per-instruction latency function, over the same dependence
+/// edges as [`asap_schedule`]; `latency` is called once per instruction. Used by
+/// the baseline models (e.g. QsCores' scan-chain latencies) which are not
+/// expressible as [`InterfaceKind`]s.
 pub fn critical_path_with(
     ir: &impl IrView,
     instrs: &[InstrId],
     latency: &dyn Fn(InstrId) -> u64,
 ) -> u64 {
-    let in_set: HashMap<InstrId, usize> = instrs.iter().enumerate().map(|(i, &x)| (x, i)).collect();
-    let producer = |op: Operand| -> Option<InstrId> {
-        match ir.value_def(op.as_value()?) {
-            ValueDef::Instr(i) if in_set.contains_key(&i) => Some(i),
-            _ => None,
-        }
-    };
-    let mut start: HashMap<InstrId, u64> = HashMap::new();
-    let mut last_store: HashMap<u32, InstrId> = HashMap::new();
-    let mut accesses_since_store: HashMap<u32, Vec<InstrId>> = HashMap::new();
-    let mut cp = 0u64;
-    for &iid in instrs {
-        let instr = ir.instr(iid);
-        let mut ready = 0u64;
-        instr.for_each_operand(|op| {
-            if let Some(p) = producer(op) {
-                if matches!(ir.instr(p), Instr::Phi { .. }) {
-                    return;
-                }
-                ready = ready.max(start.get(&p).copied().unwrap_or(0) + latency(p));
-            }
-        });
-        if let Instr::Load { .. } | Instr::Store { .. } = instr {
-            if let Some(arr) = access_array(ir, iid) {
-                if let Some(&st) = last_store.get(&arr) {
-                    ready = ready.max(start.get(&st).copied().unwrap_or(0) + latency(st));
-                }
-                if matches!(instr, Instr::Store { .. }) {
-                    for &a in accesses_since_store.get(&arr).into_iter().flatten() {
-                        ready = ready.max(start.get(&a).copied().unwrap_or(0) + latency(a));
-                    }
-                    last_store.insert(arr, iid);
-                    accesses_since_store.remove(&arr);
-                } else {
-                    accesses_since_store.entry(arr).or_default().push(iid);
-                }
-            }
-        }
-        start.insert(iid, ready);
-        cp = cp.max(ready + latency(iid));
-    }
-    cp.max(1)
+    let lat: Vec<u64> = instrs.iter().map(|&i| latency(i)).collect();
+    DepGraph::new(ir, instrs).critical_path(&lat)
 }
 
 /// The array accessed by a load/store (via its gep), as a raw id.
@@ -245,6 +383,7 @@ pub fn schedule_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interface::COUPLED_LOAD_LATENCY;
     use cayman_ir::builder::ModuleBuilder;
     use cayman_ir::{FuncId, Type};
 
@@ -325,23 +464,26 @@ mod tests {
 
     #[test]
     fn store_orders_after_load_same_array() {
-        let mut mb = ModuleBuilder::new("t");
-        let x = mb.array("x", Type::F64, &[8]);
-        mb.function("f", &[], None, |fb| {
-            let i0 = fb.iconst(0);
-            let i1 = fb.iconst(1);
-            let v = fb.load_idx(x, &[i0]);
-            fb.store_idx(x, &[i1], v);
-            fb.ret(None);
-        });
-        let m = mb.finish();
-        let f = m.function(FuncId(0));
-        let s = whole_block(f, cayman_ir::BlockId(0), &coupled);
-        // load at ≥1 (after gep), store only after load completes (4 cycles).
-        let block = &f.block(cayman_ir::BlockId(0)).instrs;
-        let load = block[1];
-        let store = block[3];
-        assert!(s.start[&store] >= s.start[&load] + 4);
+        // load x[0] (unused), then store a constant: to x it must wait for
+        // the load (ordering edge); to y it need not.
+        let path = |same: bool| {
+            let mut mb = ModuleBuilder::new("t");
+            let x = mb.array("x", Type::F64, &[8]);
+            let y = mb.array("y", Type::F64, &[8]);
+            mb.function("f", &[], None, |fb| {
+                let i0 = fb.iconst(0);
+                let i1 = fb.iconst(1);
+                fb.load_idx(x, &[i0]);
+                fb.store_idx(if same { x } else { y }, &[i1], fb.fconst(1.0));
+                fb.ret(None);
+            });
+            let m = mb.finish();
+            let f = m.function(FuncId(0));
+            whole_block(f, cayman_ir::BlockId(0), &coupled).critical_path
+        };
+        // gep + coupled load, then the store after it.
+        assert_eq!(path(true), path(false) + 1);
+        assert!(path(true) > 1 + COUPLED_LOAD_LATENCY);
     }
 
     #[test]

@@ -21,6 +21,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== profiling throughput (smoke) =="
 cargo bench -p cayman-bench --bench profiling --offline -- --smoke
 
+echo "== accelerator models (smoke: every model on one kernel per suite) =="
+cargo bench -p cayman-bench --bench model --offline -- --smoke
+
 echo "== selection schedulers (smoke: fronts bit-identical) =="
 cargo bench -p cayman-bench --bench selection --offline -- --smoke
 
