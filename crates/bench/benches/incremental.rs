@@ -7,10 +7,12 @@
 //! * **cold** — a from-scratch `Application::analyse_with` + `run_selection`
 //!   (the batch pipeline the incremental path must beat),
 //! * **first edit** — `IncrementalApp::apply` + `select` for a
-//!   *single-instruction edit* against a warm store: the whole-module
-//!   execution query necessarily re-runs (the program's behaviour changed),
-//!   but normalization/structure/decode/dataflow of clean functions and the
-//!   clean subtrees' selection fronts all answer from cache,
+//!   *single-instruction edit* against a warm store: normalization,
+//!   structure, decode and dataflow of clean functions and the clean
+//!   subtrees' selection fronts all answer from cache, and the whole-module
+//!   execution re-runs only when the slice proof cannot show the edit
+//!   leaves the block counts and return value alone (the bench reports how
+//!   many first edits it proved),
 //! * **warm toggle** — the salsa-style "change it back" path: the edit
 //!   toggles between two previously analysed states, so the whole-app and
 //!   selection queries hit outright and re-selection is two content-hash
@@ -49,6 +51,8 @@ struct KernelPoint {
     cold_s: f64,
     first_edit_s: f64,
     warm_toggle_s: f64,
+    /// Whether the first edit's execution was proved instead of run.
+    proved: bool,
 }
 
 fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
@@ -114,6 +118,7 @@ fn measure_kernel(w: &Workload, smoke: bool) -> Option<KernelPoint> {
     // First edit: warm store, one single-instruction edit, re-select.
     // (Each rep rebuilds the store — the first edit is a one-shot event.)
     let mut first_edit_s = f64::INFINITY;
+    let mut proved = false;
     let mut inc = None;
     for rep in 0..REPS {
         let mut app = IncrementalApp::new(w.module.clone(), Some(memory.clone()), opts.clone());
@@ -126,6 +131,7 @@ fn measure_kernel(w: &Workload, smoke: bool) -> Option<KernelPoint> {
         .expect("applies");
         let res = app.select(&sel).expect("re-selects");
         first_edit_s = first_edit_s.min(t0.elapsed().as_secs_f64());
+        proved = app.stats().proved > 0;
         if rep == 0 {
             // Equivalence: the edited state's front must be bit-identical
             // to a from-scratch pipeline on the edited module.
@@ -187,6 +193,7 @@ fn measure_kernel(w: &Workload, smoke: bool) -> Option<KernelPoint> {
         cold_s,
         first_edit_s,
         warm_toggle_s,
+        proved,
     })
 }
 
@@ -249,9 +256,10 @@ fn main() {
     let (_, _, warm_med, _, _) = stats_of(points.iter().map(|p| p.warm_toggle_s).collect());
     let speedup_first = cold_med / first_med.max(1e-12);
     let speedup_warm = cold_med / warm_med.max(1e-12);
+    let proved = points.iter().filter(|p| p.proved).count();
     println!(
-        "# incremental over {} kernels: cold {} | first edit {} ({speedup_first:.1}x) | \
-         warm toggle {} ({speedup_warm:.1}x)",
+        "# incremental over {} kernels: cold {} | first edit {} ({speedup_first:.1}x, \
+         {proved} proved without a run) | warm toggle {} ({speedup_warm:.1}x)",
         points.len(),
         fmt_duration(cold_med),
         fmt_duration(first_med),
@@ -289,10 +297,13 @@ fn main() {
             "note",
             "per-kernel minimum over repeated runs; cold = from-scratch analyse+select, \
              first_edit = apply+select of one single-instruction edit against a warm query \
-             store (whole-module execution legitimately re-runs), warm_toggle = apply+select \
-             toggling between two cached module states (pure content-hash hits)",
+             store (whole-module execution re-runs unless the slice proof shows the block \
+             counts and return value unchanged; first_edits_proved counts those), \
+             warm_toggle = apply+select toggling between two cached module states (pure \
+             content-hash hits)",
         );
         o.u64("kernels_measured", points.len() as u64);
+        o.u64("first_edits_proved", proved as u64);
         o.u64("kernels_skipped_no_edit_site", skipped as u64);
         metric_json(o, "cold", points.iter().map(|p| p.cold_s).collect());
         metric_json(

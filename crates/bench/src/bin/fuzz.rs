@@ -19,7 +19,8 @@
 //! edits through one `IncrementalApp`, each step compared bit for bit
 //! against a fresh `analyse → select`. `--incremental-corpus N` runs the
 //! same differential over the first `N` checked-in workload kernels
-//! (`0` = all of them) — the corpus-wide equivalence gate.
+//! (`0` = all of them) — the corpus-wide equivalence gate. Both report how
+//! many fresh executions the slice proof answered without a run.
 //!
 //! ```text
 //! fuzz [--seed N] [--count N] [--trap-share PCT] [--corpus-gate]
@@ -39,7 +40,7 @@
 //!   --edits N         edits per incremental differential (default 3)
 //! ```
 
-use cayman_bench::diff::{check_incremental, check_module};
+use cayman_bench::diff::{check_incremental, check_module, IncCheck};
 use cayman_testkit::program::{arbitrary_module_with, GenOptions};
 use cayman_testkit::{Rng, SHRINK_FACTORS};
 
@@ -159,16 +160,18 @@ fn run_corpus_gate() -> usize {
 
 /// The corpus-wide incremental-equivalence gate: seeded single-instruction
 /// edits over the first `limit` workload kernels (`0` = all 132), each step
-/// compared bit for bit against from-scratch analysis.
-fn run_incremental_corpus_gate(seed: u64, limit: u64, edits: u64) -> usize {
+/// compared bit for bit against from-scratch analysis. Returns the kernel
+/// count and the slice proof's tally.
+fn run_incremental_corpus_gate(seed: u64, limit: u64, edits: u64) -> (usize, IncCheck) {
     let mut ws = cayman::workloads::full();
     if limit > 0 {
         ws.truncate(limit as usize);
     }
+    let mut tally = IncCheck::default();
     for (i, w) in ws.iter().enumerate() {
         let kseed = case_seed(seed, 0x1D00 + i as u64);
         match check_incremental(&w.module, Some(w.memory()), kseed, edits as usize) {
-            Ok(_) => {}
+            Ok(check) => tally.add(&check),
             Err(f) => {
                 eprintln!(
                     "incremental corpus gate: {} (seed {kseed:#018x}) diverged: {f}",
@@ -178,7 +181,7 @@ fn run_incremental_corpus_gate(seed: u64, limit: u64, edits: u64) -> usize {
             }
         }
     }
-    ws.len()
+    (ws.len(), tally)
 }
 
 fn main() {
@@ -190,23 +193,27 @@ fn main() {
     }
 
     if let Some(limit) = args.incremental_corpus {
-        let n = run_incremental_corpus_gate(args.seed, limit, args.edits);
+        let (n, proof) = run_incremental_corpus_gate(args.seed, limit, args.edits);
         println!(
             "incremental corpus gate: {n} kernels re-analyse bit-identically \
-             across {} seeded edits each",
-            args.edits
+             across {} seeded edits each; slice proof answered {}/{} fresh executions",
+            args.edits, proof.proved, proof.attempted
         );
     }
 
     let mut clean = 0u64;
     let mut trapped = 0u64;
+    let mut proof = IncCheck::default();
     for case in 0..args.count {
         let seed = case_seed(args.seed, case);
         let opts = options_for(case, args.trap_share);
         let m = arbitrary_module_with(&mut Rng::new(seed), &opts);
         let verdict = check_module(&m).and_then(|ok| {
             if args.incremental {
-                check_incremental(&m, None, seed, args.edits as usize).map(|inc_ok| ok && inc_ok)
+                check_incremental(&m, None, seed, args.edits as usize).map(|check| {
+                    proof.add(&check);
+                    ok && check.clean
+                })
             } else {
                 Ok(ok)
             }
@@ -244,4 +251,11 @@ fn main() {
          ({clean} full pipeline, {trapped} identical-trap) [seed {:#x}]",
         args.count, args.seed
     );
+    if args.incremental {
+        println!(
+            "fuzz: slice proof answered {}/{} fresh executions after an edit, \
+             each re-run and matched",
+            proof.proved, proof.attempted
+        );
+    }
 }

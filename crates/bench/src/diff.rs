@@ -25,16 +25,18 @@
 //! 5. **incremental vs from-scratch re-analysis** ([`check_incremental`]) —
 //!    after every seeded single-instruction edit (a float nudge or an
 //!    `fadd`/`fmul` swap), the [`IncrementalApp`]
-//!    query pipeline must reproduce the from-scratch Pareto front, region
-//!    profile and merge accounting bit for bit, re-selecting at both
-//!    `threads = 1` and `threads = 3`. (The visited-vertex count is
+//!    query pipeline must reproduce the from-scratch Pareto front, execution
+//!    profile (block counts, total cycles, return-value bits, engine) and
+//!    merge accounting bit for bit, re-selecting at both `threads = 1` and
+//!    `threads = 3`; every execution the slice proof answered without a run
+//!    is also re-run and must match. (The visited-vertex count is
 //!    deliberately *not* compared here: cached subtree fronts legitimately
 //!    skip visits.)
 
 use cayman::hls::design::AcceleratorDesign;
 use cayman::hls::inputs::{Candidate, CandidateKey, FuncInputs, RegionInputs};
 use cayman::ir::instr::{BinOp, Imm, Instr, Operand};
-use cayman::ir::interp::{Interp, Memory, Value};
+use cayman::ir::interp::{ExecProfile, Interp, Memory, Value};
 use cayman::ir::transform::{normalize, OptLevel};
 use cayman::ir::Module;
 use cayman::merging::merge_solution;
@@ -469,6 +471,26 @@ impl AccelModel for KeyCheckedModel {
     }
 }
 
+/// What [`check_incremental`] saw.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IncCheck {
+    /// `false` when the starting module traps under profiling (both paths
+    /// then failed identically and no edit was checked).
+    pub clean: bool,
+    /// Fresh executions after an edit that the slice proof answered.
+    pub proved: u64,
+    /// Fresh executions after an edit: proved plus run.
+    pub attempted: u64,
+}
+
+impl IncCheck {
+    /// Adds `other`'s proof counts to these.
+    pub fn add(&mut self, other: &IncCheck) {
+        self.proved += other.proved;
+        self.attempted += other.attempted;
+    }
+}
+
 /// Differential surface 4: incremental re-analysis vs from-scratch.
 ///
 /// Drives `edits` seeded single-instruction edits (interleaved with
@@ -477,13 +499,15 @@ impl AccelModel for KeyCheckedModel {
 /// at `threads = 3` — and, after every step, re-analyses the edited module
 /// from scratch. The incremental result must be **bit-identical** at every
 /// step: the selection Pareto front of both apps (area/saved-seconds bits,
-/// kernel node ids and block sets), the region profile (block counts and
-/// total cycles), and the merged best solution's area accounting. Across
-/// all steps, every candidate whose design-cache key repeats must get
-/// bit-identical designs from the model.
+/// kernel node ids and block sets), the execution profile (block counts,
+/// total cycles, return-value bits and engine), and the merged best
+/// solution's area accounting. A step whose execution the slice proof
+/// answered is also run through the interpreter, which must produce the
+/// proved profile. Across all steps, every candidate whose design-cache key
+/// repeats must get bit-identical designs from the model.
 ///
-/// Returns `Ok(false)` when the starting module traps under profiling (both
-/// paths must then fail identically), `Ok(true)` otherwise.
+/// Returns `clean: false` when the starting module traps under profiling
+/// (both paths must then fail identically), and the proof's counts.
 ///
 /// # Errors
 ///
@@ -493,7 +517,7 @@ pub fn check_incremental(
     memory: Option<Memory>,
     seed: u64,
     edits: usize,
-) -> Result<bool, DiffFailure> {
+) -> Result<IncCheck, DiffFailure> {
     let mut rng = cayman_testkit::Rng::new(seed ^ 0x1CAE);
     let opts = AnalyseOptions::default();
     let sel_opts = SelectOptions::default();
@@ -511,7 +535,12 @@ pub fn check_incremental(
         stale: Mutex::default(),
     };
 
+    let mut tally = IncCheck {
+        clean: true,
+        ..IncCheck::default()
+    };
     for step in 0..=edits {
+        let before = *inc.stats();
         if step > 0 {
             // Revert ~every fourth edit to the original body of a random
             // function (the cache-warm green path); otherwise nudge a float
@@ -566,7 +595,10 @@ pub fn check_incremental(
                         ),
                     )?;
                 }
-                return Ok(false);
+                return Ok(IncCheck {
+                    clean: false,
+                    ..tally
+                });
             }
             (Ok(_), Err(ie)) => {
                 fail(
@@ -587,20 +619,32 @@ pub fn check_incremental(
         let inc_sel = inc_sel.unwrap();
         let inc_app = inc.analyse().expect("selection already analysed");
 
-        if fresh_app.profile.block_counts != inc_app.profile.block_counts {
-            fail(
-                "incremental",
-                format!("step {step}: region-profile block counts diverge"),
-            )?;
+        let inc_exec = (&inc_app.exec, inc_app.profiling_engine);
+        if let Some(msg) = exec_mismatch((&fresh_app.exec, fresh_app.profiling_engine), inc_exec) {
+            fail("incremental", format!("step {step}: {msg}"))?;
         }
-        if fresh_app.profile.total_cycles != inc_app.profile.total_cycles {
-            fail(
-                "incremental",
-                format!(
-                    "step {step}: total cycles diverge: {} vs {}",
-                    fresh_app.profile.total_cycles, inc_app.profile.total_cycles
-                ),
-            )?;
+        let after = *inc.stats();
+        if step > 0 {
+            let proved = after.proved - before.proved;
+            tally.proved += proved;
+            tally.attempted += proved + after.exec.misses - before.exec.misses;
+            if proved > 0 {
+                // The proof answered without a run: make the run.
+                let mut interp = Interp::new(&inc_app.module);
+                if let Some(mem) = &memory {
+                    interp.memory = mem.clone();
+                }
+                let ran = interp.run(&[]).map_err(|e| DiffFailure {
+                    stage: "incremental",
+                    detail: format!("step {step}: a proved module fails to run: {e}"),
+                })?;
+                if let Some(msg) = exec_mismatch((&ran, interp.engine_name()), inc_exec) {
+                    fail(
+                        "incremental",
+                        format!("step {step}: proved profile is wrong: {msg}"),
+                    )?;
+                }
+            }
         }
 
         let fresh_inputs = fresh_app.inputs();
@@ -659,7 +703,32 @@ pub fn check_incremental(
             )?;
         }
     }
-    Ok(true)
+    Ok(tally)
+}
+
+/// The first way the execution `got` (profile, engine) differs from
+/// `want`, described with both sides.
+fn exec_mismatch(
+    (want, want_engine): (&ExecProfile, &str),
+    (got, got_engine): (&ExecProfile, &str),
+) -> Option<String> {
+    if want.block_counts != got.block_counts {
+        Some("block counts diverge".into())
+    } else if want.total_cycles != got.total_cycles {
+        Some(format!(
+            "total cycles diverge: {} vs {}",
+            want.total_cycles, got.total_cycles
+        ))
+    } else if !values_bit_equal(&want.return_value, &got.return_value) {
+        Some(format!(
+            "return values diverge: {:?} vs {:?}",
+            want.return_value, got.return_value
+        ))
+    } else if want_engine != got_engine {
+        Some(format!("engines diverge: {want_engine} vs {got_engine}"))
+    } else {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -677,10 +746,8 @@ mod tests {
     #[test]
     fn incremental_matches_fresh_on_a_benchmark_and_generated_programs() {
         let w = cayman::workloads::by_name("bicg").expect("bicg exists");
-        assert!(
-            check_incremental(&w.module, Some(w.memory()), 7, 3).expect("no divergence"),
-            "bicg profiles cleanly"
-        );
+        let bicg = check_incremental(&w.module, Some(w.memory()), 7, 3).expect("no divergence");
+        assert!(bicg.clean, "bicg profiles cleanly");
         for seed in [3u64, 11] {
             let m = arbitrary_module(&mut Rng::new(seed));
             check_incremental(&m, None, seed, 3).unwrap_or_else(|e| panic!("seed {seed}: {e}"));

@@ -11,7 +11,7 @@
 //! | shadow | (normalized fn fp, arrays fp) | address-canonicalized `Function` |
 //! | structure | normalized fn fp | `FuncCtx` + `RegionTree` + structural prints |
 //! | decode | (normalized fn fp, arrays fp) | decoded interpreter function |
-//! | exec | (normalized module fp, memory fp) | `ExecProfile` |
+//! | exec | (normalized module fp, memory fp) | `ExecProfile`, run or proved |
 //! | dataflow | (analysis fn fp, arrays fp) | accesses + loop deps + their prints |
 //! | trips | (normalized fn fp, arrays fp, block-count fp) | trip counts |
 //! | app | (raw module fp, memory fp, analyse opts) | `Arc<Application>` |
@@ -34,6 +34,18 @@
 //! dataflow cache with `-O1`), otherwise a mix of the `-O1` and shadow
 //! fingerprints — design caches and selection fronts absorb the extra
 //! precision through the same content keys as any other edit.
+//!
+//! An exec miss first tries to **prove** the run unnecessary. The store
+//! keeps its most recently analysed application as the *parent*; when the
+//! memory image is the same and [`cayman_ir::slice::counts_unchanged`]
+//! shows that no instruction the new module changed can steer a branch, an
+//! address, a trap or the entry function's return value, the exec query
+//! answers without decoding or running anything: the parent's block
+//! counts, return value and engine, with `total_cycles` recomputed from the
+//! new module ([`cayman_ir::cpu_model::total_cycles`], so an `fadd`→`fmul`
+//! swap still moves the cycles), memoised under the new key. A proved
+//! answer counts as an exec hit and in [`IncStats::proved`], and its span
+//! is tagged `proved = true`. Cold stores have no parent and always run.
 //!
 //! Keys are **content fingerprints** ([`cayman_ir::fingerprint_function`]
 //! and friends), not revision counters: dirtiness is implicit — an edit
@@ -71,8 +83,10 @@ use cayman_analysis::regions::RegionTree;
 use cayman_analysis::scev::Scev;
 use cayman_analysis::wpst::Wpst;
 use cayman_hls::inputs::FuncPrints;
+use cayman_ir::cpu_model::total_cycles;
 use cayman_ir::fingerprint::fnv1a_u64s;
 use cayman_ir::interp::{DecodedFunction, ExecProfile, Interp, Memory};
+use cayman_ir::slice::counts_unchanged;
 use cayman_ir::transform::{normalize_function, OptLevel, PassManager, PipelineStats};
 use cayman_ir::verify::VerifyError;
 use cayman_ir::{
@@ -119,6 +133,9 @@ pub struct IncStats {
     pub app: QueryCounter,
     /// Whole-selection query.
     pub select: QueryCounter,
+    /// Exec misses answered by the slice proof instead of a run (each is
+    /// also counted in `exec.hits`).
+    pub proved: u64,
     /// Edits applied so far.
     pub edits: u64,
 }
@@ -173,19 +190,19 @@ impl<K: Eq + Hash, V> Query<K, V> {
 
     /// The one probe site of every query: counts the hit or miss into
     /// `counter`, opens the query's span tagged `hit` (plus `arg`: the
-    /// function index or count), and on a miss runs `body` under that span
-    /// and memoises its result.
+    /// function index or count, or the exec query's `proved` tag), and on a
+    /// miss runs `body` under that span and memoises its result.
     fn get(
         &mut self,
         key: K,
         counter: &mut QueryCounter,
-        arg: Option<(&'static str, usize)>,
+        arg: Option<(&'static str, ArgValue)>,
         body: impl FnOnce() -> Result<V, CaymanError>,
     ) -> Result<Arc<V>, CaymanError> {
         let hit = self.map.get(&key).cloned();
         let _q = if cayman_obs::enabled() {
             let mut args = vec![("hit", ArgValue::Bool(hit.is_some()))];
-            args.extend(arg.map(|(name, v)| (name, ArgValue::from(v))));
+            args.extend(arg);
             SpanGuard::enter_with(self.span, args)
         } else {
             SpanGuard::noop()
@@ -257,6 +274,38 @@ struct ExecResult {
     engine: &'static str,
 }
 
+/// The most recently analysed application, which a fresh execution state is
+/// proved against. Holds the application the app table already shares: no
+/// module is copied.
+struct ExecParent {
+    memory_fp: u64,
+    app: Arc<Application>,
+}
+
+impl ExecParent {
+    /// The profile of `module` (normalized, executed from the memory image
+    /// `memory_fp`, with per-function content fingerprints `fps`) when the
+    /// slice proves its block counts and return value equal to the parent's.
+    fn prove(&self, module: &Module, fps: &[u64], memory_fp: u64) -> Option<ExecResult> {
+        let app = &self.app;
+        if self.memory_fp != memory_fp {
+            return None;
+        }
+        // Analysis fingerprints are as good as executed-body ones here:
+        // equal executed bodies have equal shadows.
+        counts_unchanged(&app.module, &app.content_fps, module, fps).ok()?;
+        let block_counts = app.exec.block_counts.clone();
+        Some(ExecResult {
+            exec: ExecProfile {
+                total_cycles: total_cycles(module, &block_counts),
+                block_counts,
+                return_value: app.exec.return_value,
+            },
+            engine: app.profiling_engine,
+        })
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct TripsKey {
     norm_fp: u64,
@@ -301,6 +350,8 @@ pub(crate) struct QueryStore {
     /// Memoised per-function-subtree Pareto fronts, read and extended by
     /// [`run_selection`].
     fronts: HashMap<FrontKey, Vec<Solution>>,
+    /// The last analysed state: the exec query's proof parent.
+    parent: Option<ExecParent>,
     /// Hit/miss accounting.
     stats: IncStats,
     /// `stats` as of the last [`QueryStore::publish`].
@@ -323,6 +374,7 @@ impl QueryStore {
             selections: Query::new("inc.query.select"),
             designs: DesignCache::new(),
             fronts: HashMap::new(),
+            parent: None,
             stats: IncStats::default(),
             published: IncStats::default(),
         }
@@ -332,16 +384,21 @@ impl QueryStore {
     /// `inc.*` counters. Called once at the end of each analysis or
     /// selection run, never per query.
     pub(crate) fn publish(&mut self) {
-        static TOTALS: OnceLock<([[&Counter; 2]; 10], &Counter)> = OnceLock::new();
-        let (queries, edits) = TOTALS.get_or_init(|| {
+        static TOTALS: OnceLock<([[&Counter; 2]; 10], &Counter, &Counter)> = OnceLock::new();
+        let (queries, proved, edits) = TOTALS.get_or_init(|| {
             let counter = cayman_obs::registry::counter;
-            (QUERY_COUNTERS.map(|n| n.map(counter)), counter("inc.edits"))
+            (
+                QUERY_COUNTERS.map(|n| n.map(counter)),
+                counter("inc.exec.proved"),
+                counter("inc.edits"),
+            )
         });
         let kinds = self.stats.kinds().into_iter().zip(self.published.kinds());
         for ([hits, misses], (now, was)) in queries.iter().zip(kinds) {
             hits.add(now.hits - was.hits);
             misses.add(now.misses - was.misses);
         }
+        proved.add(self.stats.proved - self.published.proved);
         edits.add(self.stats.edits - self.published.edits);
         self.published = self.stats;
     }
@@ -369,7 +426,7 @@ pub(crate) fn assemble(
         level: opts.opt_level,
         verify_each: opts.verify_each_pass,
     };
-    let functions = Some(("functions", module.functions.len()));
+    let functions = Some(("functions", ArgValue::from(module.functions.len())));
     let counts = &mut store.stats;
     let app = store.apps.get(app_key, &mut counts.app, functions, || {
         // Stage 1: verify (whole-module; a hit means this exact raw content
@@ -405,7 +462,7 @@ pub(crate) fn assemble(
                         level: exec_level,
                         verify_each: opts.verify_each_pass,
                     };
-                    let arg = Some(("func", f.index()));
+                    let arg = Some(("func", ArgValue::from(f.index())));
                     let cached = store.normalize.get(key, &mut counts.normalize, arg, || {
                         let stats =
                             normalize_function(&mut working, f, exec_level, opts.verify_each_pass)?;
@@ -440,7 +497,7 @@ pub(crate) fn assemble(
                     fp: norm_fps[f.index()],
                     arrays_fp,
                 };
-                let arg = Some(("func", f.index()));
+                let arg = Some(("func", ArgValue::from(f.index())));
                 let cached = store.shadow.get(key, &mut counts.shadow, arg, || {
                     let mut tmp = Module {
                         name: working.name.clone(),
@@ -477,7 +534,7 @@ pub(crate) fn assemble(
             let mut ctxs = Vec::with_capacity(working.functions.len());
             for f in working.function_ids() {
                 let key = norm_fps[f.index()];
-                let arg = Some(("func", f.index()));
+                let arg = Some(("func", ArgValue::from(f.index())));
                 let parts = store.structure.get(key, &mut counts.structure, arg, || {
                     let func = working.function(f);
                     let ctx = FuncCtx::compute(func);
@@ -495,7 +552,18 @@ pub(crate) fn assemble(
                 norm_module_fp,
                 memory_fp,
             };
-            let exec_res = store.exec.get(exec_key, &mut counts.exec, None, || {
+            let proved = match &store.parent {
+                Some(parent) if !store.exec.map.contains_key(&exec_key) => {
+                    parent.prove(&working, &analysis_fps, memory_fp)
+                }
+                _ => None,
+            };
+            let tag = proved.is_some().then_some(("proved", ArgValue::Bool(true)));
+            if let Some(res) = proved {
+                counts.proved += 1;
+                store.exec.map.insert(exec_key, Arc::new(res));
+            }
+            let exec_res = store.exec.get(exec_key, &mut counts.exec, tag, || {
                 // Decode is only needed to execute, so its per-function
                 // queries run lazily inside the exec miss.
                 let mut decoded = Vec::with_capacity(working.functions.len());
@@ -504,7 +572,7 @@ pub(crate) fn assemble(
                         fp: norm_fps[f.index()],
                         arrays_fp,
                     };
-                    let arg = Some(("func", f.index()));
+                    let arg = Some(("func", ArgValue::from(f.index())));
                     let d = store.decode.get(key, &mut counts.decode, arg, || {
                         Ok(decode_function(&working, f))
                     })?;
@@ -532,7 +600,7 @@ pub(crate) fn assemble(
             for f in working.function_ids() {
                 let func = working.function(f);
                 let ctx = &wpst.func_ctxs[f.index()];
-                let arg = Some(("func", f.index()));
+                let arg = Some(("func", ArgValue::from(f.index())));
                 let dkey = FuncKey {
                     fp: analysis_fps[f.index()],
                     arrays_fp,
@@ -567,6 +635,7 @@ pub(crate) fn assemble(
                     arrays_fp,
                     bc_fp: fnv1a_u64s(&profile.block_counts[f.index()]),
                 };
+                let arg = Some(("func", ArgValue::from(f.index())));
                 let tt = store.trips.get(tkey, &mut counts.trips, arg, || {
                     Ok(ctx
                         .forest
@@ -596,6 +665,10 @@ pub(crate) fn assemble(
             prints,
         })
     })?;
+    store.parent = Some(ExecParent {
+        memory_fp,
+        app: Arc::clone(&app),
+    });
     Ok((app_key, app))
 }
 
@@ -924,14 +997,39 @@ mod tests {
         );
         assert_eq!(warm.normalize.hits - cold.normalize.hits, 2);
         assert_eq!(warm.dataflow.misses - cold.dataflow.misses, 1);
-        // The module's dynamic behaviour changed, so execution re-runs...
-        assert_eq!(warm.exec.misses - cold.exec.misses, 1);
-        // ...but clean functions' decoded bodies are reused.
-        assert_eq!(warm.decode.hits - cold.decode.hits, 2);
+        // The nudged value reaches no branch, address or return, so the
+        // profile is proved unchanged: nothing is decoded or run...
+        assert_eq!(warm.exec.hits - cold.exec.hits, 1);
+        assert_eq!(warm.proved - cold.proved, 1);
+        assert_eq!(warm.exec.misses, cold.exec.misses);
+        assert_eq!(warm.decode.hits, cold.decode.hits);
+        assert_eq!(warm.decode.misses, cold.decode.misses);
         assert_eq!(warm.app.misses - cold.app.misses, 1);
         assert_eq!(warm.select.misses - cold.select.misses, 1);
         // Clean sibling subtrees answer selection from the front table.
         assert!(res.stats.front_hits > 0, "clean subtree fronts reused");
+
+        // ...while an edit of `ka`'s trip count changes the counts, so
+        // execution re-runs, reusing the clean functions' decoded bodies.
+        let mut body = edited_ka(&m);
+        for instr in &mut body.instrs {
+            if let Instr::Cmp { rhs, .. } = instr {
+                if *rhs == Operand::int(32) {
+                    *rhs = Operand::int(16);
+                }
+            }
+        }
+        inc.apply(Edit::ReplaceFunction {
+            func: FuncId(0),
+            body,
+        })
+        .expect("applies");
+        inc.select(&SelectOptions::default()).expect("re-select");
+        let rerun = *inc.stats();
+        assert_eq!(rerun.exec.misses - warm.exec.misses, 1);
+        assert_eq!(rerun.proved, warm.proved);
+        assert_eq!(rerun.decode.hits - warm.decode.hits, 2);
+        assert_eq!(rerun.decode.misses - warm.decode.misses, 1);
     }
 
     /// One function with two sibling loop nests: nest A scales `x`, nest

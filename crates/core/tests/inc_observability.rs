@@ -1,8 +1,9 @@
 //! One observability surface per quantity: the process-scope
-//! `inc.query.<kind>.{hits,misses}` and `select.front.{hits,misses}`
-//! counters move exactly as the instance's `IncStats` and the runs'
-//! `SelectStats` do, and every `inc.query.<kind>` span says whether it hit.
-//! A single test owns the process-global registry and recorder.
+//! `inc.query.<kind>.{hits,misses}`, `inc.exec.proved` and
+//! `select.front.{hits,misses}` counters move exactly as the instance's
+//! `IncStats` and the runs' `SelectStats` do, every `inc.query.<kind>` span
+//! says whether it hit, and an exec answer the slice proof gave is tagged
+//! `proved`. A single test owns the process-global registry and recorder.
 
 use cayman::ir::instr::{Imm, Instr, Operand};
 use cayman::ir::{FuncId, Function};
@@ -49,6 +50,10 @@ fn scraped() -> Vec<u64> {
         .collect()
 }
 
+fn proved_scraped() -> u64 {
+    registry::counter("inc.exec.proved").get()
+}
+
 fn fronts_scraped() -> [u64; 2] {
     ["select.front.hits", "select.front.misses"].map(|n| registry::counter(n).get())
 }
@@ -79,7 +84,7 @@ fn nudged(funcs: &[Function]) -> (FuncId, Function) {
 
 #[test]
 fn counters_spans_and_stats_report_each_quantity_once() {
-    let w = cayman::workloads::by_name("gen-s079").expect("corpus kernel registered");
+    let w = cayman::workloads::by_name("syrk").expect("corpus kernel registered");
     assert!(
         w.module.functions.len() >= 2,
         "an edit must leave a clean function"
@@ -95,6 +100,7 @@ fn counters_spans_and_stats_report_each_quantity_once() {
 
     cayman_obs::enable();
     let (stats0, scraped0, fronts0) = (instance(inc.stats()), scraped(), fronts_scraped());
+    let proved0 = proved_scraped();
     let cold = inc.select(&opts).expect("cold select");
     inc.apply(Edit::ReplaceFunction { func, body })
         .expect("edit applies");
@@ -112,6 +118,11 @@ fn counters_spans_and_stats_report_each_quantity_once() {
     let stats = instance(inc.stats());
     assert_eq!(delta(&scraped(), &scraped0), delta(&stats, &stats0));
     assert_eq!(inc.stats().select.hits, 1);
+    // The nudge feeds no branch, address or return: its execution is
+    // proved from the cold run's profile and counted as an exec hit.
+    assert_eq!(inc.stats().proved, 1, "the edit's execution is proved");
+    assert_eq!(proved_scraped() - proved0, inc.stats().proved);
+    assert_eq!([inc.stats().exec.hits, inc.stats().exec.misses], [1, 1]);
     let runs = [&cold, &edited];
     let front_hits = runs.iter().map(|r| r.stats.front_hits).sum::<u64>();
     let front_misses = runs.iter().map(|r| r.stats.front_misses).sum::<u64>();
@@ -125,6 +136,7 @@ fn counters_spans_and_stats_report_each_quantity_once() {
     // Every query span carries its hit tag; normalize shows both.
     let trace = cayman_obs::drain();
     let mut normalize_tags = Vec::new();
+    let mut exec_tags = Vec::new();
     for e in trace.events.iter().filter(|e| e.kind == EventKind::Begin) {
         let name = e.name.to_string();
         if !name.starts_with("inc.query.") {
@@ -137,7 +149,19 @@ fn counters_spans_and_stats_report_each_quantity_once() {
         if name == "inc.query.normalize" {
             normalize_tags.push(hit);
         }
+        if name == "inc.query.exec" {
+            let proved = e
+                .args
+                .iter()
+                .any(|(k, v)| *k == "proved" && *v == ArgValue::Bool(true));
+            exec_tags.push((hit, proved));
+        }
     }
+    assert_eq!(
+        exec_tags,
+        [(false, false), (true, true)],
+        "cold run, then proved"
+    );
     assert!(normalize_tags.contains(&true), "{normalize_tags:?}");
     assert!(normalize_tags.contains(&false), "{normalize_tags:?}");
 }

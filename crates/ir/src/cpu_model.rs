@@ -79,6 +79,19 @@ pub fn block_cycles(func: &crate::module::Function, b: crate::module::BlockId) -
     body + terminator_cycles(blk.terminator())
 }
 
+/// Total CPU cycles of a run of `module` that executed each block
+/// `block_counts[f][b]` times: Σ count × [`block_cycles`]. The one cycle
+/// formula, shared by the interpreter and by profiles derived without a run.
+pub fn total_cycles(module: &crate::module::Module, block_counts: &[Vec<u64>]) -> u64 {
+    let mut total = 0u64;
+    for (func, per_block) in module.functions.iter().zip(block_counts) {
+        for (b, &count) in func.block_ids().zip(per_block) {
+            total += count * block_cycles(func, b);
+        }
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

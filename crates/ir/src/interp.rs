@@ -17,7 +17,7 @@
 //!   tree-walking evaluator, kept for differential testing and as the
 //!   fallback for modules the decoder's verifier-backed init check rejects.
 
-use crate::cpu_model::{block_cycles, CPU_FREQ_HZ};
+use crate::cpu_model::{total_cycles, CPU_FREQ_HZ};
 use crate::instr::{BinOp, CmpPred, Imm, Instr, Operand, Terminator, UnaryOp};
 use crate::module::{ArrayId, BlockId, FuncId, Function, Module, ValueDef, ValueId};
 use crate::types::Type;
@@ -286,8 +286,6 @@ pub struct Interp<'m> {
     counts: Vec<Vec<u64>>,
     steps: u64,
     step_limit: u64,
-    /// Pre-computed static cycles per block.
-    static_cycles: Vec<Vec<u64>>,
     engine: Engine,
 }
 
@@ -342,18 +340,12 @@ impl<'m> Interp<'m> {
             .iter()
             .map(|f| vec![0u64; f.blocks.len()])
             .collect();
-        let static_cycles = module
-            .functions
-            .iter()
-            .map(|f| f.block_ids().map(|b| block_cycles(f, b)).collect())
-            .collect();
         Interp {
             module,
             memory: Memory::for_module(module),
             counts,
             steps: 0,
             step_limit: Self::DEFAULT_STEP_LIMIT,
-            static_cycles,
             engine,
         }
     }
@@ -426,15 +418,9 @@ impl<'m> Interp<'m> {
             self.call(entry, args)?
         };
         let block_counts = std::mem::take(&mut self.counts);
-        let mut total = 0u64;
-        for (f, per_block) in block_counts.iter().enumerate() {
-            for (b, &c) in per_block.iter().enumerate() {
-                total += c * self.static_cycles[f][b];
-            }
-        }
         Ok(ExecProfile {
+            total_cycles: total_cycles(self.module, &block_counts),
             block_counts,
-            total_cycles: total,
             return_value: ret,
         })
     }

@@ -18,6 +18,8 @@
 //! * an [`interp`]reter with a CVA6-like in-order CPU cycle model
 //!   ([`cpu_model`]) used as the profiling substrate (the paper instruments
 //!   LLVM bitcode and runs natively; we interpret and count cycles instead).
+//! * a forward taint [`mod@slice`] that proves an edit leaves a run's block
+//!   counts and return value unchanged, so the profile need not be re-run.
 //!
 //! ## Example
 //!
@@ -56,6 +58,7 @@ pub mod loops;
 pub mod module;
 pub mod parse;
 pub mod print;
+pub mod slice;
 pub mod transform;
 pub mod types;
 pub mod verify;
