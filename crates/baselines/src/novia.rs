@@ -163,7 +163,6 @@ mod tests {
             deps: &o.deps,
             trips: &[64.0],
             block_counts: &[1, 65, 64, 1],
-            content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
             prints: &o.prints,
         };
         let cand = Candidate {
@@ -196,7 +195,6 @@ mod tests {
             deps: &o.deps,
             trips: &[64.0],
             block_counts: &[1, 65, 64, 1],
-            content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
             prints: &o.prints,
         };
         let l = o.ctx.forest.ids().next().expect("loop");
@@ -221,7 +219,6 @@ mod tests {
             deps: &o.deps,
             trips: &[64.0],
             block_counts: &[1, 65, 64, 1],
-            content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
             prints: &o.prints,
         };
         // entry block has no compute DFG

@@ -186,7 +186,6 @@ mod tests {
             deps: &o.deps,
             trips: &[512.0],
             block_counts: &o.counts,
-            content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
             prints: &o.prints,
         };
         let l = o.ctx.forest.ids().next().expect("loop");

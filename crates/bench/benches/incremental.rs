@@ -9,10 +9,13 @@
 //! * **first edit** — `IncrementalApp::apply` + `select` for a
 //!   *single-instruction edit* against a warm store: normalization,
 //!   structure, decode and dataflow of clean functions and the clean
-//!   subtrees' selection fronts all answer from cache, and the whole-module
+//!   subtrees' selection fronts all answer from cache, the whole-module
 //!   execution re-runs only when the slice proof cannot show the edit
-//!   leaves the block counts and return value alone (the bench reports how
-//!   many first edits it proved),
+//!   leaves the block counts and return value alone, and the selection
+//!   re-runs only when a front key changed. Each kernel's first edit is
+//!   the mean over [`SITES`] seeded float-immediate sites, each timed
+//!   against its own fresh warm store (the bench reports how many of those
+//!   edits it proved and how many the select table answered),
 //! * **warm toggle** — the salsa-style "change it back" path: the edit
 //!   toggles between two previously analysed states, so the whole-app and
 //!   selection queries hit outright and re-selection is two content-hash
@@ -37,6 +40,7 @@ use cayman::{
 use cayman_bench::diff::single_instr_edit;
 use cayman_bench::harness::fmt_duration;
 use cayman_bench::json;
+use cayman_testkit::Rng;
 use std::path::Path;
 use std::time::Instant;
 
@@ -45,14 +49,19 @@ use std::time::Instant;
 const REPS: usize = 5;
 /// Toggle cycles measured per kernel after warmup.
 const TOGGLES: usize = 10;
+/// Seeded float-immediate sites timed per kernel for the first edit.
+const SITES: usize = 4;
 
 struct KernelPoint {
     name: &'static str,
     cold_s: f64,
+    /// Mean over the kernel's sites.
     first_edit_s: f64,
     warm_toggle_s: f64,
-    /// Whether the first edit's execution was proved instead of run.
-    proved: bool,
+    /// First edits whose execution was proved instead of run.
+    proved: usize,
+    /// First edits whose selection the select table answered.
+    select_hits: usize,
 }
 
 fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
@@ -91,14 +100,47 @@ fn batch_front(module: cayman::ir::Module, memory: &Memory, sel: &SelectOptions)
     batch_select(&app, sel).pareto
 }
 
-/// Measures one kernel, or `None` when it has no float immediate to edit.
-fn measure_kernel(w: &Workload, smoke: bool) -> Option<KernelPoint> {
-    let edit = single_instr_edit(&w.module, 0)?;
+/// Times one first edit at `pick`'s site: the minimum over [`REPS`] fresh
+/// warm stores, each taking the edit and re-selecting. Returns the time,
+/// the edit, and the last store; the first rep's front is checked
+/// bit-identical to a from-scratch pipeline on the edited module.
+fn first_edit(
+    w: &Workload,
+    pick: u64,
+    memory: &Memory,
+    sel: &SelectOptions,
+) -> Option<(f64, Edit, IncrementalApp)> {
+    let edit = single_instr_edit(&w.module, pick)?;
     let Edit::ReplaceFunction { func, ref body } = edit else {
         unreachable!("single_instr_edit only replaces functions");
     };
-    let edited_body = body.clone();
-    let original_body = w.module.functions[func.index()].clone();
+    let opts = AnalyseOptions::default();
+    let mut best = f64::INFINITY;
+    let mut inc = None;
+    for rep in 0..REPS {
+        let mut app = IncrementalApp::new(w.module.clone(), Some(memory.clone()), opts.clone());
+        app.select(sel).expect("cold incremental select");
+        let t0 = Instant::now();
+        app.apply(edit.clone()).expect("applies");
+        let res = app.select(sel).expect("re-selects");
+        best = best.min(t0.elapsed().as_secs_f64());
+        if rep == 0 {
+            let mut edited = w.module.clone();
+            edited.functions[func.index()] = body.clone();
+            let fresh = batch_front(edited, memory, sel);
+            assert!(
+                fronts_identical(&res.pareto, &fresh),
+                "{}: incremental front diverges from fresh after the edit at site {pick}",
+                w.name
+            );
+        }
+        inc = Some(app);
+    }
+    Some((best, edit, inc.expect("at least one rep ran")))
+}
+
+/// Measures one kernel, or `None` when it has no float immediate to edit.
+fn measure_kernel(w: &Workload, kernel: usize, smoke: bool) -> Option<KernelPoint> {
     let memory = w.memory();
     let sel = SelectOptions::default();
     let opts = AnalyseOptions::default();
@@ -115,38 +157,27 @@ fn measure_kernel(w: &Workload, smoke: bool) -> Option<KernelPoint> {
         std::hint::black_box(res);
     }
 
-    // First edit: warm store, one single-instruction edit, re-select.
-    // (Each rep rebuilds the store — the first edit is a one-shot event.)
-    let mut first_edit_s = f64::INFINITY;
-    let mut proved = false;
-    let mut inc = None;
-    for rep in 0..REPS {
-        let mut app = IncrementalApp::new(w.module.clone(), Some(memory.clone()), opts.clone());
-        app.select(&sel).expect("cold incremental select");
-        let t0 = Instant::now();
-        app.apply(Edit::ReplaceFunction {
-            func,
-            body: edited_body.clone(),
-        })
-        .expect("applies");
-        let res = app.select(&sel).expect("re-selects");
-        first_edit_s = first_edit_s.min(t0.elapsed().as_secs_f64());
-        proved = app.stats().proved > 0;
-        if rep == 0 {
-            // Equivalence: the edited state's front must be bit-identical
-            // to a from-scratch pipeline on the edited module.
-            let mut edited = w.module.clone();
-            edited.functions[func.index()] = edited_body.clone();
-            let fresh = batch_front(edited, &memory, &sel);
-            assert!(
-                fronts_identical(&res.pareto, &fresh),
-                "{}: incremental front diverges from fresh after the edit",
-                w.name
-            );
-        }
-        inc = Some(app);
+    // First edit: warm store, one single-instruction edit, re-select, at
+    // each of the kernel's seeded sites. (Each rep rebuilds the store: the
+    // first edit is a one-shot event.)
+    let mut rng = Rng::new(0x1E_D175 ^ kernel as u64);
+    let mut times = Vec::with_capacity(SITES);
+    let (mut proved, mut select_hits) = (0, 0);
+    let mut last = None;
+    for _ in 0..SITES {
+        let (t, edit, inc) = first_edit(w, rng.next_u64(), &memory, &sel)?;
+        times.push(t);
+        proved += usize::from(inc.stats().proved > 0);
+        select_hits += usize::from(inc.stats().select.hits > 0);
+        last = Some((edit, inc));
     }
-    let mut inc = inc.expect("at least one rep ran");
+    let first_edit_s = times.iter().sum::<f64>() / times.len() as f64;
+    let (edit, mut inc) = last.expect("at least one site");
+    let Edit::ReplaceFunction { func, body } = edit else {
+        unreachable!("single_instr_edit only replaces functions");
+    };
+    let edited_body = body;
+    let original_body = w.module.functions[func.index()].clone();
 
     // Warm toggle: revert/re-apply the same edit; after one full warmup
     // cycle both module states are fully cached.
@@ -194,6 +225,7 @@ fn measure_kernel(w: &Workload, smoke: bool) -> Option<KernelPoint> {
         first_edit_s,
         warm_toggle_s,
         proved,
+        select_hits,
     })
 }
 
@@ -237,8 +269,8 @@ fn main() {
 
     let mut points = Vec::new();
     let mut skipped = 0usize;
-    for w in &workloads {
-        match measure_kernel(w, smoke) {
+    for (i, w) in workloads.iter().enumerate() {
+        match measure_kernel(w, i, smoke) {
             Some(p) => points.push(p),
             None => skipped += 1,
         }
@@ -256,10 +288,13 @@ fn main() {
     let (_, _, warm_med, _, _) = stats_of(points.iter().map(|p| p.warm_toggle_s).collect());
     let speedup_first = cold_med / first_med.max(1e-12);
     let speedup_warm = cold_med / warm_med.max(1e-12);
-    let proved = points.iter().filter(|p| p.proved).count();
+    let proved: usize = points.iter().map(|p| p.proved).sum();
+    let select_hits: usize = points.iter().map(|p| p.select_hits).sum();
+    let edits = points.len() * SITES;
     println!(
-        "# incremental over {} kernels: cold {} | first edit {} ({speedup_first:.1}x, \
-         {proved} proved without a run) | warm toggle {} ({speedup_warm:.1}x)",
+        "# incremental over {} kernels × {SITES} sites: cold {} | first edit {} \
+         ({speedup_first:.1}x; of {edits} edits {proved} proved without a run, \
+         {select_hits} answered by the select table) | warm toggle {} ({speedup_warm:.1}x)",
         points.len(),
         fmt_duration(cold_med),
         fmt_duration(first_med),
@@ -297,13 +332,17 @@ fn main() {
             "note",
             "per-kernel minimum over repeated runs; cold = from-scratch analyse+select, \
              first_edit = apply+select of one single-instruction edit against a warm query \
-             store (whole-module execution re-runs unless the slice proof shows the block \
-             counts and return value unchanged; first_edits_proved counts those), \
-             warm_toggle = apply+select toggling between two cached module states (pure \
-             content-hash hits)",
+             store, the mean over sites_per_kernel seeded float-immediate sites per kernel \
+             (whole-module execution re-runs unless the slice proof shows the block \
+             counts and return value unchanged, first_edits_proved counts those; the \
+             selection re-runs unless every front key is unchanged, \
+             first_edits_select_hits counts those), warm_toggle = apply+select toggling \
+             between two cached module states (pure content-hash hits)",
         );
         o.u64("kernels_measured", points.len() as u64);
+        o.u64("sites_per_kernel", SITES as u64);
         o.u64("first_edits_proved", proved as u64);
+        o.u64("first_edits_select_hits", select_hits as u64);
         o.u64("kernels_skipped_no_edit_site", skipped as u64);
         metric_json(o, "cold", points.iter().map(|p| p.cold_s).collect());
         metric_json(

@@ -196,8 +196,9 @@ fn main() {
         let (n, proof) = run_incremental_corpus_gate(args.seed, limit, args.edits);
         println!(
             "incremental corpus gate: {n} kernels re-analyse bit-identically \
-             across {} seeded edits each; slice proof answered {}/{} fresh executions",
-            args.edits, proof.proved, proof.attempted
+             across {} seeded edits each; slice proof answered {}/{} fresh executions; \
+             select table answered {}/{} fresh states (value-only edits)",
+            args.edits, proof.proved, proof.attempted, proof.select_hits, proof.fresh
         );
     }
 
@@ -254,8 +255,9 @@ fn main() {
     if args.incremental {
         println!(
             "fuzz: slice proof answered {}/{} fresh executions after an edit, \
-             each re-run and matched",
-            proof.proved, proof.attempted
+             each re-run and matched; select table answered {}/{} fresh states \
+             (value-only edits), each front matched",
+            proof.proved, proof.attempted, proof.select_hits, proof.fresh
         );
     }
 }

@@ -481,6 +481,11 @@ pub struct IncCheck {
     pub proved: u64,
     /// Fresh executions after an edit: proved plus run.
     pub attempted: u64,
+    /// Edited states the app query had not seen.
+    pub fresh: u64,
+    /// Fresh states whose selection the select table answered: every front
+    /// key was unchanged, as after an edit that only moves values.
+    pub select_hits: u64,
 }
 
 impl IncCheck {
@@ -488,6 +493,8 @@ impl IncCheck {
     pub fn add(&mut self, other: &IncCheck) {
         self.proved += other.proved;
         self.attempted += other.attempted;
+        self.fresh += other.fresh;
+        self.select_hits += other.select_hits;
     }
 }
 
@@ -507,7 +514,9 @@ impl IncCheck {
 /// repeats must get bit-identical designs from the model.
 ///
 /// Returns `clean: false` when the starting module traps under profiling
-/// (both paths must then fail identically), and the proof's counts.
+/// (both paths must then fail identically), the proof's counts, and how
+/// many fresh states the select table answered — each of those fronts is
+/// checked against the fresh pipeline like any other.
 ///
 /// # Errors
 ///
@@ -628,6 +637,10 @@ pub fn check_incremental(
             let proved = after.proved - before.proved;
             tally.proved += proved;
             tally.attempted += proved + after.exec.misses - before.exec.misses;
+            if after.app.misses > before.app.misses {
+                tally.fresh += 1;
+                tally.select_hits += after.select.hits - before.select.hits;
+            }
             if proved > 0 {
                 // The proof answered without a run: make the run.
                 let mut interp = Interp::new(&inc_app.module);

@@ -72,16 +72,22 @@ pub struct Application {
     /// `-O0`).
     pub normalize_stats: PipelineStats,
     /// Per-function content fingerprints of the *normalized* functions —
-    /// the content keys the incremental store and the selection-front
-    /// table are addressed by. At `-O2` a function whose analysis shadow
-    /// differs from its executed body carries a mix of both fingerprints,
-    /// so cached fronts never conflate the two levels' facts (design-cache
-    /// keys read the analysis facts themselves, through `prints`).
+    /// the content keys the incremental store's per-function analysis
+    /// queries and the exec query's slice proof are addressed by. At `-O2`
+    /// a function whose analysis shadow differs from its executed body
+    /// carries a mix of both fingerprints, so cached analyses never
+    /// conflate the two levels' facts.
     pub content_fps: Vec<u64>,
     /// Per-function content prints of blocks, loops, accesses and
     /// dependences, folded per candidate into the design-cache key
     /// (`CandidateKey::region_fp`).
     pub prints: Vec<FuncPrints>,
+    /// Per-function [`FuncPrints::selection_fp`] of `prints`, the block
+    /// counts and `trips`: what a selection reads about each function,
+    /// computed once per application. It keys the selection-front table
+    /// and, through the fronts, the incremental select query; it sees
+    /// immediates by kind only.
+    pub selection_fps: Vec<u64>,
 }
 
 impl std::fmt::Debug for Application {
@@ -165,7 +171,7 @@ impl Application {
             &raw_fps,
         );
         store.publish();
-        let (_, app) = app?;
+        let app = app?;
         // The transient store holds the only other Arc; dropping it makes
         // the application uniquely owned again.
         drop(store);
@@ -186,7 +192,6 @@ impl Application {
                 deps: &self.deps[f.index()],
                 trips: &self.trips[f.index()],
                 block_counts: &self.profile.block_counts[f.index()],
-                content_fp: self.content_fps[f.index()],
                 prints: &self.prints[f.index()],
             })
             .collect()

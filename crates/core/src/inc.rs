@@ -15,12 +15,23 @@
 //! | dataflow | (analysis fn fp, arrays fp) | accesses + loop deps + their prints |
 //! | trips | (normalized fn fp, arrays fp, block-count fp) | trip counts |
 //! | app | (raw module fp, memory fp, analyse opts) | `Arc<Application>` |
-//! | select | (app key, model fp, α, prune) | `Arc<SelectionResult>` |
+//! | select | (every root child's front key, model fp, α, prune) | `Arc<SelectionResult>` |
+//! | front | (function vertex, selection fp, total cycles, model, α, prune) | folded function-subtree front |
 //!
-//! Every table is probed at one site, which counts the hit or miss into
-//! [`IncStats`] and opens the `inc.query.<kind>` trace span tagged
-//! `hit = true|false`; a miss runs the query body under that span, so the
-//! queries it runs in turn nest beneath it.
+//! Every table but the last is probed at one site, which counts the hit or
+//! miss into [`IncStats`] and opens the `inc.query.<kind>` trace span
+//! tagged `hit = true|false`; a miss runs the query body under that span,
+//! so the queries it runs in turn nest beneath it. The front table is read
+//! and extended by [`run_selection`] inside a select miss, which counts its
+//! hits and misses in `SelectStats`.
+//!
+//! The last two keys are the only ones that do not hash the functions'
+//! bodies. A function's *selection fp* ([`FuncPrints::selection_fp`]) folds
+//! what a selection reads about it: its value-blind block prints, its loop
+//! and array prints, its block counts and its trip counts. An edit that
+//! only changes immediate values re-runs normalization, structure and
+//! dataflow for the edited function (their keys see the bits), then finds
+//! every front key, and so the whole selection, unchanged.
 //!
 //! At `-O2` the *executed* module is still normalized at `-O1` — structure,
 //! decode, exec and trips all key off the `-O1` fingerprints, so profiles
@@ -95,7 +106,8 @@ use cayman_ir::{
 };
 use cayman_obs::{ArgValue, Counter, SpanGuard};
 use cayman_select::{
-    run_selection, CaymanModel, DesignCache, FrontKey, SelectOptions, SelectionResult, Solution,
+    front_keys, run_selection, AccelModel, CaymanModel, DesignCache, FrontKey, SelectOptions,
+    SelectionResult, Solution,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -314,16 +326,20 @@ struct TripsKey {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct AppKey {
+struct AppKey {
     module_fp: u64,
     memory_fp: u64,
     level: OptLevel,
     verify_each: bool,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// A selection's key: the [`FrontKey`] of every root child, which pins
+/// everything the DP reads below the root, plus the options that reach the
+/// root itself. It never reads the app key: an edit that changes only
+/// immediate values changes no front key, so it re-selects nothing.
+#[derive(Clone, PartialEq, Eq, Hash)]
 struct SelectKey {
-    app: AppKey,
+    fronts: Vec<Option<FrontKey>>,
     model_fp: u64,
     alpha_bits: u64,
     prune_bits: u64,
@@ -404,8 +420,7 @@ impl QueryStore {
     }
 }
 
-/// Assembles a fully analysed [`Application`] over `store`'s queries and
-/// returns it with the app key it was memoised under.
+/// Assembles a fully analysed [`Application`] over `store`'s queries.
 ///
 /// `raw_fps` must be the per-function content fingerprints of `module`'s
 /// (pre-normalization) functions — [`IncrementalApp`] maintains them
@@ -417,7 +432,7 @@ pub(crate) fn assemble(
     memory_fp: u64,
     opts: &AnalyseOptions,
     raw_fps: &[u64],
-) -> Result<(AppKey, Arc<Application>), CaymanError> {
+) -> Result<Arc<Application>, CaymanError> {
     let arrays_fp = fingerprint_arrays(&module.arrays);
     let module_fp = fingerprint_module_from_parts(&module.name, raw_fps, arrays_fp);
     let app_key = AppKey {
@@ -595,6 +610,7 @@ pub(crate) fn assemble(
         let mut deps = Vec::with_capacity(working.functions.len());
         let mut trips = Vec::with_capacity(working.functions.len());
         let mut prints = Vec::with_capacity(working.functions.len());
+        let mut selection_fps = Vec::with_capacity(working.functions.len());
         {
             let _s = cayman_obs::span!("analyse.dataflow");
             for f in working.function_ids() {
@@ -644,7 +660,9 @@ pub(crate) fn assemble(
                         .collect())
                 })?;
                 let structure = &structures[f.index()].prints;
-                prints.push(FuncPrints::join(structure, &df.prints, arrays_fp));
+                let joined = FuncPrints::join(structure, &df.prints, arrays_fp);
+                selection_fps.push(joined.selection_fp(&profile.block_counts[f.index()], &tt));
+                prints.push(joined);
                 accesses.push(df.accesses.clone());
                 deps.push(df.deps.clone());
                 trips.push((*tt).clone());
@@ -663,13 +681,14 @@ pub(crate) fn assemble(
             normalize_stats,
             content_fps: analysis_fps,
             prints,
+            selection_fps,
         })
     })?;
     store.parent = Some(ExecParent {
         memory_fp,
         app: Arc::clone(&app),
     });
-    Ok((app_key, app))
+    Ok(app)
 }
 
 /// One edit against an [`IncrementalApp`]'s raw module.
@@ -827,11 +846,6 @@ impl IncrementalApp {
     /// all previous results, so a failing edit can be reverted and
     /// re-analysed at full cache warmth.
     pub fn analyse(&mut self) -> Result<Arc<Application>, CaymanError> {
-        Ok(self.analyse_keyed()?.1)
-    }
-
-    /// [`IncrementalApp::analyse`], also returning the app key.
-    fn analyse_keyed(&mut self) -> Result<(AppKey, Arc<Application>), CaymanError> {
         let res = assemble(
             &mut self.store,
             &self.module,
@@ -847,18 +861,32 @@ impl IncrementalApp {
     /// Analyses and selects, reusing cached designs and per-function
     /// subtree fronts for clean wPST subtrees.
     ///
-    /// The selection key ignores `opts.threads` (the front is
-    /// thread-invariant); a re-selection runs the engine `opts.threads`
-    /// picks, and both engines answer clean functions from the front table.
+    /// The selection is keyed by the root's [`front_keys`], so a state whose
+    /// every function reads the same to the model as an earlier one — a
+    /// revert, or an edit that only changes immediate values — is answered
+    /// with that state's selection. The key ignores `opts.threads` (the
+    /// front is thread-invariant); a re-selection runs the engine
+    /// `opts.threads` picks, and both engines answer clean functions from
+    /// the front table.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`IncrementalApp::analyse`].
     pub fn select(&mut self, opts: &SelectOptions) -> Result<Arc<SelectionResult>, CaymanError> {
-        let (app_key, app) = self.analyse_keyed()?;
+        let app = self.analyse()?;
+        let model = CaymanModel(opts.model.clone());
+        let model_id = model
+            .cache_id()
+            .expect("Cayman's model has a cache identity");
         let key = SelectKey {
-            app: app_key,
-            model_fp: opts.model.fingerprint(),
+            fronts: front_keys(
+                &app.wpst,
+                app.profile.total_cycles,
+                &app.selection_fps,
+                opts,
+                Some(model_id),
+            ),
+            model_fp: model_id.options,
             alpha_bits: opts.alpha.to_bits(),
             prune_bits: opts.prune_share.to_bits(),
         };
@@ -872,7 +900,7 @@ impl IncrementalApp {
                     &app.profile,
                     &app.inputs(),
                     opts,
-                    &CaymanModel(opts.model.clone()),
+                    &model,
                     &store.designs,
                     Some(&mut store.fronts),
                 ))
@@ -886,7 +914,7 @@ impl IncrementalApp {
 mod tests {
     use super::*;
     use cayman_ir::builder::ModuleBuilder;
-    use cayman_ir::instr::{Imm, Operand};
+    use cayman_ir::instr::{BinOp, Imm, Operand};
     use cayman_ir::Type;
 
     /// Two independent streaming kernels plus a caller — enough structure
@@ -938,6 +966,22 @@ mod tests {
         body
     }
 
+    /// Function `func` of `m` with its first `from` instruction turned into
+    /// `to` — a single-instruction edit the model sees.
+    fn swapped(m: &Module, func: usize, from: BinOp, to: BinOp) -> Function {
+        let mut body = m.functions[func].clone();
+        let op = body
+            .instrs
+            .iter_mut()
+            .find_map(|i| match i {
+                Instr::Binary { op, .. } if *op == from => Some(op),
+                _ => None,
+            })
+            .expect("the function has the opcode");
+        *op = to;
+        body
+    }
+
     fn fronts_bits(sel: &SelectionResult) -> Vec<(u64, u64, usize)> {
         sel.pareto
             .iter()
@@ -977,7 +1021,7 @@ mod tests {
     fn single_edit_reuses_clean_function_queries() {
         let m = two_kernel_module();
         let mut inc = IncrementalApp::new(m.clone(), None, AnalyseOptions::default());
-        inc.select(&SelectOptions::default()).expect("cold select");
+        let first = inc.select(&SelectOptions::default()).expect("cold select");
         let cold = *inc.stats();
         assert_eq!(cold.normalize.misses, 3, "three functions normalized");
 
@@ -1005,12 +1049,14 @@ mod tests {
         assert_eq!(warm.decode.hits, cold.decode.hits);
         assert_eq!(warm.decode.misses, cold.decode.misses);
         assert_eq!(warm.app.misses - cold.app.misses, 1);
-        assert_eq!(warm.select.misses - cold.select.misses, 1);
-        // Clean sibling subtrees answer selection from the front table.
-        assert!(res.stats.front_hits > 0, "clean subtree fronts reused");
+        // ...and no model reads the value, so every front key stands and
+        // the selection is the cold one: no fold, no model call.
+        assert_eq!(warm.select.hits - cold.select.hits, 1);
+        assert_eq!(warm.select.misses, cold.select.misses);
+        assert!(Arc::ptr_eq(&first, &res), "nothing re-selected");
 
-        // ...while an edit of `ka`'s trip count changes the counts, so
-        // execution re-runs, reusing the clean functions' decoded bodies.
+        // An edit of `ka`'s trip count changes the counts, so execution
+        // re-runs, reusing the clean functions' decoded bodies.
         let mut body = edited_ka(&m);
         for instr in &mut body.instrs {
             if let Instr::Cmp { rhs, .. } = instr {
@@ -1030,6 +1076,21 @@ mod tests {
         assert_eq!(rerun.proved, warm.proved);
         assert_eq!(rerun.decode.hits - warm.decode.hits, 2);
         assert_eq!(rerun.decode.misses - warm.decode.misses, 1);
+
+        // An opcode swap in `kb` is an edit the model sees. `fadd` and
+        // `fsub` cost the CPU the same, so the cycle total every front key
+        // holds stays put and the clean functions' fronts are reused.
+        inc.apply(Edit::ReplaceFunction {
+            func: FuncId(1),
+            body: swapped(&m, 1, BinOp::FAdd, BinOp::FSub),
+        })
+        .expect("applies");
+        let res = inc.select(&SelectOptions::default()).expect("re-select");
+        let swap = *inc.stats();
+        assert_eq!(swap.proved - rerun.proved, 1, "still proved");
+        assert_eq!(swap.select.misses - rerun.select.misses, 1);
+        assert_eq!((res.stats.front_hits, res.stats.front_misses), (2, 1));
+        assert!(res.stats.cache_misses > 0, "kb's regions re-model");
     }
 
     /// One function with two sibling loop nests: nest A scales `x`, nest
@@ -1066,8 +1127,20 @@ mod tests {
         let cold = inc.select(&opts).expect("cold select");
         let lookups = cold.stats.cache_hits + cold.stats.cache_misses;
 
-        // Nudge nest A's multiplier.
-        let edited = edited_ka(&m);
+        // Nudging nest A's multiplier re-models nothing: no model reads the
+        // value, so the selection query answers outright.
+        inc.apply(Edit::ReplaceFunction {
+            func: FuncId(0),
+            body: edited_ka(&m),
+        })
+        .expect("applies");
+        let before = *inc.stats();
+        let res = inc.select(&opts).expect("re-select");
+        assert_eq!(inc.stats().select.hits - before.select.hits, 1);
+        assert!(Arc::ptr_eq(&cold, &res), "no fold, no model call");
+
+        // Turning the multiply into an add is an edit the model sees.
+        let edited = swapped(&m, 0, BinOp::FMul, BinOp::FAdd);
         inc.apply(Edit::ReplaceFunction {
             func: FuncId(0),
             body: edited.clone(),
@@ -1083,8 +1156,8 @@ mod tests {
             .block_ids()
             .flat_map(|b| func.block(b).instrs.iter().copied())
             .find(|&i| {
-                matches!(func.instr(i), Instr::Binary { rhs: Operand::Const(Imm::Float(v)), .. }
-                    if *v == 2.5)
+                matches!(func.instr(i), Instr::Binary { op: BinOp::FAdd, rhs: Operand::Const(Imm::Float(v)), .. }
+                    if *v == 2.0)
             })
             .expect("edited instruction survives normalization");
         let edited_block = ctx.block_of(nudged);
@@ -1146,10 +1219,19 @@ mod tests {
                 ..Default::default()
             };
             let mut inc = IncrementalApp::new(m.clone(), None, AnalyseOptions::default());
-            inc.select(&opts).expect("cold select");
+            let cold = inc.select(&opts).expect("cold select");
+            // A nudge re-selects nothing under either engine...
             inc.apply(Edit::ReplaceFunction {
                 func: FuncId(0),
                 body: edited_ka(&m),
+            })
+            .expect("applies");
+            let nudged = inc.select(&opts).expect("re-select");
+            assert!(Arc::ptr_eq(&cold, &nudged), "a select-table hit");
+            // ...and a cycle-neutral opcode swap in `kb` re-folds only kb.
+            inc.apply(Edit::ReplaceFunction {
+                func: FuncId(1),
+                body: swapped(&m, 1, BinOp::FAdd, BinOp::FSub),
             })
             .expect("applies");
             let sel = inc.select(&opts).expect("re-select");
@@ -1169,6 +1251,69 @@ mod tests {
             "clean functions answered from the front table"
         );
         assert_eq!((par_hits, par_misses), (seq_hits, seq_misses));
+    }
+
+    #[test]
+    fn a_never_entered_loops_trip_count_reaches_the_select_key() {
+        // An outer loop holds an inner loop behind a branch that zeroed
+        // memory never takes, so the inner loop's static trip count moves
+        // with its bound while no block count does.
+        let mk = |n: i64| {
+            let mut mb = ModuleBuilder::new("cold");
+            let flag = mb.array("flag", Type::I64, &[1]);
+            let x = mb.array("x", Type::F64, &[8, 64]);
+            mb.function("main", &[], None, |fb| {
+                fb.counted_loop(0, 8, 1, |fb, i| {
+                    let zero = fb.iconst(0);
+                    let f = fb.load_idx_ty(flag, &[zero], Type::I64);
+                    let taken = fb.icmp_eq(f, fb.iconst(1));
+                    fb.if_then(taken, |fb| {
+                        fb.counted_loop(0, n, 1, |fb, j| {
+                            let v = fb.load_idx(x, &[i, j]);
+                            let w = fb.fmul(v, fb.fconst(2.0));
+                            fb.store_idx(x, &[i, j], w);
+                        });
+                    });
+                    let v = fb.load_idx(x, &[i, zero]);
+                    let w = fb.fadd(v, fb.fconst(1.0));
+                    fb.store_idx(x, &[i, zero], w);
+                });
+                fb.ret(None);
+            });
+            mb.finish()
+        };
+        let (short, long) = (mk(16), mk(32));
+        let opts = SelectOptions::default();
+        let mut inc = IncrementalApp::new(short, None, AnalyseOptions::default());
+        let before = inc.analyse().expect("analyses");
+        inc.select(&opts).expect("cold select");
+        inc.apply(Edit::ReplaceFunction {
+            func: FuncId(0),
+            body: long.functions[0].clone(),
+        })
+        .expect("applies");
+        let after = inc.analyse().expect("re-analyses");
+        assert_eq!(after.profile.block_counts, before.profile.block_counts);
+        assert_ne!(after.trips, before.trips, "the static trip count moved");
+        let misses = inc.stats().select.misses;
+        let res = inc.select(&opts).expect("re-selects");
+        assert_eq!(
+            inc.stats().select.misses - misses,
+            1,
+            "the key saw the trips"
+        );
+        let batch = Application::analyse(long).expect("batch analyses");
+        let batch_sel = run_selection(
+            &batch.module,
+            &batch.wpst,
+            &batch.profile,
+            &batch.inputs(),
+            &opts,
+            &CaymanModel::default(),
+            &DesignCache::new(),
+            None,
+        );
+        assert_eq!(fronts_bits(&res), fronts_bits(&batch_sel));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! says whether it hit, and an exec answer the slice proof gave is tagged
 //! `proved`. A single test owns the process-global registry and recorder.
 
-use cayman::ir::instr::{Imm, Instr, Operand};
+use cayman::ir::instr::{BinOp, Imm, Instr, Operand};
 use cayman::ir::{FuncId, Function};
 use cayman::{AnalyseOptions, Edit, IncStats, IncrementalApp, SelectOptions};
 use cayman_obs::{registry, ArgValue, EventKind};
@@ -82,6 +82,23 @@ fn nudged(funcs: &[Function]) -> (FuncId, Function) {
     panic!("no float immediate to edit");
 }
 
+/// The first function with an `fadd`, with that `fadd` turned into an
+/// `fsub`: an edit the model sees that costs the CPU the same cycles.
+fn swapped(funcs: &[Function]) -> (FuncId, Function) {
+    for (fi, func) in funcs.iter().enumerate() {
+        let mut body = func.clone();
+        let site = body.instrs.iter_mut().find_map(|instr| match instr {
+            Instr::Binary { op, .. } if *op == BinOp::FAdd => Some(op),
+            _ => None,
+        });
+        if let Some(op) = site {
+            *op = BinOp::FSub;
+            return (FuncId(fi as u32), body);
+        }
+    }
+    panic!("no fadd to swap");
+}
+
 #[test]
 fn counters_spans_and_stats_report_each_quantity_once() {
     let w = cayman::workloads::by_name("syrk").expect("corpus kernel registered");
@@ -90,6 +107,8 @@ fn counters_spans_and_stats_report_each_quantity_once() {
         "an edit must leave a clean function"
     );
     let (func, body) = nudged(&w.module.functions);
+    let (swap_func, swap_body) = swapped(&w.module.functions);
+    assert_eq!(swap_func, func, "both edits in one function");
     let original = w.module.functions[func.index()].clone();
     let opts = SelectOptions::default();
     let mut inc = IncrementalApp::new(
@@ -104,6 +123,12 @@ fn counters_spans_and_stats_report_each_quantity_once() {
     let cold = inc.select(&opts).expect("cold select");
     inc.apply(Edit::ReplaceFunction { func, body })
         .expect("edit applies");
+    let nudged = inc.select(&opts).expect("nudged select");
+    inc.apply(Edit::ReplaceFunction {
+        func,
+        body: swap_body,
+    })
+    .expect("edit applies");
     let edited = inc.select(&opts).expect("edited select");
     inc.apply(Edit::ReplaceFunction {
         func,
@@ -113,16 +138,18 @@ fn counters_spans_and_stats_report_each_quantity_once() {
     let reverted = inc.select(&opts).expect("reverted select");
     cayman_obs::disable();
 
-    // The revert hits the selection query, so only two runs selected.
+    // No model reads the nudged value and the revert restores the cold
+    // state, so both hit the selection query: only two runs selected.
+    assert!(Arc::ptr_eq(&cold, &nudged), "nudge answered from cache");
     assert!(Arc::ptr_eq(&cold, &reverted), "revert answered from cache");
     let stats = instance(inc.stats());
     assert_eq!(delta(&scraped(), &scraped0), delta(&stats, &stats0));
-    assert_eq!(inc.stats().select.hits, 1);
-    // The nudge feeds no branch, address or return: its execution is
-    // proved from the cold run's profile and counted as an exec hit.
-    assert_eq!(inc.stats().proved, 1, "the edit's execution is proved");
+    assert_eq!([inc.stats().select.hits, inc.stats().select.misses], [2, 2]);
+    // Neither edit feeds a branch, address or return: each execution is
+    // proved from the previous run's profile and counted as an exec hit.
+    assert_eq!(inc.stats().proved, 2, "both edits' executions are proved");
     assert_eq!(proved_scraped() - proved0, inc.stats().proved);
-    assert_eq!([inc.stats().exec.hits, inc.stats().exec.misses], [1, 1]);
+    assert_eq!([inc.stats().exec.hits, inc.stats().exec.misses], [2, 1]);
     let runs = [&cold, &edited];
     let front_hits = runs.iter().map(|r| r.stats.front_hits).sum::<u64>();
     let front_misses = runs.iter().map(|r| r.stats.front_misses).sum::<u64>();
@@ -159,8 +186,8 @@ fn counters_spans_and_stats_report_each_quantity_once() {
     }
     assert_eq!(
         exec_tags,
-        [(false, false), (true, true)],
-        "cold run, then proved"
+        [(false, false), (true, true), (true, true)],
+        "cold run, then proved twice"
     );
     assert!(normalize_tags.contains(&true), "{normalize_tags:?}");
     assert!(normalize_tags.contains(&false), "{normalize_tags:?}");

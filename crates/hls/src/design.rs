@@ -898,7 +898,6 @@ mod tests {
             deps: &o.deps,
             trips,
             block_counts: &o.counts,
-            content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
             prints: &o.prints,
         }
     }

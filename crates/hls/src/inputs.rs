@@ -10,7 +10,9 @@
 //! A model call `accel(v, R)` reads, for its candidate region:
 //!
 //! * every candidate block: its instructions and terminator, its profiled
-//!   count, its innermost loop and its reverse-post-order position;
+//!   count, its innermost loop and its reverse-post-order position — an
+//!   immediate operand by its kind (int, float or bool) only, never by its
+//!   value;
 //! * for every instruction operand, the value's definition one level deep
 //!   (an access's address `gep` can sit outside the region);
 //! * every loop inside the candidate and each one's parent loop: the loop
@@ -23,7 +25,12 @@
 //! debug build (`cargo test`) catches a model that reads more than the set.
 //! [`CandidateKey::region_fp`] folds the same set from per-function
 //! [`FuncPrints`], so two candidates with equal keys get identical designs
-//! from the same model — however the rest of the function changed.
+//! from the same model — however the rest of the function changed, and
+//! whatever values its immediates hold. A value that does reach a model
+//! reaches it through an analysis (an address's constant offset, a static
+//! trip count, a dependence distance), and those are in the set.
+//! [`FuncPrints::selection_fp`] folds the whole function's set the same way
+//! for the selection fronts above the candidates.
 
 use cayman_analysis::access::{AccessAnalysis, AccessInfo};
 use cayman_analysis::ctx::FuncCtx;
@@ -56,12 +63,9 @@ pub struct FuncInputs<'a> {
     /// Profiled dynamic execution count per block, indexed by `BlockId`.
     /// Borrowed like `trips`.
     pub block_counts: &'a [u64],
-    /// Content fingerprint of the (normalized) function, from
-    /// [`cayman_ir::fingerprint_function`]. It keys the function's folded
-    /// selection front; design-cache keys use the region prints instead.
-    pub content_fp: u64,
     /// Content prints of the function's blocks, loops, accesses and
-    /// dependences, folded per candidate into [`CandidateKey::region_fp`].
+    /// dependences, folded per candidate into [`CandidateKey::region_fp`]
+    /// and per function into [`FuncPrints::selection_fp`].
     pub prints: &'a FuncPrints,
 }
 
@@ -131,6 +135,26 @@ impl FuncPrints {
             loops: pairwise(&structure.loops, &dataflow.loops),
             arrays,
         }
+    }
+
+    /// The fingerprint of everything a selection over the function reads
+    /// from its [`FuncInputs`], given its block counts and trip counts:
+    /// every print (blocks, loops, arrays), the counts and the trips. Trip
+    /// counts are there in full because a never-entered loop's static trip
+    /// count can change while the counts do not. Like the prints, it sees
+    /// an immediate's kind but not its value.
+    pub fn selection_fp(&self, block_counts: &[u64], trips: &[f64]) -> u64 {
+        let mut h = Fingerprinter::new();
+        for words in [&self.blocks, &self.loops, block_counts] {
+            h.u64(words.len() as u64);
+            h.u64s(words);
+        }
+        h.u64(trips.len() as u64);
+        for t in trips {
+            h.u64(t.to_bits());
+        }
+        h.u64(self.arrays);
+        h.finish()
     }
 
     /// The structural half: per block its IR, innermost loop and
@@ -560,7 +584,6 @@ mod tests {
             deps: &deps,
             trips: &[4.0, 4.0],
             block_counts: &counts,
-            content_fp: cayman_ir::fingerprint_function(f),
             prints: &prints,
         };
         // candidate = the outer loop region (all loop blocks)
@@ -629,7 +652,6 @@ mod tests {
             deps: &deps,
             trips: &[4.0],
             block_counts: &counts,
-            content_fp: 0,
             prints: &prints,
         };
         let cand = Candidate {

@@ -65,7 +65,6 @@
 //!     deps: &deps,
 //!     trips: &[128.0],
 //!     block_counts: &exec.block_counts[0],
-//!     content_fp: cayman_ir::fingerprint_function(f),
 //!     prints: &prints,
 //! };
 //! let lp = ctx.forest.ids().next().expect("one loop");

@@ -1,20 +1,28 @@
 //! Property-based tests of the accelerator model: for arbitrary rectangular
 //! streaming kernels, generated designs must satisfy the invariants the
 //! selection DP assumes; for generated programs, a candidate's cache key
-//! must change exactly when its read set does.
+//! must change exactly when its read set does; and over the workload
+//! corpus, no model reads an immediate's value.
 
+use cayman::baselines::{NoviaModel, QsCoresModel};
+use cayman::select::{AccelModel, CaymanModel};
+use cayman::Framework;
 use cayman_analysis::access::AccessAnalysis;
 use cayman_analysis::ctx::FuncCtx;
 use cayman_analysis::memdep::{analyse_loop_deps, LoopDeps};
 use cayman_analysis::regions::{RegionKind, RegionTree};
 use cayman_analysis::scev::Scev;
-use cayman_hls::design::generate_designs;
+use cayman_hls::design::{generate_designs, AcceleratorDesign};
 use cayman_hls::inputs::{Candidate, CandidateKey, FuncInputs, FuncPrints, RegionInputs};
 use cayman_hls::interface::{InterfaceKind, ModelOptions};
 use cayman_ir::builder::ModuleBuilder;
+use cayman_ir::instr::{Imm, Operand};
 use cayman_ir::interp::Interp;
 use cayman_ir::loops::LoopId;
-use cayman_ir::{BinOp, BlockId, FuncId, Instr, InstrId, Module, Type};
+use cayman_ir::{
+    fingerprint_block, fingerprint_function, BinOp, BlockId, FuncId, Function, Instr, InstrId,
+    Module, Type,
+};
 use cayman_testkit::program::arbitrary_module;
 use cayman_testkit::{prop_assert, prop_assert_eq, prop_check};
 
@@ -99,7 +107,6 @@ fn candidate(o: &Owned) -> (FuncInputs<'_>, Candidate) {
         deps: &o.deps,
         trips: &o.trips,
         block_counts: &o.counts,
-        content_fp: cayman_ir::fingerprint_function(o.module.function(FuncId(0))),
         prints: &o.prints,
     };
     let outer = o
@@ -288,7 +295,6 @@ impl Keyed {
             deps: &self.deps,
             trips: &self.trips,
             block_counts: &self.counts,
-            content_fp: 0,
             prints: &self.prints,
         };
         RegionInputs::new(&inputs, cand).key()
@@ -400,4 +406,119 @@ fn region_keys_cover_exactly_the_read_set() {
         }
         Ok(())
     });
+}
+
+/// Rewrites every immediate of `f` to another value of the same kind;
+/// returns how many it rewrote.
+fn rewrite_immediates(f: &mut Function) -> usize {
+    let mut rewritten = 0;
+    let mut rewrite = |op: &mut Operand| {
+        if let Operand::Const(imm) = op {
+            *imm = match *imm {
+                Imm::Int(i) => Imm::Int(if i == 1 { 2 } else { 1 }),
+                Imm::Float(x) => Imm::Float(if x == 1.0 { 2.0 } else { 1.0 }),
+                Imm::Bool(b) => Imm::Bool(!b),
+            };
+            rewritten += 1;
+        }
+    };
+    for instr in &mut f.instrs {
+        instr.for_each_operand_mut(&mut rewrite);
+    }
+    for block in &mut f.blocks {
+        if let Some(term) = &mut block.term {
+            term.for_each_operand_mut(&mut rewrite);
+        }
+    }
+    rewritten
+}
+
+/// A design as bits: its `Debug` form pins every integer and enum field,
+/// and the two floats are compared by their bit patterns.
+fn design_bits(d: &AcceleratorDesign) -> (String, u64, u64) {
+    (
+        format!("{d:?}"),
+        d.accel_cycles_total.to_bits(),
+        d.area.to_bits(),
+    )
+}
+
+/// The block prints, and so every design key, are sound to hash
+/// immediates by kind: over every candidate of all 132 workloads, rewriting
+/// every immediate of a function to a different value of the same kind —
+/// its analyses, profile and prints held fixed — leaves each of Cayman's
+/// model, NOVIA and QsCores producing bit-identical designs and every block
+/// print unchanged, while the function's fingerprint moves.
+#[test]
+fn models_read_immediates_by_kind_only() {
+    let cayman = CaymanModel::default();
+    let models: [&dyn AccelModel; 3] = [&cayman, &NoviaModel, &QsCoresModel];
+    let mut checked = 0usize;
+    for w in cayman::workloads::full() {
+        let fw = Framework::from_workload(&w).expect("analyses");
+        let app = &fw.app;
+        let mut rewritten = app.module.clone();
+        for (old, new) in app.module.functions.iter().zip(&mut rewritten.functions) {
+            if rewrite_immediates(new) > 0 {
+                assert_ne!(
+                    fingerprint_function(old),
+                    fingerprint_function(new),
+                    "{}: `{}`",
+                    w.name,
+                    old.name
+                );
+            }
+            for b in old.block_ids() {
+                assert_eq!(
+                    fingerprint_block(old, b),
+                    fingerprint_block(new, b),
+                    "{}: `{}` {b}",
+                    w.name,
+                    old.name
+                );
+            }
+        }
+        let inputs = app.inputs();
+        let moved: Vec<FuncInputs<'_>> = inputs
+            .iter()
+            .map(|i| FuncInputs {
+                module: &rewritten,
+                ..*i
+            })
+            .collect();
+        for v in app.wpst.ids() {
+            let Some((region, func)) = app.wpst.region(v) else {
+                continue;
+            };
+            let rp = app.profile.of(v);
+            if !region.accelerable || rp.entries == 0 || rp.cycles == 0 {
+                continue;
+            }
+            let cand = Candidate {
+                func,
+                blocks: region.blocks.clone(),
+                entries: rp.entries,
+                cpu_cycles: rp.cycles,
+                is_bb: matches!(region.kind, RegionKind::Bb(_)),
+            };
+            for model in models {
+                let bits = |inputs: &FuncInputs<'_>| -> Vec<_> {
+                    model
+                        .designs(inputs, &cand)
+                        .iter()
+                        .map(design_bits)
+                        .collect()
+                };
+                assert_eq!(
+                    bits(&inputs[func.index()]),
+                    bits(&moved[func.index()]),
+                    "{}: {:?}",
+                    w.name,
+                    cand.blocks
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked > 1000, "{checked} candidates");
 }

@@ -9,6 +9,8 @@
 //! block structure, instruction operands (float immediates by IEEE bits),
 //! terminators and the value arena — and nothing it cannot (the lazily
 //! cached `instr → block` map is derived state and excluded).
+//! [`fingerprint_block`] is the one value-blind print: it keys what the
+//! accelerator models read, and they read an immediate by its kind only.
 //!
 //! The hash is a [`Fingerprinter`] over a canonical field walk: one
 //! multiply–xorshift round per field and a splitmix64 finaliser. It is a
@@ -98,7 +100,7 @@ impl Fingerprinter {
         }
     }
 
-    fn opnd(&mut self, o: &Operand) {
+    fn opnd(&mut self, o: &Operand, imms: Imms) {
         match *o {
             Operand::Value(v) => {
                 self.u8(0);
@@ -106,19 +108,14 @@ impl Fingerprinter {
             }
             Operand::Const(imm) => {
                 self.u8(1);
-                match imm {
-                    Imm::Int(i) => {
-                        self.u8(0);
-                        self.u64(i as u64);
-                    }
-                    Imm::Float(f) => {
-                        self.u8(1);
-                        self.u64(f.to_bits());
-                    }
-                    Imm::Bool(b) => {
-                        self.u8(2);
-                        self.u8(u8::from(b));
-                    }
+                let (kind, bits) = match imm {
+                    Imm::Int(i) => (0, i as u64),
+                    Imm::Float(f) => (1, f.to_bits()),
+                    Imm::Bool(b) => (2, u64::from(b)),
+                };
+                self.u8(kind);
+                if let Imms::Bits = imms {
+                    self.u64(bits);
                 }
             }
         }
@@ -135,27 +132,37 @@ impl Fingerprinter {
     }
 }
 
-fn hash_instr(h: &mut Fingerprinter, ins: &Instr) {
+/// How a walk hashes an immediate operand.
+#[derive(Clone, Copy)]
+enum Imms {
+    /// Kind and bit pattern (floats by IEEE bits): what the interpreter and
+    /// the normalizer read.
+    Bits,
+    /// Kind only (int, float or bool): what the accelerator models read.
+    Kind,
+}
+
+fn hash_instr(h: &mut Fingerprinter, ins: &Instr, imms: Imms) {
     match ins {
         Instr::Binary { op, ty, lhs, rhs } => {
             h.u8(0);
             h.u8(*op as u8);
             h.u8(*ty as u8);
-            h.opnd(lhs);
-            h.opnd(rhs);
+            h.opnd(lhs, imms);
+            h.opnd(rhs, imms);
         }
         Instr::Unary { op, ty, val } => {
             h.u8(1);
             h.u8(*op as u8);
             h.u8(*ty as u8);
-            h.opnd(val);
+            h.opnd(val, imms);
         }
         Instr::Cmp { pred, ty, lhs, rhs } => {
             h.u8(2);
             h.u8(*pred as u8);
             h.u8(*ty as u8);
-            h.opnd(lhs);
-            h.opnd(rhs);
+            h.opnd(lhs, imms);
+            h.opnd(rhs, imms);
         }
         Instr::Select {
             cond,
@@ -165,28 +172,28 @@ fn hash_instr(h: &mut Fingerprinter, ins: &Instr) {
         } => {
             h.u8(3);
             h.u8(*ty as u8);
-            h.opnd(cond);
-            h.opnd(then_val);
-            h.opnd(else_val);
+            h.opnd(cond, imms);
+            h.opnd(then_val, imms);
+            h.opnd(else_val, imms);
         }
         Instr::Gep { array, indices } => {
             h.u8(4);
             h.u64(u64::from(array.0));
             h.usize(indices.len());
             for idx in indices {
-                h.opnd(idx);
+                h.opnd(idx, imms);
             }
         }
         Instr::Load { ptr, ty } => {
             h.u8(5);
             h.u8(*ty as u8);
-            h.opnd(ptr);
+            h.opnd(ptr, imms);
         }
         Instr::Store { ptr, value, ty } => {
             h.u8(6);
             h.u8(*ty as u8);
-            h.opnd(ptr);
-            h.opnd(value);
+            h.opnd(ptr, imms);
+            h.opnd(value, imms);
         }
         Instr::Phi { ty, incomings } => {
             h.u8(7);
@@ -194,7 +201,7 @@ fn hash_instr(h: &mut Fingerprinter, ins: &Instr) {
             h.usize(incomings.len());
             for (b, o) in incomings {
                 h.u64(u64::from(b.0));
-                h.opnd(o);
+                h.opnd(o, imms);
             }
         }
         Instr::Call { callee, args, ty } => {
@@ -209,13 +216,13 @@ fn hash_instr(h: &mut Fingerprinter, ins: &Instr) {
             }
             h.usize(args.len());
             for a in args {
-                h.opnd(a);
+                h.opnd(a, imms);
             }
         }
     }
 }
 
-fn hash_term(h: &mut Fingerprinter, t: &Terminator) {
+fn hash_term(h: &mut Fingerprinter, t: &Terminator, imms: Imms) {
     match t {
         Terminator::Br(b) => {
             h.u8(0);
@@ -227,7 +234,7 @@ fn hash_term(h: &mut Fingerprinter, t: &Terminator) {
             else_bb,
         } => {
             h.u8(1);
-            h.opnd(cond);
+            h.opnd(cond, imms);
             h.u64(u64::from(then_bb.0));
             h.u64(u64::from(else_bb.0));
         }
@@ -237,7 +244,7 @@ fn hash_term(h: &mut Fingerprinter, t: &Terminator) {
                 None => h.u8(0),
                 Some(o) => {
                     h.u8(1);
-                    h.opnd(o);
+                    h.opnd(o, imms);
                 }
             }
         }
@@ -245,7 +252,7 @@ fn hash_term(h: &mut Fingerprinter, t: &Terminator) {
 }
 
 /// Content fingerprint of one function: every analysis-observable field in a
-/// canonical order. Equal fingerprints ⇒ structurally identical functions ⇒
+/// canonical order, immediates by kind and bit pattern. Equal fingerprints ⇒ structurally identical functions ⇒
 /// bit-identical per-function analysis, normalization and decode results.
 pub fn fingerprint_function(f: &Function) -> u64 {
     let mut h = Fingerprinter::new();
@@ -272,13 +279,13 @@ pub fn fingerprint_function(f: &Function) -> u64 {
             None => h.u8(0),
             Some(t) => {
                 h.u8(1);
-                hash_term(&mut h, t);
+                hash_term(&mut h, t, Imms::Bits);
             }
         }
     }
     h.usize(f.instrs.len());
     for ins in &f.instrs {
-        hash_instr(&mut h, ins);
+        hash_instr(&mut h, ins, Imms::Bits);
     }
     h.usize(f.values.len());
     for v in &f.values {
@@ -312,6 +319,14 @@ pub fn fingerprint_function(f: &Function) -> u64 {
 /// and for every instruction operand the value's definition, including the
 /// defining instruction when it sits in another block (one level deep: an
 /// access's address `gep` may sit outside the region).
+///
+/// Immediates are hashed by kind (int, float or bool), not by value: no
+/// accelerator model reads an immediate's value. What values do reach a
+/// model — an address's constant offset, a static trip count, a dependence
+/// distance — it reads from the analyses, whose prints and trip counts
+/// key it beside this one. So a value-only edit leaves every block print,
+/// and every design keyed on them, in place; [`fingerprint_function`],
+/// which keys normalization and execution, still sees the bits.
 pub fn fingerprint_block(f: &Function, b: BlockId) -> u64 {
     let mut h = Fingerprinter::new();
     let home = f.instr_block_map();
@@ -320,7 +335,7 @@ pub fn fingerprint_block(f: &Function, b: BlockId) -> u64 {
     for &i in &block.instrs {
         h.u64(u64::from(i.0));
         let ins = f.instr(i);
-        hash_instr(&mut h, ins);
+        hash_instr(&mut h, ins, Imms::Kind);
         ins.for_each_operand(|op| {
             let Some(v) = op.as_value() else {
                 return;
@@ -335,7 +350,7 @@ pub fn fingerprint_block(f: &Function, b: BlockId) -> u64 {
                     h.u8(1);
                     h.u64(u64::from(d.0));
                     if home[d.index()] != b.0 {
-                        hash_instr(&mut h, f.instr(d));
+                        hash_instr(&mut h, f.instr(d), Imms::Kind);
                     }
                 }
             }
@@ -345,7 +360,7 @@ pub fn fingerprint_block(f: &Function, b: BlockId) -> u64 {
         None => h.u8(0),
         Some(t) => {
             h.u8(1);
-            hash_term(&mut h, t);
+            hash_term(&mut h, t, Imms::Kind);
         }
     }
     h.finish()
@@ -489,18 +504,31 @@ mod tests {
 
     #[test]
     fn block_prints_see_their_block_and_its_operand_defs_only() {
-        // entry: k = 2.0 * 3.0; loop body uses k; exit returns.
-        let mk = |a: f64, b: f64| {
+        // entry: k = 2.0 ⊙ 3.0; loop body uses k; exit stores 5.0 ⊙ 1.0.
+        // Each ⊙ is `fmul` when its flag is set, else `fadd`.
+        let mk = |k_mul: bool, a: f64, z_mul: bool, b: f64| {
             let mut mb = ModuleBuilder::new("bp");
             let x = mb.array("x", Type::F64, &[8]);
             mb.function("main", &[], None, |fb| {
-                let k = fb.fmul(fb.fconst(a), fb.fconst(3.0));
+                let op = |fb: &mut crate::builder::FunctionBuilder,
+                          mul: bool,
+                          l: Operand,
+                          r: Operand| {
+                    if mul {
+                        fb.fmul(l, r)
+                    } else {
+                        fb.fadd(l, r)
+                    }
+                };
+                let (ka, kb) = (fb.fconst(a), fb.fconst(3.0));
+                let k = op(fb, k_mul, ka, kb);
                 fb.counted_loop(0, 8, 1, |fb, i| {
                     let v = fb.load_idx(x, &[i]);
                     let w = fb.fadd(v, k);
                     fb.store_idx(x, &[i], w);
                 });
-                let z = fb.fadd(fb.fconst(b), fb.fconst(1.0));
+                let (za, zb) = (fb.fconst(b), fb.fconst(1.0));
+                let z = op(fb, z_mul, za, zb);
                 let zero = fb.iconst(0);
                 fb.store_idx(x, &[zero], z);
                 fb.ret(None);
@@ -513,17 +541,29 @@ mod tests {
                 .map(|b| fingerprint_block(f, b))
                 .collect::<Vec<_>>()
         };
-        let base = prints(&mk(2.0, 5.0));
-        assert_eq!(base, prints(&mk(2.0, 5.0)));
-        // Editing `k` changes its own block and every block reading it.
-        let k_edit = prints(&mk(2.5, 5.0));
-        let changed: Vec<usize> = (0..base.len()).filter(|&i| base[i] != k_edit[i]).collect();
-        assert!(changed.len() >= 2, "entry and the loop body: {changed:?}");
-        assert!(changed.len() < base.len(), "not every block: {changed:?}");
-        // Editing the exit's constant changes exactly one block.
-        let exit_edit = prints(&mk(2.0, 6.0));
-        let changed = (0..base.len()).filter(|&i| base[i] != exit_edit[i]).count();
-        assert_eq!(changed, 1);
+        let base_module = mk(true, 2.0, false, 5.0);
+        let base = prints(&base_module);
+        assert_eq!(base, prints(&mk(true, 2.0, false, 5.0)));
+        let changed = |m: &Module| -> Vec<usize> {
+            let p = prints(m);
+            (0..base.len()).filter(|&i| base[i] != p[i]).collect()
+        };
+        // Swapping `k`'s opcode changes its own block and every block
+        // reading it.
+        let k_swap = changed(&mk(false, 2.0, false, 5.0));
+        assert!(k_swap.len() >= 2, "entry and the loop body: {k_swap:?}");
+        assert!(k_swap.len() < base.len(), "not every block: {k_swap:?}");
+        // Swapping the exit's opcode changes exactly one block.
+        assert_eq!(changed(&mk(true, 2.0, true, 5.0)).len(), 1);
+        // Nudging either immediate changes no block print, but does change
+        // the function's fingerprint.
+        for nudged in [mk(true, 2.5, false, 5.0), mk(true, 2.0, false, -0.0)] {
+            assert_eq!(changed(&nudged), Vec::<usize>::new());
+            assert_ne!(
+                fingerprint_function(&nudged.functions[0]),
+                fingerprint_function(&base_module.functions[0])
+            );
+        }
     }
 
     #[test]

@@ -128,6 +128,13 @@ fn seed_masks(old: &Function, new: &Function) -> Result<Vec<u64>, Refusal> {
     for blk in &new.blocks {
         for &iid in &blk.instrs {
             let (a, b) = (old.instr(iid), new.instr(iid));
+            // Most instructions are untouched. Derived equality compares
+            // floats by value, so it can only hide a signed-zero edit
+            // (`0.0 == -0.0`); a NaN never compares equal and takes the
+            // slot-by-slot path below.
+            if a == b && !has_float_zero(b) {
+                continue;
+            }
             let mut mask = match header_diff(a, b) {
                 None => return Err(Refusal::Shape),
                 Some(true) => HEADER,
@@ -159,6 +166,25 @@ fn seed_masks(old: &Function, new: &Function) -> Result<Vec<u64>, Refusal> {
         }
     }
     Ok(masks)
+}
+
+/// Whether `ins` has a `0.0` or `-0.0` immediate operand.
+fn has_float_zero(ins: &Instr) -> bool {
+    let z = |o: &Operand| matches!(o, Operand::Const(Imm::Float(x)) if *x == 0.0);
+    match ins {
+        Instr::Binary { lhs, rhs, .. } | Instr::Cmp { lhs, rhs, .. } => z(lhs) || z(rhs),
+        Instr::Unary { val, .. } => z(val),
+        Instr::Select {
+            cond,
+            then_val,
+            else_val,
+            ..
+        } => z(cond) || z(then_val) || z(else_val),
+        Instr::Load { ptr, .. } => z(ptr),
+        Instr::Store { ptr, value, .. } => z(ptr) || z(value),
+        Instr::Gep { indices: ops, .. } | Instr::Call { args: ops, .. } => ops.iter().any(z),
+        Instr::Phi { incomings, .. } => incomings.iter().any(|(_, o)| z(o)),
+    }
 }
 
 /// Operand equality with float immediates compared bit for bit (`0.0` and

@@ -2,9 +2,8 @@
 
 use super::{use_counts, Changed, Pass};
 use crate::instr::{BinOp, Instr, Operand, UnaryOp};
-use crate::module::{ArrayDecl, FuncId, Function, InstrId, Module, ValueDef};
+use crate::module::{ArrayDecl, FuncId, Function, Module, ValueDef};
 use crate::types::Type;
-use std::collections::HashSet;
 
 /// Unlinks instructions whose result is unused *and* whose execution can be
 /// proven side-effect- and trap-free, iterating until nothing else dies
@@ -129,7 +128,8 @@ fn dce_function(arrays: &[ArrayDecl], func: &mut Function) -> bool {
     let mut changed = false;
     loop {
         let counts = use_counts(func);
-        let mut dead: HashSet<InstrId> = HashSet::new();
+        let mut dead = vec![false; func.instrs.len()];
+        let mut any_dead = false;
         for block in &func.blocks {
             for &iid in &block.instrs {
                 let Some(result) = func.result_of(iid) else {
@@ -138,15 +138,16 @@ fn dce_function(arrays: &[ArrayDecl], func: &mut Function) -> bool {
                 if counts[result.index()] == 0
                     && trap_free_when_unused(arrays, func, func.instr(iid))
                 {
-                    dead.insert(iid);
+                    dead[iid.index()] = true;
+                    any_dead = true;
                 }
             }
         }
-        if dead.is_empty() {
+        if !any_dead {
             return changed;
         }
         for block in &mut func.blocks {
-            block.instrs.retain(|iid| !dead.contains(iid));
+            block.instrs.retain(|iid| !dead[iid.index()]);
         }
         func.invalidate_block_map();
         changed = true;

@@ -5,9 +5,11 @@ use super::{Changed, Pass};
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::instr::{BinOp, CmpPred, Imm, Instr, Operand, UnaryOp};
-use crate::module::{ArrayId, BlockId, FuncId, Function, InstrId, Module, ValueId};
+use crate::module::{ArrayId, BlockId, FuncId, Function, Module, ValueId};
 use crate::types::Type;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Deletes pure instructions that recompute an expression already computed
 /// by a dominating instruction with identical SSA operands, rewriting uses
@@ -60,16 +62,58 @@ enum ExprKey {
     Gep(ArrayId, Vec<OpKey>),
 }
 
-fn op_key(repl: &HashMap<ValueId, ValueId>, op: Operand) -> OpKey {
+/// A multiply–rotate hasher for the expression table. Only lookups read
+/// the table — its iteration order never reaches the output — so a cheap
+/// hash changes nothing but the time spent.
+#[derive(Default)]
+struct ExprHasher(u64);
+
+impl Hasher for ExprHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// `repl[v]`: the surviving value a deleted instruction's result `v` now
+/// stands for.
+type Repl = [Option<ValueId>];
+
+fn op_key(repl: &Repl, op: Operand) -> OpKey {
     match op {
-        Operand::Value(v) => OpKey::Val(repl.get(&v).copied().unwrap_or(v)),
+        Operand::Value(v) => OpKey::Val(repl[v.index()].unwrap_or(v)),
         Operand::Const(Imm::Int(v)) => OpKey::Int(v),
         Operand::Const(Imm::Float(v)) => OpKey::Float(v.to_bits()),
         Operand::Const(Imm::Bool(v)) => OpKey::Bool(v),
     }
 }
 
-fn expr_key(repl: &HashMap<ValueId, ValueId>, instr: &Instr) -> Option<ExprKey> {
+fn expr_key(repl: &Repl, instr: &Instr) -> Option<ExprKey> {
     let k = |op: &Operand| op_key(repl, *op);
     Some(match instr {
         Instr::Binary { op, ty, lhs, rhs } => ExprKey::Binary(*op, *ty, k(lhs), k(rhs)),
@@ -101,58 +145,64 @@ fn gvn_function(func: &mut Function) -> bool {
         }
     }
 
-    let mut table: HashMap<ExprKey, ValueId> = HashMap::new();
-    let mut repl: HashMap<ValueId, ValueId> = HashMap::new();
-    let mut dead: Vec<InstrId> = Vec::new();
+    // Each expression maps to its latest definition and that definition's
+    // block. The definition is in scope exactly while its block is open on
+    // the dominator-tree walk below (it dominates the block being visited);
+    // a closed one is stale and the next definition replaces it. Once a
+    // block defines an expression, its whole subtree finds that definition
+    // in scope, so nothing dominated ever replaces it: the table answers
+    // like a scoped one, without cloning a key or unwinding a scope.
+    let mut table: HashMap<ExprKey, (ValueId, BlockId), BuildHasherDefault<ExprHasher>> =
+        HashMap::default();
+    let mut open = vec![false; n];
+    let mut repl: Vec<Option<ValueId>> = vec![None; func.values.len()];
+    let mut dead = vec![false; func.instrs.len()];
+    let mut any_dead = false;
 
-    // Dominator-tree DFS with explicit enter/exit events; the expressions a
-    // block adds to the table go out of scope when its subtree is done.
+    // Dominator-tree DFS with explicit enter/exit events.
     enum Ev {
         Enter(BlockId),
-        Exit(usize),
+        Exit(BlockId),
     }
     let mut stack = vec![Ev::Enter(func.entry())];
-    let mut scopes: Vec<Vec<ExprKey>> = Vec::new();
     while let Some(ev) = stack.pop() {
         match ev {
             Ev::Enter(b) => {
-                let mut inserted = Vec::new();
+                open[b.index()] = true;
                 for &iid in &func.block(b).instrs {
                     let Some(key) = expr_key(&repl, func.instr(iid)) else {
                         continue;
                     };
                     let result = func.result_of(iid).expect("pure instr has a result");
-                    match table.get(&key) {
-                        Some(&survivor) => {
-                            repl.insert(result, survivor);
-                            dead.push(iid);
+                    match table.entry(key) {
+                        Entry::Occupied(e) if open[e.get().1.index()] => {
+                            repl[result.index()] = Some(e.get().0);
+                            dead[iid.index()] = true;
+                            any_dead = true;
                         }
-                        None => {
-                            table.insert(key.clone(), result);
-                            inserted.push(key);
+                        Entry::Occupied(mut e) => {
+                            e.insert((result, b));
+                        }
+                        Entry::Vacant(e) => {
+                            e.insert((result, b));
                         }
                     }
                 }
-                scopes.push(inserted);
-                stack.push(Ev::Exit(scopes.len() - 1));
+                stack.push(Ev::Exit(b));
                 for &c in children[b.index()].iter().rev() {
                     stack.push(Ev::Enter(c));
                 }
             }
-            Ev::Exit(scope) => {
-                for key in scopes[scope].drain(..) {
-                    table.remove(&key);
-                }
-            }
+            Ev::Exit(b) => open[b.index()] = false,
         }
     }
 
-    if repl.is_empty() {
+    if !any_dead {
         return false;
     }
     let rewrite = |op: &mut Operand| {
         if let Operand::Value(v) = op {
-            if let Some(&s) = repl.get(v) {
+            if let Some(s) = repl[v.index()] {
                 *op = Operand::Value(s);
             }
         }
@@ -165,9 +215,8 @@ fn gvn_function(func: &mut Function) -> bool {
             term.for_each_operand_mut(rewrite);
         }
     }
-    let dead: std::collections::HashSet<InstrId> = dead.into_iter().collect();
     for block in &mut func.blocks {
-        block.instrs.retain(|iid| !dead.contains(iid));
+        block.instrs.retain(|iid| !dead[iid.index()]);
     }
     func.invalidate_block_map();
     true

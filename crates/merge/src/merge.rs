@@ -265,7 +265,6 @@ mod tests {
                 deps: &deps[f.index()],
                 trips: &trips[f.index()],
                 block_counts: &profile.block_counts[f.index()],
-                content_fp: cayman_ir::fingerprint_function(module.function(f)),
                 prints: &prints[f.index()],
             })
             .collect();
@@ -302,7 +301,6 @@ mod tests {
                 deps: &deps[f.index()],
                 trips: &trips[f.index()],
                 block_counts: &profile.block_counts[f.index()],
-                content_fp: cayman_ir::fingerprint_function(module.function(f)),
                 prints: &prints[f.index()],
             })
             .collect();

@@ -57,7 +57,6 @@ use cayman_analysis::wpst::{Wpst, WpstKind, WpstNodeId};
 use cayman_hls::design::{generate_designs, AcceleratorDesign};
 use cayman_hls::inputs::{Candidate, FuncInputs, RegionInputs};
 use cayman_hls::interface::ModelOptions;
-use cayman_ir::fingerprint::fnv1a_u64s;
 use cayman_ir::Module;
 use cayman_obs::Counter;
 use std::borrow::Cow;
@@ -200,7 +199,11 @@ pub fn run_selection(
     let wall = cayman_obs::timed("select.run");
     let model_id = model.cache_id();
     let keys = if fronts.is_some() {
-        front_keys(module, wpst, profile, inputs, opts, model_id)
+        let fps: Vec<u64> = inputs
+            .iter()
+            .map(|i| i.prints.selection_fp(i.block_counts, i.trips))
+            .collect();
+        front_keys(wpst, profile.total_cycles, &fps, opts, model_id)
     } else {
         Vec::new()
     };
@@ -276,29 +279,28 @@ pub fn run_selection(
 /// * `node`/`func` — wPST subtrees are numbered contiguously per function,
 ///   so the function vertex's own id fixes every `WpstNodeId` below it
 ///   (solutions embed node ids; a shifted numbering must miss);
-/// * `content_fp` — the normalized function body, which determines the
-///   region tree shape, analyses and static cycle model;
-/// * `bc_fp` — the function's profiled block counts (region entries/cycles
-///   and profiled trip counts);
+/// * `selection_fp` — the function's [`FuncPrints::selection_fp`]: its
+///   block, loop and array prints (the region tree's shape, the static cycle
+///   model's opcodes, the analyses and every model's read set), its
+///   profiled block counts (region entries and cycles) and its trip
+///   counts. The prints see an immediate's kind, not its value, so an
+///   edit that only changes values keeps the key;
 /// * `total_cycles` — the whole-program cycle total (`prune`'s denominator
 ///   and every solution's saved-seconds scale);
-/// * `arrays_fp` — array declarations the model reads for interface sizing;
 /// * `model`/`alpha_bits`/`prune_bits` — model identity and the DP's own
 ///   filter/prune parameters, bit-exact.
+///
+/// [`FuncPrints::selection_fp`]: cayman_hls::inputs::FuncPrints::selection_fp
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrontKey {
     /// The function vertex (root child) the front was folded under.
     pub node: WpstNodeId,
     /// The function id.
     pub func: cayman_ir::FuncId,
-    /// Normalized-function content fingerprint.
-    pub content_fp: u64,
-    /// Fingerprint of the function's profiled block counts.
-    pub bc_fp: u64,
+    /// The function's selection fingerprint (`FuncPrints::selection_fp`).
+    pub selection_fp: u64,
     /// Whole-program profiled cycle total.
     pub total_cycles: u64,
-    /// Fingerprint of the module's array declarations.
-    pub arrays_fp: u64,
     /// Accelerator-model identity.
     pub model: ModelId,
     /// `SelectOptions::alpha` bit pattern.
@@ -307,18 +309,23 @@ pub struct FrontKey {
     pub prune_bits: u64,
 }
 
-/// The [`FrontKey`] of each root child, in child order. Only function
+/// The [`FrontKey`] of each root child, in child order, given each
+/// function's [`FuncPrints::selection_fp`] by `FuncId`. Only function
 /// vertices under a model with a cache identity are keyable; anything else
 /// (custom trees, identity-less models) gets `None` and is always folded.
-fn front_keys(
-    module: &Module,
+///
+/// The keys are all a selection over `wpst` reads: two runs with equal keys
+/// (and equal options) fold bit-identical fronts at the root, so they also
+/// key a whole selection.
+///
+/// [`FuncPrints::selection_fp`]: cayman_hls::inputs::FuncPrints::selection_fp
+pub fn front_keys(
     wpst: &Wpst,
-    profile: &Profile,
-    inputs: &[FuncInputs<'_>],
+    total_cycles: u64,
+    selection_fps: &[u64],
     opts: &SelectOptions,
     model_id: Option<ModelId>,
 ) -> Vec<Option<FrontKey>> {
-    let arrays_fp = cayman_ir::fingerprint_arrays(&module.arrays);
     wpst.node(wpst.root())
         .children
         .iter()
@@ -326,10 +333,8 @@ fn front_keys(
             (WpstKind::Func(f), Some(model)) => Some(FrontKey {
                 node: u,
                 func: f,
-                content_fp: inputs[f.index()].content_fp,
-                bc_fp: fnv1a_u64s(&profile.block_counts[f.index()]),
-                total_cycles: profile.total_cycles,
-                arrays_fp,
+                selection_fp: selection_fps[f.index()],
+                total_cycles,
                 model,
                 alpha_bits: opts.alpha.to_bits(),
                 prune_bits: opts.prune_share.to_bits(),
@@ -540,7 +545,6 @@ mod tests {
         pub accesses: Vec<AccessAnalysis>,
         pub deps: Vec<Vec<LoopDeps>>,
         pub trips: Vec<Vec<f64>>,
-        pub content_fps: Vec<u64>,
         pub prints: Vec<FuncPrints>,
     }
 
@@ -570,11 +574,6 @@ mod tests {
                 deps.push(dd);
                 trips.push(tt);
             }
-            let content_fps = module
-                .functions
-                .iter()
-                .map(cayman_ir::fingerprint_function)
-                .collect();
             App {
                 module,
                 wpst,
@@ -582,7 +581,6 @@ mod tests {
                 accesses,
                 deps,
                 trips,
-                content_fps,
                 prints,
             }
         }
@@ -598,7 +596,6 @@ mod tests {
                     deps: &self.deps[f.index()],
                     trips: &self.trips[f.index()],
                     block_counts: &self.profile.block_counts[f.index()],
-                    content_fp: self.content_fps[f.index()],
                     prints: &self.prints[f.index()],
                 })
                 .collect()

@@ -37,7 +37,9 @@ pub mod sched;
 pub mod stats;
 
 pub use cache::{DesignCache, DesignKey, DesignStoreBackend, ModelId};
-pub use dp::{run_selection, AccelModel, CaymanModel, FrontKey, SelectOptions, SelectionResult};
+pub use dp::{
+    front_keys, run_selection, AccelModel, CaymanModel, FrontKey, SelectOptions, SelectionResult,
+};
 pub use pareto::{combine, filter, fold, pareto, with_designs, SelectedKernel, Solution};
 pub use sched::SchedKind;
 pub use stats::{AccelCallStat, SelectStats, TOP_ACCEL_K};

@@ -33,7 +33,6 @@ struct App {
     accesses: Vec<AccessAnalysis>,
     deps: Vec<Vec<LoopDeps>>,
     trips: Vec<Vec<f64>>,
-    content_fps: Vec<u64>,
     prints: Vec<FuncPrints>,
 }
 
@@ -65,11 +64,6 @@ impl App {
             deps.push(dd);
             trips.push(tt);
         }
-        let content_fps = module
-            .functions
-            .iter()
-            .map(cayman_ir::fingerprint_function)
-            .collect();
         App {
             module,
             wpst,
@@ -77,7 +71,6 @@ impl App {
             accesses,
             deps,
             trips,
-            content_fps,
             prints,
         }
     }
@@ -93,7 +86,6 @@ impl App {
                 deps: &self.deps[f.index()],
                 trips: &self.trips[f.index()],
                 block_counts: &self.profile.block_counts[f.index()],
-                content_fp: self.content_fps[f.index()],
                 prints: &self.prints[f.index()],
             })
             .collect()

@@ -40,8 +40,9 @@ pub const MAGIC: [u8; 4] = *b"CYDS";
 /// what a key means: readers treat other versions as misses (the writer
 /// simply re-persists). Version 2 keys a candidate by its region
 /// fingerprint (`CandidateKey::region_fp`) where version 1 carried the
-/// whole function's content fingerprint.
-pub const VERSION: u8 = 2;
+/// whole function's content fingerprint; version 3's region fingerprint
+/// sees an immediate operand's kind but not its value.
+pub const VERSION: u8 = 3;
 
 /// Why a decode failed. The store maps every variant to a clean miss; the
 /// variant only picks which counter is bumped.

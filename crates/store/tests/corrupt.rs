@@ -168,29 +168,33 @@ fn version_skewed_entry_is_dropped_not_decoded() {
 #[test]
 fn version_1_entry_is_a_counted_skew_miss_never_a_hit() {
     // Version 1 keyed candidates by the whole function's content
-    // fingerprint; its entries must not answer version-2 lookups.
-    assert_eq!(VERSION, 2);
-    let dir = tmp_store_dir("v1");
-    let store = DiskStore::open(&dir).expect("open");
-    let (key, designs) = (sample_key(5), sample_designs(5));
-    store.save(&key, &designs);
+    // fingerprint and version 2 by region prints that hashed immediates by
+    // value; neither's entries may answer a version-3 lookup.
+    assert_eq!(VERSION, 3);
+    for old in 1..VERSION {
+        let dir = tmp_store_dir(&format!("v{old}"));
+        let store = DiskStore::open(&dir).expect("open");
+        let (key, designs) = (sample_key(5), sample_designs(5));
+        store.save(&key, &designs);
 
-    // Rewrite the entry as a well-formed version-1 entry: version byte 1
-    // and a checksum that covers it, so only the version can reject it.
-    let path = only_entry(&dir);
-    let mut bytes = fs::read(&path).expect("read entry");
-    let body = bytes.len() - 8;
-    bytes[4] = 1;
-    let checksum = cayman_ir::fingerprint::fnv1a(&bytes[..body]);
-    bytes[body..].copy_from_slice(&checksum.to_le_bytes());
-    fs::write(&path, &bytes).expect("write v1 entry");
+        // Rewrite the entry as a well-formed old entry: the old version
+        // byte and a checksum that covers it, so only the version can
+        // reject it.
+        let path = only_entry(&dir);
+        let mut bytes = fs::read(&path).expect("read entry");
+        let body = bytes.len() - 8;
+        bytes[4] = old;
+        let checksum = cayman_ir::fingerprint::fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        fs::write(&path, &bytes).expect("write old entry");
 
-    assert!(store.load(&key).is_none(), "a v1 entry must miss");
-    let stats = store.stats();
-    assert_eq!(stats.version_skew, 1);
-    assert_eq!((stats.hits, stats.corrupt), (0, 0));
-    assert!(!path.exists(), "v1 entry unlinked for re-persist");
-    let _ = fs::remove_dir_all(&dir);
+        assert!(store.load(&key).is_none(), "a v{old} entry must miss");
+        let stats = store.stats();
+        assert_eq!(stats.version_skew, 1);
+        assert_eq!((stats.hits, stats.corrupt), (0, 0));
+        assert!(!path.exists(), "v{old} entry unlinked for re-persist");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -57,7 +57,7 @@ rm -rf "$store_dir"
 
 echo "== differential fuzz (smoke: 50 seeded programs + corpus gate + O1-vs-O2 staging + incremental equivalence) =="
 cargo run -q --release -p cayman-bench --offline --bin fuzz -- \
-  --seed 0xCA11 --count 50 --corpus-gate --incremental --incremental-corpus 20
+  --seed 0xCA11 --count 50 --corpus-gate --incremental --incremental-corpus 132
 
 echo "== trace capture (smoke: one traced benchmark, validated) =="
 trace="$(mktemp /tmp/cayman-trace.XXXXXX.json)"
