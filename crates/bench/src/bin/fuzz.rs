@@ -2,11 +2,10 @@
 //!
 //! Generates structured programs with `testkit::program` and pushes each
 //! through every crossed configuration (see [`cayman_bench::diff`]): decoded
-//! vs reference interpreter, `-O0` vs `-O1`, static vs work-steal scheduler
-//! at 2/3/8 threads, `-O1` vs `-O2` staging (the analysis shadow must not
-//! change the executed module, the profile, or observable results, and must
-//! keep fronts bit-identical whenever it is a no-op), plus the merged best
-//! solution. Any divergence prints
+//! vs reference interpreter, `-O0` vs `-O1`, and `-O1` vs `-O2` staging (the
+//! analysis shadow must not change the executed module, the profile, or
+//! observable results, and must keep fronts bit-identical whenever it is a
+//! no-op). Any divergence prints
 //! the offending kernel as re-parseable text — after shrinking it to the
 //! smallest derivation of the same seed that still fails — and exits 1.
 //!

@@ -6,8 +6,6 @@
 //! Rows are computed in parallel (one framework per benchmark, scoped
 //! threads); set `CAYMAN_TABLE2_THREADS` to override the worker count
 //! (`1` recovers the fully sequential run — same numbers either way).
-//! Within each row, selection itself runs on `CAYMAN_SELECT_THREADS`
-//! work-stealing workers (default: host parallelism clamped to 2..=4).
 //!
 //! ```text
 //! cargo run --release -p cayman-bench --bin table2 [-- -O0|-O1|-O2] [--json] [benchmark...]
@@ -165,15 +163,6 @@ fn main() {
     let warm: f64 = rows.iter().map(|r| r.runtime_warm_s).sum();
     println!();
     println!("selection stats (warm re-runs, aggregated): {}", avg.stats);
-    println!(
-        "selection scheduler: {} with {} thread(s) per run (steer with CAYMAN_SELECT_THREADS)",
-        if avg.stats.scheduler.is_empty() {
-            "seq"
-        } else {
-            avg.stats.scheduler
-        },
-        avg.stats.threads.max(1)
-    );
     println!(
         "design cache: cold {:.1} ms total -> warm {:.1} ms total ({:.1}x faster)",
         cold * 1e3,

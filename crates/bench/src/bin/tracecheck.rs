@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p cayman-bench --bin tracecheck -- trace.json \
-//!     [--require-prefix select.] [--require-lane select.worker.]
+//!     [--require-prefix select.]
 //! ```
 //!
 //! Checks performed (see `cayman_obs::trace::validate_chrome`): the file
@@ -11,8 +11,7 @@
 //! the same thread, timestamps are non-decreasing per thread, and the trace
 //! is non-empty. `--require-prefix` additionally demands at least one
 //! completed span or counter track whose name starts with the prefix
-//! (repeatable); `--require-lane` demands a named thread lane with the
-//! prefix.
+//! (repeatable).
 
 use cayman_obs::trace::validate_chrome;
 
@@ -24,7 +23,6 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let mut path = None;
     let mut prefixes = Vec::new();
-    let mut lanes = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -32,14 +30,8 @@ fn main() {
                 Some(p) => prefixes.push(p),
                 None => fail("--require-prefix needs a value"),
             },
-            "--require-lane" => match args.next() {
-                Some(p) => lanes.push(p),
-                None => fail("--require-lane needs a value"),
-            },
             _ if a.starts_with('-') => {
-                eprintln!(
-                    "usage: tracecheck <trace.json> [--require-prefix <p>]... [--require-lane <p>]..."
-                );
+                eprintln!("usage: tracecheck <trace.json> [--require-prefix <p>]...");
                 std::process::exit(2);
             }
             _ => {
@@ -50,9 +42,7 @@ fn main() {
         }
     }
     let Some(path) = path else {
-        eprintln!(
-            "usage: tracecheck <trace.json> [--require-prefix <p>]... [--require-lane <p>]..."
-        );
+        eprintln!("usage: tracecheck <trace.json> [--require-prefix <p>]...");
         std::process::exit(2);
     };
 
@@ -71,21 +61,12 @@ fn main() {
             ));
         }
     }
-    for p in &lanes {
-        if !summary.lanes.iter().any(|l| l.starts_with(p.as_str())) {
-            fail(&format!(
-                "{path}: no thread lane `{p}*` (lanes: {:?})",
-                summary.lanes
-            ));
-        }
-    }
 
     println!(
-        "{path}: OK — {} events, {} completed spans ({} distinct names), {} lanes, {} counters, {} instants",
+        "{path}: OK — {} events, {} completed spans ({} distinct names), {} counters, {} instants",
         summary.events,
         summary.spans,
         summary.span_names.len(),
-        summary.lanes.len(),
         summary.counters.len(),
         summary.instants.len()
     );

@@ -13,22 +13,18 @@
 //!    programs, the exact same error message.
 //! 2. **`-O0` vs `-O1` normalization** — return-value bits and final memory
 //!    cells (counts and cycles legitimately change; observables must not).
-//! 3. **reference engine (`threads = 1`) vs work stealing × {2, 3, 8}
-//!    threads** — the selection Pareto front (area and saved-seconds bits,
-//!    kernel node ids and block sets per solution), the visited vertex
-//!    count, and the merged best solution's area accounting.
-//! 4. **`-O1` vs `-O2` staging** — the `-O2` application executes the
+//! 3. **`-O1` vs `-O2` staging** — the `-O2` application executes the
 //!    `-O1` body (the extra canonicalization lives in analysis shadows), so
 //!    the executed module text, region profile and return value must be
 //!    bit-identical; and whenever the shadows are no-ops (same content
 //!    fingerprints) the full selection Pareto front must match bit for bit.
-//! 5. **incremental vs from-scratch re-analysis** ([`check_incremental`]) —
+//! 4. **incremental vs from-scratch re-analysis** ([`check_incremental`]) —
 //!    after every seeded single-instruction edit (a float nudge or an
 //!    `fadd`/`fmul` swap), the [`IncrementalApp`]
 //!    query pipeline must reproduce the from-scratch Pareto front, execution
 //!    profile (block counts, total cycles, return-value bits, engine) and
-//!    merge accounting bit for bit, re-selecting at both `threads = 1` and
-//!    `threads = 3`; every execution the slice proof answered without a run
+//!    merge accounting bit for bit; every execution the slice proof answered
+//!    without a run
 //!    is also re-run and must match. (The visited-vertex count is
 //!    deliberately *not* compared here: cached subtree fronts legitimately
 //!    skip visits.)
@@ -184,7 +180,7 @@ pub fn check_module(m: &Module) -> Result<bool, DiffFailure> {
         }
     }
 
-    // Surface 3: reference vs work-stealing selection, and merging.
+    // Surface 3: -O1 vs -O2 staging, end to end.
     let fw = match Framework::from_module(m.clone()) {
         Ok(fw) => fw,
         Err(e) => {
@@ -196,9 +192,6 @@ pub fn check_module(m: &Module) -> Result<bool, DiffFailure> {
     if reference.pareto.is_empty() {
         fail("select", "selection produced an empty Pareto front")?;
     }
-    let ref_merge = fw.merge(reference.best_under(f64::INFINITY));
-
-    // Surface 4: -O1 vs -O2 staging, end to end.
     let fw2 = match Framework::from_module_with(m.clone(), &AnalyseOptions::o2()) {
         Ok(fw2) => fw2,
         Err(e) => {
@@ -239,51 +232,6 @@ pub fn check_module(m: &Module) -> Result<bool, DiffFailure> {
         // same, so selection must land on the exact same front.
         if let Some(msg) = front_mismatch("noop-shadow", &o2_sel.pareto, &reference.pareto) {
             fail("o1-vs-o2", msg)?;
-        }
-    }
-    for threads in [2usize, 3, 8] {
-        let res = fw.select(&SelectOptions {
-            threads,
-            ..SelectOptions::default()
-        });
-        let cfg = format!("steal×{threads}");
-        if let Some(msg) = front_mismatch(&cfg, &res.pareto, &reference.pareto) {
-            fail("select-cross", msg)?;
-        }
-        if res.visited != reference.visited {
-            fail(
-                "select-cross",
-                format!(
-                    "{cfg}: visited {} vs reference {}",
-                    res.visited, reference.visited
-                ),
-            )?;
-        }
-        let merged = fw.merge(res.best_under(f64::INFINITY));
-        if merged.area_before.to_bits() != ref_merge.area_before.to_bits()
-            || merged.area_after.to_bits() != ref_merge.area_after.to_bits()
-            || merged.merges != ref_merge.merges
-            || merged.reusable.len() != ref_merge.reusable.len()
-            || merged.units.len() != ref_merge.units.len()
-        {
-            fail(
-                "merge-cross",
-                format!(
-                    "{cfg}: merged solution diverges: \
-                     (before {}, after {}, merges {}, reusable {}, units {}) vs \
-                     (before {}, after {}, merges {}, reusable {}, units {})",
-                    merged.area_before,
-                    merged.area_after,
-                    merged.merges,
-                    merged.reusable.len(),
-                    merged.units.len(),
-                    ref_merge.area_before,
-                    ref_merge.area_after,
-                    ref_merge.merges,
-                    ref_merge.reusable.len(),
-                    ref_merge.units.len()
-                ),
-            )?;
         }
     }
     Ok(true)
@@ -501,11 +449,10 @@ impl IncCheck {
 /// Differential surface 4: incremental re-analysis vs from-scratch.
 ///
 /// Drives `edits` seeded single-instruction edits (interleaved with
-/// occasional reverts, the salsa-style "change it back" path) through two
-/// [`IncrementalApp`]s in lockstep — one re-selecting at `threads = 1`, one
-/// at `threads = 3` — and, after every step, re-analyses the edited module
+/// occasional reverts, the salsa-style "change it back" path) through an
+/// [`IncrementalApp`] and, after every step, re-analyses the edited module
 /// from scratch. The incremental result must be **bit-identical** at every
-/// step: the selection Pareto front of both apps (area/saved-seconds bits,
+/// step: the selection Pareto front (area/saved-seconds bits,
 /// kernel node ids and block sets), the execution profile (block counts,
 /// total cycles, return-value bits and engine), and the merged best
 /// solution's area accounting. A step whose execution the slice proof
@@ -530,13 +477,7 @@ pub fn check_incremental(
     let mut rng = cayman_testkit::Rng::new(seed ^ 0x1CAE);
     let opts = AnalyseOptions::default();
     let sel_opts = SelectOptions::default();
-    // A second app re-selects on the work-stealing engine in lockstep.
-    let threaded_opts = SelectOptions {
-        threads: 3,
-        ..SelectOptions::default()
-    };
     let mut inc = IncrementalApp::new(m.clone(), memory.clone(), opts.clone());
-    let mut inc_threaded = IncrementalApp::new(m.clone(), memory.clone(), opts.clone());
     let mut reference = m.clone();
     let checked = KeyCheckedModel {
         inner: CaymanModel(sel_opts.model.clone()),
@@ -577,22 +518,13 @@ pub fn check_incremental(
                 }
             };
             apply_to_module(&mut reference, &edit);
-            for app in [&mut inc, &mut inc_threaded] {
-                if let Err(e) = app.apply(edit.clone()) {
-                    fail("incremental", format!("step {step}: apply failed: {e}"))?;
-                }
+            if let Err(e) = inc.apply(edit) {
+                fail("incremental", format!("step {step}: apply failed: {e}"))?;
             }
         }
 
         let fresh = Application::analyse_with(reference.clone(), memory.clone(), &opts);
         let inc_sel = inc.select(&sel_opts);
-        let threaded_sel = inc_threaded.select(&threaded_opts);
-        if threaded_sel.is_ok() != inc_sel.is_ok() {
-            fail(
-                "incremental",
-                format!("step {step}: threads=3 and threads=1 re-selection disagree on failing"),
-            )?;
-        }
         let fresh_app = match (fresh, &inc_sel) {
             (Err(fe), Err(ie)) => {
                 if fe.to_string() != ie.to_string() {
@@ -677,14 +609,6 @@ pub fn check_incremental(
         if let Some(msg) =
             front_mismatch(&format!("step {step}"), &inc_sel.pareto, &fresh_sel.pareto)
         {
-            fail("incremental", msg)?;
-        }
-        let threaded_sel = threaded_sel.expect("fails exactly when threads=1 fails");
-        if let Some(msg) = front_mismatch(
-            &format!("step {step} threads=3"),
-            &threaded_sel.pareto,
-            &fresh_sel.pareto,
-        ) {
             fail("incremental", msg)?;
         }
 

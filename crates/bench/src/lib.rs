@@ -181,29 +181,6 @@ pub fn framework_for(w: &Workload, analyse: &AnalyseOptions) -> Framework {
     fw
 }
 
-/// Selection options for the Table II protocol: the thread count comes from
-/// `CAYMAN_SELECT_THREADS`, defaulting to the host parallelism clamped to
-/// `2..=4` so the work-stealing scheduler — and its per-worker trace lanes —
-/// is exercised even on single-core CI hosts. The Pareto front is
-/// bit-identical for every thread count (asserted by the scheduler tests),
-/// so this only affects wall time and observability.
-pub fn select_options_from_env() -> SelectOptions {
-    let threads = std::env::var("CAYMAN_SELECT_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .clamp(2, 4)
-        });
-    SelectOptions {
-        threads,
-        ..Default::default()
-    }
-}
-
 /// One benchmark's Table II row.
 #[derive(Debug, Clone)]
 pub struct Table2Row {
@@ -278,7 +255,7 @@ pub fn table2_row(w: &Workload) -> Table2Row {
 /// Panics if the workload fails to verify or execute.
 pub fn table2_row_with(w: &Workload, analyse: &AnalyseOptions) -> Table2Row {
     let fw = framework_for(w, analyse);
-    let opts = select_options_from_env();
+    let opts = SelectOptions::default();
 
     let t0 = Instant::now();
     let cayman = fw.select(&opts);
@@ -411,8 +388,6 @@ pub fn average_row(rows: &[Table2Row]) -> Table2Row {
             stats.model_nanos += s.model_nanos;
             stats.combine_nanos += s.combine_nanos;
             stats.wall_nanos += s.wall_nanos;
-            stats.threads = stats.threads.max(s.threads);
-            stats.scheduler = s.scheduler;
             stats.top_accel.extend(s.top_accel.iter().cloned());
         }
         stats

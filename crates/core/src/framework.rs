@@ -314,32 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn schedulers_agree_through_the_framework() {
-        let w = cayman_workloads::by_name("atax").expect("atax");
-        let fw = Framework::from_workload(&w).expect("analyses");
-        let reference = fw.select(&SelectOptions::default());
-        assert_eq!(reference.stats.scheduler, "seq");
-        for threads in [2usize, 3, 8] {
-            let opts = SelectOptions {
-                threads,
-                ..Default::default()
-            };
-            // The shared design cache is warm after the first run; the front
-            // must stay bit-identical regardless of engine, thread budget, or
-            // cache state.
-            let res = fw.select(&opts);
-            assert_eq!(res.stats.scheduler, "steal");
-            assert_eq!(res.pareto.len(), reference.pareto.len());
-            for (a, b) in res.pareto.iter().zip(&reference.pareto) {
-                assert_eq!(a.area.to_bits(), b.area.to_bits());
-                assert_eq!(a.saved_seconds.to_bits(), b.saved_seconds.to_bits());
-                assert_eq!(a.kernels.len(), b.kernels.len());
-            }
-            assert_eq!(res.visited, reference.visited);
-        }
-    }
-
-    #[test]
     fn wpst_text_shows_functions() {
         let w = cayman_workloads::by_name("atax").expect("atax");
         let fw = Framework::from_workload(&w).expect("analyses");

@@ -864,10 +864,8 @@ impl IncrementalApp {
     /// The selection is keyed by the root's [`front_keys`], so a state whose
     /// every function reads the same to the model as an earlier one — a
     /// revert, or an edit that only changes immediate values — is answered
-    /// with that state's selection. The key ignores `opts.threads` (the
-    /// front is thread-invariant); a re-selection runs the engine
-    /// `opts.threads` picks, and both engines answer clean functions from
-    /// the front table.
+    /// with that state's selection. A re-selection answers clean functions
+    /// from the front table.
     ///
     /// # Errors
     ///
@@ -1207,50 +1205,6 @@ mod tests {
             None,
         );
         assert_eq!(fronts_bits(&res), fronts_bits(&batch_sel));
-    }
-
-    #[test]
-    fn threaded_reselection_matches_sequential_and_reuses_fronts_alike() {
-        let m = two_kernel_module();
-        // One app per thread budget, both driven through the same edit.
-        let run = |threads: usize| {
-            let opts = SelectOptions {
-                threads,
-                ..Default::default()
-            };
-            let mut inc = IncrementalApp::new(m.clone(), None, AnalyseOptions::default());
-            let cold = inc.select(&opts).expect("cold select");
-            // A nudge re-selects nothing under either engine...
-            inc.apply(Edit::ReplaceFunction {
-                func: FuncId(0),
-                body: edited_ka(&m),
-            })
-            .expect("applies");
-            let nudged = inc.select(&opts).expect("re-select");
-            assert!(Arc::ptr_eq(&cold, &nudged), "a select-table hit");
-            // ...and a cycle-neutral opcode swap in `kb` re-folds only kb.
-            inc.apply(Edit::ReplaceFunction {
-                func: FuncId(1),
-                body: swapped(&m, 1, BinOp::FAdd, BinOp::FSub),
-            })
-            .expect("applies");
-            let sel = inc.select(&opts).expect("re-select");
-            let engine = if threads > 1 { "steal" } else { "seq" };
-            assert_eq!(sel.stats.scheduler, engine);
-            (
-                fronts_bits(&sel),
-                sel.stats.front_hits,
-                sel.stats.front_misses,
-            )
-        };
-        let (seq_front, seq_hits, seq_misses) = run(1);
-        let (par_front, par_hits, par_misses) = run(8);
-        assert_eq!(par_front, seq_front);
-        assert!(
-            seq_hits > 0,
-            "clean functions answered from the front table"
-        );
-        assert_eq!((par_hits, par_misses), (seq_hits, seq_misses));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Determinism guarantees of the selection DP on real benchmarks:
 //!
-//! * the Pareto front is **bit-identical** across thread budgets — parallel
-//!   subtree evaluation must not change float summation order,
 //! * a warm design cache reproduces the cold run's front exactly, while
-//!   skipping every model invocation.
+//!   skipping every model invocation,
+//! * concurrent selections through one framework (as `caymand`'s
+//!   connection threads run them, sharing one design cache) each reproduce
+//!   the sequential front **bit for bit**.
 
 use cayman::{Framework, SelectOptions, Solution};
+use std::sync::Barrier;
 
 /// Representative polybench workloads: a flat multi-kernel app (atax), a
 /// deep chained one (3mm), and a stencil (jacobi-2d).
@@ -44,32 +46,6 @@ fn assert_fronts_bit_identical(a: &[Solution], b: &[Solution], what: &str) {
 }
 
 #[test]
-fn parallel_selection_is_deterministic_on_real_workloads() {
-    for name in WORKLOADS {
-        let w = cayman::workloads::by_name(name).expect("workload exists");
-        let fw = Framework::from_workload(&w).expect("analyses");
-        let seq = fw.select(&SelectOptions::default());
-        assert!(seq.pareto.len() > 1, "{name}: selection found solutions");
-        for threads in [2usize, 4, 7] {
-            let par = fw.select(&SelectOptions {
-                threads,
-                ..Default::default()
-            });
-            assert_fronts_bit_identical(
-                &seq.pareto,
-                &par.pareto,
-                &format!("{name} threads={threads}"),
-            );
-            assert_eq!(par.visited, seq.visited, "{name}: visited count");
-            assert_eq!(
-                par.stats.configs_considered, seq.stats.configs_considered,
-                "{name}: configs considered"
-            );
-        }
-    }
-}
-
-#[test]
 fn warm_cache_selection_is_exact_on_real_workloads() {
     for name in WORKLOADS {
         let w = cayman::workloads::by_name(name).expect("workload exists");
@@ -102,17 +78,32 @@ fn warm_cache_selection_is_exact_on_real_workloads() {
 }
 
 #[test]
-fn parallel_and_cached_combine() {
-    // threads > 1 against a warm cache — the fast path used by sweep
-    // drivers — still reproduces the sequential cold front exactly.
-    let w = cayman::workloads::by_name("atax").expect("atax");
+fn concurrent_selections_share_one_framework_exactly() {
+    const CALLERS: usize = 4;
+    let w = cayman::workloads::by_name("3mm").expect("workload exists");
+    let reference = Framework::from_workload(&w)
+        .expect("analyses")
+        .select(&SelectOptions::default());
     let fw = Framework::from_workload(&w).expect("analyses");
-    let cold = fw.select(&SelectOptions::default());
-    let fast = fw.select(&SelectOptions {
-        threads: 4,
-        ..Default::default()
+    let start = Barrier::new(CALLERS);
+    let fronts: Vec<Vec<Solution>> = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    (0..3)
+                        .map(|_| fw.select(&SelectOptions::default()).pareto)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .flat_map(|c| c.join().expect("caller panicked"))
+            .collect()
     });
-    assert_fronts_bit_identical(&cold.pareto, &fast.pareto, "atax parallel+warm");
-    assert_eq!(fast.stats.cache_misses, 0);
-    assert_eq!(fast.stats.threads, 4);
+    for front in &fronts {
+        assert_fronts_bit_identical(&reference.pareto, front, "3mm concurrent");
+    }
+    assert!(fw.cache_len() > 0, "the callers filled the shared cache");
 }

@@ -26,9 +26,7 @@ impl Trace {
     /// Renders the trace in Chrome trace-event format (the JSON-object form
     /// with a `traceEvents` array), loadable in `chrome://tracing` and
     /// Perfetto. Spans become `B`/`E` pairs on the recording thread's lane,
-    /// counters become cumulative `C` tracks, instants `i` markers, and
-    /// lane events `thread_name` metadata so each work-stealing worker gets
-    /// a named lane.
+    /// counters become cumulative `C` tracks, and instants `i` markers.
     pub fn to_chrome(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 96 + 64);
         out.push_str("{\"traceEvents\":[\n");
@@ -84,16 +82,6 @@ impl Trace {
                     write_args(&mut line, &e.args);
                     line.push('}');
                 }
-                EventKind::Lane => {
-                    write!(
-                        line,
-                        "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-                         \"args\":{{\"name\":\"{}\"}}}}",
-                        e.tid,
-                        escape(&e.name.to_string())
-                    )
-                    .unwrap();
-                }
             }
             if !first {
                 out.push_str(",\n");
@@ -106,7 +94,7 @@ impl Trace {
     }
 
     /// Renders a human-readable summary: per-span total/self time and call
-    /// counts, counter totals, and the set of named lanes.
+    /// counts and counter totals.
     pub fn summary(&self) -> String {
         #[derive(Default)]
         struct SpanAgg {
@@ -115,7 +103,6 @@ impl Trace {
         }
         let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut lanes: Vec<String> = Vec::new();
         // Per-tid stack of (name, begin-ts) to pair B/E events.
         let mut stacks: BTreeMap<u32, Vec<(String, u64)>> = BTreeMap::new();
         for e in &self.events {
@@ -134,8 +121,7 @@ impl Trace {
                 EventKind::Counter { delta } => {
                     *counters.entry(e.name.to_string()).or_insert(0) += delta;
                 }
-                EventKind::Lane => lanes.push(e.name.to_string()),
-                _ => {}
+                EventKind::Instant => {}
             }
         }
         let mut out = String::new();
@@ -163,10 +149,6 @@ impl Trace {
             for (name, total) in counters {
                 let _ = writeln!(out, "  {name:<32} {total:>12}");
             }
-        }
-        if !lanes.is_empty() {
-            lanes.sort();
-            let _ = writeln!(out, "lanes: {}", lanes.join(", "));
         }
         out
     }

@@ -9,7 +9,7 @@
 //! updates — so it is safe on the server's per-request hot path (pinned by
 //! the `zero_overhead` test).
 //!
-//! Unlike trace events ([`crate::span!`], [`crate::instant`]), histograms
+//! Unlike trace events ([`crate::span!`], [`crate::instant_with`]), histograms
 //! are *always on*: they are cheap aggregates, not traces, and the metrics
 //! surface must report real distributions whether or not span tracing is
 //! enabled.

@@ -12,10 +12,7 @@
 //! * **Counters** — one type, [`Counter`]: an always-on named atomic whose
 //!   [`Counter::add`] also emits a same-named Chrome counter event when
 //!   tracing is on, so METRICS and the trace read one source (scopes: see
-//!   [`registry`]). **Instants** ([`instant`], [`diag`]) mark points in time.
-//! * **Lanes** — [`lane`] names the calling thread (one lane per
-//!   work-stealing worker in the trace viewer). A worker's time is read
-//!   off the spans on its lane.
+//!   [`registry`]). **Instants** ([`instant_with`], [`diag`]) mark points in time.
 //! * **Histograms & metrics** — [`hist`] provides fixed-size log-bucketed
 //!   (HDR-style) latency histograms whose record path is lock- and
 //!   allocation-free, mergeable across threads and queryable for
@@ -37,8 +34,8 @@
 //! constructed, no argument expression of [`span!`] is evaluated, and no
 //! allocation happens (verified by the `zero_overhead` test with a counting
 //! global allocator). When enabled, events are appended to one of
-//! [`STRIPES`] independently locked stripes picked by thread id, so worker
-//! threads do not serialise on a global lock.
+//! [`STRIPES`] independently locked stripes picked by thread id, so
+//! concurrent threads do not serialise on a global lock.
 //!
 //! Determinism: the recorder only *observes* — it never feeds back into
 //! selection, profiling, or merging, so fronts and profiles are bit-identical
@@ -56,8 +53,8 @@ pub mod trace;
 
 pub use export::Trace;
 pub use recorder::{
-    diag, disable, drain, enable, enabled, flush_to_env, init_from_env, instant, instant_with,
-    lane, timed, timed_with, ArgValue, Event, EventKind, Name, SpanGuard, TimedSpan, STRIPES,
+    diag, disable, drain, enable, enabled, flush_to_env, init_from_env, instant_with, timed,
+    timed_with, ArgValue, Event, EventKind, Name, SpanGuard, TimedSpan, STRIPES,
 };
 pub use registry::Counter;
 
@@ -67,7 +64,7 @@ pub use registry::Counter;
 ///
 /// ```
 /// let _g = cayman_obs::span!("select.dp");
-/// let _g = cayman_obs::span!("select.task.bb", vertex = 7usize);
+/// let _g = cayman_obs::span!("select.combine", vertex = 7usize);
 /// ```
 #[macro_export]
 macro_rules! span {

@@ -8,8 +8,8 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Number of independently locked event stripes. A power of two so the
-/// stripe pick is a mask; 16 matches the selection scheduler's worker-count
-/// regime so concurrent workers rarely share a lock.
+/// stripe pick is a mask; 16 keeps concurrent threads (server connections,
+/// `table2` rows, edit sessions) from often sharing a lock.
 pub const STRIPES: usize = 16;
 
 /// An event or span name: static for hot paths (no allocation), joined for
@@ -132,10 +132,8 @@ pub enum EventKind {
         /// Amount added to the counter.
         delta: u64,
     },
-    /// A point-in-time marker (`ph: "i"`), e.g. a work steal.
+    /// A point-in-time marker (`ph: "i"`), e.g. a diagnostic.
     Instant,
-    /// Names the calling thread's lane (`ph: "M"`, `thread_name`).
-    Lane,
 }
 
 /// One recorded event.
@@ -384,16 +382,8 @@ impl Drop for TimedSpan {
     }
 }
 
-/// Records a point-in-time marker (e.g. one work steal). No-op when
-/// disabled.
-#[inline]
-pub fn instant(name: impl Into<Name>) {
-    if enabled() {
-        push(EventKind::Instant, name.into(), Vec::new());
-    }
-}
-
-/// [`instant`] with structured arguments (built only when enabled).
+/// Records a point-in-time marker with structured arguments (built only
+/// when enabled). No-op when disabled.
 #[inline]
 pub fn instant_with(name: impl Into<Name>, args: impl FnOnce() -> Vec<(&'static str, ArgValue)>) {
     if enabled() {
@@ -412,15 +402,5 @@ pub fn diag(name: impl Into<Name>, message: impl FnOnce() -> String) {
             name.into(),
             vec![("message", ArgValue::Str(message()))],
         );
-    }
-}
-
-/// Names the calling thread's lane in the trace viewer (e.g.
-/// `select.worker.3`). The label closure is only invoked when tracing is
-/// enabled, so formatting costs nothing otherwise.
-#[inline]
-pub fn lane(label: impl FnOnce() -> String) {
-    if enabled() {
-        push(EventKind::Lane, Name::Owned(label()), Vec::new());
     }
 }

@@ -241,8 +241,6 @@ pub struct TraceSummary {
     pub spans: usize,
     /// Distinct span names seen.
     pub span_names: Vec<String>,
-    /// Thread lane names from `thread_name` metadata events.
-    pub lanes: Vec<String>,
     /// Distinct counter track names.
     pub counters: Vec<String>,
     /// Distinct instant marker names.
@@ -328,17 +326,9 @@ pub fn validate_chrome(input: &str) -> Result<TraceSummary, String> {
             "i" | "I" => {
                 instants.insert(name, ());
             }
-            "M" => {
-                if name == "thread_name" {
-                    if let Some(lane) = e
-                        .get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(Json::as_str)
-                    {
-                        summary.lanes.push(lane.to_string());
-                    }
-                }
-            }
+            // Metadata (thread names and the like, from other writers)
+            // carries no timing.
+            "M" => {}
             other => return Err(format!("event {i}: unknown phase {other:?}")),
         }
     }
@@ -350,8 +340,6 @@ pub fn validate_chrome(input: &str) -> Result<TraceSummary, String> {
     summary.span_names = span_names.into_keys().collect();
     summary.counters = counters.into_keys().collect();
     summary.instants = instants.into_keys().collect();
-    summary.lanes.sort();
-    summary.lanes.dedup();
     Ok(summary)
 }
 
@@ -398,17 +386,20 @@ mod tests {
     #[test]
     fn validator_accepts_well_formed_trace_with_lanes() {
         let ok = r#"{"traceEvents":[
-            {"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"select.worker.0"}},
+            {"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"conn.0"}},
             {"name":"select.dp","ph":"B","ts":1.0,"pid":1,"tid":3},
             {"name":"cache.mem.hits","ph":"C","ts":1.5,"pid":1,"tid":3,"args":{"value":1}},
-            {"name":"select.steal","ph":"i","ts":2.0,"pid":1,"tid":3,"s":"t"},
+            {"name":"interp.fallback","ph":"i","ts":2.0,"pid":1,"tid":3,"s":"t"},
             {"name":"select.dp","ph":"E","ts":3.0,"pid":1,"tid":3}
         ],"displayTimeUnit":"ms"}"#;
         let s = validate_chrome(ok).unwrap();
-        assert_eq!(s.spans, 1);
-        assert_eq!(s.lanes, vec!["select.worker.0"]);
+        assert_eq!(
+            (s.events, s.spans),
+            (5, 1),
+            "the lane is an event, not a span"
+        );
         assert!(s.has_span_prefix("select."));
         assert_eq!(s.counters, vec!["cache.mem.hits"]);
-        assert_eq!(s.instants, vec!["select.steal"]);
+        assert_eq!(s.instants, vec!["interp.fallback"]);
     }
 }

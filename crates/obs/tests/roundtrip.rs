@@ -9,7 +9,6 @@ fn record_export_validate_roundtrip() {
     cayman_obs::enable();
     assert!(cayman_obs::enabled());
 
-    cayman_obs::lane(|| "main".to_string());
     {
         let _stage = cayman_obs::span!("analyse.profile", benchmark = "trisolv");
         let t = cayman_obs::timed("profile.interp");
@@ -18,9 +17,8 @@ fn record_export_validate_roundtrip() {
         assert!(t.finish() > 0);
     }
     let worker = std::thread::spawn(|| {
-        cayman_obs::lane(|| "select.worker.0".to_string());
-        let _task = cayman_obs::span!("select.task.accel", vertex = 3usize);
-        cayman_obs::instant("select.steal");
+        let _req = cayman_obs::span!("server.select", conn = 3usize);
+        cayman_obs::instant_with("server.timeout", Vec::new);
         cayman_obs::registry::counter("cache.mem.misses").add(1);
     });
     worker.join().unwrap();
@@ -33,19 +31,20 @@ fn record_export_validate_roundtrip() {
     // recorded.
     let chrome = trace.to_chrome();
     let summary = validate_chrome(&chrome).unwrap_or_else(|e| panic!("invalid trace: {e}"));
-    assert_eq!(summary.spans, 3, "analyse.profile + profile.interp + task");
+    assert_eq!(
+        summary.spans, 3,
+        "analyse.profile + profile.interp + request"
+    );
     assert!(summary.has_span_prefix("analyse."));
-    assert!(summary.has_span_prefix("select.task."));
-    assert!(summary.lanes.contains(&"main".to_string()));
-    assert!(summary.lanes.contains(&"select.worker.0".to_string()));
+    assert!(summary.has_span_prefix("server."));
     assert!(summary.counters.contains(&"profile.blocks".to_string()));
-    assert!(summary.instants.iter().any(|n| n == "select.steal"));
+    assert!(summary.instants.iter().any(|n| n == "server.timeout"));
 
     // The human summary names the heavy hitters.
     let human = trace.summary();
     assert!(human.contains("analyse.profile"), "{human}");
     assert!(human.contains("cache.mem.misses"), "{human}");
-    assert!(human.contains("select.worker.0"), "{human}");
+    assert!(human.contains("server.select"), "{human}");
 
     // Drain cleared the buffers.
     assert!(cayman_obs::drain().is_empty());

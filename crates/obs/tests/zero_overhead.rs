@@ -79,14 +79,15 @@ static HIST: cayman_obs::hist::Histogram = cayman_obs::hist::Histogram::new();
 static MISSES: cayman_obs::Counter = cayman_obs::Counter::new("cache.mem.misses");
 
 fn hot_path_iteration(i: usize, hits: &cayman_obs::Counter) {
-    let _g = cayman_obs::span!("select.task.bb", vertex = i);
+    let _g = cayman_obs::span!("select.combine", vertex = i);
     hits.add(1);
     MISSES.add(1);
     let t = cayman_obs::timed("model.accel");
     let nanos = t.finish();
     std::hint::black_box(nanos);
     HIST.record(std::hint::black_box(i as u64 * 977));
-    cayman_obs::instant("select.steal");
+    cayman_obs::instant_with("server.timeout", || {
+        vec![("conn", cayman_obs::ArgValue::U64(i as u64))]
+    });
     cayman_obs::diag("interp.fallback", || format!("vertex {i}"));
-    cayman_obs::lane(|| format!("select.worker.{i}"));
 }

@@ -89,8 +89,9 @@ pub trait DesignStoreBackend: Send + Sync + std::fmt::Debug {
 }
 
 /// Number of independent lock stripes. A power of two so the stripe pick is
-/// a mask; 16 stripes keep the probability of two of ≤16 workers colliding
-/// on one lock low without bloating the cache with empty maps.
+/// a mask; 16 stripes keep concurrent selections over one shared cache
+/// (`caymand`'s connection threads share a framework) from queueing on one
+/// lock, without bloating the cache with empty maps.
 const STRIPES: usize = 16;
 
 /// Which lock stripe a key lives on: FNV-1a over the key's numeric fields,
@@ -123,13 +124,13 @@ pub enum Source {
 }
 
 /// Memoised `accel(v, R)` results, shareable across selection runs and
-/// across threads within a run.
+/// across the threads that share one framework.
 ///
 /// Entries are `Arc`ed: a hit shares the design vector without copying it,
 /// and the selection DP clones only the designs that survive its Pareto
 /// reduction. The table is sharded into 16 independently locked stripes keyed
-/// by a deterministic hash of the [`DesignKey`], so parallel workers probing
-/// different candidates do not serialise on one global lock. The cache
+/// by a deterministic hash of the [`DesignKey`], so concurrent selections
+/// probing different candidates do not serialise on one global lock. The cache
 /// counts nothing itself: the selection DP counts its lookups per run
 /// (`SelectStats`) and adds the run's totals to the process-scope
 /// `cache.mem.*` counters once at run end.

@@ -16,17 +16,12 @@
 //! live in [`mod@crate::pareto`]. `F[root]` is the returned Pareto-optimal
 //! solution set for the whole application.
 //!
-//! [`run_selection`] is the one entry point. `Engine::dp` is the recursive
-//! reference engine, run when [`SelectOptions::threads`] `<= 1`; more threads
-//! run the work-stealing scheduler in [`crate::sched`]. Both fold child
-//! fronts with the same `Engine::fold`, strictly in child order, so the
-//! Pareto front is bit-identical for every thread budget. Four engineering
-//! layers sit on top of the paper's algorithm:
+//! [`run_selection`] is the one entry point, and `Engine::dp` its one
+//! engine: the recursion above on the calling thread, folding child fronts
+//! strictly in child order so the float summation order, and with it the
+//! Pareto front, is fixed. Three engineering layers sit on top of the
+//! paper's algorithm:
 //!
-//! * **Parallel subtrees** — the work-stealing scheduler turns every model
-//!   call into a task; the calling thread works through them while parked
-//!   helpers of one process-wide pool steal what is left (no external
-//!   dependencies).
 //! * **Design memoisation** — `accel(v, R)` is pure given what the model
 //!   reads about the region, so its results are memoised in a
 //!   [`DesignCache`] keyed by model identity × the candidate and its read
@@ -36,8 +31,8 @@
 //!   untouched.
 //! * **Front reuse** — given a table of folded fronts, a function vertex
 //!   (root child) whose [`FrontKey`] is in it is answered with the stored
-//!   front: neither engine descends into it. Incremental re-selection after
-//!   an edit only re-folds the functions whose key changed.
+//!   front: the engine does not descend into it. Incremental re-selection
+//!   after an edit only re-folds the functions whose key changed.
 //! * **Build only survivors** — `pareto` and `filter` read only area and
 //!   saving, so `⊗` and `accel` rank candidates on those totals
 //!   ([`mod@crate::pareto`]). `accel` hands out the design cache's shared
@@ -50,8 +45,7 @@
 
 use crate::cache::{DesignCache, DesignKey, ModelId, Source};
 use crate::pareto::{fold, with_designs, Solution};
-use crate::sched::{self, SchedKind};
-use crate::stats::{accel_label, AccelCall, AtomicStats, SelectStats};
+use crate::stats::{accel_label, AccelCall, RunStats, SelectStats};
 use cayman_analysis::profile::Profile;
 use cayman_analysis::wpst::{Wpst, WpstKind, WpstNodeId};
 use cayman_hls::design::{generate_designs, AcceleratorDesign};
@@ -61,7 +55,7 @@ use cayman_ir::Module;
 use cayman_obs::Counter;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// An accelerator model: turns a candidate region into configured designs.
 ///
@@ -69,9 +63,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// frameworks (NOVIA, QsCores) plug in their own restricted models so the
 /// same Algorithm 1 selection machinery drives all three comparisons.
 ///
-/// Models must be [`Sync`]: the parallel DP invokes them from the selection
-/// pool's helper threads. Every bundled model is a stateless value, so this
-/// is free.
+/// Models must be [`Sync`]: one model value may serve concurrent
+/// selections, as on the `Framework` that `caymand`'s connection threads
+/// share. Every bundled model is a stateless value, so this is free.
 pub trait AccelModel: Sync {
     /// Configurations for accelerating `cand` as one extracted kernel.
     fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign>;
@@ -112,14 +106,10 @@ pub struct SelectOptions {
     /// `prune` threshold: minimum fraction of total program time a region
     /// must account for to stay in the search.
     pub prune_share: f64,
-    /// Worker-thread budget. `1` (the default) runs the recursive reference
-    /// DP; more threads run the work-stealing scheduler. The Pareto front is
-    /// identical for every value.
+    /// Ignored (selection runs on the calling thread); ROADMAP item 8 deletes it.
     pub threads: usize,
-    /// Kept only so struct literals that spell out every field (the
-    /// repository benchmark's `sched: Default::default()`) still compile.
-    /// No code reads it: `threads` alone picks the engine.
-    pub sched: SchedKind,
+    /// Ignored (there is one selection engine); ROADMAP item 8 deletes it.
+    pub sched: (),
 }
 
 impl Default for SelectOptions {
@@ -129,7 +119,7 @@ impl Default for SelectOptions {
             alpha: 1.1,
             prune_share: 0.001,
             threads: 1,
-            sched: SchedKind::default(),
+            sched: (),
         }
     }
 }
@@ -181,8 +171,9 @@ impl SelectionResult {
 /// is answered from it, skipping its subtree's DP *and* every model call
 /// under it; the fronts folded for keys that missed are inserted after the
 /// run, and [`SelectStats::front_hits`]/[`SelectStats::front_misses`] count
-/// both. `visited` and the worker stats then reflect only the subtrees
-/// actually folded; they are not part of the front-equivalence surface.
+/// both. `visited` and the other search counters then reflect only the
+/// subtrees actually folded; they are not part of the front-equivalence
+/// surface.
 #[allow(clippy::too_many_arguments)]
 pub fn run_selection(
     module: &Module,
@@ -214,7 +205,7 @@ pub fn run_selection(
             .collect(),
         None => Vec::new(),
     };
-    let engine = Engine {
+    let mut engine = Engine {
         module,
         wpst,
         profile,
@@ -223,27 +214,16 @@ pub fn run_selection(
         model,
         model_id,
         cache,
-        stats: AtomicStats::default(),
+        stats: RunStats::default(),
         reuse: RootReuse {
             keys: &keys,
             stored,
-            missed: Mutex::default(),
+            missed: Vec::new(),
         },
     };
-    let threads = opts.threads.max(1);
-    let (pareto, scheduler) = if threads > 1 {
-        (sched::run_work_stealing(&engine, threads), "steal")
-    } else {
-        (engine.dp(wpst.root()), "seq")
-    };
-    let stats = engine
-        .stats
-        .snapshot(module, wall.finish(), threads, scheduler);
-    let missed = engine
-        .reuse
-        .missed
-        .into_inner()
-        .expect("front reuse poisoned");
+    let pareto = engine.dp(wpst.root());
+    let stats = engine.stats.snapshot(module, wall.finish());
+    let missed = engine.reuse.missed;
     // The run's totals reach the process-scope counters once, here. A
     // store hit missed memory and was promoted, so like a model call it
     // counts as a memory miss and an insert.
@@ -352,78 +332,71 @@ struct RootReuse<'a> {
     /// Each root child's stored front, where its key hit.
     stored: Vec<Option<&'a [Solution]>>,
     /// The fronts the root fold folded for keys that missed.
-    missed: Mutex<Vec<(FrontKey, Vec<Solution>)>>,
+    missed: Vec<(FrontKey, Vec<Solution>)>,
 }
 
-pub(crate) struct Engine<'a> {
+struct Engine<'a> {
     module: &'a Module,
-    pub(crate) wpst: &'a Wpst,
-    pub(crate) profile: &'a Profile,
+    wpst: &'a Wpst,
+    profile: &'a Profile,
     inputs: &'a [FuncInputs<'a>],
-    pub(crate) opts: &'a SelectOptions,
+    opts: &'a SelectOptions,
     model: &'a dyn AccelModel,
     /// `model.cache_id()`, computed once per run: hashing the model's
     /// options on every design lookup would repeat the same work.
     model_id: Option<ModelId>,
     cache: &'a DesignCache,
-    pub(crate) stats: AtomicStats,
+    stats: RunStats,
     reuse: RootReuse<'a>,
 }
 
 impl<'a> Engine<'a> {
-    /// `DP(v)`: the recursive reference engine.
-    fn dp(&self, v: WpstNodeId) -> Vec<Solution> {
+    /// `DP(v)`, recursively.
+    fn dp(&mut self, v: WpstNodeId) -> Vec<Solution> {
         // prune(v, R): not a hotspot → empty Pareto set.
         if self.profile.share(v) < self.opts.prune_share {
-            AtomicStats::add_usize(&self.stats.pruned, 1);
+            self.stats.pruned += 1;
             return vec![Solution::empty()];
         }
-        AtomicStats::add_usize(&self.stats.visited, 1);
+        self.stats.visited += 1;
 
         if self.wpst.is_bb(v) {
             return self.leaf(v);
         }
 
-        let stored = self.stored_fronts(v);
-        let child_fronts = self
-            .wpst
+        // Only the root's children (function vertices) have stored fronts.
+        let root = v == self.wpst.root();
+        let wpst = self.wpst;
+        let child_fronts = wpst
             .node(v)
             .children
             .iter()
             .enumerate()
-            .map(|(i, &u)| match stored.get(i).copied().flatten() {
-                Some(front) => Cow::Borrowed(front),
-                None => Cow::Owned(self.dp(u)),
+            .map(|(i, &u)| {
+                let stored = self.reuse.stored.get(i).filter(|_| root);
+                match stored.copied().flatten() {
+                    Some(front) => Cow::Borrowed(front),
+                    None => Cow::Owned(self.dp(u)),
+                }
             })
             .collect();
-        let accel = self.wpst.is_ctrl_flow(v).then(|| self.accel(v));
+        let accel = wpst.is_ctrl_flow(v).then(|| self.accel(v));
         self.fold(v, child_fronts, accel)
-    }
-
-    /// The stored fronts of `v`'s children, by child index: only the root's
-    /// children (function vertices) are ever looked up.
-    pub(crate) fn stored_fronts(&self, v: WpstNodeId) -> &[Option<&'a [Solution]>] {
-        if v == self.wpst.root() {
-            &self.reuse.stored
-        } else {
-            &[]
-        }
     }
 
     /// `F[v]` of a `bb` leaf: `filter(pareto(accel(v, R)))`, cloning only
     /// the designs that survive.
-    pub(crate) fn leaf(&self, v: WpstNodeId) -> Vec<Solution> {
+    fn leaf(&mut self, v: WpstNodeId) -> Vec<Solution> {
         with_designs(Vec::new(), v, &self.accel(v), self.opts.alpha)
     }
 
     /// `F[v]` from its children's fronts and, for a `ctrl-flow` vertex, its
     /// own `accel(v, R)` designs: [`fold`] strictly in child order — this
-    /// keeps the float summation order, and therefore the front, identical
-    /// in both engines. At the root of a run with a front table, the fold
-    /// also records which keyed fronts were stored (borrowed) and which it
-    /// folded (owned).
-    pub(crate) fn fold(
-        &self,
+    /// keeps the float summation order, and therefore the front, fixed. At
+    /// the root of a run with a front table, the fold also records which
+    /// keyed fronts were stored (borrowed) and which it folded (owned).
+    fn fold(
+        &mut self,
         v: WpstNodeId,
         child_fronts: Vec<Cow<'a, [Solution]>>,
         designs: Option<Arc<Vec<AcceleratorDesign>>>,
@@ -432,20 +405,19 @@ impl<'a> Engine<'a> {
         let t0 = cayman_obs::timed("select.combine");
         if v != self.wpst.root() || self.reuse.keys.is_empty() {
             let f = fold(child_fronts, own, self.opts.alpha);
-            AtomicStats::add_u64(&self.stats.combine_nanos, t0.finish());
+            self.stats.combine_nanos += t0.finish();
             return f;
         }
         // Front reuse below still needs the child fronts themselves.
         let borrowed = child_fronts.iter().map(|c| Cow::Borrowed(&**c));
         let f = fold(borrowed, own, self.opts.alpha);
-        AtomicStats::add_u64(&self.stats.combine_nanos, t0.finish());
-        let mut missed = self.reuse.missed.lock().expect("front reuse poisoned");
+        self.stats.combine_nanos += t0.finish();
         for (key, front) in self.reuse.keys.iter().zip(child_fronts) {
             match (key, front) {
-                (Some(_), Cow::Borrowed(_)) => AtomicStats::add_u64(&self.stats.front_hits, 1),
+                (Some(_), Cow::Borrowed(_)) => self.stats.front_hits += 1,
                 (Some(key), Cow::Owned(front)) => {
-                    AtomicStats::add_u64(&self.stats.front_misses, 1);
-                    missed.push((*key, front));
+                    self.stats.front_misses += 1;
+                    self.reuse.missed.push((*key, front));
                 }
                 (None, _) => {}
             }
@@ -457,7 +429,7 @@ impl<'a> Engine<'a> {
     /// extracted kernel, answered from the design cache when possible. The
     /// designs are handed out as the cache holds them; the caller ranks
     /// them and clones only those that survive.
-    pub(crate) fn accel(&self, v: WpstNodeId) -> Arc<Vec<AcceleratorDesign>> {
+    fn accel(&mut self, v: WpstNodeId) -> Arc<Vec<AcceleratorDesign>> {
         let Some((region, func)) = self.wpst.region(v) else {
             return Arc::default();
         };
@@ -476,14 +448,14 @@ impl<'a> Engine<'a> {
             is_bb: matches!(region.kind, cayman_analysis::regions::RegionKind::Bb(_)),
         };
         let designs = self.designs_for(&cand, v);
-        AtomicStats::add_usize(&self.stats.configs_considered, designs.len());
+        self.stats.configs_considered += designs.len();
         designs
     }
 
     /// Memoised model invocation, keyed by the candidate's read set. `v`
     /// only labels the top-k cost breakdown; it does not participate in the
     /// cache key.
-    fn designs_for(&self, cand: &Candidate, v: WpstNodeId) -> Arc<Vec<AcceleratorDesign>> {
+    fn designs_for(&mut self, cand: &Candidate, v: WpstNodeId) -> Arc<Vec<AcceleratorDesign>> {
         let inputs = &self.inputs[cand.func.index()];
         let key = self.model_id.map(|model| DesignKey {
             model,
@@ -492,14 +464,14 @@ impl<'a> Engine<'a> {
         if let Some(key) = &key {
             match self.cache.lookup(key) {
                 Some((hit, Source::Memory)) => {
-                    AtomicStats::add_u64(&self.stats.mem_hits, 1);
+                    self.stats.mem_hits += 1;
                     return hit;
                 }
                 Some((hit, Source::Store)) => {
-                    AtomicStats::add_u64(&self.stats.disk_hits, 1);
+                    self.stats.disk_hits += 1;
                     return hit;
                 }
-                None => AtomicStats::add_u64(&self.stats.cache_misses, 1),
+                None => self.stats.cache_misses += 1,
             }
         }
         // The span and the top-k breakdown label the invocation alike; the
@@ -510,8 +482,8 @@ impl<'a> Engine<'a> {
         });
         let designs = self.model.designs(inputs, cand);
         let nanos = t0.finish();
-        AtomicStats::add_u64(&self.stats.model_nanos, nanos);
-        AtomicStats::add_usize(&self.stats.configs_evaluated, designs.len());
+        self.stats.model_nanos += nanos;
+        self.stats.configs_evaluated += designs.len();
         self.stats.record_accel(AccelCall {
             func: cand.func,
             node: v,
@@ -752,114 +724,6 @@ mod tests {
             best_full > best_abl,
             "full {best_full} vs coupled-only {best_abl}"
         );
-    }
-
-    #[test]
-    fn parallel_selection_matches_sequential_bitwise() {
-        let app = App::analyse(two_kernel_app());
-        let inputs = app.inputs();
-        let reference = select(&app, &inputs, &SelectOptions::default());
-        assert_eq!(reference.stats.scheduler, "seq");
-        for threads in [2usize, 3, 8] {
-            let opts = SelectOptions {
-                threads,
-                ..Default::default()
-            };
-            let par = select(&app, &inputs, &opts);
-            assert!(
-                fronts_identical(&reference.pareto, &par.pareto),
-                "threads={threads} changed the front"
-            );
-            assert_eq!(par.visited, reference.visited, "threads={threads}");
-            assert_eq!(par.stats.pruned, reference.stats.pruned);
-            assert_eq!(
-                par.stats.configs_considered,
-                reference.stats.configs_considered
-            );
-            assert_eq!(par.stats.threads, threads);
-            assert_eq!(par.stats.scheduler, "steal");
-            // A repeated run must also be bit-identical: no steal
-            // interleaving may leak into the front.
-            let again = select(&app, &inputs, &opts);
-            assert!(
-                fronts_identical(&par.pareto, &again.pareto),
-                "threads={threads} is not reproducible"
-            );
-        }
-    }
-
-    /// Cayman's model, recording every candidate it is asked about.
-    #[derive(Default)]
-    struct Recording(Mutex<Vec<cayman_hls::inputs::CandidateKey>>);
-
-    impl AccelModel for Recording {
-        fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign> {
-            let key = RegionInputs::new(inputs, cand).key();
-            self.0.lock().expect("recording").push(key);
-            CaymanModel::default().designs(inputs, cand)
-        }
-    }
-
-    /// Cayman's model, except that it panics on one chosen candidate.
-    struct PanicsOn(cayman_hls::inputs::CandidateKey);
-
-    impl AccelModel for PanicsOn {
-        fn designs(&self, inputs: &FuncInputs<'_>, cand: &Candidate) -> Vec<AcceleratorDesign> {
-            if RegionInputs::new(inputs, cand).key() == self.0 {
-                panic!("model panics on the chosen vertex");
-            }
-            CaymanModel::default().designs(inputs, cand)
-        }
-    }
-
-    #[test]
-    fn a_model_panic_reaches_the_caller_and_the_pool_recovers() {
-        let app = App::analyse(two_kernel_app());
-        let inputs = app.inputs();
-        let opts = |threads| SelectOptions {
-            threads,
-            ..Default::default()
-        };
-        let run = |opts: &SelectOptions, model: &dyn AccelModel| {
-            run_selection(
-                &app.module,
-                &app.wpst,
-                &app.profile,
-                &inputs,
-                opts,
-                model,
-                &DesignCache::new(),
-                None,
-            )
-        };
-        let reference = run(&opts(1), &CaymanModel::default());
-        let seen = Recording::default();
-        run(&opts(1), &seen);
-        let seen = seen.0.into_inner().expect("recording");
-        assert!(seen.len() > 2, "the model was asked about several vertices");
-        // The caller pops the first planned task and helpers steal from the
-        // back, so the two ends put the panic on either side.
-        for chosen in [seen.first(), seen.last()] {
-            let model = PanicsOn(chosen.expect("a candidate").clone());
-            for threads in [2usize, 4] {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run(&opts(threads), &model)
-                }));
-                let payload = outcome.expect_err("the model's panic reaches the caller");
-                assert_eq!(
-                    payload.downcast_ref::<&str>(),
-                    Some(&"model panics on the chosen vertex"),
-                    "threads={threads}"
-                );
-            }
-        }
-        for threads in [2usize, 4] {
-            let after = run(&opts(threads), &CaymanModel::default());
-            assert!(
-                fronts_identical(&reference.pareto, &after.pareto),
-                "threads={threads} after a panic changed the front"
-            );
-        }
     }
 
     #[test]

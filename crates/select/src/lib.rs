@@ -9,13 +9,10 @@
 //! * [`mod@pareto`] — [`pareto::Solution`]s, Pareto reduction, the α-spacing
 //!   `filter`, the `⊗` combination operator and the per-vertex fold, all
 //!   ranking candidates on their totals before building any,
-//! * [`dp`] — Algorithm 1 ([`dp::run_selection`], the one entry point) with
-//!   heuristic pruning, design memoisation and per-function front reuse
-//!   (a caller-owned table keyed by [`dp::FrontKey`]); its recursive engine
-//!   runs when [`dp::SelectOptions::threads`] `<= 1`,
-//! * [`sched`] — the work-stealing engine, run when `threads > 1` by the
-//!   calling thread and the parked helpers of one process-wide pool; both
-//!   engines produce bit-identical fronts,
+//! * [`dp`] — Algorithm 1 ([`dp::run_selection`], the one entry point): one
+//!   recursive engine with heuristic pruning, design memoisation and
+//!   per-function front reuse (a caller-owned table keyed by
+//!   [`dp::FrontKey`]),
 //! * [`cache`] — the thread-safe [`cache::DesignCache`] memoising
 //!   `accel(v, R)` results across selection runs,
 //! * [`stats`] — the [`stats::SelectStats`] observability snapshot carried
@@ -23,17 +20,12 @@
 //!
 //! See [`dp::SelectionResult::best_under`] for extracting the best solution
 //! under an area budget (the paper's 25% / 65% CVA6-tile budgets).
-//!
-//! The crate's one `unsafe` operation is the pool's lifetime erasure; the
-//! lint below keeps it the only one.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod dp;
 pub mod pareto;
-mod pool;
-pub mod sched;
 pub mod stats;
 
 pub use cache::{DesignCache, DesignKey, DesignStoreBackend, ModelId};
@@ -41,5 +33,4 @@ pub use dp::{
     front_keys, run_selection, AccelModel, CaymanModel, FrontKey, SelectOptions, SelectionResult,
 };
 pub use pareto::{combine, filter, fold, pareto, with_designs, SelectedKernel, Solution};
-pub use sched::SchedKind;
 pub use stats::{AccelCallStat, SelectStats, TOP_ACCEL_K};

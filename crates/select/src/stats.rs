@@ -1,17 +1,14 @@
 //! Observability for Algorithm 1: per-phase wall time, design-cache
-//! effectiveness, and search-space counters, collected lock-free so the
-//! work-stealing engine can update them from every worker thread. Timing numbers
-//! come from `cayman-obs` [`TimedSpan`](cayman_obs::TimedSpan)s — the
-//! snapshot here is a *view over the same recorder* that feeds the Chrome
-//! trace, not a parallel measurement mechanism. Per-worker time is not
-//! summarised here: it is the `select.task.*` spans on each
-//! `select.worker.<n>` trace lane.
+//! effectiveness, and search-space counters, counted by the one engine that
+//! runs the DP. Timing numbers come from `cayman-obs`
+//! [`TimedSpan`](cayman_obs::TimedSpan)s — the snapshot here is a *view over
+//! the same recorder* that feeds the Chrome trace, not a parallel
+//! measurement mechanism.
 
 use cayman_analysis::wpst::WpstNodeId;
 use cayman_ir::{FuncId, Module};
 use cayman_obs::pool::TopPool;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How many of the most expensive `accel(v, R)` model invocations a
 /// [`SelectStats`] snapshot keeps.
@@ -56,20 +53,15 @@ pub struct SelectStats {
     /// Function-subtree fronts folded for keys the front table missed (and
     /// then inserted into it).
     pub front_misses: u64,
-    /// Nanoseconds spent inside the accelerator model, summed over threads.
+    /// Nanoseconds spent inside the accelerator model.
     pub model_nanos: u64,
-    /// Nanoseconds spent in Pareto combine/filter, summed over threads.
+    /// Nanoseconds spent in Pareto combine/filter.
     pub combine_nanos: u64,
     /// End-to-end wall-clock nanoseconds of the selection run.
     pub wall_nanos: u64,
-    /// The `threads` knob the run used.
-    pub threads: usize,
     /// The up-to-[`TOP_ACCEL_K`] most expensive `accel(v, R)` model
     /// invocations, most expensive first.
     pub top_accel: Vec<AccelCallStat>,
-    /// Which engine ran the DP: `"seq"` (the recursive reference) or
-    /// `"steal"` (work stealing); empty on hand-built snapshots.
-    pub scheduler: &'static str,
 }
 
 impl SelectStats {
@@ -84,8 +76,7 @@ impl SelectStats {
         }
     }
 
-    /// Seconds spent in the accelerator model (wall time summed over
-    /// threads, so this can exceed the run's wall time when `threads > 1`).
+    /// Seconds spent in the accelerator model.
     pub fn model_seconds(&self) -> f64 {
         self.model_nanos as f64 * 1e-9
     }
@@ -112,7 +103,7 @@ impl fmt::Display for SelectStats {
         write!(
             f,
             "visited {} (pruned {}), configs {} ({} modeled), cache {}/{} hit ({:.0}%), \
-             model {:.2}ms + combine {:.2}ms, wall {:.2}ms on {} thread(s)",
+             model {:.2}ms + combine {:.2}ms, wall {:.2}ms",
             self.visited,
             self.pruned,
             self.configs_considered,
@@ -123,12 +114,7 @@ impl fmt::Display for SelectStats {
             self.model_seconds() * 1e3,
             self.combine_nanos as f64 * 1e-6,
             self.wall_nanos as f64 * 1e-6,
-            self.threads.max(1),
-        )?;
-        if !self.scheduler.is_empty() {
-            write!(f, " [{}]", self.scheduler)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -154,45 +140,40 @@ pub(crate) fn accel_label(module: &Module, func: FuncId, node: WpstNodeId, is_bb
     )
 }
 
-/// The live, thread-shared accumulator behind [`SelectStats`]. All updates
-/// are relaxed atomics: counters are independent, and the final snapshot
-/// happens after every pool helper has left the run (the pool's state lock
-/// orders their updates before it), so no ordering stronger than `Relaxed`
-/// is needed.
+/// The per-run accumulator behind [`SelectStats`]: plain counters, owned
+/// by the engine that runs the DP.
 #[derive(Debug)]
-pub(crate) struct AtomicStats {
-    pub visited: AtomicUsize,
-    pub pruned: AtomicUsize,
-    pub configs_considered: AtomicUsize,
-    pub configs_evaluated: AtomicUsize,
-    pub mem_hits: AtomicU64,
-    pub disk_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
-    pub front_hits: AtomicU64,
-    pub front_misses: AtomicU64,
-    pub model_nanos: AtomicU64,
-    pub combine_nanos: AtomicU64,
+pub(crate) struct RunStats {
+    pub visited: usize,
+    pub pruned: usize,
+    pub configs_considered: usize,
+    pub configs_evaluated: usize,
+    pub mem_hits: u64,
+    pub disk_hits: u64,
+    pub cache_misses: u64,
+    pub front_hits: u64,
+    pub front_misses: u64,
+    pub model_nanos: u64,
+    pub combine_nanos: u64,
     /// Candidate pool for the top-k `accel` breakdown (most expensive
-    /// first, vertex as tiebreak). Bounded by the pool itself: model
-    /// invocations are orders of magnitude more expensive than the push, so
-    /// contention is negligible.
+    /// first, vertex as tiebreak), bounded by the pool itself.
     top_accel: TopPool<AccelCall>,
 }
 
-impl Default for AtomicStats {
+impl Default for RunStats {
     fn default() -> Self {
-        AtomicStats {
-            visited: AtomicUsize::new(0),
-            pruned: AtomicUsize::new(0),
-            configs_considered: AtomicUsize::new(0),
-            configs_evaluated: AtomicUsize::new(0),
-            mem_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            front_hits: AtomicU64::new(0),
-            front_misses: AtomicU64::new(0),
-            model_nanos: AtomicU64::new(0),
-            combine_nanos: AtomicU64::new(0),
+        RunStats {
+            visited: 0,
+            pruned: 0,
+            configs_considered: 0,
+            configs_evaluated: 0,
+            mem_hits: 0,
+            disk_hits: 0,
+            cache_misses: 0,
+            front_hits: 0,
+            front_misses: 0,
+            model_nanos: 0,
+            combine_nanos: 0,
             top_accel: TopPool::new(TOP_ACCEL_K, |a, b| {
                 b.nanos
                     .cmp(&a.nanos)
@@ -202,15 +183,7 @@ impl Default for AtomicStats {
     }
 }
 
-impl AtomicStats {
-    pub fn add_usize(counter: &AtomicUsize, n: usize) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn add_u64(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
+impl RunStats {
     /// Records one `accel(v, R)` model invocation for the top-k breakdown.
     pub fn record_accel(&self, call: AccelCall) {
         self.top_accel.push(call);
@@ -218,13 +191,7 @@ impl AtomicStats {
 
     /// Freezes the accumulator into a snapshot, labelling the kept model
     /// invocations with `module`'s function names.
-    pub fn snapshot(
-        &self,
-        module: &Module,
-        wall_nanos: u64,
-        threads: usize,
-        scheduler: &'static str,
-    ) -> SelectStats {
+    pub fn snapshot(&self, module: &Module, wall_nanos: u64) -> SelectStats {
         let top_accel = self
             .top_accel
             .snapshot()
@@ -235,23 +202,20 @@ impl AtomicStats {
                 designs: c.designs,
             })
             .collect();
-        let disk_hits = self.disk_hits.load(Ordering::Relaxed);
         SelectStats {
-            visited: self.visited.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            configs_considered: self.configs_considered.load(Ordering::Relaxed),
-            configs_evaluated: self.configs_evaluated.load(Ordering::Relaxed),
-            cache_hits: self.mem_hits.load(Ordering::Relaxed) + disk_hits,
-            disk_hits,
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            front_hits: self.front_hits.load(Ordering::Relaxed),
-            front_misses: self.front_misses.load(Ordering::Relaxed),
-            model_nanos: self.model_nanos.load(Ordering::Relaxed),
-            combine_nanos: self.combine_nanos.load(Ordering::Relaxed),
+            visited: self.visited,
+            pruned: self.pruned,
+            configs_considered: self.configs_considered,
+            configs_evaluated: self.configs_evaluated,
+            cache_hits: self.mem_hits + self.disk_hits,
+            disk_hits: self.disk_hits,
+            cache_misses: self.cache_misses,
+            front_hits: self.front_hits,
+            front_misses: self.front_misses,
+            model_nanos: self.model_nanos,
+            combine_nanos: self.combine_nanos,
             wall_nanos,
-            threads,
             top_accel,
-            scheduler,
         }
     }
 }
@@ -290,17 +254,21 @@ mod tests {
 
     #[test]
     fn snapshot_carries_all_counters() {
-        let a = AtomicStats::default();
-        AtomicStats::add_usize(&a.visited, 5);
-        AtomicStats::add_usize(&a.pruned, 2);
-        AtomicStats::add_usize(&a.configs_considered, 10);
-        AtomicStats::add_usize(&a.configs_evaluated, 7);
-        AtomicStats::add_u64(&a.mem_hits, 3);
-        AtomicStats::add_u64(&a.disk_hits, 1);
-        AtomicStats::add_u64(&a.cache_misses, 6);
-        AtomicStats::add_u64(&a.model_nanos, 1_000);
-        AtomicStats::add_u64(&a.combine_nanos, 2_000);
-        let s = a.snapshot(&two_functions(), 5_000, 4, "steal");
+        let a = RunStats {
+            visited: 5,
+            pruned: 2,
+            configs_considered: 10,
+            configs_evaluated: 7,
+            mem_hits: 3,
+            disk_hits: 1,
+            cache_misses: 6,
+            front_hits: 2,
+            front_misses: 1,
+            model_nanos: 1_000,
+            combine_nanos: 2_000,
+            ..RunStats::default()
+        };
+        let s = a.snapshot(&two_functions(), 5_000);
         assert_eq!(s.visited, 5);
         assert_eq!(s.pruned, 2);
         assert_eq!(s.configs_considered, 10);
@@ -308,25 +276,24 @@ mod tests {
         assert_eq!(s.cache_hits, 4, "memory and store hits");
         assert_eq!(s.disk_hits, 1);
         assert_eq!(s.cache_misses, 6);
+        assert_eq!((s.front_hits, s.front_misses), (2, 1));
+        assert_eq!((s.model_nanos, s.combine_nanos), (1_000, 2_000));
         assert_eq!(s.wall_nanos, 5_000);
-        assert_eq!(s.threads, 4);
-        assert_eq!(s.scheduler, "steal");
         // the Display line mentions the key numbers
         let line = s.to_string();
         assert!(line.contains("visited 5"), "{line}");
         assert!(line.contains("40%"), "{line}");
-        assert!(line.contains("[steal]"), "{line}");
     }
 
     #[test]
     fn top_accel_is_sorted_bounded_and_deterministic() {
-        let a = AtomicStats::default();
+        let a = RunStats::default();
         // Overflow the pool to exercise the bounded-truncate path.
         for i in 0..(4 * TOP_ACCEL_K + 10) {
             a.record_accel(call(0, i, (i as u64 % 37) * 1000, i));
         }
         a.record_accel(call(1, 0, 1_000_000, 3));
-        let s = a.snapshot(&two_functions(), 1, 1, "seq");
+        let s = a.snapshot(&two_functions(), 1);
         assert_eq!(s.top_accel.len(), TOP_ACCEL_K);
         assert_eq!(s.top_accel[0].label, "hot#v0:bb");
         assert!(s.top_accel[1].label.starts_with("f#v"), "{:?}", s.top_accel);

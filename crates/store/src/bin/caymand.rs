@@ -1,8 +1,8 @@
 //! `caymand` — the long-running Cayman analyse/select daemon.
 //!
 //! ```text
-//! caymand --unix /run/caymand.sock [--store DIR] [--threads N] [--max-frameworks N]
-//! caymand --tcp 127.0.0.1:7164    [--store DIR] [--threads N] [--max-frameworks N]
+//! caymand --unix /run/caymand.sock [--store DIR] [--max-frameworks N]
+//! caymand --tcp 127.0.0.1:7164    [--store DIR] [--max-frameworks N]
 //!         [--metrics-file PATH]
 //! ```
 //!
@@ -18,14 +18,13 @@
 //! through the `CAYMAN_TRACE` (Chrome trace) and `CAYMAN_OBS_SUMMARY`
 //! environment sinks.
 
-use cayman::SelectOptions;
 use cayman_store::{serve, Endpoint, ServerOptions, STORE_DIR_ENV};
 use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: caymand (--unix PATH | --tcp ADDR) [--store DIR] [--threads N] \
-         [--max-frameworks N] [--metrics-file PATH]"
+        "usage: caymand (--unix PATH | --tcp ADDR) [--store DIR] [--max-frameworks N] \
+         [--metrics-file PATH]"
     );
     std::process::exit(2);
 }
@@ -49,12 +48,6 @@ fn main() {
             "--unix" => endpoint = Some(Endpoint::Unix(PathBuf::from(value("a socket path")))),
             "--tcp" => endpoint = Some(Endpoint::Tcp(value("an address"))),
             "--store" => opts.store_dir = Some(PathBuf::from(value("a directory"))),
-            "--threads" => {
-                opts.select = SelectOptions {
-                    threads: value("a count").parse().unwrap_or_else(|_| usage()),
-                    ..opts.select
-                }
-            }
             "--max-frameworks" => {
                 opts.max_frameworks = value("a count").parse().unwrap_or_else(|_| usage())
             }

@@ -4,8 +4,8 @@
 //! Everything here is **bit-exact**: `f64`s travel as `to_bits` words, so
 //! `decode(encode(x))` reproduces `x` down to the sign of zero and NaN
 //! payloads — the repo-wide invariant that Pareto fronts are bit-identical
-//! across schedulers, thread counts and cache states extends to fronts that
-//! round-trip through disk or a socket.
+//! across cache states and reuse paths extends to fronts that round-trip
+//! through disk or a socket.
 //!
 //! ## Entry format (version [`VERSION`])
 //!

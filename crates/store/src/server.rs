@@ -160,8 +160,7 @@ impl Listener {
 pub struct ServerOptions {
     /// Back every framework's design cache with this store directory.
     pub store_dir: Option<PathBuf>,
-    /// Selection options used for every SELECT (fronts are bit-identical
-    /// for every thread count, so this only affects latency).
+    /// Selection options used for every SELECT.
     pub select: SelectOptions,
     /// At most this many analysed frameworks are kept warm (LRU).
     pub max_frameworks: usize,

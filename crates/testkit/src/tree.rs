@@ -1,4 +1,4 @@
-//! Random workload *tree shapes* for scheduler property tests.
+//! Random workload *tree shapes* for selection property tests.
 //!
 //! The selection DP walks the wPST, whose shape mirrors the loop and call
 //! structure of the workload: sibling functions become independent subtrees,

@@ -24,7 +24,7 @@ cargo bench -p cayman-bench --bench profiling --offline -- --smoke
 echo "== accelerator models (smoke: every model on one kernel per suite) =="
 cargo bench -p cayman-bench --bench model --offline -- --smoke
 
-echo "== selection schedulers (smoke: fronts bit-identical) =="
+echo "== selection (smoke: every shape selects once, disabled tracing stays near zero cost) =="
 cargo bench -p cayman-bench --bench selection --offline -- --smoke
 
 echo "== incremental re-analysis (smoke: fronts bit-identical, warm toggles cache-hit) =="
@@ -65,8 +65,7 @@ CAYMAN_TRACE="$trace" cargo run -q --release -p cayman-bench --offline --bin tab
 cargo run -q --release -p cayman-bench --offline --bin tracecheck -- "$trace" \
   --require-prefix normalize. --require-prefix profile. --require-prefix select. \
   --require-prefix model. --require-prefix merge. --require-prefix inc.query. \
-  --require-prefix cache.mem. \
-  --require-lane select.worker.
+  --require-prefix cache.mem.
 rm -f "$trace"
 
 echo "== library crates stay silent (diagnostics go through cayman-obs) =="
@@ -80,7 +79,6 @@ echo "== environment-variable set is pinned (no new knob without a measured need
 env_allowed="CAYMAN_METRICS_INTERVAL_MS
 CAYMAN_OBS_SUMMARY
 CAYMAN_REQ_TIMEOUT_MS
-CAYMAN_SELECT_THREADS
 CAYMAN_SLOW_REQ_MS
 CAYMAN_STORE_DIR
 CAYMAN_STORE_MAX_BYTES

@@ -1,7 +1,7 @@
 //! Generative differential fuzzing of the full pipeline as a property test:
 //! `testkit::program` modules must agree across every crossed configuration
-//! (decoded vs reference interpreter, `-O0` vs `-O1`, static vs work-steal
-//! scheduler at 2/3/8 threads, merged best solutions).
+//! (decoded vs reference interpreter, `-O0` vs `-O1`, `-O1` vs `-O2`
+//! staging).
 //!
 //! On failure, `prop_check!` shrinks the derivation and this test prints the
 //! minimal counterexample as a re-parseable text kernel — paste it into a
