@@ -454,8 +454,9 @@ impl IncCheck {
 /// from scratch. The incremental result must be **bit-identical** at every
 /// step: the selection Pareto front (area/saved-seconds bits,
 /// kernel node ids and block sets), the execution profile (block counts,
-/// total cycles, return-value bits and engine), and the merged best
-/// solution's area accounting. A step whose execution the slice proof
+/// total cycles, return-value bits and engine), the analyses the store's
+/// queries reuse (prints, selection fingerprints, trip-count bits), and the
+/// merged best solution's area accounting. A step whose execution the slice proof
 /// answered is also run through the interpreter, which must produce the
 /// proved profile. Across all steps, every candidate whose design-cache key
 /// repeats must get bit-identical designs from the model.
@@ -564,6 +565,9 @@ pub fn check_incremental(
         if let Some(msg) = exec_mismatch((&fresh_app.exec, fresh_app.profiling_engine), inc_exec) {
             fail("incremental", format!("step {step}: {msg}"))?;
         }
+        if let Some(msg) = analysis_mismatch(&fresh_app, &inc_app) {
+            fail("incremental", format!("step {step}: {msg}"))?;
+        }
         let after = *inc.stats();
         if step > 0 {
             let proved = after.proved - before.proved;
@@ -666,6 +670,32 @@ fn exec_mismatch(
     } else {
         None
     }
+}
+
+/// The first way the analyses the incremental store reused across edits
+/// differ from a fresh application's: the prints (structure and dataflow
+/// halves), the selection fingerprints, or the trip counts by bits.
+fn analysis_mismatch(want: &Application, got: &Application) -> Option<String> {
+    if want.module.functions.len() != got.module.functions.len() {
+        return Some("function counts diverge".into());
+    }
+    let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (f, func) in want.module.functions.iter().enumerate() {
+        let name = &func.name;
+        if want.prints[f] != got.prints[f] {
+            return Some(format!("`{name}`: prints diverge"));
+        }
+        if want.selection_fps[f] != got.selection_fps[f] {
+            return Some(format!("`{name}`: selection fingerprints diverge"));
+        }
+        if bits(&want.trips[f]) != bits(&got.trips[f]) {
+            return Some(format!(
+                "`{name}`: trip counts diverge: {:?} vs {:?}",
+                want.trips[f], got.trips[f]
+            ));
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The analysed application: one-stop ownership of everything the selection
 //! and merging stages consume.
 
-use crate::inc::QueryStore;
+use crate::inc::{QueryStore, RawFps};
 use crate::CaymanError;
 use cayman_analysis::access::AccessAnalysis;
 use cayman_analysis::memdep::LoopDeps;
@@ -153,23 +153,12 @@ impl Application {
         opts: &AnalyseOptions,
     ) -> Result<Self, CaymanError> {
         let mut store = QueryStore::new();
-        let raw_fps: Vec<u64> = module
-            .functions
-            .iter()
-            .map(cayman_ir::fingerprint_function)
-            .collect();
+        let raw = RawFps::of(&module.functions);
         let memory_fp = memory
             .as_ref()
             .map(cayman_ir::fingerprint_memory)
             .unwrap_or(0);
-        let app = crate::inc::assemble(
-            &mut store,
-            &module,
-            memory.as_ref(),
-            memory_fp,
-            opts,
-            &raw_fps,
-        );
+        let app = crate::inc::assemble(&mut store, &module, memory.as_ref(), memory_fp, opts, &raw);
         store.publish();
         let app = app?;
         // The transient store holds the only other Arc; dropping it makes

@@ -6,14 +6,14 @@
 //!
 //! | query | key | value |
 //! |---|---|---|
-//! | verify | raw module fp | () |
+//! | verify | raw module ints-print | () |
 //! | normalize | (raw fn fp, arrays fp, level, verify-each) | normalized `Function` + stats |
 //! | shadow | (normalized fn fp, arrays fp) | address-canonicalized `Function` |
-//! | structure | normalized fn fp | `FuncCtx` + `RegionTree` + structural prints |
+//! | structure | normalized fn ints-print | `FuncCtx` + `RegionTree` + structural prints |
 //! | decode | (normalized fn fp, arrays fp) | decoded interpreter function |
 //! | exec | (normalized module fp, memory fp) | `ExecProfile`, run or proved |
-//! | dataflow | (analysis fn fp, arrays fp) | accesses + loop deps + their prints |
-//! | trips | (normalized fn fp, arrays fp, block-count fp) | trip counts |
+//! | dataflow | (analysis fn ints-print, arrays fp) | accesses + loop deps + their prints |
+//! | trips | (normalized fn ints-print, arrays fp, block-count fp) | trip counts |
 //! | app | (raw module fp, memory fp, analyse opts) | `Arc<Application>` |
 //! | select | (every root child's front key, model fp, α, prune) | `Arc<SelectionResult>` |
 //! | front | (function vertex, selection fp, total cycles, model, α, prune) | folded function-subtree front |
@@ -25,13 +25,25 @@
 //! and extended by [`run_selection`] inside a select miss, which counts its
 //! hits and misses in `SelectStats`.
 //!
-//! The last two keys are the only ones that do not hash the functions'
-//! bodies. A function's *selection fp* ([`FuncPrints::selection_fp`]) folds
-//! what a selection reads about it: its value-blind block prints, its loop
-//! and array prints, its block counts and its trip counts. An edit that
-//! only changes immediate values re-runs normalization, structure and
-//! dataflow for the edited function (their keys see the bits), then finds
-//! every front key, and so the whole selection, unchanged.
+//! Each query is keyed on the narrowest print that covers what it reads.
+//! A *fp* ([`cayman_ir::fingerprint_function`]) hashes every immediate by
+//! its bits: normalization, decode and execution read values. An
+//! *ints-print* ([`FunctionFps::ints`], computed in the same walk) hashes
+//! an integer immediate by value and a float or bool immediate by kind
+//! only: the verifier, CFG and region structure, access and dependence
+//! analysis and static trip counts read integer immediates at most (SCEV
+//! and the access footprints), which `tests/analyses_read_ints.rs` checks
+//! over the corpus. The last two keys do not hash the functions' bodies
+//! at all. A function's *selection fp* ([`FuncPrints::selection_fp`])
+//! folds what a selection reads about it: its value-blind block prints,
+//! its loop and array prints, its block counts and its trip counts.
+//!
+//! So an edit that only changes a float or bool immediate re-runs the
+//! edited function's normalization, then the exec query (or its proof,
+//! and decode when the proof refuses); verify, structure, dataflow and
+//! trips hit on unchanged ints-prints, and every front key, and so the
+//! whole selection, is unchanged. An integer edit also re-runs the edited
+//! function's structure, dataflow and trips.
 //!
 //! At `-O2` the *executed* module is still normalized at `-O1` — structure,
 //! decode, exec and trips all key off the `-O1` fingerprints, so profiles
@@ -43,8 +55,9 @@
 //! executed body by instruction id. A function's *analysis fingerprint* is
 //! its `-O1` fingerprint when canonicalization was a no-op (sharing the
 //! dataflow cache with `-O1`), otherwise a mix of the `-O1` and shadow
-//! fingerprints — design caches and selection fronts absorb the extra
-//! precision through the same content keys as any other edit.
+//! fingerprints, and its analysis ints-print is mixed the same way —
+//! design caches and selection fronts absorb the extra precision through
+//! the same content keys as any other edit.
 //!
 //! An exec miss first tries to **prove** the run unnecessary. The store
 //! keeps its most recently analysed application as the *parent*; when the
@@ -68,10 +81,10 @@
 //! and selection queries) hits outright.
 //!
 //! [`IncrementalApp`] owns a raw module, a memory image and a store, takes
-//! [`Edit`]s, and maintains the per-function raw fingerprints incrementally
-//! — `apply` re-hashes only the touched function, which is the explicit
-//! dirty mark on the wPST spine (the root's child subtree for that
-//! function plus the whole-module exec/app/select keys above it). On the
+//! [`Edit`]s, and maintains the per-function raw fps and ints-prints
+//! incrementally — `apply` re-hashes only the touched function, which is
+//! the explicit dirty mark on the wPST spine (the root's child subtree for
+//! that function plus the whole-module exec/app/select keys above it). On the
 //! next [`IncrementalApp::select`], clean root subtrees are answered from
 //! the store's table of per-function subtree fronts (keyed by
 //! [`FrontKey`]), and only the dirty spine is re-folded. Inside a dirty
@@ -101,8 +114,8 @@ use cayman_ir::slice::counts_unchanged;
 use cayman_ir::transform::{normalize_function, OptLevel, PassManager, PipelineStats};
 use cayman_ir::verify::VerifyError;
 use cayman_ir::{
-    decode_function, fingerprint_arrays, fingerprint_function, fingerprint_memory,
-    fingerprint_module_from_parts, FuncId, Function, Instr, Module,
+    decode_function, fingerprint_arrays, fingerprint_function_pair, fingerprint_memory,
+    fingerprint_module_from_parts, FuncId, Function, FunctionFps, Instr, Module,
 };
 use cayman_obs::{ArgValue, Counter, SpanGuard};
 use cayman_select::{
@@ -240,13 +253,14 @@ struct NormKey {
 
 struct NormResult {
     func: Function,
-    norm_fp: u64,
+    /// Both prints of `func`.
+    fps: FunctionFps,
     stats: PipelineStats,
 }
 
-/// A per-function key: one function fingerprint (normalized for shadow and
-/// decode, the analysis fingerprint for dataflow) under the module's array
-/// declarations.
+/// A per-function key: one function print (the normalized bits for shadow
+/// and decode, the analysis ints-print for dataflow) under the module's
+/// array declarations.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct FuncKey {
     fp: u64,
@@ -257,7 +271,8 @@ struct ShadowResult {
     /// The address-canonicalized clone of the normalized function. Same
     /// `InstrId`s/`ValueId`s/blocks/terminators as the executed body.
     func: Function,
-    shadow_fp: u64,
+    /// Both prints of `func`.
+    fps: FunctionFps,
     stats: PipelineStats,
 }
 
@@ -320,7 +335,8 @@ impl ExecParent {
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct TripsKey {
-    norm_fp: u64,
+    /// The normalized function's ints-print.
+    norm_ints: u64,
     arrays_fp: u64,
     bc_fp: u64,
 }
@@ -420,21 +436,60 @@ impl QueryStore {
     }
 }
 
+/// Per-function prints of a raw (pre-normalization) module, kept in step
+/// with its functions: [`IncrementalApp`] re-hashes only what an edit
+/// touched, and the batch path hashes every function once.
+pub(crate) struct RawFps {
+    /// Bit-exact prints: the normalize and app keys.
+    bits: Vec<u64>,
+    /// Ints-prints: the verify key.
+    ints: Vec<u64>,
+}
+
+impl RawFps {
+    /// The prints of every function of `functions`, one walk each.
+    pub(crate) fn of(functions: &[Function]) -> RawFps {
+        let mut fps = RawFps {
+            bits: Vec::with_capacity(functions.len()),
+            ints: Vec::with_capacity(functions.len()),
+        };
+        for f in functions {
+            fps.push(f);
+        }
+        fps
+    }
+
+    fn push(&mut self, f: &Function) {
+        let fp = fingerprint_function_pair(f);
+        self.bits.push(fp.bits);
+        self.ints.push(fp.ints);
+    }
+
+    fn set(&mut self, i: usize, f: &Function) {
+        let fp = fingerprint_function_pair(f);
+        self.bits[i] = fp.bits;
+        self.ints[i] = fp.ints;
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.bits.remove(i);
+        self.ints.remove(i);
+    }
+}
+
 /// Assembles a fully analysed [`Application`] over `store`'s queries.
 ///
-/// `raw_fps` must be the per-function content fingerprints of `module`'s
-/// (pre-normalization) functions — [`IncrementalApp`] maintains them
-/// incrementally across edits; the batch path hashes them fresh.
+/// `raw` must hold the prints of `module`'s (pre-normalization) functions.
 pub(crate) fn assemble(
     store: &mut QueryStore,
     module: &Module,
     memory: Option<&Memory>,
     memory_fp: u64,
     opts: &AnalyseOptions,
-    raw_fps: &[u64],
+    raw: &RawFps,
 ) -> Result<Arc<Application>, CaymanError> {
     let arrays_fp = fingerprint_arrays(&module.arrays);
-    let module_fp = fingerprint_module_from_parts(&module.name, raw_fps, arrays_fp);
+    let module_fp = fingerprint_module_from_parts(&module.name, &raw.bits, arrays_fp);
     let app_key = AppKey {
         module_fp,
         memory_fp,
@@ -444,13 +499,19 @@ pub(crate) fn assemble(
     let functions = Some(("functions", ArgValue::from(module.functions.len())));
     let counts = &mut store.stats;
     let app = store.apps.get(app_key, &mut counts.app, functions, || {
-        // Stage 1: verify (whole-module; a hit means this exact raw content
-        // already verified clean).
+        // Stage 1: verify (whole-module; a hit means content of this shape
+        // already verified clean). The verifier reads no immediate's value,
+        // and its cross-function reads, callee signatures and arrays, are
+        // inside this fold.
         {
             let _s = cayman_obs::span!("analyse.verify");
-            store
-                .verified
-                .get(module_fp, &mut counts.verify, None, || Ok(module.verify()?))?;
+            let verify_key = fingerprint_module_from_parts(&module.name, &raw.ints, arrays_fp);
+            store.verified.get(
+                verify_key,
+                &mut counts.verify,
+                None,
+                || Ok(module.verify()?),
+            )?;
         }
 
         // Stage 2: normalize, one keyed query per function. `-O2` *executes*
@@ -462,39 +523,52 @@ pub(crate) fn assemble(
             OptLevel::O2 => OptLevel::O1,
             lvl => lvl,
         };
-        let mut working = module.clone();
-        let mut norm_fps: Vec<u64> = Vec::with_capacity(working.functions.len());
+        let n = module.functions.len();
+        let mut norm_fps: Vec<u64> = Vec::with_capacity(n);
+        let mut norm_ints: Vec<u64> = Vec::with_capacity(n);
         let mut normalize_stats = PipelineStats::default();
-        {
+        let working = {
             let _s = cayman_obs::span!("analyse.normalize");
+            let mut functions = Vec::with_capacity(n);
             if exec_level == OptLevel::O0 {
-                norm_fps.extend_from_slice(raw_fps);
+                norm_fps.extend_from_slice(&raw.bits);
+                norm_ints.extend_from_slice(&raw.ints);
+                functions.extend_from_slice(&module.functions);
             } else {
+                // A miss normalizes in place in one copy of the module,
+                // cloned on the first miss only.
+                let mut whole: Option<Module> = None;
                 for f in module.function_ids() {
                     let key = NormKey {
-                        raw_fp: raw_fps[f.index()],
+                        raw_fp: raw.bits[f.index()],
                         arrays_fp,
                         level: exec_level,
                         verify_each: opts.verify_each_pass,
                     };
                     let arg = Some(("func", ArgValue::from(f.index())));
                     let cached = store.normalize.get(key, &mut counts.normalize, arg, || {
+                        let whole = whole.get_or_insert_with(|| module.clone());
                         let stats =
-                            normalize_function(&mut working, f, exec_level, opts.verify_each_pass)?;
-                        let func = working.functions[f.index()].clone();
-                        let norm_fp = fingerprint_function(&func);
+                            normalize_function(whole, f, exec_level, opts.verify_each_pass)?;
+                        let func = whole.functions[f.index()].clone();
                         Ok(NormResult {
+                            fps: fingerprint_function_pair(&func),
                             func,
-                            norm_fp,
                             stats,
                         })
                     })?;
-                    working.functions[f.index()] = cached.func.clone();
-                    norm_fps.push(cached.norm_fp);
+                    functions.push(cached.func.clone());
+                    norm_fps.push(cached.fps.bits);
+                    norm_ints.push(cached.fps.ints);
                     normalize_stats.merge(&cached.stats);
                 }
             }
-        }
+            Module {
+                name: module.name.clone(),
+                functions,
+                arrays: module.arrays.clone(),
+            }
+        };
         let norm_module_fp = fingerprint_module_from_parts(&working.name, &norm_fps, arrays_fp);
 
         // Stage 2b (`-O2` only): per-function address-canonicalization
@@ -503,8 +577,9 @@ pub(crate) fn assemble(
         // (pinned by the workload differential suite) keeps every
         // memory/phi/call instruction in place — so the query runs on a
         // single-function clone.
-        let mut shadows: Vec<Option<Arc<ShadowResult>>> = vec![None; working.functions.len()];
+        let mut shadows: Vec<Option<Arc<ShadowResult>>> = vec![None; n];
         let mut analysis_fps = norm_fps.clone();
+        let mut analysis_ints = norm_ints.clone();
         if opts.opt_level == OptLevel::O2 {
             let _s = cayman_obs::span!("analyse.shadow");
             for f in working.function_ids() {
@@ -523,32 +598,33 @@ pub(crate) fn assemble(
                         .run_function(&mut tmp, FuncId(0))
                         .expect("address_canon never verifies, so never fails");
                     let func = tmp.functions.pop().expect("one function");
-                    let shadow_fp = fingerprint_function(&func);
                     Ok(ShadowResult {
+                        fps: fingerprint_function_pair(&func),
                         func,
-                        shadow_fp,
                         stats,
                     })
                 })?;
                 normalize_stats.merge(&cached.stats);
-                if cached.shadow_fp != norm_fps[f.index()] {
+                let i = f.index();
+                if cached.fps.bits != norm_fps[i] {
                     // Analysis facts now depend on both bodies: the executed
                     // `-O1` one (schedules, profiles) and the shadow (SCEV).
-                    analysis_fps[f.index()] = fnv1a_u64s(&[norm_fps[f.index()], cached.shadow_fp]);
+                    analysis_fps[i] = fnv1a_u64s(&[norm_fps[i], cached.fps.bits]);
+                    analysis_ints[i] = fnv1a_u64s(&[norm_ints[i], cached.fps.ints]);
                 }
-                shadows[f.index()] = Some(cached);
+                shadows[i] = Some(cached);
             }
         }
 
         // Stage 3: profile — wPST from per-function structure queries, then
         // the whole-module execution query.
-        let mut structures = Vec::with_capacity(working.functions.len());
+        let mut structures = Vec::with_capacity(n);
         let (wpst, exec_res, profile) = {
             let _s = cayman_obs::span!("analyse.profile");
-            let mut trees = Vec::with_capacity(working.functions.len());
-            let mut ctxs = Vec::with_capacity(working.functions.len());
+            let mut trees = Vec::with_capacity(n);
+            let mut ctxs = Vec::with_capacity(n);
             for f in working.function_ids() {
-                let key = norm_fps[f.index()];
+                let key = norm_ints[f.index()];
                 let arg = Some(("func", ArgValue::from(f.index())));
                 let parts = store.structure.get(key, &mut counts.structure, arg, || {
                     let func = working.function(f);
@@ -581,7 +657,7 @@ pub(crate) fn assemble(
             let exec_res = store.exec.get(exec_key, &mut counts.exec, tag, || {
                 // Decode is only needed to execute, so its per-function
                 // queries run lazily inside the exec miss.
-                let mut decoded = Vec::with_capacity(working.functions.len());
+                let mut decoded = Vec::with_capacity(n);
                 for f in working.function_ids() {
                     let key = FuncKey {
                         fp: norm_fps[f.index()],
@@ -606,11 +682,11 @@ pub(crate) fn assemble(
         };
 
         // Stage 4: analyse — per-function dataflow and trip-count queries.
-        let mut accesses = Vec::with_capacity(working.functions.len());
-        let mut deps = Vec::with_capacity(working.functions.len());
-        let mut trips = Vec::with_capacity(working.functions.len());
-        let mut prints = Vec::with_capacity(working.functions.len());
-        let mut selection_fps = Vec::with_capacity(working.functions.len());
+        let mut accesses = Vec::with_capacity(n);
+        let mut deps = Vec::with_capacity(n);
+        let mut trips = Vec::with_capacity(n);
+        let mut prints = Vec::with_capacity(n);
+        let mut selection_fps = Vec::with_capacity(n);
         {
             let _s = cayman_obs::span!("analyse.dataflow");
             for f in working.function_ids() {
@@ -618,7 +694,7 @@ pub(crate) fn assemble(
                 let ctx = &wpst.func_ctxs[f.index()];
                 let arg = Some(("func", ArgValue::from(f.index())));
                 let dkey = FuncKey {
-                    fp: analysis_fps[f.index()],
+                    fp: analysis_ints[f.index()],
                     arrays_fp,
                 };
                 let df = store.dataflow.get(dkey, &mut counts.dataflow, arg, || {
@@ -630,7 +706,7 @@ pub(crate) fn assemble(
                     // instruction→block snapshot.
                     let shadow_ctx;
                     let (afunc, actx) = match shadows[f.index()].as_deref() {
-                        Some(s) if s.shadow_fp != norm_fps[f.index()] => {
+                        Some(s) if s.fps.bits != norm_fps[f.index()] => {
                             shadow_ctx = FuncCtx::compute(&s.func);
                             (&s.func, &shadow_ctx)
                         }
@@ -647,7 +723,7 @@ pub(crate) fn assemble(
                     })
                 })?;
                 let tkey = TripsKey {
-                    norm_fp: norm_fps[f.index()],
+                    norm_ints: norm_ints[f.index()],
                     arrays_fp,
                     bc_fp: fnv1a_u64s(&profile.block_counts[f.index()]),
                 };
@@ -726,21 +802,21 @@ pub struct IncrementalApp {
     memory: Option<Memory>,
     memory_fp: u64,
     opts: AnalyseOptions,
-    raw_fps: Vec<u64>,
+    raw: RawFps,
     store: QueryStore,
 }
 
 impl IncrementalApp {
     /// Wraps a raw (pre-normalization) module with an empty store.
     pub fn new(module: Module, memory: Option<Memory>, opts: AnalyseOptions) -> Self {
-        let raw_fps = module.functions.iter().map(fingerprint_function).collect();
+        let raw = RawFps::of(&module.functions);
         let memory_fp = memory.as_ref().map(fingerprint_memory).unwrap_or(0);
         IncrementalApp {
             module,
             memory,
             memory_fp,
             opts,
-            raw_fps,
+            raw,
             store: QueryStore::new(),
         }
     }
@@ -778,11 +854,11 @@ impl IncrementalApp {
         }
         match edit {
             Edit::ReplaceFunction { func, body } => {
-                self.raw_fps[func.index()] = fingerprint_function(&body);
+                self.raw.set(func.index(), &body);
                 self.module.functions[func.index()] = body;
             }
             Edit::AddFunction { body } => {
-                self.raw_fps.push(fingerprint_function(&body));
+                self.raw.push(&body);
                 self.module.functions.push(body);
             }
             Edit::RemoveFunction { func } => {
@@ -805,7 +881,7 @@ impl IncrementalApp {
                     }
                 }
                 self.module.functions.remove(func.index());
-                self.raw_fps.remove(func.index());
+                self.raw.remove(func.index());
                 // Renumber call targets above the removed id; the rewrite
                 // changes those callers' content, which re-fingerprints them
                 // (the content-addressed dirty mark).
@@ -820,7 +896,7 @@ impl IncrementalApp {
                         }
                     }
                     if changed {
-                        self.raw_fps[i] = fingerprint_function(caller);
+                        self.raw.set(i, caller);
                     }
                 }
             }
@@ -852,7 +928,7 @@ impl IncrementalApp {
             self.memory.as_ref(),
             self.memory_fp,
             &self.opts,
-            &self.raw_fps,
+            &self.raw,
         );
         self.store.publish();
         res
@@ -1038,7 +1114,20 @@ mod tests {
             "only the edited function re-normalizes"
         );
         assert_eq!(warm.normalize.hits - cold.normalize.hits, 2);
-        assert_eq!(warm.dataflow.misses - cold.dataflow.misses, 1);
+        // No analysis reads a float immediate, so every other pre-exec query
+        // of the edited function hits, as do its dataflow and trips.
+        for (kind, now, was) in [
+            ("verify", warm.verify, cold.verify),
+            ("structure", warm.structure, cold.structure),
+            ("dataflow", warm.dataflow, cold.dataflow),
+            ("trips", warm.trips, cold.trips),
+        ] {
+            assert_eq!(now.misses, was.misses, "{kind} re-ran");
+        }
+        assert_eq!(warm.verify.hits - cold.verify.hits, 1);
+        assert_eq!(warm.structure.hits - cold.structure.hits, 3);
+        assert_eq!(warm.dataflow.hits - cold.dataflow.hits, 3);
+        assert_eq!(warm.trips.hits - cold.trips.hits, 3);
         // The nudged value reaches no branch, address or return, so the
         // profile is proved unchanged: nothing is decoded or run...
         assert_eq!(warm.exec.hits - cold.exec.hits, 1);
@@ -1268,6 +1357,63 @@ mod tests {
             None,
         );
         assert_eq!(fronts_bits(&res), fronts_bits(&batch_sel));
+    }
+
+    #[test]
+    fn an_integer_edit_misses_dataflow_and_trips() {
+        // An outer loop over `i` holds an inner loop of `n` trips behind a
+        // branch zeroed memory never takes, then updates `x[i][k]`.
+        let mk = |n: i64, k: i64| {
+            let mut mb = ModuleBuilder::new("ints");
+            let flag = mb.array("flag", Type::I64, &[1]);
+            let x = mb.array("x", Type::F64, &[8, 64]);
+            mb.function("main", &[], None, |fb| {
+                fb.counted_loop(0, 8, 1, |fb, i| {
+                    let zero = fb.iconst(0);
+                    let f = fb.load_idx_ty(flag, &[zero], Type::I64);
+                    let taken = fb.icmp_eq(f, fb.iconst(1));
+                    fb.if_then(taken, |fb| {
+                        fb.counted_loop(0, n, 1, |fb, j| {
+                            let v = fb.load_idx(x, &[i, j]);
+                            let w = fb.fmul(v, fb.fconst(2.0));
+                            fb.store_idx(x, &[i, j], w);
+                        });
+                    });
+                    let at = fb.iconst(k);
+                    let v = fb.load_idx(x, &[i, at]);
+                    let w = fb.fadd(v, fb.fconst(1.0));
+                    fb.store_idx(x, &[i, at], w);
+                });
+                fb.ret(None);
+            });
+            mb.finish()
+        };
+        let mut inc = IncrementalApp::new(mk(16, 0), None, AnalyseOptions::default());
+        let mut last = inc.analyse().expect("analyses");
+        // The loop bound moves a static trip count and no block count; the
+        // offset moves an access and no trip count.
+        for (n, k) in [(32, 0), (32, 1)] {
+            let before = *inc.stats();
+            let edited = mk(n, k);
+            inc.apply(Edit::ReplaceFunction {
+                func: FuncId(0),
+                body: edited.functions[0].clone(),
+            })
+            .expect("applies");
+            let app = inc.analyse().expect("re-analyses");
+            let after = *inc.stats();
+            assert_eq!(app.profile.block_counts, last.profile.block_counts);
+            assert_eq!(after.dataflow.misses - before.dataflow.misses, 1, "{n} {k}");
+            assert_eq!(after.trips.misses - before.trips.misses, 1, "{n} {k}");
+            let batch = Application::analyse(edited).expect("batch analyses");
+            assert_eq!(app.trips, batch.trips);
+            let accesses = |a: &Application| format!("{:?}", a.accesses);
+            assert_eq!(accesses(&app), accesses(&batch));
+            assert_eq!(app.selection_fps, batch.selection_fps);
+            let moved = (app.trips != last.trips, accesses(&app) != accesses(&last));
+            assert_eq!(moved, (k == 0, k == 1), "what the edit moved");
+            last = app;
+        }
     }
 
     #[test]

@@ -9,8 +9,17 @@
 //! block structure, instruction operands (float immediates by IEEE bits),
 //! terminators and the value arena — and nothing it cannot (the lazily
 //! cached `instr → block` map is derived state and excluded).
-//! [`fingerprint_block`] is the one value-blind print: it keys what the
-//! accelerator models read, and they read an immediate by its kind only.
+//!
+//! A query is keyed on the narrowest print that still covers what it
+//! reads. The walk hashes an immediate operand in one of three modes:
+//!
+//! | print | immediates | keys |
+//! |---|---|---|
+//! | [`fingerprint_function`] | by kind and bits | normalization, decode, execution |
+//! | [`FunctionFps::ints`] | integers by value, floats and bools by kind | verification, structure, dataflow, trip counts |
+//! | [`fingerprint_block`] | by kind only | the accelerator models' region keys |
+//!
+//! [`fingerprint_function_pair`] computes the first two in one traversal.
 //!
 //! The hash is a [`Fingerprinter`] over a canonical field walk: one
 //! multiply–xorshift round per field and a splitmix64 finaliser. It is a
@@ -83,44 +92,6 @@ impl Fingerprinter {
         }
     }
 
-    fn u8(&mut self, b: u8) {
-        self.u64(u64::from(b));
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        for chunk in s.as_bytes().chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn opnd(&mut self, o: &Operand, imms: Imms) {
-        match *o {
-            Operand::Value(v) => {
-                self.u8(0);
-                self.u64(u64::from(v.0));
-            }
-            Operand::Const(imm) => {
-                self.u8(1);
-                let (kind, bits) = match imm {
-                    Imm::Int(i) => (0, i as u64),
-                    Imm::Float(f) => (1, f.to_bits()),
-                    Imm::Bool(b) => (2, u64::from(b)),
-                };
-                self.u8(kind);
-                if let Imms::Bits = imms {
-                    self.u64(bits);
-                }
-            }
-        }
-    }
-
     /// The fingerprint. The splitmix64 finaliser spreads every field into
     /// every bit: these digests feed `HashMap` keys and cache-stripe picks
     /// directly.
@@ -132,37 +103,144 @@ impl Fingerprinter {
     }
 }
 
+/// Field helpers over one 64-bit fold, shared by every walk.
+trait Fields {
+    /// Folds in one field.
+    fn field(&mut self, v: u64);
+
+    fn u8(&mut self, b: u8) {
+        self.field(u64::from(b));
+    }
+
+    fn usize(&mut self, v: usize) {
+        self.field(v as u64);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.usize(s.len());
+        for chunk in s.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.field(u64::from_le_bytes(word));
+        }
+    }
+}
+
+impl Fields for Fingerprinter {
+    fn field(&mut self, v: u64) {
+        self.u64(v);
+    }
+}
+
 /// How a walk hashes an immediate operand.
 #[derive(Clone, Copy)]
 enum Imms {
     /// Kind and bit pattern (floats by IEEE bits): what the interpreter and
     /// the normalizer read.
     Bits,
+    /// An integer by kind and value, a float or bool by kind only: what the
+    /// verifier and the analyses read (SCEV, trip counts and access
+    /// footprints read integer immediates; nothing reads another kind's).
+    Ints,
     /// Kind only (int, float or bool): what the accelerator models read.
     Kind,
 }
 
-fn hash_instr(h: &mut Fingerprinter, ins: &Instr, imms: Imms) {
+/// One hasher and how it reads immediates.
+struct Walk {
+    h: Fingerprinter,
+    imms: Imms,
+}
+
+impl Walk {
+    fn new(imms: Imms) -> Walk {
+        Walk {
+            h: Fingerprinter::new(),
+            imms,
+        }
+    }
+}
+
+/// What a function or block walk feeds: one [`Walk`], or a pair fed the
+/// same fields in one traversal.
+trait Sink: Fields {
+    /// Folds in one immediate as each hasher's [`Imms`] mode reads it.
+    fn imm(&mut self, imm: Imm);
+
+    fn opnd(&mut self, o: &Operand) {
+        match *o {
+            Operand::Value(v) => {
+                self.u8(0);
+                self.field(u64::from(v.0));
+            }
+            Operand::Const(imm) => {
+                self.u8(1);
+                self.imm(imm);
+            }
+        }
+    }
+}
+
+impl Fields for Walk {
+    fn field(&mut self, v: u64) {
+        self.h.u64(v);
+    }
+}
+
+impl Sink for Walk {
+    fn imm(&mut self, imm: Imm) {
+        let (kind, bits) = match imm {
+            Imm::Int(i) => (0, i as u64),
+            Imm::Float(f) => (1, f.to_bits()),
+            Imm::Bool(b) => (2, u64::from(b)),
+        };
+        self.u8(kind);
+        let by_value = match self.imms {
+            Imms::Bits => true,
+            Imms::Ints => kind == 0,
+            Imms::Kind => false,
+        };
+        if by_value {
+            self.field(bits);
+        }
+    }
+}
+
+impl Fields for (Walk, Walk) {
+    fn field(&mut self, v: u64) {
+        self.0.field(v);
+        self.1.field(v);
+    }
+}
+
+impl Sink for (Walk, Walk) {
+    fn imm(&mut self, imm: Imm) {
+        self.0.imm(imm);
+        self.1.imm(imm);
+    }
+}
+
+fn hash_instr(h: &mut impl Sink, ins: &Instr) {
     match ins {
         Instr::Binary { op, ty, lhs, rhs } => {
             h.u8(0);
             h.u8(*op as u8);
             h.u8(*ty as u8);
-            h.opnd(lhs, imms);
-            h.opnd(rhs, imms);
+            h.opnd(lhs);
+            h.opnd(rhs);
         }
         Instr::Unary { op, ty, val } => {
             h.u8(1);
             h.u8(*op as u8);
             h.u8(*ty as u8);
-            h.opnd(val, imms);
+            h.opnd(val);
         }
         Instr::Cmp { pred, ty, lhs, rhs } => {
             h.u8(2);
             h.u8(*pred as u8);
             h.u8(*ty as u8);
-            h.opnd(lhs, imms);
-            h.opnd(rhs, imms);
+            h.opnd(lhs);
+            h.opnd(rhs);
         }
         Instr::Select {
             cond,
@@ -172,41 +250,41 @@ fn hash_instr(h: &mut Fingerprinter, ins: &Instr, imms: Imms) {
         } => {
             h.u8(3);
             h.u8(*ty as u8);
-            h.opnd(cond, imms);
-            h.opnd(then_val, imms);
-            h.opnd(else_val, imms);
+            h.opnd(cond);
+            h.opnd(then_val);
+            h.opnd(else_val);
         }
         Instr::Gep { array, indices } => {
             h.u8(4);
-            h.u64(u64::from(array.0));
+            h.field(u64::from(array.0));
             h.usize(indices.len());
             for idx in indices {
-                h.opnd(idx, imms);
+                h.opnd(idx);
             }
         }
         Instr::Load { ptr, ty } => {
             h.u8(5);
             h.u8(*ty as u8);
-            h.opnd(ptr, imms);
+            h.opnd(ptr);
         }
         Instr::Store { ptr, value, ty } => {
             h.u8(6);
             h.u8(*ty as u8);
-            h.opnd(ptr, imms);
-            h.opnd(value, imms);
+            h.opnd(ptr);
+            h.opnd(value);
         }
         Instr::Phi { ty, incomings } => {
             h.u8(7);
             h.u8(*ty as u8);
             h.usize(incomings.len());
             for (b, o) in incomings {
-                h.u64(u64::from(b.0));
-                h.opnd(o, imms);
+                h.field(u64::from(b.0));
+                h.opnd(o);
             }
         }
         Instr::Call { callee, args, ty } => {
             h.u8(8);
-            h.u64(u64::from(callee.0));
+            h.field(u64::from(callee.0));
             match ty {
                 None => h.u8(0),
                 Some(t) => {
@@ -216,17 +294,17 @@ fn hash_instr(h: &mut Fingerprinter, ins: &Instr, imms: Imms) {
             }
             h.usize(args.len());
             for a in args {
-                h.opnd(a, imms);
+                h.opnd(a);
             }
         }
     }
 }
 
-fn hash_term(h: &mut Fingerprinter, t: &Terminator, imms: Imms) {
+fn hash_term(h: &mut impl Sink, t: &Terminator) {
     match t {
         Terminator::Br(b) => {
             h.u8(0);
-            h.u64(u64::from(b.0));
+            h.field(u64::from(b.0));
         }
         Terminator::CondBr {
             cond,
@@ -234,9 +312,9 @@ fn hash_term(h: &mut Fingerprinter, t: &Terminator, imms: Imms) {
             else_bb,
         } => {
             h.u8(1);
-            h.opnd(cond, imms);
-            h.u64(u64::from(then_bb.0));
-            h.u64(u64::from(else_bb.0));
+            h.opnd(cond);
+            h.field(u64::from(then_bb.0));
+            h.field(u64::from(else_bb.0));
         }
         Terminator::Ret(v) => {
             h.u8(2);
@@ -244,18 +322,16 @@ fn hash_term(h: &mut Fingerprinter, t: &Terminator, imms: Imms) {
                 None => h.u8(0),
                 Some(o) => {
                     h.u8(1);
-                    h.opnd(o, imms);
+                    h.opnd(o);
                 }
             }
         }
     }
 }
 
-/// Content fingerprint of one function: every analysis-observable field in a
-/// canonical order, immediates by kind and bit pattern. Equal fingerprints ⇒ structurally identical functions ⇒
-/// bit-identical per-function analysis, normalization and decode results.
-pub fn fingerprint_function(f: &Function) -> u64 {
-    let mut h = Fingerprinter::new();
+/// Every analysis-observable field of `f` in a canonical order: parameter
+/// and return types, blocks, instructions, terminators and the value arena.
+fn walk_function(h: &mut impl Sink, f: &Function) {
     h.str(&f.name);
     h.usize(f.params.len());
     for p in &f.params {
@@ -273,31 +349,31 @@ pub fn fingerprint_function(f: &Function) -> u64 {
         h.str(&b.name);
         h.usize(b.instrs.len());
         for i in &b.instrs {
-            h.u64(u64::from(i.0));
+            h.field(u64::from(i.0));
         }
         match &b.term {
             None => h.u8(0),
             Some(t) => {
                 h.u8(1);
-                hash_term(&mut h, t, Imms::Bits);
+                hash_term(h, t);
             }
         }
     }
     h.usize(f.instrs.len());
     for ins in &f.instrs {
-        hash_instr(&mut h, ins, Imms::Bits);
+        hash_instr(h, ins);
     }
     h.usize(f.values.len());
     for v in &f.values {
         match *v {
             ValueDef::Param(i, ty) => {
                 h.u8(0);
-                h.u64(u64::from(i));
+                h.field(u64::from(i));
                 h.u8(ty as u8);
             }
             ValueDef::Instr(id) => {
                 h.u8(1);
-                h.u64(u64::from(id.0));
+                h.field(u64::from(id.0));
             }
         }
     }
@@ -307,11 +383,45 @@ pub fn fingerprint_function(f: &Function) -> u64 {
             None => h.u8(0),
             Some(v) => {
                 h.u8(1);
-                h.u64(u64::from(v.0));
+                h.field(u64::from(v.0));
             }
         }
     }
-    h.finish()
+}
+
+/// Content fingerprint of one function: every analysis-observable field in
+/// a canonical order, immediates by kind and bit pattern. Equal
+/// fingerprints ⇒ structurally identical functions ⇒ bit-identical
+/// per-function analysis, normalization and decode results.
+pub fn fingerprint_function(f: &Function) -> u64 {
+    let mut w = Walk::new(Imms::Bits);
+    walk_function(&mut w, f);
+    w.h.finish()
+}
+
+/// The two prints of one function that [`fingerprint_function_pair`]
+/// computes in one walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FunctionFps {
+    /// [`fingerprint_function`]: every immediate by its bits. Keys what
+    /// reads values: normalization, decode and execution.
+    pub bits: u64,
+    /// The same walk with an integer immediate hashed by value and a float
+    /// or bool immediate by kind only. Keys what reads the program's shape
+    /// and its integer recurrences: verification, CFG and region
+    /// structure, access and dependence analysis, static trip counts.
+    pub ints: u64,
+}
+
+/// Both prints of `f` from one traversal, so a caller that needs the two
+/// pays for one walk. `bits` equals [`fingerprint_function`].
+pub fn fingerprint_function_pair(f: &Function) -> FunctionFps {
+    let mut w = (Walk::new(Imms::Bits), Walk::new(Imms::Ints));
+    walk_function(&mut w, f);
+    FunctionFps {
+        bits: w.0.h.finish(),
+        ints: w.1.h.finish(),
+    }
 }
 
 /// Content fingerprint of one block as a model of a region containing it
@@ -328,14 +438,14 @@ pub fn fingerprint_function(f: &Function) -> u64 {
 /// and every design keyed on them, in place; [`fingerprint_function`],
 /// which keys normalization and execution, still sees the bits.
 pub fn fingerprint_block(f: &Function, b: BlockId) -> u64 {
-    let mut h = Fingerprinter::new();
+    let mut h = Walk::new(Imms::Kind);
     let home = f.instr_block_map();
     let block = f.block(b);
     h.usize(block.instrs.len());
     for &i in &block.instrs {
-        h.u64(u64::from(i.0));
+        h.field(u64::from(i.0));
         let ins = f.instr(i);
-        hash_instr(&mut h, ins, Imms::Kind);
+        hash_instr(&mut h, ins);
         ins.for_each_operand(|op| {
             let Some(v) = op.as_value() else {
                 return;
@@ -343,14 +453,14 @@ pub fn fingerprint_block(f: &Function, b: BlockId) -> u64 {
             match f.values[v.index()] {
                 ValueDef::Param(i, ty) => {
                     h.u8(0);
-                    h.u64(u64::from(i));
+                    h.field(u64::from(i));
                     h.u8(ty as u8);
                 }
                 ValueDef::Instr(d) => {
                     h.u8(1);
-                    h.u64(u64::from(d.0));
+                    h.field(u64::from(d.0));
                     if home[d.index()] != b.0 {
-                        hash_instr(&mut h, f.instr(d), Imms::Kind);
+                        hash_instr(&mut h, f.instr(d));
                     }
                 }
             }
@@ -360,10 +470,10 @@ pub fn fingerprint_block(f: &Function, b: BlockId) -> u64 {
         None => h.u8(0),
         Some(t) => {
             h.u8(1);
-            hash_term(&mut h, t, Imms::Kind);
+            hash_term(&mut h, t);
         }
     }
-    h.finish()
+    h.h.finish()
 }
 
 /// Fingerprint of the array declarations (name, element type, dims). Arrays
@@ -492,6 +602,42 @@ mod tests {
             fingerprint_function(&mk(0.0).functions[0]),
             fingerprint_function(&mk(-0.0).functions[0])
         );
+    }
+
+    #[test]
+    fn the_ints_print_sees_integers_and_the_kinds_of_other_immediates() {
+        let pair = |m: &Module| fingerprint_function_pair(&m.functions[0]);
+        let base = sample(3);
+        assert_eq!(pair(&base).bits, fingerprint_function(&base.functions[0]));
+        assert_ne!(pair(&base).ints, pair(&base).bits);
+        // An integer edit moves both prints.
+        let int_edit = pair(&sample(4));
+        assert_ne!(int_edit.bits, pair(&base).bits);
+        assert_ne!(int_edit.ints, pair(&base).ints);
+        // A float or bool edit of the same kind moves only the bits.
+        let mut nudged = base.clone();
+        let mut flips = 0;
+        for ins in &mut nudged.functions[0].instrs {
+            ins.for_each_operand_mut(|op| {
+                if let Operand::Const(Imm::Float(x)) = op {
+                    *op = Operand::float(*x + 0.25);
+                    flips += 1;
+                }
+            });
+        }
+        assert!(flips > 0, "the sample has a float immediate");
+        assert_ne!(pair(&nudged).bits, pair(&base).bits);
+        assert_eq!(pair(&nudged).ints, pair(&base).ints);
+        // A change of kind is a change of shape.
+        let mut retyped = base.clone();
+        for ins in &mut retyped.functions[0].instrs {
+            ins.for_each_operand_mut(|op| {
+                if let Operand::Const(Imm::Float(_)) = op {
+                    *op = Operand::Const(Imm::Bool(false));
+                }
+            });
+        }
+        assert_ne!(pair(&retyped).ints, pair(&base).ints);
     }
 
     #[test]

@@ -65,8 +65,9 @@ pub mod verify;
 
 pub use decode::generic_dispatch_mix;
 pub use fingerprint::{
-    fingerprint_arrays, fingerprint_block, fingerprint_function, fingerprint_memory,
-    fingerprint_module, fingerprint_module_from_parts, Fingerprinter,
+    fingerprint_arrays, fingerprint_block, fingerprint_function, fingerprint_function_pair,
+    fingerprint_memory, fingerprint_module, fingerprint_module_from_parts, Fingerprinter,
+    FunctionFps,
 };
 pub use instr::{BinOp, CmpPred, Imm, Instr, Operand, Terminator, UnaryOp};
 pub use interp::{decode_function, DecodedFunction};

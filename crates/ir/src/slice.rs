@@ -590,6 +590,37 @@ mod tests {
     }
 
     #[test]
+    fn refuses_a_value_another_function_reloads_into_a_branch() {
+        // `reader` has no seed, no parameter and calls nothing: only the
+        // array `writer` stores into carries the taint to it, and it comes
+        // first, so a walk before the store must be redone after it.
+        let v = verdict(|c| {
+            let mut mb = ModuleBuilder::new("slice");
+            let x = mb.array("x", Type::F64, &[4]);
+            let y = mb.array("y", Type::F64, &[4]);
+            let reader = mb.function("reader", &[], None, |fb| {
+                let back = fb.load_idx(y, &[fb.iconst(2)]);
+                let big = fb.fcmp_gt(back, fb.fconst(1.0));
+                fb.if_then(big, |fb| fb.store_idx(x, &[fb.iconst(0)], back));
+                fb.ret(None);
+            });
+            let writer = mb.function("writer", &[], None, |fb| {
+                let v = fb.load_idx(x, &[fb.iconst(1)]);
+                let w = fb.fmul(v, fb.fconst(c));
+                fb.store_idx(y, &[fb.iconst(2)], w);
+                fb.ret(None);
+            });
+            mb.function("main", &[], None, |fb| {
+                fb.call(writer, &[], None);
+                fb.call(reader, &[], None);
+                fb.ret(None);
+            });
+            mb.finish()
+        });
+        assert_eq!(v, Err(Refusal::Branch));
+    }
+
+    #[test]
     fn refuses_a_shape_change() {
         let v = verdict(|c| {
             main_only(|fb, x| {

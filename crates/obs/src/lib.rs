@@ -45,7 +45,6 @@
 
 mod export;
 pub mod hist;
-pub mod pool;
 pub mod promtext;
 mod recorder;
 pub mod registry;

@@ -7,7 +7,6 @@
 
 use cayman_analysis::wpst::WpstNodeId;
 use cayman_ir::{FuncId, Module};
-use cayman_obs::pool::TopPool;
 use std::fmt;
 
 /// How many of the most expensive `accel(v, R)` model invocations a
@@ -142,7 +141,7 @@ pub(crate) fn accel_label(module: &Module, func: FuncId, node: WpstNodeId, is_bb
 
 /// The per-run accumulator behind [`SelectStats`]: plain counters, owned
 /// by the engine that runs the DP.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct RunStats {
     pub visited: usize,
     pub pruned: usize,
@@ -155,47 +154,41 @@ pub(crate) struct RunStats {
     pub front_misses: u64,
     pub model_nanos: u64,
     pub combine_nanos: u64,
-    /// Candidate pool for the top-k `accel` breakdown (most expensive
-    /// first, vertex as tiebreak), bounded by the pool itself.
-    top_accel: TopPool<AccelCall>,
+    /// Candidates for the top-k `accel` breakdown. Pushes append; past
+    /// `4 × TOP_ACCEL_K` the pool is sorted by [`costlier`] and cut back to
+    /// `TOP_ACCEL_K`, which bounds its memory and keeps the exact top-k.
+    top_accel: Vec<AccelCall>,
 }
 
-impl Default for RunStats {
-    fn default() -> Self {
-        RunStats {
-            visited: 0,
-            pruned: 0,
-            configs_considered: 0,
-            configs_evaluated: 0,
-            mem_hits: 0,
-            disk_hits: 0,
-            cache_misses: 0,
-            front_hits: 0,
-            front_misses: 0,
-            model_nanos: 0,
-            combine_nanos: 0,
-            top_accel: TopPool::new(TOP_ACCEL_K, |a, b| {
-                b.nanos
-                    .cmp(&a.nanos)
-                    .then_with(|| (a.func, a.node, a.is_bb).cmp(&(b.func, b.node, b.is_bb)))
-            }),
-        }
-    }
+/// The top-k order: most expensive first, the vertex as tiebreak.
+fn costlier(a: &AccelCall, b: &AccelCall) -> std::cmp::Ordering {
+    b.nanos
+        .cmp(&a.nanos)
+        .then_with(|| (a.func, a.node, a.is_bb).cmp(&(b.func, b.node, b.is_bb)))
 }
 
 impl RunStats {
     /// Records one `accel(v, R)` model invocation for the top-k breakdown.
-    pub fn record_accel(&self, call: AccelCall) {
+    pub fn record_accel(&mut self, call: AccelCall) {
         self.top_accel.push(call);
+        if self.top_accel.len() > 4 * TOP_ACCEL_K {
+            self.keep_top();
+        }
+    }
+
+    /// Sorts the pool by [`costlier`] and keeps its first `TOP_ACCEL_K`.
+    fn keep_top(&mut self) {
+        self.top_accel.sort_unstable_by(costlier);
+        self.top_accel.truncate(TOP_ACCEL_K);
     }
 
     /// Freezes the accumulator into a snapshot, labelling the kept model
     /// invocations with `module`'s function names.
-    pub fn snapshot(&self, module: &Module, wall_nanos: u64) -> SelectStats {
+    pub fn snapshot(&mut self, module: &Module, wall_nanos: u64) -> SelectStats {
+        self.keep_top();
         let top_accel = self
             .top_accel
-            .snapshot()
-            .into_iter()
+            .iter()
             .map(|c| AccelCallStat {
                 label: accel_label(module, c.func, c.node, c.is_bb),
                 nanos: c.nanos,
@@ -254,7 +247,7 @@ mod tests {
 
     #[test]
     fn snapshot_carries_all_counters() {
-        let a = RunStats {
+        let mut a = RunStats {
             visited: 5,
             pruned: 2,
             configs_considered: 10,
@@ -286,8 +279,41 @@ mod tests {
     }
 
     #[test]
+    fn keeps_exact_top_k_under_overflow() {
+        let mut a = RunStats::default();
+        for i in 0..100u64 {
+            // Insertion order scrambled so truncation sees mixed costs; two
+            // vertices per cost, so the tiebreak decides between them.
+            let cost = (i * 37) % 50;
+            a.record_accel(call(0, i as usize, cost, 0));
+            assert!(a.top_accel.len() <= 4 * TOP_ACCEL_K, "bounded");
+        }
+        let s = a.snapshot(&two_functions(), 1);
+        let kept: Vec<(u64, &str)> = s
+            .top_accel
+            .iter()
+            .map(|c| (c.nanos, c.label.as_str()))
+            .collect();
+        // Cost 49 is vertices 27 and 77, 48 is 4 and 54, 47 is 31 and 81,
+        // 46 is 8 and 58: the lower vertex first within a cost.
+        assert_eq!(
+            kept,
+            vec![
+                (49, "f#v27:ctrl-flow"),
+                (49, "f#v77:ctrl-flow"),
+                (48, "f#v4:bb"),
+                (48, "f#v54:bb"),
+                (47, "f#v31:ctrl-flow"),
+                (47, "f#v81:ctrl-flow"),
+                (46, "f#v8:bb"),
+                (46, "f#v58:bb"),
+            ]
+        );
+    }
+
+    #[test]
     fn top_accel_is_sorted_bounded_and_deterministic() {
-        let a = RunStats::default();
+        let mut a = RunStats::default();
         // Overflow the pool to exercise the bounded-truncate path.
         for i in 0..(4 * TOP_ACCEL_K + 10) {
             a.record_accel(call(0, i, (i as u64 % 37) * 1000, i));
