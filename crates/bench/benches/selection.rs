@@ -92,10 +92,9 @@ fn bench_selection_cache() {
     let warm = run("selection_cache/warm", || fw.select(&opts));
     let stats = fw.select(&opts).stats;
     println!(
-        "{:<36} hit rate {:.0}%, model time saved {} per run, warm speedup {:.2}x",
+        "{:<36} hit rate {:.0}%, warm speedup {:.2}x",
         "",
         stats.cache_hit_rate() * 100.0,
-        fmt_duration(first.stats.model_seconds()),
         cold.min_s / warm.min_s
     );
     assert!(stats.cache_hit_rate() > 0.0);

@@ -48,7 +48,6 @@ struct AblationRow {
     merge_save: f64,
     cache_hits: u64,
     cache_misses: u64,
-    top_accel: Vec<String>,
     warm_stats: String,
     cache_len: usize,
 }
@@ -62,9 +61,8 @@ fn main() {
         let w = cayman::workloads::by_name(name).expect("benchmark exists");
         let fw = framework_for(&w, &args.analyse);
 
-        // The full-model pass is the cold one: keep its result so the top-k
-        // accel(v, R) cost breakdown (populated only when the model actually
-        // runs) can be reported per benchmark.
+        // The full-model pass is the cold one: keep its result so its cache
+        // counters add to the warm re-run's below.
         let full_sel = fw.select(&SelectOptions::default());
         let full = fw.speedup(full_sel.best_under(0.65 * CVA6_TILE_AREA));
         let no_iface = speedup_with(&fw, ModelOptions::coupled_only());
@@ -95,13 +93,6 @@ fn main() {
             // the full-model cold pass and its warm re-run share cache keys
             cache_hits: full_sel.stats.cache_hits + sel.stats.cache_hits,
             cache_misses: full_sel.stats.cache_misses + sel.stats.cache_misses,
-            top_accel: full_sel
-                .stats
-                .top_accel_lines()
-                .iter()
-                .take(3)
-                .cloned()
-                .collect(),
             warm_stats: sel.stats.to_string(),
             cache_len: fw.cache_len(),
         });
@@ -123,11 +114,6 @@ fn main() {
                         o.f64("merge_save_pct", r.merge_save, 1);
                         o.u64("cache_hits", r.cache_hits);
                         o.u64("cache_misses", r.cache_misses);
-                        o.arr("top_accel", |a| {
-                            for line in &r.top_accel {
-                                a.str(line);
-                            }
-                        });
                     });
                 }
             });
@@ -151,9 +137,6 @@ fn main() {
             "{:<12} |   warm re-run {} | framework cache: {} entries, {} hits / {} misses (full runs)",
             "", r.warm_stats, r.cache_len, r.cache_hits, r.cache_misses
         );
-        for line in &r.top_accel {
-            println!("{:<12} |   accel {line}", "");
-        }
     }
     println!();
     println!("-iface  : all accesses forced to the coupled interface");

@@ -17,7 +17,7 @@
 //! emits one machine-readable document on stdout instead of the table.
 //! Set `CAYMAN_TRACE=out.json` to capture a Chrome trace of the whole run.
 
-use cayman_bench::{average_row, json, table2_rows_with, top_accel_across, BenchArgs, Table2Row};
+use cayman_bench::{average_row, json, table2_rows_with, BenchArgs, Table2Row};
 
 fn print_row(r: &Table2Row) {
     let b0 = &r.budgets[0];
@@ -112,15 +112,6 @@ fn main() {
                 }
             });
             o.obj("average", |o| json_row(o, &avg));
-            o.arr("top_accel", |a| {
-                for c in top_accel_across(&rows) {
-                    a.obj(|o| {
-                        o.str("label", &c.label);
-                        o.f64("ms", c.nanos as f64 * 1e-6, 3);
-                        o.u64("designs", c.designs as u64);
-                    });
-                }
-            });
             if let Some(store) = cayman_bench::env_design_store() {
                 let s = store.stats();
                 o.obj("store", |o| {
@@ -187,19 +178,6 @@ fn main() {
             s.writes,
             s.corrupt,
             s.evictions,
-        );
-    }
-
-    // Where the model time goes: the globally most expensive accel(v, R)
-    // invocations across all cold runs.
-    println!();
-    println!("most expensive accel(v, R) calls (cold runs, benchmark/function#vertex:kind):");
-    for c in top_accel_across(&rows) {
-        println!(
-            "  {:<40} {:>9.3} ms {:>4} designs",
-            c.label,
-            c.nanos as f64 * 1e-6,
-            c.designs
         );
     }
 

@@ -194,12 +194,10 @@ pub struct Table2Row {
     pub runtime_s: f64,
     /// Selection runtime of a repeat run against the warm design cache.
     pub runtime_warm_s: f64,
-    /// Observability snapshot of the warm run (cache hit rate, per-phase
-    /// time, search-space counters).
+    /// Observability snapshot of the warm run (cache hit rate and
+    /// search-space counters).
     pub stats: SelectStats,
-    /// Observability snapshot of the cold run; unlike `stats` its
-    /// `top_accel` breakdown is populated (the warm run never invokes the
-    /// model, so it has no calls to rank).
+    /// Observability snapshot of the cold run.
     pub cold_stats: SelectStats,
     /// Memoised candidate entries in the design cache after all of the
     /// row's selection runs (Cayman and both baselines).
@@ -385,15 +383,7 @@ pub fn average_row(rows: &[Table2Row]) -> Table2Row {
             stats.cache_hits += s.cache_hits;
             stats.disk_hits += s.disk_hits;
             stats.cache_misses += s.cache_misses;
-            stats.model_nanos += s.model_nanos;
-            stats.combine_nanos += s.combine_nanos;
-            stats.wall_nanos += s.wall_nanos;
-            stats.top_accel.extend(s.top_accel.iter().cloned());
         }
-        stats
-            .top_accel
-            .sort_unstable_by(|a, b| b.nanos.cmp(&a.nanos).then(a.label.cmp(&b.label)));
-        stats.top_accel.truncate(cayman::TOP_ACCEL_K);
         stats
     };
     Table2Row {
@@ -406,28 +396,6 @@ pub fn average_row(rows: &[Table2Row]) -> Table2Row {
         cold_stats: merge(&|r| &r.cold_stats),
         cache_entries: rows.iter().map(|r| r.cache_entries).sum(),
     }
-}
-
-/// The globally most expensive `accel(v, R)` calls across many rows' cold
-/// runs, each label prefixed with its benchmark name
-/// (`benchmark/function#vN`). At most [`cayman::TOP_ACCEL_K`] entries.
-pub fn top_accel_across(rows: &[Table2Row]) -> Vec<cayman::AccelCallStat> {
-    let mut pool: Vec<cayman::AccelCallStat> = rows
-        .iter()
-        .flat_map(|r| {
-            r.cold_stats
-                .top_accel
-                .iter()
-                .map(|c| cayman::AccelCallStat {
-                    label: format!("{}/{}", r.name, c.label),
-                    nanos: c.nanos,
-                    designs: c.designs,
-                })
-        })
-        .collect();
-    pool.sort_unstable_by(|a, b| b.nanos.cmp(&a.nanos).then(a.label.cmp(&b.label)));
-    pool.truncate(cayman::TOP_ACCEL_K);
-    pool
 }
 
 /// One (area, speedup) Pareto point for Fig. 6.
@@ -515,11 +483,7 @@ mod tests {
         assert_eq!(row.stats.cache_misses, 0, "{}", row.stats);
         assert_eq!(row.stats.configs_evaluated, 0, "model skipped when warm");
         // …and observability fields populated
-        assert!(row.stats.wall_nanos > 0);
         assert!(row.runtime_s > 0.0 && row.runtime_warm_s > 0.0);
-        // the cold run ranks its model invocations; the warm run has none
-        assert!(!row.cold_stats.top_accel.is_empty());
-        assert!(row.stats.top_accel.is_empty());
     }
 
     #[test]
@@ -539,12 +503,6 @@ mod tests {
                 assert_eq!(sb.sb, pb.sb);
                 assert_eq!(sb.pr, pb.pr);
             }
-        }
-        let ranked = top_accel_across(&par);
-        assert!(!ranked.is_empty());
-        assert!(ranked[0].label.contains('/'), "{}", ranked[0].label);
-        for w in ranked.windows(2) {
-            assert!(w[0].nanos >= w[1].nanos);
         }
     }
 

@@ -4,6 +4,21 @@
 //! every pipeline stage.
 
 use cayman_obs::trace::validate_chrome;
+use cayman_obs::{ArgValue, EventKind};
+
+/// Whether `label` reads `<function>#v<N>:{bb|ctrl-flow}`.
+fn is_region_label(label: &str) -> bool {
+    let Some((func, rest)) = label.split_once("#v") else {
+        return false;
+    };
+    let Some((vertex, kind)) = rest.split_once(':') else {
+        return false;
+    };
+    !func.is_empty()
+        && !vertex.is_empty()
+        && vertex.bytes().all(|b| b.is_ascii_digit())
+        && matches!(kind, "bb" | "ctrl-flow")
+}
 
 #[test]
 fn traced_table2_run_emits_wellformed_chrome_trace() {
@@ -29,6 +44,23 @@ fn traced_table2_run_emits_wellformed_chrome_trace() {
             summary.span_names
         );
     }
+
+    // Every model call is labelled with its region,
+    // `<function>#v<N>:{bb|ctrl-flow}`: the per-region model cost lives only
+    // in these spans.
+    let mut model_calls = 0;
+    for e in trace.events.iter().filter(|e| e.kind == EventKind::Begin) {
+        if e.name.to_string() != "model.accel" {
+            continue;
+        }
+        model_calls += 1;
+        let region = e.args.iter().find(|(k, _)| *k == "region");
+        let Some((_, ArgValue::Str(label))) = region else {
+            panic!("model.accel without a region arg: {:?}", e.args);
+        };
+        assert!(is_region_label(label), "bad region label {label:?}");
+    }
+    assert!(model_calls > 0, "the cold run invokes the model");
 
     // The design-cache counters rode along (the warm re-run hits, the cold
     // run misses).

@@ -68,8 +68,9 @@ pub struct Application {
     /// Which interpreter engine produced the profile (`"decoded"` unless the
     /// module fell back to the reference walker).
     pub profiling_engine: &'static str,
-    /// Per-pass counters and timings from the normalization stage (empty at
-    /// `-O0`).
+    /// Per-pass counters from the normalization stage (empty at `-O0`).
+    /// They depend only on function content, so a function answered from
+    /// the incremental store reports the counts of its cached run.
     pub normalize_stats: PipelineStats,
     /// Per-function content fingerprints of the *normalized* functions —
     /// the content keys the incremental store's per-function analysis

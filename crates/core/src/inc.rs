@@ -69,7 +69,9 @@
 //! new module ([`cayman_ir::cpu_model::total_cycles`], so an `fadd`→`fmul`
 //! swap still moves the cycles), memoised under the new key. A proved
 //! answer counts as an exec hit and in [`IncStats::proved`], and its span
-//! is tagged `proved = true`. Cold stores have no parent and always run.
+//! is tagged `proved = true`. The attempt itself runs under the
+//! `inc.exec.prove` span, whose end is tagged `proved = true|false`. Cold
+//! stores have no parent and always run.
 //!
 //! Keys are **content fingerprints** ([`cayman_ir::fingerprint_function`]
 //! and friends), not revision counters: dirtiness is implicit — an edit
@@ -645,7 +647,10 @@ pub(crate) fn assemble(
             };
             let proved = match &store.parent {
                 Some(parent) if !store.exec.map.contains_key(&exec_key) => {
-                    parent.prove(&working, &analysis_fps, memory_fp)
+                    let mut span = cayman_obs::span!("inc.exec.prove");
+                    let res = parent.prove(&working, &analysis_fps, memory_fp);
+                    span.tag("proved", res.is_some());
+                    res
                 }
                 _ => None,
             };

@@ -65,8 +65,7 @@ pub use cayman_workloads as workloads;
 pub use cayman_hls::interface::ModelOptions;
 pub use cayman_hls::CVA6_TILE_AREA;
 pub use cayman_select::{
-    AccelCallStat, DesignCache, DesignStoreBackend, SelectOptions, SelectStats, SelectionResult,
-    Solution, TOP_ACCEL_K,
+    DesignCache, DesignStoreBackend, SelectOptions, SelectStats, SelectionResult, Solution,
 };
 
 /// Top-level framework error.

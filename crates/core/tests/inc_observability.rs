@@ -2,8 +2,9 @@
 //! `inc.query.<kind>.{hits,misses}`, `inc.exec.proved` and
 //! `select.front.{hits,misses}` counters move exactly as the instance's
 //! `IncStats` and the runs' `SelectStats` do, every `inc.query.<kind>` span
-//! says whether it hit, and an exec answer the slice proof gave is tagged
-//! `proved`. A single test owns the process-global registry and recorder.
+//! says whether it hit, an exec answer the slice proof gave is tagged
+//! `proved`, and each proof attempt's `inc.exec.prove` span carries its
+//! outcome. A single test owns the process-global registry and recorder.
 
 use cayman::ir::instr::{BinOp, Imm, Instr, Operand};
 use cayman::ir::{FuncId, Function};
@@ -191,4 +192,19 @@ fn counters_spans_and_stats_report_each_quantity_once() {
     );
     assert!(normalize_tags.contains(&true), "{normalize_tags:?}");
     assert!(normalize_tags.contains(&false), "{normalize_tags:?}");
+
+    // Each proof attempt has its own span, its outcome tagged at the end:
+    // the cold run has no parent and the revert hits the exec table, so
+    // only the two edits attempt one, and both prove.
+    let prove_tags: Vec<Option<&ArgValue>> = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::End && e.name.to_string() == "inc.exec.prove")
+        .map(|e| e.args.iter().find(|(k, _)| *k == "proved").map(|(_, v)| v))
+        .collect();
+    assert_eq!(
+        prove_tags,
+        [Some(&ArgValue::Bool(true)), Some(&ArgValue::Bool(true))],
+        "one proved `inc.exec.prove` span per edit"
+    );
 }

@@ -1,7 +1,8 @@
 //! Determinism guarantees of the selection DP on real benchmarks:
 //!
 //! * a warm design cache reproduces the cold run's front exactly, while
-//!   skipping every model invocation,
+//!   skipping every model invocation, and two independently built
+//!   frameworks' cold runs report equal `SelectStats`,
 //! * concurrent selections through one framework (as `caymand`'s
 //!   connection threads run them, sharing one design cache) each reproduce
 //!   the sequential front **bit for bit**.
@@ -54,6 +55,10 @@ fn warm_cache_selection_is_exact_on_real_workloads() {
         let cold = fw.select(&opts);
         assert!(cold.stats.cache_misses > 0, "{name}: cold run misses");
         assert_eq!(cold.stats.cache_hits, 0, "{name}: cold run has no hits");
+        // The stats are counts only: an independently built framework's
+        // cold run reports the same snapshot.
+        let twin = Framework::from_workload(&w).expect("analyses");
+        assert_eq!(twin.select(&opts).stats, cold.stats, "{name}: cold stats");
         let warm = fw.select(&opts);
         assert_fronts_bit_identical(&cold.pareto, &warm.pareto, &format!("{name} warm"));
         assert_eq!(

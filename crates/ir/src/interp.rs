@@ -374,11 +374,10 @@ impl<'m> Interp<'m> {
     /// integer division, step-limit exhaustion, or dynamic type confusion
     /// (the latter indicates the module was not [verified](Module::verify)).
     pub fn run(&mut self, args: &[Value]) -> Result<ExecProfile, InterpError> {
-        let span = cayman_obs::timed_with("profile.interp", || {
-            vec![("engine", cayman_obs::ArgValue::from(self.engine_name()))]
-        });
-        let result = self.run_inner(args);
-        span.finish();
+        let result = {
+            let _span = cayman_obs::span!("profile.interp", engine = self.engine_name());
+            self.run_inner(args)
+        };
         if let Ok(profile) = &result {
             static BLOCKS: OnceLock<&Counter> = OnceLock::new();
             BLOCKS

@@ -145,7 +145,8 @@ impl fmt::Display for OptLevel {
     }
 }
 
-/// Per-pass counters accumulated by [`PassManager::run`].
+/// Per-pass counters accumulated by [`PassManager::run`]. Each run's time
+/// is in the trace, as a `normalize.<pass>` span.
 #[derive(Debug, Clone)]
 pub struct PassStats {
     /// Pass name.
@@ -154,12 +155,11 @@ pub struct PassStats {
     pub runs: u32,
     /// Number of runs that reported a change.
     pub changed: u32,
-    /// Total time spent inside the pass, in microseconds.
-    pub micros: u128,
 }
 
-/// Aggregate outcome of one [`PassManager::run`], printable in the same
-/// single-line style as the selection engine's `SelectStats`.
+/// Aggregate counts of one [`PassManager::run`], printable in the same
+/// single-line style as the selection engine's `SelectStats`. They are
+/// counts only; the run's time is its `normalize.pipeline` trace span.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Per-pass counters, in pipeline order.
@@ -168,8 +168,6 @@ pub struct PipelineStats {
     pub iterations: u32,
     /// Number of inter-pass verifier runs.
     pub verify_runs: u32,
-    /// Wall-clock time of the whole run, in microseconds.
-    pub wall_micros: u128,
 }
 
 impl PipelineStats {
@@ -180,23 +178,21 @@ impl PipelineStats {
 
     /// Folds another run's counters into this one. Used to aggregate
     /// per-function [`PassManager::run_function`] stats into one
-    /// module-level summary: passes are aligned by name (run/changed/time
+    /// module-level summary: passes are aligned by name (run/changed
     /// counters add), `iterations` reports the deepest per-function fixed
-    /// point, and verifier runs and wall time accumulate.
+    /// point, and verifier runs accumulate.
     pub fn merge(&mut self, other: &PipelineStats) {
         for p in &other.passes {
             match self.passes.iter_mut().find(|q| q.name == p.name) {
                 Some(q) => {
                     q.runs += p.runs;
                     q.changed += p.changed;
-                    q.micros += p.micros;
                 }
                 None => self.passes.push(p.clone()),
             }
         }
         self.iterations = self.iterations.max(other.iterations);
         self.verify_runs += other.verify_runs;
-        self.wall_micros += other.wall_micros;
     }
 }
 
@@ -204,25 +200,18 @@ impl fmt::Display for PipelineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "normalize: {} iteration(s)", self.iterations)?;
         for p in &self.passes {
-            write!(
-                f,
-                ", {} {}/{} changed in {:.2}ms",
-                p.name,
-                p.changed,
-                p.runs,
-                p.micros as f64 / 1000.0
-            )?;
+            write!(f, ", {} {}/{} changed", p.name, p.changed, p.runs)?;
         }
         if self.verify_runs > 0 {
             write!(f, ", verified {}x", self.verify_runs)?;
         }
-        write!(f, ", wall {:.2}ms", self.wall_micros as f64 / 1000.0)
+        Ok(())
     }
 }
 
 /// Runs a declarative list of passes, optionally to a fixed point, with
-/// per-pass timing/changed counters and optional verification between
-/// passes.
+/// per-pass run/changed counters, a trace span per pass run and optional
+/// verification between passes.
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     verify_each: bool,
@@ -306,52 +295,7 @@ impl PassManager {
     /// With `verify_each_pass` enabled, returns the first verifier failure
     /// (the module is left in its mid-pipeline state for inspection).
     pub fn run(&mut self, module: &mut Module) -> Result<PipelineStats, VerifyError> {
-        // One measurement source: the obs timed span both feeds the trace
-        // (when enabled) and yields the nanos `PipelineStats` reports.
-        let wall = cayman_obs::timed("normalize.pipeline");
-        let mut stats = PipelineStats {
-            passes: self
-                .passes
-                .iter()
-                .map(|p| PassStats {
-                    name: p.name(),
-                    runs: 0,
-                    changed: 0,
-                    micros: 0,
-                })
-                .collect(),
-            ..PipelineStats::default()
-        };
-        if self.verify_each {
-            module.verify()?;
-            stats.verify_runs += 1;
-        }
-        for _ in 0..self.max_iters {
-            stats.iterations += 1;
-            let mut any = false;
-            for (i, pass) in self.passes.iter_mut().enumerate() {
-                let t = cayman_obs::timed(("normalize.", pass.name()));
-                let changed = pass.run(module).as_bool();
-                stats.passes[i].micros += u128::from(t.finish()) / 1_000;
-                stats.passes[i].runs += 1;
-                if changed {
-                    stats.passes[i].changed += 1;
-                    any = true;
-                    if self.verify_each {
-                        module.verify().map_err(|e| VerifyError {
-                            func: e.func,
-                            message: format!("after pass `{}`: {}", pass.name(), e.message),
-                        })?;
-                        stats.verify_runs += 1;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        stats.wall_micros = u128::from(wall.finish()) / 1_000;
-        Ok(stats)
+        self.drive(module, |pass, module| pass.run(module))
     }
 
     /// Runs the pipeline over a single function of `module`, iterating to
@@ -372,7 +316,18 @@ impl PassManager {
         module: &mut Module,
         func: FuncId,
     ) -> Result<PipelineStats, VerifyError> {
-        let wall = cayman_obs::timed("normalize.pipeline");
+        self.drive(module, |pass, module| pass.run_fn(module, func))
+    }
+
+    /// The fixed-point loop behind [`PassManager::run`] and
+    /// [`PassManager::run_function`]; `run_pass` applies one pass to
+    /// whatever the caller scoped the run to.
+    fn drive(
+        &mut self,
+        module: &mut Module,
+        mut run_pass: impl FnMut(&mut dyn Pass, &mut Module) -> Changed,
+    ) -> Result<PipelineStats, VerifyError> {
+        let _span = cayman_obs::span!("normalize.pipeline");
         let mut stats = PipelineStats {
             passes: self
                 .passes
@@ -381,7 +336,6 @@ impl PassManager {
                     name: p.name(),
                     runs: 0,
                     changed: 0,
-                    micros: 0,
                 })
                 .collect(),
             ..PipelineStats::default()
@@ -394,9 +348,10 @@ impl PassManager {
             stats.iterations += 1;
             let mut any = false;
             for (i, pass) in self.passes.iter_mut().enumerate() {
-                let t = cayman_obs::timed(("normalize.", pass.name()));
-                let changed = pass.run_fn(module, func).as_bool();
-                stats.passes[i].micros += u128::from(t.finish()) / 1_000;
+                let changed = {
+                    let _span = cayman_obs::span!(("normalize.", pass.name()));
+                    run_pass(pass.as_mut(), module).as_bool()
+                };
                 stats.passes[i].runs += 1;
                 if changed {
                     stats.passes[i].changed += 1;
@@ -414,7 +369,6 @@ impl PassManager {
                 break;
             }
         }
-        stats.wall_micros = u128::from(wall.finish()) / 1_000;
         Ok(stats)
     }
 }

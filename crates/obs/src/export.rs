@@ -25,7 +25,8 @@ impl Trace {
 
     /// Renders the trace in Chrome trace-event format (the JSON-object form
     /// with a `traceEvents` array), loadable in `chrome://tracing` and
-    /// Perfetto. Spans become `B`/`E` pairs on the recording thread's lane,
+    /// Perfetto. Spans become `B`/`E` pairs on the recording thread's lane
+    /// (an `E` carries the span's [`crate::SpanGuard::tag`]s),
     /// counters become cumulative `C` tracks, and instants `i` markers.
     pub fn to_chrome(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 96 + 64);
@@ -50,11 +51,13 @@ impl Trace {
                 EventKind::End => {
                     write!(
                         line,
-                        "{{\"name\":\"{}\",\"ph\":\"E\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{}}}",
+                        "{{\"name\":\"{}\",\"ph\":\"E\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{}",
                         escape(&e.name.to_string()),
                         e.tid
                     )
                     .unwrap();
+                    write_args(&mut line, &e.args);
+                    line.push('}');
                 }
                 EventKind::Counter { delta } => {
                     let name = e.name.to_string();

@@ -3,12 +3,11 @@
 //! Dependency-free observability substrate for the whole Cayman pipeline:
 //! one instrumentation mechanism shared by every crate, one artifact out.
 //!
-//! * **Spans** — hierarchical begin/end pairs ([`span!`],
-//!   [`SpanGuard`], [`timed`]) recorded per thread with nanosecond
-//!   timestamps. [`timed`] additionally returns the elapsed nanoseconds so
-//!   per-run statistics snapshots (`SelectStats`, `PipelineStats`) are
-//!   *views over the same measurement* rather than parallel `Instant`
-//!   plumbing.
+//! * **Spans** — hierarchical begin/end pairs ([`span!`], [`SpanGuard`])
+//!   recorded per thread with nanosecond timestamps. Spans are the one
+//!   clock of the pipeline: the per-run statistics snapshots
+//!   (`SelectStats`, `PipelineStats`) only count, and a run with tracing
+//!   off reads no clock at all.
 //! * **Counters** — one type, [`Counter`]: an always-on named atomic whose
 //!   [`Counter::add`] also emits a same-named Chrome counter event when
 //!   tracing is on, so METRICS and the trace read one source (scopes: see
@@ -52,8 +51,8 @@ pub mod trace;
 
 pub use export::Trace;
 pub use recorder::{
-    diag, disable, drain, enable, enabled, flush_to_env, init_from_env, instant_with, timed,
-    timed_with, ArgValue, Event, EventKind, Name, SpanGuard, TimedSpan, STRIPES,
+    diag, disable, drain, enable, enabled, flush_to_env, init_from_env, instant_with, ArgValue,
+    Event, EventKind, Name, SpanGuard, STRIPES,
 };
 pub use registry::Counter;
 

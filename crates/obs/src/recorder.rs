@@ -283,6 +283,8 @@ pub fn drain() -> Trace {
 #[must_use = "the span ends when the guard drops"]
 pub struct SpanGuard {
     name: Option<Name>,
+    /// Arguments for the `End` event, set by [`SpanGuard::tag`].
+    end_args: Vec<(&'static str, ArgValue)>,
 }
 
 impl SpanGuard {
@@ -291,93 +293,44 @@ impl SpanGuard {
     pub fn enter(name: impl Into<Name>) -> SpanGuard {
         let name = name.into();
         push(EventKind::Begin, name.clone(), Vec::new());
-        SpanGuard { name: Some(name) }
+        SpanGuard {
+            name: Some(name),
+            end_args: Vec::new(),
+        }
     }
 
     /// Opens a span with structured arguments.
     pub fn enter_with(name: impl Into<Name>, args: Vec<(&'static str, ArgValue)>) -> SpanGuard {
         let name = name.into();
         push(EventKind::Begin, name.clone(), args);
-        SpanGuard { name: Some(name) }
+        SpanGuard {
+            name: Some(name),
+            end_args: Vec::new(),
+        }
     }
 
     /// The disabled no-op guard.
     pub fn noop() -> SpanGuard {
-        SpanGuard { name: None }
+        SpanGuard {
+            name: None,
+            end_args: Vec::new(),
+        }
+    }
+
+    /// Tags the span with an outcome known only when it closes. The
+    /// argument rides on the `End` event, whose arguments Chrome-trace
+    /// viewers merge into the span's. A no-op on the disabled guard.
+    pub fn tag(&mut self, key: &'static str, value: impl Into<ArgValue>) {
+        if self.name.is_some() {
+            self.end_args.push((key, value.into()));
+        }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(name) = self.name.take() {
-            push(EventKind::End, name, Vec::new());
-        }
-    }
-}
-
-/// A span that *always* measures elapsed time (stats need the number whether
-/// or not tracing is on) and additionally emits `Begin`/`End` events when
-/// tracing is enabled. This is the single measurement mechanism behind
-/// `SelectStats` and `PipelineStats`.
-#[must_use = "call finish() to read the elapsed time"]
-pub struct TimedSpan {
-    start: Instant,
-    name: Option<Name>,
-    traced: bool,
-}
-
-/// Starts a [`TimedSpan`]. Allocation-free when `name` is
-/// [`Name::Static`]/[`Name::Joined`] and tracing is disabled.
-pub fn timed(name: impl Into<Name>) -> TimedSpan {
-    let traced = enabled();
-    let name = name.into();
-    if traced {
-        push(EventKind::Begin, name.clone(), Vec::new());
-    }
-    TimedSpan {
-        start: Instant::now(),
-        name: Some(name),
-        traced,
-    }
-}
-
-/// [`timed`] with structured arguments on the `Begin` event (built only when
-/// tracing is enabled).
-pub fn timed_with(
-    name: impl Into<Name>,
-    args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
-) -> TimedSpan {
-    let traced = enabled();
-    let name = name.into();
-    if traced {
-        push(EventKind::Begin, name.clone(), args());
-    }
-    TimedSpan {
-        start: Instant::now(),
-        name: Some(name),
-        traced,
-    }
-}
-
-impl TimedSpan {
-    /// Closes the span and returns the elapsed nanoseconds.
-    pub fn finish(mut self) -> u64 {
-        let nanos = self.start.elapsed().as_nanos() as u64;
-        if let Some(name) = self.name.take() {
-            if self.traced {
-                push(EventKind::End, name, Vec::new());
-            }
-        }
-        nanos
-    }
-}
-
-impl Drop for TimedSpan {
-    fn drop(&mut self) {
-        if let Some(name) = self.name.take() {
-            if self.traced {
-                push(EventKind::End, name, Vec::new());
-            }
+            push(EventKind::End, name, std::mem::take(&mut self.end_args));
         }
     }
 }

@@ -11,10 +11,10 @@ fn record_export_validate_roundtrip() {
 
     {
         let _stage = cayman_obs::span!("analyse.profile", benchmark = "trisolv");
-        let t = cayman_obs::timed("profile.interp");
+        let mut interp = cayman_obs::span!("profile.interp", engine = "decoded");
         cayman_obs::registry::counter("profile.blocks").add(128);
         cayman_obs::diag("interp.fallback", || "decode unsupported".to_string());
-        assert!(t.finish() > 0);
+        interp.tag("ok", true);
     }
     let worker = std::thread::spawn(|| {
         let _req = cayman_obs::span!("server.select", conn = 3usize);
@@ -37,6 +37,12 @@ fn record_export_validate_roundtrip() {
     );
     assert!(summary.has_span_prefix("analyse."));
     assert!(summary.has_span_prefix("server."));
+    // A tag rides on the span's End event.
+    assert!(
+        chrome.contains(r#""name":"profile.interp","ph":"E""#)
+            && chrome.contains(r#""args":{"ok":true}}"#),
+        "{chrome}"
+    );
     assert!(summary.counters.contains(&"profile.blocks".to_string()));
     assert!(summary.instants.iter().any(|n| n == "server.timeout"));
 

@@ -37,20 +37,19 @@
 //!
 //! ## Two levels
 //!
-//! The in-memory stripes can be backed by a persistent second level through
+//! The in-memory table can be backed by a persistent second level through
 //! [`DesignStoreBackend`] (implemented by `cayman-store`'s content-addressed
 //! disk store). The cache is **write-through**: every insert is forwarded to
 //! the backing store, and a memory miss consults the store before reporting
-//! a miss, promoting disk hits into the missing stripe. Keys carry the
+//! a miss, promoting disk hits into memory. Keys carry the
 //! candidate's content and profile, so a persistent entry is valid for
 //! every process that models the same region with the same model — which
 //! is exactly what makes the store shareable across processes.
 
 use cayman_hls::design::AcceleratorDesign;
 use cayman_hls::inputs::CandidateKey;
-use cayman_ir::fingerprint::fnv1a_u64s;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identity of an accelerator model instance: a model name plus a
 /// fingerprint of its options (`0` for option-free models).
@@ -72,7 +71,7 @@ pub struct DesignKey {
     pub candidate: CandidateKey,
 }
 
-/// A persistent second level under the in-memory stripes.
+/// A persistent second level under the in-memory table.
 ///
 /// Implementations must be corruption-tolerant (a bad entry is a miss,
 /// never a panic) and safe for concurrent use from many threads and many
@@ -88,36 +87,13 @@ pub trait DesignStoreBackend: Send + Sync + std::fmt::Debug {
     fn save(&self, key: &DesignKey, designs: &[AcceleratorDesign]);
 }
 
-/// Number of independent lock stripes. A power of two so the stripe pick is
-/// a mask; 16 stripes keep concurrent selections over one shared cache
-/// (`caymand`'s connection threads share a framework) from queueing on one
-/// lock, without bloating the cache with empty maps.
-const STRIPES: usize = 16;
-
-/// Which lock stripe a key lives on: FNV-1a over the key's numeric fields,
-/// deterministic across runs and processes (the `HashMap`s inside each
-/// stripe still use `RandomState`; only the stripe pick must be stable).
-/// The pick reads the top bits, which FNV's multiply mixes from every input
-/// byte; a stripe only spreads lock traffic, so the map inside it does the
-/// exact matching.
-fn stripe_of(key: &DesignKey) -> usize {
-    let c = &key.candidate;
-    let h = fnv1a_u64s(&[
-        key.model.options,
-        u64::from(c.func.0),
-        c.region_fp,
-        c.entries,
-        c.cpu_cycles,
-        c.blocks.len() as u64,
-        c.blocks.first().map_or(0, |b| u64::from(b.0)),
-    ]);
-    (h >> (64 - STRIPES.trailing_zeros())) as usize
-}
+/// The in-memory table: shared design vectors by key.
+type Entries = HashMap<DesignKey, Arc<Vec<AcceleratorDesign>>>;
 
 /// Which level of the cache answered a [`DesignCache::lookup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
-    /// The in-memory stripes.
+    /// The in-memory table.
     Memory,
     /// The backing store (the entry is now promoted into memory).
     Store,
@@ -128,18 +104,18 @@ pub enum Source {
 ///
 /// Entries are `Arc`ed: a hit shares the design vector without copying it,
 /// and the selection DP clones only the designs that survive its Pareto
-/// reduction. The table is sharded into 16 independently locked stripes keyed
-/// by a deterministic hash of the [`DesignKey`], so concurrent selections
-/// probing different candidates do not serialise on one global lock. The cache
-/// counts nothing itself: the selection DP counts its lookups per run
-/// (`SelectStats`) and adds the run's totals to the process-scope
-/// `cache.mem.*` counters once at run end.
+/// reduction. One lock guards the table, held only for a probe or an
+/// insert: a selection runs on its calling thread and each framework owns
+/// its cache, so only `caymand` connections that land on one framework
+/// ever contend for it. The cache counts nothing itself: the selection DP
+/// counts its lookups per run (`SelectStats`) and adds the run's totals to
+/// the process-scope `cache.mem.*` counters once at run end.
 ///
 /// An optional [`DesignStoreBackend`] turns the cache into the first level
 /// of a two-level hierarchy (see the module docs).
 #[derive(Debug, Default)]
 pub struct DesignCache {
-    stripes: [Mutex<HashMap<DesignKey, Arc<Vec<AcceleratorDesign>>>>; STRIPES],
+    entries: Mutex<Entries>,
     backing: Option<Arc<dyn DesignStoreBackend>>,
 }
 
@@ -156,25 +132,21 @@ impl DesignCache {
         self.backing = Some(backing);
     }
 
-    /// Looks up memoised designs and says which level answered. Only the
-    /// key's stripe is locked, and only for the probe itself. On a memory
-    /// miss the backing store (when attached) is consulted and a store hit
-    /// is promoted into the stripe.
+    fn entries(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().expect("design cache poisoned")
+    }
+
+    /// Looks up memoised designs and says which level answered. The lock
+    /// is held only for the probe itself. On a memory miss the backing
+    /// store (when attached) is consulted and a store hit is promoted into
+    /// memory.
     pub fn lookup(&self, key: &DesignKey) -> Option<(Arc<Vec<AcceleratorDesign>>, Source)> {
-        let stripe = &self.stripes[stripe_of(key)];
-        let found = stripe
-            .lock()
-            .expect("design cache poisoned")
-            .get(key)
-            .cloned();
+        let found = self.entries().get(key).cloned();
         if let Some(designs) = found {
             return Some((designs, Source::Memory));
         }
         let designs = Arc::new(self.backing.as_ref()?.load(key)?);
-        stripe
-            .lock()
-            .expect("design cache poisoned")
-            .insert(key.clone(), Arc::clone(&designs));
+        self.entries().insert(key.clone(), Arc::clone(&designs));
         Some((designs, Source::Store))
     }
 
@@ -191,19 +163,13 @@ impl DesignCache {
             backing.save(&key, &designs);
         }
         let arc = Arc::new(designs);
-        self.stripes[stripe_of(&key)]
-            .lock()
-            .expect("design cache poisoned")
-            .insert(key, Arc::clone(&arc));
+        self.entries().insert(key, Arc::clone(&arc));
         arc
     }
 
-    /// Number of memoised candidate entries, summed over stripes.
+    /// Number of memoised candidate entries.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("design cache poisoned").len())
-            .sum()
+        self.entries().len()
     }
 
     /// Whether the cache holds no entries.
@@ -215,9 +181,7 @@ impl DesignCache {
     /// keeps its entries: clearing memory is a per-process operation, the
     /// store is shared.
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().expect("design cache poisoned").clear();
-        }
+        self.entries().clear();
     }
 }
 
@@ -281,22 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn stripe_assignment_is_deterministic_and_spreads() {
-        let keys: Vec<DesignKey> = (0..64).map(|i| key(i, u64::from(i))).collect();
-        let stripes: Vec<usize> = keys.iter().map(stripe_of).collect();
-        // stable across repeated hashing
-        assert_eq!(stripes, keys.iter().map(stripe_of).collect::<Vec<_>>());
-        let used: std::collections::HashSet<usize> = stripes.iter().copied().collect();
-        assert!(
-            used.len() > STRIPES / 2,
-            "64 distinct keys landed on only {} stripe(s)",
-            used.len()
-        );
-        assert!(used.iter().all(|&s| s < STRIPES));
-    }
-
-    #[test]
-    fn striped_cache_survives_concurrent_mixed_use() {
+    fn cache_survives_concurrent_mixed_use() {
         let cache = DesignCache::new();
         for i in 0..64 {
             cache.insert(key(i, 1), Vec::new());

@@ -40,12 +40,14 @@
 //!   solutions. A fold starts from its first child's front instead of
 //!   `{∅} ⊗ F[u₁]`.
 //!
-//! A [`SelectStats`] snapshot (per-phase wall time, cache hits/misses,
-//! vertices visited/pruned) rides on every [`SelectionResult`].
+//! A [`SelectStats`] snapshot (cache hits/misses, vertices
+//! visited/pruned) rides on every [`SelectionResult`]; the time of a run,
+//! its folds and its model calls lives in the `select.run`,
+//! `select.combine` and `model.accel` trace spans.
 
 use crate::cache::{DesignCache, DesignKey, ModelId, Source};
 use crate::pareto::{fold, with_designs, Solution};
-use crate::stats::{accel_label, AccelCall, RunStats, SelectStats};
+use crate::stats::{accel_label, RunStats, SelectStats};
 use cayman_analysis::profile::Profile;
 use cayman_analysis::wpst::{Wpst, WpstKind, WpstNodeId};
 use cayman_hls::design::{generate_designs, AcceleratorDesign};
@@ -185,9 +187,7 @@ pub fn run_selection(
     cache: &DesignCache,
     fronts: Option<&mut HashMap<FrontKey, Vec<Solution>>>,
 ) -> SelectionResult {
-    // The obs span is the single wall-clock measurement: it feeds both the
-    // trace (when enabled) and the `SelectStats` snapshot.
-    let wall = cayman_obs::timed("select.run");
+    let _span = cayman_obs::span!("select.run");
     let model_id = model.cache_id();
     let keys = if fronts.is_some() {
         let fps: Vec<u64> = inputs
@@ -222,7 +222,7 @@ pub fn run_selection(
         },
     };
     let pareto = engine.dp(wpst.root());
-    let stats = engine.stats.snapshot(module, wall.finish());
+    let stats = engine.stats.snapshot();
     let missed = engine.reuse.missed;
     // The run's totals reach the process-scope counters once, here. A
     // store hit missed memory and was promoted, so like a model call it
@@ -401,17 +401,14 @@ impl<'a> Engine<'a> {
         child_fronts: Vec<Cow<'a, [Solution]>>,
         designs: Option<Arc<Vec<AcceleratorDesign>>>,
     ) -> Vec<Solution> {
+        let _span = cayman_obs::span!("select.combine");
         let own = designs.as_deref().map(|d| (v, d.as_slice()));
-        let t0 = cayman_obs::timed("select.combine");
         if v != self.wpst.root() || self.reuse.keys.is_empty() {
-            let f = fold(child_fronts, own, self.opts.alpha);
-            self.stats.combine_nanos += t0.finish();
-            return f;
+            return fold(child_fronts, own, self.opts.alpha);
         }
         // Front reuse below still needs the child fronts themselves.
         let borrowed = child_fronts.iter().map(|c| Cow::Borrowed(&**c));
         let f = fold(borrowed, own, self.opts.alpha);
-        self.stats.combine_nanos += t0.finish();
         for (key, front) in self.reuse.keys.iter().zip(child_fronts) {
             match (key, front) {
                 (Some(_), Cow::Borrowed(_)) => self.stats.front_hits += 1,
@@ -453,7 +450,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Memoised model invocation, keyed by the candidate's read set. `v`
-    /// only labels the top-k cost breakdown; it does not participate in the
+    /// only labels the `model.accel` span; it does not participate in the
     /// cache key.
     fn designs_for(&mut self, cand: &Candidate, v: WpstNodeId) -> Arc<Vec<AcceleratorDesign>> {
         let inputs = &self.inputs[cand.func.index()];
@@ -474,23 +471,14 @@ impl<'a> Engine<'a> {
                 None => self.stats.cache_misses += 1,
             }
         }
-        // The span and the top-k breakdown label the invocation alike; the
-        // label is only rendered when tracing asks for it.
-        let t0 = cayman_obs::timed_with("model.accel", || {
-            let label = accel_label(self.module, cand.func, v, cand.is_bb);
-            vec![("region", cayman_obs::ArgValue::Str(label))]
-        });
-        let designs = self.model.designs(inputs, cand);
-        let nanos = t0.finish();
-        self.stats.model_nanos += nanos;
+        let designs = {
+            let _span = cayman_obs::span!(
+                "model.accel",
+                region = accel_label(self.module, cand.func, v, cand.is_bb)
+            );
+            self.model.designs(inputs, cand)
+        };
         self.stats.configs_evaluated += designs.len();
-        self.stats.record_accel(AccelCall {
-            func: cand.func,
-            node: v,
-            is_bb: cand.is_bb,
-            nanos,
-            designs: designs.len(),
-        });
         match key {
             Some(key) => self.cache.insert(key, designs),
             None => Arc::new(designs),
@@ -765,17 +753,6 @@ mod tests {
         assert_eq!(cold.stats.cache_hits, 0);
         assert!(cold.stats.cache_misses > 0);
         assert!(cold.stats.configs_evaluated > 0);
-        // Every model invocation is labelled `function#vN` in the top-k
-        // breakdown, most expensive first.
-        assert!(!cold.stats.top_accel.is_empty());
-        assert!(
-            cold.stats
-                .top_accel
-                .iter()
-                .all(|c| c.label.contains("#v") && c.designs > 0),
-            "{:?}",
-            cold.stats.top_accel
-        );
 
         let warm = run_selection(
             &app.module,
@@ -791,7 +768,6 @@ mod tests {
         assert_eq!(warm.stats.cache_misses, 0, "everything memoised");
         assert_eq!(warm.stats.cache_hits, cold.stats.cache_misses);
         assert_eq!(warm.stats.configs_evaluated, 0, "model never invoked");
-        assert!(warm.stats.top_accel.is_empty(), "no model calls to rank");
         assert_eq!(warm.stats.configs_considered, cold.stats.configs_considered);
     }
 

@@ -33,4 +33,4 @@ pub use dp::{
     front_keys, run_selection, AccelModel, CaymanModel, FrontKey, SelectOptions, SelectionResult,
 };
 pub use pareto::{combine, filter, fold, pareto, with_designs, SelectedKernel, Solution};
-pub use stats::{AccelCallStat, SelectStats, TOP_ACCEL_K};
+pub use stats::SelectStats;

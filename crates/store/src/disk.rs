@@ -238,12 +238,10 @@ impl DiskStore {
     /// Loads and decodes the entry for `key`, counting the outcome. Every
     /// failure mode is a miss.
     pub fn load(&self, key: &DesignKey) -> Option<Vec<AcceleratorDesign>> {
-        let span = cayman_obs::timed("store.load");
+        let _span = cayman_obs::span!("store.load");
         let kb = codec::key_bytes(key);
         let path = self.entry_path(&Self::address(&kb));
-        let result = self.load_at(&path, &kb);
-        span.finish();
-        result
+        self.load_at(&path, &kb)
     }
 
     fn load_at(&self, path: &Path, kb: &[u8]) -> Option<Vec<AcceleratorDesign>> {
@@ -293,7 +291,7 @@ impl DiskStore {
     /// Failures are swallowed: the store is an optimisation layer, and a
     /// full disk or permission error must never take selection down.
     pub fn save(&self, key: &DesignKey, designs: &[AcceleratorDesign]) {
-        let span = cayman_obs::timed("store.save");
+        let _span = cayman_obs::span!("store.save");
         let kb = codec::key_bytes(key);
         let bytes = codec::encode_entry(key, designs);
         let path = self.entry_path(&Self::address(&kb));
@@ -304,7 +302,6 @@ impl DiskStore {
                 self.sweep();
             }
         }
-        span.finish();
     }
 
     fn save_at(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -367,7 +364,7 @@ impl DiskStore {
     /// store is at ¾ of the cap. Concurrent sweeps from other processes are
     /// benign (unlink of an already-unlinked file is a no-op).
     pub fn sweep(&self) {
-        let span = cayman_obs::timed("store.sweep");
+        let _span = cayman_obs::span!("store.sweep");
         let now = SystemTime::now();
         let mut entries = Vec::new();
         let mut total = 0u64;
@@ -399,7 +396,6 @@ impl DiskStore {
                 }
             }
         }
-        span.finish();
     }
 }
 

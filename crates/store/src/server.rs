@@ -281,13 +281,14 @@ impl Shared {
             }
         }
         self.fw_misses.add(1);
-        let span = cayman_obs::timed("server.analyse");
-        let mut fw = Framework::from_text(text)?;
-        if let Some(store) = &self.store {
-            fw.set_design_store(Arc::clone(store) as Arc<dyn DesignStoreBackend>);
-        }
-        span.finish();
-        let fw = Arc::new(fw);
+        let fw = {
+            let _span = cayman_obs::span!("server.analyse");
+            let mut fw = Framework::from_text(text)?;
+            if let Some(store) = &self.store {
+                fw.set_design_store(Arc::clone(store) as Arc<dyn DesignStoreBackend>);
+            }
+            Arc::new(fw)
+        };
         let mut cache = self.frameworks.lock().expect("framework cache poisoned");
         cache.tick += 1;
         let tick = cache.tick;
@@ -316,8 +317,8 @@ impl Shared {
         match req {
             Request::Select { module_text } => {
                 phases.op = "select";
-                let span = cayman_obs::timed("server.select");
                 let resp = {
+                    let _span = cayman_obs::span!("server.select");
                     let warm_t = Instant::now();
                     let fw = self.framework_for(&module_text);
                     phases.warm_nanos = warm_t.elapsed().as_nanos() as u64;
@@ -346,7 +347,6 @@ impl Shared {
                         }
                     }
                 };
-                span.finish();
                 (resp, false, phases)
             }
             Request::Ping => {

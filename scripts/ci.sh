@@ -75,6 +75,14 @@ if grep -rn --include='*.rs' -E '\b(println!|eprintln!|print!|eprint!)' \
   exit 1
 fi
 
+echo "== pipeline crates read no clock (time lives in cayman-obs spans) =="
+if grep -rnw --include='*.rs' -E 'Instant|SystemTime' \
+    crates/ir/src crates/analysis/src crates/hls/src crates/merge/src crates/select/src \
+    crates/baselines/src crates/core/src; then
+  echo "error: pipeline crate reads a clock; time it with a cayman_obs::span! instead" >&2
+  exit 1
+fi
+
 echo "== environment-variable set is pinned (no new knob without a measured need) =="
 env_allowed="CAYMAN_METRICS_INTERVAL_MS
 CAYMAN_OBS_SUMMARY
