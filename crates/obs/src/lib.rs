@@ -8,6 +8,10 @@
 //!   clock of the pipeline: the per-run statistics snapshots
 //!   (`SelectStats`, `PipelineStats`) only count, and a run with tracing
 //!   off reads no clock at all.
+//! * **Phases** — [`PhaseTimer`]: an always-on timed phase (`caymand`'s
+//!   request phases). Its two clock readings feed one histogram and, when
+//!   tracing is on, stamp the same-named span, so METRICS and the trace
+//!   hold one measurement.
 //! * **Counters** — one type, [`Counter`]: an always-on named atomic whose
 //!   [`Counter::add`] also emits a same-named Chrome counter event when
 //!   tracing is on, so METRICS and the trace read one source (scopes: see
@@ -52,7 +56,7 @@ pub mod trace;
 pub use export::Trace;
 pub use recorder::{
     diag, disable, drain, enable, enabled, flush_to_env, init_from_env, instant_with, ArgValue,
-    Event, EventKind, Name, SpanGuard, STRIPES,
+    Event, EventKind, Name, PhaseTimer, SpanGuard, STRIPES,
 };
 pub use registry::Counter;
 

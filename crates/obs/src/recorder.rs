@@ -1,6 +1,7 @@
 //! The global, lock-striped event recorder and its recording entry points.
 
 use crate::export::Trace;
+use crate::hist::Histogram;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -185,7 +186,19 @@ fn thread_id() -> u32 {
     })
 }
 
+/// Nanoseconds since the recorder's epoch: the one clock every event and
+/// [`PhaseTimer`] reads.
+fn now() -> u64 {
+    recorder().epoch.elapsed().as_nanos() as u64
+}
+
 pub(crate) fn push(kind: EventKind, name: Name, args: Vec<(&'static str, ArgValue)>) {
+    push_at(now(), kind, name, args);
+}
+
+/// Records an event stamped `ts_nanos` (a [`now`] reading the caller
+/// already holds).
+fn push_at(ts_nanos: u64, kind: EventKind, name: Name, args: Vec<(&'static str, ArgValue)>) {
     let rec = recorder();
     let tid = thread_id();
     let seq = SEQ.with(|s| {
@@ -193,7 +206,6 @@ pub(crate) fn push(kind: EventKind, name: Name, args: Vec<(&'static str, ArgValu
         s.set(v.wrapping_add(1));
         v
     });
-    let ts_nanos = rec.epoch.elapsed().as_nanos() as u64;
     let event = Event {
         tid,
         seq,
@@ -291,12 +303,7 @@ impl SpanGuard {
     /// Opens a span unconditionally (callers should check [`enabled`]
     /// first — the [`crate::span!`] macro does).
     pub fn enter(name: impl Into<Name>) -> SpanGuard {
-        let name = name.into();
-        push(EventKind::Begin, name.clone(), Vec::new());
-        SpanGuard {
-            name: Some(name),
-            end_args: Vec::new(),
-        }
+        SpanGuard::enter_with(name, Vec::new())
     }
 
     /// Opens a span with structured arguments.
@@ -335,6 +342,47 @@ impl Drop for SpanGuard {
     }
 }
 
+/// An always-on timed phase: one clock reading at [`PhaseTimer::open`] and
+/// one at [`PhaseTimer::close`], whose difference is recorded into a
+/// histogram whether or not tracing is on. When tracing is on at open, the
+/// same two readings also stamp the phase's span (`Begin` and `End` events
+/// under its name), so a span lasts exactly what its histogram recorded.
+#[must_use = "a phase records only when it is closed"]
+pub struct PhaseTimer {
+    hist: &'static Histogram,
+    start: u64,
+    /// The span's name when tracing was on at open.
+    span: Option<&'static str>,
+}
+
+impl PhaseTimer {
+    /// Opens the phase `name`, which records into `hist` when it closes.
+    /// `args` (the span's arguments) runs only when tracing is on.
+    pub fn open(
+        name: &'static str,
+        hist: &'static Histogram,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
+    ) -> PhaseTimer {
+        let start = now();
+        let span = enabled().then(|| {
+            push_at(start, EventKind::Begin, Name::Static(name), args());
+            name
+        });
+        PhaseTimer { hist, start, span }
+    }
+
+    /// Closes the phase and returns its duration in nanoseconds.
+    pub fn close(self) -> u64 {
+        let end = now();
+        let nanos = end - self.start;
+        self.hist.record(nanos);
+        if let Some(name) = self.span {
+            push_at(end, EventKind::End, Name::Static(name), Vec::new());
+        }
+        nanos
+    }
+}
+
 /// Records a point-in-time marker with structured arguments (built only
 /// when enabled). No-op when disabled.
 #[inline]
@@ -349,11 +397,5 @@ pub fn instant_with(name: impl Into<Name>, args: impl FnOnce() -> Vec<(&'static 
 /// instant marker with a `message` argument.
 #[inline]
 pub fn diag(name: impl Into<Name>, message: impl FnOnce() -> String) {
-    if enabled() {
-        push(
-            EventKind::Instant,
-            name.into(),
-            vec![("message", ArgValue::Str(message()))],
-        );
-    }
+    instant_with(name, || vec![("message", ArgValue::Str(message()))]);
 }

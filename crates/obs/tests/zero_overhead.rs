@@ -1,8 +1,9 @@
 //! Verifies the disabled-tracing cost model: the selection hot path's obs
 //! calls (`span!` with args) must not allocate at all when tracing
-//! is off — and neither may [`cayman_obs::Counter::add`] or
-//! [`cayman_obs::hist::Histogram::record`], which are *always on* (every
-//! layer counts and the server records every request through them). A
+//! is off — and neither may [`cayman_obs::Counter::add`],
+//! [`cayman_obs::hist::Histogram::record`] or a
+//! [`cayman_obs::PhaseTimer`], which are *always on* (every layer counts
+//! and the server times every request phase through them). A
 //! counting global allocator makes "no allocations" a hard assertion
 //! rather than a benchmark judgement call.
 
@@ -70,11 +71,12 @@ fn disabled_tracing_allocates_nothing_on_the_hot_path() {
         after - before
     );
     assert!(hits.get() >= 10_001, "counting is always on");
+    assert!(HIST.count() >= 20_002, "phase timing is always on");
 }
 
-// The server's per-request histogram and an instance-scope counter:
-// recording is always on, so both must be allocation-free regardless of
-// the tracing flag.
+// The server's per-request histogram, its phase timer and an
+// instance-scope counter: recording is always on, so all must be
+// allocation-free regardless of the tracing flag.
 static HIST: cayman_obs::hist::Histogram = cayman_obs::hist::Histogram::new();
 static MISSES: cayman_obs::Counter = cayman_obs::Counter::new("cache.mem.misses");
 
@@ -85,6 +87,10 @@ fn hot_path_iteration(i: usize, hits: &cayman_obs::Counter) {
     // A label argument is formatted only when tracing is on.
     let _m = cayman_obs::span!("model.accel", region = format!("f#v{i}:bb"));
     HIST.record(std::hint::black_box(i as u64 * 977));
+    let phase = cayman_obs::PhaseTimer::open("server.req", &HIST, || {
+        vec![("id", cayman_obs::ArgValue::U64(i as u64))]
+    });
+    std::hint::black_box(phase.close());
     cayman_obs::instant_with("server.timeout", || {
         vec![("conn", cayman_obs::ArgValue::U64(i as u64))]
     });

@@ -100,9 +100,10 @@ fn main() {
         assert!(count >= 1.0, "{name}: at least one request recorded");
         assert!(sum >= 0.0, "{name}: sum is non-negative");
     }
-    assert!(
-        exp.value("cayman_server_requests").unwrap_or(0.0) >= 5.0,
-        "server request counter is exported"
+    assert_eq!(
+        exp.value("cayman_req_total_nanos_count"),
+        Some(4.0),
+        "every request before the scrape is counted once"
     );
     assert!(
         exp.value("cayman_cache_mem_inserts").unwrap_or(0.0) > 0.0,
@@ -186,6 +187,7 @@ fn main() {
 
     let entries = walk_count(&store_dir);
     let _ = std::fs::remove_dir_all(&tmp);
+    cayman_obs::flush_to_env();
     println!(
         "serversmoke: OK ({}: front bit-identical cold/memory-warm/disk-warm, \
          {} model evals cold, {} disk hits warm, {entries} store entries, \

@@ -22,10 +22,10 @@
 //! (`server.req` → `server.req.{decode,warm,select,encode}`), and names
 //! the request in the **slow-request log** (threshold
 //! `CAYMAN_SLOW_REQ_MS`; lines go to stderr and a bounded in-process ring
-//! read by [`ServerHandle::slow_log`]). Each phase also records into an
-//! always-on latency histogram (`req.decode.nanos`, `req.warm.nanos`,
-//! `req.select.nanos`, `req.encode.nanos`, `req.total.nanos` in
-//! `cayman_obs::registry`). `Request::Metrics` serves the whole registry
+//! read by [`ServerHandle::slow_log`]). Each phase is timed once, by a
+//! [`PhaseTimer`] whose two clock readings feed both that span and the
+//! phase's always-on histogram (`req.{total,decode,warm,select,encode}.nanos`
+//! in `cayman_obs::registry`). `Request::Metrics` serves the whole registry
 //! (histograms and every process-scope counter: design cache, profiling,
 //! incremental queries, …) plus this server's and its store's
 //! instance-scope counters as a Prometheus-style text exposition (and
@@ -36,7 +36,7 @@ use crate::disk::DiskStore;
 use crate::wire::{self, MetricsReply, Request, Response, SelectReply, WireError};
 use cayman::{CaymanError, Framework, SelectOptions};
 use cayman_obs::hist::Histogram;
-use cayman_obs::Counter;
+use cayman_obs::{Counter, PhaseTimer};
 use cayman_select::DesignStoreBackend;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -216,18 +216,6 @@ struct PhaseHists {
     total: &'static Histogram,
 }
 
-impl PhaseHists {
-    fn register() -> PhaseHists {
-        PhaseHists {
-            decode: cayman_obs::registry::hist("req.decode.nanos"),
-            warm: cayman_obs::registry::hist("req.warm.nanos"),
-            select: cayman_obs::registry::hist("req.select.nanos"),
-            encode: cayman_obs::registry::hist("req.encode.nanos"),
-            total: cayman_obs::registry::hist("req.total.nanos"),
-        }
-    }
-}
-
 /// Phase timings of one handled request, for the slow-request log.
 #[derive(Default, Clone, Copy)]
 struct Phases {
@@ -248,7 +236,6 @@ struct Shared {
     req_timeout: Option<Duration>,
     started: Instant,
     frameworks: Mutex<FwCache>,
-    requests: Counter,
     fw_hits: Counter,
     fw_misses: Counter,
     fw_evictions: Counter,
@@ -309,65 +296,51 @@ impl Shared {
         Ok((fw, false))
     }
 
-    /// Handles one decoded request. Returns the response, whether the
-    /// server should shut down, and the phase timings recorded so far.
-    fn handle(&self, req: Request) -> (Response, bool, Phases) {
-        self.requests.add(1);
-        let mut phases = Phases::default();
-        match req {
+    /// Handles one decoded request, noting its op and timings in
+    /// `phases`. Returns the response and whether the server should shut
+    /// down.
+    fn handle(&self, req: Request, phases: &mut Phases) -> (Response, bool) {
+        let (op, resp, shutdown) = match req {
             Request::Select { module_text } => {
-                phases.op = "select";
-                let resp = {
-                    let _span = cayman_obs::span!("server.select");
-                    let warm_t = Instant::now();
-                    let fw = self.framework_for(&module_text);
-                    phases.warm_nanos = warm_t.elapsed().as_nanos() as u64;
-                    self.hists.warm.record(phases.warm_nanos);
-                    match fw {
-                        Err(e) => Response::Error(e.to_string()),
-                        Ok((fw, framework_reused)) => {
-                            phases.framework_reused = framework_reused;
-                            let select_t = Instant::now();
-                            let res = fw.select(&self.select);
-                            phases.select_nanos = select_t.elapsed().as_nanos() as u64;
-                            self.hists.select.record(phases.select_nanos);
-                            if res.stats.configs_evaluated == 0 {
-                                self.select_warm.add(1);
-                            } else {
-                                self.select_cold.add(1);
-                            }
-                            Response::Select(SelectReply {
-                                front: res.pareto,
-                                framework_reused,
-                                model_evals: res.stats.configs_evaluated as u64,
-                                cache_hits: res.stats.cache_hits,
-                                cache_misses: res.stats.cache_misses,
-                                disk_hits: res.stats.disk_hits,
-                            })
-                        }
-                    }
-                };
-                (resp, false, phases)
+                ("select", self.warm_and_select(&module_text, phases), false)
             }
-            Request::Ping => {
-                phases.op = "ping";
-                (Response::Pong, false, phases)
-            }
-            Request::Shutdown => {
-                phases.op = "shutdown";
-                (Response::ShuttingDown, true, phases)
-            }
+            Request::Ping => ("ping", Response::Pong, false),
+            Request::Shutdown => ("shutdown", Response::ShuttingDown, true),
             Request::Metrics => {
-                phases.op = "metrics";
-                (
-                    Response::Metrics(MetricsReply {
-                        text: self.metrics_text(),
-                    }),
-                    false,
-                    phases,
-                )
+                let text = self.metrics_text();
+                ("metrics", Response::Metrics(MetricsReply { text }), false)
             }
+        };
+        phases.op = op;
+        (resp, shutdown)
+    }
+
+    /// The `warm` and `select` phases of a SELECT.
+    fn warm_and_select(&self, module_text: &str, phases: &mut Phases) -> Response {
+        let warm = PhaseTimer::open("server.req.warm", self.hists.warm, Vec::new);
+        let fw = self.framework_for(module_text);
+        phases.warm_nanos = warm.close();
+        let (fw, framework_reused) = match fw {
+            Ok(fw) => fw,
+            Err(e) => return Response::Error(e.to_string()),
+        };
+        phases.framework_reused = framework_reused;
+        let select = PhaseTimer::open("server.req.select", self.hists.select, Vec::new);
+        let res = fw.select(&self.select);
+        phases.select_nanos = select.close();
+        if res.stats.configs_evaluated == 0 {
+            self.select_warm.add(1);
+        } else {
+            self.select_cold.add(1);
         }
+        Response::Select(SelectReply {
+            front: res.pareto,
+            framework_reused,
+            model_evals: res.stats.configs_evaluated as u64,
+            cache_hits: res.stats.cache_hits,
+            cache_misses: res.stats.cache_misses,
+            disk_hits: res.stats.disk_hits,
+        })
     }
 
     /// Assembles the Prometheus-style exposition: the metric registry
@@ -376,7 +349,6 @@ impl Shared {
     fn metrics_text(&self) -> String {
         let mut snap = cayman_obs::registry::snapshot();
         for c in [
-            &self.requests,
             &self.fw_hits,
             &self.fw_misses,
             &self.fw_evictions,
@@ -412,10 +384,9 @@ impl Shared {
         }
     }
 
-    /// Records a finished request into the total histogram and, when it
-    /// crossed the slow threshold, the slow-request log.
-    fn finish_request(&self, request_id: u64, phases: Phases, total_nanos: u64) {
-        self.hists.total.record(total_nanos);
+    /// Writes a finished request to the slow-request log when it crossed
+    /// the slow threshold.
+    fn log_if_slow(&self, request_id: u64, phases: Phases, total_nanos: u64) {
         let Some(threshold_ms) = self.slow_req_ms else {
             return;
         };
@@ -489,37 +460,29 @@ fn handle_conn(shared: &Shared, mut stream: Stream) {
         // request work starts once a full frame is in hand (blocking on
         // read_frame is client think-time, not server latency)
         let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let total_t = Instant::now();
-        let mut phases;
-        let decode_t = Instant::now();
+        let hists = &shared.hists;
+        let total = PhaseTimer::open("server.req", hists.total, || {
+            vec![("id", cayman_obs::ArgValue::U64(request_id))]
+        });
+        let decode = PhaseTimer::open("server.req.decode", hists.decode, Vec::new);
         let decoded = wire::decode_request(&payload);
-        let decode_nanos = decode_t.elapsed().as_nanos() as u64;
-        shared.hists.decode.record(decode_nanos);
-        let (resp, shutdown) = match decoded {
-            Ok(req) => {
-                let _g = cayman_obs::span!("server.req", id = request_id);
-                let (resp, shutdown, p) = shared.handle(req);
-                phases = p;
-                (resp, shutdown)
-            }
-            // a malformed request poisons the framing; answer and close
-            Err(e) => {
-                let _ = wire::write_frame(
-                    &mut stream,
-                    &wire::encode_response(&Response::Error(e.to_string()), request_id),
-                );
-                return;
-            }
+        let mut phases = Phases {
+            decode_nanos: decode.close(),
+            ..Phases::default()
         };
-        phases.decode_nanos = decode_nanos;
-        let encode_t = Instant::now();
+        // a malformed request poisons the framing: answer, then close
+        let malformed = decoded.is_err();
+        let (resp, shutdown) = match decoded {
+            Ok(req) => shared.handle(req, &mut phases),
+            Err(e) => (Response::Error(e.to_string()), false),
+        };
+        let encode = PhaseTimer::open("server.req.encode", hists.encode, Vec::new);
         let frame = wire::encode_response(&resp, request_id);
-        phases.encode_nanos = encode_t.elapsed().as_nanos() as u64;
-        shared.hists.encode.record(phases.encode_nanos);
-        // record BEFORE writing: once a client sees the reply, a metrics
+        phases.encode_nanos = encode.close();
+        // close BEFORE writing: once a client sees the reply, a metrics
         // scrape is guaranteed to count the request (no in-flight gap)
-        shared.finish_request(request_id, phases, total_t.elapsed().as_nanos() as u64);
-        if wire::write_frame(&mut stream, &frame).is_err() {
+        shared.log_if_slow(request_id, phases, total.close());
+        if wire::write_frame(&mut stream, &frame).is_err() || malformed {
             return;
         }
         if shutdown {
@@ -579,10 +542,7 @@ impl ServerHandle {
     pub fn stop(self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         let _ = self.endpoint.connect();
-        let _ = self.acceptor.join();
-        if let Some(d) = self.metrics_dumper {
-            let _ = d.join();
-        }
+        self.wait();
     }
 }
 
@@ -625,7 +585,6 @@ pub fn serve(endpoint: Endpoint, opts: ServerOptions) -> Result<ServerHandle, Wi
             map: HashMap::new(),
             tick: 0,
         }),
-        requests: Counter::new("server.requests"),
         fw_hits: Counter::new("server.fw.hits"),
         fw_misses: Counter::new("server.fw.misses"),
         fw_evictions: Counter::new("server.fw.evictions"),
@@ -635,7 +594,13 @@ pub fn serve(endpoint: Endpoint, opts: ServerOptions) -> Result<ServerHandle, Wi
         select_cold: cayman_obs::registry::counter("server.select.cold"),
         next_request_id: AtomicU64::new(0),
         slow_lines: Mutex::new(VecDeque::new()),
-        hists: PhaseHists::register(),
+        hists: PhaseHists {
+            decode: cayman_obs::registry::hist("req.decode.nanos"),
+            warm: cayman_obs::registry::hist("req.warm.nanos"),
+            select: cayman_obs::registry::hist("req.select.nanos"),
+            encode: cayman_obs::registry::hist("req.encode.nanos"),
+            total: cayman_obs::registry::hist("req.total.nanos"),
+        },
         shutdown: AtomicBool::new(false),
     });
     let acceptor = {

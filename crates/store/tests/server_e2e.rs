@@ -5,8 +5,18 @@
 
 use cayman::{Framework, SelectOptions};
 use cayman_obs::promtext::{self, Exposition};
+use cayman_store::wire::{self, Request};
 use cayman_store::{fronts_bits_equal, serve, Client, Endpoint, ServerOptions};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serialises this file's tests: the request histograms are
+/// process-global, and `every_request_is_counted_in_each_phase` compares
+/// them while no other request is in flight.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cayman-e2e-{}-{tag}", std::process::id()))
@@ -20,6 +30,7 @@ fn corpus_text(i: usize) -> (String, &'static str) {
 
 #[test]
 fn unix_server_serves_bit_identical_fronts_and_batches() {
+    let _serial = serial();
     let sock = tmp_path("unix.sock");
     let server = serve(Endpoint::Unix(sock), ServerOptions::default()).expect("serve");
     let mut client = Client::connect(server.endpoint()).expect("connect");
@@ -46,7 +57,7 @@ fn unix_server_serves_bit_identical_fronts_and_batches() {
     assert!(fronts_bits_equal(&warm.front, &reference.pareto));
 
     let exp = scrape(&mut client);
-    assert!(exp.value("cayman_server_requests").unwrap_or(0.0) >= 3.0);
+    assert!(exp.value("cayman_req_total_nanos_count").unwrap_or(0.0) >= 3.0);
     assert_eq!(exp.value("cayman_server_fw_cached"), Some(1.0));
     assert_eq!(exp.value("cayman_server_fw_hits"), Some(1.0));
     assert_eq!(exp.value("cayman_server_fw_misses"), Some(1.0));
@@ -63,6 +74,7 @@ fn unix_server_serves_bit_identical_fronts_and_batches() {
 
 #[test]
 fn tcp_server_roundtrips() {
+    let _serial = serial();
     let server = serve(
         Endpoint::Tcp("127.0.0.1:0".into()),
         ServerOptions::default(),
@@ -90,6 +102,7 @@ fn tcp_server_roundtrips() {
 
 #[test]
 fn concurrent_clients_get_bit_identical_fronts() {
+    let _serial = serial();
     let sock = tmp_path("concurrent.sock");
     let server = serve(Endpoint::Unix(sock), ServerOptions::default()).expect("serve");
     let (text, name) = corpus_text(2);
@@ -147,6 +160,7 @@ fn concurrent_clients_get_bit_identical_fronts() {
 
 #[test]
 fn malformed_module_gets_an_error_reply_not_a_dead_server() {
+    let _serial = serial();
     let sock = tmp_path("err.sock");
     let server = serve(Endpoint::Unix(sock), ServerOptions::default()).expect("serve");
     let mut client = Client::connect(server.endpoint()).expect("connect");
@@ -169,6 +183,7 @@ fn malformed_module_gets_an_error_reply_not_a_dead_server() {
 
 #[test]
 fn stop_terminates_without_a_client() {
+    let _serial = serial();
     let sock = tmp_path("stop.sock");
     let server = serve(Endpoint::Unix(sock.clone()), ServerOptions::default()).expect("serve");
     server.stop();
@@ -177,6 +192,7 @@ fn stop_terminates_without_a_client() {
 
 #[test]
 fn health_and_metrics_roundtrip_with_request_ids() {
+    let _serial = serial();
     let sock = tmp_path("telemetry.sock");
     let server = serve(Endpoint::Unix(sock), ServerOptions::default()).expect("serve");
     let mut client = Client::connect(server.endpoint()).expect("connect");
@@ -200,7 +216,7 @@ fn health_and_metrics_roundtrip_with_request_ids() {
             .unwrap_or_else(|| panic!("missing {phase} histogram"));
         assert!(count >= 1.0, "{phase} histogram saw this test's requests");
     }
-    assert!(exp.value("cayman_server_requests").unwrap_or(0.0) >= 3.0);
+    assert!(exp.value("cayman_req_total_nanos_count").unwrap_or(0.0) >= 2.0);
 
     // the in-process view matches what the wire serves (modulo counters
     // that moved between the two calls)
@@ -213,6 +229,7 @@ fn health_and_metrics_roundtrip_with_request_ids() {
 
 #[test]
 fn idle_connection_times_out_and_server_survives() {
+    let _serial = serial();
     let sock = tmp_path("timeout.sock");
     let server = serve(
         Endpoint::Unix(sock),
@@ -248,6 +265,7 @@ fn idle_connection_times_out_and_server_survives() {
 
 #[test]
 fn slow_request_log_names_reply_ids() {
+    let _serial = serial();
     let sock = tmp_path("slowlog.sock");
     let server = serve(
         Endpoint::Unix(sock),
@@ -282,6 +300,7 @@ fn scrape(client: &mut Client) -> Exposition {
 
 #[test]
 fn scraped_counters_never_decrease_across_framework_eviction() {
+    let _serial = serial();
     let sock = tmp_path("evict.sock");
     let opts = ServerOptions {
         max_frameworks: 1,
@@ -325,6 +344,7 @@ fn scraped_counters_never_decrease_across_framework_eviction() {
 
 #[test]
 fn fresh_server_scrape_carries_always_on_layer_counters() {
+    let _serial = serial();
     let sock = tmp_path("coverage.sock");
     let server = serve(Endpoint::Unix(sock), ServerOptions::default()).expect("serve");
     let mut client = Client::connect(server.endpoint()).expect("connect");
@@ -350,6 +370,53 @@ fn fresh_server_scrape_carries_always_on_layer_counters() {
                         .any(|suffix| s.name == format!("{name}{suffix}")))
         });
         assert_eq!(owners.count(), 1, "{} has one type", s.name);
+    }
+
+    client.shutdown_server().expect("shutdown");
+    server.wait();
+}
+
+#[test]
+fn every_request_is_counted_in_each_phase() {
+    let _serial = serial();
+    let sock = tmp_path("malformed.sock");
+    let opts = ServerOptions {
+        slow_req_ms: Some(0), // every request is "slow"
+        ..Default::default()
+    };
+    let server = serve(Endpoint::Unix(sock), opts).expect("serve");
+
+    // a truncated frame: its length prefix is right, its request is cut
+    let mut raw = server.endpoint().connect().expect("raw connect");
+    let (text, _) = corpus_text(0);
+    let mut frame = wire::encode_request(&Request::Select { module_text: text });
+    frame.truncate(frame.len() / 2);
+    wire::write_frame(&mut raw, &frame).expect("write truncated frame");
+    let reply = wire::read_frame(&mut raw).expect("reply").expect("a frame");
+    let reply = wire::decode_response(&reply).expect("decodes");
+    assert!(matches!(reply.response, wire::Response::Error(_)));
+    assert!(
+        wire::read_frame(&mut raw).expect("clean close").is_none(),
+        "the server closes a connection whose framing is poisoned"
+    );
+    let slow = server.slow_log();
+    assert!(
+        slow.iter()
+            .any(|l| l.contains(&format!("id={} op=unknown ", reply.request_id))),
+        "the truncated frame is logged under its reply id: {slow:?}"
+    );
+
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+    client.ping().expect("ping on a new connection");
+    let exp = promtext::validate(&server.metrics_text()).expect("validates");
+    let count = |phase: &str| exp.value(&format!("cayman_req_{phase}_nanos_count"));
+    assert!(count("total").unwrap_or(0.0) >= 2.0);
+    for phase in ["decode", "encode"] {
+        assert_eq!(
+            count(phase),
+            count("total"),
+            "{phase} _count == total _count"
+        );
     }
 
     client.shutdown_server().expect("shutdown");

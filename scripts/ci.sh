@@ -39,6 +39,13 @@ cargo bench -p cayman-bench --bench store --offline -- --smoke
 echo "== store server (smoke: served front bit-identical, restart serves disk-warm with zero cold evals) =="
 cargo run -q --release -p cayman-store --offline --bin serversmoke
 
+echo "== server trace (smoke: traced serversmoke, server.req.* spans validated) =="
+trace="$(mktemp /tmp/cayman-trace.XXXXXX.json)"
+CAYMAN_TRACE="$trace" cargo run -q --release -p cayman-store --offline --bin serversmoke >/dev/null
+cargo run -q --release -p cayman-bench --offline --bin tracecheck -- "$trace" \
+  --require-prefix server.req.
+rm -f "$trace"
+
 echo "== service latency (smoke: concurrent clients, merged histogram quantiles ordered) =="
 cargo bench -p cayman-bench --bench service --offline -- --smoke
 
