@@ -7,11 +7,12 @@
 //! its own `cayman_obs` log-bucketed histogram; the shards are **merged**
 //! at the end (exercising exactly the mergeability the histogram prop tests
 //! pin) and reported as p50/p90/p99/max. The server's own metrics
-//! exposition is scraped over the wire before and after the measured
-//! window, validated with the dependency-free parser, and its per-phase
-//! request counts are cross-checked against the client-side tallies; the
-//! server's `req.total` mean, p50 and p99 over the window come from the
-//! difference of the two scrapes' cumulative buckets.
+//! exposition is read in-process just before the measured window and
+//! scraped over the wire just after it, both validated with the
+//! dependency-free parser. The window between the two readings holds
+//! exactly the clients' requests, so the server's `req.total` count over
+//! it must equal the client-side tally, and its mean, p50 and p99 come
+//! from the difference of the two readings' cumulative buckets.
 //!
 //! ```text
 //! cargo bench -p cayman-bench --bench service            # writes JSON
@@ -102,11 +103,12 @@ fn main() {
     let cold = warmup.select_text(&text).expect("cold select");
     assert!(!cold.framework_reused, "first request analyses");
 
-    let scrape = |client: &mut Client| {
-        let text = client.metrics().expect("metrics scrape").text;
-        promtext::validate(&text).expect("exposition validates")
-    };
-    let before = scrape(&mut warmup);
+    // A request's `req.total` closes after its own exposition is rendered
+    // and before its reply is written. So the warm-up is counted by now,
+    // and reading `before` in-process keeps the window free of any request
+    // but the clients'.
+    let validate = |text: String| promtext::validate(&text).expect("exposition validates");
+    let before = validate(server.metrics_text());
 
     let wall = Instant::now();
     let runs: Vec<ClientRun> = std::thread::scope(|s| {
@@ -135,17 +137,17 @@ fn main() {
     assert_eq!(total_reqs, (CLIENTS * reqs_per_client) as u64);
 
     // scrape + validate the server's own view and cross-check the counts;
-    // the window holds the clients' requests plus the first scrape's own
-    let after = scrape(&mut warmup);
+    // this scrape's own request closes after its snapshot, outside the window
+    let after = validate(warmup.metrics().expect("metrics scrape").text);
     let total = "cayman_req_total_nanos";
     let delta = |name: &str| {
         let v = |e: &Exposition| e.value(name).expect("req.total exported");
         v(&after) - v(&before)
     };
     let served = delta(&format!("{total}_count"));
-    assert!(
-        served >= total_reqs as f64,
-        "server counted {served} requests, clients sent at least {total_reqs}"
+    assert_eq!(
+        served, total_reqs as f64,
+        "server counted {served} requests, clients sent {total_reqs}"
     );
     let server_mean_total_us = delta(&format!("{total}_sum")) / served / 1e3;
     let server_total_p50_us = window_quantile(&before, &after, total, 0.50) / 1e3;
@@ -190,9 +192,10 @@ fn main() {
              concurrent clients each running reqs_per_client requests (3 warm SELECTs : 1 \
              PING). Latencies recorded client-side into per-thread log-bucketed histograms \
              and merged; quantile error bounded by one bucket (2^-3 relative). Server-side \
-             per-phase histograms scraped over the wire before and after the window and \
-             validated; server_total_* are req.total over the window, p50/p99 from the \
-             difference of the scraped cumulative buckets.",
+             per-phase histograms read in-process just before the window and scraped over \
+             the wire just after it, both validated; the window holds exactly the clients' \
+             requests. server_total_* are req.total over the window, p50/p99 from the \
+             difference of the two readings' cumulative buckets.",
         );
         o.u64("clients", CLIENTS as u64);
         o.u64("reqs_per_client", reqs_per_client as u64);

@@ -113,19 +113,6 @@ impl Application {
         Self::analyse_with(module, None, &AnalyseOptions::default())
     }
 
-    /// Like [`Application::analyse`] but with a caller-provided input memory
-    /// image (benchmark inputs).
-    ///
-    /// # Errors
-    ///
-    /// Fails when verification or interpretation fails.
-    pub fn analyse_with_memory(
-        module: Module,
-        memory: Option<Memory>,
-    ) -> Result<Self, CaymanError> {
-        Self::analyse_with(module, memory, &AnalyseOptions::default())
-    }
-
     /// The full staged pipeline, explicitly:
     ///
     /// 1. **verify** — reject malformed modules up front;

@@ -90,7 +90,7 @@
 //! next [`IncrementalApp::select`], clean root subtrees are answered from
 //! the store's table of per-function subtree fronts (keyed by
 //! [`FrontKey`]), and only the dirty spine is re-folded. Inside a dirty
-//! function, `accel(v, R)` design vectors come from the sharded
+//! function, `accel(v, R)` design vectors come from the store's
 //! [`DesignCache`] for every region whose read set the edit left alone:
 //! the structure and dataflow queries also compute the function's
 //! [`FuncPrints`] halves, which each candidate folds into its key.
@@ -121,8 +121,8 @@ use cayman_ir::{
 };
 use cayman_obs::{ArgValue, Counter, SpanGuard};
 use cayman_select::{
-    front_keys, run_selection, AccelModel, CaymanModel, DesignCache, FrontKey, SelectOptions,
-    SelectionResult, Solution,
+    front_keys, run_selection, AccelModel, CaymanModel, DesignCache, FrontKey, FrontTable,
+    SelectOptions, SelectionResult,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -383,7 +383,7 @@ pub(crate) struct QueryStore {
     designs: DesignCache,
     /// Memoised per-function-subtree Pareto fronts, read and extended by
     /// [`run_selection`].
-    fronts: HashMap<FrontKey, Vec<Solution>>,
+    fronts: FrontTable,
     /// The last analysed state: the exec query's proof parent.
     parent: Option<ExecParent>,
     /// Hit/miss accounting.
@@ -420,11 +420,10 @@ impl QueryStore {
     pub(crate) fn publish(&mut self) {
         static TOTALS: OnceLock<([[&Counter; 2]; 10], &Counter, &Counter)> = OnceLock::new();
         let (queries, proved, edits) = TOTALS.get_or_init(|| {
-            let counter = cayman_obs::registry::counter;
             (
-                QUERY_COUNTERS.map(|n| n.map(counter)),
-                counter("inc.exec.proved"),
-                counter("inc.edits"),
+                QUERY_COUNTERS.map(|n| n.map(cayman_obs::registry::counter)),
+                cayman_obs::registry::counter("inc.exec.proved"),
+                cayman_obs::registry::counter("inc.edits"),
             )
         });
         let kinds = self.stats.kinds().into_iter().zip(self.published.kinds());
@@ -957,14 +956,15 @@ impl IncrementalApp {
         let model_id = model
             .cache_id()
             .expect("Cayman's model has a cache identity");
+        let fronts = front_keys(
+            &app.wpst,
+            app.profile.total_cycles,
+            &app.selection_fps,
+            opts,
+            Some(model_id),
+        );
         let key = SelectKey {
-            fronts: front_keys(
-                &app.wpst,
-                app.profile.total_cycles,
-                &app.selection_fps,
-                opts,
-                Some(model_id),
-            ),
+            fronts: fronts.clone(),
             model_fp: model_id.options,
             alpha_bits: opts.alpha.to_bits(),
             prune_bits: opts.prune_share.to_bits(),
@@ -981,7 +981,7 @@ impl IncrementalApp {
                     opts,
                     &model,
                     &store.designs,
-                    Some(&mut store.fronts),
+                    Some((&mut store.fronts, &fronts)),
                 ))
             });
         store.publish();

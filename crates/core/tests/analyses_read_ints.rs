@@ -124,9 +124,11 @@ fn analyses_read_float_and_bool_immediates_by_kind_only() {
         let mut o1 = raw.clone();
         normalize(&mut o1, OptLevel::O1, false).expect("normalizes");
         let mut shadow = o1.clone();
-        PassManager::address_canon()
-            .run(&mut shadow)
-            .expect("address_canon never verifies, so never fails");
+        for f in o1.function_ids() {
+            PassManager::address_canon()
+                .run_function(&mut shadow, f)
+                .expect("address_canon never verifies, so never fails");
+        }
         moved += check(&format!("{} raw", w.name), raw);
         moved += check(&format!("{} -O1", w.name), &o1);
         moved += check(&format!("{} -O2 shadow", w.name), &shadow);

@@ -31,9 +31,9 @@
 //! gates in `cayman-bench`.
 //!
 //! Plain 64-bit FNV-1a is exported too ([`fnv1a`], [`fnv1a_u64s`]) as the
-//! one FNV in the workspace: the design cache's stripe pick, the selection
-//! and incremental block-count keys, and the store's checksums and object
-//! names all call it.
+//! one FNV in the workspace: the incremental store's block-count keys and
+//! `-O2` print mixes, the server's framework-cache key, and the disk
+//! store's checksums and object names all call it.
 
 use crate::instr::{Imm, Instr, Operand, Terminator};
 use crate::interp::{Memory, Value};
@@ -93,8 +93,7 @@ impl Fingerprinter {
     }
 
     /// The fingerprint. The splitmix64 finaliser spreads every field into
-    /// every bit: these digests feed `HashMap` keys and cache-stripe picks
-    /// directly.
+    /// every bit: these digests feed `HashMap` keys directly.
     pub fn finish(&self) -> u64 {
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -1,9 +1,9 @@
 //! Constant folding through the interpreter's own arithmetic kernels.
 
-use super::{replace_all_uses, Changed, Pass};
+use super::{replace_all_uses, Pass};
 use crate::instr::{Imm, Instr, Operand};
 use crate::interp::{exec_binary, exec_cmp, exec_unary, Value};
-use crate::module::{FuncId, Function, InstrId, Module};
+use crate::module::{ArrayDecl, Function, InstrId};
 
 /// Replaces uses of instructions with all-constant inputs by their result.
 ///
@@ -26,16 +26,8 @@ impl Pass for ConstFold {
         "constfold"
     }
 
-    fn run(&mut self, module: &mut Module) -> Changed {
-        let mut changed = false;
-        for func in &mut module.functions {
-            changed |= fold_function(func);
-        }
-        Changed::from_bool(changed)
-    }
-
-    fn run_fn(&mut self, module: &mut Module, func: FuncId) -> Changed {
-        Changed::from_bool(fold_function(&mut module.functions[func.index()]))
+    fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
+        fold_function(func)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Dead code elimination for provably trap-free unused instructions.
 
-use super::{use_counts, Changed, Pass};
+use super::{use_counts, Pass};
 use crate::instr::{BinOp, Instr, Operand, UnaryOp};
-use crate::module::{ArrayDecl, FuncId, Function, Module, ValueDef};
+use crate::module::{ArrayDecl, Function, ValueDef};
 use crate::types::Type;
 
 /// Unlinks instructions whose result is unused *and* whose execution can be
@@ -28,22 +28,8 @@ impl Pass for Dce {
         "dce"
     }
 
-    fn run(&mut self, module: &mut Module) -> Changed {
-        let Module {
-            arrays, functions, ..
-        } = module;
-        let mut changed = false;
-        for func in functions.iter_mut() {
-            changed |= dce_function(arrays, func);
-        }
-        Changed::from_bool(changed)
-    }
-
-    fn run_fn(&mut self, module: &mut Module, func: FuncId) -> Changed {
-        let Module {
-            arrays, functions, ..
-        } = module;
-        Changed::from_bool(dce_function(arrays, &mut functions[func.index()]))
+    fn run(&self, arrays: &[ArrayDecl], func: &mut Function) -> bool {
+        dce_function(arrays, func)
     }
 }
 

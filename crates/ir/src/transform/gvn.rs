@@ -1,11 +1,11 @@
 //! Dominator-based global value numbering / common-subexpression
 //! elimination.
 
-use super::{Changed, Pass};
+use super::Pass;
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::instr::{BinOp, CmpPred, Imm, Instr, Operand, UnaryOp};
-use crate::module::{ArrayId, BlockId, FuncId, Function, Module, ValueId};
+use crate::module::{ArrayDecl, ArrayId, BlockId, Function, ValueId};
 use crate::types::Type;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -31,16 +31,8 @@ impl Pass for Gvn {
         "gvn"
     }
 
-    fn run(&mut self, module: &mut Module) -> Changed {
-        let mut changed = false;
-        for func in &mut module.functions {
-            changed |= gvn_function(func);
-        }
-        Changed::from_bool(changed)
-    }
-
-    fn run_fn(&mut self, module: &mut Module, func: FuncId) -> Changed {
-        Changed::from_bool(gvn_function(&mut module.functions[func.index()]))
+    fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
+        gvn_function(func)
     }
 }
 

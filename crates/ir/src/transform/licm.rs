@@ -18,12 +18,12 @@
 //! the original program never reached. Loads, stores, calls and phis are
 //! never moved.
 
-use super::{Changed, Pass};
+use super::Pass;
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::instr::{BinOp, Imm, Instr, Operand};
 use crate::loops::{LoopForest, LoopId};
-use crate::module::{BlockId, FuncId, Function, Module, ValueDef, ValueId};
+use crate::module::{ArrayDecl, BlockId, Function, ValueDef, ValueId};
 use std::collections::HashSet;
 
 /// Hoists loop-invariant pure arithmetic into loop preheaders.
@@ -34,16 +34,8 @@ impl Pass for Licm {
         "licm"
     }
 
-    fn run(&mut self, module: &mut Module) -> Changed {
-        let mut changed = false;
-        for func in &mut module.functions {
-            changed |= licm_function(func);
-        }
-        Changed::from_bool(changed)
-    }
-
-    fn run_fn(&mut self, module: &mut Module, func: FuncId) -> Changed {
-        Changed::from_bool(licm_function(&mut module.functions[func.index()]))
+    fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
+        licm_function(func)
     }
 }
 
@@ -196,7 +188,7 @@ mod tests {
             i.run(&[]).expect("runs");
             i.memory.cells.clone()
         };
-        assert_eq!(Licm.run(&mut m), Changed::Yes);
+        assert!(Licm.run(&m.arrays, &mut m.functions[0]));
         m.verify().expect("still verifies");
         let after = block_of_mul(&m);
         assert_ne!(before, after, "i*7 left the inner body");
@@ -205,13 +197,13 @@ mod tests {
         i.run(&[]).expect("still runs");
         assert_eq!(i.memory.cells, mem_before);
         // Idempotent.
-        assert_eq!(Licm.run(&mut m), Changed::No);
+        assert!(!Licm.run(&m.arrays, &mut m.functions[0]));
     }
 
     #[test]
     fn keeps_loop_variant_ops_and_memory_ops() {
         let mut m = nested_kernel();
-        Licm.run(&mut m);
+        Licm.run(&m.arrays, &mut m.functions[0]);
         let f = m.function(FuncId(0));
         // The srem (depends on j) and the store stay in a loop block of the
         // inner loop.
@@ -257,7 +249,7 @@ mod tests {
         });
         let mut m = mb.finish();
         let ok_before = Interp::new(&m).run(&[]).is_ok();
-        Licm.run(&mut m);
+        Licm.run(&m.arrays, &mut m.functions[0]);
         let ok_after = Interp::new(&m).run(&[]).is_ok();
         assert_eq!(ok_before, ok_after, "no trap introduced");
         assert!(ok_after, "zero-trip loop never divides");
@@ -283,7 +275,7 @@ mod tests {
             fb.ret(None);
         });
         let mut m = mb.finish();
-        assert_eq!(Licm.run(&mut m), Changed::Yes);
+        assert!(Licm.run(&m.arrays, &mut m.functions[0]));
         m.verify().expect("verifies");
         let mut i = Interp::new(&m);
         i.run(&[]).expect("runs");

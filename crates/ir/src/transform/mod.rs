@@ -8,7 +8,13 @@
 //! reproduction's equivalent: a small pipeline of semantics-preserving
 //! rewrites run before profiling and region analysis.
 //!
-//! The `-O1` pipeline ([`normalize`]) iterates four passes to a fixed point
+//! Every [`Pass`] rewrites one function. There is one driver,
+//! [`PassManager::run_function`]: it sweeps a pipeline's passes over one
+//! function of a module until a sweep changes nothing.
+//! [`normalize_function`] picks the pipeline for an [`OptLevel`], and
+//! [`normalize`] runs it on each function in turn.
+//!
+//! The `-O1` pipeline iterates four passes to a fixed point
 //! — [`SimplifyCfg`], [`ConstFold`], [`Gvn`], [`Dce`] — then runs
 //! [`Compact`] to rebuild the instruction arena without the dropped
 //! instructions. `-O2` adds the loop pipeline, [`StrengthReduce`] and
@@ -58,55 +64,26 @@ pub use simplify_cfg::SimplifyCfg;
 pub use strength_reduce::StrengthReduce;
 
 use crate::instr::Operand;
-use crate::module::{FuncId, Function, InstrId, Module, ValueDef, ValueId};
+use crate::module::{ArrayDecl, FuncId, Function, InstrId, Module, ValueDef, ValueId};
 use crate::verify::VerifyError;
 use std::fmt;
 
-/// Whether a pass changed the module — drives fixed-point iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Changed {
-    /// The pass rewrote something.
-    Yes,
-    /// The pass was a no-op on this module.
-    No,
-}
-
-impl Changed {
-    /// From a bool (`true` = changed).
-    pub fn from_bool(b: bool) -> Self {
-        if b {
-            Changed::Yes
-        } else {
-            Changed::No
-        }
-    }
-
-    /// As a bool (`true` = changed).
-    pub fn as_bool(self) -> bool {
-        self == Changed::Yes
-    }
-}
-
-/// A module-level rewrite. Implementations must keep the module verifiable
-/// (see the module docs for the semantics contract) and must report
-/// [`Changed::Yes`] iff they mutated something — fixed-point iteration
-/// relies on accurate reports for termination.
+/// A rewrite of one function. Implementations must keep the module
+/// verifiable (see the module docs for the semantics contract) and must
+/// return `true` iff they changed `func`: fixed-point iteration relies on
+/// accurate reports for termination.
+///
+/// A pass sees one function and the module's array declarations, nothing
+/// else, so it cannot read or write another function. That is what lets
+/// `cayman-core`'s incremental pipeline key normalization by function
+/// content.
 pub trait Pass {
     /// Short kebab-case name for stats and diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Runs the pass over every function of `module`.
-    fn run(&mut self, module: &mut Module) -> Changed;
-
-    /// Runs the pass over a single function of `module`.
-    ///
-    /// Every standard pass is *function-local* — it never reads or writes
-    /// another function — so `run` is exactly this folded over all
-    /// functions, and a per-function fixed point converges to the same
-    /// content as the module-level one (extra sweeps at a function's fixed
-    /// point are no-ops). This is what lets `cayman-core`'s incremental
-    /// pipeline key normalization by function content.
-    fn run_fn(&mut self, module: &mut Module, func: FuncId) -> Changed;
+    /// Rewrites `func`, whose module declares `arrays`; returns whether
+    /// anything changed.
+    fn run(&self, arrays: &[ArrayDecl], func: &mut Function) -> bool;
 }
 
 /// How aggressively [`normalize`] rewrites a module.
@@ -145,8 +122,8 @@ impl fmt::Display for OptLevel {
     }
 }
 
-/// Per-pass counters accumulated by [`PassManager::run`]. Each run's time
-/// is in the trace, as a `normalize.<pass>` span.
+/// Per-pass counters accumulated by [`PassManager::run_function`]. Each
+/// run's time is in the trace, as a `normalize.<pass>` span.
 #[derive(Debug, Clone)]
 pub struct PassStats {
     /// Pass name.
@@ -157,9 +134,10 @@ pub struct PassStats {
     pub changed: u32,
 }
 
-/// Aggregate counts of one [`PassManager::run`], printable in the same
-/// single-line style as the selection engine's `SelectStats`. They are
-/// counts only; the run's time is its `normalize.pipeline` trace span.
+/// Aggregate counts of one [`PassManager::run_function`] (or, merged, of
+/// one [`normalize`]), printable in the same single-line style as the
+/// selection engine's `SelectStats`. They are counts only; each function's
+/// time is its `normalize.pipeline` trace span.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Per-pass counters, in pipeline order.
@@ -209,50 +187,45 @@ impl fmt::Display for PipelineStats {
     }
 }
 
-/// Runs a declarative list of passes, optionally to a fixed point, with
-/// per-pass run/changed counters, a trace span per pass run and optional
-/// verification between passes.
+/// Sweeps of the pass list a pipeline runs before it stops short of a
+/// fixed point.
+const MAX_SWEEPS: u32 = 10;
+
+/// A fixed list of passes run over one function until a sweep changes
+/// nothing, with per-pass run/changed counters, a trace span per pass run
+/// and optional verification between passes.
 pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
+    passes: &'static [&'static dyn Pass],
     verify_each: bool,
-    max_iters: u32,
 }
 
 impl PassManager {
-    /// An empty manager that runs its passes once, without verification.
-    pub fn new() -> Self {
+    fn of(passes: &'static [&'static dyn Pass]) -> Self {
         PassManager {
-            passes: Vec::new(),
+            passes,
             verify_each: false,
-            max_iters: 1,
         }
     }
 
     /// The standard `-O1` pipeline: simplify-cfg → constfold → gvn → dce →
     /// compact, iterated to a fixed point.
     pub fn standard() -> Self {
-        PassManager::new()
-            .add(SimplifyCfg)
-            .add(ConstFold)
-            .add(Gvn)
-            .add(Dce)
-            .add(Compact)
-            .fixpoint(10)
+        PassManager::of(&[&SimplifyCfg, &ConstFold, &Gvn, &Dce, &Compact])
     }
 
     /// The standard `-O2` pipeline: `-O1` with strength reduction and LICM
     /// slotted in before compaction, iterated to a fixed point. The extra
     /// passes let GVN and DCE clean up the chains the rewrites strand.
     pub fn standard_o2() -> Self {
-        PassManager::new()
-            .add(SimplifyCfg)
-            .add(ConstFold)
-            .add(StrengthReduce)
-            .add(Licm)
-            .add(Gvn)
-            .add(Dce)
-            .add(Compact)
-            .fixpoint(10)
+        PassManager::of(&[
+            &SimplifyCfg,
+            &ConstFold,
+            &StrengthReduce,
+            &Licm,
+            &Gvn,
+            &Dce,
+            &Compact,
+        ])
     }
 
     /// The identity-preserving address-canonicalization pipeline:
@@ -262,70 +235,27 @@ impl PassManager {
     /// and block membership of pure scalar ops change. This is the pipeline
     /// `cayman-core` runs on per-function analysis shadows at `-O2`.
     pub fn address_canon() -> Self {
-        PassManager::new()
-            .add(StrengthReduce)
-            .add(Licm)
-            .fixpoint(10)
+        PassManager::of(&[&StrengthReduce, &Licm])
     }
 
-    /// Appends a pass. (`add` is the established pass-manager idiom, not an
-    /// arithmetic operation.)
-    #[allow(clippy::should_implement_trait)]
-    pub fn add(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Runs the verifier after every pass that changed the module (and once
-    /// before the first pass), aborting the pipeline on the first failure.
+    /// Runs the verifier over the whole module before the first pass and
+    /// after every pass that changed the function, aborting on the first
+    /// failure. A pass cannot break another function, but it can break a
+    /// call to the function it rewrote, so the whole module is checked.
     pub fn verify_each_pass(mut self, on: bool) -> Self {
         self.verify_each = on;
         self
     }
 
-    /// Iterates the whole pass list until no pass reports a change, up to
-    /// `max_iters` sweeps.
-    pub fn fixpoint(mut self, max_iters: u32) -> Self {
-        self.max_iters = max_iters.max(1);
-        self
-    }
-
-    /// Runs the pipeline over `module`.
+    /// Runs the pass list over function `func` of `module` until a sweep
+    /// changes nothing, up to a fixed sweep bound.
     ///
     /// With `verify_each_pass` enabled, returns the first verifier failure
     /// (the module is left in its mid-pipeline state for inspection).
-    pub fn run(&mut self, module: &mut Module) -> Result<PipelineStats, VerifyError> {
-        self.drive(module, |pass, module| pass.run(module))
-    }
-
-    /// Runs the pipeline over a single function of `module`, iterating to
-    /// the same per-pass-list fixed point as [`PassManager::run`] restricted
-    /// to that function.
-    ///
-    /// Because every standard pass is function-local (see [`Pass::run_fn`]),
-    /// the function's final content is bit-identical to what a module-level
-    /// run would leave in it — the module loop merely keeps sweeping other
-    /// functions' no-op rounds. This is the unit of `cayman-core`'s
-    /// content-keyed normalize query.
-    ///
-    /// With `verify_each_pass`, the whole module is verified before the
-    /// first pass and after every changing pass (function-local verification
-    /// would miss cross-function call-signature breaks).
     pub fn run_function(
-        &mut self,
+        &self,
         module: &mut Module,
         func: FuncId,
-    ) -> Result<PipelineStats, VerifyError> {
-        self.drive(module, |pass, module| pass.run_fn(module, func))
-    }
-
-    /// The fixed-point loop behind [`PassManager::run`] and
-    /// [`PassManager::run_function`]; `run_pass` applies one pass to
-    /// whatever the caller scoped the run to.
-    fn drive(
-        &mut self,
-        module: &mut Module,
-        mut run_pass: impl FnMut(&mut dyn Pass, &mut Module) -> Changed,
     ) -> Result<PipelineStats, VerifyError> {
         let _span = cayman_obs::span!("normalize.pipeline");
         let mut stats = PipelineStats {
@@ -344,17 +274,17 @@ impl PassManager {
             module.verify()?;
             stats.verify_runs += 1;
         }
-        for _ in 0..self.max_iters {
+        for _ in 0..MAX_SWEEPS {
             stats.iterations += 1;
             let mut any = false;
-            for (i, pass) in self.passes.iter_mut().enumerate() {
+            for (pass, counts) in self.passes.iter().zip(&mut stats.passes) {
                 let changed = {
                     let _span = cayman_obs::span!(("normalize.", pass.name()));
-                    run_pass(pass.as_mut(), module).as_bool()
+                    pass.run(&module.arrays, &mut module.functions[func.index()])
                 };
-                stats.passes[i].runs += 1;
+                counts.runs += 1;
                 if changed {
-                    stats.passes[i].changed += 1;
+                    counts.changed += 1;
                     any = true;
                     if self.verify_each {
                         module.verify().map_err(|e| VerifyError {
@@ -373,51 +303,42 @@ impl PassManager {
     }
 }
 
-impl Default for PassManager {
-    fn default() -> Self {
-        PassManager::new()
-    }
-}
-
-/// Normalizes `module` at the given [`OptLevel`].
+/// Normalizes every function of `module` at the given [`OptLevel`], one
+/// [`normalize_function`] after another, and merges their stats.
 ///
-/// `O0` is a no-op (empty stats); `O1` runs [`PassManager::standard`]. With
-/// `verify_each_pass`, the verifier runs before the pipeline and after every
-/// changing pass.
+/// `O0` is a no-op (empty stats). With `verify_each_pass`, the verifier
+/// runs before each function's pipeline and after every changing pass.
 pub fn normalize(
     module: &mut Module,
     level: OptLevel,
     verify_each_pass: bool,
 ) -> Result<PipelineStats, VerifyError> {
-    match level {
-        OptLevel::O0 => Ok(PipelineStats::default()),
-        OptLevel::O1 => PassManager::standard()
-            .verify_each_pass(verify_each_pass)
-            .run(module),
-        OptLevel::O2 => PassManager::standard_o2()
-            .verify_each_pass(verify_each_pass)
-            .run(module),
+    let mut stats = PipelineStats::default();
+    for f in 0..module.functions.len() as u32 {
+        let run = normalize_function(module, FuncId(f), level, verify_each_pass)?;
+        stats.merge(&run);
     }
+    Ok(stats)
 }
 
-/// Normalizes a single function of `module` at the given [`OptLevel`] —
-/// [`normalize`] restricted to `func`; same fixed point, same final content
-/// (see [`PassManager::run_function`] for why).
+/// Normalizes function `func` of `module` at the given [`OptLevel`]:
+/// [`PassManager::standard`] at `O1`, [`PassManager::standard_o2`] at `O2`,
+/// nothing at `O0`. This is the unit of `cayman-core`'s content-keyed
+/// normalize query.
 pub fn normalize_function(
     module: &mut Module,
     func: FuncId,
     level: OptLevel,
     verify_each_pass: bool,
 ) -> Result<PipelineStats, VerifyError> {
-    match level {
-        OptLevel::O0 => Ok(PipelineStats::default()),
-        OptLevel::O1 => PassManager::standard()
-            .verify_each_pass(verify_each_pass)
-            .run_function(module, func),
-        OptLevel::O2 => PassManager::standard_o2()
-            .verify_each_pass(verify_each_pass)
-            .run_function(module, func),
-    }
+    let pipeline = match level {
+        OptLevel::O0 => return Ok(PipelineStats::default()),
+        OptLevel::O1 => PassManager::standard(),
+        OptLevel::O2 => PassManager::standard_o2(),
+    };
+    pipeline
+        .verify_each_pass(verify_each_pass)
+        .run_function(module, func)
 }
 
 /// Replaces every use of `from` (in placed instructions and terminators of
@@ -461,12 +382,12 @@ pub(crate) fn use_counts(func: &Function) -> Vec<u32> {
     counts
 }
 
-/// Rebuilds each function's instruction arena and value list without
+/// Rebuilds a function's instruction arena and value list without
 /// instructions that are in no block (the leftovers DCE / GVN / simplify-cfg
 /// unlink), renumbering [`InstrId`]s and [`ValueId`]s.
 ///
-/// Idempotent: reports [`Changed::No`] once every arena instruction is
-/// placed. Functions in which a *placed* instruction uses the result of an
+/// Idempotent: reports no change once every arena instruction is placed.
+/// Functions in which a *placed* instruction uses the result of an
 /// *unplaced* one (legal per the verifier, which treats unplaced defs as
 /// entry-block defs) are left untouched.
 pub struct Compact;
@@ -476,16 +397,8 @@ impl Pass for Compact {
         "compact"
     }
 
-    fn run(&mut self, module: &mut Module) -> Changed {
-        let mut changed = false;
-        for func in &mut module.functions {
-            changed |= compact_function(func);
-        }
-        Changed::from_bool(changed)
-    }
-
-    fn run_fn(&mut self, module: &mut Module, func: FuncId) -> Changed {
-        Changed::from_bool(compact_function(&mut module.functions[func.index()]))
+    fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
+        compact_function(func)
     }
 }
 

@@ -1,9 +1,9 @@
 //! CFG simplification: constant-branch folding, unreachable-block deletion
 //! and straight-line block merging, with phi maintenance on every edit.
 
-use super::{replace_all_uses, Changed, Pass};
+use super::{replace_all_uses, Pass};
 use crate::instr::{Imm, Instr, Operand, Terminator};
-use crate::module::{BlockId, FuncId, Function, Module};
+use crate::module::{ArrayDecl, BlockId, Function};
 
 /// Simplifies each function's CFG:
 ///
@@ -23,16 +23,8 @@ impl Pass for SimplifyCfg {
         "simplify-cfg"
     }
 
-    fn run(&mut self, module: &mut Module) -> Changed {
-        let mut changed = false;
-        for func in &mut module.functions {
-            changed |= simplify_function(func);
-        }
-        Changed::from_bool(changed)
-    }
-
-    fn run_fn(&mut self, module: &mut Module, func: FuncId) -> Changed {
-        Changed::from_bool(simplify_function(&mut module.functions[func.index()]))
+    fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
+        simplify_function(func)
     }
 }
 

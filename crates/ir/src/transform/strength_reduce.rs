@@ -22,9 +22,9 @@
 //!
 //! [`LinExpr`]: ../../../cayman_analysis/scev/struct.LinExpr.html
 
-use super::{Changed, Pass};
+use super::Pass;
 use crate::instr::{BinOp, Imm, Instr, Operand};
-use crate::module::{FuncId, Function, Module, ValueDef};
+use crate::module::{ArrayDecl, Function, ValueDef};
 use crate::types::Type;
 
 /// Strength-reduces and canonicalizes integer address arithmetic in place.
@@ -35,16 +35,8 @@ impl Pass for StrengthReduce {
         "strength-reduce"
     }
 
-    fn run(&mut self, module: &mut Module) -> Changed {
-        let mut changed = false;
-        for func in &mut module.functions {
-            changed |= reduce_function(func);
-        }
-        Changed::from_bool(changed)
-    }
-
-    fn run_fn(&mut self, module: &mut Module, func: FuncId) -> Changed {
-        Changed::from_bool(reduce_function(&mut module.functions[func.index()]))
+    fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
+        reduce_function(func)
     }
 }
 
@@ -198,7 +190,7 @@ mod tests {
             i.run(&[]).expect("runs");
             i.memory.cells.clone()
         };
-        assert_eq!(StrengthReduce.run(&mut m), Changed::Yes);
+        assert!(StrengthReduce.run(&m.arrays, &mut m.functions[0]));
         m.verify().expect("verifies");
         assert!(
             binaries(&m)
@@ -225,7 +217,7 @@ mod tests {
             fb.ret(Some(r));
         });
         let mut m = mb.finish();
-        assert_eq!(StrengthReduce.run(&mut m), Changed::No);
+        assert!(!StrengthReduce.run(&m.arrays, &mut m.functions[0]));
     }
 
     #[test]
@@ -242,9 +234,9 @@ mod tests {
         });
         let mut m = mb.finish();
         // First sweep: sub → add x,-1. Second: reassociate through it.
-        assert_eq!(StrengthReduce.run(&mut m), Changed::Yes);
-        assert_eq!(StrengthReduce.run(&mut m), Changed::Yes);
-        assert_eq!(StrengthReduce.run(&mut m), Changed::No);
+        assert!(StrengthReduce.run(&m.arrays, &mut m.functions[0]));
+        assert!(StrengthReduce.run(&m.arrays, &mut m.functions[0]));
+        assert!(!StrengthReduce.run(&m.arrays, &mut m.functions[0]));
         let f = m.function(FuncId(0));
         // The second add now reads the parameter directly with a folded 4.
         let last = f
@@ -277,12 +269,12 @@ mod tests {
             fb.ret(Some(r));
         });
         let mut m = mb.finish();
-        assert_eq!(StrengthReduce.run(&mut m), Changed::Yes);
+        assert!(StrengthReduce.run(&m.arrays, &mut m.functions[0]));
         let bins = binaries(&m);
         assert_eq!(bins.len(), 1);
         assert_eq!(bins[0].2, Operand::int(7), "constant moved right");
         assert!(matches!(bins[0].1, Operand::Value(_)));
-        assert_eq!(StrengthReduce.run(&mut m), Changed::No);
+        assert!(!StrengthReduce.run(&m.arrays, &mut m.functions[0]));
     }
 
     #[test]
@@ -310,7 +302,7 @@ mod tests {
         };
         let inputs = [0i64, 1, -1, 3, i32::MAX as i64, i32::MIN as i64];
         let before: Vec<_> = inputs.iter().map(|&x| run(&m, x)).collect();
-        while StrengthReduce.run(&mut m) == Changed::Yes {}
+        while StrengthReduce.run(&m.arrays, &mut m.functions[0]) {}
         m.verify().expect("verifies");
         let after: Vec<_> = inputs.iter().map(|&x| run(&m, x)).collect();
         assert_eq!(before, after);
@@ -327,6 +319,6 @@ mod tests {
             fb.ret(Some(r));
         });
         let mut m = mb.finish();
-        assert_eq!(StrengthReduce.run(&mut m), Changed::No);
+        assert!(!StrengthReduce.run(&m.arrays, &mut m.functions[0]));
     }
 }

@@ -6,9 +6,9 @@
 use cayman_ir::instr::{Imm, Instr, Operand, Terminator};
 use cayman_ir::interp::{Interp, Value};
 use cayman_ir::transform::{
-    normalize, Changed, Compact, ConstFold, Dce, Gvn, OptLevel, Pass, PassManager, SimplifyCfg,
+    normalize, Compact, ConstFold, Dce, Gvn, OptLevel, Pass, PassManager, SimplifyCfg,
 };
-use cayman_ir::Module;
+use cayman_ir::{FuncId, Module};
 
 fn parse(src: &str) -> Module {
     let m = Module::parse_text(src).expect("fixture parses");
@@ -40,7 +40,7 @@ bb2: ; dead
 }
 ",
     );
-    assert_eq!(SimplifyCfg.run(&mut m), Changed::Yes);
+    assert!(SimplifyCfg.run(&m.arrays, &mut m.functions[0]));
     m.verify().expect("still verifies");
     // Constant branch folded, dead block dropped, chain merged: one block
     // that returns the taken value directly.
@@ -52,7 +52,7 @@ bb2: ; dead
     ));
     assert_eq!(run_i64(&m, &[]), Some(Value::I(1)));
     // Idempotent on the simplified module.
-    assert_eq!(SimplifyCfg.run(&mut m), Changed::No);
+    assert!(!SimplifyCfg.run(&m.arrays, &mut m.functions[0]));
 }
 
 #[test]
@@ -72,7 +72,7 @@ bb3: ; join
 }
 ",
     );
-    assert_eq!(SimplifyCfg.run(&mut m), Changed::Yes);
+    assert!(SimplifyCfg.run(&m.arrays, &mut m.functions[0]));
     m.verify().expect("still verifies");
     // bb1 died with the folded branch; its phi incoming must go with it,
     // and the then-single-incoming phi is forwarded through block merging.
@@ -97,7 +97,7 @@ bb1: ; join
 ",
     );
     let before = run_i64(&m, &[Value::B(false)]);
-    assert_eq!(SimplifyCfg.run(&mut m), Changed::Yes);
+    assert!(SimplifyCfg.run(&m.arrays, &mut m.functions[0]));
     m.verify().expect("still verifies");
     assert_eq!(run_i64(&m, &[Value::B(false)]), before);
     assert_eq!(run_i64(&m, &[Value::B(true)]), Some(Value::I(5)));
@@ -116,7 +116,7 @@ bb0: ; entry
 }
 ",
     );
-    assert_eq!(ConstFold.run(&mut m), Changed::Yes);
+    assert!(ConstFold.run(&m.arrays, &mut m.functions[0]));
     m.verify().expect("still verifies");
     let f = &m.functions[0];
     assert!(matches!(
@@ -139,7 +139,7 @@ bb0: ; entry
 }
 ",
     );
-    assert_eq!(ConstFold.run(&mut m), Changed::No);
+    assert!(!ConstFold.run(&m.arrays, &mut m.functions[0]));
     let e = Interp::new(&m).run(&[]).expect_err("still traps");
     assert_eq!(e.message, "integer division by zero");
 }
@@ -162,7 +162,7 @@ bb3: ; join
 }
 ",
     );
-    assert_eq!(ConstFold.run(&mut m), Changed::Yes);
+    assert!(ConstFold.run(&m.arrays, &mut m.functions[0]));
     m.verify().expect("still verifies");
     // The all-same phi's uses collapse to the constant.
     let f = &m.functions[0];
@@ -205,7 +205,7 @@ bb1: ; again
 ",
     );
     assert_eq!(placed_instrs(&m), 5);
-    assert_eq!(Gvn.run(&mut m), Changed::Yes);
+    assert!(Gvn.run(&m.arrays, &mut m.functions[0]));
     m.verify().expect("still verifies");
     // The dominated duplicate gep is gone; the loads (never value-numbered:
     // memory may change between them) both read through the surviving one.
@@ -245,7 +245,7 @@ bb3: ; join
 }
 ",
     );
-    assert_eq!(Gvn.run(&mut m), Changed::No);
+    assert!(!Gvn.run(&m.arrays, &mut m.functions[0]));
     assert_eq!(placed_instrs(&m), 3);
 }
 
@@ -262,7 +262,7 @@ bb0: ; entry
 }
 ",
     );
-    assert_eq!(Dce.run(&mut m), Changed::Yes);
+    assert!(Dce.run(&m.arrays, &mut m.functions[0]));
     m.verify().expect("still verifies");
     // %1/%2 are dead and provably trap-free → gone. %3 is dead but divides
     // by a runtime value → must stay and still trap on zero.
@@ -298,7 +298,9 @@ bb0: ; entry
     );
     // The call's result is dead but the callee stores; the store itself has
     // no result at all. Neither may be deleted.
-    Dce.run(&mut m);
+    for f in &mut m.functions {
+        Dce.run(&m.arrays, f);
+    }
     m.verify().expect("still verifies");
     assert_eq!(run_i64(&m, &[]), Some(Value::I(9)));
 }
@@ -317,18 +319,18 @@ bb0: ; entry
 ",
     );
     // GVN unlinks the duplicate but leaves it in the arena...
-    assert_eq!(Gvn.run(&mut m), Changed::Yes);
+    assert!(Gvn.run(&m.arrays, &mut m.functions[0]));
     let arena_before = m.functions[0].instrs.len();
     assert_eq!(arena_before, 3);
     assert_eq!(placed_instrs(&m), 2);
     // ...and Compact renumbers it away.
-    assert_eq!(Compact.run(&mut m), Changed::Yes);
+    assert!(Compact.run(&m.arrays, &mut m.functions[0]));
     m.verify().expect("still verifies");
     assert_eq!(m.functions[0].instrs.len(), 2);
     assert_eq!(placed_instrs(&m), 2);
     assert_eq!(run_i64(&m, &[Value::I(5)]), Some(Value::I(14)));
     // Nothing left to drop.
-    assert_eq!(Compact.run(&mut m), Changed::No);
+    assert!(!Compact.run(&m.arrays, &mut m.functions[0]));
 }
 
 #[test]
@@ -352,7 +354,7 @@ bb2: ; dead
     let before = run_i64(&m, &[Value::I(10)]);
     let stats = PassManager::standard()
         .verify_each_pass(true)
-        .run(&mut m)
+        .run_function(&mut m, FuncId(0))
         .expect("pipeline verifies between passes");
     m.verify().expect("result verifies");
     assert_eq!(run_i64(&m, &[Value::I(10)]), before);
@@ -367,7 +369,9 @@ bb2: ; dead
     assert!(line.starts_with("normalize:"), "{line}");
 
     // Re-running the whole pipeline is a no-op.
-    let again = PassManager::standard().run(&mut m).expect("no verify");
+    let again = PassManager::standard()
+        .run_function(&mut m, FuncId(0))
+        .expect("no verify");
     assert_eq!(again.total_changes(), 0);
 }
 

@@ -169,13 +169,16 @@ impl SelectionResult {
 /// applications; `IncrementalApp` keeps one across edits.
 ///
 /// With `fronts`, a table of per-function-subtree fronts shared across
-/// re-selections, each function vertex whose [`FrontKey`] is in the table
-/// is answered from it, skipping its subtree's DP *and* every model call
-/// under it; the fronts folded for keys that missed are inserted after the
-/// run, and [`SelectStats::front_hits`]/[`SelectStats::front_misses`] count
-/// both. `visited` and the other search counters then reflect only the
-/// subtrees actually folded; they are not part of the front-equivalence
-/// surface.
+/// re-selections plus this run's root keys, each function vertex whose
+/// [`FrontKey`] is in the table is answered from it, skipping its
+/// subtree's DP *and* every model call under it. The keys must be
+/// [`front_keys`] of `wpst`, `profile.total_cycles`, each input's
+/// `selection_fp`, `opts` and `model.cache_id()`; the caller has them
+/// already, as the key of its whole selection. The fronts folded for keys
+/// that missed are inserted after the run, and
+/// [`SelectStats::front_hits`]/[`SelectStats::front_misses`] count both.
+/// `visited` and the other search counters then reflect only the subtrees
+/// actually folded; they are not part of the front-equivalence surface.
 #[allow(clippy::too_many_arguments)]
 pub fn run_selection(
     module: &Module,
@@ -185,20 +188,14 @@ pub fn run_selection(
     opts: &SelectOptions,
     model: &dyn AccelModel,
     cache: &DesignCache,
-    fronts: Option<&mut HashMap<FrontKey, Vec<Solution>>>,
+    fronts: Option<(&mut FrontTable, &[Option<FrontKey>])>,
 ) -> SelectionResult {
     let _span = cayman_obs::span!("select.run");
-    let model_id = model.cache_id();
-    let keys = if fronts.is_some() {
-        let fps: Vec<u64> = inputs
-            .iter()
-            .map(|i| i.prints.selection_fp(i.block_counts, i.trips))
-            .collect();
-        front_keys(wpst, profile.total_cycles, &fps, opts, model_id)
-    } else {
-        Vec::new()
+    let (table, keys) = match fronts {
+        Some((table, keys)) => (Some(table), keys),
+        None => (None, &[][..]),
     };
-    let stored = match fronts.as_deref() {
+    let stored = match table.as_deref() {
         Some(table) => keys
             .iter()
             .map(|k| k.as_ref().and_then(|k| table.get(k)).map(Vec::as_slice))
@@ -212,11 +209,11 @@ pub fn run_selection(
         inputs,
         opts,
         model,
-        model_id,
+        model_id: model.cache_id(),
         cache,
         stats: RunStats::default(),
         reuse: RootReuse {
-            keys: &keys,
+            keys,
             stored,
             missed: Vec::new(),
         },
@@ -243,7 +240,7 @@ pub fn run_selection(
     mem_inserts.add(stats.cache_misses + stats.disk_hits);
     front_hits.add(stats.front_hits);
     front_misses.add(stats.front_misses);
-    if let Some(table) = fronts {
+    if let Some(table) = table {
         table.extend(missed);
     }
     SelectionResult {
@@ -252,6 +249,10 @@ pub fn run_selection(
         stats,
     }
 }
+
+/// Folded function-subtree fronts by [`FrontKey`], shared across
+/// re-selections.
+pub type FrontTable = HashMap<FrontKey, Vec<Solution>>;
 
 /// Identity of one root-child (function-vertex) subtree's folded Pareto
 /// front. Everything the DP reads below that vertex is pinned:

@@ -30,7 +30,8 @@ pub mod stats;
 
 pub use cache::{DesignCache, DesignKey, DesignStoreBackend, ModelId};
 pub use dp::{
-    front_keys, run_selection, AccelModel, CaymanModel, FrontKey, SelectOptions, SelectionResult,
+    front_keys, run_selection, AccelModel, CaymanModel, FrontKey, FrontTable, SelectOptions,
+    SelectionResult,
 };
 pub use pareto::{combine, filter, fold, pareto, with_designs, SelectedKernel, Solution};
 pub use stats::SelectStats;

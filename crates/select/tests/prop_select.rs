@@ -20,7 +20,8 @@ use cayman_ir::builder::{FunctionBuilder, ModuleBuilder};
 use cayman_ir::interp::Interp;
 use cayman_ir::{ArrayId, Module, Operand, Type};
 use cayman_select::{
-    run_selection, CaymanModel, DesignCache, FrontKey, SelectOptions, SelectionResult, Solution,
+    front_keys, run_selection, AccelModel, CaymanModel, DesignCache, FrontTable, SelectOptions,
+    SelectionResult, Solution,
 };
 use cayman_testkit::tree::{FuncShape, TreeShape, MAX_CASE_ITERATIONS};
 use cayman_testkit::{prop_assert, prop_assert_eq, prop_check};
@@ -95,21 +96,30 @@ impl App {
 
     /// A selection with Cayman's model on `cache`, reusing and filling
     /// `fronts` when given.
-    fn select(
-        &self,
-        cache: &DesignCache,
-        fronts: Option<&mut HashMap<FrontKey, Vec<Solution>>>,
-    ) -> SelectionResult {
+    fn select(&self, cache: &DesignCache, fronts: Option<&mut FrontTable>) -> SelectionResult {
         let opts = SelectOptions::default();
+        let inputs = self.inputs();
+        let model = CaymanModel(opts.model.clone());
+        let fps: Vec<u64> = inputs
+            .iter()
+            .map(|i| i.prints.selection_fp(i.block_counts, i.trips))
+            .collect();
+        let keys = front_keys(
+            &self.wpst,
+            self.profile.total_cycles,
+            &fps,
+            &opts,
+            model.cache_id(),
+        );
         run_selection(
             &self.module,
             &self.wpst,
             &self.profile,
-            &self.inputs(),
+            &inputs,
             &opts,
-            &CaymanModel(opts.model.clone()),
+            &model,
             cache,
-            fronts,
+            fronts.map(|table| (table, &keys[..])),
         )
     }
 }

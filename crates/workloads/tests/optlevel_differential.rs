@@ -133,10 +133,12 @@ fn address_canon_preserves_identity_on_all_workloads() {
         let mut o1 = w.module.clone();
         normalize(&mut o1, OptLevel::O1, false).expect("O1 normalize");
         let base = o1.clone();
-        PassManager::address_canon()
-            .verify_each_pass(true)
-            .run(&mut o1)
-            .unwrap_or_else(|e| panic!("{}: address_canon failed: {e}", w.name));
+        for f in base.function_ids() {
+            PassManager::address_canon()
+                .verify_each_pass(true)
+                .run_function(&mut o1, f)
+                .unwrap_or_else(|e| panic!("{}: address_canon failed: {e}", w.name));
+        }
 
         assert_eq!(base.functions.len(), o1.functions.len());
         for (bf, sf) in base.functions.iter().zip(&o1.functions) {
