@@ -3,9 +3,9 @@
 //! kernel configuration counts (#SB, #PR), interface counts (#C, #D, #S, #LB),
 //! accelerator-merging area savings, and selection runtime.
 //!
-//! Rows are computed in parallel (one framework per benchmark, scoped
-//! threads); set `CAYMAN_TABLE2_THREADS` to override the worker count
-//! (`1` recovers the fully sequential run — same numbers either way).
+//! Rows are computed in parallel, one framework per benchmark, on one
+//! scoped thread per available core; the numbers are the same as a
+//! sequential run's.
 //!
 //! ```text
 //! cargo run --release -p cayman-bench --bin table2 [-- -O0|-O1|-O2] [--json] [benchmark...]
@@ -90,14 +90,9 @@ fn main() {
     let args = BenchArgs::parse();
     cayman_obs::init_from_env();
 
-    let threads = std::env::var("CAYMAN_TABLE2_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+    let threads = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
     let workloads = args.select_workloads(cayman::workloads::all());
     let rows = table2_rows_with(&workloads, threads, &args.analyse);
     let avg = average_row(&rows);

@@ -9,7 +9,7 @@ use cayman_analysis::profile::Profile;
 use cayman_analysis::wpst::Wpst;
 use cayman_hls::inputs::{FuncInputs, FuncPrints};
 use cayman_ir::interp::{ExecProfile, Memory};
-use cayman_ir::transform::{OptLevel, PipelineStats};
+use cayman_ir::transform::OptLevel;
 use cayman_ir::Module;
 use std::sync::Arc;
 
@@ -68,10 +68,6 @@ pub struct Application {
     /// Which interpreter engine produced the profile (`"decoded"` unless the
     /// module fell back to the reference walker).
     pub profiling_engine: &'static str,
-    /// Per-pass counters from the normalization stage (empty at `-O0`).
-    /// They depend only on function content, so a function answered from
-    /// the incremental store reports the counts of its cached run.
-    pub normalize_stats: PipelineStats,
     /// Per-function content fingerprints of the *normalized* functions —
     /// the content keys the incremental store's per-function analysis
     /// queries and the exec query's slice proof are addressed by. At `-O2`
@@ -236,10 +232,7 @@ mod tests {
         let opt = Application::analyse_with(module.clone(), None, &opts).expect("analyses at O1");
 
         // O0 leaves the module exactly as built; O1 shrinks it.
-        assert_eq!(raw.normalize_stats.iterations, 0);
         assert_eq!(raw.module.to_text(), module.to_text());
-        assert!(opt.normalize_stats.total_changes() > 0);
-        assert!(opt.normalize_stats.verify_runs > 0);
         let count = |m: &Module| m.functions.iter().map(|f| f.instr_count()).sum::<usize>();
         assert!(
             count(&opt.module) < count(&raw.module),

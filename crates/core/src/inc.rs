@@ -7,8 +7,8 @@
 //! | query | key | value |
 //! |---|---|---|
 //! | verify | raw module ints-print | () |
-//! | normalize | (raw fn fp, arrays fp, level, verify-each) | normalized `Function` + stats |
-//! | shadow | (normalized fn fp, arrays fp) | address-canonicalized `Function` |
+//! | normalize | (raw fn fp, arrays fp, verify-each) | normalized `Function` + its prints |
+//! | shadow | (normalized fn fp, arrays fp) | address-canonicalized `Function` + its prints |
 //! | structure | normalized fn ints-print | `FuncCtx` + `RegionTree` + structural prints |
 //! | decode | (normalized fn fp, arrays fp) | decoded interpreter function |
 //! | exec | (normalized module fp, memory fp) | `ExecProfile`, run or proved |
@@ -113,7 +113,7 @@ use cayman_ir::cpu_model::total_cycles;
 use cayman_ir::fingerprint::fnv1a_u64s;
 use cayman_ir::interp::{DecodedFunction, ExecProfile, Interp, Memory};
 use cayman_ir::slice::counts_unchanged;
-use cayman_ir::transform::{normalize_function, OptLevel, PassManager, PipelineStats};
+use cayman_ir::transform::{OptLevel, PassManager};
 use cayman_ir::verify::VerifyError;
 use cayman_ir::{
     decode_function, fingerprint_arrays, fingerprint_function_pair, fingerprint_memory,
@@ -245,19 +245,32 @@ impl<K: Eq + Hash, V> Query<K, V> {
     }
 }
 
+/// A normalize key: the raw function's bits under the module's array
+/// declarations. `-O1` and `-O2` run the same pipeline and `-O0` runs
+/// none, so the level is not part of it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct NormKey {
     raw_fp: u64,
     arrays_fp: u64,
-    level: OptLevel,
     verify_each: bool,
 }
 
-struct NormResult {
+/// A rewritten function (normalized, or its shadow) and both its prints.
+struct Rewritten {
     func: Function,
-    /// Both prints of `func`.
     fps: FunctionFps,
-    stats: PipelineStats,
+}
+
+impl Rewritten {
+    /// Runs `pipeline` on a copy of `module`'s function `f`.
+    fn of(pipeline: &PassManager, module: &Module, f: FuncId) -> Result<Self, VerifyError> {
+        let mut func = module.function(f).clone();
+        pipeline.run(module, &mut func)?;
+        Ok(Rewritten {
+            fps: fingerprint_function_pair(&func),
+            func,
+        })
+    }
 }
 
 /// A per-function key: one function print (the normalized bits for shadow
@@ -267,15 +280,6 @@ struct NormResult {
 struct FuncKey {
     fp: u64,
     arrays_fp: u64,
-}
-
-struct ShadowResult {
-    /// The address-canonicalized clone of the normalized function. Same
-    /// `InstrId`s/`ValueId`s/blocks/terminators as the executed body.
-    func: Function,
-    /// Both prints of `func`.
-    fps: FunctionFps,
-    stats: PipelineStats,
 }
 
 struct FuncStructure {
@@ -368,8 +372,10 @@ struct SelectKey {
 /// entries are merely unreachable, never wrong.
 pub(crate) struct QueryStore {
     verified: Query<u64, ()>,
-    normalize: Query<NormKey, NormResult>,
-    shadow: Query<FuncKey, ShadowResult>,
+    normalize: Query<NormKey, Rewritten>,
+    /// The address-canonicalized clone of each normalized function: same
+    /// `InstrId`s/`ValueId`s/blocks/terminators as the executed body.
+    shadow: Query<FuncKey, Rewritten>,
     structure: Query<u64, FuncStructure>,
     decode: Query<FuncKey, Option<DecodedFunction>>,
     exec: Query<ExecKey, ExecResult>,
@@ -520,48 +526,31 @@ pub(crate) fn assemble(
         // shadows, stage 2b), so the normalize/structure/decode/exec caches
         // are shared between the two levels and observable behavior is
         // bit-identical.
-        let exec_level = match opts.opt_level {
-            OptLevel::O2 => OptLevel::O1,
-            lvl => lvl,
-        };
         let n = module.functions.len();
         let mut norm_fps: Vec<u64> = Vec::with_capacity(n);
         let mut norm_ints: Vec<u64> = Vec::with_capacity(n);
-        let mut normalize_stats = PipelineStats::default();
         let working = {
             let _s = cayman_obs::span!("analyse.normalize");
             let mut functions = Vec::with_capacity(n);
-            if exec_level == OptLevel::O0 {
+            if opts.opt_level == OptLevel::O0 {
                 norm_fps.extend_from_slice(&raw.bits);
                 norm_ints.extend_from_slice(&raw.ints);
                 functions.extend_from_slice(&module.functions);
             } else {
-                // A miss normalizes in place in one copy of the module,
-                // cloned on the first miss only.
-                let mut whole: Option<Module> = None;
+                let pipeline = PassManager::standard().verify_each_pass(opts.verify_each_pass);
                 for f in module.function_ids() {
                     let key = NormKey {
                         raw_fp: raw.bits[f.index()],
                         arrays_fp,
-                        level: exec_level,
                         verify_each: opts.verify_each_pass,
                     };
                     let arg = Some(("func", ArgValue::from(f.index())));
                     let cached = store.normalize.get(key, &mut counts.normalize, arg, || {
-                        let whole = whole.get_or_insert_with(|| module.clone());
-                        let stats =
-                            normalize_function(whole, f, exec_level, opts.verify_each_pass)?;
-                        let func = whole.functions[f.index()].clone();
-                        Ok(NormResult {
-                            fps: fingerprint_function_pair(&func),
-                            func,
-                            stats,
-                        })
+                        Ok(Rewritten::of(&pipeline, module, f)?)
                     })?;
                     functions.push(cached.func.clone());
                     norm_fps.push(cached.fps.bits);
                     norm_ints.push(cached.fps.ints);
-                    normalize_stats.merge(&cached.stats);
                 }
             }
             Module {
@@ -576,9 +565,9 @@ pub(crate) fn assemble(
         // shadows. The shadow never executes — verification happens on the
         // whole module in stage 1, and `address_canon`'s identity contract
         // (pinned by the workload differential suite) keeps every
-        // memory/phi/call instruction in place — so the query runs on a
-        // single-function clone.
-        let mut shadows: Vec<Option<Arc<ShadowResult>>> = vec![None; n];
+        // memory/phi/call instruction in place — so the pipeline runs
+        // unverified on a clone of the normalized function.
+        let mut shadows: Vec<Option<Arc<Rewritten>>> = vec![None; n];
         let mut analysis_fps = norm_fps.clone();
         let mut analysis_ints = norm_ints.clone();
         if opts.opt_level == OptLevel::O2 {
@@ -590,22 +579,9 @@ pub(crate) fn assemble(
                 };
                 let arg = Some(("func", ArgValue::from(f.index())));
                 let cached = store.shadow.get(key, &mut counts.shadow, arg, || {
-                    let mut tmp = Module {
-                        name: working.name.clone(),
-                        functions: vec![working.functions[f.index()].clone()],
-                        arrays: working.arrays.clone(),
-                    };
-                    let stats = PassManager::address_canon()
-                        .run_function(&mut tmp, FuncId(0))
-                        .expect("address_canon never verifies, so never fails");
-                    let func = tmp.functions.pop().expect("one function");
-                    Ok(ShadowResult {
-                        fps: fingerprint_function_pair(&func),
-                        func,
-                        stats,
-                    })
+                    Ok(Rewritten::of(&PassManager::address_canon(), &working, f)
+                        .expect("address_canon never verifies, so never fails"))
                 })?;
-                normalize_stats.merge(&cached.stats);
                 let i = f.index();
                 if cached.fps.bits != norm_fps[i] {
                     // Analysis facts now depend on both bodies: the executed
@@ -758,7 +734,6 @@ pub(crate) fn assemble(
             deps,
             trips,
             profiling_engine: exec_res.engine,
-            normalize_stats,
             content_fps: analysis_fps,
             prints,
             selection_fps,
@@ -1607,12 +1582,22 @@ mod tests {
     #[test]
     fn set_opt_level_reanalyses_at_the_new_level() {
         let m = two_kernel_module();
-        let mut inc = IncrementalApp::new(m, None, AnalyseOptions::o0());
+        let mut inc = IncrementalApp::new(m.clone(), None, AnalyseOptions::o0());
         let raw = inc.analyse().expect("O0 analyses");
-        assert_eq!(raw.normalize_stats.iterations, 0);
+        assert_eq!(inc.stats().normalize.misses, 0, "O0 normalizes nothing");
+        assert_eq!(raw.module.to_text(), m.to_text());
         inc.apply(Edit::SetOptLevel(OptLevel::O1)).expect("applies");
         let opt = inc.analyse().expect("O1 analyses");
-        assert!(opt.normalize_stats.total_changes() > 0 || opt.normalize_stats.iterations > 0);
+        assert_eq!(
+            inc.stats().normalize.misses,
+            3,
+            "O1 normalizes every function"
+        );
+        let count = |m: &Module| m.functions.iter().map(|f| f.instr_count()).sum::<usize>();
+        assert!(
+            count(&opt.module) < count(&raw.module),
+            "O1 shrinks the module"
+        );
         // Observable behaviour unchanged across levels.
         assert_eq!(raw.exec.return_value, opt.exec.return_value);
         // Going back to O0 is a pure cache hit.

@@ -47,7 +47,7 @@ use std::error::Error;
 use std::fmt;
 
 pub use app::{AnalyseOptions, Application};
-pub use cayman_ir::transform::{OptLevel, PipelineStats};
+pub use cayman_ir::transform::OptLevel;
 pub use framework::{BudgetReport, Framework};
 pub use inc::{Edit, IncStats, IncrementalApp};
 

@@ -12,7 +12,10 @@ use cayman::analysis::scev::Scev;
 use cayman::hls::inputs::FuncPrints;
 use cayman::ir::instr::{Imm, Operand};
 use cayman::ir::transform::{normalize, OptLevel, PassManager};
-use cayman::ir::{fingerprint_function_pair, FuncId, Function, Module, ValueId};
+use cayman::ir::{
+    fingerprint_function, fingerprint_function_pair, FuncId, Function, Module, ValueId,
+};
+use cayman::{AnalyseOptions, Application};
 
 /// Rewrites every float and bool immediate of `f` to another value of the
 /// same kind; returns how many it rewrote.
@@ -124,9 +127,9 @@ fn analyses_read_float_and_bool_immediates_by_kind_only() {
         let mut o1 = raw.clone();
         normalize(&mut o1, OptLevel::O1, false).expect("normalizes");
         let mut shadow = o1.clone();
-        for f in o1.function_ids() {
+        for func in &mut shadow.functions {
             PassManager::address_canon()
-                .run_function(&mut shadow, f)
+                .run(&o1, func)
                 .expect("address_canon never verifies, so never fails");
         }
         moved += check(&format!("{} raw", w.name), raw);
@@ -138,4 +141,29 @@ fn analyses_read_float_and_bool_immediates_by_kind_only() {
         moved > 300,
         "{moved} of {functions} functions had a float or bool"
     );
+}
+
+/// The production path normalizes exactly like the public one: over all
+/// 132 workloads, every function of the module `Application::analyse_with`
+/// assembles from its normalize queries prints the same as that function
+/// after `normalize` at `-O1`.
+#[test]
+fn analyse_normalizes_every_function_like_normalize() {
+    for w in cayman::workloads::full() {
+        let mut o1 = w.module.clone();
+        normalize(&mut o1, OptLevel::O1, false).expect("normalizes");
+        let app = Application::analyse_with(
+            w.module.clone(),
+            Some(w.memory()),
+            &AnalyseOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{}: analyse failed: {e}", w.name));
+        let prints = |m: &Module| {
+            m.functions
+                .iter()
+                .map(fingerprint_function)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(prints(&app.module), prints(&o1), "{}", w.name);
+    }
 }

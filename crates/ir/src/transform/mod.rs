@@ -1,4 +1,5 @@
-//! IR normalization: a pass manager and the standard `-O1`/`-O2` pipelines.
+//! IR normalization: a pass manager, the standard `-O1` pipeline and the
+//! `-O2` address-canonicalization pipeline.
 //!
 //! Builder-generated (and especially parser-generated) modules carry
 //! redundancy — constant subexpressions, duplicate address computations,
@@ -9,25 +10,27 @@
 //! rewrites run before profiling and region analysis.
 //!
 //! Every [`Pass`] rewrites one function. There is one driver,
-//! [`PassManager::run_function`]: it sweeps a pipeline's passes over one
-//! function of a module until a sweep changes nothing.
-//! [`normalize_function`] picks the pipeline for an [`OptLevel`], and
+//! [`PassManager::run`]: it sweeps a pipeline's passes over one function,
+//! detached from its module, until a sweep changes nothing. The module is
+//! only read: its array declarations by the passes, its callee signatures
+//! by the optional verifier. [`normalize_function`] runs the `-O1`
+//! pipeline on one function of a module and writes it back on success;
 //! [`normalize`] runs it on each function in turn.
 //!
 //! The `-O1` pipeline iterates four passes to a fixed point
 //! — [`SimplifyCfg`], [`ConstFold`], [`Gvn`], [`Dce`] — then runs
 //! [`Compact`] to rebuild the instruction arena without the dropped
-//! instructions. `-O2` adds the loop pipeline, [`StrengthReduce`] and
-//! [`Licm`], whose job is to canonicalize gep address arithmetic (shifts to
-//! multiplies, subtracts to adds, folded constant chains) and hoist the
-//! loop-invariant parts, so the analysis crate's SCEV sees clean affine
-//! induction expressions.
+//! instructions.
 //!
-//! [`PassManager::address_canon`] packages just that loop pipeline with a guarantee the
-//! full `-O2` pipeline does not make: it preserves `InstrId`s/`ValueId`s
-//! and the CFG exactly (no [`Compact`], no deletions). `cayman-core` runs
-//! it on per-function analysis *shadows* and maps the resulting facts back
-//! onto the executed `-O1` body by instruction id.
+//! [`PassManager::address_canon`] is the loop pipeline, [`StrengthReduce`]
+//! and [`Licm`]. Its job is to canonicalize gep address arithmetic (shifts
+//! to multiplies, subtracts to adds, folded constant chains) and hoist the
+//! loop-invariant parts, so the analysis crate's SCEV sees clean affine
+//! induction expressions. It preserves `InstrId`s/`ValueId`s and the CFG
+//! exactly (no [`Compact`], no deletions). At `-O2`, `cayman-core` runs it
+//! on per-function analysis *shadows* and maps the resulting facts back
+//! onto the executed `-O1` body by instruction id; the executed program is
+//! the `-O1` one at both levels.
 //!
 //! ## Semantics contract
 //!
@@ -68,9 +71,10 @@ use crate::module::{ArrayDecl, FuncId, Function, InstrId, Module, ValueDef, Valu
 use crate::verify::VerifyError;
 use std::fmt;
 
-/// A rewrite of one function. Implementations must keep the module
-/// verifiable (see the module docs for the semantics contract) and must
-/// return `true` iff they changed `func`: fixed-point iteration relies on
+/// A rewrite of one function. Implementations must keep the function
+/// verifiable against its module and keep its parameter and return types
+/// (see the module docs for the semantics contract), and must return
+/// `true` iff they changed `func`: fixed-point iteration relies on
 /// accurate reports for termination.
 ///
 /// A pass sees one function and the module's array declarations, nothing
@@ -86,7 +90,7 @@ pub trait Pass {
     fn run(&self, arrays: &[ArrayDecl], func: &mut Function) -> bool;
 }
 
-/// How aggressively [`normalize`] rewrites a module.
+/// How aggressively a module is rewritten before it is analysed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OptLevel {
     /// No rewrites; the module is analysed as built.
@@ -95,8 +99,9 @@ pub enum OptLevel {
     /// iterated to a fixed point, then arena compaction.
     #[default]
     O1,
-    /// `-O1` plus the loop pipeline: strength reduction of address
-    /// arithmetic and loop-invariant code motion.
+    /// `-O1` for the executed program (so [`normalize`] treats it as
+    /// `-O1`), plus [`PassManager::address_canon`] on the analysis shadows
+    /// `cayman-core` builds of each normalized function.
     O2,
 }
 
@@ -122,7 +127,7 @@ impl fmt::Display for OptLevel {
     }
 }
 
-/// Per-pass counters accumulated by [`PassManager::run_function`]. Each
+/// Per-pass counters accumulated by [`PassManager::run`]. Each
 /// run's time is in the trace, as a `normalize.<pass>` span.
 #[derive(Debug, Clone)]
 pub struct PassStats {
@@ -134,7 +139,7 @@ pub struct PassStats {
     pub changed: u32,
 }
 
-/// Aggregate counts of one [`PassManager::run_function`] (or, merged, of
+/// Aggregate counts of one [`PassManager::run`] (or, merged, of
 /// one [`normalize`]), printable in the same single-line style as the
 /// selection engine's `SelectStats`. They are counts only; each function's
 /// time is its `normalize.pipeline` trace span.
@@ -155,7 +160,7 @@ impl PipelineStats {
     }
 
     /// Folds another run's counters into this one. Used to aggregate
-    /// per-function [`PassManager::run_function`] stats into one
+    /// per-function [`PassManager::run`] stats into one
     /// module-level summary: passes are aligned by name (run/changed
     /// counters add), `iterations` reports the deepest per-function fixed
     /// point, and verifier runs accumulate.
@@ -213,50 +218,34 @@ impl PassManager {
         PassManager::of(&[&SimplifyCfg, &ConstFold, &Gvn, &Dce, &Compact])
     }
 
-    /// The standard `-O2` pipeline: `-O1` with strength reduction and LICM
-    /// slotted in before compaction, iterated to a fixed point. The extra
-    /// passes let GVN and DCE clean up the chains the rewrites strand.
-    pub fn standard_o2() -> Self {
-        PassManager::of(&[
-            &SimplifyCfg,
-            &ConstFold,
-            &StrengthReduce,
-            &Licm,
-            &Gvn,
-            &Dce,
-            &Compact,
-        ])
-    }
-
     /// The identity-preserving address-canonicalization pipeline:
     /// strength reduction + LICM to a fixed point, **without** compaction or
     /// any deleting pass. `InstrId`s, `ValueId`s, block set and terminators
     /// are exactly those of the input — only instruction operands/opcodes
     /// and block membership of pure scalar ops change. This is the pipeline
-    /// `cayman-core` runs on per-function analysis shadows at `-O2`.
+    /// `cayman-core` runs on per-function analysis shadows at `-O2`, and
+    /// the only one that runs strength reduction and LICM.
     pub fn address_canon() -> Self {
         PassManager::of(&[&StrengthReduce, &Licm])
     }
 
-    /// Runs the verifier over the whole module before the first pass and
-    /// after every pass that changed the function, aborting on the first
-    /// failure. A pass cannot break another function, but it can break a
-    /// call to the function it rewrote, so the whole module is checked.
+    /// Verifies the function before the first pass and after every pass
+    /// that changed it, aborting on the first failure. The check is the
+    /// verifier's per-function one, against the module's arrays and callee
+    /// signatures, plus a check that the function's parameter and return
+    /// types are unchanged: that is the only way rewriting one function
+    /// can break another.
     pub fn verify_each_pass(mut self, on: bool) -> Self {
         self.verify_each = on;
         self
     }
 
-    /// Runs the pass list over function `func` of `module` until a sweep
-    /// changes nothing, up to a fixed sweep bound.
+    /// Runs the pass list over `func`, a function of `module` detached from
+    /// it, until a sweep changes nothing, up to a fixed sweep bound.
     ///
-    /// With `verify_each_pass` enabled, returns the first verifier failure
-    /// (the module is left in its mid-pipeline state for inspection).
-    pub fn run_function(
-        &self,
-        module: &mut Module,
-        func: FuncId,
-    ) -> Result<PipelineStats, VerifyError> {
+    /// With `verify_each_pass` enabled, returns the first failure (`func`
+    /// is left in its mid-pipeline state for inspection).
+    pub fn run(&self, module: &Module, func: &mut Function) -> Result<PipelineStats, VerifyError> {
         let _span = cayman_obs::span!("normalize.pipeline");
         let mut stats = PipelineStats {
             passes: self
@@ -270,8 +259,18 @@ impl PassManager {
                 .collect(),
             ..PipelineStats::default()
         };
+        let (params, ret) = (func.params.clone(), func.ret);
+        let check = |func: &Function| {
+            if func.params != params || func.ret != ret {
+                return Err(VerifyError {
+                    func: func.name.clone(),
+                    message: "parameter or return types changed".into(),
+                });
+            }
+            module.verify_function(func)
+        };
         if self.verify_each {
-            module.verify()?;
+            check(func)?;
             stats.verify_runs += 1;
         }
         for _ in 0..MAX_SWEEPS {
@@ -280,14 +279,14 @@ impl PassManager {
             for (pass, counts) in self.passes.iter().zip(&mut stats.passes) {
                 let changed = {
                     let _span = cayman_obs::span!(("normalize.", pass.name()));
-                    pass.run(&module.arrays, &mut module.functions[func.index()])
+                    pass.run(&module.arrays, func)
                 };
                 counts.runs += 1;
                 if changed {
                     counts.changed += 1;
                     any = true;
                     if self.verify_each {
-                        module.verify().map_err(|e| VerifyError {
+                        check(func).map_err(|e| VerifyError {
                             func: e.func,
                             message: format!("after pass `{}`: {}", pass.name(), e.message),
                         })?;
@@ -306,8 +305,9 @@ impl PassManager {
 /// Normalizes every function of `module` at the given [`OptLevel`], one
 /// [`normalize_function`] after another, and merges their stats.
 ///
-/// `O0` is a no-op (empty stats). With `verify_each_pass`, the verifier
-/// runs before each function's pipeline and after every changing pass.
+/// `O0` is a no-op (empty stats). With `verify_each_pass`, each function
+/// is verified before its pipeline, which verifies the module once, and
+/// after every pass that changed it.
 pub fn normalize(
     module: &mut Module,
     level: OptLevel,
@@ -322,9 +322,9 @@ pub fn normalize(
 }
 
 /// Normalizes function `func` of `module` at the given [`OptLevel`]:
-/// [`PassManager::standard`] at `O1`, [`PassManager::standard_o2`] at `O2`,
-/// nothing at `O0`. This is the unit of `cayman-core`'s content-keyed
-/// normalize query.
+/// [`PassManager::standard`] at `O1` and `O2`, nothing at `O0`. The
+/// pipeline rewrites a copy of the function, which replaces
+/// `module.functions[func]` only when the pipeline succeeds.
 pub fn normalize_function(
     module: &mut Module,
     func: FuncId,
@@ -333,12 +333,22 @@ pub fn normalize_function(
 ) -> Result<PipelineStats, VerifyError> {
     let pipeline = match level {
         OptLevel::O0 => return Ok(PipelineStats::default()),
-        OptLevel::O1 => PassManager::standard(),
-        OptLevel::O2 => PassManager::standard_o2(),
+        OptLevel::O1 | OptLevel::O2 => PassManager::standard(),
     };
-    pipeline
-        .verify_each_pass(verify_each_pass)
-        .run_function(module, func)
+    rewrite(&pipeline.verify_each_pass(verify_each_pass), module, func)
+}
+
+/// Runs `pipeline` on a copy of function `func` of `module`, which replaces
+/// the original only when the pipeline succeeds.
+fn rewrite(
+    pipeline: &PassManager,
+    module: &mut Module,
+    func: FuncId,
+) -> Result<PipelineStats, VerifyError> {
+    let mut body = module.function(func).clone();
+    let stats = pipeline.run(module, &mut body)?;
+    module.functions[func.index()] = body;
+    Ok(stats)
 }
 
 /// Replaces every use of `from` (in placed instructions and terminators of
@@ -475,4 +485,90 @@ fn compact_function(func: &mut Function) -> bool {
     func.instr_results = new_results;
     func.invalidate_block_map();
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::Type;
+
+    /// `@helper` feeds its caller an `i64`; `%2` uses `%1` from the line
+    /// above it.
+    const FIXTURE: &str = "; module t
+fn @helper(i64 %0) -> i64 {
+bb0: ; entry
+  %1 = add i64 %0, 1
+  %2 = mul i64 %1, 3
+  ret %2
+}
+
+fn @main() -> i64 {
+bb0: ; entry
+  %0 = call i64 @helper(4)
+  ret %0
+}
+";
+
+    /// Moves every use in the entry block above its definition.
+    struct ReverseEntry;
+
+    impl Pass for ReverseEntry {
+        fn name(&self) -> &'static str {
+            "reverse-entry"
+        }
+
+        fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
+            func.blocks[0].instrs.reverse();
+            func.invalidate_block_map();
+            true
+        }
+    }
+
+    /// Makes the function return `f64`: its body still verifies, but its
+    /// callers now read the wrong type.
+    struct Retype;
+
+    impl Pass for Retype {
+        fn name(&self) -> &'static str {
+            "retype"
+        }
+
+        fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
+            func.ret = Some(Type::F64);
+            true
+        }
+    }
+
+    /// Runs `pass` on `@helper` with verification after each pass, and
+    /// returns the failure after checking that `@helper` is untouched.
+    fn broken_by(pass: &'static [&'static dyn Pass]) -> VerifyError {
+        let mut m = Module::parse_text(FIXTURE).expect("fixture parses");
+        m.verify().expect("fixture verifies");
+        let before = m.clone();
+        let pipeline = PassManager::of(pass).verify_each_pass(true);
+        let err = rewrite(&pipeline, &mut m, FuncId(0)).expect_err("the pass breaks @helper");
+        assert_eq!(m, before, "a failed pipeline left the module as it was");
+        err
+    }
+
+    #[test]
+    fn a_use_above_its_definition_fails_after_the_pass() {
+        let err = broken_by(&[&ReverseEntry]);
+        assert_eq!(err.func, "helper");
+        assert!(
+            err.message.starts_with("after pass `reverse-entry`: ")
+                && err.message.contains("used before definition"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_changed_return_type_fails_after_the_pass() {
+        let err = broken_by(&[&Retype]);
+        assert_eq!(err.func, "helper");
+        assert_eq!(
+            err.message,
+            "after pass `retype`: parameter or return types changed"
+        );
+    }
 }

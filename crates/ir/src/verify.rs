@@ -3,7 +3,7 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::instr::{Instr, Operand, Terminator};
-use crate::module::{BlockId, FuncId, Function, Module, ValueDef};
+use crate::module::{BlockId, Function, Module, ValueDef};
 use crate::types::Type;
 use std::error::Error;
 use std::fmt;
@@ -40,14 +40,15 @@ impl Module {
     ///
     /// Returns the first [`VerifyError`] found.
     pub fn verify(&self) -> Result<(), VerifyError> {
-        for id in self.function_ids() {
-            self.verify_function(id)?;
-        }
-        Ok(())
+        self.functions
+            .iter()
+            .try_for_each(|func| self.verify_function(func))
     }
 
-    fn verify_function(&self, id: FuncId) -> Result<(), VerifyError> {
-        let func = self.function(id);
+    /// Verifies one function against this module's array declarations and
+    /// callee signatures. `func` need not be one of the module's own
+    /// functions: the pass driver checks a detached copy it is rewriting.
+    pub(crate) fn verify_function(&self, func: &Function) -> Result<(), VerifyError> {
         let err = |m: String| VerifyError {
             func: func.name.clone(),
             message: m,

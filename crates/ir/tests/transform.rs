@@ -8,7 +8,7 @@ use cayman_ir::interp::{Interp, Value};
 use cayman_ir::transform::{
     normalize, Compact, ConstFold, Dce, Gvn, OptLevel, Pass, PassManager, SimplifyCfg,
 };
-use cayman_ir::{FuncId, Module};
+use cayman_ir::Module;
 
 fn parse(src: &str) -> Module {
     let m = Module::parse_text(src).expect("fixture parses");
@@ -352,10 +352,12 @@ bb2: ; dead
 ",
     );
     let before = run_i64(&m, &[Value::I(10)]);
+    let mut main = m.functions[0].clone();
     let stats = PassManager::standard()
         .verify_each_pass(true)
-        .run_function(&mut m, FuncId(0))
+        .run(&m, &mut main)
         .expect("pipeline verifies between passes");
+    m.functions[0] = main;
     m.verify().expect("result verifies");
     assert_eq!(run_i64(&m, &[Value::I(10)]), before);
 
@@ -370,7 +372,7 @@ bb2: ; dead
 
     // Re-running the whole pipeline is a no-op.
     let again = PassManager::standard()
-        .run_function(&mut m, FuncId(0))
+        .run(&m, &mut m.functions[0].clone())
         .expect("no verify");
     assert_eq!(again.total_changes(), 0);
 }

@@ -96,8 +96,9 @@ impl Trace {
         out
     }
 
-    /// Renders a human-readable summary: per-span total/self time and call
-    /// counts and counter totals.
+    /// Renders a human-readable summary: per span name, its call count and
+    /// its total inclusive time (a nested span's time counts in its
+    /// parent's too), largest total first; then every counter's total.
     pub fn summary(&self) -> String {
         #[derive(Default)]
         struct SpanAgg {

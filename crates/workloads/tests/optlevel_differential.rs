@@ -1,13 +1,16 @@
 //! Differential proof that `-O1` normalization is observationally
-//! equivalent to `-O0` on every benchmark of the evaluation: bit-identical
-//! final memory image and return value under realistic inputs.
+//! equivalent to `-O0` on every benchmark of the evaluation (bit-identical
+//! final memory image and return value under realistic inputs), that `-O2`
+//! executes the same body on all 132 workloads, and that the `-O2` analysis
+//! shadow keeps its identity contract.
 //!
 //! Dynamic block counts and cycle totals are *expected* to change — that is
 //! the point of normalization — so only the observable outputs are compared.
 
 use cayman_ir::interp::{Interp, Value};
 use cayman_ir::transform::{normalize, OptLevel, PassManager};
-use cayman_ir::Instr;
+use cayman_ir::{Instr, Module};
+use cayman_workloads::Workload;
 
 fn values_bit_equal(a: &Option<Value>, b: &Option<Value>) -> bool {
     match (a, b) {
@@ -24,98 +27,79 @@ fn cells_bit_equal(a: &[Value], b: &[Value]) -> bool {
         })
 }
 
-/// Every benchmark normalizes with the verifier green after every pass, and
-/// the normalized module computes a bit-identical memory image and return
+/// Normalizes `w` at `level` with the verifier green after every pass and
+/// checks that the result computes a bit-identical memory image and return
 /// value while executing no more dynamic instructions than the original.
+/// Returns the normalized module.
+fn assert_matches_o0(w: &Workload, level: OptLevel) -> Module {
+    let mut raw = Interp::new(&w.module);
+    raw.memory = w.memory();
+    let raw_profile = raw
+        .run(&[])
+        .unwrap_or_else(|e| panic!("{}: -O0 run failed: {e}", w.name));
+    let raw_instrs = raw_profile.dynamic_instrs(&w.module);
+
+    let mut opt_module = w.module.clone();
+    let stats = normalize(&mut opt_module, level, true)
+        .unwrap_or_else(|e| panic!("{}: -{level} normalize failed: {e}", w.name));
+    assert!(stats.iterations >= 1, "{}: pipeline did not run", w.name);
+    opt_module
+        .verify()
+        .unwrap_or_else(|e| panic!("{}: normalized module broken: {e}", w.name));
+
+    let mut opt = Interp::new(&opt_module);
+    opt.memory = w.memory();
+    let opt_profile = opt
+        .run(&[])
+        .unwrap_or_else(|e| panic!("{}: -{level} run failed: {e}", w.name));
+    let opt_instrs = opt_profile.dynamic_instrs(&opt_module);
+
+    assert!(
+        values_bit_equal(&raw_profile.return_value, &opt_profile.return_value),
+        "{}: return values diverge at -{level}: {:?} vs {:?}",
+        w.name,
+        raw_profile.return_value,
+        opt_profile.return_value
+    );
+    assert!(
+        cells_bit_equal(raw.memory.cells(), opt.memory.cells()),
+        "{}: final memory diverges at -{level}",
+        w.name
+    );
+    assert!(
+        opt_instrs <= raw_instrs,
+        "{}: -{level} executes more instructions ({opt_instrs} > {raw_instrs})",
+        w.name
+    );
+    opt_module
+}
+
+/// Every benchmark of the 28-kernel evaluation set is observationally
+/// equivalent to `-O0` after `-O1` normalization.
 #[test]
 fn o1_matches_o0_on_all_benchmarks() {
     let mut checked = 0;
     for w in cayman_workloads::all() {
-        let mut raw = Interp::new(&w.module);
-        raw.memory = w.memory();
-        let raw_profile = raw
-            .run(&[])
-            .unwrap_or_else(|e| panic!("{}: -O0 run failed: {e}", w.name));
-        let raw_instrs = raw_profile.dynamic_instrs(&w.module);
-
-        let mut opt_module = w.module.clone();
-        let stats = normalize(&mut opt_module, OptLevel::O1, true)
-            .unwrap_or_else(|e| panic!("{}: normalize failed: {e}", w.name));
-        assert!(stats.iterations >= 1, "{}: pipeline did not run", w.name);
-        opt_module
-            .verify()
-            .unwrap_or_else(|e| panic!("{}: normalized module broken: {e}", w.name));
-
-        let mut opt = Interp::new(&opt_module);
-        opt.memory = w.memory();
-        let opt_profile = opt
-            .run(&[])
-            .unwrap_or_else(|e| panic!("{}: -O1 run failed: {e}", w.name));
-        let opt_instrs = opt_profile.dynamic_instrs(&opt_module);
-
-        assert!(
-            values_bit_equal(&raw_profile.return_value, &opt_profile.return_value),
-            "{}: return values diverge: {:?} vs {:?}",
-            w.name,
-            raw_profile.return_value,
-            opt_profile.return_value
-        );
-        assert!(
-            cells_bit_equal(raw.memory.cells(), opt.memory.cells()),
-            "{}: final memory diverges",
-            w.name
-        );
-        assert!(
-            opt_instrs <= raw_instrs,
-            "{}: -O1 executes more instructions ({opt_instrs} > {raw_instrs})",
-            w.name
-        );
+        assert_matches_o0(&w, OptLevel::O1);
         checked += 1;
     }
     assert_eq!(checked, 28, "expected the full 28-benchmark evaluation set");
 }
 
-/// The `-O2` pipeline (strength reduction + LICM on top of `-O1`) is
-/// observationally equivalent to `-O0` on the full 132-kernel workload set:
-/// bit-identical return value and final memory image, never more dynamic
-/// instructions.
+/// `-O2` executes the `-O1` body: on the full 132-kernel workload set,
+/// normalizing at `-O2` yields exactly the `-O1` module, and that module is
+/// observationally equivalent to `-O0`.
 #[test]
 fn o2_matches_o0_on_all_workloads() {
     let mut checked = 0;
     for w in cayman_workloads::full() {
-        let mut raw = Interp::new(&w.module);
-        raw.memory = w.memory();
-        let raw_profile = raw
-            .run(&[])
-            .unwrap_or_else(|e| panic!("{}: -O0 run failed: {e}", w.name));
-        let raw_instrs = raw_profile.dynamic_instrs(&w.module);
-
-        let mut opt_module = w.module.clone();
-        normalize(&mut opt_module, OptLevel::O2, true)
-            .unwrap_or_else(|e| panic!("{}: -O2 normalize failed: {e}", w.name));
-
-        let mut opt = Interp::new(&opt_module);
-        opt.memory = w.memory();
-        let opt_profile = opt
-            .run(&[])
-            .unwrap_or_else(|e| panic!("{}: -O2 run failed: {e}", w.name));
-        let opt_instrs = opt_profile.dynamic_instrs(&opt_module);
-
+        let o2 = assert_matches_o0(&w, OptLevel::O2);
+        let mut o1 = w.module.clone();
+        normalize(&mut o1, OptLevel::O1, false)
+            .unwrap_or_else(|e| panic!("{}: -O1 normalize failed: {e}", w.name));
         assert!(
-            values_bit_equal(&raw_profile.return_value, &opt_profile.return_value),
-            "{}: return values diverge at -O2: {:?} vs {:?}",
-            w.name,
-            raw_profile.return_value,
-            opt_profile.return_value
-        );
-        assert!(
-            cells_bit_equal(raw.memory.cells(), opt.memory.cells()),
-            "{}: final memory diverges at -O2",
-            w.name
-        );
-        assert!(
-            opt_instrs <= raw_instrs,
-            "{}: -O2 executes more instructions ({opt_instrs} > {raw_instrs})",
+            o1 == o2,
+            "{}: -O2 executes a different body than -O1",
             w.name
         );
         checked += 1;
@@ -133,10 +117,10 @@ fn address_canon_preserves_identity_on_all_workloads() {
         let mut o1 = w.module.clone();
         normalize(&mut o1, OptLevel::O1, false).expect("O1 normalize");
         let base = o1.clone();
-        for f in base.function_ids() {
+        for func in &mut o1.functions {
             PassManager::address_canon()
                 .verify_each_pass(true)
-                .run_function(&mut o1, f)
+                .run(&base, func)
                 .unwrap_or_else(|e| panic!("{}: address_canon failed: {e}", w.name));
         }
 

@@ -97,7 +97,6 @@ CAYMAN_REQ_TIMEOUT_MS
 CAYMAN_SLOW_REQ_MS
 CAYMAN_STORE_DIR
 CAYMAN_STORE_MAX_BYTES
-CAYMAN_TABLE2_THREADS
 CAYMAN_TRACE"
 env_found="$(grep -rhoE 'CAYMAN_[A-Z0-9_]+' crates | LC_ALL=C sort -u)"
 if [ "$env_found" != "$env_allowed" ]; then
