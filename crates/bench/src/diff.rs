@@ -22,7 +22,7 @@
 //!    after every seeded single-instruction edit (a float nudge or an
 //!    `fadd`/`fmul` swap), the [`IncrementalApp`]
 //!    query pipeline must reproduce the from-scratch Pareto front, execution
-//!    profile (block counts, total cycles, return-value bits, engine) and
+//!    profile (block counts, total cycles, return-value bits) and
 //!    merge accounting bit for bit; every execution the slice proof answered
 //!    without a run
 //!    is also re-run and must match. (The visited-vertex count is
@@ -454,7 +454,7 @@ impl IncCheck {
 /// from scratch. The incremental result must be **bit-identical** at every
 /// step: the selection Pareto front (area/saved-seconds bits,
 /// kernel node ids and block sets), the execution profile (block counts,
-/// total cycles, return-value bits and engine), the analyses the store's
+/// total cycles and return-value bits), the analyses the store's
 /// queries reuse (prints, selection fingerprints, trip-count bits), and the
 /// merged best solution's area accounting. A step whose execution the slice proof
 /// answered is also run through the interpreter, which must produce the
@@ -561,8 +561,7 @@ pub fn check_incremental(
         let inc_sel = inc_sel.unwrap();
         let inc_app = inc.analyse().expect("selection already analysed");
 
-        let inc_exec = (&inc_app.exec, inc_app.profiling_engine);
-        if let Some(msg) = exec_mismatch((&fresh_app.exec, fresh_app.profiling_engine), inc_exec) {
+        if let Some(msg) = exec_mismatch(&fresh_app.exec, &inc_app.exec) {
             fail("incremental", format!("step {step}: {msg}"))?;
         }
         if let Some(msg) = analysis_mismatch(&fresh_app, &inc_app) {
@@ -587,7 +586,7 @@ pub fn check_incremental(
                     stage: "incremental",
                     detail: format!("step {step}: a proved module fails to run: {e}"),
                 })?;
-                if let Some(msg) = exec_mismatch((&ran, interp.engine_name()), inc_exec) {
+                if let Some(msg) = exec_mismatch(&ran, &inc_app.exec) {
                     fail(
                         "incremental",
                         format!("step {step}: proved profile is wrong: {msg}"),
@@ -647,12 +646,9 @@ pub fn check_incremental(
     Ok(tally)
 }
 
-/// The first way the execution `got` (profile, engine) differs from
-/// `want`, described with both sides.
-fn exec_mismatch(
-    (want, want_engine): (&ExecProfile, &str),
-    (got, got_engine): (&ExecProfile, &str),
-) -> Option<String> {
+/// The first way the execution profile `got` differs from `want`,
+/// described with both sides.
+fn exec_mismatch(want: &ExecProfile, got: &ExecProfile) -> Option<String> {
     if want.block_counts != got.block_counts {
         Some("block counts diverge".into())
     } else if want.total_cycles != got.total_cycles {
@@ -665,8 +661,6 @@ fn exec_mismatch(
             "return values diverge: {:?} vs {:?}",
             want.return_value, got.return_value
         ))
-    } else if want_engine != got_engine {
-        Some(format!("engines diverge: {want_engine} vs {got_engine}"))
     } else {
         None
     }

@@ -5,26 +5,8 @@
 //! with two-space indentation, stable field order, and `{:.N}` float
 //! precision chosen per field.
 
+use cayman_obs::escape;
 use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Builds one pretty-printed JSON object and returns the document text
 /// (with a trailing newline, ready for `fs::write`).

@@ -65,9 +65,6 @@ pub struct Application {
     pub deps: Vec<Vec<LoopDeps>>,
     /// Per-function loop trip counts (static preferred, profiled fallback).
     pub trips: Vec<Vec<f64>>,
-    /// Which interpreter engine produced the profile (`"decoded"` unless the
-    /// module fell back to the reference walker).
-    pub profiling_engine: &'static str,
     /// Per-function content fingerprints of the *normalized* functions —
     /// the content keys the incremental store's per-function analysis
     /// queries and the exec query's slice proof are addressed by. At `-O2`
@@ -198,8 +195,6 @@ mod tests {
         assert_eq!(app.trips[0], vec![16.0]);
         assert!(app.total_cycles() > 0);
         assert_eq!(app.inputs().len(), 1);
-        // Verified modules always profile under the decoded engine.
-        assert_eq!(app.profiling_engine, "decoded");
     }
 
     #[test]

@@ -126,12 +126,6 @@ impl Framework {
         self.app.wpst.to_text(&self.app.module)
     }
 
-    /// Which interpreter engine profiled the application (`"decoded"` for
-    /// every verified module).
-    pub fn profiling_engine(&self) -> &'static str {
-        self.app.profiling_engine
-    }
-
     /// Runs Algorithm 1 with an arbitrary accelerator model against this
     /// framework's shared design cache.
     pub fn select_with(&self, opts: &SelectOptions, model: &dyn AccelModel) -> SelectionResult {
@@ -272,7 +266,6 @@ mod tests {
     fn end_to_end_on_a_real_benchmark() {
         let w = cayman_workloads::by_name("atax").expect("atax exists");
         let fw = Framework::from_workload(&w).expect("analyses");
-        assert_eq!(fw.profiling_engine(), "decoded");
         let opts = SelectOptions::default();
         let cayman = fw.select(&opts);
         let novia = fw.select_novia(&opts);

@@ -65,7 +65,7 @@
 //! shows that no instruction the new module changed can steer a branch, an
 //! address, a trap or the entry function's return value, the exec query
 //! answers without decoding or running anything: the parent's block
-//! counts, return value and engine, with `total_cycles` recomputed from the
+//! counts and return value, with `total_cycles` recomputed from the
 //! new module ([`cayman_ir::cpu_model::total_cycles`], so an `fadd`→`fmul`
 //! swap still moves the cycles), memoised under the new key. A proved
 //! answer counts as an exec hit and in [`IncStats::proved`], and its span
@@ -302,11 +302,6 @@ struct ExecKey {
     memory_fp: u64,
 }
 
-struct ExecResult {
-    exec: ExecProfile,
-    engine: &'static str,
-}
-
 /// The most recently analysed application, which a fresh execution state is
 /// proved against. Holds the application the app table already shares: no
 /// module is copied.
@@ -319,7 +314,7 @@ impl ExecParent {
     /// The profile of `module` (normalized, executed from the memory image
     /// `memory_fp`, with per-function content fingerprints `fps`) when the
     /// slice proves its block counts and return value equal to the parent's.
-    fn prove(&self, module: &Module, fps: &[u64], memory_fp: u64) -> Option<ExecResult> {
+    fn prove(&self, module: &Module, fps: &[u64], memory_fp: u64) -> Option<ExecProfile> {
         let app = &self.app;
         if self.memory_fp != memory_fp {
             return None;
@@ -328,13 +323,10 @@ impl ExecParent {
         // equal executed bodies have equal shadows.
         counts_unchanged(&app.module, &app.content_fps, module, fps).ok()?;
         let block_counts = app.exec.block_counts.clone();
-        Some(ExecResult {
-            exec: ExecProfile {
-                total_cycles: total_cycles(module, &block_counts),
-                block_counts,
-                return_value: app.exec.return_value,
-            },
-            engine: app.profiling_engine,
+        Some(ExecProfile {
+            total_cycles: total_cycles(module, &block_counts),
+            block_counts,
+            return_value: app.exec.return_value,
         })
     }
 }
@@ -377,8 +369,8 @@ pub(crate) struct QueryStore {
     /// `InstrId`s/`ValueId`s/blocks/terminators as the executed body.
     shadow: Query<FuncKey, Rewritten>,
     structure: Query<u64, FuncStructure>,
-    decode: Query<FuncKey, Option<DecodedFunction>>,
-    exec: Query<ExecKey, ExecResult>,
+    decode: Query<FuncKey, DecodedFunction>,
+    exec: Query<ExecKey, ExecProfile>,
     dataflow: Query<FuncKey, FuncDataflow>,
     trips: Query<TripsKey, Vec<f64>>,
     apps: Query<AppKey, Application>,
@@ -596,7 +588,7 @@ pub(crate) fn assemble(
         // Stage 3: profile — wPST from per-function structure queries, then
         // the whole-module execution query.
         let mut structures = Vec::with_capacity(n);
-        let (wpst, exec_res, profile) = {
+        let (wpst, exec, profile) = {
             let _s = cayman_obs::span!("analyse.profile");
             let mut trees = Vec::with_capacity(n);
             let mut ctxs = Vec::with_capacity(n);
@@ -634,7 +626,7 @@ pub(crate) fn assemble(
                 counts.proved += 1;
                 store.exec.map.insert(exec_key, Arc::new(res));
             }
-            let exec_res = store.exec.get(exec_key, &mut counts.exec, tag, || {
+            let exec = store.exec.get(exec_key, &mut counts.exec, tag, || {
                 // Decode is only needed to execute, so its per-function
                 // queries run lazily inside the exec miss.
                 let mut decoded = Vec::with_capacity(n);
@@ -650,15 +642,13 @@ pub(crate) fn assemble(
                     decoded.push((*d).clone());
                 }
                 let mut interp = Interp::from_cached_decode(&working, decoded);
-                let engine = interp.engine_name();
                 if let Some(mem) = memory {
                     interp.memory = mem.clone();
                 }
-                let exec = interp.run(&[])?;
-                Ok(ExecResult { exec, engine })
+                Ok(interp.run(&[])?)
             })?;
-            let profile = Profile::aggregate(&working, &wpst, &exec_res.exec);
-            (wpst, exec_res, profile)
+            let profile = Profile::aggregate(&working, &wpst, &exec);
+            (wpst, exec, profile)
         };
 
         // Stage 4: analyse — per-function dataflow and trip-count queries.
@@ -729,11 +719,10 @@ pub(crate) fn assemble(
             module: working,
             wpst,
             profile,
-            exec: exec_res.exec.clone(),
+            exec: (*exec).clone(),
             accesses,
             deps,
             trips,
-            profiling_engine: exec_res.engine,
             content_fps: analysis_fps,
             prints,
             selection_fps,
@@ -969,7 +958,8 @@ mod tests {
     use super::*;
     use cayman_ir::builder::ModuleBuilder;
     use cayman_ir::instr::{BinOp, Imm, Operand};
-    use cayman_ir::Type;
+    use cayman_ir::module::ValueDef;
+    use cayman_ir::{InstrId, Type, ValueId};
 
     /// Two independent streaming kernels plus a caller — enough structure
     /// for per-function queries to show selective invalidation.
@@ -1054,7 +1044,6 @@ mod tests {
         assert_eq!(app.profile.block_counts, batch.profile.block_counts);
         assert_eq!(app.profile.total_cycles, batch.profile.total_cycles);
         assert_eq!(app.trips, batch.trips);
-        assert_eq!(app.profiling_engine, batch.profiling_engine);
 
         let batch_inputs = batch.inputs();
         let batch_sel = run_selection(
@@ -1424,6 +1413,45 @@ mod tests {
             Arc::ptr_eq(&first, &reverted),
             "reverted selection is the cached original"
         );
+    }
+
+    #[test]
+    fn an_entry_block_phi_fails_verification_and_a_revert_hits() {
+        let m = two_kernel_module();
+        let mut inc = IncrementalApp::new(m.clone(), None, AnalyseOptions::default());
+        let first = inc.analyse().expect("cold");
+        // `ka` with a phi heading its entry block: no edge enters the
+        // entry, so the phi has nothing to read.
+        let mut body = m.functions[0].clone();
+        let phi = InstrId(body.instrs.len() as u32);
+        body.instrs.push(Instr::Phi {
+            ty: Type::I64,
+            incomings: Vec::new(),
+        });
+        body.instr_results
+            .push(Some(ValueId(body.values.len() as u32)));
+        body.values.push(ValueDef::Instr(phi));
+        body.blocks[0].instrs.insert(0, phi);
+        inc.apply(Edit::ReplaceFunction {
+            func: FuncId(0),
+            body,
+        })
+        .expect("applies");
+        let Err(err) = inc.analyse() else {
+            panic!("an entry-block phi must not analyse");
+        };
+        assert!(matches!(err, CaymanError::Verify(_)), "{err}");
+        inc.apply(Edit::ReplaceFunction {
+            func: FuncId(0),
+            body: m.functions[0].clone(),
+        })
+        .expect("reverts");
+        let before = *inc.stats();
+        let reverted = inc.analyse().expect("reverted");
+        let after = *inc.stats();
+        assert_eq!(after.app.hits - before.app.hits, 1);
+        assert_eq!(after.app.misses, before.app.misses);
+        assert!(Arc::ptr_eq(&first, &reverted), "the cached original");
     }
 
     #[test]

@@ -13,28 +13,23 @@
 //!   flagged `parallel` and applied through a reusable scratch buffer);
 //! * terminators become direct block/edge indices ([`DecodedTerm`]);
 //! * the register file is a flat `Vec<Value>` with **no** `Option` wrapping:
-//!   a one-time, verifier-equivalent init check at decode time (definitions
-//!   dominate uses; phi incomings checked at the predecessor edge;
-//!   same-block defs precede uses) replaces the walker's per-read unwraps.
+//!   the module verified, so every value is defined before it is read and
+//!   the walker's per-read unwraps have nothing to catch.
 //!
 //! Register slot `i` holds `ValueId(i)` (parameters first, then instruction
 //! results, mirroring [`Function::values`]); one extra trailing *trash* slot
 //! receives results of value-producing instructions whose result is unused,
 //! so their side effects (division-by-zero, bounds errors) are preserved.
 //!
-//! `decode` is deliberately conservative: any structural irregularity the
-//! init check cannot prove safe — missing terminators, out-of-range targets
-//! or value ids, phis after non-phis or in the entry block, missing phi
-//! incomings, unreachable blocks, gep/call shape mismatches — makes it
-//! return `None`, and [`crate::interp::Interp::new`] falls back to the
-//! reference walker so error *and* panic behavior on unverified modules
-//! never diverges. Every verified module decodes.
+//! [`Module::verify`] is the one structural check: decoding trusts it and
+//! checks nothing itself, so it must only see verified functions (a debug
+//! build asserts this on every decode). The reference walker
+//! ([`crate::interp::Interp::reference`]) stays as the test oracle.
 
 use crate::cfg::Cfg;
-use crate::dom::DomTree;
 use crate::instr::{BinOp, CmpPred, Imm, Instr, Operand, Terminator, UnaryOp};
 use crate::interp::{exec_binary, exec_cmp, exec_unary, InterpError, Memory, Value};
-use crate::module::{ArrayId, BlockId, FuncId, Function, Module, ValueDef};
+use crate::module::{ArrayId, BlockId, FuncId, Function, Module};
 use crate::types::Type;
 use std::collections::HashMap;
 
@@ -446,78 +441,29 @@ impl DecodedModule {
     }
 }
 
-/// Decodes a whole module, or `None` if any function has an irregularity
-/// the init check cannot prove safe (the caller then uses the walker).
-pub(crate) fn decode(module: &Module) -> Option<DecodedModule> {
-    let mut funcs = Vec::with_capacity(module.functions.len());
-    for func in &module.functions {
-        funcs.push(decode_func(module, func)?);
-    }
-    Some(DecodedModule { funcs })
-}
-
-/// Resolves a non-phi operand use in block `b`, enforcing the init check:
-/// the definition must dominate `b`, or precede the use within `b`.
-fn use_opnd(
-    func: &Function,
-    dom: &DomTree,
-    def_block: &[Option<BlockId>],
-    defined_here: &[bool],
-    b: BlockId,
-    op: Operand,
-) -> Option<Opnd> {
-    match op {
-        Operand::Const(imm) => Some(Opnd::Imm(imm_value(imm))),
-        Operand::Value(v) => {
-            if v.index() >= func.values.len() {
-                return None;
-            }
-            let d = def_block[v.index()]?;
-            if d == b {
-                if !defined_here[v.index()] {
-                    return None;
-                }
-            } else if !dom.dominates(d, b) {
-                return None;
-            }
-            Some(Opnd::Reg(v.0))
-        }
+/// Decodes a whole module. The module must verify.
+pub(crate) fn decode(module: &Module) -> DecodedModule {
+    DecodedModule {
+        funcs: module
+            .functions
+            .iter()
+            .map(|func| decode_func(module, func))
+            .collect(),
     }
 }
 
-pub(crate) fn decode_func(module: &Module, func: &Function) -> Option<DecodedFunc> {
-    let nblocks = func.blocks.len();
+/// Decodes one function of `module`. The function must verify: every id is
+/// in range, every used value is defined before it is read, and every phi
+/// has an incoming for each predecessor, so decoding checks nothing itself.
+pub(crate) fn decode_func(module: &Module, func: &Function) -> DecodedFunc {
+    debug_assert_eq!(module.verify_function(func), Ok(()));
     let nvalues = func.values.len();
     let trash = nvalues as u32;
-    let entry = func.entry();
-
-    // Terminator presence, target ranges and ret/signature conformance must
-    // hold before Cfg::compute (which panics on their absence).
-    for b in func.block_ids() {
-        let term = func.block(b).term.as_ref()?;
-        match term {
-            Terminator::Br(t) => {
-                if t.index() >= nblocks {
-                    return None;
-                }
-            }
-            Terminator::CondBr {
-                then_bb, else_bb, ..
-            } => {
-                if then_bb.index() >= nblocks || else_bb.index() >= nblocks {
-                    return None;
-                }
-            }
-            Terminator::Ret(v) => {
-                if matches!((v, func.ret), (Some(_), None) | (None, Some(_))) {
-                    return None;
-                }
-            }
-        }
-    }
-
     let cfg = Cfg::compute(func);
-    let dom = DomTree::dominators(func, &cfg);
+    let opnd = |op: Operand| match op {
+        Operand::Const(imm) => Opnd::Imm(imm_value(imm)),
+        Operand::Value(v) => Opnd::Reg(v.0),
+    };
 
     // Whole-function static use counts per value (operands, phi incomings
     // and terminators all included), for the fmul→fadd fusion below: a
@@ -526,185 +472,109 @@ pub(crate) fn decode_func(module: &Module, func: &Function) -> Option<DecodedFun
     {
         let mut count = |op: Operand| {
             if let Operand::Value(v) = op {
-                if v.index() < nvalues {
-                    use_count[v.index()] += 1;
-                }
+                use_count[v.index()] += 1;
             }
         };
         for b in func.block_ids() {
             let blk = func.block(b);
             for &iid in &blk.instrs {
-                if iid.index() < func.instrs.len() {
-                    func.instr(iid).for_each_operand(&mut count);
-                }
+                func.instr(iid).for_each_operand(&mut count);
             }
-            if let Some(term) = blk.term.as_ref() {
-                term.for_each_operand(&mut count);
-            }
+            blk.terminator().for_each_operand(&mut count);
         }
     }
 
-    // Defining block per value; `None` for instruction results whose
-    // instruction is in no block (such values are never assigned).
-    let mut def_block: Vec<Option<BlockId>> = vec![None; nvalues];
-    for (i, vd) in func.values.iter().enumerate() {
-        if matches!(vd, ValueDef::Param(..)) {
-            def_block[i] = Some(entry);
-        }
-    }
-    let mut placed = vec![false; func.instrs.len()];
-    for b in func.block_ids() {
-        for &iid in &func.block(b).instrs {
-            if iid.index() >= func.instrs.len() || placed[iid.index()] {
-                return None;
-            }
-            placed[iid.index()] = true;
-            if let Some(v) = func.result_of(iid) {
-                if v.index() >= nvalues {
-                    return None;
-                }
-                def_block[v.index()] = Some(b);
-            }
-        }
-    }
-
-    let mut block_ops: Vec<Vec<DecodedOp>> = Vec::with_capacity(nblocks);
+    let mut block_ops: Vec<Vec<DecodedOp>> = Vec::with_capacity(func.blocks.len());
     let mut edges: Vec<EdgeMoves> = Vec::new();
     let mut edge_map: HashMap<(u32, u32), u32> = HashMap::new();
-    // Decoded CondBr condition / Ret operand per block (checked in block
-    // context here, consumed by the terminator pass below).
-    let mut term_opnd: Vec<Option<Opnd>> = vec![None; nblocks];
 
     for b in func.block_ids() {
         let blk = func.block(b);
-        let mut defined_here = vec![false; nvalues];
-        if b == entry {
-            for slot in defined_here.iter_mut().take(func.params.len()) {
-                *slot = true;
-            }
-        }
 
         // Phi prefix → per-predecessor edge tables.
         let mut phis: Vec<(u32, &[(BlockId, Operand)])> = Vec::new();
-        let mut n_phi = 0;
         for &iid in &blk.instrs {
             let Instr::Phi { incomings, .. } = func.instr(iid) else {
                 break;
             };
-            if b == entry {
-                return None;
-            }
-            let dst = func.result_of(iid)?;
+            let dst = func.result_of(iid).expect("a verified phi has a result");
             phis.push((dst.0, incomings));
-            n_phi += 1;
         }
-        if blk.instrs[n_phi..]
-            .iter()
-            .any(|&iid| matches!(func.instr(iid), Instr::Phi { .. }))
-        {
-            return None;
-        }
-        // Phi results are assigned in the block prologue, before any
-        // non-phi op runs.
-        for &(dst, _) in &phis {
-            defined_here[dst as usize] = true;
-        }
-
-        let mut seen_pred = vec![false; nblocks];
-        for &p in &cfg.preds[b.index()] {
-            if seen_pred[p.index()] {
-                continue;
-            }
-            seen_pred[p.index()] = true;
-            let mut moves = Vec::with_capacity(phis.len());
-            for &(dst, incomings) in &phis {
+        if !phis.is_empty() {
+            for &p in &cfg.preds[b.index()] {
+                if edge_map.contains_key(&(p.0, b.0)) {
+                    continue;
+                }
                 // First matching incoming, like the walker's `find`.
-                let (_, op) = incomings.iter().find(|(pb, _)| *pb == p)?;
-                let src = match *op {
-                    Operand::Const(imm) => Opnd::Imm(imm_value(imm)),
-                    Operand::Value(v) => {
-                        if v.index() >= nvalues {
-                            return None;
-                        }
-                        let d = def_block[v.index()]?;
-                        // The definition must dominate the incoming edge,
-                        // i.e. the predecessor block.
-                        if !dom.dominates(d, p) {
-                            return None;
-                        }
-                        Opnd::Reg(v.0)
-                    }
-                };
-                moves.push((dst, src));
+                let moves: Vec<(u32, Opnd)> = phis
+                    .iter()
+                    .map(|&(dst, incomings)| {
+                        let (_, op) = incomings
+                            .iter()
+                            .find(|(pb, _)| *pb == p)
+                            .expect("a verified phi covers every predecessor");
+                        (dst, opnd(*op))
+                    })
+                    .collect();
+                let parallel = moves.iter().any(
+                    |&(_, src)| matches!(src, Opnd::Reg(r) if moves.iter().any(|&(d, _)| d == r)),
+                );
+                edge_map.insert((p.0, b.0), edges.len() as u32);
+                edges.push(EdgeMoves {
+                    moves: moves.into_boxed_slice(),
+                    parallel,
+                });
             }
-            let parallel = moves
-                .iter()
-                .any(|&(_, src)| matches!(src, Opnd::Reg(r) if moves.iter().any(|&(d, _)| d == r)));
-            let idx = u32::try_from(edges.len()).ok()?;
-            edges.push(EdgeMoves {
-                moves: moves.into_boxed_slice(),
-                parallel,
-            });
-            edge_map.insert((p.0, b.0), idx);
         }
 
         // Non-phi ops.
-        let mut ops = Vec::with_capacity(blk.instrs.len() - n_phi);
-        for &iid in &blk.instrs[n_phi..] {
-            let instr = func.instr(iid);
+        let mut ops = Vec::with_capacity(blk.instrs.len() - phis.len());
+        for &iid in &blk.instrs[phis.len()..] {
             let dst = func.result_of(iid).map_or(trash, |v| v.0);
-            let opnd = |op: Operand| use_opnd(func, &dom, &def_block, &defined_here, b, op);
-            match instr {
-                Instr::Binary { op, ty, lhs, rhs } => ops.push(specialise(DecodedOp::Binary {
+            ops.push(match func.instr(iid) {
+                Instr::Binary { op, ty, lhs, rhs } => specialise(DecodedOp::Binary {
                     op: *op,
                     ty: *ty,
                     dst,
-                    lhs: opnd(*lhs)?,
-                    rhs: opnd(*rhs)?,
-                })),
-                Instr::Unary { op, val, .. } => ops.push(DecodedOp::Unary {
+                    lhs: opnd(*lhs),
+                    rhs: opnd(*rhs),
+                }),
+                Instr::Unary { op, val, .. } => DecodedOp::Unary {
                     op: *op,
                     dst,
-                    val: opnd(*val)?,
-                }),
-                Instr::Cmp { pred, ty, lhs, rhs } => ops.push(specialise(DecodedOp::Cmp {
+                    val: opnd(*val),
+                },
+                Instr::Cmp { pred, ty, lhs, rhs } => specialise(DecodedOp::Cmp {
                     pred: *pred,
                     ty: *ty,
                     dst,
-                    lhs: opnd(*lhs)?,
-                    rhs: opnd(*rhs)?,
-                })),
+                    lhs: opnd(*lhs),
+                    rhs: opnd(*rhs),
+                }),
                 Instr::Select {
                     cond,
                     then_val,
                     else_val,
                     ..
-                } => ops.push(DecodedOp::Select {
+                } => DecodedOp::Select {
                     dst,
-                    cond: opnd(*cond)?,
-                    then_val: opnd(*then_val)?,
-                    else_val: opnd(*else_val)?,
-                }),
+                    cond: opnd(*cond),
+                    then_val: opnd(*then_val),
+                    else_val: opnd(*else_val),
+                },
                 Instr::Gep { array, indices } => {
-                    if array.index() >= module.arrays.len() {
-                        return None;
-                    }
                     let decl = module.array(*array);
-                    // The walker tolerates *fewer* indices than dimensions
-                    // (a partial row-major prefix) but panics on more.
-                    if indices.len() > decl.dims.len() {
-                        return None;
-                    }
                     let strides = decl.strides();
-                    let mut dims = Vec::with_capacity(indices.len());
-                    for (k, idx) in indices.iter().enumerate() {
-                        dims.push(GepDim {
-                            idx: opnd(*idx)?,
+                    let mut dims: Vec<GepDim> = indices
+                        .iter()
+                        .enumerate()
+                        .map(|(k, idx)| GepDim {
+                            idx: opnd(*idx),
                             stride: strides[k] as i64,
                             size: decl.dims[k],
                             dim: k as u32,
-                        });
-                    }
+                        })
+                        .collect();
                     // Fold the trailing run of in-bounds constant integer
                     // indices into a precomputed offset. Constants that are
                     // negative, out of bounds, or of the wrong runtime type
@@ -720,106 +590,78 @@ pub(crate) fn decode_func(module: &Module, func: &Function) -> Option<DecodedFun
                         }
                     }
                     if base != 0 || dims.len() < indices.len() {
-                        ops.push(DecodedOp::GepConst {
+                        DecodedOp::GepConst {
                             dst,
                             array: *array,
                             dims: dims.into_boxed_slice(),
                             base,
-                        });
+                        }
                     } else {
-                        ops.push(DecodedOp::Gep {
+                        DecodedOp::Gep {
                             dst,
                             array: *array,
                             dims: dims.into_boxed_slice(),
-                        });
+                        }
                     }
                 }
-                Instr::Load { ptr, .. } => ops.push(DecodedOp::Load {
+                Instr::Load { ptr, .. } => DecodedOp::Load {
                     dst,
-                    ptr: opnd(*ptr)?,
-                }),
-                Instr::Store { ptr, value, .. } => ops.push(DecodedOp::Store {
-                    ptr: opnd(*ptr)?,
-                    value: opnd(*value)?,
-                }),
-                Instr::Phi { .. } => unreachable!("phi prefix handled above"),
-                Instr::Call { callee, args, ty } => {
-                    if callee.index() >= module.functions.len() {
-                        return None;
-                    }
-                    // A void call with a recorded result would make the
-                    // walker fail in two different ways depending on what
-                    // the callee returns; leave that to the walker.
-                    if ty.is_none() && func.result_of(iid).is_some() {
-                        return None;
-                    }
-                    let mut argv = Vec::with_capacity(args.len());
-                    for a in args {
-                        argv.push(opnd(*a)?);
-                    }
-                    ops.push(DecodedOp::Call {
-                        callee: *callee,
-                        dst: ty.map(|_| dst),
-                        args: argv.into_boxed_slice(),
-                    });
-                }
-            }
-            if let Some(v) = func.result_of(iid) {
-                defined_here[v.index()] = true;
-            }
+                    ptr: opnd(*ptr),
+                },
+                Instr::Store { ptr, value, .. } => DecodedOp::Store {
+                    ptr: opnd(*ptr),
+                    value: opnd(*value),
+                },
+                Instr::Phi { .. } => unreachable!("a verified block has its phis first"),
+                Instr::Call { callee, args, ty } => DecodedOp::Call {
+                    callee: *callee,
+                    dst: ty.map(|_| dst),
+                    args: args.iter().map(|a| opnd(*a)).collect(),
+                },
+            });
         }
         block_ops.push(fuse_fmul_fadd(ops, &use_count));
-
-        match blk.terminator() {
-            Terminator::CondBr { cond, .. } => {
-                term_opnd[b.index()] =
-                    Some(use_opnd(func, &dom, &def_block, &defined_here, b, *cond)?);
-            }
-            Terminator::Ret(Some(op)) => {
-                term_opnd[b.index()] =
-                    Some(use_opnd(func, &dom, &def_block, &defined_here, b, *op)?);
-            }
-            _ => {}
-        }
     }
 
     // Terminators last: edge tables for forward branches now exist.
     let edge_of = |from: BlockId, to: BlockId| -> u32 {
         edge_map.get(&(from.0, to.0)).copied().unwrap_or(NO_EDGE)
     };
-    let mut blocks = Vec::with_capacity(nblocks);
-    for (b, ops) in func.block_ids().zip(block_ops) {
-        let term = match func.block(b).terminator() {
-            Terminator::Br(t) => DecodedTerm::Br {
-                target: t.0,
-                edge: edge_of(b, *t),
-            },
-            Terminator::CondBr {
-                then_bb, else_bb, ..
-            } => DecodedTerm::CondBr {
-                cond: term_opnd[b.index()]?,
-                then_target: then_bb.0,
-                then_edge: edge_of(b, *then_bb),
-                else_target: else_bb.0,
-                else_edge: edge_of(b, *else_bb),
-            },
-            Terminator::Ret(v) => DecodedTerm::Ret(match v {
-                Some(_) => Some(term_opnd[b.index()]?),
-                None => None,
-            }),
-        };
-        blocks.push(DecodedBlock {
-            ops: ops.into_boxed_slice(),
-            term,
-        });
-    }
+    let blocks = func
+        .block_ids()
+        .zip(block_ops)
+        .map(|(b, ops)| {
+            let term = match func.block(b).terminator() {
+                Terminator::Br(t) => DecodedTerm::Br {
+                    target: t.0,
+                    edge: edge_of(b, *t),
+                },
+                Terminator::CondBr {
+                    cond,
+                    then_bb,
+                    else_bb,
+                } => DecodedTerm::CondBr {
+                    cond: opnd(*cond),
+                    then_target: then_bb.0,
+                    then_edge: edge_of(b, *then_bb),
+                    else_target: else_bb.0,
+                    else_edge: edge_of(b, *else_bb),
+                },
+                Terminator::Ret(v) => DecodedTerm::Ret(v.map(opnd)),
+            };
+            DecodedBlock {
+                ops: ops.into_boxed_slice(),
+                term,
+            }
+        })
+        .collect();
 
-    Some(DecodedFunc {
+    DecodedFunc {
         params: func.params.len(),
         regs: nvalues + 1,
         blocks,
         edges,
-    })
+    }
 }
 
 /// Execution context for the decoded engine: borrows the interpreter's
@@ -1130,9 +972,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        let mut fast = Interp::new(&m);
-        assert_eq!(fast.engine_name(), "decoded");
-        let a = fast.run(&[]).expect("decoded runs");
+        let a = Interp::new(&m).run(&[]).expect("decoded runs");
         let b = Interp::reference(&m).run(&[]).expect("reference runs");
         assert_eq!(a.return_value, b.return_value);
         assert_eq!(a.block_counts, b.block_counts);
@@ -1158,35 +998,11 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        assert!(decode(&m).is_some());
-        assert_eq!(Interp::new(&m).engine_name(), "decoded");
-        assert_eq!(Interp::reference(&m).engine_name(), "reference");
-    }
-
-    #[test]
-    fn missing_terminator_falls_back() {
-        let mut mb = ModuleBuilder::new("t");
-        mb.function("f", &[], None, |fb| {
-            fb.new_block("orphan");
-            fb.ret(None);
-        });
-        let m = mb.finish();
-        // Interp::new on such a module panics in the (engine-independent)
-        // static-cycle pass, exactly as it did before the decoded engine;
-        // decode itself must bow out first.
-        assert!(decode(&m).is_none());
-    }
-
-    #[test]
-    fn ret_signature_mismatch_falls_back() {
-        let mut mb = ModuleBuilder::new("t");
-        mb.function("f", &[], None, |fb| {
-            let v = fb.iconst(3);
-            fb.ret(Some(v));
-        });
-        let m = mb.finish();
-        assert!(decode(&m).is_none());
-        assert_eq!(Interp::new(&m).engine_name(), "reference");
+        assert_eq!(decode(&m).funcs.len(), 1);
+        let decoded = Interp::new(&m).run(&[]).expect("decoded runs");
+        let walked = Interp::reference(&m).run(&[]).expect("reference runs");
+        assert_eq!(decoded.return_value, walked.return_value);
+        assert_eq!(decoded.block_counts, walked.block_counts);
     }
 
     #[test]
@@ -1206,7 +1022,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        let dm = decode(&m).expect("decodes");
+        let dm = decode(&m);
         assert!(dm.funcs[0].edges.iter().any(|e| e.parallel));
         let decoded = Interp::new(&m).run(&[]).expect("runs");
         let walked = Interp::reference(&m).run(&[]).expect("runs");
@@ -1245,7 +1061,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        let dm = decode(&m).expect("decodes");
+        let dm = decode(&m);
         assert_eq!(gep_const_ops(&dm.funcs[0]), vec![(1, 3)]);
 
         let mut di = Interp::new(&m);
@@ -1274,7 +1090,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        let dm = decode(&m).expect("decodes");
+        let dm = decode(&m);
         // 2*8 + 5 = 21, no runtime dims left.
         assert_eq!(gep_const_ops(&dm.funcs[0]), vec![(0, 21)]);
         let mut interp = Interp::new(&m);
@@ -1299,7 +1115,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        let dm = decode(&m).expect("decodes");
+        let dm = decode(&m);
         assert!(gep_const_ops(&dm.funcs[0]).is_empty());
         let e1 = Interp::new(&m).run(&[]).expect_err("oob");
         let e2 = Interp::reference(&m).run(&[]).expect_err("oob");
@@ -1325,7 +1141,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        let dm = decode(&m).expect("decodes");
+        let dm = decode(&m);
         assert_eq!(gep_const_ops(&dm.funcs[0]), vec![(1, 0)]);
         let mut interp = Interp::new(&m);
         for k in 0..32 {
@@ -1333,19 +1149,6 @@ mod tests {
         }
         let out = interp.run(&[Value::I(2)]).expect("runs");
         assert_eq!(out.return_value, Some(Value::F(16.0)));
-    }
-
-    #[test]
-    fn gep_with_excess_indices_falls_back() {
-        let mut mb = ModuleBuilder::new("t");
-        let a = mb.array("A", Type::F64, &[4]);
-        mb.function("f", &[], None, |fb| {
-            let i = fb.iconst(0);
-            let _ = fb.gep(a, &[i, i]);
-            fb.ret(None);
-        });
-        let m = mb.finish();
-        assert!(decode(&m).is_none());
     }
 
     #[test]
@@ -1389,9 +1192,10 @@ mod tests {
             fb.br(spin);
         });
         let m = mb.finish();
-        let mut d = Interp::new(&m).with_step_limit(1000);
-        assert_eq!(d.engine_name(), "decoded");
-        let e1 = d.run(&[]).expect_err("limit");
+        let e1 = Interp::new(&m)
+            .with_step_limit(1000)
+            .run(&[])
+            .expect_err("limit");
         let e2 = Interp::reference(&m)
             .with_step_limit(1000)
             .run(&[])
@@ -1443,7 +1247,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        let dm = decode(&m).expect("decodes");
+        let dm = decode(&m);
         assert_eq!(fma_ops(&dm.funcs[0]), 1, "fmul→fadd chain fused");
 
         let mut di = Interp::new(&m);
@@ -1488,7 +1292,7 @@ mod tests {
             });
             let m = mb.finish();
             m.verify().expect("verifies");
-            let dm = decode(&m).expect("decodes");
+            let dm = decode(&m);
             assert_eq!(fma_ops(&dm.funcs[0]), 1, "product_first={product_first}");
             let args = [Value::F(1.1e-3), Value::F(-7.3)];
             let decoded = Interp::new(&m).run(&args).expect("runs");
@@ -1516,7 +1320,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        let dm = decode(&m).expect("decodes");
+        let dm = decode(&m);
         assert_eq!(fma_ops(&dm.funcs[0]), 0, "double-used product fused");
         let args = [Value::F(0.3)];
         let decoded = Interp::new(&m).run(&args).expect("runs");
@@ -1544,7 +1348,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        let dm = decode(&m).expect("decodes");
+        let dm = decode(&m);
         assert_eq!(fma_ops(&dm.funcs[0]), 0, "non-adjacent pair fused");
     }
 
@@ -1560,7 +1364,7 @@ mod tests {
         });
         let m = mb.finish();
         m.verify().expect("verifies");
-        assert_eq!(fma_ops(&decode(&m).expect("decodes").funcs[0]), 1);
+        assert_eq!(fma_ops(&decode(&m).funcs[0]), 1);
         // Non-float addend: the fused op must report the add-side type error
         // after evaluating the product operands, exactly like the walker.
         let bad_addend = [Value::F(1.0), Value::I(7)];

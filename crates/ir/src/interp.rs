@@ -14,8 +14,12 @@
 //!   and terminators decoded to direct block indices, then executed over a
 //!   flat register file;
 //! * the **reference walker** ([`Interp::reference`]) — the original
-//!   tree-walking evaluator, kept for differential testing and as the
-//!   fallback for modules the decoder's verifier-backed init check rejects.
+//!   tree-walking evaluator, kept as the oracle the decoded engine is
+//!   tested against.
+//!
+//! The pipeline profiles with the decoded engine only. It runs verified
+//! modules: [`Module::verify`] is the one structural check, and decoding
+//! trusts it.
 
 use crate::cpu_model::{total_cycles, CPU_FREQ_HZ};
 use crate::instr::{BinOp, CmpPred, Imm, Instr, Operand, Terminator, UnaryOp};
@@ -236,8 +240,8 @@ impl ExecProfile {
 
 /// One function's pre-decoded opcode streams, detached from the whole-module
 /// decoding so incremental pipelines can cache decodings per *function
-/// content* and reassemble an interpreter after an edit without re-running
-/// the decoder's init check (CFG + dominance walks) on untouched functions.
+/// content* and reassemble an interpreter after an edit without decoding
+/// untouched functions again.
 ///
 /// Obtain one with [`decode_function`]; hand a full, index-aligned set back
 /// to [`Interp::from_cached_decode`]. A handle is only meaningful for a
@@ -246,11 +250,10 @@ impl ExecProfile {
 #[derive(Debug, Clone)]
 pub struct DecodedFunction(pub(crate) crate::decode::DecodedFunc);
 
-/// Decodes a single function for caching, or `None` if it fails the
-/// decoder's init check (such a function forces the whole module onto the
-/// reference walker, exactly as in [`Interp::new`]).
-pub fn decode_function(module: &Module, func: FuncId) -> Option<DecodedFunction> {
-    crate::decode::decode_func(module, module.function(func)).map(DecodedFunction)
+/// Decodes a single function of a [verified](Module::verify) module for
+/// caching.
+pub fn decode_function(module: &Module, func: FuncId) -> DecodedFunction {
+    DecodedFunction(crate::decode::decode_func(module, module.function(func)))
 }
 
 /// Which execution engine an [`Interp`] uses.
@@ -260,20 +263,6 @@ enum Engine {
     Decoded(crate::decode::DecodedModule),
     /// The original tree-walking evaluator.
     Reference,
-}
-
-/// The reference engine, for a module the decoder rejected. Library code
-/// never prints: the silent fallback is counted (`profile.decode_fallbacks`)
-/// and becomes a structured diagnostic in the trace instead.
-fn decode_fallback() -> Engine {
-    static FALLBACKS: OnceLock<&Counter> = OnceLock::new();
-    FALLBACKS
-        .get_or_init(|| cayman_obs::registry::counter("profile.decode_fallbacks"))
-        .add(1);
-    cayman_obs::diag("interp.fallback", || {
-        "decoder rejected module; using reference walker".to_string()
-    });
-    Engine::Reference
 }
 
 /// The interpreter. Holds the module, memory and counters.
@@ -296,34 +285,23 @@ impl<'m> Interp<'m> {
 
     /// Creates an interpreter with zeroed memory, using the decoded engine.
     ///
-    /// Modules that fail the decoder's one-time init check (e.g. unverified
-    /// modules with structural irregularities) silently fall back to the
-    /// reference walker, so `run` semantics — including errors and panics —
-    /// are identical either way.
+    /// The module must [verify](Module::verify): decoding trusts it, and an
+    /// unverified module may decode to a program that disagrees with the
+    /// reference walker, or panic.
     pub fn new(module: &'m Module) -> Self {
-        let engine = match crate::decode::decode(module) {
-            Some(dm) => Engine::Decoded(dm),
-            None => decode_fallback(),
-        };
-        Self::with_engine(module, engine)
+        Self::with_engine(module, Engine::Decoded(crate::decode::decode(module)))
     }
 
     /// Creates an interpreter from per-function decodings cached across
-    /// edits. `funcs` must index-align with [`Module::functions`]; pass
-    /// `None` for any function whose decoding failed — that forces the
-    /// whole module onto the reference walker with the same fallback
-    /// diagnostics as [`Interp::new`], keeping `run` semantics identical.
-    pub fn from_cached_decode(module: &'m Module, funcs: Vec<Option<DecodedFunction>>) -> Self {
+    /// edits. `funcs` must index-align with [`Module::functions`] and come
+    /// from [`decode_function`] on functions equal to the module's.
+    pub fn from_cached_decode(module: &'m Module, funcs: Vec<DecodedFunction>) -> Self {
         debug_assert_eq!(funcs.len(), module.functions.len());
-        let all: Option<Vec<crate::decode::DecodedFunc>> =
-            funcs.into_iter().map(|f| f.map(|d| d.0)).collect();
-        let engine = match all {
-            Some(fs) if fs.len() == module.functions.len() => {
-                Engine::Decoded(crate::decode::DecodedModule::from_funcs(fs))
-            }
-            _ => decode_fallback(),
-        };
-        Self::with_engine(module, engine)
+        let funcs = funcs.into_iter().map(|f| f.0).collect();
+        Self::with_engine(
+            module,
+            Engine::Decoded(crate::decode::DecodedModule::from_funcs(funcs)),
+        )
     }
 
     /// Creates an interpreter that uses the original tree-walking evaluator.
@@ -356,15 +334,6 @@ impl<'m> Interp<'m> {
         self
     }
 
-    /// Which engine this interpreter executes with: `"decoded"` or
-    /// `"reference"`.
-    pub fn engine_name(&self) -> &'static str {
-        match self.engine {
-            Engine::Decoded(_) => "decoded",
-            Engine::Reference => "reference",
-        }
-    }
-
     /// Runs the module entry function (`main`, or the first function) with
     /// the given arguments and returns the profile.
     ///
@@ -375,7 +344,7 @@ impl<'m> Interp<'m> {
     /// (the latter indicates the module was not [verified](Module::verify)).
     pub fn run(&mut self, args: &[Value]) -> Result<ExecProfile, InterpError> {
         let result = {
-            let _span = cayman_obs::span!("profile.interp", engine = self.engine_name());
+            let _span = cayman_obs::span!("profile.interp");
             self.run_inner(args)
         };
         if let Ok(profile) = &result {

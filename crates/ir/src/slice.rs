@@ -156,9 +156,9 @@ fn seed_masks(old: &Function, new: &Function) -> Result<Vec<u64>, Refusal> {
                 }
                 slot += 1;
             });
-            // A rewired SSA operand could change which engine decodes the
-            // function, and an immediate of another kind could fail the run,
-            // so only immediates of the same kind may differ.
+            // A rewired SSA operand changes the dataflow the masks cannot
+            // describe, and an immediate of another kind could fail the
+            // run, so only immediates of the same kind may differ.
             if rewired {
                 return Err(Refusal::Shape);
             }

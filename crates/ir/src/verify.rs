@@ -3,7 +3,7 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::instr::{Instr, Operand, Terminator};
-use crate::module::{BlockId, Function, Module, ValueDef};
+use crate::module::{BlockId, Function, InstrId, Module, ValueDef, ValueId};
 use crate::types::Type;
 use std::error::Error;
 use std::fmt;
@@ -26,12 +26,23 @@ impl fmt::Display for VerifyError {
 impl Error for VerifyError {}
 
 impl Module {
-    /// Verifies the module:
+    /// Verifies the module. Every id a function holds is range-checked
+    /// before it is used, so any `Function`, however malformed, gets an
+    /// answer and no panic. A module that verifies is what the decoder, the
+    /// interpreter and every pass assume:
     ///
-    /// * every block is terminated and branch targets are in range,
-    /// * phi incomings cover exactly the block's CFG predecessors,
-    /// * every used value is defined and definitions dominate uses
-    ///   (phi uses checked at the incoming edge),
+    /// * the value arena is consistent: parameters first, then one value per
+    ///   recorded instruction result, each pointing back at the other; a
+    ///   phi records a result and an instruction that produces no value (a
+    ///   store, a void call) records none,
+    /// * every block is terminated, branch targets are in range, and each
+    ///   instruction is listed in at most one block, at most once,
+    /// * every block is reachable, phis head their block and never the
+    ///   entry block, and phi incomings cover exactly the block's CFG
+    ///   predecessors,
+    /// * every used value is defined by a parameter or by an instruction
+    ///   listed in a block, and definitions dominate uses (phi uses checked
+    ///   at the incoming edge, same-block definitions precede their uses),
     /// * gep index counts match array dimensionality; load/store element
     ///   types match the array declaration where statically known,
     /// * call arity/typing matches the callee signature.
@@ -49,30 +60,96 @@ impl Module {
     /// callee signatures. `func` need not be one of the module's own
     /// functions: the pass driver checks a detached copy it is rewriting.
     pub(crate) fn verify_function(&self, func: &Function) -> Result<(), VerifyError> {
-        let err = |m: String| VerifyError {
+        self.check_function(func).map_err(|message| VerifyError {
             func: func.name.clone(),
-            message: m,
-        };
+            message,
+        })
+    }
 
+    fn check_function(&self, func: &Function) -> Result<(), String> {
+        let (nvalues, ninstrs) = (func.values.len(), func.instrs.len());
         if func.blocks.is_empty() {
-            return Err(err("function has no blocks".into()));
+            return Err("function has no blocks".into());
+        }
+
+        // The value arena: value `i` is parameter `i` for the first
+        // `params.len()` values, then the result of exactly one instruction.
+        if func.instr_results.len() != ninstrs {
+            return Err(format!(
+                "{} result slots for {ninstrs} instructions",
+                func.instr_results.len()
+            ));
+        }
+        for (i, def) in func.values.iter().enumerate() {
+            let consistent = match *def {
+                ValueDef::Param(k, ty) => k as usize == i && func.params.get(i) == Some(&ty),
+                ValueDef::Instr(iid) => {
+                    i >= func.params.len()
+                        && func.instr_results.get(iid.index()) == Some(&Some(ValueId(i as u32)))
+                }
+            };
+            if !consistent {
+                return Err(format!("value %{i} has an inconsistent definition"));
+            }
+        }
+        if nvalues < func.params.len() {
+            return Err("parameters have no values".into());
+        }
+        for (i, instr) in func.instrs.iter().enumerate() {
+            let iid = InstrId(i as u32);
+            match func.instr_results[i] {
+                Some(v) if func.values.get(v.index()) != Some(&ValueDef::Instr(iid)) => {
+                    return Err(format!("result {v} of {iid} is not defined by it"));
+                }
+                Some(v) if instr.result_type().is_none() => {
+                    return Err(format!("{iid} produces no value but records result {v}"));
+                }
+                None if matches!(instr, Instr::Phi { .. }) => {
+                    return Err(format!("phi {iid} records no result"));
+                }
+                _ => {}
+            }
+        }
+
+        // Placement: each instruction in at most one block, at most once.
+        // `def_at[v]` is where value `v` becomes available: its block and
+        // position there (parameters at 0 in the entry, the instruction at
+        // position `p` of its block at `p + 1`).
+        let entry = func.entry();
+        let mut def_at: Vec<Option<(BlockId, usize)>> = vec![None; nvalues];
+        for slot in &mut def_at[..func.params.len()] {
+            *slot = Some((entry, 0));
+        }
+        let mut placed = vec![false; ninstrs];
+        for b in func.block_ids() {
+            for (pos, &iid) in func.block(b).instrs.iter().enumerate() {
+                if iid.index() >= ninstrs {
+                    return Err(format!("block {b} lists out-of-range instruction {iid}"));
+                }
+                if std::mem::replace(&mut placed[iid.index()], true) {
+                    return Err(format!("instruction {iid} is listed more than once"));
+                }
+                if let Some(v) = func.result_of(iid) {
+                    def_at[v.index()] = Some((b, pos + 1));
+                }
+            }
         }
 
         // Terminators and target ranges.
         for b in func.block_ids() {
             let blk = func.block(b);
             let Some(term) = blk.term.as_ref() else {
-                return Err(err(format!("block {b} ({}) has no terminator", blk.name)));
+                return Err(format!("block {b} ({}) has no terminator", blk.name));
             };
             for t in term.successors() {
                 if t.index() >= func.blocks.len() {
-                    return Err(err(format!("branch target {t} out of range in {b}")));
+                    return Err(format!("branch target {t} out of range in {b}"));
                 }
             }
             if let Terminator::Ret(v) = term {
                 match (v, func.ret) {
-                    (Some(_), None) => return Err(err("void function returns a value".into())),
-                    (None, Some(_)) => return Err(err("non-void function returns nothing".into())),
+                    (Some(_), None) => return Err("void function returns a value".into()),
+                    (None, Some(_)) => return Err("non-void function returns nothing".into()),
                     _ => {}
                 }
             }
@@ -81,111 +158,76 @@ impl Module {
         let cfg = Cfg::compute(func);
         let dom = DomTree::dominators(func, &cfg);
 
-        // Map each value to its defining block (params → entry).
-        let mut def_block: Vec<BlockId> = vec![func.entry(); func.values.len()];
-        for b in func.block_ids() {
-            for &iid in &func.block(b).instrs {
-                if let Some(v) = func.result_of(iid) {
-                    def_block[v.index()] = b;
+        // Whether the definition of `v` is available in block `b` before
+        // position `at` (the convention of `def_at`).
+        let available = |v: ValueId, b: BlockId, at: usize| -> Result<(), String> {
+            let Some(&def) = def_at.get(v.index()) else {
+                return Err(format!("use of undefined value {v}"));
+            };
+            match def {
+                None => Err(format!("use of {v}, whose instruction is in no block")),
+                Some((d, pos)) if d == b && pos >= at => {
+                    Err(format!("value {v} used before definition in {b}"))
                 }
+                Some((d, _)) if d != b && !dom.dominates(d, b) => Err(format!(
+                    "use of {v} in {b} not dominated by its definition in {d}"
+                )),
+                Some(_) => Ok(()),
             }
-        }
+        };
 
         for b in func.block_ids() {
             if !cfg.is_reachable(b) {
-                return Err(err(format!("block {b} is unreachable")));
+                return Err(format!("block {b} is unreachable"));
             }
             let blk = func.block(b);
             let mut seen_non_phi = false;
             for (pos, &iid) in blk.instrs.iter().enumerate() {
                 let instr = func.instr(iid);
-                match instr {
-                    Instr::Phi { incomings, ty } => {
-                        if seen_non_phi {
-                            return Err(err(format!(
-                                "phi not at top of block {b} (position {pos})"
-                            )));
-                        }
-                        let mut preds = cfg.preds[b.index()].clone();
-                        preds.sort_unstable();
-                        let mut inc: Vec<BlockId> = incomings.iter().map(|(p, _)| *p).collect();
-                        inc.sort_unstable();
-                        if preds != inc {
-                            return Err(err(format!(
-                                "phi in {b} incomings {inc:?} do not match predecessors {preds:?}"
-                            )));
-                        }
-                        for (p, v) in incomings {
-                            self.check_operand_type(func, *v, Some(*ty)).map_err(&err)?;
-                            if let Operand::Value(vid) = v {
-                                // Definition must dominate the incoming edge,
-                                // i.e. dominate the predecessor block.
-                                if !dom.dominates(def_block[vid.index()], *p) {
-                                    return Err(err(format!(
-                                        "phi incoming {vid} from {p} not dominated by its definition"
-                                    )));
-                                }
-                            }
-                        }
+                if let Instr::Phi { incomings, ty } = instr {
+                    if seen_non_phi {
+                        return Err(format!("phi not at top of block {b} (position {pos})"));
                     }
-                    _ => {
-                        seen_non_phi = true;
-                        let mut problem: Option<String> = None;
-                        instr.for_each_operand(|op| {
-                            if problem.is_some() {
-                                return;
-                            }
-                            if let Operand::Value(v) = op {
-                                if v.index() >= func.values.len() {
-                                    problem = Some(format!("use of undefined value {v}"));
-                                } else if !dom.dominates(def_block[v.index()], b) {
-                                    // Same-block ordering: defs must precede uses.
-                                    if def_block[v.index()] == b {
-                                        // fall through to ordering check below
-                                    } else {
-                                        problem = Some(format!(
-                                            "use of {v} in {b} not dominated by its definition in {}",
-                                            def_block[v.index()]
-                                        ));
-                                    }
-                                }
-                            }
-                        });
-                        if let Some(p) = problem {
-                            return Err(err(p));
-                        }
-                        self.check_instr(func, instr).map_err(&err)?;
+                    if b == entry {
+                        return Err(format!("phi {iid} in the entry block"));
                     }
-                }
-            }
-            // Same-block def-before-use ordering.
-            let mut defined_here: Vec<bool> = vec![false; func.values.len()];
-            for &iid in &blk.instrs {
-                let instr = func.instr(iid);
-                if !matches!(instr, Instr::Phi { .. }) {
-                    let mut bad = None;
+                    let mut preds = cfg.preds[b.index()].clone();
+                    preds.sort_unstable();
+                    let mut inc: Vec<BlockId> = incomings.iter().map(|(p, _)| *p).collect();
+                    inc.sort_unstable();
+                    if preds != inc {
+                        return Err(format!(
+                            "phi in {b} incomings {inc:?} do not match predecessors {preds:?}"
+                        ));
+                    }
+                    for (p, v) in incomings {
+                        // The definition must be available at the end of
+                        // the predecessor, where the incoming edge leaves.
+                        if let Operand::Value(vid) = v {
+                            available(*vid, *p, usize::MAX)
+                                .map_err(|e| format!("phi incoming from {p}: {e}"))?;
+                        }
+                        self.check_operand_type(func, *v, Some(*ty))?;
+                    }
+                } else {
+                    seen_non_phi = true;
+                    let mut problem = Ok(());
                     instr.for_each_operand(|op| {
-                        if bad.is_some() {
-                            return;
-                        }
-                        if let Operand::Value(v) = op {
-                            if def_block[v.index()] == b
-                                && !defined_here[v.index()]
-                                && !matches!(func.values[v.index()], ValueDef::Param(..))
-                                && !is_phi_def(func, v)
-                            {
-                                bad = Some(format!("value {v} used before definition in {b}"));
-                            }
+                        if let (Ok(()), Operand::Value(v)) = (&problem, op) {
+                            problem = available(v, b, pos + 1);
                         }
                     });
-                    if let Some(m) = bad {
-                        return Err(err(m));
-                    }
-                }
-                if let Some(v) = func.result_of(iid) {
-                    defined_here[v.index()] = true;
+                    problem?;
+                    self.check_instr(func, instr)?;
                 }
             }
+            let mut problem = Ok(());
+            blk.terminator().for_each_operand(|op| {
+                if let (Ok(()), Operand::Value(v)) = (&problem, op) {
+                    problem = available(v, b, usize::MAX);
+                }
+            });
+            problem?;
         }
         Ok(())
     }
@@ -294,13 +336,6 @@ impl Module {
     }
 }
 
-fn is_phi_def(func: &Function, v: crate::module::ValueId) -> bool {
-    matches!(
-        func.values[v.index()],
-        ValueDef::Instr(iid) if matches!(func.instr(iid), Instr::Phi { .. })
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,5 +422,139 @@ mod tests {
         let m = mb.finish();
         let e = m.verify().expect_err("must fail");
         assert!(e.message.contains("args"), "{e}");
+    }
+
+    /// `f(i64) -> i64`: `%1 = add %0, 1` in the entry, then `next` computes
+    /// `%2 = add %1, 1` and returns it.
+    fn two_block_chain() -> Module {
+        let mut mb = ModuleBuilder::new("t");
+        mb.function("f", &[Type::I64], Some(Type::I64), |fb| {
+            let a = fb.add(fb.param(0), fb.iconst(1));
+            let next = fb.new_block("next");
+            fb.br(next);
+            fb.switch_to(next);
+            let b = fb.add(a, fb.iconst(1));
+            fb.ret(Some(b));
+        });
+        let m = mb.finish();
+        m.verify().expect("the unmutated chain verifies");
+        m
+    }
+
+    fn rejection(m: &Module) -> String {
+        m.verify().expect_err("must fail").message
+    }
+
+    #[test]
+    fn entry_block_phi_is_rejected() {
+        let mut mb = ModuleBuilder::new("t");
+        mb.function("f", &[], Some(Type::I64), |fb| {
+            let v = fb.phi(Type::I64, Vec::new());
+            fb.ret(Some(v));
+        });
+        let e = rejection(&mb.finish());
+        assert!(e.contains("entry block"), "{e}");
+    }
+
+    #[test]
+    fn instruction_in_two_blocks_is_rejected() {
+        let mut m = two_block_chain();
+        let f = &mut m.functions[0];
+        let first = f.blocks[0].instrs[0];
+        f.blocks[1].instrs.insert(0, first);
+        let e = rejection(&m);
+        assert!(e.contains("listed more than once"), "{e}");
+    }
+
+    #[test]
+    fn use_of_an_unplaced_instruction_is_rejected() {
+        let mut m = two_block_chain();
+        m.functions[0].blocks[0].instrs.clear();
+        let e = rejection(&m);
+        assert!(e.contains("in no block"), "{e}");
+    }
+
+    #[test]
+    fn void_call_with_a_result_is_rejected() {
+        let mut mb = ModuleBuilder::new("t");
+        let g = mb.function("g", &[], None, |fb| fb.ret(None));
+        mb.function("f", &[], None, |fb| {
+            fb.call(g, &[], None);
+            fb.ret(None);
+        });
+        let mut m = mb.finish();
+        let f = &mut m.functions[1];
+        let call = f.blocks[0].instrs[0];
+        let v = ValueId(f.values.len() as u32);
+        f.values.push(ValueDef::Instr(call));
+        f.instr_results[call.index()] = Some(v);
+        let e = rejection(&m);
+        assert!(e.contains("produces no value"), "{e}");
+    }
+
+    #[test]
+    fn out_of_range_instruction_in_a_block_is_rejected() {
+        let mut m = two_block_chain();
+        m.functions[0].blocks[1].instrs.push(InstrId(99));
+        let e = rejection(&m);
+        assert!(e.contains("out-of-range instruction"), "{e}");
+    }
+
+    #[test]
+    fn out_of_range_phi_incoming_is_rejected() {
+        let mut mb = ModuleBuilder::new("t");
+        mb.function("f", &[], Some(Type::I64), |fb| {
+            let zero = fb.iconst(0);
+            let out = fb.counted_loop_carry(0, 4, 1, &[(Type::I64, zero)], |fb, i, c| {
+                vec![fb.add(c[0], i)]
+            });
+            fb.ret(Some(out[0]));
+        });
+        let mut m = mb.finish();
+        m.verify().expect("the unmutated loop verifies");
+        let f = &mut m.functions[0];
+        let phi = f
+            .instrs
+            .iter_mut()
+            .find_map(|i| match i {
+                Instr::Phi { incomings, .. } => Some(incomings),
+                _ => None,
+            })
+            .expect("the loop has a phi");
+        phi[0].1 = Operand::Value(ValueId(999));
+        let e = rejection(&m);
+        assert!(e.contains("undefined value %999"), "{e}");
+    }
+
+    #[test]
+    fn terminator_operands_must_be_dominated() {
+        // `ret` in the join block reads a value defined on only one arm.
+        let mut mb = ModuleBuilder::new("t");
+        mb.function("f", &[Type::I1], Some(Type::I64), |fb| {
+            let (then_bb, else_bb, join) = (
+                fb.new_block("then"),
+                fb.new_block("else"),
+                fb.new_block("join"),
+            );
+            fb.cond_br(fb.param(0), then_bb, else_bb);
+            fb.switch_to(then_bb);
+            let x = fb.add(fb.iconst(1), fb.iconst(2));
+            fb.br(join);
+            fb.switch_to(else_bb);
+            fb.br(join);
+            fb.switch_to(join);
+            fb.ret(Some(x));
+        });
+        let e = rejection(&mb.finish());
+        assert!(e.contains("not dominated"), "{e}");
+    }
+
+    #[test]
+    fn inconsistent_value_arena_is_rejected() {
+        let mut m = two_block_chain();
+        // The parameter's slot claims to be the entry `add`'s result.
+        m.functions[0].values[0] = ValueDef::Instr(InstrId(0));
+        let e = rejection(&m);
+        assert!(e.contains("inconsistent definition"), "{e}");
     }
 }

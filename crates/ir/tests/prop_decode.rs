@@ -2,12 +2,18 @@
 //! the reference tree walker: random loop nests, carried reductions
 //! (including swapped carries, which need parallel phi moves), branches,
 //! calls, memory traffic, division-by-zero and step-limit error paths must
-//! all be observationally identical across both engines.
+//! all be observationally identical across both engines. Randomly
+//! corrupted modules either fail verification, without a panic, or run
+//! identically on both engines too: the verifier is the decoder's only
+//! gate.
 
 use cayman_ir::builder::ModuleBuilder;
 use cayman_ir::interp::{ExecProfile, Interp, InterpError, Memory, Value};
-use cayman_ir::{Module, Type};
-use cayman_testkit::{prop_assert, prop_assert_eq, prop_check};
+use cayman_ir::module::ValueDef;
+use cayman_ir::{BlockId, Function, Instr, InstrId, Module, Operand, Terminator, Type, ValueId};
+use cayman_testkit::program::arbitrary_module;
+use cayman_testkit::{prop_assert, prop_assert_eq, prop_check, Rng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Bit-level comparison of two optional return values (`f64` compared via
 /// `to_bits` so a NaN-producing program can't silently pass).
@@ -33,9 +39,6 @@ fn check_both(
     limit: Option<u64>,
 ) -> Result<Result<ExecProfile, InterpError>, String> {
     let mut dec = Interp::new(module);
-    if dec.engine_name() != "decoded" {
-        return Err("verified builder module did not decode".into());
-    }
     let mut walk = Interp::reference(module);
     dec.memory = memory.clone();
     walk.memory = memory.clone();
@@ -216,6 +219,168 @@ fn decoded_and_walker_leave_identical_memory() {
                 dec.memory.get_f64(a, flat).to_bits(),
                 walk.memory.get_f64(a, flat).to_bits()
             );
+        }
+        Ok(())
+    });
+}
+
+/// A replacement for `old`: half the time any value id (two past the end
+/// included), otherwise a value of the same type, so some retargets still
+/// type-check and reach the engines.
+fn retarget(f: &Function, old: Operand, rng: &mut Rng) -> Operand {
+    let any = ValueId(rng.range_usize(0, f.values.len() + 2) as u32);
+    let ty = match old {
+        Operand::Value(v) if v.index() < f.values.len() => f.value_type(v),
+        _ => None,
+    };
+    let same: Vec<ValueId> = (0..f.values.len() as u32)
+        .map(ValueId)
+        .filter(|&v| ty.is_some() && f.value_type(v) == ty)
+        .collect();
+    Operand::Value(if same.is_empty() || rng.bool() {
+        any
+    } else {
+        *rng.choose(&same)
+    })
+}
+
+/// Applies one random arena mutation to a random function of `m` and names
+/// it: an instruction id duplicated, dropped or moved; an operand or branch
+/// target retargeted (sometimes out of range); a phi put in the entry
+/// block; or a store or void call given a result.
+fn mutate(m: &mut Module, rng: &mut Rng) -> &'static str {
+    let fi = rng.range_usize(0, m.functions.len());
+    let f = &mut m.functions[fi];
+    let nblocks = f.blocks.len();
+    let nvalues = f.values.len();
+    let placed: Vec<(usize, usize)> = (0..nblocks)
+        .flat_map(|b| (0..f.blocks[b].instrs.len()).map(move |at| (b, at)))
+        .collect();
+    let what = match rng.range_u32(0, 7) {
+        kind @ 0..=2 if !placed.is_empty() => {
+            let &(from, at) = rng.choose(&placed);
+            let iid = f.blocks[from].instrs[at];
+            if kind != 0 {
+                f.blocks[from].instrs.remove(at);
+            }
+            if kind != 1 {
+                let to = if rng.bool() {
+                    from
+                } else {
+                    rng.range_usize(0, nblocks)
+                };
+                let to = &mut f.blocks[to].instrs;
+                to.insert(rng.range_usize(0, to.len() + 1), iid);
+            }
+            [
+                "duplicate an instruction",
+                "drop an instruction",
+                "move an instruction",
+            ][kind as usize]
+        }
+        3 => {
+            // The k-th operand of a random placed instruction or terminator.
+            let mut ops = Vec::new();
+            let site = if placed.is_empty() || rng.bool() {
+                None
+            } else {
+                Some(*rng.choose(&placed))
+            };
+            let b = site.map_or(rng.range_usize(0, nblocks), |(b, _)| b);
+            match site {
+                Some((b, at)) => {
+                    f.instrs[f.blocks[b].instrs[at].index()].for_each_operand(|o| ops.push(o))
+                }
+                None => f.blocks[b].terminator().for_each_operand(|o| ops.push(o)),
+            }
+            if ops.is_empty() {
+                return "nothing";
+            }
+            let k = rng.range_usize(0, ops.len());
+            let target = retarget(f, ops[k], rng);
+            let mut i = 0;
+            let mut set = |op: &mut Operand| {
+                if i == k {
+                    *op = target;
+                }
+                i += 1;
+            };
+            match site {
+                Some((b, at)) => {
+                    let iid = f.blocks[b].instrs[at];
+                    f.instrs[iid.index()].for_each_operand_mut(&mut set);
+                }
+                None => f.blocks[b]
+                    .term
+                    .as_mut()
+                    .expect("terminated")
+                    .for_each_operand_mut(set),
+            }
+            "retarget an operand"
+        }
+        4 => {
+            let branches: Vec<usize> = (0..nblocks)
+                .filter(|&b| !matches!(f.blocks[b].term, Some(Terminator::Ret(_))))
+                .collect();
+            if branches.is_empty() {
+                return "nothing";
+            }
+            let b = *rng.choose(&branches);
+            let target = BlockId(rng.range_usize(0, nblocks + 1) as u32);
+            match f.blocks[b].term.as_mut().expect("terminated") {
+                Terminator::Br(t) => *t = target,
+                Terminator::CondBr {
+                    then_bb, else_bb, ..
+                } => *(if rng.bool() { then_bb } else { else_bb }) = target,
+                Terminator::Ret(_) => unreachable!("filtered out"),
+            }
+            "retarget a branch"
+        }
+        5 => {
+            let iid = InstrId(f.instrs.len() as u32);
+            f.instrs.push(Instr::Phi {
+                ty: Type::I64,
+                incomings: Vec::new(),
+            });
+            f.instr_results.push(Some(ValueId(nvalues as u32)));
+            f.values.push(ValueDef::Instr(iid));
+            f.blocks[0].instrs.insert(0, iid);
+            "put a phi in the entry block"
+        }
+        6 => {
+            let Some(i) = f.instrs.iter().position(|i| i.result_type().is_none()) else {
+                return "nothing";
+            };
+            f.instr_results[i] = Some(ValueId(nvalues as u32));
+            f.values.push(ValueDef::Instr(InstrId(i as u32)));
+            "give a store or void call a result"
+        }
+        _ => return "nothing",
+    };
+    f.invalidate_block_map();
+    what
+}
+
+/// Corrupted generated programs: `verify` never panics, and whenever it
+/// accepts, the decoded and reference runs agree bit for bit or trap with
+/// the same message.
+#[test]
+fn verify_gates_decode_on_mutated_programs() {
+    prop_check!(cases = 512, |rng| {
+        let mut m = arbitrary_module(rng);
+        let mut applied = Vec::new();
+        for _ in 0..rng.range_usize(1, 3) {
+            applied.push(mutate(&mut m, rng));
+        }
+        let verdict = catch_unwind(AssertUnwindSafe(|| m.verify()))
+            .map_err(|_| format!("verify panicked after {applied:?}"))?;
+        if verdict.is_ok() {
+            let memory = Memory::for_module(&m);
+            catch_unwind(AssertUnwindSafe(|| {
+                check_both(&m, &memory, Some(200_000)).map(drop)
+            }))
+            .map_err(|_| format!("an engine panicked after {applied:?}"))?
+            .map_err(|e| format!("{e} after {applied:?}\n{}", m.to_text()))?;
         }
         Ok(())
     });

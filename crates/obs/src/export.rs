@@ -201,8 +201,9 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal: the one JSON
+/// escaper of the workspace (the trace export and the bench JSON writer).
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -53,7 +53,7 @@ mod recorder;
 pub mod registry;
 pub mod trace;
 
-pub use export::Trace;
+pub use export::{escape, Trace};
 pub use recorder::{
     diag, disable, drain, enable, enabled, flush_to_env, init_from_env, instant_with, ArgValue,
     Event, EventKind, Name, PhaseTimer, SpanGuard, STRIPES,

@@ -47,7 +47,7 @@
 
 use crate::cache::{DesignCache, DesignKey, ModelId, Source};
 use crate::pareto::{fold, with_designs, Solution};
-use crate::stats::{accel_label, RunStats, SelectStats};
+use crate::stats::{accel_label, SelectStats};
 use cayman_analysis::profile::Profile;
 use cayman_analysis::wpst::{Wpst, WpstKind, WpstNodeId};
 use cayman_hls::design::{generate_designs, AcceleratorDesign};
@@ -211,7 +211,7 @@ pub fn run_selection(
         model,
         model_id: model.cache_id(),
         cache,
-        stats: RunStats::default(),
+        stats: SelectStats::default(),
         reuse: RootReuse {
             keys,
             stored,
@@ -219,7 +219,7 @@ pub fn run_selection(
         },
     };
     let pareto = engine.dp(wpst.root());
-    let stats = engine.stats.snapshot();
+    let stats = engine.stats;
     let missed = engine.reuse.missed;
     // The run's totals reach the process-scope counters once, here. A
     // store hit missed memory and was promoted, so like a model call it
@@ -347,7 +347,7 @@ struct Engine<'a> {
     /// options on every design lookup would repeat the same work.
     model_id: Option<ModelId>,
     cache: &'a DesignCache,
-    stats: RunStats,
+    stats: SelectStats,
     reuse: RootReuse<'a>,
 }
 
@@ -462,10 +462,11 @@ impl<'a> Engine<'a> {
         if let Some(key) = &key {
             match self.cache.lookup(key) {
                 Some((hit, Source::Memory)) => {
-                    self.stats.mem_hits += 1;
+                    self.stats.cache_hits += 1;
                     return hit;
                 }
                 Some((hit, Source::Store)) => {
+                    self.stats.cache_hits += 1;
                     self.stats.disk_hits += 1;
                     return hit;
                 }

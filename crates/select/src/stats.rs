@@ -77,38 +77,6 @@ pub(crate) fn accel_label(module: &Module, func: FuncId, node: WpstNodeId, is_bb
     )
 }
 
-/// The per-run accumulator behind [`SelectStats`]: plain counters, owned
-/// by the engine that runs the DP.
-#[derive(Debug, Default)]
-pub(crate) struct RunStats {
-    pub visited: usize,
-    pub pruned: usize,
-    pub configs_considered: usize,
-    pub configs_evaluated: usize,
-    pub mem_hits: u64,
-    pub disk_hits: u64,
-    pub cache_misses: u64,
-    pub front_hits: u64,
-    pub front_misses: u64,
-}
-
-impl RunStats {
-    /// Freezes the accumulator into a snapshot.
-    pub fn snapshot(&self) -> SelectStats {
-        SelectStats {
-            visited: self.visited,
-            pruned: self.pruned,
-            configs_considered: self.configs_considered,
-            configs_evaluated: self.configs_evaluated,
-            cache_hits: self.mem_hits + self.disk_hits,
-            disk_hits: self.disk_hits,
-            cache_misses: self.cache_misses,
-            front_hits: self.front_hits,
-            front_misses: self.front_misses,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,33 +88,10 @@ mod tests {
         s.cache_hits = 3;
         s.cache_misses = 1;
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_carries_all_counters() {
-        let a = RunStats {
-            visited: 5,
-            pruned: 2,
-            configs_considered: 10,
-            configs_evaluated: 7,
-            mem_hits: 3,
-            disk_hits: 1,
-            cache_misses: 6,
-            front_hits: 2,
-            front_misses: 1,
-        };
-        let s = a.snapshot();
-        assert_eq!(s.visited, 5);
-        assert_eq!(s.pruned, 2);
-        assert_eq!(s.configs_considered, 10);
-        assert_eq!(s.configs_evaluated, 7);
-        assert_eq!(s.cache_hits, 4, "memory and store hits");
-        assert_eq!(s.disk_hits, 1);
-        assert_eq!(s.cache_misses, 6);
-        assert_eq!((s.front_hits, s.front_misses), (2, 1));
         // the Display line mentions the key numbers
+        s.visited = 5;
         let line = s.to_string();
         assert!(line.contains("visited 5"), "{line}");
-        assert!(line.contains("40%"), "{line}");
+        assert!(line.contains("75%"), "{line}");
     }
 }

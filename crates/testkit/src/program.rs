@@ -506,9 +506,8 @@ mod tests {
             let m = arbitrary_module(&mut Rng::new(seed));
             m.verify()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", m.to_text()));
-            let mut interp = Interp::new(&m).with_step_limit(5_000_000);
-            assert_eq!(interp.engine_name(), "decoded", "seed {seed}");
-            let p = interp
+            let p = Interp::new(&m)
+                .with_step_limit(5_000_000)
                 .run(&[])
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", m.to_text()));
             assert!(p.total_cycles > 0, "seed {seed}: no work");
