@@ -134,7 +134,7 @@ impl RegionTree {
             let mut stack = vec![b];
             let mut ok = true;
             while let Some(x) = stack.pop() {
-                for &s in &ctx.cfg.succs[x.index()] {
+                for &s in ctx.cfg.succs(x) {
                     if s == join || blocks.contains(&s) {
                         continue;
                     }

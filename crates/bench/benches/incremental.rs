@@ -21,6 +21,11 @@
 //!   selection queries hit outright and re-selection is two content-hash
 //!   probes.
 //!
+//! One more first edit per kernel runs traced, untimed: the self time of
+//! every span (its duration less its children's) over that pass gives the
+//! share the `normalize.*` spans take of a fresh edit, and the span counts
+//! give the GVN runs per normalized function.
+//!
 //! The headline target (ISSUE 7): median warm-toggle re-selection ≥ 50×
 //! faster than cold analyse+select, and median first-edit re-selection
 //! under a millisecond. Every measured kernel's incremental front is
@@ -41,6 +46,7 @@ use cayman_bench::diff::single_instr_edit;
 use cayman_bench::harness::fmt_duration;
 use cayman_bench::json;
 use cayman_testkit::Rng;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
@@ -51,6 +57,77 @@ const REPS: usize = 5;
 const TOGGLES: usize = 10;
 /// Seeded float-immediate sites timed per kernel for the first edit.
 const SITES: usize = 4;
+
+/// Self time and count per span name over traced ops.
+#[derive(Default)]
+struct SpanTimes(BTreeMap<String, (u64, u64)>);
+
+impl SpanTimes {
+    /// Adds every span of `trace`: its duration less its children's, on
+    /// its own thread.
+    fn add(&mut self, trace: &cayman_obs::Trace) {
+        use cayman_obs::EventKind;
+        // Per thread, the open spans: (name, begin, time covered by
+        // children).
+        let mut open: BTreeMap<u32, Vec<(String, u64, u64)>> = BTreeMap::new();
+        for e in &trace.events {
+            let stack = open.entry(e.tid).or_default();
+            match e.kind {
+                EventKind::Begin => stack.push((e.name.to_string(), e.ts_nanos, 0)),
+                EventKind::End => {
+                    let Some((name, begin, children)) = stack.pop() else {
+                        continue;
+                    };
+                    let dur = e.ts_nanos.saturating_sub(begin);
+                    let entry = self.0.entry(name).or_default();
+                    entry.0 += dur.saturating_sub(children);
+                    entry.1 += 1;
+                    if let Some(parent) = stack.last_mut() {
+                        parent.2 += dur;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Total self time of the spans whose names start with `prefix`.
+    fn nanos(&self, prefix: &str) -> u64 {
+        self.0
+            .iter()
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(_, &(ns, _))| ns)
+            .sum()
+    }
+
+    fn count(&self, name: &str) -> u64 {
+        self.0.get(name).map_or(0, |&(_, n)| n)
+    }
+}
+
+/// Traces one first edit: a fresh warm store takes `edit` and re-selects
+/// with the recorder on, and every span it records is added to `into`.
+fn trace_first_edit(
+    w: &Workload,
+    edit: &Edit,
+    memory: &Memory,
+    sel: &SelectOptions,
+    into: &mut SpanTimes,
+) {
+    let mut app = IncrementalApp::new(
+        w.module.clone(),
+        Some(memory.clone()),
+        AnalyseOptions::default(),
+    );
+    app.select(sel).expect("cold incremental select");
+    drop(cayman_obs::drain());
+    cayman_obs::enable();
+    app.apply(edit.clone()).expect("applies");
+    let res = app.select(sel).expect("re-selects");
+    cayman_obs::disable();
+    std::hint::black_box(res);
+    into.add(&cayman_obs::drain());
+}
 
 struct KernelPoint {
     name: &'static str,
@@ -140,7 +217,12 @@ fn first_edit(
 }
 
 /// Measures one kernel, or `None` when it has no float immediate to edit.
-fn measure_kernel(w: &Workload, kernel: usize, smoke: bool) -> Option<KernelPoint> {
+fn measure_kernel(
+    w: &Workload,
+    kernel: usize,
+    smoke: bool,
+    traced: &mut SpanTimes,
+) -> Option<KernelPoint> {
     let memory = w.memory();
     let sel = SelectOptions::default();
     let opts = AnalyseOptions::default();
@@ -173,6 +255,7 @@ fn measure_kernel(w: &Workload, kernel: usize, smoke: bool) -> Option<KernelPoin
     }
     let first_edit_s = times.iter().sum::<f64>() / times.len() as f64;
     let (edit, mut inc) = last.expect("at least one site");
+    trace_first_edit(w, &edit, &memory, &sel, traced);
     let Edit::ReplaceFunction { func, body } = edit else {
         unreachable!("single_instr_edit only replaces functions");
     };
@@ -269,8 +352,9 @@ fn main() {
 
     let mut points = Vec::new();
     let mut skipped = 0usize;
+    let mut traced = SpanTimes::default();
     for (i, w) in workloads.iter().enumerate() {
-        match measure_kernel(w, i, smoke) {
+        match measure_kernel(w, i, smoke, &mut traced) {
             Some(p) => points.push(p),
             None => skipped += 1,
         }
@@ -291,6 +375,9 @@ fn main() {
     let proved: usize = points.iter().map(|p| p.proved).sum();
     let select_hits: usize = points.iter().map(|p| p.select_hits).sum();
     let edits = points.len() * SITES;
+    let normalize_share = traced.nanos("normalize.") as f64 / traced.nanos("").max(1) as f64;
+    let pipelines = traced.count("normalize.pipeline");
+    let gvn_per_function = traced.count("normalize.gvn") as f64 / pipelines.max(1) as f64;
     println!(
         "# incremental over {} kernels × {SITES} sites: cold {} | first edit {} \
          ({speedup_first:.1}x; of {edits} edits {proved} proved without a run, \
@@ -299,6 +386,11 @@ fn main() {
         fmt_duration(cold_med),
         fmt_duration(first_med),
         fmt_duration(warm_med),
+    );
+    println!(
+        "# traced first edits: normalize.* spans take {:.1}% of the self time; \
+         {pipelines} functions normalized, {gvn_per_function:.2} gvn runs each",
+        100.0 * normalize_share
     );
 
     if smoke {
@@ -337,7 +429,11 @@ fn main() {
              counts and return value unchanged, first_edits_proved counts those; the \
              selection re-runs unless every front key is unchanged, \
              first_edits_select_hits counts those), warm_toggle = apply+select toggling \
-             between two cached module states (pure content-hash hits)",
+             between two cached module states (pure content-hash hits); \
+             traced_first_edit: one more first edit per kernel with the recorder on, \
+             untimed, where normalize_share is the self time of the normalize.* spans \
+             over the self time of every span and gvn_runs_per_function counts \
+             normalize.gvn spans per normalize.pipeline span",
         );
         o.u64("kernels_measured", points.len() as u64);
         o.u64("sites_per_kernel", SITES as u64);
@@ -356,6 +452,11 @@ fn main() {
             points.iter().map(|p| p.warm_toggle_s).collect(),
         );
         o.f64("speedup_first_edit_median", speedup_first, 1);
+        o.obj("traced_first_edit", |o| {
+            o.f64("normalize_share", normalize_share, 4);
+            o.u64("functions_normalized", pipelines);
+            o.f64("gvn_runs_per_function", gvn_per_function, 3);
+        });
         o.f64("speedup_warm_toggle_median", speedup_warm, 1);
         o.arr("slowest_first_edit", |a| {
             let mut by_first: Vec<&KernelPoint> = points.iter().collect();

@@ -12,7 +12,9 @@
 //!    cycles, return-value bits, final memory cells; or, for trapping
 //!    programs, the exact same error message.
 //! 2. **`-O0` vs `-O1` normalization** — return-value bits and final memory
-//!    cells (counts and cycles legitimately change; observables must not).
+//!    cells (counts and cycles legitimately change; observables must not);
+//!    and every normalized function is a fixed point: no pass of
+//!    [`PassManager::standard`] changes it.
 //! 3. **`-O1` vs `-O2` staging** — the `-O2` application executes the
 //!    `-O1` body (the extra canonicalization lives in analysis shadows), so
 //!    the executed module text, region profile and return value must be
@@ -33,7 +35,7 @@ use cayman::hls::design::AcceleratorDesign;
 use cayman::hls::inputs::{Candidate, CandidateKey, FuncInputs, RegionInputs};
 use cayman::ir::instr::{BinOp, Imm, Instr, Operand};
 use cayman::ir::interp::{ExecProfile, Interp, Memory, Value};
-use cayman::ir::transform::{normalize, OptLevel};
+use cayman::ir::transform::{normalize, OptLevel, PassManager};
 use cayman::ir::Module;
 use cayman::merging::merge_solution;
 use cayman::select::{run_selection, AccelModel, CaymanModel, DesignCache};
@@ -157,6 +159,16 @@ pub fn check_module(m: &Module) -> Result<bool, DiffFailure> {
     match normalize(&mut opt_module, OptLevel::O1, true) {
         Ok(_) => {}
         Err(e) => fail("o0-vs-o1", format!("normalization broke the module: {e}"))?,
+    }
+    for func in &opt_module.functions {
+        for pass in PassManager::standard().passes() {
+            if pass.run(&opt_module.arrays, &mut func.clone()) {
+                fail(
+                    "o1-fixed-point",
+                    format!("`{}` still changes normalized `{}`", pass.name(), func.name),
+                )?;
+            }
+        }
     }
     let mut opt = Interp::new(&opt_module).with_step_limit(STEP_LIMIT);
     match opt.run(&[]) {

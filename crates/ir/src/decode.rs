@@ -32,6 +32,7 @@ use crate::interp::{exec_binary, exec_cmp, exec_unary, InterpError, Memory, Valu
 use crate::module::{ArrayId, BlockId, FuncId, Function, Module};
 use crate::types::Type;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Sentinel edge index for branches into blocks without phis.
 const NO_EDGE: u32 = u32::MAX;
@@ -415,7 +416,7 @@ pub(crate) struct DecodedBlock {
     term: DecodedTerm,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct DecodedFunc {
     params: usize,
     /// Register-file size: one slot per SSA value plus the trash slot.
@@ -428,7 +429,7 @@ pub(crate) struct DecodedFunc {
 /// [`Module::functions`].
 #[derive(Debug)]
 pub(crate) struct DecodedModule {
-    funcs: Vec<DecodedFunc>,
+    funcs: Vec<Arc<DecodedFunc>>,
 }
 
 impl DecodedModule {
@@ -436,7 +437,7 @@ impl DecodedModule {
     /// cached across edits (see [`crate::interp::DecodedFunction`]). The
     /// caller guarantees index alignment with the module the parts were
     /// decoded against.
-    pub(crate) fn from_funcs(funcs: Vec<DecodedFunc>) -> DecodedModule {
+    pub(crate) fn from_funcs(funcs: Vec<Arc<DecodedFunc>>) -> DecodedModule {
         DecodedModule { funcs }
     }
 }
@@ -447,7 +448,7 @@ pub(crate) fn decode(module: &Module) -> DecodedModule {
         funcs: module
             .functions
             .iter()
-            .map(|func| decode_func(module, func))
+            .map(|func| Arc::new(decode_func(module, func)))
             .collect(),
     }
 }
@@ -501,7 +502,7 @@ pub(crate) fn decode_func(module: &Module, func: &Function) -> DecodedFunc {
             phis.push((dst.0, incomings));
         }
         if !phis.is_empty() {
-            for &p in &cfg.preds[b.index()] {
+            for &p in cfg.preds(b) {
                 if edge_map.contains_key(&(p.0, b.0)) {
                     continue;
                 }

@@ -25,7 +25,7 @@ impl DomTree {
     /// Computes the dominator tree of `func`.
     pub fn dominators(func: &Function, cfg: &Cfg) -> Self {
         Self::compute(cfg.block_count(), Some(func.entry()), &cfg.rpo, |b| {
-            cfg.preds[b.index()].clone()
+            cfg.preds(b)
         })
     }
 
@@ -51,7 +51,7 @@ impl DomTree {
             visited[e.index()] = true;
             stack.push((e, 0));
             while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-                let preds = &cfg.preds[b.index()];
+                let preds = cfg.preds(b);
                 if *i < preds.len() {
                     let p = preds[*i];
                     *i += 1;
@@ -68,16 +68,16 @@ impl DomTree {
         let rrpo: Vec<BlockId> = post.into_iter().rev().collect();
         let root = cfg.exits.first().copied();
         let _ = func;
-        Self::compute(n, root, &rrpo, |b| cfg.succs[b.index()].clone())
+        Self::compute(n, root, &rrpo, |b| cfg.succs(b))
     }
 
     /// Shared CHK fixpoint. `order` must be an RPO of the (possibly reversed)
-    /// graph; `preds` returns that graph's predecessors.
-    fn compute(
+    /// graph; `preds` borrows that graph's predecessors of a block.
+    fn compute<'g>(
         n: usize,
         root: Option<BlockId>,
         order: &[BlockId],
-        preds: impl Fn(BlockId) -> Vec<BlockId>,
+        preds: impl Fn(BlockId) -> &'g [BlockId],
     ) -> Self {
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         let Some(root) = root else {
@@ -113,7 +113,7 @@ impl DomTree {
                     continue;
                 }
                 let mut new_idom: Option<BlockId> = None;
-                for p in preds(b) {
+                for &p in preds(b) {
                     if idom[p.index()].is_none() {
                         continue; // not yet processed / unreachable
                     }
@@ -134,26 +134,19 @@ impl DomTree {
         // Root's self-idom is an implementation detail; expose None.
         idom[root.index()] = None;
 
-        // Depths by walking up (graphs are small; O(n·depth) is fine).
+        // Every block's immediate dominator precedes it in `order`, so one
+        // pass sets each depth from its parent's. A block the fixpoint left
+        // without one (the root, or with several exits one reached only from
+        // another exit) starts its own tree at depth 0.
         let mut depth = vec![usize::MAX; n];
-        depth[root.index()] = 0;
         for &b in order {
-            if depth[b.index()] != usize::MAX {
-                continue;
-            }
-            let mut chain = vec![b];
-            let mut cur = b;
-            while let Some(p) = idom[cur.index()] {
-                if depth[p.index()] != usize::MAX {
-                    break;
+            depth[b.index()] = match idom[b.index()] {
+                Some(p) => {
+                    debug_assert_ne!(depth[p.index()], usize::MAX, "idom precedes in order");
+                    depth[p.index()] + 1
                 }
-                chain.push(p);
-                cur = p;
-            }
-            let start = idom[cur.index()].map(|p| depth[p.index()] + 1).unwrap_or(0);
-            for (d, &c) in (start..).zip(chain.iter().rev()) {
-                depth[c.index()] = d;
-            }
+                None => 0,
+            };
         }
 
         DomTree {

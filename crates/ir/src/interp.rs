@@ -28,7 +28,7 @@ use crate::types::Type;
 use cayman_obs::Counter;
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A dynamic value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,13 +247,19 @@ impl ExecProfile {
 /// to [`Interp::from_cached_decode`]. A handle is only meaningful for a
 /// function structurally identical to the one it was decoded from — key it
 /// by [`crate::fingerprint::fingerprint_function`].
+///
+/// The decoding is shared: cloning a handle, or building an interpreter
+/// from it, copies no decoded code.
 #[derive(Debug, Clone)]
-pub struct DecodedFunction(pub(crate) crate::decode::DecodedFunc);
+pub struct DecodedFunction(pub(crate) Arc<crate::decode::DecodedFunc>);
 
 /// Decodes a single function of a [verified](Module::verify) module for
 /// caching.
 pub fn decode_function(module: &Module, func: FuncId) -> DecodedFunction {
-    DecodedFunction(crate::decode::decode_func(module, module.function(func)))
+    DecodedFunction(Arc::new(crate::decode::decode_func(
+        module,
+        module.function(func),
+    )))
 }
 
 /// Which execution engine an [`Interp`] uses.

@@ -76,7 +76,7 @@ impl LoopForest {
             if !cfg.is_reachable(b) {
                 continue;
             }
-            for &s in &cfg.succs[b.index()] {
+            for &s in cfg.succs(b) {
                 if dom.dominates(s, b) {
                     // back edge b -> s
                     match headers.iter().position(|&h| h == s) {
@@ -104,7 +104,7 @@ impl LoopForest {
                 if b == *h {
                     continue;
                 }
-                for &p in &cfg.preds[b.index()] {
+                for &p in cfg.preds(b) {
                     if !in_loop[p.index()] {
                         in_loop[p.index()] = true;
                         stack.push(p);
@@ -119,7 +119,7 @@ impl LoopForest {
             );
             let mut exit_blocks: Vec<BlockId> = Vec::new();
             for &b in &blocks {
-                for &s in &cfg.succs[b.index()] {
+                for &s in cfg.succs(b) {
                     if !in_loop[s.index()] && !exit_blocks.contains(&s) {
                         exit_blocks.push(s);
                     }

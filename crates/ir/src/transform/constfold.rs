@@ -1,6 +1,6 @@
 //! Constant folding through the interpreter's own arithmetic kernels.
 
-use super::{replace_all_uses, Pass};
+use super::{replace_all_uses, Feeds, Pass};
 use crate::instr::{Imm, Instr, Operand};
 use crate::interp::{exec_binary, exec_cmp, exec_unary, Value};
 use crate::module::{ArrayDecl, Function, InstrId};
@@ -24,6 +24,15 @@ pub struct ConstFold;
 impl Pass for ConstFold {
     fn name(&self) -> &'static str {
         "constfold"
+    }
+
+    /// A folded branch condition is work for simplify-cfg, a replaced
+    /// operand can make two expressions equal (gvn), and a folded
+    /// instruction loses its uses (dce). It never unplaces an instruction
+    /// (compact) and repeats its rounds until none folds, so it never feeds
+    /// itself.
+    fn feeds(&self) -> Feeds {
+        Feeds::Only(&["simplify-cfg", "gvn", "dce"])
     }
 
     fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {

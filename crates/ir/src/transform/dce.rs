@@ -1,6 +1,6 @@
 //! Dead code elimination for provably trap-free unused instructions.
 
-use super::{use_counts, Pass};
+use super::{Feeds, Pass};
 use crate::instr::{BinOp, Instr, Operand, UnaryOp};
 use crate::module::{ArrayDecl, Function, ValueDef};
 use crate::types::Type;
@@ -17,15 +17,23 @@ use crate::types::Type;
 /// * `gep` survives unless every index is a constant inside its dimension;
 /// * `load` survives unless its pointer is a direct `gep` result (whose own
 ///   bounds check already dominates the load);
-/// * operand *types* are checked against the opcode (the verifier does not),
-///   so an unused instruction that would die with a type-confusion error at
-///   runtime is kept;
+/// * operand *types* are checked against the opcode (the verifier does not
+///   check an immediate's kind or a conversion's operand), so an unused
+///   instruction that would die with a type-confusion error at runtime is
+///   kept;
 /// * `store` and `call` always survive.
 pub struct Dce;
 
 impl Pass for Dce {
     fn name(&self) -> &'static str {
         "dce"
+    }
+
+    /// Unlinked instructions are compact's work. Removing an unused
+    /// instruction changes no operand, terminator or dominance, so it gives
+    /// no other pass work, and it repeats until nothing else dies.
+    fn feeds(&self) -> Feeds {
+        Feeds::Only(&["compact"])
     }
 
     fn run(&self, arrays: &[ArrayDecl], func: &mut Function) -> bool {
@@ -138,4 +146,24 @@ fn dce_function(arrays: &[ArrayDecl], func: &mut Function) -> bool {
         func.invalidate_block_map();
         changed = true;
     }
+}
+
+/// Per-value use counts over placed instructions and terminators.
+fn use_counts(func: &Function) -> Vec<u32> {
+    let mut counts = vec![0u32; func.values.len()];
+    let mut count = |op: Operand| {
+        if let Operand::Value(v) = op {
+            counts[v.index()] += 1;
+        }
+    };
+    for b in func.block_ids() {
+        let block = func.block(b);
+        for &iid in &block.instrs {
+            func.instr(iid).for_each_operand(&mut count);
+        }
+        if let Some(term) = &block.term {
+            term.for_each_operand(&mut count);
+        }
+    }
+    counts
 }

@@ -1,15 +1,13 @@
 //! Dominator-based global value numbering / common-subexpression
 //! elimination.
 
-use super::Pass;
+use super::{Feeds, Pass};
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::instr::{BinOp, CmpPred, Imm, Instr, Operand, UnaryOp};
-use crate::module::{ArrayDecl, ArrayId, BlockId, Function, ValueId};
+use crate::module::{ArrayDecl, ArrayId, BlockId, Function, InstrId, ValueId};
 use crate::types::Type;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// Deletes pure instructions that recompute an expression already computed
 /// by a dominating instruction with identical SSA operands, rewriting uses
@@ -31,6 +29,16 @@ impl Pass for Gvn {
         "gvn"
     }
 
+    /// Rewriting a deleted copy's uses to the survivor can give a phi equal
+    /// incomings (constfold), and the copies are left unplaced (compact).
+    /// It never makes an operand constant or touches a terminator's
+    /// targets (simplify-cfg); every operand of a deleted copy is still used
+    /// by the survivor, which has the same type (dce); and one walk finds
+    /// every dominated copy, so it never feeds itself.
+    fn feeds(&self) -> Feeds {
+        Feeds::Only(&["constfold", "compact"])
+    }
+
     fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
         gvn_function(func)
     }
@@ -45,18 +53,9 @@ enum OpKey {
     Bool(bool),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ExprKey {
-    Binary(BinOp, Type, OpKey, OpKey),
-    Unary(UnaryOp, Type, OpKey),
-    Cmp(CmpPred, Type, OpKey, OpKey),
-    Select(Type, OpKey, OpKey, OpKey),
-    Gep(ArrayId, Vec<OpKey>),
-}
-
-/// A multiply–rotate hasher for the expression table. Only lookups read
-/// the table — its iteration order never reaches the output — so a cheap
-/// hash changes nothing but the time spent.
+/// A multiply–rotate hasher for expression keys. Only lookups read the
+/// table — its layout never reaches the output — so a cheap hash changes
+/// nothing but the time spent.
 #[derive(Default)]
 struct ExprHasher(u64);
 
@@ -105,87 +104,218 @@ fn op_key(repl: &Repl, op: Operand) -> OpKey {
     }
 }
 
-fn expr_key(repl: &Repl, instr: &Instr) -> Option<ExprKey> {
-    let k = |op: &Operand| op_key(repl, *op);
-    Some(match instr {
-        Instr::Binary { op, ty, lhs, rhs } => ExprKey::Binary(*op, *ty, k(lhs), k(rhs)),
-        Instr::Unary { op, ty, val } => ExprKey::Unary(*op, *ty, k(val)),
-        Instr::Cmp { pred, ty, lhs, rhs } => ExprKey::Cmp(*pred, *ty, k(lhs), k(rhs)),
+/// What an expression computes, apart from its operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Op {
+    Binary(BinOp, Type),
+    Unary(UnaryOp, Type),
+    Cmp(CmpPred, Type),
+    Select(Type),
+    Gep(ArrayId),
+}
+
+/// A pure instruction's operands: up to three copied, or a gep's indices
+/// borrowed, so reading an expression allocates nothing.
+enum Operands<'a> {
+    Inline([Operand; 3], usize),
+    Borrowed(&'a [Operand]),
+}
+
+impl Operands<'_> {
+    fn as_slice(&self) -> &[Operand] {
+        match self {
+            Operands::Inline(ops, n) => &ops[..*n],
+            Operands::Borrowed(ops) => ops,
+        }
+    }
+}
+
+/// `instr` as an expression, or `None` when it is not a pure op GVN may
+/// delete.
+fn expr(instr: &Instr) -> Option<(Op, Operands<'_>)> {
+    let pad = Operand::int(0);
+    Some(match *instr {
+        Instr::Binary { op, ty, lhs, rhs } => {
+            (Op::Binary(op, ty), Operands::Inline([lhs, rhs, pad], 2))
+        }
+        Instr::Unary { op, ty, val } => (Op::Unary(op, ty), Operands::Inline([val, pad, pad], 1)),
+        Instr::Cmp { pred, ty, lhs, rhs } => {
+            (Op::Cmp(pred, ty), Operands::Inline([lhs, rhs, pad], 2))
+        }
         Instr::Select {
             cond,
             ty,
             then_val,
             else_val,
-        } => ExprKey::Select(*ty, k(cond), k(then_val), k(else_val)),
-        Instr::Gep { array, indices } => {
-            ExprKey::Gep(*array, indices.iter().map(|i| op_key(repl, *i)).collect())
-        }
+        } => (
+            Op::Select(ty),
+            Operands::Inline([cond, then_val, else_val], 3),
+        ),
+        Instr::Gep { array, ref indices } => (Op::Gep(array), Operands::Borrowed(indices)),
         Instr::Load { .. } | Instr::Store { .. } | Instr::Phi { .. } | Instr::Call { .. } => {
             return None
         }
     })
 }
 
-fn gvn_function(func: &mut Function) -> bool {
-    let cfg = Cfg::compute(func);
-    let dom = DomTree::dominators(func, &cfg);
-    let n = cfg.block_count();
-    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    for b in func.block_ids() {
-        if let Some(p) = dom.idom_of(b) {
-            children[p.index()].push(b);
+/// The hash of an expression's key: its op and its operands' keys.
+fn expr_hash(repl: &Repl, op: Op, operands: &[Operand]) -> u64 {
+    let mut h = ExprHasher::default();
+    op.hash(&mut h);
+    for &o in operands {
+        op_key(repl, o).hash(&mut h);
+    }
+    h.finish()
+}
+
+/// One expression-table entry: the latest definition of an expression, its
+/// result, and where its scope ends: the preorder number just past its
+/// block's dominator subtree.
+#[derive(Clone, Copy)]
+struct Slot {
+    hash: u64,
+    def: InstrId,
+    result: ValueId,
+    end: u32,
+}
+
+/// An open-addressing expression table with linear probing, sized once for
+/// every candidate instruction of the function at a load of at most one
+/// half, so it never grows. Keys are not stored: a slot names its defining
+/// instruction, and a probe compares that instruction with the candidate.
+struct Table {
+    slots: Vec<Option<Slot>>,
+    shift: u32,
+}
+
+impl Table {
+    fn for_candidates(n: usize) -> Self {
+        let cap = (2 * n).next_power_of_two().max(8);
+        Table {
+            slots: vec![None; cap],
+            shift: 64 - cap.trailing_zeros(),
         }
     }
 
-    // Each expression maps to its latest definition and that definition's
-    // block. The definition is in scope exactly while its block is open on
-    // the dominator-tree walk below (it dominates the block being visited);
-    // a closed one is stale and the next definition replaces it. Once a
-    // block defines an expression, its whole subtree finds that definition
-    // in scope, so nothing dominated ever replaces it: the table answers
-    // like a scoped one, without cloning a key or unwinding a scope.
-    let mut table: HashMap<ExprKey, (ValueId, BlockId), BuildHasherDefault<ExprHasher>> =
-        HashMap::default();
-    let mut open = vec![false; n];
+    /// The slot holding the expression `(op, operands)`, or the empty slot
+    /// where it belongs.
+    fn find(&self, func: &Function, repl: &Repl, hash: u64, op: Op, operands: &[Operand]) -> usize {
+        let same = |def: InstrId| {
+            let (op2, operands2) = expr(func.instr(def)).expect("a slot holds a pure op");
+            let operands2 = operands2.as_slice();
+            op == op2
+                && operands.len() == operands2.len()
+                && operands
+                    .iter()
+                    .zip(operands2)
+                    .all(|(&x, &y)| op_key(repl, x) == op_key(repl, y))
+        };
+        let mask = self.slots.len() - 1;
+        // The multiply leaves its best-mixed bits at the top.
+        let mut i = (hash >> self.shift) as usize;
+        loop {
+            match self.slots[i] {
+                Some(s) if s.hash == hash && same(s.def) => return i,
+                Some(_) => i = (i + 1) & mask,
+                None => return i,
+            }
+        }
+    }
+}
+
+/// The dominator tree's preorder (children in block order) and, per block,
+/// the preorder number just past its subtree: `a` dominates `b` iff
+/// `pre(a) <= pre(b) < end[a]`.
+struct Preorder {
+    order: Vec<BlockId>,
+    end: Vec<u32>,
+}
+
+fn dom_preorder(func: &Function, dom: &DomTree) -> Preorder {
+    let n = func.blocks.len();
+    // Children in block order, as one flat list: block `p`'s children are
+    // `kids[first[p]..first[p + 1]]`.
+    let mut first = vec![0u32; n + 1];
+    for b in func.block_ids() {
+        if let Some(p) = dom.idom_of(b) {
+            first[p.index() + 1] += 1;
+        }
+    }
+    for p in 0..n {
+        first[p + 1] += first[p];
+    }
+    let mut fill = first.clone();
+    let mut kids = vec![BlockId(0); first[n] as usize];
+    for b in func.block_ids() {
+        if let Some(p) = dom.idom_of(b) {
+            kids[fill[p.index()] as usize] = b;
+            fill[p.index()] += 1;
+        }
+    }
+    let mut order = Vec::with_capacity(n);
+    let mut end = vec![0u32; n];
+    let mut stack = vec![func.entry()];
+    while let Some(b) = stack.pop() {
+        order.push(b);
+        let (lo, hi) = (first[b.index()] as usize, first[b.index() + 1] as usize);
+        stack.extend(kids[lo..hi].iter().rev());
+    }
+    // A subtree is contiguous in the preorder and its blocks follow its
+    // root, so a reverse sweep extends each parent's end past its
+    // children's.
+    for (i, &b) in order.iter().enumerate().rev() {
+        end[b.index()] = end[b.index()].max(i as u32 + 1);
+        if let Some(p) = dom.idom_of(b) {
+            end[p.index()] = end[p.index()].max(end[b.index()]);
+        }
+    }
+    Preorder { order, end }
+}
+
+fn gvn_function(func: &mut Function) -> bool {
+    let cfg = Cfg::compute(func);
+    let dom = DomTree::dominators(func, &cfg);
+    let tree = dom_preorder(func, &dom);
+
+    // Blocks are visited in dominator-tree preorder, so a block's
+    // dominators are exactly the visited blocks whose subtree contains it.
+    // Each expression's slot holds its latest definition. That definition
+    // is in scope while the visit is inside its block's subtree; once the
+    // visit leaves, it is stale and the next definition replaces it. A
+    // definition in scope is never replaced — everything its block
+    // dominates finds it — so the one table answers like a scoped one.
+    let candidates = tree.order.iter().map(|&b| func.block(b).instrs.len()).sum();
+    let mut table = Table::for_candidates(candidates);
     let mut repl: Vec<Option<ValueId>> = vec![None; func.values.len()];
     let mut dead = vec![false; func.instrs.len()];
     let mut any_dead = false;
-
-    // Dominator-tree DFS with explicit enter/exit events.
-    enum Ev {
-        Enter(BlockId),
-        Exit(BlockId),
-    }
-    let mut stack = vec![Ev::Enter(func.entry())];
-    while let Some(ev) = stack.pop() {
-        match ev {
-            Ev::Enter(b) => {
-                open[b.index()] = true;
-                for &iid in &func.block(b).instrs {
-                    let Some(key) = expr_key(&repl, func.instr(iid)) else {
-                        continue;
-                    };
-                    let result = func.result_of(iid).expect("pure instr has a result");
-                    match table.entry(key) {
-                        Entry::Occupied(e) if open[e.get().1.index()] => {
-                            repl[result.index()] = Some(e.get().0);
-                            dead[iid.index()] = true;
-                            any_dead = true;
-                        }
-                        Entry::Occupied(mut e) => {
-                            e.insert((result, b));
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert((result, b));
-                        }
-                    }
+    for (pre, &b) in tree.order.iter().enumerate() {
+        let pre = pre as u32;
+        for &iid in &func.block(b).instrs {
+            let Some((op, operands)) = expr(func.instr(iid)) else {
+                continue;
+            };
+            let operands = operands.as_slice();
+            let hash = expr_hash(&repl, op, operands);
+            let result = func.result_of(iid).expect("pure instr has a result");
+            let at = table.find(func, &repl, hash, op, operands);
+            // Every slot was filled earlier in the preorder, so it is in
+            // scope iff the visit has not yet passed the end of its subtree.
+            match table.slots[at] {
+                Some(s) if pre < s.end => {
+                    repl[result.index()] = Some(s.result);
+                    dead[iid.index()] = true;
+                    any_dead = true;
                 }
-                stack.push(Ev::Exit(b));
-                for &c in children[b.index()].iter().rev() {
-                    stack.push(Ev::Enter(c));
+                _ => {
+                    table.slots[at] = Some(Slot {
+                        hash,
+                        def: iid,
+                        result,
+                        end: tree.end[b.index()],
+                    });
                 }
             }
-            Ev::Exit(b) => open[b.index()] = false,
         }
     }
 

@@ -70,7 +70,8 @@ fn licm_function(func: &mut Function) -> bool {
     for l in loops {
         let lp = forest.get(l);
         // Unique out-of-loop predecessor of the header = the hoist target.
-        let outside: Vec<BlockId> = cfg.preds[lp.header.index()]
+        let outside: Vec<BlockId> = cfg
+            .preds(lp.header)
             .iter()
             .copied()
             .filter(|p| !lp.blocks.contains(p))

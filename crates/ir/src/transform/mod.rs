@@ -11,16 +11,39 @@
 //!
 //! Every [`Pass`] rewrites one function. There is one driver,
 //! [`PassManager::run`]: it sweeps a pipeline's passes over one function,
-//! detached from its module, until a sweep changes nothing. The module is
+//! detached from its module, until every pass is clean. The module is
 //! only read: its array declarations by the passes, its callee signatures
 //! by the optional verifier. [`normalize_function`] runs the `-O1`
 //! pipeline on one function of a module and writes it back on success;
 //! [`normalize`] runs it on each function in turn.
 //!
-//! The `-O1` pipeline iterates four passes to a fixed point
-//! — [`SimplifyCfg`], [`ConstFold`], [`Gvn`], [`Dce`] — then runs
-//! [`Compact`] to rebuild the instruction arena without the dropped
-//! instructions.
+//! The `-O1` pipeline sweeps [`SimplifyCfg`], [`ConstFold`], [`Gvn`],
+//! [`Dce`] and [`Compact`] (which rebuilds the instruction arena without
+//! the dropped instructions) to a fixed point.
+//!
+//! ## The skip rule
+//!
+//! A sweep skips a *clean* pass: one that has run since the last change by
+//! any pass that [feeds](Pass::feeds) it. Every pass starts dirty, and the
+//! run ends when every pass is clean, so the result is the one a loop that
+//! runs every pass until a whole sweep changes nothing would give (pinned
+//! by `tests/prop_pipeline.rs`) without most of its confirming runs. The
+//! `-O1` passes declare:
+//!
+//! | pass | feeds | why |
+//! |---|---|---|
+//! | simplify-cfg | constfold, gvn, dce, compact | a pruned phi can be left with equal incomings; a merge or a deleted edge makes blocks dominate others; a deleted incoming can take a value's last use; deleted blocks and forwarded phis leave unplaced instructions |
+//! | constfold | simplify-cfg, gvn, dce | a folded branch condition; a replaced operand can make two expressions equal; a folded instruction loses its uses |
+//! | gvn | constfold, compact | rewriting a deleted copy's uses can give a phi equal incomings; the copies are left unplaced |
+//! | dce | compact | the unlinked instructions |
+//! | compact | — | renumbering keeps every id's identity and arena order, which is all a pass reads of an id |
+//!
+//! No `-O1` pass feeds itself: simplify-cfg, constfold and dce each repeat
+//! their rewrites until none fires, and one GVN walk finds every
+//! dominated copy. What each declaration leaves out is argued on its
+//! `feeds` method. [`PassManager::address_canon`]'s passes keep the
+//! default, every pass: any change there makes every pass, itself
+//! included, run again.
 //!
 //! [`PassManager::address_canon`] is the loop pipeline, [`StrengthReduce`]
 //! and [`Licm`]. Its job is to canonicalize gep address arithmetic (shifts
@@ -36,10 +59,13 @@
 //!
 //! Passes preserve *observable behavior*: final memory image, return value,
 //! and whether/with which message execution errors. For well-typed modules
-//! this is exact. Verified-but-type-confused modules (the verifier does not
-//! type-check most non-phi operands) may lose a runtime type error when the
-//! offending instruction is unused — this mirrors LLVM, where UB-adjacent
-//! dead code may be deleted. Concretely:
+//! this is exact. The verifier types every value operand, gep index,
+//! address, call argument, branch condition and returned value; what it
+//! leaves unchecked is the kind of an immediate read by arithmetic, a
+//! compare, a select, a phi or a store, and the operand of a conversion. A
+//! verified module confused only there may lose its runtime type error
+//! when the offending instruction is unused — this mirrors LLVM, where
+//! UB-adjacent dead code may be deleted. Concretely:
 //!
 //! * constant folding evaluates through the interpreter's own
 //!   [`crate::interp`] kernels, so wrapping, `i32` narrowing and NaN
@@ -85,9 +111,31 @@ pub trait Pass {
     /// Short kebab-case name for stats and diagnostics.
     fn name(&self) -> &'static str;
 
+    /// The passes a change made by this pass can give new work to; see
+    /// [`Feeds`] for what a declaration promises. The default, every pass,
+    /// is always safe.
+    fn feeds(&self) -> Feeds {
+        Feeds::All
+    }
+
     /// Rewrites `func`, whose module declares `arrays`; returns whether
     /// anything changed.
     fn run(&self, arrays: &[ArrayDecl], func: &mut Function) -> bool;
+}
+
+/// Which passes of a pipeline a [`Pass`]'s change can give new work to.
+///
+/// [`PassManager::run`] skips a pass that has run since the last change by
+/// any pass that feeds it, so a declaration that leaves out pass `p`
+/// promises: whenever `p` would change nothing, it still changes nothing
+/// after this pass's change. A pass that leaves itself out promises that a
+/// second run right after its own changes nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Feeds {
+    /// Every pass of the pipeline, this one included.
+    All,
+    /// Only the passes of the pipeline with these names.
+    Only(&'static [&'static str]),
 }
 
 /// How aggressively a module is rewritten before it is analysed.
@@ -133,7 +181,7 @@ impl fmt::Display for OptLevel {
 pub struct PassStats {
     /// Pass name.
     pub name: &'static str,
-    /// Number of times the pass ran.
+    /// Number of times the pass ran (a skipped clean pass does not run).
     pub runs: u32,
     /// Number of runs that reported a change.
     pub changed: u32,
@@ -147,7 +195,7 @@ pub struct PassStats {
 pub struct PipelineStats {
     /// Per-pass counters, in pipeline order.
     pub passes: Vec<PassStats>,
-    /// Fixed-point iterations executed.
+    /// Sweeps that ran at least one pass.
     pub iterations: u32,
     /// Number of inter-pass verifier runs.
     pub verify_runs: u32,
@@ -196,18 +244,35 @@ impl fmt::Display for PipelineStats {
 /// fixed point.
 const MAX_SWEEPS: u32 = 10;
 
-/// A fixed list of passes run over one function until a sweep changes
-/// nothing, with per-pass run/changed counters, a trace span per pass run
-/// and optional verification between passes.
+/// A fixed list of passes run over one function until every pass is clean
+/// (see [`PassManager::run`]), with per-pass run/changed counters, a trace
+/// span per pass run and optional verification between passes.
 pub struct PassManager {
     passes: &'static [&'static dyn Pass],
+    /// `feeds[i]`: the bit set of the passes that a change by pass `i`
+    /// makes dirty (bit `j` for `passes[j]`).
+    feeds: Vec<u64>,
     verify_each: bool,
 }
 
 impl PassManager {
     fn of(passes: &'static [&'static dyn Pass]) -> Self {
+        assert!(passes.len() <= 64, "a pipeline has at most 64 passes");
+        let all = every_pass(passes.len());
+        let feeds = passes
+            .iter()
+            .map(|p| match p.feeds() {
+                Feeds::All => all,
+                Feeds::Only(names) => names.iter().fold(0, |mask, name| {
+                    let j = passes.iter().position(|q| q.name() == *name);
+                    debug_assert!(j.is_some(), "`{}` feeds unknown pass `{name}`", p.name());
+                    j.map_or(mask, |j| mask | 1 << j)
+                }),
+            })
+            .collect();
         PassManager {
             passes,
+            feeds,
             verify_each: false,
         }
     }
@@ -216,6 +281,11 @@ impl PassManager {
     /// compact, iterated to a fixed point.
     pub fn standard() -> Self {
         PassManager::of(&[&SimplifyCfg, &ConstFold, &Gvn, &Dce, &Compact])
+    }
+
+    /// The pipeline's passes, in the order a sweep runs them.
+    pub fn passes(&self) -> &'static [&'static dyn Pass] {
+        self.passes
     }
 
     /// The identity-preserving address-canonicalization pipeline:
@@ -241,7 +311,15 @@ impl PassManager {
     }
 
     /// Runs the pass list over `func`, a function of `module` detached from
-    /// it, until a sweep changes nothing, up to a fixed sweep bound.
+    /// it, until every pass is clean, up to a fixed sweep bound.
+    ///
+    /// Each sweep runs the passes in order but skips a clean one. Every
+    /// pass starts dirty; running it makes it clean, and its change makes
+    /// dirty every pass it [feeds](Pass::feeds). The run ends when a sweep
+    /// would find every pass clean. A skipped pass would have changed
+    /// nothing, so the result is the one a loop that runs every pass until
+    /// a whole sweep changes nothing would give, without that loop's
+    /// confirming runs.
     ///
     /// With `verify_each_pass` enabled, returns the first failure (`func`
     /// is left in its mid-pipeline state for inspection).
@@ -273,10 +351,17 @@ impl PassManager {
             check(func)?;
             stats.verify_runs += 1;
         }
+        let mut dirty = every_pass(self.passes.len());
         for _ in 0..MAX_SWEEPS {
+            if dirty == 0 {
+                break;
+            }
             stats.iterations += 1;
-            let mut any = false;
-            for (pass, counts) in self.passes.iter().zip(&mut stats.passes) {
+            for (i, (pass, counts)) in self.passes.iter().zip(&mut stats.passes).enumerate() {
+                if dirty & 1 << i == 0 {
+                    continue;
+                }
+                dirty &= !(1 << i);
                 let changed = {
                     let _span = cayman_obs::span!(("normalize.", pass.name()));
                     pass.run(&module.arrays, func)
@@ -284,7 +369,7 @@ impl PassManager {
                 counts.runs += 1;
                 if changed {
                     counts.changed += 1;
-                    any = true;
+                    dirty |= self.feeds[i];
                     if self.verify_each {
                         check(func).map_err(|e| VerifyError {
                             func: e.func,
@@ -294,12 +379,14 @@ impl PassManager {
                     }
                 }
             }
-            if !any {
-                break;
-            }
         }
         Ok(stats)
     }
+}
+
+/// The bit set of the first `n` passes.
+fn every_pass(n: usize) -> u64 {
+    (0..n).fold(0, |mask, j| mask | 1 << j)
 }
 
 /// Normalizes every function of `module` at the given [`OptLevel`], one
@@ -372,39 +459,24 @@ pub fn replace_all_uses(func: &mut Function, from: ValueId, to: Operand) -> usiz
     n
 }
 
-/// Per-value use counts over placed instructions and terminators.
-pub(crate) fn use_counts(func: &Function) -> Vec<u32> {
-    let mut counts = vec![0u32; func.values.len()];
-    let mut count = |op: Operand| {
-        if let Operand::Value(v) = op {
-            counts[v.index()] += 1;
-        }
-    };
-    for b in func.block_ids() {
-        let block = func.block(b);
-        for &iid in &block.instrs {
-            func.instr(iid).for_each_operand(&mut count);
-        }
-        if let Some(term) = &block.term {
-            term.for_each_operand(&mut count);
-        }
-    }
-    counts
-}
-
 /// Rebuilds a function's instruction arena and value list without
 /// instructions that are in no block (the leftovers DCE / GVN / simplify-cfg
 /// unlink), renumbering [`InstrId`]s and [`ValueId`]s.
 ///
 /// Idempotent: reports no change once every arena instruction is placed.
-/// Functions in which a *placed* instruction uses the result of an
-/// *unplaced* one (legal per the verifier, which treats unplaced defs as
-/// entry-block defs) are left untouched.
+/// The function must verify, so no placed instruction or terminator uses
+/// the result of an unplaced one.
 pub struct Compact;
 
 impl Pass for Compact {
     fn name(&self) -> &'static str {
         "compact"
+    }
+
+    /// Renumbering gives no pass work: none reads an id's value, only its
+    /// identity and arena order, which compaction keeps.
+    fn feeds(&self) -> Feeds {
+        Feeds::Only(&[])
     }
 
     fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {
@@ -421,23 +493,15 @@ fn compact_function(func: &mut Function) -> bool {
     if live == func.instrs.len() {
         return false;
     }
-    // Bail if any placed instruction (or terminator) uses an unplaced def.
-    let counts = use_counts(func);
-    for (v, def) in func.values.iter().enumerate() {
-        if let ValueDef::Instr(i) = def {
-            if placed[i.index()] == crate::module::NO_BLOCK && counts[v] > 0 {
-                return false;
-            }
-        }
-    }
 
-    // Renumber live instructions in arena order.
+    // Renumber live instructions in arena order, moving them out of the
+    // old arena.
     let mut instr_map = vec![u32::MAX; func.instrs.len()];
     let mut new_instrs = Vec::with_capacity(live);
-    for (i, instr) in func.instrs.iter().enumerate() {
+    for (i, instr) in std::mem::take(&mut func.instrs).into_iter().enumerate() {
         if placed[i] != crate::module::NO_BLOCK {
             instr_map[i] = new_instrs.len() as u32;
-            new_instrs.push(instr.clone());
+            new_instrs.push(instr);
         }
     }
     // Rebuild values (params keep their slots; results of dropped
@@ -465,7 +529,11 @@ fn compact_function(func: &mut Function) -> bool {
     let remap_op = |op: &mut Operand| {
         if let Operand::Value(v) = op {
             let nv = value_map[v.index()];
-            debug_assert_ne!(nv, u32::MAX, "use of dropped value survived compaction");
+            debug_assert_ne!(
+                nv,
+                u32::MAX,
+                "a placed use of an unplaced definition: the function does not verify"
+            );
             *v = ValueId(nv);
         }
     };
@@ -524,8 +592,8 @@ bb0: ; entry
         }
     }
 
-    /// Makes the function return `f64`: its body still verifies, but its
-    /// callers now read the wrong type.
+    /// Makes the function return `f64`, so its callers now read the wrong
+    /// type.
     struct Retype;
 
     impl Pass for Retype {

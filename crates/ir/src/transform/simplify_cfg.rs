@@ -1,7 +1,7 @@
 //! CFG simplification: constant-branch folding, unreachable-block deletion
 //! and straight-line block merging, with phi maintenance on every edit.
 
-use super::{replace_all_uses, Pass};
+use super::{replace_all_uses, Feeds, Pass};
 use crate::instr::{Imm, Instr, Operand, Terminator};
 use crate::module::{ArrayDecl, BlockId, Function};
 
@@ -21,6 +21,15 @@ pub struct SimplifyCfg;
 impl Pass for SimplifyCfg {
     fn name(&self) -> &'static str {
         "simplify-cfg"
+    }
+
+    /// A pruned phi can be left with equal incomings (constfold), a merge
+    /// or a deleted edge makes blocks dominate others (gvn), a deleted
+    /// incoming can take a value's last use (dce), and deleted blocks and
+    /// forwarded phis leave unplaced instructions (compact). It repeats its
+    /// rewrites until none fires, so it never feeds itself.
+    fn feeds(&self) -> Feeds {
+        Feeds::Only(&["constfold", "gvn", "dce", "compact"])
     }
 
     fn run(&self, _arrays: &[ArrayDecl], func: &mut Function) -> bool {

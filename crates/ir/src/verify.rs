@@ -2,7 +2,7 @@
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use crate::instr::{Instr, Operand, Terminator};
+use crate::instr::{Imm, Instr, Operand, Terminator};
 use crate::module::{BlockId, Function, InstrId, Module, ValueDef, ValueId};
 use crate::types::Type;
 use std::error::Error;
@@ -43,9 +43,12 @@ impl Module {
     /// * every used value is defined by a parameter or by an instruction
     ///   listed in a block, and definitions dominate uses (phi uses checked
     ///   at the incoming edge, same-block definitions precede their uses),
-    /// * gep index counts match array dimensionality; load/store element
+    /// * gep index counts match array dimensionality and every index is an
+    ///   integer; load/store addresses are pointers, and their element
     ///   types match the array declaration where statically known,
-    /// * call arity/typing matches the callee signature.
+    /// * call arity, argument types and result type match the callee
+    ///   signature; a branch condition is a bool, and a returned value has
+    ///   the function's return type.
     ///
     /// # Errors
     ///
@@ -191,7 +194,7 @@ impl Module {
                     if b == entry {
                         return Err(format!("phi {iid} in the entry block"));
                     }
-                    let mut preds = cfg.preds[b.index()].clone();
+                    let mut preds = cfg.preds(b).to_vec();
                     preds.sort_unstable();
                     let mut inc: Vec<BlockId> = incomings.iter().map(|(p, _)| *p).collect();
                     inc.sort_unstable();
@@ -228,6 +231,17 @@ impl Module {
                 }
             });
             problem?;
+            match *blk.terminator() {
+                Terminator::CondBr { cond, .. } if kind(func, cond) != Some(Kind::Bool) => {
+                    return Err(format!("branch condition in {b} is not a bool"));
+                }
+                Terminator::Ret(Some(v)) if !func.ret.is_some_and(|t| fits(func, v, t)) => {
+                    return Err(format!(
+                        "{b} returns a value that is not of the return type"
+                    ));
+                }
+                _ => {}
+            }
         }
         Ok(())
     }
@@ -292,10 +306,22 @@ impl Module {
                         decl.dims.len()
                     ));
                 }
+                if let Some(k) = indices
+                    .iter()
+                    .position(|&i| kind(func, i) != Some(Kind::Int))
+                {
+                    return Err(format!(
+                        "gep into `{}` has a non-integer index {k}",
+                        decl.name
+                    ));
+                }
             }
             Instr::Load { ptr, ty } | Instr::Store { ptr, ty, .. } => {
                 if let Instr::Store { value, .. } = instr {
                     self.check_operand_type(func, *value, Some(*ty))?;
+                }
+                if kind(func, *ptr) != Some(Kind::Ptr) {
+                    return Err("memory access through a non-pointer address".into());
                 }
                 // Where the pointer is a direct gep result we can check the
                 // element type.
@@ -329,10 +355,57 @@ impl Module {
                 if *ty != target.ret {
                     return Err(format!("call to `{}` result type mismatch", target.name));
                 }
+                if let Some(k) = (0..args.len()).find(|&k| !fits(func, args[k], target.params[k])) {
+                    return Err(format!(
+                        "call to `{}` passes argument {k} of the wrong type (expected {})",
+                        target.name, target.params[k]
+                    ));
+                }
             }
             _ => {}
         }
         Ok(())
+    }
+}
+
+/// The kind of runtime value an operand reads, as the interpreter tells
+/// them apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Int,
+    Float,
+    Bool,
+    Ptr,
+}
+
+impl From<Type> for Kind {
+    fn from(ty: Type) -> Kind {
+        match ty {
+            Type::I1 => Kind::Bool,
+            Type::I32 | Type::I64 => Kind::Int,
+            Type::F32 | Type::F64 => Kind::Float,
+            Type::Ptr => Kind::Ptr,
+        }
+    }
+}
+
+/// The kind of `op`, whose value id is in range; `None` for a value with
+/// no type.
+fn kind(func: &Function, op: Operand) -> Option<Kind> {
+    match op {
+        Operand::Value(v) => func.value_type(v).map(Kind::from),
+        Operand::Const(Imm::Int(_)) => Some(Kind::Int),
+        Operand::Const(Imm::Float(_)) => Some(Kind::Float),
+        Operand::Const(Imm::Bool(_)) => Some(Kind::Bool),
+    }
+}
+
+/// Whether `op` can be read where a `want` is expected: a value of exactly
+/// that type, or an immediate of its kind.
+fn fits(func: &Function, op: Operand, want: Type) -> bool {
+    match op {
+        Operand::Value(v) => func.value_type(v) == Some(want),
+        Operand::Const(_) => kind(func, op) == Some(Kind::from(want)),
     }
 }
 
@@ -556,5 +629,86 @@ mod tests {
         m.functions[0].values[0] = ValueDef::Instr(InstrId(0));
         let e = rejection(&m);
         assert!(e.contains("inconsistent definition"), "{e}");
+    }
+
+    fn parsed_rejection(src: &str) -> String {
+        rejection(&Module::parse_text(src).expect("fixture parses"))
+    }
+
+    #[test]
+    fn non_integer_gep_index_is_rejected() {
+        let e = parsed_rejection(
+            "; module t
+array f64 @A [4]
+fn @f(f64 %0) -> void {
+bb0: ; entry
+  %1 = gep @A[%0]
+  ret
+}
+",
+        );
+        assert!(e.contains("non-integer index 0"), "{e}");
+    }
+
+    #[test]
+    fn non_pointer_address_is_rejected() {
+        let e = parsed_rejection(
+            "; module t
+array i64 @A [4]
+fn @f(i64 %0) -> i64 {
+bb0: ; entry
+  %1 = load i64 %0
+  ret %1
+}
+",
+        );
+        assert!(e.contains("non-pointer address"), "{e}");
+    }
+
+    #[test]
+    fn mistyped_call_argument_is_rejected() {
+        let e = parsed_rejection(
+            "; module t
+fn @g(i64 %0) -> void {
+bb0: ; entry
+  ret
+}
+
+fn @f() -> void {
+bb0: ; entry
+  call void @g(1.5)
+  ret
+}
+",
+        );
+        assert!(e.contains("argument 0 of the wrong type"), "{e}");
+    }
+
+    #[test]
+    fn non_bool_branch_condition_is_rejected() {
+        let e = parsed_rejection(
+            "; module t
+fn @f(i64 %0) -> void {
+bb0: ; entry
+  br %0 ? bb1 : bb1
+bb1: ; exit
+  ret
+}
+",
+        );
+        assert!(e.contains("not a bool"), "{e}");
+    }
+
+    #[test]
+    fn mistyped_return_value_is_rejected() {
+        let e = parsed_rejection(
+            "; module t
+fn @f(i64 %0) -> f64 {
+bb0: ; entry
+  ret %0
+}
+",
+        );
+        assert!(e.contains("not of the return type"), "{e}");
     }
 }
