@@ -11,6 +11,7 @@ use crate::ctx::FuncCtx;
 use crate::regions::{Region, RegionId, RegionKind, RegionTree};
 use cayman_ir::{FuncId, Module};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Identifies a node in the [`Wpst`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,10 +56,12 @@ pub struct WpstNode {
 pub struct Wpst {
     /// All vertices; `WpstNodeId(0)` is the root.
     pub nodes: Vec<WpstNode>,
-    /// Per-function region trees (indexed by `FuncId`).
-    pub region_trees: Vec<RegionTree>,
-    /// Per-function analysis contexts (indexed by `FuncId`).
-    pub func_ctxs: Vec<FuncCtx>,
+    /// Per-function region trees (indexed by `FuncId`), shared with the
+    /// analysis caches that computed them.
+    pub region_trees: Vec<Arc<RegionTree>>,
+    /// Per-function analysis contexts (indexed by `FuncId`), shared the
+    /// same way.
+    pub func_ctxs: Vec<Arc<FuncCtx>>,
 }
 
 impl Wpst {
@@ -83,9 +86,15 @@ impl Wpst {
     /// only by the preceding functions' region counts and its own region
     /// tree. Incremental re-analysis relies on this: a cached per-function
     /// `(FuncCtx, RegionTree)` pair reassembles into a wPST bit-identical
-    /// to a from-scratch build.
-    pub fn from_parts(region_trees: Vec<RegionTree>, func_ctxs: Vec<FuncCtx>) -> Self {
+    /// to a from-scratch build. Parts passed as `Arc`s are shared, not
+    /// copied.
+    pub fn from_parts(
+        region_trees: Vec<impl Into<Arc<RegionTree>>>,
+        func_ctxs: Vec<impl Into<Arc<FuncCtx>>>,
+    ) -> Self {
         assert_eq!(region_trees.len(), func_ctxs.len());
+        let region_trees: Vec<Arc<RegionTree>> = region_trees.into_iter().map(Into::into).collect();
+        let func_ctxs = func_ctxs.into_iter().map(Into::into).collect();
         let mut nodes = vec![WpstNode {
             kind: WpstKind::Root,
             children: Vec::new(),

@@ -23,8 +23,10 @@
 //!
 //! One more first edit per kernel runs traced, untimed: the self time of
 //! every span (its duration less its children's) over that pass gives the
-//! share the `normalize.*` spans take of a fresh edit, and the span counts
-//! give the GVN runs per normalized function.
+//! share the `normalize.*` spans take of a fresh edit and the self time per
+//! edit of the `analyse.profile` and `analyse.dataflow` stages (where an
+//! assembly gathers its cached parts), and the span counts give the GVN
+//! runs per normalized function.
 //!
 //! The headline target (ISSUE 7): median warm-toggle re-selection ≥ 50×
 //! faster than cold analyse+select, and median first-edit re-selection
@@ -48,6 +50,7 @@ use cayman_bench::json;
 use cayman_testkit::Rng;
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Timing repetitions per kernel (the minimum is reported, as in the other
@@ -139,6 +142,8 @@ struct KernelPoint {
     proved: usize,
     /// First edits whose selection the select table answered.
     select_hits: usize,
+    /// First edits whose application shares the pre-edit wPST.
+    wpst_shared: usize,
 }
 
 fn fronts_identical(a: &[Solution], b: &[Solution]) -> bool {
@@ -180,13 +185,16 @@ fn batch_front(module: cayman::ir::Module, memory: &Memory, sel: &SelectOptions)
 /// Times one first edit at `pick`'s site: the minimum over [`REPS`] fresh
 /// warm stores, each taking the edit and re-selecting. Returns the time,
 /// the edit, and the last store; the first rep's front is checked
-/// bit-identical to a from-scratch pipeline on the edited module.
+/// bit-identical to a from-scratch pipeline on the edited module, and its
+/// application must share the pre-edit wPST by pointer unless the edit
+/// re-ran a structure query (a nudge can change what normalization leaves
+/// of a function). The returned flag says whether it shared it.
 fn first_edit(
     w: &Workload,
     pick: u64,
     memory: &Memory,
     sel: &SelectOptions,
-) -> Option<(f64, Edit, IncrementalApp)> {
+) -> Option<(f64, Edit, IncrementalApp, bool)> {
     let edit = single_instr_edit(&w.module, pick)?;
     let Edit::ReplaceFunction { func, ref body } = edit else {
         unreachable!("single_instr_edit only replaces functions");
@@ -194,14 +202,25 @@ fn first_edit(
     let opts = AnalyseOptions::default();
     let mut best = f64::INFINITY;
     let mut inc = None;
+    let mut wpst_shared = false;
     for rep in 0..REPS {
         let mut app = IncrementalApp::new(w.module.clone(), Some(memory.clone()), opts.clone());
         app.select(sel).expect("cold incremental select");
+        let before = app.analyse().expect("an app-table hit");
+        let structure_misses = app.stats().structure.misses;
         let t0 = Instant::now();
         app.apply(edit.clone()).expect("applies");
         let res = app.select(sel).expect("re-selects");
         best = best.min(t0.elapsed().as_secs_f64());
         if rep == 0 {
+            let after = app.analyse().expect("an app-table hit");
+            wpst_shared = Arc::ptr_eq(&before.wpst, &after.wpst);
+            assert!(
+                wpst_shared || app.stats().structure.misses > structure_misses,
+                "{}: the edit at site {pick} kept every function's structure \
+                 but rebuilt the wPST",
+                w.name
+            );
             let mut edited = w.module.clone();
             edited.functions[func.index()] = body.clone();
             let fresh = batch_front(edited, memory, sel);
@@ -213,7 +232,7 @@ fn first_edit(
         }
         inc = Some(app);
     }
-    Some((best, edit, inc.expect("at least one rep ran")))
+    Some((best, edit, inc.expect("at least one rep ran"), wpst_shared))
 }
 
 /// Measures one kernel, or `None` when it has no float immediate to edit.
@@ -244,10 +263,11 @@ fn measure_kernel(
     // first edit is a one-shot event.)
     let mut rng = Rng::new(0x1E_D175 ^ kernel as u64);
     let mut times = Vec::with_capacity(SITES);
-    let (mut proved, mut select_hits) = (0, 0);
+    let (mut proved, mut select_hits, mut wpst_shared) = (0, 0, 0);
     let mut last = None;
     for _ in 0..SITES {
-        let (t, edit, inc) = first_edit(w, rng.next_u64(), &memory, &sel)?;
+        let (t, edit, inc, shared) = first_edit(w, rng.next_u64(), &memory, &sel)?;
+        wpst_shared += usize::from(shared);
         times.push(t);
         proved += usize::from(inc.stats().proved > 0);
         select_hits += usize::from(inc.stats().select.hits > 0);
@@ -309,6 +329,7 @@ fn measure_kernel(
         warm_toggle_s,
         proved,
         select_hits,
+        wpst_shared,
     })
 }
 
@@ -374,14 +395,19 @@ fn main() {
     let speedup_warm = cold_med / warm_med.max(1e-12);
     let proved: usize = points.iter().map(|p| p.proved).sum();
     let select_hits: usize = points.iter().map(|p| p.select_hits).sum();
+    let wpst_shared: usize = points.iter().map(|p| p.wpst_shared).sum();
     let edits = points.len() * SITES;
     let normalize_share = traced.nanos("normalize.") as f64 / traced.nanos("").max(1) as f64;
     let pipelines = traced.count("normalize.pipeline");
     let gvn_per_function = traced.count("normalize.gvn") as f64 / pipelines.max(1) as f64;
+    let per_edit_us = |span| traced.nanos(span) as f64 / 1e3 / points.len() as f64;
+    let profile_us = per_edit_us("analyse.profile");
+    let dataflow_us = per_edit_us("analyse.dataflow");
     println!(
         "# incremental over {} kernels × {SITES} sites: cold {} | first edit {} \
          ({speedup_first:.1}x; of {edits} edits {proved} proved without a run, \
-         {select_hits} answered by the select table) | warm toggle {} ({speedup_warm:.1}x)",
+         {select_hits} answered by the select table, {wpst_shared} shared the pre-edit wPST) \
+         | warm toggle {} ({speedup_warm:.1}x)",
         points.len(),
         fmt_duration(cold_med),
         fmt_duration(first_med),
@@ -389,7 +415,9 @@ fn main() {
     );
     println!(
         "# traced first edits: normalize.* spans take {:.1}% of the self time; \
-         {pipelines} functions normalized, {gvn_per_function:.2} gvn runs each",
+         {pipelines} functions normalized, {gvn_per_function:.2} gvn runs each; \
+         analyse.profile {profile_us:.2} µs and analyse.dataflow {dataflow_us:.2} µs \
+         self time per edit",
         100.0 * normalize_share
     );
 
@@ -428,17 +456,21 @@ fn main() {
              (whole-module execution re-runs unless the slice proof shows the block \
              counts and return value unchanged, first_edits_proved counts those; the \
              selection re-runs unless every front key is unchanged, \
-             first_edits_select_hits counts those), warm_toggle = apply+select toggling \
+             first_edits_select_hits counts those; first_edits_wpst_shared counts the \
+             edits whose application holds the pre-edit wPST itself), warm_toggle = apply+select toggling \
              between two cached module states (pure content-hash hits); \
              traced_first_edit: one more first edit per kernel with the recorder on, \
              untimed, where normalize_share is the self time of the normalize.* spans \
-             over the self time of every span and gvn_runs_per_function counts \
-             normalize.gvn spans per normalize.pipeline span",
+             over the self time of every span, gvn_runs_per_function counts \
+             normalize.gvn spans per normalize.pipeline span, and \
+             analyse_{profile,dataflow}_self_us_per_edit are those spans' self time \
+             per traced edit",
         );
         o.u64("kernels_measured", points.len() as u64);
         o.u64("sites_per_kernel", SITES as u64);
         o.u64("first_edits_proved", proved as u64);
         o.u64("first_edits_select_hits", select_hits as u64);
+        o.u64("first_edits_wpst_shared", wpst_shared as u64);
         o.u64("kernels_skipped_no_edit_site", skipped as u64);
         metric_json(o, "cold", points.iter().map(|p| p.cold_s).collect());
         metric_json(
@@ -456,6 +488,8 @@ fn main() {
             o.f64("normalize_share", normalize_share, 4);
             o.u64("functions_normalized", pipelines);
             o.f64("gvn_runs_per_function", gvn_per_function, 3);
+            o.f64("analyse_profile_self_us_per_edit", profile_us, 3);
+            o.f64("analyse_dataflow_self_us_per_edit", dataflow_us, 3);
         });
         o.f64("speedup_warm_toggle_median", speedup_warm, 1);
         o.arr("slowest_first_edit", |a| {

@@ -53,16 +53,19 @@ pub struct Application {
     /// The program (after normalization — analyses refer to this module,
     /// not the pre-normalization input).
     pub module: Module,
-    /// Whole-application program structure tree.
-    pub wpst: Wpst,
+    /// Whole-application program structure tree. An incremental assembly
+    /// whose functions all keep their structure hands on its parent's tree.
+    pub wpst: Arc<Wpst>,
     /// Region-level profile.
     pub profile: Profile,
     /// Raw execution profile (per-block counts, total cycles).
     pub exec: ExecProfile,
-    /// Per-function memory-access analysis.
-    pub accesses: Vec<AccessAnalysis>,
-    /// Per-function loop-carried dependence analysis.
-    pub deps: Vec<Vec<LoopDeps>>,
+    /// Per-function memory-access analysis, shared with the incremental
+    /// store's dataflow table (and so with every application that analysed
+    /// the same function).
+    pub accesses: Vec<Arc<AccessAnalysis>>,
+    /// Per-function loop-carried dependence analysis, shared the same way.
+    pub deps: Vec<Arc<Vec<LoopDeps>>>,
     /// Per-function loop trip counts (static preferred, profiled fallback).
     pub trips: Vec<Vec<f64>>,
     /// Per-function content fingerprints of the *normalized* functions —

@@ -9,10 +9,10 @@
 //! | verify | raw module ints-print | () |
 //! | normalize | (raw fn fp, arrays fp, verify-each) | normalized `Function` + its prints |
 //! | shadow | (normalized fn fp, arrays fp) | address-canonicalized `Function` + its prints |
-//! | structure | normalized fn ints-print | `FuncCtx` + `RegionTree` + structural prints |
+//! | structure | normalized fn ints-print | `Arc<FuncCtx>` + `Arc<RegionTree>` + structural prints |
 //! | decode | (normalized fn fp, arrays fp) | decoded interpreter function |
 //! | exec | (normalized module fp, memory fp) | `ExecProfile`, run or proved |
-//! | dataflow | (analysis fn ints-print, arrays fp) | accesses + loop deps + their prints |
+//! | dataflow | (analysis fn ints-print, arrays fp) | `Arc`ed accesses + loop deps + their prints |
 //! | trips | (normalized fn ints-print, arrays fp, block-count fp) | trip counts |
 //! | app | (raw module fp, memory fp, analyse opts) | `Arc<Application>` |
 //! | select | (every root child's front key, model fp, α, prune) | `Arc<SelectionResult>` |
@@ -72,6 +72,14 @@
 //! is tagged `proved = true`. The attempt itself runs under the
 //! `inc.exec.prove` span, whose end is tagged `proved = true|false`. Cold
 //! stores have no parent and always run.
+//!
+//! An assembly **shares rather than copies** what the tables hold: the
+//! wPST takes the structure query's `Arc`s and the [`Application`] the
+//! dataflow query's, so applications that analysed a function identically
+//! hold one copy of its analyses. The wPST's numbering depends only on the
+//! region trees, so when every function's structure parts are the very
+//! `Arc`s the parent's wPST holds, the assembly hands on the parent's
+//! `Arc<Wpst>` and builds no node list.
 //!
 //! Keys are **content fingerprints** ([`cayman_ir::fingerprint_function`]
 //! and friends), not revision counters: dirtiness is implicit — an edit
@@ -282,16 +290,20 @@ struct FuncKey {
     arrays_fp: u64,
 }
 
+/// A function's structure parts, held as the `Arc`s every wPST assembled
+/// from them shares.
 struct FuncStructure {
-    ctx: FuncCtx,
-    tree: RegionTree,
+    ctx: Arc<FuncCtx>,
+    tree: Arc<RegionTree>,
     /// The structural half of the function's prints.
     prints: FuncPrints,
 }
 
+/// A function's dataflow facts, held as the `Arc`s every application
+/// assembled from them shares.
 struct FuncDataflow {
-    accesses: AccessAnalysis,
-    deps: Vec<LoopDeps>,
+    accesses: Arc<AccessAnalysis>,
+    deps: Arc<Vec<LoopDeps>>,
     /// The dataflow half of the function's prints.
     prints: FuncPrints,
 }
@@ -303,8 +315,9 @@ struct ExecKey {
 }
 
 /// The most recently analysed application, which a fresh execution state is
-/// proved against. Holds the application the app table already shares: no
-/// module is copied.
+/// proved against and whose wPST a fresh assembly reuses by pointer when
+/// every function keeps its structure parts. Holds the application the app
+/// table already shares: no module is copied.
 struct ExecParent {
     memory_fp: u64,
     app: Arc<Application>,
@@ -476,6 +489,15 @@ impl RawFps {
     }
 }
 
+/// Whether `wpst` was assembled from exactly the parts in `structures`:
+/// the same `Arc`s, function for function.
+fn holds_parts(wpst: &Wpst, structures: &[Arc<FuncStructure>]) -> bool {
+    wpst.func_ctxs.len() == structures.len()
+        && structures.iter().enumerate().all(|(i, s)| {
+            Arc::ptr_eq(&wpst.func_ctxs[i], &s.ctx) && Arc::ptr_eq(&wpst.region_trees[i], &s.tree)
+        })
+}
+
 /// Assembles a fully analysed [`Application`] over `store`'s queries.
 ///
 /// `raw` must hold the prints of `module`'s (pre-normalization) functions.
@@ -590,23 +612,30 @@ pub(crate) fn assemble(
         let mut structures = Vec::with_capacity(n);
         let (wpst, exec, profile) = {
             let _s = cayman_obs::span!("analyse.profile");
-            let mut trees = Vec::with_capacity(n);
-            let mut ctxs = Vec::with_capacity(n);
             for f in working.function_ids() {
                 let key = norm_ints[f.index()];
                 let arg = Some(("func", ArgValue::from(f.index())));
                 let parts = store.structure.get(key, &mut counts.structure, arg, || {
                     let func = working.function(f);
                     let ctx = FuncCtx::compute(func);
-                    let tree = RegionTree::build(func, &ctx);
+                    let tree = Arc::new(RegionTree::build(func, &ctx));
                     let prints = FuncPrints::structure(func, &ctx);
+                    let ctx = Arc::new(ctx);
                     Ok(FuncStructure { ctx, tree, prints })
                 })?;
-                trees.push(parts.tree.clone());
-                ctxs.push(parts.ctx.clone());
                 structures.push(parts);
             }
-            let wpst = Wpst::from_parts(trees, ctxs);
+            // The wPST's numbering depends on the region trees alone, so
+            // when every function kept its parts the parent's tree is this
+            // one: share it instead of reassembling it.
+            let parent_wpst = store.parent.as_ref().map(|p| &p.app.wpst);
+            let wpst = match parent_wpst {
+                Some(w) if holds_parts(w, &structures) => Arc::clone(w),
+                _ => Arc::new(Wpst::from_parts(
+                    structures.iter().map(|s| Arc::clone(&s.tree)).collect(),
+                    structures.iter().map(|s| Arc::clone(&s.ctx)).collect(),
+                )),
+            };
 
             let exec_key = ExecKey {
                 norm_module_fp,
@@ -661,7 +690,7 @@ pub(crate) fn assemble(
             let _s = cayman_obs::span!("analyse.dataflow");
             for f in working.function_ids() {
                 let func = working.function(f);
-                let ctx = &wpst.func_ctxs[f.index()];
+                let ctx: &FuncCtx = &wpst.func_ctxs[f.index()];
                 let arg = Some(("func", ArgValue::from(f.index())));
                 let dkey = FuncKey {
                     fp: analysis_ints[f.index()],
@@ -687,8 +716,8 @@ pub(crate) fn assemble(
                     let deps = analyse_loop_deps(afunc, actx, &mut scev, &accesses);
                     let prints = FuncPrints::dataflow(afunc.blocks.len(), &accesses, &deps);
                     Ok(FuncDataflow {
-                        accesses,
-                        deps,
+                        accesses: Arc::new(accesses),
+                        deps: Arc::new(deps),
                         prints,
                     })
                 })?;
@@ -709,8 +738,8 @@ pub(crate) fn assemble(
                 let joined = FuncPrints::join(structure, &df.prints, arrays_fp);
                 selection_fps.push(joined.selection_fp(&profile.block_counts[f.index()], &tt));
                 prints.push(joined);
-                accesses.push(df.accesses.clone());
-                deps.push(df.deps.clone());
+                accesses.push(Arc::clone(&df.accesses));
+                deps.push(Arc::clone(&df.deps));
                 trips.push((*tt).clone());
             }
         }
@@ -1147,6 +1176,49 @@ mod tests {
         assert_eq!(swap.select.misses - rerun.select.misses, 1);
         assert_eq!((res.stats.front_hits, res.stats.front_misses), (2, 1));
         assert!(res.stats.cache_misses > 0, "kb's regions re-model");
+    }
+
+    #[test]
+    fn an_edit_shares_every_clean_functions_analyses_by_pointer() {
+        let m = two_kernel_module();
+        let mut inc = IncrementalApp::new(m.clone(), None, AnalyseOptions::default());
+        let cold = inc.analyse().expect("cold");
+        // The parts of function `i` that two applications share.
+        let shared = |a: &Application, b: &Application, i: usize| {
+            [
+                Arc::ptr_eq(&a.wpst.func_ctxs[i], &b.wpst.func_ctxs[i]),
+                Arc::ptr_eq(&a.wpst.region_trees[i], &b.wpst.region_trees[i]),
+                Arc::ptr_eq(&a.accesses[i], &b.accesses[i]),
+                Arc::ptr_eq(&a.deps[i], &b.deps[i]),
+            ]
+        };
+
+        // A float nudge keeps every function's structure and dataflow, so
+        // the new application holds the old one's wPST and analyses.
+        inc.apply(Edit::ReplaceFunction {
+            func: FuncId(0),
+            body: edited_ka(&m),
+        })
+        .expect("applies");
+        let nudged = inc.analyse().expect("nudged");
+        assert!(!Arc::ptr_eq(&cold, &nudged), "a fresh application");
+        assert!(Arc::ptr_eq(&cold.wpst, &nudged.wpst), "the wPST is reused");
+        for i in 0..3 {
+            assert_eq!(shared(&cold, &nudged, i), [true; 4], "function {i}");
+        }
+
+        // An opcode swap in `kb` re-runs its structure and dataflow: `ka`
+        // and `main` are still shared, `kb` and the wPST are new.
+        inc.apply(Edit::ReplaceFunction {
+            func: FuncId(1),
+            body: swapped(&m, 1, BinOp::FAdd, BinOp::FMul),
+        })
+        .expect("applies");
+        let swap = inc.analyse().expect("swapped");
+        assert!(!Arc::ptr_eq(&nudged.wpst, &swap.wpst), "kb's tree is new");
+        assert_eq!(shared(&nudged, &swap, 0), [true; 4], "ka");
+        assert_eq!(shared(&nudged, &swap, 2), [true; 4], "main");
+        assert_eq!(shared(&nudged, &swap, 1), [false; 4], "kb");
     }
 
     /// One function with two sibling loop nests: nest A scales `x`, nest
